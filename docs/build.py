@@ -49,7 +49,6 @@ PAGES = [
     ("serve.md", "Serve control plane"),
     ("autoplan.md", "Auto-planner"),
     ("benchmarks.md", "Benchmark trajectory"),
-    ("migration.md", "Migration guide"),
 ]
 
 #: modules whose public surface gets an auto-generated reference page

@@ -24,5 +24,6 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

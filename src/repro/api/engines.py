@@ -5,8 +5,7 @@
 :class:`~repro.parallel.FSDPEngine` each grew their own constructor
 shape; :func:`build_engine` normalizes all of them behind the
 :class:`~repro.api.ExecutionPlan`, deriving every factory (model,
-optimizer, loss, task) from the validated specs.  The old constructors
-keep working unchanged — they are the thin layer this function targets.
+optimizer, loss, task) from the validated specs.
 """
 
 from __future__ import annotations

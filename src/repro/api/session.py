@@ -93,6 +93,9 @@ class Session:
                 logging_mode=ft.logging_mode_enum,
                 checkpoint_prefix=ft.checkpoint_prefix,
             )
+            # step() never passes through train(), so the spec's limit
+            # has to be in force from construction
+            self.trainer.max_recoveries = ft.max_recoveries
             self.recovery = self.trainer.recovery
         else:  # fsdp: Section 8 sharded replication, trainerless
             self.detector = FailureDetector(self.cluster.kvstore, self.clock)

@@ -60,12 +60,7 @@ from repro.parallel.instructions import (
 from repro.parallel.partition import partition_by_sizes
 from repro.parallel.programs import build_program
 from repro.parallel.results import IterationResult
-from repro.parallel.schedules import (
-    ScheduleTiming,
-    StageOp,
-    program_op_key,
-    simulate_program,
-)
+from repro.parallel.schedules import ScheduleTiming, simulate_program
 
 __all__ = ["PipelineStage", "PipelineEngine"]
 
@@ -217,14 +212,23 @@ class PipelineEngine:
         schedule: str = "1f1b",
         comm_time: float = 0.0,
     ):
-        if (
-            not partition_sizes
-            or not placement
-            or len(partition_sizes) % len(placement) != 0
-        ):
-            raise ConfigurationError("one placement entry per stage required")
+        if not partition_sizes:
+            raise ConfigurationError("partition_sizes must not be empty")
+        if not placement:
+            raise ConfigurationError("placement must not be empty")
+        if len(partition_sizes) % len(placement) != 0:
+            raise ConfigurationError(
+                f"len(partition_sizes)={len(partition_sizes)} must be a "
+                f"multiple of len(placement)={len(placement)}"
+            )
         if num_microbatches < 1:
             raise ConfigurationError("need at least one micro-batch")
+        for name, times in (("fwd_times", fwd_times), ("bwd_times", bwd_times)):
+            if times is not None and len(times) != len(placement):
+                raise ConfigurationError(
+                    f"{name} needs one entry per stage: expected "
+                    f"{len(placement)}, got {len(times)}"
+                )
         self.cluster = cluster
         self.model_factory = model_factory
         self.partition_sizes = list(partition_sizes)
@@ -277,17 +281,6 @@ class PipelineEngine:
         """The verified instruction stream this engine interprets."""
         return self._program
 
-    def per_stage_ops(self) -> list[list[StageOp]]:
-        """Classic compute-op view of the program (back-compat)."""
-        return [
-            [
-                StageOp(i.stage, "F" if i.op == "Forward" else "B",
-                        i.microbatch)
-                for i in self._program.compute_instructions(s)
-            ]
-            for s in range(self.num_stages)
-        ]
-
     def timing(self) -> ScheduleTiming:
         if self._timing_cache is None:
             self._timing_cache = simulate_program(
@@ -295,29 +288,21 @@ class PipelineEngine:
             )
         return self._timing_cache
 
-    def stage_bubble_time(self, stage_id: int) -> float:
-        return self.timing().stage_bubble[stage_id]
-
     def _execution_order(self) -> list[Instruction]:
         """All non-step instructions in simulated global-time order.
 
         Compute instructions are anchored at their simulated start time;
         a receive/load rides with the compute that consumes it and a send
-        with the compute that produced it, so each classic schedule "op"
-        (recv + compute + send) stays contiguous and the global order is
-        exactly the pre-instruction-stream engine's op order for flat
-        programs.
+        with the compute that produced it, so each recv + compute + send
+        group stays contiguous in the global order.
         """
         if self._order_cache is not None:
             return self._order_cache
         timing = self.timing()
-        p, v = self.num_stages, self.virtual_stages
         keyed: list[tuple[float, int, int, Instruction]] = []
         for s, stream in enumerate(self._program.streams):
             starts: dict[int, float] = {
-                idx: timing.op_times[
-                    program_op_key(i.op, i.stage, i.chunk, i.microbatch, p, v)
-                ][0]
+                idx: timing.op_times[(i.chunk, i.op[0], i.microbatch)][0]
                 for idx, i in enumerate(stream)
                 if i.op in _COMPUTE
             }

@@ -2,10 +2,10 @@
 
 Built-in generators — ``gpipe``, ``1f1b``, ``interleaved_1f1b`` — emit
 :class:`~repro.parallel.instructions.ScheduleProgram` instruction
-streams.  The first two are *lowered* from the classic per-stage
-compute-op makers in :mod:`repro.parallel.schedules`, which guarantees
-the compute order (and therefore the engine's numerics) is identical to
-the pre-instruction-stream engine.  ``interleaved_1f1b`` implements the
+streams, the only schedule form in the tree.  Each generator states its
+per-stage compute order as ``("F"|"B", chunk, microbatch)`` units and
+shares one lowering (:func:`_lower`) that wraps every unit in its
+load/recv and send instructions.  ``interleaved_1f1b`` implements the
 Megatron-LM interleaved schedule: each physical stage hosts
 ``virtual_stages`` model chunks, shrinking the pipeline bubble by the
 same factor at the cost of more p2p traffic.
@@ -18,14 +18,13 @@ will execute it — schedules are data, not trusted code.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.parallel.instructions import (
     Instruction,
     ScheduleProgram,
 )
-from repro.parallel.schedules import StageOp, schedule_1f1b, schedule_gpipe
 
 __all__ = [
     "ScheduleGenerator",
@@ -34,7 +33,6 @@ __all__ = [
     "schedule_names",
     "default_virtual_stages",
     "build_program",
-    "program_from_stage_ops",
     "program_gpipe",
     "program_1f1b",
     "program_interleaved_1f1b",
@@ -146,63 +144,58 @@ def build_program(
     return get_schedule(name)(num_stages, num_microbatches, virtual_stages)
 
 
-def program_from_stage_ops(
+#: one compute unit of a stage's order: ("F" | "B", chunk, microbatch)
+_Unit = tuple[str, int, int]
+
+
+def _lower(
     name: str,
-    per_stage_ops: Iterable[Iterable[StageOp]],
     num_stages: int,
     num_microbatches: int,
+    virtual_stages: int,
+    compute_order: Callable[[int], list[_Unit]],
 ) -> ScheduleProgram:
-    """Lower classic per-stage F/B op lists into an instruction stream.
+    """Expand per-stage compute orders into full instruction streams.
 
-    Each ``F`` becomes load-or-recv + ``Forward`` + send (unless last
-    stage); each ``B`` becomes recv (unless last stage) + ``Backward`` +
-    send (unless first stage); a single ``OptimizerStep`` closes every
-    stream.  Compute order is preserved exactly, which is what keeps the
-    lowered ``1f1b``/``gpipe`` programs bitwise-faithful to the
-    pre-instruction-stream engine.
+    ``compute_order(s)`` lists stage ``s``'s work in execution order.
+    Each ``F`` becomes load (first chunk) or recv + ``Forward`` + send
+    (unless last chunk); each ``B`` becomes recv (unless last chunk) +
+    ``Backward`` + send (unless first chunk); a single ``OptimizerStep``
+    closes every stream.  Compute order is preserved exactly.
 
-    >>> ops = schedule_gpipe(1, 2)
-    >>> prog = program_from_stage_ops("demo", ops, 1, 2)
+    >>> prog = _lower("demo", 1, 2, 1, lambda s: [
+    ...     ("F", 0, 0), ("F", 0, 1), ("B", 0, 0), ("B", 0, 1)])
     >>> [i.op for i in prog.streams[0]]
     ['LoadMicroBatch', 'Forward', 'LoadMicroBatch', 'Forward', \
 'Backward', 'Backward', 'OptimizerStep']
     """
-    last = num_stages - 1
+    if num_stages < 1 or num_microbatches < 1:
+        raise ConfigurationError("need at least one stage and one micro-batch")
+    num_chunks = num_stages * virtual_stages
+    last = num_chunks - 1
     streams: list[tuple[Instruction, ...]] = []
-    for s, ops in enumerate(per_stage_ops):
+    for s in range(num_stages):
         instrs: list[Instruction] = []
-        for op in ops:
-            if op.kind == "F":
-                if s == 0:
-                    instrs.append(
-                        Instruction("LoadMicroBatch", s, op.microbatch, s)
-                    )
-                else:
-                    instrs.append(
-                        Instruction("RecvActivation", s, op.microbatch, s)
-                    )
-                instrs.append(Instruction("Forward", s, op.microbatch, s))
-                if s < last:
-                    instrs.append(
-                        Instruction("SendActivation", s, op.microbatch, s)
-                    )
+        for kind, chunk, mb in compute_order(s):
+            if kind == "F":
+                source = "LoadMicroBatch" if chunk == 0 else "RecvActivation"
+                instrs.append(Instruction(source, s, mb, chunk))
+                instrs.append(Instruction("Forward", s, mb, chunk))
+                if chunk < last:
+                    instrs.append(Instruction("SendActivation", s, mb, chunk))
             else:
-                if s < last:
-                    instrs.append(
-                        Instruction("RecvGrad", s, op.microbatch, s)
-                    )
-                instrs.append(Instruction("Backward", s, op.microbatch, s))
-                if s > 0:
-                    instrs.append(
-                        Instruction("SendGrad", s, op.microbatch, s)
-                    )
+                if chunk < last:
+                    instrs.append(Instruction("RecvGrad", s, mb, chunk))
+                instrs.append(Instruction("Backward", s, mb, chunk))
+                if chunk > 0:
+                    instrs.append(Instruction("SendGrad", s, mb, chunk))
         instrs.append(Instruction("OptimizerStep", s))
         streams.append(tuple(instrs))
     return ScheduleProgram(
         name=name,
         num_stages=num_stages,
         num_microbatches=num_microbatches,
-        num_chunks=num_stages,
+        num_chunks=num_chunks,
         streams=tuple(streams),
     )
 
@@ -225,16 +218,22 @@ def program_gpipe(
     'Forward'
     """
     _require_flat("gpipe", virtual_stages)
-    ops = schedule_gpipe(num_stages, num_microbatches)
-    return program_from_stage_ops(
-        "gpipe", ops, num_stages, num_microbatches
-    )
+    m = num_microbatches
+
+    def order(s: int) -> list[_Unit]:
+        return [("F", s, k) for k in range(m)] + [("B", s, k) for k in range(m)]
+
+    return _lower("gpipe", num_stages, m, 1, order)
 
 
 def program_1f1b(
     num_stages: int, num_microbatches: int, virtual_stages: int = 1
 ) -> ScheduleProgram:
     """1F1B: warm-up forwards, then strict one-forward-one-backward.
+
+    Stage ``s`` warms up with ``min(p - s - 1, m)`` forwards, then
+    alternates one-forward-one-backward, then drains the remaining
+    backwards.
 
     >>> prog = program_1f1b(2, 4)
     >>> [
@@ -244,8 +243,18 @@ def program_1f1b(
     [('F', 0), ('F', 1), ('B', 0), ('F', 2)]
     """
     _require_flat("1f1b", virtual_stages)
-    ops = schedule_1f1b(num_stages, num_microbatches)
-    return program_from_stage_ops("1f1b", ops, num_stages, num_microbatches)
+    p, m = num_stages, num_microbatches
+
+    def order(s: int) -> list[_Unit]:
+        warmup = min(p - s - 1, m)
+        units: list[_Unit] = [("F", s, k) for k in range(warmup)]
+        for k in range(warmup, m):
+            units.append(("F", s, k))
+            units.append(("B", s, k - warmup))
+        units.extend(("B", s, k) for k in range(m - warmup, m))
+        return units
+
+    return _lower("1f1b", p, m, 1, order)
 
 
 def program_interleaved_1f1b(
@@ -283,58 +292,29 @@ def program_interleaved_1f1b(
             f"interleaved_1f1b needs num_microbatches divisible by "
             f"num_stages (got m={m}, p={p})"
         )
-    num_chunks = p * v
     total = m * v  # compute units of each kind per stage
-    streams: list[tuple[Instruction, ...]] = []
-    for s in range(p):
-        def f_unit(i: int) -> tuple[int, int]:
-            group, k = divmod(i, p * v)
-            return (s + (k // p) * p, group * p + k % p)
 
-        def b_unit(i: int) -> tuple[int, int]:
+    def order(s: int) -> list[_Unit]:
+        def f_unit(i: int) -> _Unit:
             group, k = divmod(i, p * v)
-            return (s + (v - 1 - k // p) * p, group * p + k % p)
+            return ("F", s + (k // p) * p, group * p + k % p)
+
+        def b_unit(i: int) -> _Unit:
+            group, k = divmod(i, p * v)
+            return ("B", s + (v - 1 - k // p) * p, group * p + k % p)
 
         if m == p:
             warmup = total
         else:
             warmup = min(total, (p - s - 1) * 2 + (v - 1) * p)
-        units: list[tuple[str, int, int]] = []
-        for i in range(warmup):
-            units.append(("F",) + f_unit(i))
+        units = [f_unit(i) for i in range(warmup)]
         for i in range(total - warmup):
-            units.append(("F",) + f_unit(warmup + i))
-            units.append(("B",) + b_unit(i))
-        for i in range(total - warmup, total):
-            units.append(("B",) + b_unit(i))
+            units.append(f_unit(warmup + i))
+            units.append(b_unit(i))
+        units.extend(b_unit(i) for i in range(total - warmup, total))
+        return units
 
-        instrs: list[Instruction] = []
-        for kind, chunk, mb in units:
-            if kind == "F":
-                if chunk == 0:
-                    instrs.append(Instruction("LoadMicroBatch", s, mb, chunk))
-                else:
-                    instrs.append(Instruction("RecvActivation", s, mb, chunk))
-                instrs.append(Instruction("Forward", s, mb, chunk))
-                if chunk < num_chunks - 1:
-                    instrs.append(
-                        Instruction("SendActivation", s, mb, chunk)
-                    )
-            else:
-                if chunk < num_chunks - 1:
-                    instrs.append(Instruction("RecvGrad", s, mb, chunk))
-                instrs.append(Instruction("Backward", s, mb, chunk))
-                if chunk > 0:
-                    instrs.append(Instruction("SendGrad", s, mb, chunk))
-        instrs.append(Instruction("OptimizerStep", s))
-        streams.append(tuple(instrs))
-    return ScheduleProgram(
-        name="interleaved_1f1b",
-        num_stages=p,
-        num_microbatches=m,
-        num_chunks=num_chunks,
-        streams=tuple(streams),
-    )
+    return _lower("interleaved_1f1b", p, m, v, order)
 
 
 register_schedule("gpipe", program_gpipe)

@@ -1,4 +1,4 @@
-"""Pipeline schedules: 1F1B and GPipe, with a static timing simulator.
+"""Pipeline schedule timing: bubble ratio and the static program simulator.
 
 The paper adopts the One-Forward-One-Backward (1F1B) schedule (Figure 1a):
 both 1F1B and GPipe have bubble ratio ``(p-1)/(m+p-1)``, but 1F1B holds at
@@ -7,33 +7,22 @@ most ``p - stage`` in-flight micro-batches, so peak memory is lower
 which asynchronous logging hides its PCIe copies (Section 5.1), and its
 absence during replay is why recovery runs faster than the original
 execution (Figure 1b).
+
+Schedules themselves are instruction-stream programs generated in
+:mod:`repro.parallel.programs`; this module prices them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "StageOp",
     "bubble_ratio",
-    "schedule_1f1b",
-    "schedule_gpipe",
     "ScheduleTiming",
-    "simulate_schedule",
     "simulate_program",
-    "program_op_key",
 ]
-
-
-@dataclass(frozen=True)
-class StageOp:
-    """One unit of pipeline work: a forward or backward of one micro-batch."""
-
-    stage: int
-    kind: str  # "F" or "B"
-    microbatch: int
 
 
 def bubble_ratio(num_stages: int, num_microbatches: int) -> float:
@@ -44,44 +33,12 @@ def bubble_ratio(num_stages: int, num_microbatches: int) -> float:
     return (p - 1) / (m + p - 1)
 
 
-def schedule_1f1b(num_stages: int, num_microbatches: int) -> list[list[StageOp]]:
-    """Per-stage operation sequences for the 1F1B schedule.
-
-    Stage ``i`` warms up with ``min(p - i - 1, m)`` forwards, then
-    alternates one-forward-one-backward, then drains remaining backwards.
-    """
-    p, m = num_stages, num_microbatches
-    if p < 1 or m < 1:
-        raise ConfigurationError("need at least one stage and one micro-batch")
-    per_stage: list[list[StageOp]] = []
-    for i in range(p):
-        warmup = min(p - i - 1, m)
-        ops: list[StageOp] = [StageOp(i, "F", k) for k in range(warmup)]
-        for k in range(warmup, m):
-            ops.append(StageOp(i, "F", k))
-            ops.append(StageOp(i, "B", k - warmup))
-        for k in range(m - warmup, m):
-            ops.append(StageOp(i, "B", k))
-        per_stage.append(ops)
-    return per_stage
-
-
-def schedule_gpipe(num_stages: int, num_microbatches: int) -> list[list[StageOp]]:
-    """Per-stage sequences for GPipe: all forwards, then all backwards."""
-    p, m = num_stages, num_microbatches
-    if p < 1 or m < 1:
-        raise ConfigurationError("need at least one stage and one micro-batch")
-    return [
-        [StageOp(i, "F", k) for k in range(m)] + [StageOp(i, "B", k) for k in range(m)]
-        for i in range(p)
-    ]
-
-
 @dataclass
 class ScheduleTiming:
     """Static timing of one pipeline iteration."""
 
-    #: (stage, kind, microbatch) -> (start, end) in seconds from iteration start
+    #: (chunk, "F" | "B", microbatch) -> (start, end) in seconds from
+    #: iteration start; on flat programs the chunk is the stage
     op_times: dict[tuple[int, str, int], tuple[float, float]]
     #: per-stage completion time of the last op
     stage_finish: list[float]
@@ -96,10 +53,11 @@ class ScheduleTiming:
     def max_in_flight(self) -> list[int]:
         """Peak number of outstanding forwards per stage (memory proxy)."""
         peaks = []
+        p = len(self.stage_finish)
         by_stage: dict[int, list[tuple[float, int]]] = {}
-        for (stage, kind, _), (start, _end) in self.op_times.items():
-            delta = 1 if kind.startswith("F") else -1
-            by_stage.setdefault(stage, []).append((start, delta))
+        for (chunk, kind, _), (start, _end) in self.op_times.items():
+            delta = 1 if kind == "F" else -1
+            by_stage.setdefault(chunk % p, []).append((start, delta))
         for stage in sorted(by_stage):
             level = peak = 0
             for _, delta in sorted(by_stage[stage]):
@@ -109,109 +67,22 @@ class ScheduleTiming:
         return peaks
 
 
-def simulate_schedule(
-    per_stage_ops: list[list[StageOp]],
-    fwd_time: list[float],
-    bwd_time: list[float],
-    comm_time: float = 0.0,
-) -> ScheduleTiming:
-    """Compute start/end times of every op under dependency constraints.
-
-    Dependencies: F(i, k) needs F(i-1, k) plus transfer; B(i, k) needs
-    B(i+1, k) plus transfer; ops on one stage serialize in schedule order.
-    The solver sweeps until fixpoint (the DAG is acyclic, so each pass
-    resolves at least one op — O(total_ops²) worst case, fine at this
-    scale).
-    """
-    p = len(per_stage_ops)
-    done: dict[tuple[int, str, int], tuple[float, float]] = {}
-    pointer = [0] * p
-    stage_free = [0.0] * p
-
-    def dep_ready(op: StageOp) -> float | None:
-        """End time of the op's cross-stage dependency, or None if unmet."""
-        if op.kind == "F":
-            if op.stage == 0:
-                return 0.0
-            prev = done.get((op.stage - 1, "F", op.microbatch))
-        else:
-            if op.stage == p - 1:
-                prev = done.get((op.stage, "F", op.microbatch))
-                return prev[1] if prev else None
-            prev = done.get((op.stage + 1, "B", op.microbatch))
-        return prev[1] + comm_time if prev else None
-
-    total = sum(len(ops) for ops in per_stage_ops)
-    while len(done) < total:
-        progressed = False
-        for stage in range(p):
-            while pointer[stage] < len(per_stage_ops[stage]):
-                op = per_stage_ops[stage][pointer[stage]]
-                ready = dep_ready(op)
-                if ready is None:
-                    break
-                start = max(stage_free[stage], ready)
-                duration = fwd_time[stage] if op.kind == "F" else bwd_time[stage]
-                end = start + duration
-                done[(op.stage, op.kind, op.microbatch)] = (start, end)
-                stage_free[stage] = end
-                pointer[stage] += 1
-                progressed = True
-        if not progressed:
-            raise ConfigurationError("schedule deadlock: invalid op ordering")
-
-    stage_finish, stage_bubble = [], []
-    for stage in range(p):
-        ops = [done[(o.stage, o.kind, o.microbatch)] for o in per_stage_ops[stage]]
-        busy = sum(end - start for start, end in ops)
-        first = min(start for start, _ in ops)
-        last = max(end for _, end in ops)
-        stage_finish.append(last)
-        stage_bubble.append((last - first) - busy)
-    return ScheduleTiming(done, stage_finish, stage_bubble)
-
-
-def program_op_key(op: str, stage: int, chunk: int, microbatch: int,
-                   num_stages: int, virtual_stages: int) -> tuple[int, str, int]:
-    """The ``ScheduleTiming.op_times`` key of one compute instruction.
-
-    Flat programs keep the classic ``(stage, "F"/"B", microbatch)`` keys;
-    interleaved programs qualify the kind with the local chunk index so
-    one stage's chunks stay distinguishable: ``(stage, "F0"/"B1"/...,
-    microbatch)``.
-
-    >>> program_op_key("Forward", 1, 1, 0, num_stages=2, virtual_stages=1)
-    (1, 'F', 0)
-    >>> program_op_key("Backward", 1, 3, 2, num_stages=2, virtual_stages=2)
-    (1, 'B1', 2)
-    """
-    kind = "F" if op == "Forward" else "B"
-    if virtual_stages > 1:
-        kind += str(chunk // num_stages)
-    return (stage, kind, microbatch)
-
-
 def simulate_program(
     program,
     fwd_time: list[float],
     bwd_time: list[float],
     comm_time: float = 0.0,
 ) -> ScheduleTiming:
-    """Price an arbitrary :class:`~repro.parallel.instructions.ScheduleProgram`.
+    """Compute start/end times of every compute instruction of a program.
 
-    The generalization of :func:`simulate_schedule` to instruction
-    streams: compute instructions serialize per stage in stream order;
-    a Forward on chunk ``c > 0`` waits for the Forward on chunk ``c-1``
-    plus transfer; a Backward on the last chunk waits for its own
-    Forward; any other Backward waits for the Backward on chunk ``c+1``
-    plus transfer.  With ``virtual_stages > 1`` each chunk costs
-    ``1/v`` of the stage's full forward/backward time.
-
-    For flat (``v == 1``) programs lowered from ``schedule_1f1b`` /
-    ``schedule_gpipe`` the result is bitwise-identical to
-    :func:`simulate_schedule` on the classic op lists — same keys, same
-    floats — so plans and goodput estimates are unchanged by the
-    instruction-stream refactor.
+    Compute instructions serialize per stage in stream order; a Forward
+    on chunk ``c > 0`` waits for the Forward on chunk ``c-1`` plus
+    transfer; a Backward on the last chunk waits for its own Forward;
+    any other Backward waits for the Backward on chunk ``c+1`` plus
+    transfer.  With ``virtual_stages > 1`` each chunk costs ``1/v`` of
+    the stage's full forward/backward time.  The solver sweeps until
+    fixpoint (the DAG is acyclic, so each pass resolves at least one
+    instruction — O(total²) worst case, fine at this scale).
 
     >>> from repro.parallel.programs import build_program
     >>> t = simulate_program(build_program("1f1b", 2, 2), [1.0, 1.0],
@@ -230,25 +101,19 @@ def simulate_program(
     stage_free = [0.0] * p
 
     def key_of(instr) -> tuple[int, str, int]:
-        return program_op_key(instr.op, instr.stage, instr.chunk,
-                              instr.microbatch, p, v)
+        return (instr.chunk, instr.op[0], instr.microbatch)
 
     def dep_ready(instr) -> float | None:
+        """End time of the cross-chunk dependency, or None if unmet."""
         if instr.op == "Forward":
             if instr.chunk == 0:
                 return 0.0
-            c = instr.chunk - 1
-            prev = done.get(program_op_key("Forward", c % p, c,
-                                           instr.microbatch, p, v))
+            prev = done.get((instr.chunk - 1, "F", instr.microbatch))
         else:
             if instr.chunk == last_chunk:
-                prev = done.get(program_op_key("Forward", instr.stage,
-                                               instr.chunk,
-                                               instr.microbatch, p, v))
+                prev = done.get((instr.chunk, "F", instr.microbatch))
                 return prev[1] if prev else None
-            c = instr.chunk + 1
-            prev = done.get(program_op_key("Backward", c % p, c,
-                                           instr.microbatch, p, v))
+            prev = done.get((instr.chunk + 1, "B", instr.microbatch))
         return prev[1] + comm_time if prev else None
 
     total = sum(len(ops) for ops in per_stage)

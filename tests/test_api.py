@@ -36,7 +36,7 @@ from repro.core import (
 )
 from repro.core.policies import _REGISTRY, RecoveryBundle
 from repro.data import ClassificationTask, TokenTask
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RecoveryError
 from repro.models import make_bert, make_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam, SGDMomentum
@@ -392,6 +392,20 @@ class TestSessionBitwise:
         assert first.iteration == 0 and not first.failed
         assert session.engine.iteration == 1
         assert len(session.trace.losses) == 1
+
+    def test_step_honors_spec_max_recoveries(self):
+        """step() must enforce the spec's limit, not the trainer default
+        that only train() used to overwrite."""
+        session = dp_experiment(max_recoveries=1).build()
+        failures = FailureSchedule([
+            FailureEvent(1, 1, FailurePhase.FORWARD),
+            FailureEvent(1, 2, FailurePhase.FORWARD),
+        ])
+        while session.engine.iteration < 2:
+            session.step(failures)
+        assert len(session.trace.recoveries) == 1
+        with pytest.raises(RecoveryError, match="too many recoveries"):
+            session.step(failures)
 
 
 class TestFleetLowering:

@@ -8,6 +8,7 @@ from helpers import pipeline_states, states_allclose, states_equal
 from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
 from repro.data import ClassificationTask
+from repro.errors import ConfigurationError
 from repro.models import make_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam, SGDMomentum
@@ -105,6 +106,18 @@ class TestHeterogeneousTiming:
                 f"span_{failed_machine}_{failed_machine}"]["compute"]
 
         assert run(1) > run(2)
+
+    @pytest.mark.parametrize("kwargs,expected", [
+        ({"fwd_times": [0.001] * 3}, "fwd_times .* expected 4, got 3"),
+        ({"fwd_times": [0.001] * 5}, "fwd_times .* expected 4, got 5"),
+        ({"bwd_times": [0.002] * 3}, "bwd_times .* expected 4, got 3"),
+        ({"bwd_times": []}, "bwd_times .* expected 4, got 0"),
+    ])
+    def test_stage_times_length_checked(self, kwargs, expected):
+        """Too short used to be an IndexError inside the simulator, too
+        long was silently ignored; both name the expected length now."""
+        with pytest.raises(ConfigurationError, match=expected):
+            build(**kwargs)
 
 
 class TestMicrobatchCounts:
