@@ -8,9 +8,8 @@ one line per event) that can be checked into version control
 trace is bitwise-deterministic: same losses, same recovery reports, same
 goodput.
 
-The format is versioned (:data:`TRACE_VERSION`) and deliberately plain:
-``json.dumps`` with sorted keys and no whitespace, floats serialized via
-Python's ``repr``-based float formatting (which round-trips exactly), so
+The format is versioned (:data:`TRACE_VERSION`) and goes through the
+shared :mod:`repro.utils.jsonl` codec: plain canonical JSON, so
 ``to_jsonl`` -> ``from_jsonl`` -> ``to_jsonl`` is byte-stable.
 
 Events carry both a continuous timestamp (``time_hours``, what the
@@ -23,13 +22,17 @@ stored in the trace so replay never has to recompute it.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from repro.cluster.failures import FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
-from repro.utils.jsonl import salvage_jsonl
+from repro.utils.jsonl import (
+    JsonlDocument,
+    LogFormat,
+    canonical_json,
+    check_version,
+    dump_log,
+)
 
 __all__ = ["TRACE_VERSION", "ChaosEvent", "FailureTrace"]
 
@@ -119,7 +122,7 @@ class ChaosEvent:
         # conditional so pre-existing traces stay byte-stable
         if self.instruction is not None:
             payload["instruction"] = self.instruction
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "ChaosEvent":
@@ -141,8 +144,24 @@ class ChaosEvent:
         )
 
 
+def _header_fields(header: dict) -> dict:
+    """The :class:`FailureTrace` fields a header line carries."""
+    return dict(
+        scenario=str(header["scenario"]),
+        seed=int(header["seed"]),
+        num_machines=int(header["num_machines"]),
+        horizon_hours=float(header["horizon_hours"]),
+        horizon_iters=(
+            None if header.get("horizon_iters") is None
+            else int(header["horizon_iters"])
+        ),
+        version=int(header["version"]),
+        meta=tuple(dict(header.get("meta", {})).items()),
+    )
+
+
 @dataclass(frozen=True)
-class FailureTrace:
+class FailureTrace(JsonlDocument):
     """A replayable record of every chaos event of one run.
 
     >>> from repro.chaos import get_scenario
@@ -169,11 +188,7 @@ class FailureTrace:
     meta: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.version > TRACE_VERSION:
-            raise ConfigurationError(
-                f"trace version {self.version} is newer than supported "
-                f"version {TRACE_VERSION}"
-            )
+        check_version("trace", self.version, TRACE_VERSION)
         if self.num_machines < 1:
             raise ConfigurationError("num_machines must be >= 1")
         object.__setattr__(self, "events", tuple(self.events))
@@ -194,10 +209,6 @@ class FailureTrace:
     @property
     def stragglers(self) -> tuple[ChaosEvent, ...]:
         return tuple(e for e in self.events if e.kind == "straggler")
-
-    @property
-    def storage_outages(self) -> tuple[ChaosEvent, ...]:
-        return tuple(e for e in self.events if e.kind == "storage_outage")
 
     def with_meta(self, **kv: object) -> "FailureTrace":
         """Return a copy with extra metadata entries recorded."""
@@ -298,6 +309,9 @@ class FailureTrace:
         return sorted(rows, key=lambda f: (f.round, f.machine_id))
 
     # -- serialization ----------------------------------------------------
+    _format = LogFormat("failure trace", TRACE_VERSION,
+                        header=_header_fields, record=ChaosEvent.from_json)
+
     def to_jsonl(self) -> str:
         header = {
             "version": self.version,
@@ -308,64 +322,4 @@ class FailureTrace:
             "horizon_iters": self.horizon_iters,
             "meta": dict(self.meta),
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(e.to_json() for e in self.events)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "FailureTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ConfigurationError("empty failure trace")
-        try:
-            header = json.loads(lines[0])
-            events = tuple(ChaosEvent.from_json(ln) for ln in lines[1:])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"failure trace is not valid JSONL: {exc}"
-            ) from exc
-        if not isinstance(header, dict) or "version" not in header:
-            raise ConfigurationError("trace header missing 'version'")
-        return cls(
-            scenario=str(header["scenario"]),
-            seed=int(header["seed"]),
-            num_machines=int(header["num_machines"]),
-            horizon_hours=float(header["horizon_hours"]),
-            horizon_iters=(
-                None if header.get("horizon_iters") is None
-                else int(header["horizon_iters"])
-            ),
-            version=int(header["version"]),
-            meta=tuple(sorted(
-                (str(k), str(v))
-                for k, v in dict(header.get("meta", {})).items()
-            )),
-            events=events,
-        )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FailureTrace":
-        """Load a trace file, tolerating a torn final line.
-
-        A process killed mid-write (crash, ``kill -9``) can leave the
-        last JSONL line truncated; the valid prefix is still a complete
-        trace, so it is recovered with a :class:`UserWarning` instead of
-        raising.  Corruption anywhere *before* the final line still
-        raises :class:`~repro.errors.ConfigurationError`.
-        """
-        path = Path(path)
-        good, torn = salvage_jsonl(path.read_text())
-        if torn is not None:
-            warnings.warn(
-                f"{path}: dropped torn final line "
-                f"({len(torn)} bytes, crash mid-write?)",
-                UserWarning,
-                stacklevel=2,
-            )
-        return cls.from_jsonl("\n".join(good) + "\n" if good else "")
+        return dump_log(header, (e.to_json() for e in self.events))

@@ -311,7 +311,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.verify:
         try:
             program = ScheduleProgram.load(args.verify)
-        except (OSError, ValueError, KeyError, ConfigurationError) as exc:
+        except (OSError, ConfigurationError) as exc:
             print(f"schedule: unreadable program {args.verify!r}: {exc}",
                   file=sys.stderr)
             return 1
@@ -359,9 +359,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     recorder = sink = None
     if args.trace:
         try:
-            trace = _load_trace(args.trace)
-        except ConfigurationError as exc:
-            print(f"fleet: {exc}", file=sys.stderr)
+            trace = FailureTrace.load(args.trace)
+        except (OSError, ConfigurationError) as exc:
+            print(f"fleet: cannot read trace {args.trace!r}: {exc}",
+                  file=sys.stderr)
             return 1
     else:
         trace = None
@@ -415,18 +416,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"telemetry streamed to {args.telemetry} "
               f"(summarize: python -m repro.cli obs {args.telemetry})")
     return 0
-
-
-def _load_trace(path: str) -> FailureTrace:
-    """Load a trace file, folding I/O and parse failures into one error.
-
-    Unreadable or corrupt trace files are *data* problems (exit 1 at
-    the CLI), never bare tracebacks.
-    """
-    try:
-        return FailureTrace.load(path)
-    except (OSError, ValueError, KeyError, ConfigurationError) as exc:
-        raise ConfigurationError(f"cannot read trace {path!r}: {exc}")
 
 
 def _chaos_experiment(parallelism: str, machines: int,
@@ -497,9 +486,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.trace:
         try:
-            trace = _load_trace(args.trace)
-        except ConfigurationError as exc:
-            print(f"chaos: {exc}", file=sys.stderr)
+            trace = FailureTrace.load(args.trace)
+        except (OSError, ConfigurationError) as exc:
+            print(f"chaos: cannot read trace {args.trace!r}: {exc}",
+                  file=sys.stderr)
             return 1
         meta = trace.meta_dict
         parallelism = meta.get("parallelism", args.parallelism)
@@ -657,7 +647,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         return _obs_follow(path, args.idle_timeout)
     try:
         trace = TelemetryTrace.load(path)
-    except (OSError, ValueError, KeyError, ConfigurationError) as exc:
+    except (OSError, ConfigurationError) as exc:
         print(f"obs: cannot read telemetry {args.file!r}: {exc}",
               file=sys.stderr)
         return 1
@@ -704,30 +694,26 @@ def _serve_replay(path: str) -> int:
     import json
 
     try:
-        if Path(path).is_dir():
-            # read-only: plan recovery without renaming, truncating, or
-            # opening a writer, so inspecting a live server's WAL is safe
-            info = SegmentedWriteAheadLog.inspect(path)
-            state = info.recover_state()
-            for q in info.quarantined:
-                print(f"serve: corrupt segment {q['segment']} at "
-                      f"{q['path']} ({q['reason']}; seqs "
-                      f"[{q['lost_first_seq']}..{q['lost_last_seq']}] "
-                      f"unusable, state_loss={q['state_loss']})",
-                      file=sys.stderr)
-            print(f"replayed {len(info.events)} events from {path} "
-                  f"(read-only; snapshot anchor at seq "
-                  f"{info.anchor_base_seq}, {info.segment_count} "
-                  f"segments)")
-        else:
-            events = WriteAheadLog.load_events(path)
-            state = ServeState.replay(events)
-            print(f"replayed {len(events)} events from {path}")
-    except (OSError, ValueError, KeyError, ConfigurationError,
-            LogIntegrityError) as exc:
+        # read-only: plan recovery without renaming, truncating, or
+        # opening a writer, so inspecting a live server's WAL is safe
+        info = SegmentedWriteAheadLog.inspect(path)
+        state = info.recover_state()
+    except (OSError, ConfigurationError, LogIntegrityError) as exc:
         print(f"serve: cannot replay WAL {path!r}: {exc}",
               file=sys.stderr)
         return 1
+    for note in info.notes:  # what a real recovery would warn about
+        print(f"serve: {note}", file=sys.stderr)
+    for q in info.quarantined:
+        print(f"serve: corrupt segment {q['segment']} at "
+              f"{q['path']} ({q['reason']}; seqs "
+              f"[{q['lost_first_seq']}..{q['lost_last_seq']}] "
+              f"unusable, state_loss={q['state_loss']})",
+              file=sys.stderr)
+    print(f"replayed {len(info.events)} events from {path} "
+          f"(read-only; snapshot anchor at seq "
+          f"{info.anchor_base_seq}, {info.segment_count} "
+          f"segment{'' if info.segment_count == 1 else 's'})")
     print(json.dumps(state.summary(), indent=2, sort_keys=True))
     return 0
 

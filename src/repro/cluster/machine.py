@@ -82,14 +82,6 @@ class Machine:
         self.check_alive()
         self._cpu_store[key] = value
 
-    def cpu_get(self, key: str) -> object:
-        self.check_alive()
-        return self._cpu_store[key]
-
-    def cpu_pop(self, key: str) -> object:
-        self.check_alive()
-        return self._cpu_store.pop(key)
-
     def cpu_contains(self, key: str) -> bool:
         return self.alive and key in self._cpu_store
 

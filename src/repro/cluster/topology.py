@@ -76,9 +76,6 @@ class Cluster:
     def device(self, machine_id: int, local_idx: int) -> Device:
         return self.machines[machine_id].devices[local_idx]
 
-    def all_devices(self) -> list[Device]:
-        return [d for m in self.machines for d in m.devices]
-
     def alive_machines(self) -> list[Machine]:
         return [m for m in self.machines if m.alive]
 
@@ -117,9 +114,6 @@ class Cluster:
         for slot in freed:
             del self._slot_owner[slot]
         return freed
-
-    def slot_owner(self, machine_id: int, device_idx: int) -> str | None:
-        return self._slot_owner.get((machine_id, device_idx))
 
     def owned_slots(self, owner: str) -> list[tuple[int, int]]:
         return sorted(

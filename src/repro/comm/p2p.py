@@ -76,9 +76,6 @@ class Transport:
         """Register a callback fired on every successful send."""
         self._taps.append(tap)
 
-    def remove_tap(self, tap: Callable[[Message, Device, Device], None]) -> None:
-        self._taps.remove(tap)
-
     # -- liveness -----------------------------------------------------------
     def rebind(self, rank: int, device: Device) -> None:
         """Point a rank at a (replacement) device."""

@@ -63,10 +63,6 @@ class ElasticCoordinator:
         self.engine = engine
         self.clock = clock or engine.clock
 
-    @property
-    def active_ranks(self) -> list[int]:
-        return [w.rank for w in self.engine.workers if w.alive]
-
     # -- membership changes -------------------------------------------------
     def scale_out(self, slots: list[tuple[int, int]]) -> float:
         """Add one worker per (machine, device) slot; returns resize time.

@@ -260,10 +260,6 @@ class TensorLog:
     def total_bytes(self) -> int:
         return sum(r.nbytes for r in self._index.values())
 
-    def records_from_machine(self, machine_id: int) -> list[LogRecord]:
-        return [self._index[k] for k in self._by_machine.get(machine_id, [])
-                if k in self._index]
-
     # -- lifecycle -----------------------------------------------------------
     def drop_machine(self, machine_id: int) -> int:
         """A sender machine crashed: its log records are gone (volatile).

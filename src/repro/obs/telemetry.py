@@ -2,9 +2,8 @@
 
 The observability counterpart of :class:`repro.chaos.FailureTrace`: one
 header line (schema version + source + free-form metadata), one line per
-:class:`TelemetryEvent`, serialized with ``json.dumps(sort_keys=True)``
-and repr-round-tripping floats so ``to_jsonl -> from_jsonl -> to_jsonl``
-is byte-stable.  Traces can be checked into version control
+:class:`TelemetryEvent`, read and written through the shared
+:mod:`repro.utils.jsonl` codec.  Traces can be checked into version control
 (``tests/traces/``), diffed, tailed live (``repro obs --follow``), and
 exported to Chrome trace-event JSON, CSV, or a terminal summary
 (:mod:`repro.obs.export`).
@@ -21,12 +20,16 @@ Every event carries *two* timelines:
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.utils.jsonl import salvage_jsonl
+from repro.utils.jsonl import (
+    JsonlDocument,
+    LogFormat,
+    canonical_json,
+    check_version,
+    dump_log,
+)
 
 __all__ = ["TELEMETRY_VERSION", "TelemetryEvent", "TelemetryTrace"]
 
@@ -102,7 +105,7 @@ class TelemetryEvent:
             "v": self.value,
             "attrs": dict(self.attrs),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
@@ -124,8 +127,17 @@ class TelemetryEvent:
         )
 
 
+def _header_fields(header: dict) -> dict:
+    """The :class:`TelemetryTrace` fields a header line carries."""
+    return dict(
+        source=str(header.get("source", "unknown")),
+        version=int(header["version"]),
+        meta=tuple(dict(header.get("meta", {})).items()),
+    )
+
+
 @dataclass(frozen=True)
-class TelemetryTrace:
+class TelemetryTrace(JsonlDocument):
     """The full event stream of one observed run.
 
     >>> e = TelemetryEvent(seq=0, kind="count", name="iterations", value=1.0)
@@ -144,11 +156,7 @@ class TelemetryTrace:
     meta: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.version > TELEMETRY_VERSION:
-            raise ConfigurationError(
-                f"telemetry version {self.version} is newer than supported "
-                f"version {TELEMETRY_VERSION}"
-            )
+        check_version("telemetry", self.version, TELEMETRY_VERSION)
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(
             self, "meta",
@@ -243,63 +251,14 @@ class TelemetryTrace:
         return replace(self, meta=tuple(sorted(merged.items())))
 
     # -- serialization ----------------------------------------------------
+    _format = LogFormat("telemetry trace", TELEMETRY_VERSION,
+                        header=_header_fields,
+                        record=TelemetryEvent.from_json)
+
     def to_jsonl(self) -> str:
         header = {
             "version": self.version,
             "source": self.source,
             "meta": dict(self.meta),
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(e.to_json() for e in self.events)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "TelemetryTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ConfigurationError("empty telemetry trace")
-        try:
-            header = json.loads(lines[0])
-            events = tuple(TelemetryEvent.from_json(ln) for ln in lines[1:])
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"telemetry trace is not valid JSONL: {exc}"
-            ) from exc
-        if not isinstance(header, dict) or "version" not in header:
-            raise ConfigurationError("telemetry header missing 'version'")
-        return cls(
-            source=str(header.get("source", "unknown")),
-            version=int(header["version"]),
-            meta=tuple(sorted(
-                (str(k), str(v))
-                for k, v in dict(header.get("meta", {})).items()
-            )),
-            events=events,
-        )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TelemetryTrace":
-        """Load a trace file, tolerating a torn final line.
-
-        A recorder killed mid-write (crash, ``kill -9``) can leave the
-        last JSONL line truncated; the valid prefix is still a complete
-        trace, so it is recovered with a :class:`UserWarning` instead of
-        raising.  Corruption anywhere *before* the final line still
-        raises :class:`~repro.errors.ConfigurationError`.
-        """
-        path = Path(path)
-        good, torn = salvage_jsonl(path.read_text())
-        if torn is not None:
-            warnings.warn(
-                f"{path}: dropped torn final line "
-                f"({len(torn)} bytes, crash mid-write?)",
-                UserWarning,
-                stacklevel=2,
-            )
-        return cls.from_jsonl("\n".join(good) + "\n" if good else "")
+        return dump_log(header, (e.to_json() for e in self.events))

@@ -76,9 +76,6 @@ class DPWorker:
     def machine_id(self) -> int:
         return self.device.machine.machine_id
 
-    def model_state(self) -> dict[str, np.ndarray]:
-        return self.model.state_dict()
-
     def full_state(self) -> dict[str, np.ndarray]:
         """Model + optimizer state — the paper's "model state"."""
         state = {f"model/{k}": v for k, v in self.model.state_dict().items()}

@@ -82,9 +82,6 @@ class ShardPlan:
     def params_owned_by(self, rank: int) -> list[str]:
         return [n for n, r in self.owner.items() if r == rank]
 
-    def params_mirrored_by(self, rank: int) -> list[str]:
-        return [n for n, r in self.mirror.items() if r == rank]
-
 
 class FSDPWorker:
     """One sharded-DP worker: full model for compute, owned shard state."""

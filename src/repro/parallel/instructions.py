@@ -10,10 +10,9 @@ program *before* execution, so third-party schedules registered through
 :func:`repro.parallel.register_schedule` are validated as data rather
 than trusted as code.
 
-Programs serialize to the same canonical JSONL shape as
-:class:`repro.chaos.FailureTrace` (one header line, one line per
-instruction, ``json.dumps`` with sorted keys and no whitespace), so
-golden instruction streams under ``tests/traces/`` are byte-stable and
+Programs serialize through the shared :mod:`repro.utils.jsonl` codec
+(one header line, one canonical-JSON line per instruction), so golden
+instruction streams under ``tests/traces/`` are byte-stable and
 schedule changes are reviewable as diffs.
 
 Vocabulary
@@ -34,9 +33,16 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.utils.jsonl import (
+    JsonlDocument,
+    LogFile,
+    LogFormat,
+    canonical_json,
+    check_version,
+    dump_log,
+)
 
 __all__ = [
     "PROGRAM_VERSION",
@@ -101,10 +107,9 @@ class Instruction:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, no whitespace)."""
-        return json.dumps(
+        return canonical_json(
             {"chunk": self.chunk, "mb": self.microbatch, "op": self.op,
-             "stage": self.stage},
-            sort_keys=True, separators=(",", ":"),
+             "stage": self.stage}
         )
 
     @classmethod
@@ -114,8 +119,19 @@ class Instruction:
                    microbatch=int(d["mb"]), chunk=int(d["chunk"]))
 
 
+def _header_fields(header: dict) -> dict:
+    """The :class:`ScheduleProgram` fields a header line carries."""
+    return dict(
+        name=str(header["name"]),
+        num_stages=int(header["num_stages"]),
+        num_microbatches=int(header["num_microbatches"]),
+        num_chunks=int(header["num_chunks"]),
+        version=int(header["version"]),
+    )
+
+
 @dataclass(frozen=True)
-class ScheduleProgram:
+class ScheduleProgram(JsonlDocument):
     """A complete pipeline schedule: one instruction stream per stage.
 
     ``num_chunks == num_stages * virtual_stages``; chunk ``c`` is placed
@@ -139,11 +155,7 @@ class ScheduleProgram:
     version: int = PROGRAM_VERSION
 
     def __post_init__(self) -> None:
-        if self.version > PROGRAM_VERSION:
-            raise ConfigurationError(
-                f"program version {self.version} is newer than supported "
-                f"version {PROGRAM_VERSION}"
-            )
+        check_version("program", self.version, PROGRAM_VERSION)
         if self.num_stages < 1 or self.num_microbatches < 1:
             raise ConfigurationError(
                 "need at least one stage and one micro-batch"
@@ -173,6 +185,9 @@ class ScheduleProgram:
         )
 
     # -- serialization ----------------------------------------------------
+    _format = LogFormat("schedule program", PROGRAM_VERSION,
+                        header=_header_fields, record=Instruction.from_json)
+
     def to_jsonl(self) -> str:
         header = {
             "kind": "schedule_program",
@@ -182,51 +197,21 @@ class ScheduleProgram:
             "num_stages": self.num_stages,
             "version": self.version,
         }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for stream in self.streams:
-            lines.extend(i.to_json() for i in stream)
-        return "\n".join(lines) + "\n"
+        return dump_log(
+            header, (i.to_json() for s in self.streams for i in s))
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "ScheduleProgram":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ConfigurationError("empty schedule program")
-        try:
-            header = json.loads(lines[0])
-            instrs = [Instruction.from_json(ln) for ln in lines[1:]]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ConfigurationError(
-                f"schedule program is not valid JSONL: {exc}"
-            ) from exc
-        if not isinstance(header, dict) or "version" not in header:
-            raise ConfigurationError("program header missing 'version'")
-        p = int(header["num_stages"])
+    def _of(cls, log: LogFile) -> "ScheduleProgram":
+        p = log.header["num_stages"]
         streams: list[list[Instruction]] = [[] for _ in range(p)]
-        for instr in instrs:
+        for instr in log.records:
             if not 0 <= instr.stage < p:
                 raise ConfigurationError(
-                    f"instruction stage {instr.stage} outside [0, {p})"
+                    f"{log.source}: instruction stage {instr.stage} "
+                    f"outside [0, {p})"
                 )
             streams[instr.stage].append(instr)
-        return cls(
-            name=str(header["name"]),
-            num_stages=p,
-            num_microbatches=int(header["num_microbatches"]),
-            num_chunks=int(header["num_chunks"]),
-            streams=tuple(tuple(s) for s in streams),
-            version=int(header["version"]),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ScheduleProgram":
-        return cls.from_jsonl(Path(path).read_text())
+        return cls(streams=streams, **log.header)
 
 
 @dataclass(frozen=True)

@@ -333,9 +333,6 @@ class PipelineEngine:
     def stage(self, stage_id: int) -> PipelineStage:
         return self.stages[stage_id]
 
-    def stages_on_machine(self, machine_id: int) -> list[PipelineStage]:
-        return [s for s in self.stages if s.machine_id == machine_id]
-
     def machine_of_stage(self, stage_id: int) -> int:
         return self.placement[stage_id][0]
 

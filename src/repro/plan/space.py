@@ -198,13 +198,6 @@ class PruneStats:
         else:
             self.pruned[reason] = self.pruned.get(reason, 0) + 1
 
-    def as_dict(self) -> dict:
-        return {
-            "enumerated": self.enumerated,
-            "feasible": self.feasible,
-            "pruned": dict(sorted(self.pruned.items())),
-        }
-
 
 class SearchSpace:
     """Shared enumeration/mutation machinery of the concrete spaces.

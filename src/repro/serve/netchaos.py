@@ -353,10 +353,9 @@ class _Harness:
         if self.server is None:
             return
         wal = self.server.wal
-        live = getattr(wal, "_active_path", None) or wal.path
         wal.close()  # flush-per-line means the file is already current
         if torn:
-            with open(live, "a") as fh:
+            with open(wal.active_path, "a") as fh:
                 fh.write('{"c":0,"k":"submi')
         self.server = None
         self.restarts += 1
@@ -475,9 +474,7 @@ def _audit(server: ServeServer, acks: list[tuple[str, str]],
     """The three invariants, measured against a finished cell."""
     state = server.state
     lost = sum(1 for _, name in acks if name not in state.jobs)
-    history = (server.wal.all_events()
-               if hasattr(server.wal, "all_events")
-               else server.wal.events)
+    history = server.wal.all_events()
     admissions: dict[str, int] = {}
     for event in history:
         if event.kind in ("submit", "reject"):
@@ -559,7 +556,7 @@ def network_drill(
             _warnings.simplefilter("ignore", UserWarning)
             acks = run_script_via_client(client, script)
             server = harness.current()
-        quarantined = len(getattr(server.wal, "quarantined", []))
+        quarantined = len(server.wal.quarantined)
         if check_corruption:
             # flip payload bytes in the oldest segment, behind the
             # newest snapshot anchor, then force a cold restart

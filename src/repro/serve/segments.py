@@ -10,17 +10,18 @@ but splits the log across a *directory* of segment files::
       segment-00000001.jsonl     # base_seq 103, snapshot of state@102
       segment-00000002.jsonl     # base_seq 218, snapshot of state@217
 
-Each segment's header carries ``base_seq`` and (after the first
-rotation) a full :meth:`~repro.serve.ServeState.snapshot` of the state
-*before* the segment's first event.  Recovery restores the newest
-usable snapshot anchor and folds only the events after it — O(segment),
-not O(history) — and the anchored fold is asserted bitwise-equal to the
-full-genesis fold by the drill suite.
+Every segment is one WAL file in the format :mod:`repro.serve.wal`
+defines and :func:`~repro.serve.wal.read_wal_file` parses — the flat
+log is the one-segment case of this one.  Each header carries
+``base_seq`` and (after the first rotation) a full
+:meth:`~repro.serve.ServeState.snapshot` of the state *before* the
+segment's first event.  Recovery restores the newest usable snapshot
+anchor and folds only the events after it — O(segment), not O(history)
+— and the anchored fold is asserted bitwise-equal to the full-genesis
+fold by the drill suite.
 
-Corruption handling goes beyond the single-file WAL's torn-tail
-salvage.  Every record carries a CRC (WAL schema v2), so bit rot in a
-*middle* segment is detected, and the snapshot anchors make it
-survivable: a corrupt segment **behind** the newest anchor is
+What a directory adds over the single file is corruption *survival*,
+not just detection.  A corrupt segment **behind** the newest anchor is
 quarantined (renamed ``*.quarantined``) with an exact report of which
 sequence numbers became unreadable — pure history loss, zero state
 loss.  Corruption **after** the newest anchor is truncated at the first
@@ -32,22 +33,30 @@ that segment could be acknowledged, so it is dropped like a torn tail.
 
 Recovery is computed as a pure *plan* over the parsed segments before a
 single byte is touched; :meth:`SegmentedWriteAheadLog.inspect` exposes
-the same plan read-only, so ``repro serve --replay`` can audit a live
-server's WAL without renaming, truncating, or opening a writer.
+the same plan read-only — for a directory or a flat file — so
+``repro serve --replay`` can audit a live server's WAL without
+renaming, truncating, or opening a writer.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.errors import ConfigurationError, LogIntegrityError, ReproError
-from repro.serve.wal import WAL_VERSION, ServeEvent, WriteAheadLog
-from repro.utils.jsonl import JsonlWriter, canonical_json, salvage_jsonl
+from repro.errors import ConfigurationError, LogIntegrityError
+from repro.serve.wal import (
+    SEGMENT_FORMAT,
+    WAL_VERSION,
+    ServeEvent,
+    WriteAheadLog,
+    _fold_state,
+    _plan_flat,
+    _RecoveryPlan,
+    _WalBase,
+    _WalFile,
+    read_wal_file,
+)
 
 __all__ = ["SegmentedWriteAheadLog", "SegmentInspection", "open_wal",
            "DEFAULT_SEGMENT_BYTES"]
@@ -57,7 +66,6 @@ __all__ = ["SegmentedWriteAheadLog", "SegmentInspection", "open_wal",
 DEFAULT_SEGMENT_BYTES = 64 * 1024
 
 _SEGMENT_GLOB = "segment-*.jsonl"
-_SEGMENT_FORMAT = "repro.serve.walseg"
 
 
 def _segment_name(index: int) -> str:
@@ -81,110 +89,19 @@ def _segment_index(path: Path) -> int:
     return int(stem)
 
 
-@dataclass
-class _Segment:
-    """Parse result for one segment file (valid prefix + first error)."""
-
-    path: Path
-    index: int
-    base_seq: int = -1
-    snapshot: str | None = None
-    header_line: str | None = None
-    events: list[ServeEvent] = field(default_factory=list)
-    good_lines: list[str] = field(default_factory=list)
-    #: complete lines in the file, parseable or not (0 = the header
-    #: itself never made it to disk whole)
-    raw_lines: int = 0
-    #: record lines present in the file (valid or not), for loss reports
-    total_records: int = 0
-    error: str | None = None
-    torn: str | None = None
-
-    @property
-    def clean(self) -> bool:
-        return self.error is None
-
-    @property
-    def end_seq(self) -> int:
-        """Sequence just past the last valid event."""
-        return self.base_seq + len(self.events)
-
-    @property
-    def is_anchor(self) -> bool:
-        return self.snapshot is not None or self.base_seq == 0
+def _parse_directory(dirpath: Path) -> list[_WalFile]:
+    segs = [read_wal_file(p, _segment_index(p))
+            for p in sorted(dirpath.glob(_SEGMENT_GLOB))]
+    for seg in segs[:-1]:
+        if seg.torn is not None:
+            # only the file being appended to can be torn by a crash
+            seg.error = seg.error or ConfigurationError(
+                f"torn line in non-final segment ({len(seg.torn)} bytes)")
+            seg.torn = None
+    return segs
 
 
-def _parse_segment(path: Path, index: int, *, is_last: bool) -> _Segment:
-    seg = _Segment(path=path, index=index)
-    good, torn = salvage_jsonl(path.read_text())
-    seg.raw_lines = len(good)
-    if torn is not None:
-        if is_last:
-            seg.torn = torn
-        else:
-            seg.error = (
-                f"torn line in non-final segment ({len(torn)} bytes)"
-            )
-    if not good:
-        seg.error = seg.error or "segment has no header"
-        return seg
-    try:
-        header = json.loads(good[0])
-        if not isinstance(header, dict) or "version" not in header:
-            raise ConfigurationError("segment header missing 'version'")
-        if int(header["version"]) > WAL_VERSION:
-            raise ConfigurationError(
-                f"segment version {header['version']} is newer than "
-                f"supported version {WAL_VERSION}"
-            )
-        if header.get("format") != _SEGMENT_FORMAT:
-            raise ConfigurationError(
-                f"not a WAL segment (format {header.get('format')!r})"
-            )
-        if header.get("segment") is not None \
-                and int(header["segment"]) != index:
-            raise ConfigurationError(
-                f"header names segment {header['segment']} but the "
-                f"filename says {index}"
-            )
-        seg.base_seq = int(header["base_seq"])
-        snap = header.get("snapshot")
-        seg.snapshot = str(snap) if snap else None
-        seg.header_line = good[0]
-    except (json.JSONDecodeError, ConfigurationError, KeyError,
-            ValueError) as exc:
-        seg.error = f"bad segment header: {exc}"
-        return seg
-    seg.good_lines = [good[0]]
-    seg.total_records = len(good) - 1
-    for i, line in enumerate(good[1:]):
-        try:
-            event = ServeEvent.from_json(line)
-        except (json.JSONDecodeError, ReproError, KeyError,
-                ValueError) as exc:
-            seg.error = f"record {i} unreadable: {exc}"
-            break
-        if event.seq != seg.base_seq + i:
-            seg.error = (
-                f"sequence gap: record {i} has seq {event.seq}, "
-                f"expected {seg.base_seq + i}"
-            )
-            break
-        seg.events.append(event)
-        seg.good_lines.append(line)
-    return seg
-
-
-def _parse_directory(dirpath: Path) -> list[_Segment]:
-    paths = sorted(dirpath.glob(_SEGMENT_GLOB))
-    return [
-        _parse_segment(p, _segment_index(p),
-                       is_last=(i == len(paths) - 1))
-        for i, p in enumerate(paths)
-    ]
-
-
-def _find_anchor(segs: list[_Segment]) -> int | None:
+def _find_anchor(segs: list[_WalFile]) -> int | None:
     """Position (in ``segs``) of the newest usable anchor segment.
 
     Prefers an anchor with a fully clean, contiguous chain to the tail
@@ -205,37 +122,29 @@ def _find_anchor(segs: list[_Segment]) -> int | None:
             chain[j].base_seq == chain[j - 1].end_seq
             for j in range(1, len(chain))
         )
-        if contiguous and all(c.clean for c in chain):
+        if contiguous and all(c.error is None for c in chain):
             return i
     return fallback
 
 
-@dataclass
-class _RecoveryPlan:
-    """Pure description of a recovery: what to fold, what to touch.
-
-    ``actions`` is the ordered list of side effects recovery *would*
-    perform (``drop_unacked_tail`` / ``rewrite`` / ``quarantine`` /
-    ``copy_quarantine``); :meth:`SegmentedWriteAheadLog._recover`
-    executes them, :meth:`SegmentedWriteAheadLog.inspect` only reads
-    them.  ``chain`` is the adopted anchor-first segment list (empty
-    means the directory folds to a fresh, empty log).
-    """
-
-    chain: list[_Segment] = field(default_factory=list)
-    actions: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    torn_tail: str | None = None
+def _quarantine(plan: _RecoveryPlan, seg: _WalFile, reason: object,
+                first: int | None, last: int | None, *,
+                state_loss: bool, op: str = "quarantine") -> None:
+    """Plan setting ``seg`` aside, with the report of what that loses."""
+    plan.actions.append({"op": op, "seg": seg, "report": {
+        "segment": seg.index,
+        "path": str(seg.path.with_name(seg.path.name + ".quarantined")),
+        "reason": str(reason),
+        "lost_first_seq": first,
+        "lost_last_seq": last,
+        "state_loss": state_loss,
+    }})
 
 
-def _quarantine_path(seg: _Segment) -> Path:
-    return seg.path.with_name(seg.path.name + ".quarantined")
-
-
-def _plan_recovery(dirpath: Path, segs: list[_Segment]) -> _RecoveryPlan:
+def _plan_recovery(dirpath: Path, segs: list[_WalFile]) -> _RecoveryPlan:
     plan = _RecoveryPlan()
     segs = list(segs)
-    if len(segs) >= 2 and segs[-1].raw_lines == 0:
+    if len(segs) >= 2 and segs[-1].complete_lines == 0:
         # crash mid-rotation: the new segment's header never became a
         # complete line, so nothing in this segment was ever written —
         # let alone acknowledged.  An unacked torn tail, not data loss.
@@ -256,21 +165,15 @@ def _plan_recovery(dirpath: Path, segs: list[_Segment]) -> _RecoveryPlan:
             f"segment — the log cannot be recovered"
         )
     for pos, s in enumerate(segs[:anchor]):
-        if s.clean:
+        if s.error is None:
             continue
         # corrupt pre-anchor segment: pure history loss, the newer
         # snapshot anchor covers the state
         lost_first = s.base_seq if s.base_seq >= 0 else None
         nxt = next((t for t in segs[pos + 1:] if t.base_seq >= 0), None)
         lost_last = nxt.base_seq - 1 if nxt is not None else None
-        plan.actions.append({"op": "quarantine", "seg": s, "report": {
-            "segment": s.index,
-            "path": str(_quarantine_path(s)),
-            "reason": s.error,
-            "lost_first_seq": lost_first,
-            "lost_last_seq": lost_last,
-            "state_loss": False,
-        }})
+        _quarantine(plan, s, s.error, lost_first, lost_last,
+                    state_loss=False)
         plan.warnings.append(
             f"{s.path}: quarantined corrupt WAL segment "
             f"({s.error}); history seqs "
@@ -284,7 +187,7 @@ def _plan_recovery(dirpath: Path, segs: list[_Segment]) -> _RecoveryPlan:
                 and s.base_seq != chain[j - 1].end_seq:
             gap_at = j
             break
-        if not s.clean:
+        if s.error is not None:
             break_at = j
             break
     if gap_at is not None:
@@ -292,19 +195,13 @@ def _plan_recovery(dirpath: Path, segs: list[_Segment]) -> _RecoveryPlan:
     elif break_at is not None:
         _plan_truncation(plan, chain, break_at)
     else:
-        tail = chain[-1]
-        if tail.torn is not None:
-            plan.torn_tail = tail.torn
-            plan.actions.append({"op": "rewrite", "seg": tail})
-            plan.warnings.append(
-                f"{tail.path}: dropped torn final WAL line "
-                f"({len(tail.torn)} bytes, crash mid-append?)"
-            )
+        if chain[-1].torn is not None:
+            plan.drop_torn_tail(chain[-1])
         plan.chain = chain
     return plan
 
 
-def _plan_gap(plan: _RecoveryPlan, chain: list[_Segment],
+def _plan_gap(plan: _RecoveryPlan, chain: list[_WalFile],
               gap_at: int) -> None:
     """A clean-looking chain with a hole in it (segment file removed?).
 
@@ -327,15 +224,11 @@ def _plan_gap(plan: _RecoveryPlan, chain: list[_Segment],
             f"[{prev_end}..{s.base_seq - 1}] are missing"
             if j == 0 else "follows a sequence gap"
         )
-        plan.actions.append({"op": "quarantine", "seg": s, "report": {
-            "segment": s.index,
-            "path": str(_quarantine_path(s)),
-            "reason": reason,
-            "lost_first_seq": s.base_seq if s.base_seq >= 0 else None,
-            "lost_last_seq": s.base_seq + s.total_records - 1
-            if s.base_seq >= 0 and s.total_records > 0 else None,
-            "state_loss": True,
-        }})
+        _quarantine(plan, s, reason,
+                    s.base_seq if s.base_seq >= 0 else None,
+                    s.base_seq + s.total_records - 1
+                    if s.base_seq >= 0 and s.total_records > 0 else None,
+                    state_loss=True)
     plan.warnings.append(
         f"{first.path}: sequence gap in the recovery range — acked "
         f"seqs [{prev_end}..{first.base_seq - 1}] are missing "
@@ -346,7 +239,7 @@ def _plan_gap(plan: _RecoveryPlan, chain: list[_Segment],
     plan.chain = chain[:gap_at]
 
 
-def _plan_truncation(plan: _RecoveryPlan, chain: list[_Segment],
+def _plan_truncation(plan: _RecoveryPlan, chain: list[_WalFile],
                      bad_at: int) -> None:
     """Post-anchor corruption: keep the valid prefix, report the loss.
 
@@ -363,72 +256,38 @@ def _plan_truncation(plan: _RecoveryPlan, chain: list[_Segment],
          if s.base_seq >= 0),
         default=bad.end_seq - 1,
     )
-    if bad.base_seq < 0:
-        # the segment's own header is unreadable: nothing in the file
-        # is salvageable in place, so quarantine it whole and end the
-        # log at the previous segment (bad_at >= 1: the anchor segment
-        # always has a valid header)
-        lost_first = chain[bad_at - 1].end_seq
-        plan.actions.append({"op": "quarantine", "seg": bad, "report": {
-            "segment": bad.index,
-            "path": str(_quarantine_path(bad)),
-            "reason": bad.error,
-            "lost_first_seq": lost_first,
-            "lost_last_seq": known_tail if known_tail >= lost_first
-            else None,
-            "state_loss": True,
-        }})
-    else:
-        lost_first = bad.end_seq
-        plan.actions.append({
-            "op": "copy_quarantine", "seg": bad, "report": {
-                "segment": bad.index,
-                "path": str(_quarantine_path(bad)),
-                "reason": bad.error,
-                "lost_first_seq": lost_first,
-                "lost_last_seq": known_tail if known_tail >= lost_first
-                else None,
-                "state_loss": True,
-            }})
+    # a segment whose own header is unreadable has nothing salvageable
+    # in place: quarantine it whole and end the log at the previous
+    # segment (bad_at >= 1: the anchor segment always has a valid header)
+    headless = bad.base_seq < 0
+    lost_first = chain[bad_at - 1].end_seq if headless else bad.end_seq
+    _quarantine(plan, bad, bad.error, lost_first,
+                known_tail if known_tail >= lost_first else None,
+                state_loss=True,
+                op="quarantine" if headless else "copy_quarantine")
     for s in chain[bad_at + 1:]:
-        plan.actions.append({"op": "quarantine", "seg": s, "report": {
-            "segment": s.index,
-            "path": str(_quarantine_path(s)),
-            "reason": "follows a truncated corrupt segment",
-            "lost_first_seq": s.base_seq if s.base_seq >= 0 else None,
-            "lost_last_seq": s.end_seq - 1
-            if s.base_seq >= 0 else None,
-            "state_loss": True,
-        }})
+        _quarantine(plan, s, "follows a truncated corrupt segment",
+                    s.base_seq if s.base_seq >= 0 else None,
+                    s.end_seq - 1 if s.base_seq >= 0 else None,
+                    state_loss=True)
     plan.warnings.append(
         f"{bad.path}: corrupt record inside the recovery range "
         f"({bad.error}); truncated at seq {lost_first}, acked "
         f"seqs [{lost_first}..{known_tail}] LOST (quarantine copy "
         f"kept)"
     )
-    keep = bad_at if bad.base_seq < 0 else bad_at + 1
-    plan.chain = chain[:keep]
-
-
-def _fold_state(snapshot: str | None, events: list[ServeEvent]):
-    from repro.serve.state import ServeState
-
-    state = (ServeState.restore(snapshot) if snapshot is not None
-             else ServeState())
-    for event in events:
-        state.apply(event)
-    return state
+    plan.chain = chain[:bad_at] if headless else chain[:bad_at + 1]
 
 
 @dataclass
 class SegmentInspection:
-    """Read-only recovery view of a segment directory.
+    """Read-only recovery view of a WAL (segment directory or flat file).
 
-    What :class:`SegmentedWriteAheadLog` *would* recover — same anchor,
-    same foldable events, same quarantine verdicts — computed without
-    renaming, truncating, or opening a writer, so it is safe against a
-    live server's WAL.  ``quarantined`` reports point at the live
-    files; ``notes`` holds the warnings recovery would emit.
+    What opening it *would* recover — same anchor, same foldable
+    events, same quarantine verdicts — computed without renaming,
+    truncating, or opening a writer, so it is safe against a live
+    server's WAL.  ``quarantined`` reports point at the live files;
+    ``notes`` holds the warnings recovery would emit.
 
     >>> import tempfile
     >>> root = tempfile.mkdtemp() + "/wal"
@@ -460,7 +319,7 @@ class SegmentInspection:
         return _fold_state(self.anchor_snapshot, self.events)
 
 
-class SegmentedWriteAheadLog:
+class SegmentedWriteAheadLog(_WalBase):
     """Directory-of-segments WAL with snapshot anchors (module docstring).
 
     Drop-in for :class:`~repro.serve.wal.WriteAheadLog` from the
@@ -488,165 +347,83 @@ class SegmentedWriteAheadLog:
                  meta: dict | None = None,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  snapshot_provider: Callable[[], str] | None = None):
+        super().__init__(fsync, meta)
         self.dir = Path(path)
-        self.fsync = bool(fsync)
         self.segment_bytes = int(segment_bytes)
         if self.segment_bytes <= 0:
             raise ConfigurationError("segment_bytes must be > 0")
-        self.meta = {str(k): str(v) for k, v in (meta or {}).items()}
         self.snapshot_provider = snapshot_provider
-        #: events since (and including) the newest snapshot anchor —
-        #: exactly what :meth:`recover_state` folds
-        self.events: list[ServeEvent] = []
-        #: snapshot string of the anchor segment (None = genesis)
-        self.anchor_snapshot: str | None = None
-        self.anchor_base_seq: int = 0
-        #: quarantine reports from recovery: one dict per bad segment
-        self.quarantined: list[dict] = []
-        self.torn_tail_dropped: str | None = None
-        self._last_seq = -1
-        self._last_kind: str | None = None
         if self.dir.exists() and not self.dir.is_dir():
             raise ConfigurationError(
                 f"{self.dir}: segmented WAL path is a file, not a "
                 f"directory (did you mean a plain --wal?)"
             )
         self.dir.mkdir(parents=True, exist_ok=True)
-        if self._segment_paths():
-            self._recover()
-        else:
-            self._init_fresh()
-
-    def _init_fresh(self) -> None:
-        self._active_index = 0
-        self._active_path = self.dir / _segment_name(0)
-        self._writer = JsonlWriter(self._active_path, fsync=self.fsync)
-        self._writer.write_line(self._header_line(0, 0, None))
+        segs = _parse_directory(self.dir)
+        if not (segs and self._recover(_plan_recovery(self.dir, segs))):
+            self._open_segment(0, 0, None)
 
     # -- layout ------------------------------------------------------------
-    def _segment_paths(self) -> list[Path]:
-        return sorted(self.dir.glob(_SEGMENT_GLOB))
-
     @property
     def segment_count(self) -> int:
-        return len(self._segment_paths())
+        return len(list(self.dir.glob(_SEGMENT_GLOB)))
 
-    def _header_line(self, index: int, base_seq: int,
-                     snapshot: str | None) -> str:
-        return canonical_json({
+    def _open_segment(self, index: int, base_seq: int,
+                      snapshot: str | None) -> None:
+        self._open_fresh(self.dir / _segment_name(index), {
             "version": WAL_VERSION,
-            "format": _SEGMENT_FORMAT,
+            "format": SEGMENT_FORMAT,
             "segment": index,
             "base_seq": base_seq,
             "snapshot": snapshot,
             "meta": self.meta,
-        })
-
-    # -- recovery ----------------------------------------------------------
-    def _recover(self) -> None:
-        plan = _plan_recovery(self.dir, _parse_directory(self.dir))
-        self.torn_tail_dropped = plan.torn_tail
-        for act in plan.actions:
-            seg, op = act["seg"], act["op"]
-            if op == "drop_unacked_tail":
-                seg.path.unlink()
-            elif op == "rewrite":
-                seg.path.write_text("\n".join(seg.good_lines) + "\n")
-            elif op == "quarantine":
-                seg.path.rename(Path(act["report"]["path"]))
-                self.quarantined.append(act["report"])
-            elif op == "copy_quarantine":
-                shutil.copy2(seg.path, act["report"]["path"])
-                seg.path.write_text("\n".join(seg.good_lines) + "\n")
-                self.quarantined.append(act["report"])
-        for msg in plan.warnings:
-            warnings.warn(msg, UserWarning, stacklevel=3)
-        if plan.chain:
-            self._finish_recovery(plan.chain)
-        else:
-            self._init_fresh()
-
-    def _finish_recovery(self, chain: list[_Segment]) -> None:
-        self.anchor_snapshot = chain[0].snapshot
-        self.anchor_base_seq = chain[0].base_seq
-        self.events = [e for s in chain for e in s.events]
-        self._last_seq = (self.events[-1].seq if self.events
-                          else chain[0].base_seq - 1)
-        self._last_kind = self.events[-1].kind if self.events else None
-        tail = chain[-1]
-        self._active_index = tail.index
-        self._active_path = tail.path
-        self._writer = JsonlWriter(tail.path, fsync=self.fsync,
-                                   append=True)
+        }, index)
 
     @classmethod
     def inspect(cls, path: str | Path) -> SegmentInspection:
-        """Plan recovery for a segment directory without executing it.
+        """Plan recovery for a WAL without executing it.
 
-        Parses every segment, picks the anchor, and reports exactly
-        what :meth:`recover_state` would fold and what would be
-        quarantined — but performs **zero** writes: no renames, no
-        truncation, no writer.  Safe to run against the WAL of a live
-        server (``repro serve --replay`` uses this).
+        Accepts a segment directory or a flat WAL file.  Parses every
+        file, picks the anchor, and reports exactly what
+        :meth:`recover_state` would fold and what would be quarantined
+        — but performs **zero** writes: no renames, no truncation, no
+        writer.  Safe to run against the WAL of a live server
+        (``repro serve --replay`` uses this).
         """
-        dirpath = Path(path)
-        if not dirpath.is_dir():
+        p = Path(path)
+        if p.is_file():
+            segs = [read_wal_file(p)]
+            plan = _plan_flat(segs[0])
+        elif p.is_dir():
+            segs = _parse_directory(p)
+            if not segs:
+                raise ConfigurationError(f"{p}: no WAL segments found")
+            plan = _plan_recovery(p, segs)
+        else:
             raise ConfigurationError(
-                f"{dirpath}: not a segment directory"
-            )
-        segs = _parse_directory(dirpath)
-        if not segs:
-            raise ConfigurationError(
-                f"{dirpath}: no WAL segments found"
-            )
-        plan = _plan_recovery(dirpath, segs)
-        reports = []
-        for act in plan.actions:
-            if "report" in act:
-                report = dict(act["report"])
-                report["path"] = str(act["seg"].path)
-                reports.append(report)
+                f"{p}: not a segment directory or a WAL file")
         chain = plan.chain
         return SegmentInspection(
-            dir=dirpath,
+            dir=p,
             segment_count=len(segs),
             anchor_base_seq=chain[0].base_seq if chain else 0,
             anchor_snapshot=chain[0].snapshot if chain else None,
-            events=[e for s in chain for e in s.events],
-            quarantined=reports,
+            events=[e for s in chain for e in s.records],
+            # the reports point at the live files, not where a real
+            # recovery would move them
+            quarantined=[{**act["report"], "path": str(act["seg"].path)}
+                         for act in plan.actions if "report" in act],
             torn_tail=plan.torn_tail,
             notes=plan.warnings,
         )
 
     # -- append ------------------------------------------------------------
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the newest event (-1 when empty)."""
-        return self._last_seq
-
-    @property
-    def next_seq(self) -> int:
-        return self._last_seq + 1
-
-    @property
-    def last_kind(self) -> str | None:
-        """Kind of the newest event (``None`` when empty)."""
-        return self._last_kind
-
     def append(self, event: ServeEvent) -> ServeEvent:
         """Durably append one event, rotating segments as needed."""
-        if event.seq != self.next_seq:
-            raise ConfigurationError(
-                f"WAL append out of order: expected seq {self.next_seq}, "
-                f"got {event.seq}"
-            )
-        if self._active_path.stat().st_size >= self.segment_bytes:
+        self._expect(event)
+        if self.active_path.stat().st_size >= self.segment_bytes:
             self._rotate()
-        self._writer.write_line(event.to_json())
-        self.events.append(event)
-        self._last_seq = event.seq
-        self._last_kind = event.kind
-        return event
+        return self._write(event)
 
     def _rotate(self) -> None:
         """Seal the active segment, open the next one (with an anchor).
@@ -668,26 +445,11 @@ class SegmentedWriteAheadLog:
             )
         self._writer.close()
         snap = self.snapshot_provider() if self.snapshot_provider else None
-        self._active_index = next_index
-        self._active_path = next_path
-        self._writer = JsonlWriter(self._active_path, fsync=self.fsync)
-        self._writer.write_line(
-            self._header_line(self._active_index, self.next_seq, snap)
-        )
+        self._open_segment(next_index, self.next_seq, snap)
         if snap is not None:
             self.anchor_snapshot = snap
             self.anchor_base_seq = self.next_seq
             self.events = []
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self) -> "SegmentedWriteAheadLog":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # -- recovery views ----------------------------------------------------
     def recover_state(self):
@@ -707,7 +469,7 @@ class SegmentedWriteAheadLog:
         :attr:`quarantined`); used by drills to audit global invariants
         like at-most-one admission per job name.
         """
-        return [e for s in _parse_directory(self.dir) for e in s.events]
+        return [e for s in _parse_directory(self.dir) for e in s.records]
 
 
 def open_wal(path: str | Path, *, fsync: bool = True,
@@ -731,9 +493,7 @@ def open_wal(path: str | Path, *, fsync: bool = True,
     'SegmentedWriteAheadLog'
     """
     p = Path(path)
-    if p.exists() and p.is_file():
-        return WriteAheadLog(p, fsync=fsync, meta=meta)
-    if segment_bytes is not None or p.is_dir():
+    if p.is_dir() or (segment_bytes is not None and not p.is_file()):
         return SegmentedWriteAheadLog(
             p, fsync=fsync, meta=meta,
             segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,

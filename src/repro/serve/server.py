@@ -168,11 +168,10 @@ class ServeServer:
                             meta={"service": "repro.serve"},
                             segment_bytes=segment_bytes)
         self.state = self.wal.recover_state()
-        if hasattr(self.wal, "snapshot_provider"):
-            # anchor every segment rotation at the current state (the
-            # state object is mutated in place, so the bound method
-            # always reflects what the sealed segments folded to)
-            self.wal.snapshot_provider = self.state.snapshot
+        # anchor every segment rotation at the current state (the state
+        # object is mutated in place, so the bound method always
+        # reflects what the sealed segments folded to)
+        self.wal.snapshot_provider = self.state.snapshot
         self.recovered = self.state.last_seq >= 0
         self.snapshot_failures = 0
         #: set while a graceful shutdown drains in-flight clients

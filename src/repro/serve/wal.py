@@ -9,41 +9,52 @@ acknowledged to any client.  A restarted server folds the log through
 :meth:`repro.serve.ServeState.apply` and resumes exactly where the old
 process died; in-memory state is always a pure function of the log.
 
-Format: versioned JSONL in the :class:`repro.chaos.FailureTrace` mold —
-one header line (``version`` + free-form meta), one canonical-JSON line
-per event, byte-stable round trip, readers reject newer versions.  A
-torn final line (the process died mid-append) is detected on reopen,
-logged, and truncated away — by the write-ahead discipline it was never
-acknowledged, so dropping it is correct, and it must never crash
-recovery.
+There is **one file-level format**, parsed by :func:`read_wal_file`
+through the shared :class:`repro.utils.jsonl.LogFormat` codec: a
+versioned header line, then one canonical-JSON line per event, gapless
+from the header's ``base_seq``, each stamped with a CRC-32 of its body
+(the ``c`` field) so *mid-file bit rot* — a flipped byte that still
+parses as JSON but replays to a silently wrong state — is refused
+instead of folded in.  v1 lines (no checksum) still load.  A segment of
+the directory log (:mod:`repro.serve.segments`) states its ``base_seq``
+and a ``snapshot`` of the state before its first event; the flat log is
+the degenerate segment: base 0, no snapshot, rotation off.
 
-Schema v2 stamps every event line with a CRC-32 of its body (the ``c``
-field), so *mid-file bit rot* — a flipped byte in a month-old record,
-which still parses as JSON but replays to a silently wrong state — is
-detected and refused instead of folded in.  v1 files (no checksum) are
-still readable; torn-tail semantics are unchanged, because a torn line
-was never acknowledged while a corrupt interior line was.
+A torn final line (the process died mid-append) was never acknowledged,
+so on reopen it is warned about and truncated away; it must never crash
+recovery.  Recovery is a pure :class:`_RecoveryPlan` computed before a
+byte is touched; :class:`_WalBase` executes it and holds everything else
+the two writer classes share.  Their names stay distinct, each with its
+own ``append`` and ``recover_state``, because ``bench/spans.py`` wraps
+exactly those four methods by name.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from repro.errors import ConfigurationError, LogIntegrityError
 from repro.utils.jsonl import (
     JsonlWriter,
+    LogFile,
+    LogFormat,
     canonical_json,
     crc32_text,
-    salvage_jsonl,
+    torn_tail_message,
 )
 
 __all__ = ["WAL_VERSION", "ServeEvent", "WriteAheadLog"]
 
 #: bump when the JSONL schema changes; readers reject newer versions
 WAL_VERSION = 2
+
+SEGMENT_FORMAT = "repro.serve.walseg"
 
 #: event kinds understood by WAL schema v1, in rough lifecycle order
 EVENT_KINDS = (
@@ -131,17 +142,251 @@ class ServeEvent:
         return event
 
 
-class WriteAheadLog:
-    """Append-only, fsync-durable event log with torn-write recovery.
+def _header_fields(header: dict,
+                   index: int | None) -> tuple[int, str | None]:
+    """``(base_seq, snapshot)`` of a WAL header.  ``index`` is the segment
+    number the filename claims; ``None`` reads the file as the flat log,
+    the degenerate segment (a v1 header names no format at all)."""
+    if index is None:
+        return 0, None
+    if header.get("format") != SEGMENT_FORMAT:
+        raise ConfigurationError(
+            f"not a WAL segment (format {header.get('format')!r})")
+    if header.get("segment") is not None \
+            and int(header["segment"]) != index:
+        raise ConfigurationError(
+            f"header names segment {header['segment']} but the "
+            f"filename says {index}")
+    snap = header.get("snapshot")
+    return int(header["base_seq"]), (str(snap) if snap else None)
+
+
+@dataclass
+class _WalFile(LogFile):
+    """One WAL file as parsed: its valid prefix and its first error."""
+
+    path: Path = Path()
+    #: segment number (0 for the flat file)
+    index: int = 0
+    #: seq of the first record (-1: the header is unreadable)
+    base_seq: int = -1
+    snapshot: str | None = None
+
+    @property
+    def total_records(self) -> int:
+        """Record lines present (valid or not), for loss reports."""
+        return max(0, self.complete_lines - 1)
+
+    @property
+    def end_seq(self) -> int:
+        """Sequence just past the last valid event."""
+        return self.base_seq + len(self.records)
+
+    @property
+    def is_anchor(self) -> bool:
+        return self.snapshot is not None or self.base_seq == 0
+
+    def truncate(self) -> None:
+        """Cut the file on disk back to its valid prefix, so the next
+        append cannot concatenate onto torn or corrupt bytes."""
+        self.path.write_text(
+            "\n".join(self.lines) + "\n" if self.lines else "")
+
+
+def read_wal_file(path: Path, index: int | None = None) -> _WalFile:
+    """Parse one WAL file — flat or segment — as far as it is valid.
+
+    Events are CRC-verified and gapless from the header's ``base_seq``;
+    the first violation ends the valid prefix and is kept as ``error``
+    (never raised), next to the torn tail if there is one.
+    """
+    fmt = LogFormat("WAL", WAL_VERSION, record=ServeEvent.from_json,
+                    header=partial(_header_fields, index=index))
+    wal_file = _WalFile(path=path, index=index or 0,
+                        **vars(fmt.parse(path.read_text(), path)))
+    if wal_file.header:
+        wal_file.base_seq, wal_file.snapshot = wal_file.header
+    for i, event in enumerate(wal_file.records):
+        if event.seq != wal_file.base_seq + i:
+            wal_file.error = ConfigurationError(
+                f"{path}: WAL sequence gap: record {i} has seq "
+                f"{event.seq}, expected {wal_file.base_seq + i}")
+            del wal_file.records[i:], wal_file.lines[i + 1:]
+            break
+    return wal_file
+
+
+@dataclass
+class _RecoveryPlan:
+    """Pure description of a recovery: what to fold, what to touch.
+
+    ``actions`` is the ordered list of side effects recovery *would*
+    perform (``drop_unacked_tail`` / ``rewrite`` / ``quarantine`` /
+    ``copy_quarantine``); :meth:`_WalBase._recover` executes them,
+    :meth:`SegmentedWriteAheadLog.inspect` only reads them.  ``chain``
+    is the adopted anchor-first file list (empty means the directory
+    folds to a fresh, empty log).
+    """
+
+    chain: list[_WalFile] = field(default_factory=list)
+    actions: list[dict] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    torn_tail: str | None = None
+
+    def drop_torn_tail(self, tail: _WalFile) -> None:
+        """Plan the truncation of the tail file's torn final line."""
+        self.torn_tail = tail.torn
+        self.actions.append({"op": "rewrite", "seg": tail})
+        self.warnings.append(
+            torn_tail_message(tail.path, tail.torn, "WAL line"))
+
+
+def _plan_flat(wal_file: _WalFile) -> _RecoveryPlan:
+    """Recovery plan for the flat file: the one-file chain, strictly.
+
+    With no later snapshot anchor to fall back on, corruption before
+    the final line cannot be quarantined away; it is raised.
+    """
+    if wal_file.error is not None:
+        raise wal_file.error
+    plan = _RecoveryPlan(chain=[wal_file])
+    if wal_file.torn is not None:
+        plan.drop_torn_tail(wal_file)
+    return plan
+
+
+def _fold_state(snapshot: str | None, events: list[ServeEvent]):
+    from repro.serve.state import ServeState
+
+    state = (ServeState.restore(snapshot) if snapshot is not None
+             else ServeState())
+    try:
+        for event in events:
+            state.apply(event)
+    except (KeyError, TypeError, ValueError) as exc:
+        # the line parsed and its checksum (if any) held, but the
+        # payload is not what this event kind carries
+        raise ConfigurationError(
+            f"WAL event seq {event.seq} ({event.kind!r}) has a malformed "
+            f"payload ({type(exc).__name__}: {exc})") from exc
+    return state
+
+
+class _WalBase:
+    """Everything the flat and the segmented log share.
+
+    The recovered view (``events`` since the snapshot anchor, the
+    anchor itself, quarantine reports, the dropped torn tail), the
+    sequence bookkeeping, the plan executor and the active writer.
+    """
+
+    #: called at every rotation for the snapshot anchoring the new
+    #: segment; the server always assigns it (the flat file never
+    #: rotates, so never calls it)
+    snapshot_provider: Callable[[], str] | None = None
+
+    def __init__(self, fsync: bool, meta: dict | None):
+        self.fsync = bool(fsync)
+        #: free-form header metadata, stamped on every file this log opens
+        self.meta = {str(k): str(v) for k, v in (meta or {}).items()}
+        #: events since (and including) the newest snapshot anchor —
+        #: exactly what ``recover_state`` folds
+        self.events: list[ServeEvent] = []
+        #: snapshot string of the anchor file (None = genesis)
+        self.anchor_snapshot: str | None = None
+        self.anchor_base_seq = 0
+        #: quarantine reports from recovery: one dict per bad segment
+        self.quarantined: list[dict] = []
+        self.torn_tail_dropped: str | None = None
+        #: sequence number / kind of the newest event (-1 / None: empty)
+        self.last_seq = -1
+        self.last_kind: str | None = None
+
+    def _open_fresh(self, path: Path, header: dict, index: int = 0) -> None:
+        """Start a new file at ``path`` and make it the active one."""
+        self._active_index = index
+        #: the file appends currently land in
+        self.active_path = path
+        self._writer = JsonlWriter(path, fsync=self.fsync)
+        self._writer.write_line(canonical_json(header))
+
+    def _recover(self, plan: _RecoveryPlan) -> bool:
+        """Execute a plan; False when it adopted no file (start fresh)."""
+        self.torn_tail_dropped = plan.torn_tail
+        for act in plan.actions:
+            seg, op = act["seg"], act["op"]
+            if op == "drop_unacked_tail":
+                seg.path.unlink()
+            elif op == "rewrite":
+                seg.truncate()
+            elif op == "quarantine":
+                seg.path.rename(Path(act["report"]["path"]))
+                self.quarantined.append(act["report"])
+            elif op == "copy_quarantine":
+                shutil.copy2(seg.path, act["report"]["path"])
+                seg.truncate()
+                self.quarantined.append(act["report"])
+        for msg in plan.warnings:
+            warnings.warn(msg, UserWarning, stacklevel=4)
+        if not plan.chain:
+            return False
+        anchor, tail = plan.chain[0], plan.chain[-1]
+        self.anchor_snapshot = anchor.snapshot
+        self.anchor_base_seq = anchor.base_seq
+        self.events = [e for s in plan.chain for e in s.records]
+        self.last_seq = (self.events[-1].seq if self.events
+                         else anchor.base_seq - 1)
+        self.last_kind = self.events[-1].kind if self.events else None
+        self._active_index = tail.index
+        self.active_path = tail.path
+        self._writer = JsonlWriter(tail.path, fsync=self.fsync,
+                                   append=True)
+        return True
+
+    @property
+    def next_seq(self) -> int:
+        return self.last_seq + 1
+
+    def _expect(self, event: ServeEvent) -> None:
+        if event.seq != self.next_seq:
+            raise ConfigurationError(
+                f"WAL append out of order: expected seq {self.next_seq}, "
+                f"got {event.seq}"
+            )
+
+    def _write(self, event: ServeEvent) -> ServeEvent:
+        self._writer.write_line(event.to_json())
+        self.events.append(event)
+        self.last_seq = event.seq
+        self.last_kind = event.kind
+        return event
+
+    def all_events(self) -> list[ServeEvent]:
+        """Full readable history (all the flat file recovered)."""
+        return self.events
+
+    def close(self) -> None:
+        self._writer.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
+
+
+class WriteAheadLog(_WalBase):
+    """Append-only, fsync-durable single-file log with torn-write recovery.
 
     Opening a fresh path writes the versioned header; opening an
     existing path *recovers*: the header is version-checked, every
     complete event line is parsed into :attr:`events` (ready for
-    :meth:`repro.serve.ServeState.replay`), and a torn final line is
-    warned about, truncated off the file, and recorded in
-    :attr:`torn_tail_dropped`.  ``append`` enforces gapless sequence
-    numbers and is durable (flush + fsync by default) before it
-    returns — the *write-ahead* in the name.
+    :meth:`recover_state`), and a torn final line is warned about,
+    truncated off the file, and recorded in :attr:`torn_tail_dropped`.
+    Corruption before the final line raises.  ``append`` enforces
+    gapless sequence numbers and is durable (flush + fsync by default)
+    before it returns — the *write-ahead* in the name.
 
     >>> import tempfile, os
     >>> path = os.path.join(tempfile.mkdtemp(), "wal.jsonl")
@@ -157,78 +402,25 @@ class WriteAheadLog:
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
                  meta: dict | None = None):
+        super().__init__(fsync, meta)
         self.path = Path(path)
-        self.events: list[ServeEvent] = []
-        self.torn_tail_dropped: str | None = None
-        exists = self.path.exists() and self.path.stat().st_size > 0
-        if exists:
-            self._recover()
-            self._writer = JsonlWriter(self.path, fsync=fsync, append=True)
+        if self.path.exists() and self.path.stat().st_size > 0:
+            self._recover(_plan_flat(read_wal_file(self.path)))
         else:
-            self._writer = JsonlWriter(self.path, fsync=fsync)
-            header = {
+            self._open_fresh(self.path, {
                 "version": WAL_VERSION,
                 "format": "repro.serve.wal",
-                "meta": {str(k): str(v) for k, v in (meta or {}).items()},
-            }
-            self._writer.write_line(canonical_json(header))
-
-    def _recover(self) -> None:
-        good, torn, events = _parse_wal(self.path, stacklevel=4)
-        if torn is not None:
-            self.torn_tail_dropped = torn
-            # truncate the torn bytes off disk so the next append does
-            # not concatenate onto them and corrupt the log for real
-            self.path.write_text(
-                "\n".join(good) + "\n" if good else ""
-            )
-        self.events = events
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the newest event (-1 when empty)."""
-        return self.events[-1].seq if self.events else -1
-
-    @property
-    def next_seq(self) -> int:
-        return self.last_seq + 1
-
-    @property
-    def last_kind(self) -> str | None:
-        """Kind of the newest event (``None`` when empty)."""
-        return self.events[-1].kind if self.events else None
+                "meta": self.meta,
+            })
 
     def recover_state(self):
-        """Fold the recovered events into a fresh ``ServeState``.
-
-        The uniform recovery entry point shared with the segmented WAL
-        (which restores a snapshot anchor first); for the single-file
-        log it is simply a full replay.
-        """
-        from repro.serve.state import ServeState
-
-        return ServeState.replay(self.events)
+        """Fold the recovered events into a fresh ``ServeState``."""
+        return _fold_state(self.anchor_snapshot, self.events)
 
     def append(self, event: ServeEvent) -> ServeEvent:
         """Durably append one event; returns it for chaining."""
-        if event.seq != self.next_seq:
-            raise ConfigurationError(
-                f"WAL append out of order: expected seq {self.next_seq}, "
-                f"got {event.seq}"
-            )
-        self._writer.write_line(event.to_json())
-        self.events.append(event)
-        return event
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
+        self._expect(event)
+        return self._write(event)
 
     @classmethod
     def load_events(cls, path: str | Path) -> list[ServeEvent]:
@@ -247,42 +439,7 @@ class WriteAheadLog:
         >>> [e.seq for e in WriteAheadLog.load_events(path)]
         [0]
         """
-        _, _, events = _parse_wal(Path(path), stacklevel=3)
-        return events
-
-
-def _parse_wal(path: Path, stacklevel: int) -> tuple[
-        list[str], str | None, list[ServeEvent]]:
-    """Parse + validate a WAL file; warn (don't raise) on a torn tail."""
-    good, torn = salvage_jsonl(path.read_text())
-    if torn is not None:
-        warnings.warn(
-            f"{path}: dropped torn final WAL line "
-            f"({len(torn)} bytes, crash mid-append?)",
-            UserWarning,
-            stacklevel=stacklevel,
-        )
-    if not good:
-        raise ConfigurationError(f"{path}: WAL has no header")
-    try:
-        header = json.loads(good[0])
-        events = [ServeEvent.from_json(ln) for ln in good[1:]]
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: WAL is not valid JSONL: {exc}"
-        ) from exc
-    except LogIntegrityError as exc:
-        raise LogIntegrityError(f"{path}: {exc}") from exc
-    if not isinstance(header, dict) or "version" not in header:
-        raise ConfigurationError(f"{path}: WAL header missing 'version'")
-    if int(header["version"]) > WAL_VERSION:
-        raise ConfigurationError(
-            f"{path}: WAL version {header['version']} is newer than "
-            f"supported version {WAL_VERSION}"
-        )
-    for i, e in enumerate(events):
-        if e.seq != i:
-            raise ConfigurationError(
-                f"{path}: WAL sequence gap: event {i} has seq {e.seq}"
-            )
-    return good, torn, events
+        plan = _plan_flat(read_wal_file(Path(path)))
+        for msg in plan.warnings:
+            warnings.warn(msg, UserWarning, stacklevel=2)
+        return plan.chain[0].records

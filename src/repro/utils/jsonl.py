@@ -1,33 +1,46 @@
-"""Durable JSONL primitives shared by every event-log format.
+"""The one codec for "JSON header line + one JSON line per record" files.
 
-Three formats in this repo are "one JSON header line + one JSON line per
-event": :class:`repro.chaos.FailureTrace`, :class:`repro.obs.TelemetryTrace`,
-and the :mod:`repro.serve` write-ahead log.  They share the failure modes
-of append-only files — a process killed mid-write leaves a *torn* final
-line — and the durability needs of a log that must survive ``kill -9``.
-This module is their common substrate:
+Five formats in this repo have that shape —
+:class:`repro.chaos.FailureTrace`, :class:`repro.obs.TelemetryTrace`,
+:class:`repro.parallel.ScheduleProgram`, and the flat and segmented
+:mod:`repro.serve` write-ahead logs — and with it the failure mode of
+append-only files (a process killed mid-write leaves a *torn* final
+line) and the contract that the file is plain versioned JSON an outside
+tool can read.  Each format owns only its record-specific half: which
+header fields, how one record line parses.  The rest is here:
 
-* :func:`canonical_json` — the byte-stable serialization every format
-  uses (sorted keys, no whitespace, repr-round-tripping floats);
-* :func:`crc32_text` — the record checksum the serve WAL stamps on every
-  line, so mid-file bit rot (not just torn tails) is *detected* instead
-  of silently replayed;
-* :func:`salvage_jsonl` — split a JSONL text into its valid prefix and
-  the torn tail (if any), so readers can recover from a crash-mid-write
-  instead of raising;
+* :func:`canonical_json` — the byte-stable serialization (sorted keys,
+  no whitespace, repr-round-tripping floats); :func:`dump_log` — the
+  writer: header line, record lines, trailing newline;
+* :class:`LogFormat` — the reader: split lines, salvage the torn final
+  line, parse and type-check the header, reject a missing or newer
+  ``version``, map any malformed record to
+  :class:`~repro.errors.ConfigurationError` naming file, format and
+  1-based line.  ``parse`` returns the valid prefix plus the first
+  error (what a recovery planner needs); ``read`` raises it;
+* :class:`JsonlDocument` — ``from_jsonl`` / ``save`` / ``load`` for the
+  three whole-document formats, on top of the two above;
+* :func:`crc32_text` — the per-record checksum of the serve WAL, which
+  detects mid-file bit rot, not just torn tails;
 * :class:`JsonlWriter` — append-only line writer with flush-per-line and
-  optional ``fsync`` durability, the primitive under both
-  :class:`repro.obs.JsonlSink` and :class:`repro.serve.WriteAheadLog`.
+  optional ``fsync``, under :class:`repro.obs.JsonlSink` and both WALs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
-__all__ = ["canonical_json", "crc32_text", "salvage_jsonl", "JsonlWriter"]
+from repro.errors import ConfigurationError, ReproError
+
+__all__ = ["canonical_json", "crc32_text", "salvage_jsonl", "dump_log",
+           "check_version", "torn_tail_message", "LogFile", "LogFormat",
+           "JsonlDocument", "JsonlWriter"]
 
 
 def canonical_json(payload: object) -> str:
@@ -89,6 +102,172 @@ def salvage_jsonl(text: str) -> tuple[list[str], str | None]:
     except json.JSONDecodeError:
         return lines[:-1], lines[-1]
     return lines, None
+
+
+def dump_log(header: dict, records: Iterable[str]) -> str:
+    """The writer: canonical header line, the (already serialized)
+    record lines, one trailing newline.
+
+    >>> dump_log({"version": 1}, ['{"a":1}'])
+    '{"version":1}\\n{"a":1}\\n'
+    """
+    return "\n".join([canonical_json(header), *records]) + "\n"
+
+
+def check_version(what: str, version: int, supported: int) -> None:
+    """Reject a document written under a newer schema than this reader."""
+    if version > supported:
+        raise ConfigurationError(
+            f"{what} version {version} is newer than supported "
+            f"version {supported}"
+        )
+
+
+def torn_tail_message(source: object, torn: str, noun: str = "line") -> str:
+    """The warning every reader issues when it drops a torn final line."""
+    return (f"{source}: dropped torn final {noun} "
+            f"({len(torn)} bytes, crash mid-write?)")
+
+
+@dataclass
+class LogFile:
+    """What :meth:`LogFormat.parse` found: the valid prefix + first error.
+
+    ``records`` and ``lines`` stop at the first malformed line and
+    ``error`` says why (``None`` for a clean file).  ``header`` is what
+    the format's header parser returned (``None``: header unreadable).
+    """
+
+    source: str
+    header: Any = None
+    records: list = field(default_factory=list)
+    #: the valid prefix exactly as written, header line first
+    lines: list[str] = field(default_factory=list)
+    #: complete lines in the file, valid or not (0 = not even the header
+    #: made it to disk whole)
+    complete_lines: int = 0
+    torn: str | None = None
+    error: ReproError | None = None
+
+
+@dataclass(frozen=True)
+class LogFormat:
+    """The reader for one header+records format.
+
+    ``header`` turns the decoded header object into whatever the format
+    keeps of it; ``record`` parses one record line.  Whatever they raise
+    on a malformed line — bad JSON or a wrong value (``ValueError``), a
+    missing key, a non-object line or a wrong type — becomes a
+    :class:`~repro.errors.ConfigurationError` naming the source, the
+    format and the 1-based line; a :class:`~repro.errors.ReproError` of
+    their own keeps its type and gains the same location prefix.
+
+    >>> fmt = LogFormat("demo log", 1, header=lambda h: h["name"],
+    ...                 record=lambda line: json.loads(line)["n"])
+    >>> fmt.read('{"version":1,"name":"x"}\\n{"n":1}\\n').records
+    [1]
+    >>> fmt.parse('{"version":1,"name":"x"}\\n{"m":1}\\n').error
+    ConfigurationError("<text>: demo log line 2: malformed (KeyError: 'n')")
+    """
+
+    what: str
+    version: int
+    header: Callable[[dict], Any]
+    record: Callable[[str], Any]
+
+    def parse(self, text: str, source: object = "<text>") -> LogFile:
+        """Parse as far as the file is valid; never raises on bad data."""
+        good, torn = salvage_jsonl(text)
+        log = LogFile(source=str(source), complete_lines=len(good),
+                      torn=torn)
+        if not good:
+            log.error = ConfigurationError(
+                f"{source}: {self.what} is empty (no header line)")
+        for i, line in enumerate(good):
+            try:
+                if i:
+                    log.records.append(self.record(line))
+                else:
+                    log.header = self._header(line)
+            except (ReproError, ValueError, KeyError, TypeError,
+                    AttributeError) as exc:
+                lineno = [n for n, ln in enumerate(text.splitlines(), 1)
+                          if ln.strip()][i]
+                where = f"{source}: {self.what} line {lineno}"
+                if isinstance(exc, ReproError):
+                    exc.args = (f"{where}: {exc}",)
+                    log.error = exc
+                else:
+                    log.error = ConfigurationError(
+                        f"{where}: malformed "
+                        f"({type(exc).__name__}: {exc})")
+                    log.error.__cause__ = exc
+                break
+            log.lines.append(line)
+        return log
+
+    def _header(self, line: str) -> Any:
+        raw = json.loads(line)
+        if not isinstance(raw, dict) or "version" not in raw:
+            raise ConfigurationError("header missing 'version'")
+        check_version(self.what, int(raw["version"]), self.version)
+        return self.header(raw)
+
+    def read(self, text: str, source: object = "<text>", *,
+             salvage: bool = False) -> LogFile:
+        """Parse strictly: raise the first error instead of returning it.
+
+        A torn final line is dropped with a :class:`UserWarning` when
+        ``salvage`` is set (a file on disk, crash mid-write) and is an
+        error otherwise.
+        """
+        log = self.parse(text, source)
+        if log.torn is not None:
+            if salvage:
+                warnings.warn(torn_tail_message(source, log.torn),
+                              UserWarning, stacklevel=3)
+            elif log.error is None:
+                log.error = ConfigurationError(
+                    f"{source}: {self.what} is not valid JSONL: final "
+                    f"line is torn ({len(log.torn)} bytes)")
+        if log.error is not None:
+            raise log.error
+        return log
+
+
+class JsonlDocument:
+    """``from_jsonl`` / ``save`` / ``load`` for a header+records class.
+
+    The class supplies its record-specific half: ``to_jsonl()`` and a
+    :class:`LogFormat` as ``_format`` whose header parser returns
+    constructor keywords (the records go to ``events`` unless the class
+    overrides ``_of``).
+    """
+
+    @classmethod
+    def _of(cls, log: LogFile):
+        return cls(events=tuple(log.records), **log.header)
+
+    @classmethod
+    def from_jsonl(cls, text: str):
+        """Parse a document; any malformed line — a torn final one
+        included — raises :class:`~repro.errors.ConfigurationError`."""
+        return cls._of(cls._format.read(text))
+
+    def save(self, path: str | Path) -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_jsonl())
+        return path
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Load a file, tolerating a torn final line: a process killed
+        mid-write leaves the last line truncated, and the valid prefix
+        is recovered with a :class:`UserWarning`.  Corruption *before*
+        the final line raises like :meth:`from_jsonl`."""
+        return cls._of(
+            cls._format.read(Path(path).read_text(), path, salvage=True))
 
 
 class JsonlWriter:

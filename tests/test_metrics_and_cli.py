@@ -219,23 +219,30 @@ class TestCLISmoke:
                          "--no-fsync"]) == 0
         assert "goodput" in capsys.readouterr().out
 
-    def test_serve_replay_segment_dir_is_read_only(self, tmp_path,
-                                                   capsys):
-        from repro.serve import SegmentedWriteAheadLog, ServeEvent
+    @pytest.mark.parametrize("segment_bytes", [256, None],
+                             ids=["segment_dir", "flat_file"])
+    def test_serve_replay_is_read_only(self, tmp_path, capsys,
+                                       segment_bytes):
+        from repro.serve import ServeEvent, open_wal
 
-        wal_dir = tmp_path / "wal"
-        wal = SegmentedWriteAheadLog(wal_dir, fsync=False,
-                                     segment_bytes=256)
+        path = tmp_path / "wal"
+        wal = open_wal(path, fsync=False, segment_bytes=segment_bytes)
         for seq in range(8):
             wal.append(ServeEvent(seq=seq, kind="round",
                                   payload={"round": seq, "dt": 1.0}))
         wal.close()
-        before = {p.name: p.read_bytes() for p in wal_dir.iterdir()}
-        assert cli_main(["serve", "--replay", str(wal_dir)]) == 0
-        # inspection must not rename, truncate, or reopen any segment
-        assert {p.name: p.read_bytes()
-                for p in wal_dir.iterdir()} == before
-        assert "read-only" in capsys.readouterr().out
+        # a torn tail is what a live server killed mid-append leaves:
+        # recovery would truncate it, inspection must not
+        with open(wal.active_path, "a") as fh:
+            fh.write('{"c":0,"k":"rou')
+        files = [path] if path.is_file() else sorted(path.iterdir())
+        before = {p.name: p.read_bytes() for p in files}
+        assert cli_main(["serve", "--replay", str(path)]) == 0
+        # inspection must not rename, truncate, or reopen any file
+        files = [path] if path.is_file() else sorted(path.iterdir())
+        assert {p.name: p.read_bytes() for p in files} == before
+        out = capsys.readouterr().out
+        assert "replayed 8 events" in out and "read-only" in out
 
 
 class TestCLIDataErrors:

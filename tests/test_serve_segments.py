@@ -169,6 +169,32 @@ class TestSegmentRotation:
         revived.close()
 
 
+class TestSnapshotsAreAnOptimisation:
+    def test_recovery_without_any_snapshot_anchor(self, tmp_path):
+        """The log alone reproduces every answer: strip the snapshot
+        from every segment header and the genesis fold still lands on
+        the live state — and on what the anchored recovery produced."""
+        with ServeServer(tmp_path / "wal", demo_config(), fsync=False,
+                         segment_bytes=2048) as server:
+            run_script(server, demo_traffic())
+            live = server.state.snapshot()
+        anchored = SegmentedWriteAheadLog(tmp_path / "wal", fsync=False)
+        assert anchored.anchor_snapshot is not None
+        anchored_snapshot = anchored.recover_state().snapshot()
+        anchored.close()
+        segments = sorted((tmp_path / "wal").glob("segment-*.jsonl"))
+        assert len(segments) > 2
+        for seg in segments:
+            header, _, records = seg.read_text().partition("\n")
+            header = {**json.loads(header), "snapshot": None}
+            seg.write_text(canonical_json(header) + "\n" + records)
+        bare = SegmentedWriteAheadLog(tmp_path / "wal", fsync=False)
+        assert bare.anchor_snapshot is None and bare.anchor_base_seq == 0
+        assert bare.events == bare.all_events()   # folds from genesis
+        assert bare.recover_state().snapshot() == live == anchored_snapshot
+        bare.close()
+
+
 # -- corruption drills ------------------------------------------------------
 
 def segmented_run(tmp_path):

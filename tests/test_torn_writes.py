@@ -6,15 +6,20 @@ line cut at an arbitrary byte.  Every JSONL format in the repo —
 and the serve :class:`~repro.serve.WriteAheadLog` — must load such a
 file with a warning and the complete prefix, never a traceback.  The
 tests chop the checked-in golden files at byte granularity to prove it.
+A line that is whole but *malformed* is the other half of the contract:
+every format reports it as a ``ConfigurationError`` naming file and line.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.chaos import FailureTrace
+from repro.errors import ConfigurationError
 from repro.obs import TelemetryTrace
-from repro.serve import ServeState, WriteAheadLog
+from repro.parallel import ScheduleProgram
+from repro.serve import SegmentedWriteAheadLog, ServeState, WriteAheadLog
 from repro.utils.jsonl import salvage_jsonl
 
 TRACES = Path(__file__).parent / "traces"
@@ -22,6 +27,7 @@ TRACES = Path(__file__).parent / "traces"
 FAILURE_GOLDEN = TRACES / "steady_mtbf_dp_seed0.jsonl"
 TELEMETRY_GOLDEN = TRACES / "telemetry_golden.jsonl"
 WAL_GOLDEN = TRACES / "serve_wal_golden.jsonl"
+PROGRAM_GOLDEN = TRACES / "program_1f1b_p2_m4.jsonl"
 
 
 def chop_points(text: str) -> list[int]:
@@ -95,18 +101,46 @@ class TestWalTorn:
         assert state.last_seq == len(events) - 1
 
     def test_every_single_byte_cut_of_final_event(self, tmp_path):
-        """Exhaustive: no byte offset inside the last line can crash."""
+        """Exhaustive: no byte offset inside the last line can crash —
+        and the flat file and a never-rotating segment directory, fed
+        the same events and cut at the same byte, recover alike."""
         whole = WAL_GOLDEN.read_text().encode()
         last_nl = whole.rstrip(b"\n").rfind(b"\n")
         full = WriteAheadLog.load_events(WAL_GOLDEN)
+        flat, seg_dir = tmp_path / "flat.jsonl", tmp_path / "segs"
+        with SegmentedWriteAheadLog(seg_dir, fsync=False,
+                                    segment_bytes=1 << 30) as wal:
+            for event in full:
+                wal.append(event)
+        seg = seg_dir / "segment-00000000.jsonl"
+        seg_whole = seg.read_bytes()
+        tail = len(whole) - (last_nl + 1)   # last record + its newline
+        assert seg_whole[-tail:] == whole[-tail:]
         # every strict mid-line cut tears; the final cut (only the
         # newline missing) still holds a complete, parseable record
-        for cut in range(last_nl + 2, len(whole) - 1):
+        for keep in range(1, tail - 1):
             torn = tmp_path / "torn.jsonl"
-            torn.write_bytes(whole[:cut])
+            torn.write_bytes(whole[:last_nl + 1 + keep])
             with pytest.warns(UserWarning):
                 events = WriteAheadLog.load_events(torn)
             assert events == full[:-1]
+            # the same cut through both writers: same recovery, and a
+            # reopen + append continues gaplessly on both
+            flat.write_bytes(whole[:last_nl + 1 + keep])
+            seg.write_bytes(seg_whole[:len(seg_whole) - tail + keep])
+            with pytest.warns(UserWarning):
+                a = WriteAheadLog(flat, fsync=False)
+            with pytest.warns(UserWarning):
+                b = SegmentedWriteAheadLog(seg_dir, fsync=False)
+            assert a.events == b.events == full[:-1]
+            assert a.torn_tail_dropped == b.torn_tail_dropped \
+                == whole[last_nl + 1:last_nl + 1 + keep].decode()
+            for reopened in (a, b):
+                reopened.append(full[-1])
+                reopened.close()
+            assert WriteAheadLog.load_events(flat) == full
+            assert b.all_events() == full
+            assert seg.read_bytes() == seg_whole
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(whole[: len(whole) - 1])
         assert WriteAheadLog.load_events(torn) == full
@@ -120,3 +154,38 @@ class TestWalTorn:
         wal.close()
         assert torn.read_text() == whole  # disk is clean again
         WriteAheadLog.load_events(torn)   # and loads silently
+
+
+#: per format: golden file, loader, a key every record needs, a key that
+#: must be an integer
+FORMATS = {
+    "failure_trace": (FAILURE_GOLDEN, FailureTrace.load, "t", "machine"),
+    "telemetry": (TELEMETRY_GOLDEN, TelemetryTrace.load, "k", "seq"),
+    "program": (PROGRAM_GOLDEN, ScheduleProgram.load, "op", "stage"),
+    "wal": (WAL_GOLDEN, WriteAheadLog.load_events, "k", "seq"),
+}
+
+
+class TestMalformedRecord:
+    """A whole line that is not a record is a typed error, never a bare
+    KeyError/ValueError/TypeError, and says where it is."""
+
+    @pytest.mark.parametrize("damage", ["missing_key", "wrong_type",
+                                        "non_object", "not_json"])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_names_file_and_line(self, tmp_path, fmt, damage):
+        golden, load, required, integer = FORMATS[fmt]
+        lines = golden.read_text().splitlines()
+        record = json.loads(lines[2])
+        if damage == "missing_key":
+            del record[required]
+        elif damage == "wrong_type":
+            record[integer] = "three"
+        lines[2] = {"non_object": "[1, 2]", "not_json": '{"a":'}.get(
+            damage, json.dumps(record))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError) as err:
+            load(bad)
+        assert str(bad) in str(err.value)
+        assert "line 3" in str(err.value)
