@@ -3,9 +3,11 @@
 Part 1 — FSDP + Swift, declaratively: ``ParallelismSpec(kind="fsdp")``
 shards the model state across 4 workers with each shard mirrored on a
 different machine ("maintain two copies of each piece of the sharded
-model state").  Machine 1 dies mid-update; the session routes the
-failure through shard-wise update-undo + mirror restore with zero
-recomputation.
+model state").  The plan picks replication, and the session's
+SwiftTrainer drives the sharded engine like any other: machine 1 dies
+mid-update, recovery is shard-wise update-undo + mirror restore with
+zero recomputation, and the periodic global checkpoint of every rank's
+owned shards is taken as for DP and PP.
 
 Part 2 — Elastic training: workers join and leave mid-run without
 checkpoint-restart; an abrupt (mid-update) departure is repaired with
@@ -19,6 +21,7 @@ from repro.api import (
     ClusterSpec,
     DataSpec,
     Experiment,
+    FaultToleranceSpec,
     ModelSpec,
     ParallelismSpec,
 )
@@ -35,6 +38,7 @@ def fsdp_demo() -> None:
         data=DataSpec(kind="classification", batch_size=16, seed=3),
         cluster=ClusterSpec(num_machines=2, devices_per_machine=2),
         parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+        fault_tolerance=FaultToleranceSpec(checkpoint_interval=5),
     ).build()
     engine = session.engine
     shards = {r: len(engine.plan.params_owned_by(r)) for r in range(4)}
@@ -44,12 +48,16 @@ def fsdp_demo() -> None:
         FailureEvent(1, 6, FailurePhase.MID_UPDATE, after_updates=3)
     ])
     session.run(12, failures=failures)
-    report = session.trace.recoveries[0]
+    (report,) = session.trace.recoveries  # exactly one recovery
     print(f"restored {report.details['restored_bytes']} shard bytes from "
           f"mirrors; undid {report.details['undone_params']} partial updates")
+    assert report.lost_iterations == 0
     assert engine.mirrors_consistent() and engine.full_params_consistent()
     print(f"training resumed to iteration {engine.iteration}; "
-          f"mirrors and replicas consistent\n")
+          f"mirrors and replicas consistent")
+    assert engine.iteration == 12 and len(session.trace.checkpoints) >= 1
+    print(f"strategy {session.plan.strategy.value}; global checkpoints at "
+          f"iterations {[it for it, _ in session.trace.checkpoints]}\n")
 
 
 def elastic_demo() -> None:

@@ -5,7 +5,10 @@
 :class:`~repro.parallel.FSDPEngine` each grew their own constructor
 shape; :func:`build_engine` normalizes all of them behind the
 :class:`~repro.api.ExecutionPlan`, deriving every factory (model,
-optimizer, loss, task) from the validated specs.
+optimizer, loss, task) from the validated specs.  It is the only place
+``src/repro`` calls an engine constructor — sessions and fleet jobs both
+arrive here through ``Experiment.plan()`` (``tests/test_public_api.py``
+keeps the census).
 """
 
 from __future__ import annotations

@@ -15,12 +15,14 @@ the same specs always produce the same plan.
 
 ``build()`` lowers the plan into a live :class:`repro.api.Session`;
 ``to_job_spec()`` lowers the same specs into a
-:class:`repro.jobs.JobSpec` for fleet scheduling instead.
+:class:`repro.jobs.JobSpec` for fleet scheduling instead, and
+``from_job_spec()`` is its inverse: how a placed :class:`repro.jobs.Job`
+gets back onto the same validate -> plan -> build path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.api.specs import (
     ClusterSpec,
@@ -29,6 +31,7 @@ from repro.api.specs import (
     ModelSpec,
     ParallelismSpec,
 )
+from repro.cluster.topology import Cluster
 from repro.core.selective import (
     PipelineProfile,
     PlanResult,
@@ -65,6 +68,18 @@ _STRATEGY_KINDS = {
     FTStrategy.REPLICATION: ("dp", "fsdp"),
     FTStrategy.LOGGING: ("pp",),
     FTStrategy.CHECKPOINT_ONLY: ("dp", "pp"),
+}
+#: per sub-spec, the fields a :class:`JobSpec` has a slot for, plus the
+#: ones the fleet decides itself (``placement``; ``scenario*`` — a fleet
+#: injects its own failures); every other field of these specs runs at
+#: its default on the fleet
+_JOB_SPEC_CARRIES = {
+    "data": {"kind", "batch_size", "seed"},
+    "parallelism": {"kind", "num_workers", "num_microbatches", "placement"},
+    "fault_tolerance": {
+        "strategy", "checkpoint_interval", "incremental_checkpoints",
+        "scenario", "scenario_seed",
+    },
 }
 
 
@@ -251,6 +266,12 @@ class Experiment:
             raise ConfigurationError(
                 "sharded replication mirrors need >= 2 machines in the "
                 "placement"
+            )
+        if par.kind == "fsdp" and self.fault_tolerance.incremental_checkpoints:
+            raise ConfigurationError(
+                "incremental_checkpoints need per-shard dirty-key reports, "
+                "which sharded (fsdp) workers do not keep; use full "
+                "checkpoints"
             )
         if par.kind == "pp":
             if data.batch_size < par.num_microbatches:
@@ -541,10 +562,13 @@ class Experiment:
     ) -> JobSpec:
         """Lower the spec into a fleet-schedulable :class:`JobSpec`.
 
-        The jobs layer rebuilds engines from the spec on whatever slots
-        the scheduler grants, so only the workload families it can
-        express are accepted (the deterministic MLP classification
-        task over DP or PP gangs).
+        The jobs layer rebuilds the experiment from the spec on whatever
+        slots the scheduler grants (:meth:`from_job_spec`), so only what
+        a :class:`JobSpec` can carry is accepted: the deterministic MLP
+        classification task over DP or PP gangs, with every field the
+        spec has no slot for left at its default.  ``cluster``,
+        ``placement`` and the failure ``scenario`` are the fleet's to
+        decide.
         """
         model, data, par = self.model, self.data, self.parallelism
         if model.family != "mlp" or data.kind != "classification":
@@ -557,6 +581,18 @@ class Experiment:
             raise ConfigurationError(
                 f"fleet submission supports 'dp' and 'pp' gangs, "
                 f"got {par.kind!r}"
+            )
+        dropped = [
+            f"{attr}.{f.name}={value!r}"
+            for attr, carried in _JOB_SPEC_CARRIES.items()
+            for f in fields(getattr(self, attr))
+            if f.name not in carried
+            and (value := getattr(getattr(self, attr), f.name)) != f.default
+        ]
+        if dropped:
+            raise ConfigurationError(
+                "fleet submission cannot express " + ", ".join(dropped)
+                + "; a JobSpec runs these at their defaults"
             )
         ft = self.fault_tolerance
         return JobSpec(
@@ -582,6 +618,65 @@ class Experiment:
             optimizer=model.optimizer,
             lr=model.lr,
             momentum=model.momentum,
+        )
+
+    @classmethod
+    def from_job_spec(
+        cls,
+        spec: JobSpec,
+        placement: list[tuple[int, int]],
+        cluster: Cluster,
+    ) -> "Experiment":
+        """Inverse of :meth:`to_job_spec`, onto slots a scheduler granted.
+
+        ``cluster`` is the live shared cluster the slots belong to; its
+        shape and bandwidths become the :class:`ClusterSpec`, so
+        ``plan()`` runs the Section 3 chain on the *actual* placement.
+        This is also the one home of the fleet layer's legacy defaults:
+        ``optimizer=None`` means SGD-momentum at lr 0.05 for DP and Adam
+        at lr 0.01 for PP, a PP model is at least one hidden layer per
+        stage deep (so lowering a shallower PP experiment is not a round
+        trip), checkpoints live under ``ckpt/<name>``, and every
+        recovery re-baselines the tensor log because a shared cluster
+        fails more than once.
+        """
+        pp = spec.parallelism == "pp"
+        lr = spec.lr
+        if spec.optimizer is None and lr is None:
+            lr = 0.01 if pp else 0.05
+        bandwidth = cluster.bandwidth
+        return cls(
+            name=spec.name,
+            model=ModelSpec(
+                family="mlp", dim=spec.dim, hidden_dim=spec.hidden_dim,
+                num_classes=spec.num_classes,
+                depth=max(spec.depth, spec.num_workers) if pp else spec.depth,
+                seed=spec.seed,
+                optimizer=spec.optimizer or ("adam" if pp else "sgd_momentum"),
+                lr=lr, momentum=spec.momentum,
+            ),
+            data=DataSpec(
+                batch_size=spec.batch_size,
+                seed=spec.seed if spec.task_seed is None else spec.task_seed,
+            ),
+            cluster=ClusterSpec(
+                num_machines=cluster.num_machines,
+                devices_per_machine=len(cluster.machines[0].devices),
+                network_bw=bandwidth.network, nvlink_bw=bandwidth.nvlink,
+                pcie_bw=bandwidth.pcie, latency=bandwidth.latency,
+            ),
+            parallelism=ParallelismSpec(
+                kind=spec.parallelism, num_workers=spec.num_workers,
+                placement=tuple(placement),
+                num_microbatches=spec.num_microbatches,
+            ),
+            fault_tolerance=FaultToleranceSpec(
+                strategy=spec.strategy,
+                checkpoint_interval=spec.checkpoint_interval,
+                incremental_checkpoints=spec.incremental_checkpoints,
+                checkpoint_after_recovery=True,
+                checkpoint_prefix=f"ckpt/{spec.name}",
+            ),
         )
 
     def with_(self, **overrides) -> "Experiment":

@@ -1,14 +1,14 @@
 """Session: the live facade an Experiment builds into (Section 6 usage).
 
-A Session owns the materialized cluster, engine, and — for DP/PP plans —
-the :class:`~repro.core.SwiftTrainer` assembled through the recovery
-policy registry.  Sharded-DP (FSDP) plans run through the Section 8
-mirror machinery instead (no trainer exists for it), behind the same
-``run``/``step``/``trace`` surface.
+A Session owns the materialized cluster, the engine, and the
+:class:`~repro.core.SwiftTrainer` assembled through the recovery policy
+registry with the strategy the plan decided — for DP, PP and sharded-DP
+(FSDP) plans alike.  It is the one place ``src/repro`` constructs a
+trainer: fleet jobs (:class:`repro.jobs.Job`) hold a Session too.
 
-The facade adds nothing numeric: ``Session.run`` produces traces
-bitwise-equal to driving a hand-wired ``SwiftTrainer`` with the same
-seeds and schedule.
+The facade adds nothing numeric: ``run``/``step`` delegate straight to
+``SwiftTrainer.train``/``step``, so traces are bitwise-equal to driving a
+hand-wired trainer with the same seeds and schedule.
 """
 
 from __future__ import annotations
@@ -18,18 +18,10 @@ from repro.api.experiment import ExecutionPlan, Experiment
 from repro.cluster.clock import SimClock
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.topology import Cluster
-from repro.core.detector import FailureDetector
-from repro.core.sharded_recovery import ShardedReplicationRecovery
-from repro.core.strategy import FTStrategy
 from repro.core.trainer import SwiftTrainer, TrainingTrace
-from repro.errors import ConfigurationError, RecoveryError
+from repro.errors import ConfigurationError
 from repro.jobs.spec import Job, JobSpec
-from repro.obs import (
-    NULL_RECORDER,
-    Recorder,
-    TelemetryTrace,
-    record_recovery_phases,
-)
+from repro.obs import Recorder, TelemetryTrace
 from repro.parallel.results import IterationResult
 
 __all__ = ["Session"]
@@ -66,59 +58,40 @@ class Session:
         )
         self.clock = clock or SimClock()
         self.engine = build_engine(plan, self.cluster, self.clock)
-        #: instrumentation sink; attach one via run(recorder=...) or
-        #: :meth:`attach_recorder`
-        self._recorder: Recorder = NULL_RECORDER
         #: the last scenario trace sampled by :meth:`run` (if any)
         self.chaos_trace = None
         ft = experiment.fault_tolerance
-        self.trainer: SwiftTrainer | None = None
-        self.recovery = None
-        if plan.engine_kind in ("dp", "pp"):
-            # run the strategy the PLAN decided, not the raw spec value:
-            # "auto" may have resolved past the engine default (e.g. a DP
-            # layout with no second machine, or a non-invertible
-            # optimizer, plans checkpoint_only) and the session must
-            # honor the decision plan() reported
-            config = ft.to_trainer_config()
-            config.strategy = (
-                plan.strategy.value
-                if isinstance(plan.strategy, FTStrategy) else plan.strategy
-            )
-            self.trainer = SwiftTrainer(
-                self.engine,
-                config,
-                clock=self.clock,
-                grouping=ft.grouping,
-                logging_mode=ft.logging_mode_enum,
-                checkpoint_prefix=ft.checkpoint_prefix,
-            )
-            # step() never passes through train(), so the spec's limit
-            # has to be in force from construction
-            self.trainer.max_recoveries = ft.max_recoveries
-            self.recovery = self.trainer.recovery
-        else:  # fsdp: Section 8 sharded replication, trainerless
-            self.detector = FailureDetector(self.cluster.kvstore, self.clock)
-            self.recovery = ShardedReplicationRecovery(
-                self.engine, self.detector, self.clock,
-                replacement_join_time=ft.replacement_join_time,
-            )
-            self._trace = TrainingTrace()
-            self._recoveries = 0
-            self._max_recoveries = ft.max_recoveries
+        # run the strategy the PLAN decided, not the raw spec value:
+        # "auto" may have resolved past the engine default (e.g. a DP
+        # layout with no second machine, or a non-invertible optimizer,
+        # plans checkpoint_only) and the session must honor the decision
+        # plan() reported
+        config = ft.to_trainer_config()
+        config.strategy = getattr(plan.strategy, "value", plan.strategy)
+        self.trainer = SwiftTrainer(
+            self.engine,
+            config,
+            clock=self.clock,
+            grouping=ft.grouping,
+            logging_mode=ft.logging_mode_enum,
+            checkpoint_prefix=ft.checkpoint_prefix,
+        )
+        # step() never passes through train(), so the spec's limit has to
+        # be in force from construction
+        self.trainer.max_recoveries = ft.max_recoveries
+        self.recovery = self.trainer.recovery
 
     # -- observability ----------------------------------------------------
     @property
     def trace(self) -> TrainingTrace:
         """Lifetime trace across every run()/step() call."""
-        if self.trainer is not None:
-            return self.trainer.trace
-        return self._trace
+        return self.trainer.trace
 
     @property
     def recorder(self) -> Recorder:
-        """The attached instrumentation sink (NULL_RECORDER by default)."""
-        return self._recorder
+        """The attached instrumentation sink (NULL_RECORDER by default);
+        attach one via run(recorder=...) or :meth:`attach_recorder`."""
+        return self.trainer.recorder
 
     def attach_recorder(self, recorder: Recorder) -> None:
         """Route this session's instrumentation through ``recorder``.
@@ -128,11 +101,9 @@ class Session:
         so every iteration phase, recovery phase, counter, and gauge
         lands in the same telemetry stream.
         """
-        self._recorder = recorder
         if recorder.enabled and getattr(recorder, "clock", None) is None:
             recorder.clock = self.clock
-        if self.trainer is not None:
-            self.trainer.recorder = recorder
+        self.trainer.recorder = recorder
         self.engine.recorder = recorder
 
     @property
@@ -142,7 +113,7 @@ class Session:
         Requires a :class:`~repro.obs.TraceRecorder` attached via
         ``run(recorder=...)`` or :meth:`attach_recorder`.
         """
-        rec = self._recorder
+        rec = self.recorder
         if not rec.enabled or not hasattr(rec, "trace"):
             raise ConfigurationError(
                 "no TraceRecorder attached; pass recorder= to run() "
@@ -152,9 +123,7 @@ class Session:
         meta = {
             "experiment": self.experiment.name,
             "engine": self.plan.engine_kind,
-            "strategy": str(
-                getattr(self.plan.strategy, "value", self.plan.strategy)
-            ),
+            "strategy": self.trainer.config.strategy,
             "batch_size": self.experiment.data.batch_size,
         }
         if ft.scenario is not None:
@@ -210,81 +179,20 @@ class Session:
             ).after_iteration(self.engine.iteration)
             self.chaos_trace = trace
             failures = trace.to_schedule()
-        limit = (
-            self.experiment.fault_tolerance.max_recoveries
-            if max_recoveries is None else max_recoveries
+        return self.trainer.train(
+            iterations,
+            failures=failures,
+            max_recoveries=(
+                ft.max_recoveries if max_recoveries is None
+                else max_recoveries
+            ),
         )
-        if self.trainer is not None:
-            return self.trainer.train(
-                iterations, failures=failures, max_recoveries=limit
-            )
-        return self._run_fsdp(iterations, failures, limit)
 
     def step(
         self, failures: FailureSchedule | None = None
     ) -> IterationResult:
         """Run (at most) one iteration — the cooperative scheduling unit."""
-        if self.trainer is not None:
-            return self.trainer.step(failures)
-        return self._step_fsdp(failures or FailureSchedule())
-
-    # -- fsdp driving (no SwiftTrainer exists for sharded engines) --------
-    def _step_fsdp(self, failures: FailureSchedule) -> IterationResult:
-        rec = self._recorder
-        it = self.engine.iteration
-        failure = SwiftTrainer._due_failure(failures, it)
-        with rec.span("trainer/iteration") as sp:
-            result = self.engine.run_iteration(failure=failure)
-            if result.failed:
-                sp.set(iteration=it, failed=True)
-            else:
-                sp.set(iteration=result.iteration, loss=result.loss)
-        if result.failed:
-            rec.count("trainer/failures")
-            self._recoveries += 1
-            if self._recoveries > self._max_recoveries:
-                raise RecoveryError("too many recoveries; giving up")
-            with rec.span("trainer/recovery") as sp:
-                report = self.recovery.recover()
-                sp.set(strategy=report.strategy,
-                       lost_iterations=report.lost_iterations)
-            self._trace.recoveries.append(report)
-            rec.count("trainer/recoveries")
-            record_recovery_phases(
-                rec, report, sim_end=self.clock.now,
-                resume_iteration=report.resume_iteration,
-            )
-            return result
-        rec.count("trainer/iterations")
-        if rec.enabled:
-            rec.gauge("trainer/loss", result.loss)
-        self._trace.losses.append(result.loss)
-        self._trace.iteration_times.append(result.sim_time)
-        self._trace.iteration_numbers.append(result.iteration)
-        self._trace.wall_times.append(self.clock.now)
-        return result
-
-    def _run_fsdp(
-        self,
-        iterations: int,
-        failures: FailureSchedule | None,
-        max_recoveries: int,
-    ) -> TrainingTrace:
-        failures = failures or FailureSchedule()
-        self._max_recoveries = max_recoveries
-        self._recoveries = 0
-        start = len(self._trace.losses)
-        start_rec = len(self._trace.recoveries)
-        while self.engine.iteration < iterations:
-            self._step_fsdp(failures)
-        return TrainingTrace(
-            losses=self._trace.losses[start:],
-            iteration_times=self._trace.iteration_times[start:],
-            iteration_numbers=self._trace.iteration_numbers[start:],
-            checkpoints=[],
-            recoveries=self._trace.recoveries[start_rec:],
-            wall_times=self._trace.wall_times[start:],
-        )
+        return self.trainer.step(failures)
 
     # -- fleet lowering ---------------------------------------------------
     def submit(

@@ -32,6 +32,7 @@ from repro.core.strategy import FTStrategy
 from repro.core.tlog import GroupingPlan, LoggingMode, TensorLog
 from repro.errors import ConfigurationError
 from repro.parallel.data_parallel import DataParallelEngine
+from repro.parallel.fsdp import FSDPEngine
 from repro.parallel.pipeline import PipelineEngine
 from repro.utils.pool import BufferPool
 
@@ -83,7 +84,7 @@ class RecoveryPolicy(Protocol):
     >>> isinstance(policy, RecoveryPolicy)
     True
     >>> policy.describe_requirements()
-    'a data-parallel engine (full replicas on >= 2 machines)'
+    'a data-parallel or sharded engine (replicas on >= 2 machines)'
     """
 
     #: registry key; must equal an :class:`FTStrategy` value for the
@@ -104,21 +105,30 @@ class RecoveryPolicy(Protocol):
 
 
 class ReplicationPolicy:
-    """Replication-based recovery: survivors re-seed replacements (§4)."""
+    """Replication-based recovery: survivors re-seed replacements (§4).
+
+    Full replicas for data parallelism; for sharded data parallelism the
+    replica is each shard's cross-machine mirror (§8).
+    """
 
     name = FTStrategy.REPLICATION.value
 
     def compatible(self, engine: object) -> bool:
-        return isinstance(engine, DataParallelEngine)
+        return isinstance(engine, (DataParallelEngine, FSDPEngine))
 
     def describe_requirements(self) -> str:
-        return "a data-parallel engine (full replicas on >= 2 machines)"
+        return "a data-parallel or sharded engine (replicas on >= 2 machines)"
 
     def build(self, ctx: PolicyContext) -> RecoveryBundle:
         from repro.core.replication import ReplicationRecovery
+        from repro.core.sharded_recovery import ShardedReplicationRecovery
 
+        mechanism = (
+            ShardedReplicationRecovery
+            if isinstance(ctx.engine, FSDPEngine) else ReplicationRecovery
+        )
         return RecoveryBundle(
-            recovery=ReplicationRecovery(
+            recovery=mechanism(
                 ctx.engine,
                 ctx.detector,
                 ctx.clock,
@@ -252,7 +262,8 @@ def resolve_strategy(
     """Normalize a requested strategy against the engine (build time).
 
     ``"auto"`` applies the engine-default arm of the Section 3 chain
-    (replication for data parallelism, logging for pipelines); explicit
+    (replication for plain and sharded data parallelism, logging for
+    pipelines); explicit
     names are validated against the engine so a mismatch fails with a
     clear :class:`ConfigurationError` instead of mis-wiring recovery.
     """
@@ -261,7 +272,7 @@ def resolve_strategy(
     if requested == "auto":
         if isinstance(engine, PipelineEngine):
             return FTStrategy.LOGGING
-        if isinstance(engine, DataParallelEngine):
+        if isinstance(engine, (DataParallelEngine, FSDPEngine)):
             return FTStrategy.REPLICATION
         raise ConfigurationError(
             f"no auto strategy for engine {type(engine).__name__}; "
@@ -274,11 +285,8 @@ def resolve_strategy(
         strategy = requested
     policy = get_recovery_policy(strategy)
     if not policy.compatible(engine):
-        name = (
-            strategy.value if isinstance(strategy, FTStrategy) else strategy
-        )
         raise ConfigurationError(
-            f"strategy {name!r} requires "
+            f"strategy {requested!r} requires "
             f"{policy.describe_requirements()}, "
             f"got {type(engine).__name__}"
         )

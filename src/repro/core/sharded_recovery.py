@@ -13,19 +13,19 @@ failure.  The flow generalizes plain replication-based recovery:
    is consistent.
 
 If both copies of any shard died (a two-machine failure hitting an
-owner/mirror pair), recovery falls back to the periodic global checkpoint
-by raising :class:`~repro.errors.RecoveryError` — exactly the
-catastrophic-failure escape hatch of Section 3.
+owner/mirror pair), recovery raises :class:`~repro.errors.RecoveryError`
+before touching any state.  The trainer's periodic global checkpoint of
+every rank's owned shards (``FSDPWorker.full_state``) exists for exactly
+that case — the catastrophic-failure net of Section 3 — but nothing
+restores from it automatically yet: ``checkpoint_only`` does not accept a
+sharded engine and no engine falls back when replication gives up.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.clock import SimClock
 from repro.core.detector import FailureDetector
 from repro.core.replication import RecoveryReport
-from repro.errors import RecoveryError
 from repro.parallel.fsdp import FSDPEngine
 from repro.utils.cow import StateView
 
@@ -99,11 +99,8 @@ class ShardedReplicationRecovery:
             restored_bytes += state.nbytes
         self.engine._sync_mirrors(list(self.engine.plan.owner))
 
-        # 5. re-gather full parameters onto every worker
-        for name, rank in self.engine.plan.owner.items():
-            value = self.engine.workers[rank]._params[name].data
-            for w in self.engine.workers:
-                w._params[name].data = np.array(value, copy=True)
+        # 5. re-gather full parameters onto every (now live) worker
+        self.engine._gather_full_params()
 
         restore_time = (
             restored_bytes / self.engine.cluster.bandwidth.network

@@ -33,6 +33,7 @@ from repro.core.tlog import GroupingPlan, LoggingMode
 from repro.errors import ConfigurationError, RecoveryError
 from repro.obs import NULL_RECORDER, Recorder, record_recovery_phases
 from repro.parallel.data_parallel import DataParallelEngine
+from repro.parallel.fsdp import FSDPEngine
 from repro.parallel.pipeline import PipelineEngine
 from repro.parallel.results import IterationResult
 
@@ -59,11 +60,12 @@ class TrainerConfig:
     parallel_recovery_degree: int = 1
     #: replacement-machine provisioning time, seconds
     replacement_join_time: float = 5.0
-    #: "auto" picks Swift's mechanism per the engine (replication for DP,
-    #: logging for PP, the Section 3 chain); any :class:`FTStrategy` value
-    #: — "replication", "logging", "checkpoint_only" — may be named
-    #: explicitly and is validated against the engine when the trainer is
-    #: built (a mismatch raises :class:`ConfigurationError`)
+    #: "auto" picks the engine default (replication for DP and sharded
+    #: DP, logging for PP; ``Experiment.plan()`` runs the whole Section 3
+    #: chain instead); any :class:`FTStrategy` value — "replication",
+    #: "logging", "checkpoint_only" — may be named explicitly and is
+    #: validated against the engine when the trainer is built (a mismatch
+    #: raises :class:`ConfigurationError`)
     strategy: str = "auto"
     #: persist only the leaves the optimizers report dirty since the last
     #: checkpoint (delta checkpoints); every ``incremental_full_every``-th
@@ -77,7 +79,7 @@ class TrainerConfig:
     #: re-baselining the tensor log: records that lived only on the
     #: crashed machine are unrecoverable, so a *later* failure in the same
     #: checkpoint window must not need them.  Required for multi-failure
-    #: scenario runs (repro.chaos); the fleet layer does the same per job.
+    #: scenario runs (repro.chaos); the fleet layer sets it for every job.
     checkpoint_after_recovery: bool = False
 
     def __post_init__(self) -> None:
@@ -170,7 +172,7 @@ class SwiftTrainer:
 
     def __init__(
         self,
-        engine: DataParallelEngine | PipelineEngine,
+        engine: DataParallelEngine | PipelineEngine | FSDPEngine,
         config: TrainerConfig,
         clock: SimClock | None = None,
         grouping: GroupingPlan | None = None,
@@ -299,16 +301,11 @@ class SwiftTrainer:
         """
         failures = failures or FailureSchedule()
         it = self.engine.iteration
-        if (
-            self.config.checkpoint_at_start
-            and self.checkpoints.latest_iteration is None
-        ):
-            stall = self.take_checkpoint()
-            self.trace.checkpoints.append((it, stall))
-        elif (
+        latest = self.checkpoints.latest_iteration
+        if (self.config.checkpoint_at_start and latest is None) or (
             it > 0
             and it % self.config.checkpoint_interval == 0
-            and self.checkpoints.latest_iteration != it
+            and latest != it
         ):
             stall = self.take_checkpoint()
             self.trace.checkpoints.append((it, stall))
@@ -337,15 +334,7 @@ class SwiftTrainer:
             for phase in FailurePhase:
                 for extra in failures.pop_due(it, phase):
                     self.cluster.fail_machine(extra.machine_id)
-            self._recoveries += 1
-            if self._recoveries > self.max_recoveries:
-                raise RecoveryError("too many recoveries; giving up")
-            report = self._recover_instrumented()
-            if self.config.checkpoint_after_recovery and self.tlog is not None:
-                # close the failure window: the crashed machine's log
-                # records are gone, so re-baseline before training resumes
-                stall = self.take_checkpoint()
-                self.trace.checkpoints.append((self.engine.iteration, stall))
+            self.recover_now()
             return result  # the interrupted iteration re-runs next step
 
         rec.count("trainer/iterations")
@@ -360,19 +349,15 @@ class SwiftTrainer:
         return result
 
     def recover_now(self) -> RecoveryReport:
-        """Recover from a failure raised outside :meth:`step`.
+        """Recover from a raised failure, inside or outside :meth:`step`.
 
-        The cluster scheduler uses this to route a shared-cluster machine
-        failure into this job's recovery path between iterations (the
-        machine is already failed and the KV flag raised).
+        The cluster scheduler calls this directly to route a shared-cluster
+        machine failure into this job's recovery path between iterations
+        (the machine is already failed and the KV flag raised).
         """
         self._recoveries += 1
         if self._recoveries > self.max_recoveries:
             raise RecoveryError("too many recoveries; giving up")
-        return self._recover_instrumented()
-
-    def _recover_instrumented(self) -> RecoveryReport:
-        """Run recovery, record the report and its telemetry decomposition."""
         with self.recorder.span("trainer/recovery") as sp:
             report = self.recovery.recover()
             sp.set(strategy=report.strategy,
@@ -385,6 +370,12 @@ class SwiftTrainer:
             self.recorder, report, sim_end=self.clock.now,
             resume_iteration=report.resume_iteration,
         )
+        if self.config.checkpoint_after_recovery and self.tlog is not None:
+            # close the failure window: the crashed machine's log records
+            # are gone, so re-baseline before training resumes (after the
+            # span above — the stall is a checkpoint, not recovery time)
+            stall = self.take_checkpoint()
+            self.trace.checkpoints.append((self.engine.iteration, stall))
         return report
 
     def train(

@@ -7,36 +7,33 @@ run many of them on one shared :class:`~repro.cluster.Cluster`:
 
 * :class:`JobSpec` — the submission-time description (gang size, priority,
   elasticity, model/workload knobs);
-* :class:`Job` — the runtime object: built onto concrete ``(machine,
-  device)`` slots when the scheduler places it, stepped one iteration at a
-  time (cooperative interleaving), shrunk/grown through
+* :class:`Job` — the runtime object: when the scheduler places it, its
+  spec plus the granted ``(machine, device)`` slots become an
+  :class:`~repro.api.Experiment` that is planned and built like any other
+  (:meth:`~repro.api.Experiment.from_job_spec`), then stepped one
+  iteration at a time (cooperative interleaving), shrunk/grown through
   :class:`~repro.core.ElasticCoordinator` under preemption, and routed
   shared-cluster machine failures via its own Swift recovery path.
 
-Every mechanism of the paper keeps working per job: replication recovery
-for DP jobs, logging recovery for PP jobs, update-undo for abrupt elastic
-departures (Section 8) — the scheduler only decides *when* each job runs
+Every mechanism of the paper keeps working per job: the Section 3 chain
+picks replication, logging or checkpoint-only recovery for the placement
+the job actually got, and abrupt elastic departures resolve by
+update-undo (Section 8) — the scheduler only decides *when* each job runs
 and *which* hardware it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from repro.cluster.clock import SimClock
 from repro.cluster.topology import Cluster
 from repro.core.elastic import ElasticCoordinator
 from repro.core.replication import RecoveryReport
-from repro.core.trainer import SwiftTrainer, TrainerConfig
-from repro.data import ClassificationTask
-from repro.errors import ConfigurationError
 from repro.core.strategy import FTStrategy
-from repro.models import make_mlp
-from repro.nn import CrossEntropyLoss
-from repro.optim import make_optimizer
-from repro.parallel.data_parallel import DataParallelEngine
-from repro.parallel.pipeline import PipelineEngine
+from repro.core.trainer import SwiftTrainer
+from repro.errors import ConfigurationError
 from repro.parallel.results import IterationResult
 
 __all__ = ["JobState", "JobSpec", "Job"]
@@ -62,8 +59,8 @@ class JobSpec:
     """Submission-time description of one training job."""
 
     name: str
-    #: "dp" (data parallel, replication recovery) or "pp" (pipeline
-    #: parallel, logging recovery)
+    #: "dp" (data parallel) or "pp" (pipeline parallel); the recovery
+    #: strategy follows the Section 3 chain on the granted placement
     parallelism: str
     #: gang size: DP workers or PP stages — all placed at once
     num_workers: int
@@ -79,12 +76,13 @@ class JobSpec:
     arrival: int = 0
     batch_size: int = 16
     checkpoint_interval: int = 20
-    #: fault-tolerance strategy, forwarded to :class:`TrainerConfig` —
-    #: "auto" or any :class:`~repro.core.FTStrategy` value, checked here
-    #: against ``parallelism`` so a mismatch fails at submission time
+    #: fault-tolerance strategy — "auto" (the Section 3 chain, run when
+    #: the job is placed) or any :class:`~repro.core.FTStrategy` value,
+    #: checked here against ``parallelism`` so a mismatch fails at
+    #: submission time
     strategy: str = "auto"
-    #: delta checkpoints (persist only dirty leaves), forwarded to
-    #: :class:`TrainerConfig` — see repro.core.checkpoint
+    #: delta checkpoints (persist only dirty leaves) — see
+    #: repro.core.checkpoint
     incremental_checkpoints: bool = False
     # -- workload knobs (small deterministic MLP classification) ----------
     dim: int = 8
@@ -167,17 +165,18 @@ class JobSpec:
 
 
 class Job:
-    """A scheduled training run: spec + (once placed) a live trainer."""
+    """A scheduled training run: spec + (once placed) a live session."""
 
     def __init__(self, spec: JobSpec):
         self.spec = spec
         self.state = JobState.PENDING
-        self.clock: SimClock | None = None
         self.cluster: Cluster | None = None
+        #: the built :class:`repro.api.Session`; ``trainer`` and ``clock``
+        #: are its trainer and per-job sim clock
+        self.session = None
         self.trainer: SwiftTrainer | None = None
+        self.clock: SimClock | None = None
         self.coordinator: ElasticCoordinator | None = None
-        #: PP placement is immutable; DP slots are derived from workers
-        self._pp_slots: list[tuple[int, int]] = []
         # -- fleet bookkeeping (fleet-time seconds / counters) ------------
         self.submit_time: float = 0.0
         self.start_time: float | None = None
@@ -200,96 +199,25 @@ class Job:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Job({self.spec.name}, {self.state.value})"
 
-    # -- engine construction ----------------------------------------------
-    def _build_engine(
-        self, cluster: Cluster, slots: list[tuple[int, int]]
-    ) -> DataParallelEngine | PipelineEngine:
-        spec = self.spec
-        task = ClassificationTask(
-            dim=spec.dim,
-            num_classes=spec.num_classes,
-            batch_size=spec.batch_size,
-            seed=spec.seed if spec.task_seed is None else spec.task_seed,
-        )
-        if spec.parallelism == "dp":
-            family = spec.optimizer or "sgd_momentum"
-            # legacy specs (optimizer=None) keep the historic lr=0.05;
-            # declared optimizers pass lr through verbatim (None = class
-            # default), matching what repro.api's Session would build
-            lr = (
-                spec.lr if spec.optimizer is not None
-                else (0.05 if spec.lr is None else spec.lr)
-            )
-            return DataParallelEngine(
-                cluster,
-                model_factory=lambda: make_mlp(
-                    spec.dim, spec.hidden_dim, spec.num_classes,
-                    depth=spec.depth, seed=spec.seed,
-                ),
-                opt_factory=lambda m: make_optimizer(
-                    family, m, lr=lr, momentum=spec.momentum
-                ),
-                loss_factory=CrossEntropyLoss,
-                task=task,
-                placement=list(slots),
-                clock=self.clock,
-            )
-        # pipeline: ensure the MLP has at least one layer per stage
-        depth = max(spec.depth, spec.num_workers)
-        num_layers = 2 * depth + 1
-        base, rem = divmod(num_layers, spec.num_workers)
-        sizes = [base + 1 if s < rem else base for s in range(spec.num_workers)]
-        family = spec.optimizer or "adam"
-        lr = (
-            spec.lr if spec.optimizer is not None
-            else (0.01 if spec.lr is None else spec.lr)
-        )
-        return PipelineEngine(
-            cluster,
-            model_factory=lambda: make_mlp(
-                spec.dim, spec.hidden_dim, spec.num_classes,
-                depth=depth, seed=spec.seed,
-            ),
-            partition_sizes=sizes,
-            placement=list(slots),
-            num_microbatches=spec.num_microbatches,
-            opt_factory=lambda m: make_optimizer(
-                family, m, lr=lr, momentum=spec.momentum
-            ),
-            loss_factory=CrossEntropyLoss,
-            task=task,
-            clock=self.clock,
-        )
-
+    # -- placement ---------------------------------------------------------
     def start(
         self,
         cluster: Cluster,
         slots: list[tuple[int, int]],
         now: float = 0.0,
     ) -> None:
-        """Build the engine/trainer gang onto the granted slots."""
-        if len(slots) != self.spec.num_workers:
-            raise ConfigurationError(
-                f"{self.name}: gang needs {self.spec.num_workers} slots, "
-                f"got {len(slots)}"
-            )
+        """Plan and build the gang onto the granted slots (one per worker)."""
+        # repro.api imports this module for JobSpec
+        from repro.api.experiment import Experiment
+
         self.cluster = cluster
-        self.clock = SimClock()
-        engine = self._build_engine(cluster, slots)
-        if isinstance(engine, PipelineEngine):
-            self._pp_slots = list(slots)
-        self.trainer = SwiftTrainer(
-            engine,
-            TrainerConfig(
-                checkpoint_interval=self.spec.checkpoint_interval,
-                strategy=self.spec.strategy,
-                incremental_checkpoints=self.spec.incremental_checkpoints,
-            ),
-            clock=self.clock,
-            checkpoint_prefix=f"ckpt/{self.spec.name}",
-        )
+        self.session = Experiment.from_job_spec(
+            self.spec, slots, cluster
+        ).build(cluster=cluster)
+        self.trainer = self.session.trainer
+        self.clock = self.session.clock
         if self.spec.elastic:
-            self.coordinator = ElasticCoordinator(engine, clock=self.clock)
+            self.coordinator = ElasticCoordinator(self.engine, clock=self.clock)
         self.state = JobState.RUNNING
         self.start_time = now
 
@@ -317,18 +245,14 @@ class Job:
     @property
     def num_workers_now(self) -> int:
         """Current gang size (elastic jobs may run shrunk)."""
-        if self.trainer is None:
-            return 0
-        if self.spec.parallelism == "pp":
-            return len(self._pp_slots)
-        return len(self.engine.workers)
+        return len(self.current_slots())
 
     def current_slots(self) -> list[tuple[int, int]]:
         """The ``(machine_id, device_idx)`` slots the job occupies now."""
         if self.trainer is None:
             return []
-        if self.spec.parallelism == "pp":
-            return list(self._pp_slots)
+        if self.spec.parallelism == "pp":  # PP placement is immutable
+            return list(self.session.plan.placement)
         return [
             (w.machine_id, w.device.local_index)
             for w in self.engine.workers
@@ -391,14 +315,9 @@ class Job:
             self.cluster.kvstore.raise_failure(
                 self.pending_machines[-1], self.iteration
             )
+        # logging recoveries re-baseline the tensor log afterwards
+        # (TrainerConfig.checkpoint_after_recovery, set for every job)
         report = self.trainer.recover_now()
-        if self.trainer.tlog is not None:
-            # re-baseline the tensor log: records that lived only on the
-            # crashed machine are unrecoverable, so a *second* failure in
-            # the same checkpoint window must not need them.  A fresh
-            # global checkpoint (which GCs the log) closes that window.
-            stall = self.trainer.take_checkpoint()
-            self.trainer.trace.checkpoints.append((self.iteration, stall))
         self.pending_machines.clear()
         self.state = JobState.RUNNING
         return report

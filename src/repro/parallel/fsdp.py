@@ -94,6 +94,8 @@ class FSDPWorker:
         self._params = dict(model.named_parameters())
         self.make_optimizer = make_optimizer
         self.optimizer: Optimizer | None = None
+        #: names of the parameters this worker owns (set by bind_shard)
+        self.owned: list[str] = []
         #: mirror storage: param name -> (param copy, optimizer-state copy)
         self.mirrors: dict[str, dict[str, np.ndarray]] = {}
         self.iteration = 0
@@ -109,7 +111,8 @@ class FSDPWorker:
 
     def bind_shard(self, names: list[str]) -> None:
         """Declare this worker the owner of the named parameters."""
-        owned = [(n, self._params[n]) for n in names if self._params[n].requires_grad]
+        self.owned = [n for n in names if self._params[n].requires_grad]
+        owned = [(n, self._params[n]) for n in self.owned]
         self.optimizer = self.make_optimizer(owned) if owned else None
 
     def shard_state(self, name: str) -> dict[str, np.ndarray]:
@@ -120,6 +123,15 @@ class FSDPWorker:
                 out[f"slot::{slot}"] = np.array(arr, copy=True)
             out["step"] = np.array(self.optimizer.step_counts[name])
         return out
+
+    def full_state(self) -> dict[str, np.ndarray]:
+        """This rank's part of a global checkpoint: every owned shard's
+        :meth:`shard_state`, keyed ``<param name>/<shard_state key>``."""
+        return {
+            f"{name}/{key}": arr
+            for name in self.owned
+            for key, arr in self.shard_state(name).items()
+        }
 
     def load_shard_state(self, name: str, state: dict[str, np.ndarray]) -> None:
         self._params[name].data = np.array(state["param"], copy=True)

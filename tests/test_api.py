@@ -172,6 +172,16 @@ class TestSpecValidation:
                 parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
             )
 
+    def test_fsdp_incremental_checkpoints_rejected(self):
+        # sharded workers keep no dirty-key reports; without this the
+        # first checkpoint died with an AttributeError
+        with pytest.raises(ConfigurationError, match="incremental"):
+            Experiment(
+                parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+                fault_tolerance=FaultToleranceSpec(
+                    incremental_checkpoints=True),
+            )
+
     def test_strategy_parallelism_mismatch_is_eager(self):
         with pytest.raises(ConfigurationError, match="logging"):
             dp_experiment(strategy="logging")
@@ -332,6 +342,50 @@ class TestSessionBitwise:
         assert len(trace.losses) == 12
         assert session.engine.mirrors_consistent()
         assert session.engine.full_params_consistent()
+        # sharded plans run through the trainer like every other engine,
+        # so they get the start + periodic global checkpoints too
+        assert isinstance(session.trainer, SwiftTrainer)
+        assert session.trainer.strategy is FTStrategy.REPLICATION
+        assert [it for it, _ in session.trace.checkpoints] == [0]
+
+    def test_fsdp_plan_no_engine_can_run_fails_at_build(self):
+        # AMSGrad cannot undo, so the chain leaves checkpoint_only — which
+        # no sharded engine can restore from yet.  The session used to run
+        # sharded replication against the plan; now the mismatch is typed.
+        exp = Experiment(
+            model=ModelSpec(optimizer="amsgrad"),
+            parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+        )
+        assert exp.plan().strategy is FTStrategy.CHECKPOINT_ONLY
+        with pytest.raises(ConfigurationError, match="checkpoint_only"):
+            exp.build()
+
+    def test_fsdp_checkpoint_round_trips_every_shard(self):
+        session = Experiment(
+            model=ModelSpec(family="mlp", dim=8, hidden_dim=16,
+                            num_classes=4, seed=7, optimizer="adam",
+                            lr=0.01),
+            data=DataSpec(batch_size=16, seed=3),
+            parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+            fault_tolerance=FaultToleranceSpec(checkpoint_interval=3),
+        ).build()
+        session.run(4)  # checkpoints at 0 and 3, one more step after
+        assert [it for it, _ in session.trace.checkpoints] == [0, 3]
+        session.trainer.take_checkpoint()
+        owned = 0
+        for worker in session.engine.workers:
+            saved, _ = session.trainer.checkpoints.load(worker.rank)
+            live = {
+                f"{name}/{key}": value
+                for name in session.engine.plan.params_owned_by(worker.rank)
+                for key, value in worker.shard_state(name).items()
+            }
+            assert saved.keys() == live.keys()
+            for key in live:
+                assert np.array_equal(saved[key], live[key])
+                assert saved[key].dtype == live[key].dtype
+            owned += len(live)
+        assert owned > 0
 
     def test_session_runs_the_planned_strategy(self):
         # auto on a single-machine DP layout plans checkpoint_only; the
@@ -429,6 +483,65 @@ class TestFleetLowering:
         )
         with pytest.raises(ConfigurationError, match="fleet submission"):
             fsdp.to_job_spec(10)
+
+    @pytest.mark.parametrize("spec_attr, field, value", [
+        ("parallelism", "schedule", "gpipe"),
+        ("parallelism", "partition_sizes", (1, 1, 1, 6)),
+        ("parallelism", "comm_time", 1e-3),
+        ("parallelism", "virtual_stages", 1),
+        ("parallelism", "fused", False),
+        ("fault_tolerance", "parallel_recovery_degree", 2),
+        ("fault_tolerance", "replacement_join_time", 9.0),
+        ("fault_tolerance", "checkpoint_at_start", False),
+        ("fault_tolerance", "max_recoveries", 3),
+        ("fault_tolerance", "checkpoint_after_recovery", False),
+        ("fault_tolerance", "incremental_full_every", 2),
+        ("fault_tolerance", "pooled_messaging", False),
+        ("fault_tolerance", "logging_mode", "sync"),
+        ("fault_tolerance", "log_budget_bytes", 1e6),
+        ("fault_tolerance", "checkpoint_prefix", "mine"),
+        ("data", "noise", 0.1),
+        ("data", "loss", "mse"),
+    ])
+    def test_to_job_spec_rejects_what_a_job_spec_cannot_carry(
+        self, spec_attr, field, value
+    ):
+        from dataclasses import replace
+
+        exp = Experiment(
+            model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=4),
+            data=DataSpec(batch_size=16),
+            cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+            parallelism=ParallelismSpec(kind="pp", num_workers=4),
+        )
+        # defaults lower fine; so does a scenario (the fleet injects its
+        # own failures, as it picks its own cluster and placement)
+        assert exp.with_(fault_tolerance=FaultToleranceSpec(
+            scenario="steady_mtbf")).to_job_spec(5) == exp.to_job_spec(5)
+        changed = exp.with_(**{
+            spec_attr: replace(getattr(exp, spec_attr), **{field: value})
+        })
+        with pytest.raises(ConfigurationError,
+                           match=rf"cannot express {spec_attr}\.{field}="):
+            changed.to_job_spec(5)
+
+    def test_to_job_spec_names_every_dropped_field(self):
+        exp = Experiment(
+            model=ModelSpec(family="mlp", depth=4),
+            cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+            parallelism=ParallelismSpec(
+                kind="pp", schedule="gpipe", partition_sizes=(1, 1, 1, 6),
+                comm_time=1e-3),
+            fault_tolerance=FaultToleranceSpec(
+                parallel_recovery_degree=2, replacement_join_time=9.0,
+                checkpoint_at_start=False, max_recoveries=3),
+        )
+        with pytest.raises(ConfigurationError) as err:
+            exp.to_job_spec(5)
+        for name in ("schedule", "partition_sizes", "comm_time",
+                     "parallel_recovery_degree", "replacement_join_time",
+                     "checkpoint_at_start", "max_recoveries"):
+            assert name in str(err.value)
 
     def test_round_trip_through_scheduler(self):
         exp = Experiment(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
+from repro.api import FTStrategy, demo_fleet_specs
+from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
 from repro.jobs import Job, JobQueue, JobSpec, JobState, Scheduler, SparePool
 from repro.sim import FleetFailure, FleetSimulator
@@ -282,6 +283,64 @@ class TestFailureRouting:
         assert sched2.handle_machine_failure(idle) == []
         assert j.machine_failures == 0
         j.step()  # unaffected
+
+
+class TestPlannedStrategy:
+    """A job runs what Experiment.plan() decides for the slots it got."""
+
+    @pytest.mark.parametrize("spec, shape", [
+        # the only schedulable machine holds every replica: replication
+        # would lose them all with it
+        (JobSpec("dp-one-box", "dp", num_workers=4, iterations=12,
+                 checkpoint_interval=5),
+         dict(num_machines=2, devices_per_machine=4)),
+        # replicas on two machines, but AMSGrad cannot undo a partial update
+        (JobSpec("dp-amsgrad", "dp", num_workers=4, iterations=12,
+                 checkpoint_interval=5, optimizer="amsgrad"),
+         dict(num_machines=3, devices_per_machine=2)),
+    ], ids=["no_machine_level_replica", "optimizer_not_invertible"])
+    def test_section3_chain_not_engine_default(self, spec, shape):
+        sim = FleetSimulator(
+            [spec], num_spares=1,
+            failures=[FleetFailure(round=7, machine_id=0)], **shape,
+        )
+        report = sim.run()
+        (job,) = sim.scheduler.jobs.values()
+        assert report.jobs[0].state == "completed"
+        assert job.trainer.strategy is FTStrategy.CHECKPOINT_ONLY
+        assert [r.strategy for r in job.recoveries] == [
+            "global_checkpoint_restart"
+        ]
+        assert job.lost_iterations == 2
+        # a crash in the middle of the optimizer step recovers too
+        sched = Scheduler(Cluster(shape["num_machines"] - 1,
+                                  shape["devices_per_machine"]))
+        job = Job(spec)
+        sched.submit(job)
+        sched.schedule()
+        failures = FailureSchedule(
+            [FailureEvent(0, 7, FailurePhase.MID_UPDATE, after_updates=1)]
+        )
+        while not job.done:
+            job.session.step(failures)
+        assert len(job.recoveries) == 1
+        assert job.iteration == spec.iterations
+
+    def test_demo_fleet_jobs_run_their_plans(self):
+        specs, failures = demo_fleet_specs(iterations=12)
+        sim = FleetSimulator(specs, num_machines=6, devices_per_machine=4,
+                             num_spares=1, failures=failures)
+        sim.run()
+        jobs = sim.scheduler.jobs.values()
+        assert len(jobs) == len(specs)
+        for job in jobs:
+            assert job.trainer is job.session.trainer
+            assert job.trainer.strategy == job.session.plan.strategy
+        assert {j.name: j.trainer.strategy.value for j in jobs} == {
+            "dp-main": "replication", "pp-chain": "logging",
+            "dp-batch": "replication", "dp-rush": "replication",
+            "dp-late": "replication",
+        }
 
 
 class TestSparePool:
