@@ -69,18 +69,14 @@ _STRATEGY_KINDS = {
     FTStrategy.LOGGING: ("pp",),
     FTStrategy.CHECKPOINT_ONLY: ("dp", "pp"),
 }
-#: per sub-spec, the fields a :class:`JobSpec` has a slot for, plus the
-#: ones the fleet decides itself (``placement``; ``scenario*`` — a fleet
-#: injects its own failures); every other field of these specs runs at
-#: its default on the fleet
-_JOB_SPEC_CARRIES = {
-    "data": {"kind", "batch_size", "seed"},
-    "parallelism": {"kind", "num_workers", "num_microbatches", "placement"},
-    "fault_tolerance": {
-        "strategy", "checkpoint_interval", "incremental_checkpoints",
-        "scenario", "scenario_seed",
-    },
-}
+#: what a fleet decides for every job whatever the experiment says: where
+#: it runs, which failures hit it, where its checkpoints live, that it
+#: re-baselines after every recovery and that a PP model is at least one
+#: hidden layer per stage deep (``cluster`` as a whole as well)
+_FLEET_DECIDES = frozenset({
+    "placement", "scenario", "scenario_seed",
+    "checkpoint_after_recovery", "checkpoint_prefix", "depth",
+})
 
 
 @dataclass(frozen=True)
@@ -564,11 +560,12 @@ class Experiment:
 
         The jobs layer rebuilds the experiment from the spec on whatever
         slots the scheduler grants (:meth:`from_job_spec`), so only what
-        a :class:`JobSpec` can carry is accepted: the deterministic MLP
-        classification task over DP or PP gangs, with every field the
-        spec has no slot for left at its default.  ``cluster``,
-        ``placement`` and the failure ``scenario`` are the fleet's to
-        decide.
+        survives that trip is accepted: the deterministic MLP
+        classification task over DP or PP gangs, with every field a
+        :class:`JobSpec` has no slot for at the value the fleet runs.
+        ``cluster`` and the ``_FLEET_DECIDES`` fields (placement, failure
+        scenario, checkpoint prefix, re-baselining, the PP depth floor)
+        are the fleet's to decide and pass whatever they say.
         """
         model, data, par = self.model, self.data, self.parallelism
         if model.family != "mlp" or data.kind != "classification":
@@ -582,20 +579,8 @@ class Experiment:
                 f"fleet submission supports 'dp' and 'pp' gangs, "
                 f"got {par.kind!r}"
             )
-        dropped = [
-            f"{attr}.{f.name}={value!r}"
-            for attr, carried in _JOB_SPEC_CARRIES.items()
-            for f in fields(getattr(self, attr))
-            if f.name not in carried
-            and (value := getattr(getattr(self, attr), f.name)) != f.default
-        ]
-        if dropped:
-            raise ConfigurationError(
-                "fleet submission cannot express " + ", ".join(dropped)
-                + "; a JobSpec runs these at their defaults"
-            )
         ft = self.fault_tolerance
-        return JobSpec(
+        spec = JobSpec(
             name=self.name,
             parallelism=par.kind,
             num_workers=par.num_workers,
@@ -619,6 +604,58 @@ class Experiment:
             lr=model.lr,
             momentum=model.momentum,
         )
+        # the two constructor calls are the only JobSpec <-> Experiment
+        # mapping: a field that comes back different has no slot
+        runs_as = self._specs_of(spec, self.resolved_placement())
+        dropped = [
+            f"{attr}.{f.name}={mine!r} (the fleet runs {theirs!r})"
+            for attr, lifted in runs_as.items() if attr != "name"
+            for f in fields(lifted)
+            if f.name not in _FLEET_DECIDES
+            and (mine := getattr(getattr(self, attr), f.name))
+            != (theirs := getattr(lifted, f.name))
+        ]
+        if dropped:
+            raise ConfigurationError(
+                "fleet submission cannot express " + ", ".join(dropped)
+            )
+        return spec
+
+    @staticmethod
+    def _specs_of(spec: JobSpec, placement) -> dict:
+        """Every :class:`Experiment` field but ``cluster`` that ``spec``
+        stands for on ``placement`` (see :meth:`from_job_spec`)."""
+        pp = spec.parallelism == "pp"
+        lr = spec.lr
+        if spec.optimizer is None and lr is None:
+            lr = 0.01 if pp else 0.05
+        return dict(
+            name=spec.name,
+            model=ModelSpec(
+                family="mlp", dim=spec.dim, hidden_dim=spec.hidden_dim,
+                num_classes=spec.num_classes,
+                depth=max(spec.depth, spec.num_workers) if pp else spec.depth,
+                seed=spec.seed,
+                optimizer=spec.optimizer or ("adam" if pp else "sgd_momentum"),
+                lr=lr, momentum=spec.momentum,
+            ),
+            data=DataSpec(
+                batch_size=spec.batch_size,
+                seed=spec.seed if spec.task_seed is None else spec.task_seed,
+            ),
+            parallelism=ParallelismSpec(
+                kind=spec.parallelism, num_workers=spec.num_workers,
+                placement=tuple(placement),
+                num_microbatches=spec.num_microbatches,
+            ),
+            fault_tolerance=FaultToleranceSpec(
+                strategy=spec.strategy,
+                checkpoint_interval=spec.checkpoint_interval,
+                incremental_checkpoints=spec.incremental_checkpoints,
+                checkpoint_after_recovery=True,
+                checkpoint_prefix=f"ckpt/{spec.name}",
+            ),
+        )
 
     @classmethod
     def from_job_spec(
@@ -635,48 +672,19 @@ class Experiment:
         This is also the one home of the fleet layer's legacy defaults:
         ``optimizer=None`` means SGD-momentum at lr 0.05 for DP and Adam
         at lr 0.01 for PP, a PP model is at least one hidden layer per
-        stage deep (so lowering a shallower PP experiment is not a round
-        trip), checkpoints live under ``ckpt/<name>``, and every
+        stage deep, checkpoints live under ``ckpt/<name>``, and every
         recovery re-baselines the tensor log because a shared cluster
         fails more than once.
         """
-        pp = spec.parallelism == "pp"
-        lr = spec.lr
-        if spec.optimizer is None and lr is None:
-            lr = 0.01 if pp else 0.05
         bandwidth = cluster.bandwidth
         return cls(
-            name=spec.name,
-            model=ModelSpec(
-                family="mlp", dim=spec.dim, hidden_dim=spec.hidden_dim,
-                num_classes=spec.num_classes,
-                depth=max(spec.depth, spec.num_workers) if pp else spec.depth,
-                seed=spec.seed,
-                optimizer=spec.optimizer or ("adam" if pp else "sgd_momentum"),
-                lr=lr, momentum=spec.momentum,
-            ),
-            data=DataSpec(
-                batch_size=spec.batch_size,
-                seed=spec.seed if spec.task_seed is None else spec.task_seed,
-            ),
             cluster=ClusterSpec(
                 num_machines=cluster.num_machines,
                 devices_per_machine=len(cluster.machines[0].devices),
                 network_bw=bandwidth.network, nvlink_bw=bandwidth.nvlink,
                 pcie_bw=bandwidth.pcie, latency=bandwidth.latency,
             ),
-            parallelism=ParallelismSpec(
-                kind=spec.parallelism, num_workers=spec.num_workers,
-                placement=tuple(placement),
-                num_microbatches=spec.num_microbatches,
-            ),
-            fault_tolerance=FaultToleranceSpec(
-                strategy=spec.strategy,
-                checkpoint_interval=spec.checkpoint_interval,
-                incremental_checkpoints=spec.incremental_checkpoints,
-                checkpoint_after_recovery=True,
-                checkpoint_prefix=f"ckpt/{spec.name}",
-            ),
+            **cls._specs_of(spec, placement),
         )
 
     def with_(self, **overrides) -> "Experiment":

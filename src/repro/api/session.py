@@ -18,6 +18,7 @@ from repro.api.experiment import ExecutionPlan, Experiment
 from repro.cluster.clock import SimClock
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.topology import Cluster
+from repro.core.strategy import FTStrategy
 from repro.core.trainer import SwiftTrainer, TrainingTrace
 from repro.errors import ConfigurationError
 from repro.jobs.spec import Job, JobSpec
@@ -67,7 +68,10 @@ class Session:
         # plans checkpoint_only) and the session must honor the decision
         # plan() reported
         config = ft.to_trainer_config()
-        config.strategy = getattr(plan.strategy, "value", plan.strategy)
+        config.strategy = (
+            plan.strategy.value
+            if isinstance(plan.strategy, FTStrategy) else plan.strategy
+        )
         self.trainer = SwiftTrainer(
             self.engine,
             config,

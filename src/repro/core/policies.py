@@ -285,8 +285,11 @@ def resolve_strategy(
         strategy = requested
     policy = get_recovery_policy(strategy)
     if not policy.compatible(engine):
+        name = (
+            strategy.value if isinstance(strategy, FTStrategy) else strategy
+        )
         raise ConfigurationError(
-            f"strategy {requested!r} requires "
+            f"strategy {name!r} requires "
             f"{policy.describe_requirements()}, "
             f"got {type(engine).__name__}"
         )

@@ -301,11 +301,16 @@ class SwiftTrainer:
         """
         failures = failures or FailureSchedule()
         it = self.engine.iteration
-        latest = self.checkpoints.latest_iteration
-        if (self.config.checkpoint_at_start and latest is None) or (
+        if (
+            self.config.checkpoint_at_start
+            and self.checkpoints.latest_iteration is None
+        ):
+            stall = self.take_checkpoint()
+            self.trace.checkpoints.append((it, stall))
+        elif (
             it > 0
             and it % self.config.checkpoint_interval == 0
-            and latest != it
+            and self.checkpoints.latest_iteration != it
         ):
             stall = self.take_checkpoint()
             self.trace.checkpoints.append((it, stall))

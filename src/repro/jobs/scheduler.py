@@ -5,7 +5,9 @@ ReaLHF's scheduler layer):
 
 * **Gang placement.**  A job needs all ``num_workers`` slots at once.  The
   queue is priority-then-FIFO; the head blocks the line (no backfilling),
-  so large high-priority gangs cannot be starved.
+  so large high-priority gangs cannot be starved.  A job whose plan has
+  no engine for the slots it was granted ends ``FAILED`` (``job.error``
+  says why) and gives them back.
 * **Failure-aware placement.**  Free slots are taken round-robin across
   machines ordered by ascending hardware ``failure_count`` — gangs spread
   over the healthiest failure domains first, which both shrinks the blast
@@ -148,7 +150,16 @@ class Scheduler:
                 break
             self.queue.pop()
             self.cluster.reserve_slots(slots, job.owner_tag)
-            job.start(self.cluster, slots, now=now)
+            try:
+                job.start(self.cluster, slots, now=now)
+            except ConfigurationError as exc:
+                # the plan has no engine for the slots this fleet can
+                # grant (e.g. explicit replication with every replica on
+                # one machine): the job is lost, the line moves on
+                self.cluster.release_owner(job.owner_tag)
+                job.state = JobState.FAILED
+                job.error = str(exc)
+                continue
             self.running.append(job)
             started.append(job)
         return started

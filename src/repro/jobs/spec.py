@@ -132,6 +132,18 @@ class JobSpec:
             raise ConfigurationError(
                 "strategy 'logging' requires a pipeline-parallel job"
             )
+        # what Experiment.validate would refuse on any placement fails
+        # here, at submission, not when the scheduler places the job
+        if self.batch_size < 1 or self.num_microbatches < 1:
+            raise ConfigurationError(
+                "batch_size and num_microbatches must be >= 1"
+            )
+        if self.parallelism == "pp" \
+                and self.batch_size < self.num_microbatches:
+            raise ConfigurationError(
+                f"batch_size ({self.batch_size}) must cover "
+                f"num_microbatches ({self.num_microbatches})"
+            )
 
     @property
     def samples(self) -> int:
@@ -171,12 +183,12 @@ class Job:
         self.spec = spec
         self.state = JobState.PENDING
         self.cluster: Cluster | None = None
-        #: the built :class:`repro.api.Session`; ``trainer`` and ``clock``
-        #: are its trainer and per-job sim clock
+        #: the built :class:`repro.api.Session` (``None`` until placed)
         self.session = None
-        self.trainer: SwiftTrainer | None = None
-        self.clock: SimClock | None = None
         self.coordinator: ElasticCoordinator | None = None
+        #: why the job ended ``FAILED`` without ever running (its plan
+        #: has no engine for the slots the scheduler could grant)
+        self.error: str | None = None
         # -- fleet bookkeeping (fleet-time seconds / counters) ------------
         self.submit_time: float = 0.0
         self.start_time: float | None = None
@@ -214,14 +226,21 @@ class Job:
         self.session = Experiment.from_job_spec(
             self.spec, slots, cluster
         ).build(cluster=cluster)
-        self.trainer = self.session.trainer
-        self.clock = self.session.clock
         if self.spec.elastic:
             self.coordinator = ElasticCoordinator(self.engine, clock=self.clock)
         self.state = JobState.RUNNING
         self.start_time = now
 
     # -- runtime queries ---------------------------------------------------
+    @property
+    def trainer(self) -> SwiftTrainer | None:
+        return self.session.trainer if self.session else None
+
+    @property
+    def clock(self) -> SimClock | None:
+        """The job's own sim clock (``None`` until placed)."""
+        return self.session.clock if self.session else None
+
     @property
     def engine(self):
         assert self.trainer is not None, f"{self.name} not started"

@@ -114,6 +114,10 @@ class FleetWalMirror:
                                "reason": "recovery impossible"})
             self._slots.pop(name, None)
 
+    def unplaceable(self, name: str, reason: str) -> None:
+        """A queued job whose plan no grantable placement can run."""
+        self._log("fail", {"name": name, "reason": reason})
+
     def placement_diff(self, jobs: dict[str, Job]) -> None:
         """Emit place/preempt/restore from observed slot changes.
 

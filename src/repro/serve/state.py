@@ -302,6 +302,8 @@ class ServeState:
         job["slots"] = []
         job["finish_round"] = self.round
         job["reason"] = str(p.get("reason", ""))
+        if job["name"] in self.queue:  # failed at placement, never ran
+            self.queue.remove(job["name"])
         self.tenants[job["tenant"]]["failed"] += 1
 
     def _on_round(self, p: dict) -> None:

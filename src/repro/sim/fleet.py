@@ -327,9 +327,13 @@ class FleetSimulator:
                         tag=f"fleet-r{r}-m{event.machine_id}",
                     )
             # 4. placement (may preempt), then restoration of preemptees
+            queued = self.scheduler.queue.pending() if mir is not None else []
             self.scheduler.schedule(now=self.fleet_time)
             self.scheduler.restore()
             if mir is not None:
+                for job in queued:
+                    if job.state == JobState.FAILED:
+                        mir.unplaceable(job.name, job.error)
                 mir.placement_diff(self.scheduler.jobs)
             # 5. every running job advances one iteration
             for job in list(self.scheduler.running):

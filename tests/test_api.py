@@ -494,14 +494,13 @@ class TestFleetLowering:
         ("fault_tolerance", "replacement_join_time", 9.0),
         ("fault_tolerance", "checkpoint_at_start", False),
         ("fault_tolerance", "max_recoveries", 3),
-        ("fault_tolerance", "checkpoint_after_recovery", False),
         ("fault_tolerance", "incremental_full_every", 2),
         ("fault_tolerance", "pooled_messaging", False),
         ("fault_tolerance", "logging_mode", "sync"),
         ("fault_tolerance", "log_budget_bytes", 1e6),
-        ("fault_tolerance", "checkpoint_prefix", "mine"),
         ("data", "noise", 0.1),
         ("data", "loss", "mse"),
+        ("model", "max_len", 16),
     ])
     def test_to_job_spec_rejects_what_a_job_spec_cannot_carry(
         self, spec_attr, field, value
@@ -514,10 +513,18 @@ class TestFleetLowering:
             cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
             parallelism=ParallelismSpec(kind="pp", num_workers=4),
         )
-        # defaults lower fine; so does a scenario (the fleet injects its
-        # own failures, as it picks its own cluster and placement)
-        assert exp.with_(fault_tolerance=FaultToleranceSpec(
-            scenario="steady_mtbf")).to_job_spec(5) == exp.to_job_spec(5)
+        # defaults lower fine, and so does anything said about what the
+        # fleet decides for every job: cluster, placement, the failures
+        # it injects, the checkpoint prefix and re-baselining
+        assert exp.with_(
+            cluster=ClusterSpec(num_machines=2, devices_per_machine=2,
+                                pcie_bw=2e5),
+            parallelism=replace(exp.parallelism, placement=(
+                (1, 1), (1, 0), (0, 1), (0, 0))),
+            fault_tolerance=FaultToleranceSpec(
+                scenario="steady_mtbf", scenario_seed=3,
+                checkpoint_after_recovery=False, checkpoint_prefix="mine"),
+        ).to_job_spec(5) == exp.to_job_spec(5)
         changed = exp.with_(**{
             spec_attr: replace(getattr(exp, spec_attr), **{field: value})
         })

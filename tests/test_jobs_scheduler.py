@@ -44,6 +44,19 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             JobSpec("x", "dp", num_workers=0, iterations=1)
 
+    @pytest.mark.parametrize("parallelism, knobs, message", [
+        ("pp", dict(batch_size=2, num_microbatches=4), "must cover"),
+        ("dp", dict(batch_size=0), "must be >= 1"),
+        ("dp", dict(num_microbatches=0), "must be >= 1"),
+    ])
+    def test_unplannable_on_any_placement_fails_at_submission(
+        self, parallelism, knobs, message
+    ):
+        # Experiment.validate refuses these wherever the job lands (the
+        # parent trained them on empty micro-batches: NaN losses)
+        with pytest.raises(ConfigurationError, match=message):
+            JobSpec("x", parallelism, num_workers=2, iterations=1, **knobs)
+
     def test_samples(self):
         assert dp_spec(iterations=5, batch_size=8).samples == 40
 
@@ -325,6 +338,36 @@ class TestPlannedStrategy:
             job.session.step(failures)
         assert len(job.recoveries) == 1
         assert job.iteration == spec.iterations
+
+    def test_unplannable_grant_fails_the_job_not_the_fleet(self, tmp_path):
+        """Explicit replication needs a replica on a second machine; this
+        fleet's only schedulable machine cannot give one."""
+        from repro.serve import ServeState, WriteAheadLog
+
+        specs = [
+            JobSpec("dp-pinned", "dp", num_workers=4, iterations=12,
+                    strategy="replication", priority=1),
+            dp_spec("healthy", workers=4, iterations=6),
+        ]
+        wal = WriteAheadLog(tmp_path / "fleet.jsonl", fsync=False)
+        sim = FleetSimulator(specs, num_machines=2, devices_per_machine=4,
+                             num_spares=1, wal=wal)
+        report = sim.run()
+        wal.close()
+        pinned, healthy = (sim.scheduler.jobs[s.name] for s in specs)
+        assert pinned.state == JobState.FAILED and pinned.session is None
+        assert "surviving replica" in pinned.error
+        # its slots went back, so the job queued behind it ran
+        assert healthy.state == JobState.COMPLETED
+        assert healthy.iteration == 6 and healthy.start_time == 0.0
+        assert sim.cluster.owners_on_machine(0) == set()
+        # and the WAL mirror folds to the same outcome
+        state = ServeState.replay(WriteAheadLog.load_events(wal.path))
+        assert {n: j["status"] for n, j in state.jobs.items()} == {
+            j.name: j.state for j in report.jobs
+        }
+        assert state.queue == []
+        assert "surviving replica" in state.jobs["dp-pinned"]["reason"]
 
     def test_demo_fleet_jobs_run_their_plans(self):
         specs, failures = demo_fleet_specs(iterations=12)
