@@ -24,7 +24,7 @@ and *which* hardware it holds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from repro.cluster.clock import SimClock
@@ -158,7 +158,7 @@ class JobSpec:
         >>> JobSpec.from_payload(spec.to_payload()) == spec
         True
         """
-        return dict(asdict(self))
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobSpec":

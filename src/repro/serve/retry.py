@@ -128,7 +128,7 @@ def retry_call(
     3
     """
     policy = policy or BackoffPolicy()
-    delays = backoff_delays(policy)
+    delays = None  # the schedule seeds an RNG: built on the first failure
     for attempt in range(policy.retries + 1):
         try:
             return fn()
@@ -136,6 +136,8 @@ def retry_call(
             if attempt >= policy.retries:
                 recorder.instant(f"{name}_exhausted", track="serve")
                 raise  # budget exhausted: the original error, unwrapped
+            if delays is None:
+                delays = backoff_delays(policy)
             delay = delays[attempt]
             recorder.count(f"{name}_retries", track="serve")
             if on_retry is not None:
