@@ -1,16 +1,13 @@
-"""Fused flat-buffer training step: DP iteration + replay gradient sync.
+"""Fused flat-buffer training step: the DP iteration.
 
 Measures the wall-clock win of the flat-arena training step against the
-pre-PR per-parameter path, which is reproduced inline as the baseline:
+per-parameter path the engine keeps as its bitwise reference:
 
 * **DP-8 iteration** — one synchronous data-parallel iteration on 8
   replicas: per-parameter all-reduce + per-parameter ``step_param`` on
   every replica (eager, ``fused=False``) vs one fused all-reduce over the
   flat gradient arena + one vectorized canonical-replica update shared to
-  the other replicas through COW views (``fused=True``);
-* **parallel-replay gradient sync** — the recovery-worker bucket sum of
-  Section 5.2: per-parameter bucket capture + per-parameter sum loops vs
-  flat-buffer bucket snapshots + single vector adds.
+  the other replicas through COW views (``fused=True``).
 
 Every speedup claim is paired with bitwise equality checks
 (``state_equal``): fused and eager paths must produce identical replica
@@ -21,9 +18,9 @@ states, after full replication recovery, and after logging-based replay.
 Run::
 
     PYTHONPATH=src python benchmarks/bench_step.py [--quick]
-        [--min-speedup 1.5] [--min-replay-speedup 1.5]
+        [--min-speedup 1.5]
 
-Writes ``BENCH_step.json`` at the repo root and exits non-zero if either
+Writes ``BENCH_step.json`` at the repo root and exits non-zero if the
 speedup regresses below its floor or any equivalence check fails.
 """
 
@@ -51,7 +48,7 @@ from repro.parallel import (
     simulate_program,
 )
 from repro.parallel.pipeline import PipelineStage
-from repro.utils import FlatBuffer, state_equal
+from repro.utils import state_equal
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -111,84 +108,7 @@ def bench_dp_iteration(quick: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 2. parallel-replay gradient sync: per-parameter buckets vs flat buckets
-# ---------------------------------------------------------------------------
-
-def bench_replay_sync(quick: bool) -> dict:
-    """The recovery-worker gradient synchronization of Section 5.2.
-
-    Baseline (the pre-PR ``LoggingRecovery._replay_iteration`` sync,
-    reproduced inline): each of ``d`` recovery workers snapshots its bucket
-    with ``module.grads()`` (one copy per parameter) and buckets are summed
-    parameter-by-parameter.  Flat path: each bucket snapshot is one memcpy
-    of the seeded flat gradient buffer and the sum is one vector add per
-    bucket.  Both sum in worker order, so results are bitwise identical.
-    """
-    depth, hidden, degree = (16, 32, 4) if quick else (32, 32, 4)
-    rounds = 20 if quick else 30
-    module = make_mlp(16, hidden, 8, depth=depth, seed=5)
-    params = dict(module.named_parameters())
-    rng = np.random.default_rng(9)
-    worker_grads = [
-        {name: rng.normal(size=p.data.shape) for name, p in params.items()}
-        for _ in range(degree)
-    ]
-    flat = FlatBuffer(module.param_shapes())
-    worker_flat = []
-    for grads in worker_grads:
-        buf = FlatBuffer(module.param_shapes())
-        buf.pack(grads)
-        worker_flat.append(buf.data)
-    # the bucket matrix LoggingRecovery preallocates once per replay span
-    buckets_mat = np.empty((degree, flat.size), dtype=np.float64)
-
-    def eager_sync():
-        for _ in range(rounds):
-            # bucket capture: one copy per parameter per recovery worker
-            # (the pre-PR module.grads() snapshot)
-            buckets = [
-                {name: np.array(g, copy=True) for name, g in grads.items()}
-                for grads in worker_grads
-            ]
-            # per-parameter sum in worker order
-            for name, param in params.items():
-                total = buckets[0][name].copy()
-                for bucket in buckets[1:]:
-                    total += bucket[name]
-                param.grad = total
-
-    def flat_sync():
-        for _ in range(rounds):
-            # bucket capture: one memcpy per recovery worker
-            for worker, grads in enumerate(worker_flat):
-                np.copyto(buckets_mat[worker], grads)
-            # cross-worker sum: one vector add per bucket
-            flat.copy_from(buckets_mat[0])
-            for worker in range(1, degree):
-                flat.data += buckets_mat[worker]
-            views = flat.views()
-            for name, param in params.items():
-                param.grad = views[name]
-
-    eager_s = best_of(eager_sync)
-    eager_result = {n: np.array(p.grad, copy=True) for n, p in params.items()}
-    flat_s = best_of(flat_sync)
-    flat_result = {n: np.array(p.grad, copy=True) for n, p in params.items()}
-    assert state_equal(eager_result, flat_result)
-
-    return {
-        "parameters": len(params),
-        "degree": degree,
-        "rounds": rounds,
-        "grad_mb": round(flat.nbytes / 1e6, 3),
-        "eager_s": eager_s,
-        "flat_s": flat_s,
-        "speedup": eager_s / flat_s,
-    }
-
-
-# ---------------------------------------------------------------------------
-# 3. schedule programs: bubble time across gpipe / 1f1b / interleaved-1f1b
+# 2. schedule programs: bubble time across gpipe / 1f1b / interleaved-1f1b
 # ---------------------------------------------------------------------------
 
 #: (fwd, bwd, comm) seconds per full stage — the Fig. 8 cost model
@@ -375,20 +295,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="small sizes for CI smoke runs")
     parser.add_argument("--min-speedup", type=float, default=1.5,
                         help="fail if the DP iteration speedup drops below")
-    parser.add_argument("--min-replay-speedup", type=float, default=1.5,
-                        help="fail if the replay-sync speedup drops below")
     args = parser.parse_args(argv)
 
     dp = bench_dp_iteration(args.quick)
-    replay = bench_replay_sync(args.quick)
     schedules = bench_schedules(args.quick)
     equivalence = check_equivalence(args.quick)
 
     rows = [
         ["DP-8 iteration", f"{dp['eager_ms_per_iter']:.2f}ms",
          f"{dp['fused_ms_per_iter']:.2f}ms", f"{dp['speedup']:.1f}x"],
-        ["replay grad sync", f"{replay['eager_s']*1e3:.2f}ms",
-         f"{replay['flat_s']*1e3:.2f}ms", f"{replay['speedup']:.1f}x"],
     ]
     sched_rows = [
         [r["schedule"], f"p={r['num_stages']}, m={r['num_microbatches']}",
@@ -408,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     results = {
         "quick": args.quick,
         "dp_iteration": dp,
-        "replay_sync": replay,
         "schedules": schedules,
         "equivalence": equivalence,
     }
@@ -420,11 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     if dp["speedup"] < args.min_speedup:
         failures.append(
             f"DP iteration speedup {dp['speedup']:.2f}x < {args.min_speedup}x"
-        )
-    if replay["speedup"] < args.min_replay_speedup:
-        failures.append(
-            f"replay sync speedup {replay['speedup']:.2f}x < "
-            f"{args.min_replay_speedup}x"
         )
     for msg in failures:
         print(f"[bench] FAIL: {msg}", file=sys.stderr)

@@ -23,6 +23,7 @@ gets back onto the same validate -> plan -> build path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from repro.api.specs import (
     ClusterSpec,
@@ -349,9 +350,12 @@ class Experiment:
         return ParallelLayout(stages=list(stages)).validate()
 
     # -- the plan ---------------------------------------------------------
+    @cached_property
     def _iteration_time_estimate(self) -> float:
         """Engine-default schedule makespan (pp) — the timing the logging
-        calculus compares the PCIe copy against."""
+        calculus compares the PCIe copy against.  Priced once per
+        experiment: the Section 5.4 verdict, the goodput estimate and the
+        planner's cost model all read it."""
         par = self.parallelism
         program = build_program(
             par.schedule,
@@ -368,14 +372,36 @@ class Experiment:
         return timing.iteration_time
 
     def _predicted_log_bytes(self) -> float:
-        """Busiest sender's per-iteration log volume (Section 5.4)."""
+        """Busiest sender's per-iteration log volume (Section 5.4).
+
+        Per micro-batch a worker sends one activation forward and one
+        gradient backward *per model chunk it hosts* (the two pipeline
+        ends send one fewer; the bound ignores that).
+        """
         par, data = self.parallelism, self.data
         if par.kind != "pp":
             return 0.0
         micro = max(1, data.batch_size // par.num_microbatches)
         elems = self.model.boundary_elements(micro)
-        # forward activation out + backward gradient out, per micro-batch
-        return 2.0 * par.num_microbatches * elems * DTYPE_BYTES
+        sends = 2.0 * par.resolved_virtual_stages()
+        return sends * par.num_microbatches * elems * DTYPE_BYTES
+
+    def _logging_feasibility(self) -> LoggingFeasibility:
+        """The Section 5.4 verdict for this (pipeline) experiment.
+
+        ``v`` chunks per worker cut the bubble as if there were ``v``
+        times the micro-batches — ``(p-1)/(v*m+p-1)`` of the iteration —
+        while multiplying what has to be copied inside it.
+        """
+        par = self.parallelism
+        return logging_worth_it(
+            self._predicted_log_bytes(),
+            self._iteration_time_estimate,
+            par.num_workers,
+            par.num_microbatches * par.resolved_virtual_stages(),
+            self.cluster.bandwidth_model().pcie,
+            model_state_bytes=self._model_state_bytes(),
+        )
 
     def _model_state_bytes(self) -> float:
         param_bytes = self.model.param_elements() * DTYPE_BYTES
@@ -392,37 +418,20 @@ class Experiment:
         log_bytes = self._predicted_log_bytes()
         virtual_stages = par.resolved_virtual_stages() if par.kind == "pp" else 1
         if par.kind == "pp":
-            feasibility = logging_worth_it(
-                log_bytes,
-                self._iteration_time_estimate(),
-                par.num_workers,
-                par.num_microbatches,
-                self.cluster.bandwidth_model().pcie,
-                model_state_bytes=state_bytes,
-            )
-            if virtual_stages > 1:
-                # logging replay rebuilds a *contiguous* layer span per
-                # stage; interleaved schedules scatter each stage's
-                # chunks across the pipeline, so replay is unsupported
+            feasibility = self._logging_feasibility()
+            if virtual_stages > 1 and ft.strategy == "auto":
+                # a kept policy, not a limitation (replay handles any
+                # schedule): the reason string below is the whole of it
                 feasibility = replace(
                     feasibility,
                     worth_it=False,
                     reason=(
                         f"schedule {par.schedule!r} interleaves "
                         f"{virtual_stages} virtual stages per worker; "
-                        "logging replay needs contiguous stages — using "
-                        "checkpoints"
+                        "'auto' keeps checkpoints there (the log tap "
+                        "rides every chunk boundary) — ask for "
+                        "strategy='logging' to log and replay"
                     ),
-                )
-            if (
-                virtual_stages > 1
-                and ft.strategy == FTStrategy.LOGGING.value
-            ):
-                raise ConfigurationError(
-                    "strategy 'logging' cannot replay interleaved "
-                    f"schedules (schedule {par.schedule!r} uses "
-                    f"{virtual_stages} virtual stages per worker); use "
-                    "'auto' or 'checkpoint_only'"
                 )
         if ft.strategy == "auto":
             strategy = choose_strategy(
@@ -495,7 +504,7 @@ class Experiment:
         """
         ft = self.fault_tolerance
         if self.parallelism.kind == "pp":
-            iter_time = self._iteration_time_estimate()
+            iter_time = self._iteration_time_estimate
         else:
             iter_time = DEFAULT_FWD_TIME + DEFAULT_BWD_TIME
         if strategy is FTStrategy.REPLICATION:

@@ -40,6 +40,9 @@ class Message:
     phase: str  # "fwd" (activation) or "bwd" (gradient)
     seq: int = 0
     meta: dict = field(default_factory=dict, compare=False)
+    #: model chunk the message is addressed to (interleaved schedules host
+    #: several per rank); ``None`` = the rank's only chunk, ``dst_rank``
+    dst_chunk: int | None = None
     #: arena buffer backing :attr:`tensor` when the transport pools sends;
     #: the tensor log shares (retains) it instead of copying again
     buffer: PooledBuffer | None = field(
@@ -100,6 +103,7 @@ class Transport:
         iteration: int,
         microbatch: int,
         phase: str,
+        dst_chunk: int | None = None,
         **meta: object,
     ) -> float:
         """Enqueue a message; returns the simulated transfer time.
@@ -126,6 +130,7 @@ class Transport:
             phase=phase,
             seq=self._seq,
             meta=dict(meta),
+            dst_chunk=dst_chunk,
             buffer=buf,
         )
         for tap in self._taps:

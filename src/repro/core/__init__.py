@@ -20,7 +20,7 @@ from repro.core.policies import (
     resolve_strategy,
 )
 from repro.core.global_restart import GlobalCheckpointRecovery
-from repro.core.replay import LoggingRecovery, ReplaySpec
+from repro.core.replay import LoggingRecovery
 from repro.core.replication import RecoveryReport, ReplicationRecovery
 from repro.core.sharded_recovery import ShardedReplicationRecovery
 from repro.core.selective import (
@@ -59,7 +59,6 @@ __all__ = [
     "GroupingPlan",
     "LoggingMode",
     "LoggingRecovery",
-    "ReplaySpec",
     "ReplicationRecovery",
     "RecoveryReport",
     "ShardedReplicationRecovery",

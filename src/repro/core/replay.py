@@ -1,4 +1,4 @@
-"""Logging-based recovery: replay the failed sub-pipeline (Section 5).
+"""Logging-based recovery: replay the failed workers from the log (Section 5).
 
 After a machine failure in pipeline-parallel training:
 
@@ -14,6 +14,16 @@ After a machine failure in pipeline-parallel training:
    workers; gradients are all-reduced, which is logically equivalent to
    sequential replay.
 
+Replay *is* program interpretation: the failed workers' own instruction
+streams, run by the one interpreter in
+:meth:`PipelineEngine.replay_streams
+<repro.parallel.pipeline.PipelineEngine.replay_streams>` with every
+``Recv*`` from a survivor served by the tensor log.  This module decides
+*who* replays (the scope), drives the helpers and their gradient sum (the
+orchestration), and prices the result (the timing model); it executes no
+instruction itself, so every registered schedule — interleaved ones
+included — recovers the same way.
+
 The recovery *scope* is the failed machine's group (selective logging
 widens it to the whole group, Section 5.3): surviving stages keep their
 state and simply wait.
@@ -21,45 +31,30 @@ state and simply wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cluster.clock import SimClock
 from repro.core.checkpoint import CheckpointManager
 from repro.core.detector import FailureDetector
 from repro.core.replication import RecoveryReport
-from repro.core.tlog import GroupingPlan, TensorLog
+from repro.core.tlog import TensorLog
 from repro.core.undo import resolve_pipeline_consistency
-from repro.errors import ConfigurationError, RecoveryError
+from repro.errors import RecoveryError
 from repro.cluster.storage import pipelined_transfer_time
 from repro.parallel.pipeline import PipelineEngine, PipelineStage
 from repro.utils.flat import FlatBuffer
 
-__all__ = ["LoggingRecovery", "ReplaySpec"]
-
-
-@dataclass(frozen=True)
-class ReplaySpec:
-    """What must be replayed: stage span, iteration span, parallelism."""
-
-    stage_ids: tuple[int, ...]  # contiguous, ascending
-    from_iteration: int  # checkpoint iteration (inclusive)
-    to_iteration: int  # consensus pre-failure iteration (exclusive)
-    parallel_degree: int = 1
-
-    @property
-    def lost_iterations(self) -> int:
-        return self.to_iteration - self.from_iteration
+__all__ = ["LoggingRecovery"]
 
 
 class LoggingRecovery:
     """Recovers failed pipeline stages from the tensor log (§5).
 
-    Failed stages rebuild from the last global checkpoint and *replay*
-    their boundary inputs from the sender-side log; disjoint failed
-    spans recover independently, and ``parallel_degree > 1`` splits each
-    span's replay across recovery workers (§5.2).  Built for you by the
+    Failed stages rebuild from the last global checkpoint and re-run
+    their own instruction streams with boundary inputs read from the
+    sender-side log, under any schedule (``virtual_stages > 1``
+    included); ``parallel_degree > 1`` splits each iteration's
+    micro-batches across recovery workers (§5.2).  Built for you by the
     ``"logging"`` recovery policy:
 
     >>> from repro.api import (ClusterSpec, Experiment, ModelSpec,
@@ -87,12 +82,6 @@ class LoggingRecovery:
         logging_init_time: float = 1.0,
         transfer_chunks: int = 8,
     ):
-        if getattr(engine, "virtual_stages", 1) != 1:
-            raise ConfigurationError(
-                "logging recovery replays contiguous stage spans; "
-                "interleaved schedules (virtual_stages > 1) scatter each "
-                "stage's chunks across the pipeline — use checkpoint_only"
-            )
         self.engine = engine
         self.tlog = tlog
         self.checkpoints = checkpoints
@@ -104,15 +93,11 @@ class LoggingRecovery:
         self.transfer_chunks = transfer_chunks
 
     # -- scope ------------------------------------------------------------
-    def recovery_spans(self, failed_machines: list[int]) -> list[list[int]]:
-        """Stage spans needing replay, one per contiguous pipeline portion.
+    def failed_stages(self, failed_machines: list[int]) -> list[int]:
+        """Every stage on a failed machine's *group*, ascending.
 
-        All stages in the failed machines' *groups* roll back (with
-        selective logging intra-group traffic is unlogged, Section 5.3).
-        Failures spanning disjoint portions of the pipeline are recovered
-        independently (Appendix B): each contiguous run of failed stages
-        becomes its own replay span, bounded by surviving (logging)
-        machines.
+        With selective logging intra-group traffic is unlogged (Section
+        5.3), so the whole group rolls back with the failed machine.
         """
         grouping = self.tlog.grouping
         machines: set[int] = set()
@@ -121,144 +106,109 @@ class LoggingRecovery:
                 machines.add(m)
             else:
                 machines.update(grouping.group_machines(m))
-        ids = sorted(
-            s.stage_id
-            for s in self.engine.stages
-            if self.engine.machine_of_stage(s.stage_id) in machines
-        )
+        ids = [
+            s.stage_id for s in self.engine.stages if s.machine_id in machines
+        ]
         if not ids:
             raise RecoveryError(f"no stages placed on machines {failed_machines}")
-        spans: list[list[int]] = [[ids[0]]]
-        for sid in ids[1:]:
-            if sid == spans[-1][-1] + 1:
-                spans[-1].append(sid)
-            else:
-                spans.append([sid])
-        return spans
+        return ids
 
-    # -- the numeric replay ------------------------------------------------------
+    def independent_portions(self, stage_ids: list[int]) -> list[list[int]]:
+        """``stage_ids`` split into sets that exchange no tensor.
+
+        Failed stages joined by a pipeline edge hand tensors to each
+        other during replay and finish together; portions separated by
+        surviving (logging) machines recover independently and
+        concurrently (Appendix B), which is what the timing model charges.
+        """
+        edges = self.engine.program().stage_edges()
+        portions: list[list[int]] = []
+        for sid in stage_ids:
+            if portions and (portions[-1][-1], sid) in edges:
+                portions[-1].append(sid)
+            else:
+                portions.append([sid])
+        if len(portions) > 1 and (portions[-1][-1], portions[0][0]) in edges:
+            portions[0] = portions.pop() + portions[0]
+        return portions
+
+    # -- orchestration of the numeric replay ---------------------------------
     def _rebuild_stages(
         self, stage_ids: list[int], from_iteration: int
-    ) -> tuple[dict[int, PipelineStage], float]:
-        """Fresh stage objects loaded from the checkpoint; returns load time."""
+    ) -> tuple[dict[int, PipelineStage], dict[int, float]]:
+        """Fresh stage objects loaded from the checkpoint + load seconds."""
         rebuilt: dict[int, PipelineStage] = {}
-        load_time = 0.0
+        load_times: dict[int, float] = {}
         for sid in stage_ids:
-            state, t = self.checkpoints.load(sid, from_iteration)
+            state, load_times[sid] = self.checkpoints.load(sid, from_iteration)
             stage = self.engine.new_stage(sid, self.engine.stages[sid].device)
             stage.load_full_state(state)
             rebuilt[sid] = stage
-            load_time = max(load_time, t)  # loads proceed in parallel
-        return rebuilt, load_time
+        return rebuilt, load_times
 
-    def _replay_scratch(
-        self, stages: dict[int, PipelineStage], stage_ids: list[int],
-        degree: int,
-    ) -> dict[int, tuple[FlatBuffer, np.ndarray]]:
-        """Per-stage flat gradient buffer + bucket matrix, allocated once.
-
-        One ``(degree, size)`` matrix holds every recovery worker's bucket
-        snapshot; reusing it across the replayed iterations keeps the
-        large-buffer path free of per-iteration allocations.
-        """
-        return {
-            sid: (
-                (flat := FlatBuffer(stages[sid].module.param_shapes())),
-                np.empty((degree, flat.size), dtype=np.float64),
-            )
-            for sid in stage_ids
-        }
-
-    def _replay_iteration(
-        self,
-        stages: dict[int, PipelineStage],
-        stage_ids: list[int],
-        iteration: int,
-        degree: int,
-        scratch: dict[int, tuple[FlatBuffer, np.ndarray]] | None = None,
+    def _replay(
+        self, stages: dict[int, PipelineStage], iterations: range
     ) -> None:
-        """Replay one lost iteration, optionally data-parallel (Figure 7).
+        """Replay the lost iterations, optionally data-parallel (Figure 7).
 
-        With ``degree > 1`` micro-batches are assigned round-robin; each
-        virtual recovery worker accumulates its own gradient bucket and the
-        buckets are summed in worker order before the update — mirroring
-        the gradient synchronization of parallel recovery.
-
-        Buckets are *flat*: each worker accumulates straight into a seeded
-        contiguous buffer (:meth:`Module.seed_flat_grads`), a bucket
-        snapshot is one memcpy, and the cross-worker sum is one vector add
-        per bucket instead of one per parameter — bitwise identical to the
-        per-parameter sum (same per-element addition order).
+        Recovery worker ``w`` of ``d`` runs the stages' streams filtered
+        to micro-batches ``w, w + d, ...``, accumulating straight into a
+        seeded flat gradient buffer (:meth:`Module.seed_flat_grads`); the
+        per-worker buckets are summed in rank order — bit-deterministic,
+        logically equal to sequential replay — before the one update.
         """
-        xs, ys = self.engine.microbatches(iteration)
-        m = self.engine.num_microbatches
-        first, last = stage_ids[0], stage_ids[-1]
-        p = self.engine.num_stages
-
-        if scratch is None:
-            scratch = self._replay_scratch(stages, stage_ids, degree)
-        for worker in range(degree):
-            for sid in stage_ids:
-                stages[sid].module.seed_flat_grads(scratch[sid][0])
-            for mb in range(worker, m, degree):
-                # forward through the failed span
-                if first == 0:
-                    h = xs[mb]
-                else:
-                    h = self.tlog.query(first, iteration, mb, "fwd").tensor
-                for sid in stage_ids:
-                    h = stages[sid].module(h)
-                # gradient entering the span
-                if last == p - 1:
-                    loss_fn = self.engine.loss_factory()
-                    loss_fn(h, ys[mb])
-                    g = loss_fn.backward() / m
-                else:
-                    g = self.tlog.query(last, iteration, mb, "bwd").tensor
-                for sid in reversed(stage_ids):
-                    g = stages[sid].module.backward(g)
-            for sid in stage_ids:
-                flat, buckets = scratch[sid]
-                np.copyto(buckets[worker], flat.data)
-
-        # gradient synchronization across recovery workers (sum in rank
-        # order — bit-deterministic, logically equal to sequential replay)
-        for sid in stage_ids:
-            flat, buckets = scratch[sid]
-            flat.copy_from(buckets[0])
-            for worker in range(1, degree):
-                flat.data += buckets[worker]
-            views = flat.views()
-            for name, param in stages[sid].module.named_parameters():
-                param.grad = views[name]
-            stages[sid].step()
+        engine, degree = self.engine, self.parallel_degree
+        m = engine.num_microbatches
+        logged = lambda *key: self.tlog.query(*key).tensor  # noqa: E731
+        # per stage: the flat buffer ``param.grad`` points into, and one
+        # (degree, size) matrix of bucket snapshots, reused every iteration
+        scratch = {}
+        for sid, stage in stages.items():
+            flat = FlatBuffer(stage.module.param_shapes())
+            scratch[sid] = flat, np.empty((degree, flat.size))
+        for iteration in iterations:
+            batch = engine.microbatches(iteration)
+            for worker in range(degree):
+                for sid, (flat, _) in scratch.items():
+                    stages[sid].module.seed_flat_grads(flat)
+                engine.replay_streams(
+                    stages, iteration, batch, logged,
+                    range(worker, m, degree),
+                )
+                for flat, buckets in scratch.values():
+                    np.copyto(buckets[worker], flat.data)
+            for flat, buckets in scratch.values():
+                flat.copy_from(buckets[0])
+                for worker in range(1, degree):
+                    flat.data += buckets[worker]
+            engine.apply_updates(stages)
 
     # -- timing model ---------------------------------------------------------
-    def _replay_time(self, spec: ReplaySpec) -> dict[str, float]:
-        """Price the recovery (Figure 6b/6c flow)."""
+    def _replay_time(
+        self, stage_ids: list[int], iterations: range
+    ) -> dict[str, float]:
+        """Price replaying ``iterations`` on one independent portion
+        (Figure 6b/6c flow)."""
         eng = self.engine
         m = eng.num_microbatches
-        degree = spec.parallel_degree
-        # Replay pipelines micro-batches through the failed span with no
-        # waiting on other stages (Figure 1b): fill the span once, then one
+        degree = self.parallel_degree
+        # Replay pipelines micro-batches through the portion with no
+        # waiting on other stages (Figure 1b): fill it once, then one
         # micro-batch per bottleneck-stage slot.  Parallel recovery divides
         # the micro-batches across `degree` recovery workers (Figure 7).
-        stage_fb = [eng.fwd_times[sid] + eng.bwd_times[sid] for sid in spec.stage_ids]
+        stage_fb = [eng.fwd_times[sid] + eng.bwd_times[sid] for sid in stage_ids]
         mb_per_worker = -(-m // degree)  # ceil
         per_iteration = sum(stage_fb) + (mb_per_worker - 1) * max(stage_fb)
-        compute = spec.lost_iterations * per_iteration
+        compute = len(iterations) * per_iteration
         sync = 0.0
         if degree > 1:
             # per-iteration gradient all-reduce among recovery workers
-            state_bytes = sum(eng.state_nbytes(sid) for sid in spec.stage_ids)
-            sync = spec.lost_iterations * 2.0 * (degree - 1) / degree * (
+            state_bytes = sum(eng.state_nbytes(sid) for sid in stage_ids)
+            sync = len(iterations) * 2.0 * (degree - 1) / degree * (
                 state_bytes / eng.cluster.bandwidth.network
             )
         # log-file movement: flush (PCIe+disk) → upload → download, chunked
-        log_bytes = self.tlog.upload_bytes_for(
-            range(spec.from_iteration, spec.to_iteration),
-            exclude_machine=-1,
-        )
+        log_bytes = self.tlog.upload_bytes_for(iterations, exclude_machine=-1)
         transfer = pipelined_transfer_time(
             log_bytes,
             [
@@ -297,10 +247,10 @@ class LoggingRecovery:
         ckpt_iter = self.checkpoints.latest_iteration
         if ckpt_iter is None:
             raise RecoveryError("no global checkpoint exists to replay from")
-        # drop the failed machines' own (lost) records, then plan the spans
+        # drop the failed machines' own (lost) records, then fix the scope
         for machine_id in failed_machines:
             self.tlog.drop_machine(machine_id)
-        spans = self.recovery_spans(failed_machines)
+        stage_ids = self.failed_stages(failed_machines)
 
         # replacement joins (plus logging re-initialization, Section 7.1)
         for machine_id in failed_machines:
@@ -308,36 +258,28 @@ class LoggingRecovery:
         init_time = self.replacement_join_time + self.logging_init_time
         self.clock.advance(init_time, "replacement_join")
 
-        # rebuild + replay every span (numerics); disjoint spans recover
-        # independently and concurrently (Appendix B), so wall time is the
-        # max across spans
-        restore_time = 0.0
-        all_stage_ids: list[int] = []
-        timing_details: dict = {}
-        for span in spans:
-            spec = ReplaySpec(
-                stage_ids=tuple(span),
-                from_iteration=ckpt_iter,
-                to_iteration=consensus,
-                parallel_degree=self.parallel_degree,
-            )
-            rebuilt, load_time = self._rebuild_stages(span, ckpt_iter)
-            scratch = self._replay_scratch(rebuilt, span, spec.parallel_degree)
-            for it in range(spec.from_iteration, spec.to_iteration):
-                self._replay_iteration(rebuilt, span, it,
-                                       spec.parallel_degree, scratch)
-            for sid in span:
-                stage = rebuilt[sid]
-                assert stage.iteration == consensus, (
-                    f"replayed stage {sid} at iteration {stage.iteration}, "
-                    f"expected {consensus}"
+        # rebuild + replay the failed stages (numerics)
+        lost = range(ckpt_iter, consensus)
+        rebuilt, load_times = self._rebuild_stages(stage_ids, ckpt_iter)
+        self._replay(rebuilt, lost)
+        for sid, stage in rebuilt.items():
+            if stage.iteration != consensus:
+                raise RecoveryError(
+                    f"replayed stage {sid} is at iteration "
+                    f"{stage.iteration}, expected {consensus}"
                 )
-                self.engine.stages[sid] = stage
-                self.engine.transport.rebind(sid, stage.device)
-            timing = self._replay_time(spec)
+            self.engine.stages[sid] = stage
+            self.engine.transport.rebind(sid, stage.device)
+
+        # price it: independent portions recover concurrently (Appendix
+        # B), so wall time is the max across them
+        restore_time = 0.0
+        timing_details: dict = {}
+        for portion in self.independent_portions(stage_ids):
+            timing = self._replay_time(portion, lost)
+            load_time = max(load_times[sid] for sid in portion)  # parallel
             restore_time = max(restore_time, load_time + timing["replay_wall"])
-            timing_details[f"span_{span[0]}_{span[-1]}"] = timing
-            all_stage_ids.extend(span)
+            timing_details[f"span_{portion[0]}_{portion[-1]}"] = timing
 
         self.clock.advance(restore_time, "logging_replay")
         self.engine.iteration = consensus
@@ -346,12 +288,12 @@ class LoggingRecovery:
             strategy="logging" if self.parallel_degree == 1 else "logging+pr",
             failed_machines=failed_machines,
             resume_iteration=consensus,
-            lost_iterations=consensus - ckpt_iter,
+            lost_iterations=len(lost),
             detection_time=detection.detection_time,
             init_time=init_time,
             undo_time=undo_time,
             restore_time=restore_time,
-            details={**timing_details, "stage_ids": all_stage_ids,
+            details={**timing_details, "stage_ids": stage_ids,
                      "checkpoint_iteration": ckpt_iter,
                      "undone_params": undo_report.num_undone},
         )

@@ -102,13 +102,17 @@ def logging_worth_it(
         if log_bytes_per_iteration > log_to_state_ratio_cap * model_state_bytes:
             return LoggingFeasibility(
                 False, log_bytes_per_iteration, copy_time, bubble_time,
-                reason="log volume far exceeds model state size "
+                reason=f"log volume of {log_bytes_per_iteration / 1e6:.3g} MB "
+                       f"per iteration far exceeds the "
+                       f"{model_state_bytes / 1e6:.3g} MB of model state "
                        "(CNN-scale activations)",
             )
     if copy_time > bubble_time:
         return LoggingFeasibility(
             False, log_bytes_per_iteration, copy_time, bubble_time,
-            reason="PCIe copy does not fit in the bubble time",
+            reason=f"PCIe copy of {log_bytes_per_iteration / 1e6:.3g} MB "
+                   f"takes {copy_time * 1e3:.3g} ms, does not fit in the "
+                   f"{bubble_time * 1e3:.3g} ms of bubble time",
         )
     return LoggingFeasibility(
         True, log_bytes_per_iteration, copy_time, bubble_time,

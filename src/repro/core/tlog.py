@@ -120,7 +120,14 @@ class GroupingPlan:
 
 
 class TensorLog:
-    """Sender-side tensor log attached to a pipeline transport."""
+    """Sender-side tensor log attached to a pipeline transport.
+
+    One record per logged message, looked up by what the failed worker's
+    replayed ``RecvActivation``/``RecvGrad`` names: ``(receiving model
+    chunk, iteration, micro-batch, phase)`` — the receiving stage itself
+    on flat schedules; interleaved ones host several chunks per worker,
+    which therefore never collide.
+    """
 
     def __init__(
         self,
@@ -144,7 +151,7 @@ class TensorLog:
         #: the transport's buffer arena, when pooled messaging is wired
         #: (set by SwiftTrainer); gc() advances its quarantine epoch
         self.pool = None
-        #: (receiver_stage, iteration, microbatch, phase) -> record
+        #: (receiver_chunk, iteration, microbatch, phase) -> record
         self._index: dict[tuple[int, int, int, str], LogRecord] = {}
         #: per-sender-machine record keys (for failure drops and accounting)
         self._by_machine: dict[int, list[tuple[int, int, int, str]]] = {}
@@ -183,6 +190,7 @@ class TensorLog:
             buffer = msg.buffer.retain()
         else:
             tensor = np.array(msg.tensor, copy=True)
+        chunk = msg.dst_rank if msg.dst_chunk is None else msg.dst_chunk
         record = LogRecord(
             sender_stage=msg.src_rank,
             receiver_stage=msg.dst_rank,
@@ -195,7 +203,7 @@ class TensorLog:
             tensor=tensor,
             buffer=buffer,
         )
-        key = (msg.dst_rank, msg.iteration, msg.microbatch, msg.phase)
+        key = (chunk, msg.iteration, msg.microbatch, msg.phase)
         stale = self._index.get(key)
         if stale is not None and stale.buffer is not None:
             stale.buffer.release()  # a re-run overwrote this record
@@ -240,22 +248,22 @@ class TensorLog:
 
     # -- queries ---------------------------------------------------------------
     def query(
-        self, receiver_stage: int, iteration: int, microbatch: int, phase: str
+        self, chunk: int, iteration: int, microbatch: int, phase: str
     ) -> LogRecord:
         """Fetch the record replay needs, or fail loudly (§1: a missing
         record makes precise recovery impossible)."""
-        key = (receiver_stage, iteration, microbatch, phase)
+        key = (chunk, iteration, microbatch, phase)
         try:
             return self._index[key]
         except KeyError:
             raise LogIntegrityError(
-                f"missing log record for stage {receiver_stage}, iteration "
+                f"missing log record for chunk {chunk}, iteration "
                 f"{iteration}, microbatch {microbatch}, phase {phase!r}"
             ) from None
 
-    def has(self, receiver_stage: int, iteration: int, microbatch: int,
+    def has(self, chunk: int, iteration: int, microbatch: int,
             phase: str) -> bool:
-        return (receiver_stage, iteration, microbatch, phase) in self._index
+        return (chunk, iteration, microbatch, phase) in self._index
 
     def total_bytes(self) -> int:
         return sum(r.nbytes for r in self._index.values())

@@ -15,8 +15,8 @@ class Sequential(Module):
     """Chain of sub-modules executed in order.
 
     Pipeline partitioning (:mod:`repro.parallel.partition`) slices a
-    ``Sequential`` into contiguous stages; each stage is itself a
-    ``Sequential``, so stages compose.
+    ``Sequential`` into runs of consecutive layers (model chunks); each
+    chunk is itself a ``Sequential``, so chunks compose.
     """
 
     def __init__(self, layers: Sequence[Module] = ()):

@@ -178,6 +178,15 @@ class ScheduleProgram(JsonlDocument):
     def num_instructions(self) -> int:
         return sum(len(s) for s in self.streams)
 
+    def stage_edges(self) -> frozenset[tuple[int, int]]:
+        """``(sender, receiver)`` stage pairs an activation crosses (its
+        gradient returns the same way): chunk ``c`` feeds ``c + 1`` — a
+        chain for flat programs, a ring once stages host several chunks."""
+        p = self.num_stages
+        return frozenset(
+            (c % p, (c + 1) % p) for c in range(self.num_chunks - 1)
+        )
+
     def compute_instructions(self, stage: int) -> tuple[Instruction, ...]:
         """The stage's Forward/Backward instructions, in stream order."""
         return tuple(

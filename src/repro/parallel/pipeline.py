@@ -16,7 +16,10 @@ instructions produced by a registered generator (``1f1b``, ``gpipe``,
 the first iteration.  Instructions execute in simulated global-time
 order, so failures land exactly where the schedule places them — and
 :class:`~repro.cluster.failures.FailurePhase.INSTRUCTION` failures can
-land *between* any two named instructions.
+land *between* any two named instructions.  There is one interpreter:
+logging recovery replays a failed worker by running its own streams
+through the same dispatch, with receives bound to the tensor log instead
+of the transport (:meth:`PipelineEngine.replay_streams`).
 
 Design notes:
 
@@ -65,6 +68,9 @@ from repro.parallel.schedules import ScheduleTiming, simulate_program
 __all__ = ["PipelineStage", "PipelineEngine"]
 
 _COMPUTE = ("Forward", "Backward")
+#: chunk offset from a Send*/Recv* to the chunk at the other end of its edge
+_PEER = {"RecvActivation": -1, "SendActivation": 1,
+         "RecvGrad": 1, "SendGrad": -1}
 
 
 class PipelineStage:
@@ -412,120 +418,39 @@ class PipelineEngine:
         timing = self.timing()
         order = self._execution_order()
         num_compute = sum(1 for i in order if i.op in _COMPUTE)
-        xs, ys = self.microbatches(self.iteration)
+        batch = self.microbatches(self.iteration)
+        stages = dict(enumerate(self.stages))
         for s in self.stages:
             s.module.zero_grad()
             s.reset_transient()
 
-        losses: list[float] = []
-        fail_on_phase = (
-            failure.phase.value if failure is not None else None
-        )
-        instruction_hits = 0
-        last_chunk = self._program.num_chunks - 1
+        # the live binding: every Recv* reads the transport, every Send*
+        # writes it (and so passes the tensor-log tap)
+        transport, p = self.transport, self.num_stages
         flat = self.virtual_stages == 1
-        #: transient per-iteration dataflow: values between recv/compute/send
-        acts: dict[tuple[int, int], np.ndarray] = {}
-        outs: dict[tuple[int, int], np.ndarray] = {}
-        grads_in: dict[tuple[int, int], np.ndarray] = {}
-        grads_out: dict[tuple[int, int], np.ndarray] = {}
-        with self.recorder.span("engine/schedule", ops=num_compute):
-            for instr in order:
-                stage = self.stages[instr.stage]
-                if failure is not None and stage.machine_id == failure.machine_id:
-                    if (
-                        fail_on_phase in ("forward", "backward")
-                        and instr.op == (
-                            "Forward" if fail_on_phase == "forward" else "Backward"
-                        )
-                        and instr.microbatch >= failure.after_updates
-                    ):
-                        return self._fail(failure)
-                    if (
-                        fail_on_phase == "instruction"
-                        and instr.op == failure.instruction
-                    ):
-                        if instruction_hits >= failure.after_updates:
-                            return self._fail(failure)
-                        instruction_hits += 1
-                key = (instr.chunk, instr.microbatch)
-                if instr.op == "LoadMicroBatch":
-                    acts[key] = xs[instr.microbatch]
-                elif instr.op == "RecvActivation":
-                    src = (instr.chunk - 1) % self.num_stages
-                    msg = (
-                        self.transport.recv(instr.stage, src)
-                        if flat
-                        else self.transport.recv_matching(instr.stage, src, "fwd")
-                    )
-                    acts[key] = msg.tensor
-                elif instr.op == "Forward":
-                    out = stage.forward_mb(
-                        instr.microbatch, acts.pop(key), chunk=instr.chunk
-                    )
-                    if instr.chunk == last_chunk:
-                        stage.output_cache[instr.microbatch] = out
-                    else:
-                        outs[key] = out
-                elif instr.op == "SendActivation":
-                    dst = (instr.chunk + 1) % self.num_stages
-                    self.transport.send(
-                        instr.stage, dst, outs.pop(key), self.iteration,
-                        instr.microbatch, "fwd",
-                    )
-                elif instr.op == "RecvGrad":
-                    src = (instr.chunk + 1) % self.num_stages
-                    msg = (
-                        self.transport.recv(instr.stage, src)
-                        if flat
-                        else self.transport.recv_matching(instr.stage, src, "bwd")
-                    )
-                    grads_in[key] = msg.tensor
-                elif instr.op == "Backward":
-                    if instr.chunk == last_chunk:
-                        loss_fn = self.loss_factory()
-                        out = stage.output_cache.pop(instr.microbatch)
-                        losses.append(loss_fn(out, ys[instr.microbatch]))
-                        grad = loss_fn.backward() / self.num_microbatches
-                    else:
-                        grad = grads_in.pop(key)
-                    grad_in = stage.backward_mb(
-                        instr.microbatch, grad, chunk=instr.chunk
-                    )
-                    if instr.chunk > 0:
-                        grads_out[key] = grad_in
-                else:  # SendGrad
-                    dst = (instr.chunk - 1) % self.num_stages
-                    self.transport.send(
-                        instr.stage, dst, grads_out.pop(key), self.iteration,
-                        instr.microbatch, "bwd",
-                    )
 
-        # wait-free per-stage updates in completion-time order (last stage
-        # finishes its backwards first — Figure 1a)
-        update_order = sorted(
-            range(self.num_stages), key=lambda i: timing.stage_finish[i]
-        )
-        updates_done = 0
+        def recv(instr: Instruction, phase: str) -> np.ndarray:
+            src = (instr.chunk + _PEER[instr.op]) % p
+            if flat:
+                return transport.recv(instr.stage, src).tensor
+            return transport.recv_matching(instr.stage, src, phase).tensor
+
+        def send(instr: Instruction, tensor: np.ndarray, phase: str) -> None:
+            chunk = instr.chunk + _PEER[instr.op]
+            transport.send(
+                instr.stage, chunk % p, tensor, self.iteration,
+                instr.microbatch, phase, dst_chunk=chunk,
+            )
+
+        with self.recorder.span("engine/schedule", ops=num_compute):
+            losses = self._interpret(
+                stages, batch, order, recv, send, failure
+            )
+            if losses is None:
+                return self._fail(failure)
         with self.recorder.span("engine/optimizer"):
-            for sid in update_order:
-                if (
-                    failure is not None
-                    and failure.phase == FailurePhase.MID_UPDATE
-                    and updates_done >= failure.after_updates
-                ):
-                    return self._fail(failure)
-                if (
-                    failure is not None
-                    and fail_on_phase == "instruction"
-                    and failure.instruction == "OptimizerStep"
-                    and self.stages[sid].machine_id == failure.machine_id
-                ):
-                    if instruction_hits >= failure.after_updates:
-                        return self._fail(failure)
-                    instruction_hits += 1
-                self.stages[sid].step()
-                updates_done += 1
+            if not self.apply_updates(stages, failure):
+                return self._fail(failure)
 
         self.iteration += 1
         overheads: dict[str, float] = {}
@@ -540,6 +465,164 @@ class PipelineEngine:
             sim_time=sim_time,
             overheads=overheads,
         )
+
+    def replay_streams(
+        self,
+        stages: dict[int, PipelineStage],
+        iteration: int,
+        batch: tuple[list[np.ndarray], list[np.ndarray]],
+        logged: Callable[[int, int, int, str], np.ndarray],
+        microbatches: range,
+    ) -> None:
+        """Re-run ``stages``' own streams for a past ``iteration``, off the
+        transport (logging recovery, Section 5).
+
+        The same instructions in the same global order as the live step,
+        restricted to ``stages`` (stage id -> rebuilt stage) and to the
+        ``microbatches`` one recovery worker owns; ``batch`` is
+        :meth:`microbatches` of ``iteration``.  A ``Recv*`` whose
+        sender is outside ``stages`` reads ``logged(chunk, iteration,
+        microbatch, phase)`` — the tensor log; an edge between two of
+        ``stages`` is handed over in memory; a ``Send*`` leaving the set
+        is dropped (its receiver survived and already consumed the
+        original).  Gradients accumulate into whatever the caller bound
+        to ``param.grad``; updates are :meth:`apply_updates`.
+        """
+        p = self.num_stages
+        order = [
+            i for i in self._execution_order()
+            if i.stage in stages and i.microbatch in microbatches
+        ]
+        handed: dict[tuple[int, int, str], np.ndarray] = {}
+
+        def recv(instr: Instruction, phase: str) -> np.ndarray:
+            if (instr.chunk + _PEER[instr.op]) % p in stages:
+                return handed.pop((instr.chunk, instr.microbatch, phase))
+            return logged(instr.chunk, iteration, instr.microbatch, phase)
+
+        def send(instr: Instruction, tensor: np.ndarray, phase: str) -> None:
+            chunk = instr.chunk + _PEER[instr.op]
+            if chunk % p in stages:
+                # the copy the transport would deliver (pooled storage is C
+                # order, an unpooled send keeps the sender's layout): a
+                # receiver's rounding follows its input's strides
+                handed[(chunk, instr.microbatch, phase)] = np.array(
+                    tensor, copy=True,
+                    order="K" if self.transport.pool is None else "C")
+
+        self._interpret(stages, batch, order, recv, send)
+
+    def _interpret(
+        self,
+        stages: dict[int, PipelineStage],
+        batch: tuple[list[np.ndarray], list[np.ndarray]],
+        order: list[Instruction],
+        recv: Callable[[Instruction, str], np.ndarray],
+        send: Callable[[Instruction, np.ndarray, str], None],
+        failure: FailureEvent | None = None,
+    ) -> list[float] | None:
+        """THE dispatch on ``Instruction.op`` (all but ``OptimizerStep``).
+
+        ``stages[instr.stage]`` executes each instruction of ``order`` on
+        the iteration's micro-batch split ``batch``; where a ``Recv*``
+        reads and a ``Send*`` writes is the caller's binding
+        (``recv``/``send``), which is all that differs between a live
+        step and a replay.  Returns the per-micro-batch losses, or
+        ``None`` when ``failure`` fired and the iteration is abandoned.
+        """
+        xs, ys = batch
+        losses: list[float] = []
+        fail_on_phase = (
+            failure.phase.value if failure is not None else None
+        )
+        instruction_hits = 0
+        last_chunk = self._program.num_chunks - 1
+        #: transient per-iteration dataflow: values between recv/compute/send
+        acts: dict[tuple[int, int], np.ndarray] = {}
+        outs: dict[tuple[int, int], np.ndarray] = {}
+        grads_in: dict[tuple[int, int], np.ndarray] = {}
+        grads_out: dict[tuple[int, int], np.ndarray] = {}
+        for instr in order:
+            stage = stages[instr.stage]
+            if failure is not None and stage.machine_id == failure.machine_id:
+                if (
+                    fail_on_phase in ("forward", "backward")
+                    and instr.op == (
+                        "Forward" if fail_on_phase == "forward" else "Backward"
+                    )
+                    and instr.microbatch >= failure.after_updates
+                ):
+                    return None
+                if (
+                    fail_on_phase == "instruction"
+                    and instr.op == failure.instruction
+                ):
+                    if instruction_hits >= failure.after_updates:
+                        return None
+                    instruction_hits += 1
+            key = (instr.chunk, instr.microbatch)
+            if instr.op == "LoadMicroBatch":
+                acts[key] = xs[instr.microbatch]
+            elif instr.op == "RecvActivation":
+                acts[key] = recv(instr, "fwd")
+            elif instr.op == "Forward":
+                out = stage.forward_mb(
+                    instr.microbatch, acts.pop(key), chunk=instr.chunk
+                )
+                if instr.chunk == last_chunk:
+                    stage.output_cache[instr.microbatch] = out
+                else:
+                    outs[key] = out
+            elif instr.op == "SendActivation":
+                send(instr, outs.pop(key), "fwd")
+            elif instr.op == "RecvGrad":
+                grads_in[key] = recv(instr, "bwd")
+            elif instr.op == "Backward":
+                if instr.chunk == last_chunk:
+                    loss_fn = self.loss_factory()
+                    out = stage.output_cache.pop(instr.microbatch)
+                    losses.append(loss_fn(out, ys[instr.microbatch]))
+                    grad = loss_fn.backward() / self.num_microbatches
+                else:
+                    grad = grads_in.pop(key)
+                grad_in = stage.backward_mb(
+                    instr.microbatch, grad, chunk=instr.chunk
+                )
+                if instr.chunk > 0:
+                    grads_out[key] = grad_in
+            else:  # SendGrad
+                send(instr, grads_out.pop(key), "bwd")
+        return losses
+
+    def apply_updates(
+        self,
+        stages: dict[int, PipelineStage],
+        failure: FailureEvent | None = None,
+    ) -> bool:
+        """``OptimizerStep`` per stage, wait-free in completion-time order
+        (last stage finishes its backwards first — Figure 1a).  Returns
+        ``False`` when ``failure`` fired part-way."""
+        timing = self.timing()
+        instruction_hits = 0
+        updates_done = 0
+        for sid in sorted(stages, key=lambda i: timing.stage_finish[i]):
+            if failure is not None:
+                if (
+                    failure.phase == FailurePhase.MID_UPDATE
+                    and updates_done >= failure.after_updates
+                ):
+                    return False
+                if (
+                    failure.phase == FailurePhase.INSTRUCTION
+                    and failure.instruction == "OptimizerStep"
+                    and stages[sid].machine_id == failure.machine_id
+                ):
+                    if instruction_hits >= failure.after_updates:
+                        return False
+                    instruction_hits += 1
+            stages[sid].step()
+            updates_done += 1
+        return True
 
     def _fail(self, failure: FailureEvent) -> IterationResult:
         self.cluster.fail_machine(failure.machine_id)

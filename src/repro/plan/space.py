@@ -476,30 +476,18 @@ class ExperimentSearchSpace(SearchSpace):
                 return "partition"
             if v > 1 and c.num_microbatches % c.num_workers != 0:
                 return "schedule_shape"
-            if c.strategy == "logging":
-                if spanned < 2:
-                    return "single_machine"
-                if v > 1:
-                    # logging replay needs contiguous stage spans;
-                    # interleaving scatters each stage's chunks
-                    return "logging_interleaved"
+            if c.strategy == "logging" and spanned < 2:
+                return "single_machine"
         # final authority: the full cross-field spec validators
         try:
             exp = self._experiment(c)
         except ConfigurationError:
             return "spec_invalid"
         # Section 5.4: never pay to cost logging that is not worth doing
-        if c.strategy == "logging":
-            feas = logging_worth_it(
-                exp._predicted_log_bytes(),
-                exp._iteration_time_estimate(),
-                c.num_workers,
-                c.num_microbatches,
-                cluster.bandwidth_model().pcie,
-                model_state_bytes=exp._model_state_bytes(),
-            )
-            if not feas.worth_it:
-                return "not_worth_it"
+        # (chunk-level volume against the schedule's own bubble, so a
+        # many-chunk candidate is refused by the numbers, not by name)
+        if c.strategy == "logging" and not exp._logging_feasibility().worth_it:
+            return "not_worth_it"
         return None
 
     def _experiment(self, c: Candidate) -> "Experiment":
@@ -541,7 +529,7 @@ class ExperimentSearchSpace(SearchSpace):
         exp = self._experiment(c)
         model, data, cluster = exp.model, exp.data, exp.cluster
         if c.kind == "pp":
-            iter_time = exp._iteration_time_estimate()
+            iter_time = exp._iteration_time_estimate
         else:
             from repro.api.experiment import (
                 DEFAULT_BWD_TIME,

@@ -11,7 +11,11 @@ from repro.data import ClassificationTask
 from repro.models import make_mlp
 from repro.nn import CrossEntropyLoss, Module
 from repro.optim import Adam, SGDMomentum
-from repro.parallel import DataParallelEngine, PipelineEngine
+from repro.parallel import (
+    DataParallelEngine,
+    PipelineEngine,
+    default_virtual_stages,
+)
 
 
 def numerical_grad_check(
@@ -108,8 +112,12 @@ def make_pp_engine(
     seed: int = 7,
     opt: str = "adam",
     stages_per_machine: int = 1,
+    schedule: str = "1f1b",
+    depth: int = 3,
 ) -> PipelineEngine:
-    """Small pipeline MLP setup: depth-3 MLP split into 4 stages."""
+    """Small pipeline MLP setup: depth-3 MLP split into 4 stages
+    (``[2, 2, 2, 1]`` layers); other schedules/depths split the
+    ``2 * depth + 1`` layers evenly over the schedule's chunks."""
     machines = num_stages // stages_per_machine
     cluster = cluster or Cluster(machines, devices_per_machine=stages_per_machine)
     placement = [
@@ -122,15 +130,18 @@ def make_pp_engine(
         opt_factory = lambda m: Adam(m, lr=0.01, weight_decay=1e-4)  # noqa: E731
     else:
         opt_factory = lambda m: SGDMomentum(m, lr=0.05, momentum=0.9)  # noqa: E731
+    chunks = num_stages * default_virtual_stages(schedule)
+    base, rem = divmod(2 * depth + 1, chunks)
     return PipelineEngine(
         cluster,
-        model_factory=lambda: make_mlp(8, 16, 4, depth=3, seed=seed),
-        partition_sizes=[2, 2, 2, 1],
+        model_factory=lambda: make_mlp(8, 16, 4, depth=depth, seed=seed),
+        partition_sizes=[base + (c < rem) for c in range(chunks)],
         placement=placement,
         num_microbatches=num_microbatches,
         opt_factory=opt_factory,
         loss_factory=CrossEntropyLoss,
         task=task,
+        schedule=schedule,
     )
 
 

@@ -250,6 +250,43 @@ class TestPlan:
         assert plan.strategy is FTStrategy.CHECKPOINT_ONLY
         assert plan.strategy_source == "explicit"
 
+    def test_interleaved_auto_keeps_checkpoints_explicit_logging_runs(self):
+        def interleaved(strategy):
+            return Experiment(
+                model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=8,
+                                optimizer="adam"),
+                data=DataSpec(batch_size=16),
+                cluster=ClusterSpec(num_machines=2, devices_per_machine=1),
+                parallelism=ParallelismSpec(
+                    kind="pp", num_workers=2, num_microbatches=4,
+                    schedule="interleaved_1f1b"),
+                fault_tolerance=FaultToleranceSpec(
+                    strategy=strategy, checkpoint_interval=4),
+            )
+
+        # a policy, stated as one: 'auto' does not put the log tap on
+        # every chunk boundary by itself
+        auto = interleaved("auto").plan()
+        assert auto.strategy is FTStrategy.CHECKPOINT_ONLY
+        assert "strategy='logging'" in auto.feasibility.reason
+        # ... while asking for it plans on the real Section 5.4 numbers
+        # and recovers by replay
+        explicit = interleaved("logging").plan()
+        assert explicit.strategy is FTStrategy.LOGGING
+        assert explicit.feasibility.worth_it
+        session = interleaved("logging").build()
+        assert type(session.recovery).__name__ == "LoggingRecovery"
+        trace = session.run(8, failures=FailureSchedule(
+            [FailureEvent(1, 6, FailurePhase.BACKWARD)]))
+        [report] = trace.recoveries
+        assert (report.strategy, report.lost_iterations) == ("logging", 2)
+        reference = interleaved("logging").build()
+        reference.run(8)
+        assert all(
+            np.array_equal(value, session.engine.full_state()[sid][key])
+            for sid, state in reference.engine.full_state().items()
+            for key, value in state.items())
+
     def test_default_placement_block_fills(self):
         plan = dp_experiment().plan()
         assert plan.placement == ((0, 0), (0, 1), (1, 0), (1, 1))

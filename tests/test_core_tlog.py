@@ -67,6 +67,18 @@ class TestTap:
         assert np.array_equal(rec.tensor, payload)
         assert rec.sender_machine == 0 and rec.receiver_machine == 1
 
+    def test_chunks_sharing_a_rank_keep_separate_records(self):
+        """Interleaved schedules address several model chunks to one
+        rank; the log is keyed by the receiving chunk, so they coexist."""
+        _, tr, tlog = make_setup()
+        for chunk in (2, 8):  # both hosted on rank 2
+            tr.send(1, 2, np.full(3, float(chunk)), iteration=0,
+                    microbatch=0, phase="fwd", dst_chunk=chunk)
+        for chunk in (2, 8):
+            rec = tlog.query(chunk, 0, 0, "fwd")
+            assert rec.receiver_stage == 2
+            assert np.array_equal(rec.tensor, np.full(3, float(chunk)))
+
     def test_missing_record_raises_integrity_error(self):
         _, _, tlog = make_setup()
         with pytest.raises(LogIntegrityError):

@@ -84,6 +84,29 @@ class TestFlatBuffer:
         assert state_equal(arrays, out)
         assert out["a"].base is None  # private copies
 
+    def test_flat_bucket_sum_equals_per_parameter_sum_bitwise(self):
+        """Parallel replay (Section 5.2) sums the recovery workers'
+        gradient buckets as whole flat vectors; summing parameter by
+        parameter in the same worker order gives the same bits."""
+        model = make_mlp(6, 10, 4, depth=3, seed=3)
+        rng = np.random.default_rng(9)
+        workers = [set_grads(model, rng) for _ in range(4)]
+        flat = FlatBuffer(model.param_shapes())
+        buckets = np.empty((len(workers), flat.size))
+        for row, grads in zip(buckets, workers):
+            flat.pack(grads)
+            np.copyto(row, flat.data)
+        flat.copy_from(buckets[0])
+        for row in buckets[1:]:
+            flat.data += row
+        per_parameter = {}
+        for name in workers[0]:
+            total = workers[0][name].copy()
+            for grads in workers[1:]:
+                total += grads[name]
+            per_parameter[name] = total
+        assert state_equal(flat.views(), per_parameter)
+
     def test_frozen_views_reject_writes(self):
         buf = FlatBuffer({"a": (2,)})
         frozen = buf.frozen_views()["a"]

@@ -25,6 +25,7 @@ Golden instruction streams for the registered schedules live under
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -483,28 +484,30 @@ def _boundary_ops(schedule: str, p: int) -> list[str]:
 class TestChaosAtInstructionBoundaries:
     ITERS = 12
 
-    def _baseline(self, strategy: str) -> list[float]:
-        engine = _golden_engine("1f1b", 4)
-        trainer = SwiftTrainer(
-            engine, TrainerConfig(checkpoint_interval=6, strategy=strategy)
-        )
-        return loss_curve(trainer.train(self.ITERS))
+    def _trainer(self, strategy: str, schedule: str = "1f1b",
+                 degree: int = 1) -> SwiftTrainer:
+        # depth 8 = 17 layers: each of interleaved_1f1b's 8 chunks trains
+        return SwiftTrainer(
+            make_engine(schedule, 4, 4, depth=8),
+            TrainerConfig(checkpoint_interval=6, strategy=strategy,
+                          parallel_recovery_degree=degree))
 
+    def _baseline(self, strategy: str, schedule: str = "1f1b") -> list[float]:
+        return loss_curve(self._trainer(strategy, schedule).train(self.ITERS))
+
+    @pytest.mark.parametrize("schedule",
+                             ["1f1b", "gpipe", "interleaved_1f1b"])
     @pytest.mark.parametrize("strategy", ["logging", "checkpoint_only"])
-    def test_kill_at_every_instruction_class(self, strategy):
-        baseline = self._baseline(strategy)
-        for op in _boundary_ops("1f1b", 4):
-            engine = _golden_engine("1f1b", 4)
-            trainer = SwiftTrainer(
-                engine,
-                TrainerConfig(checkpoint_interval=6, strategy=strategy),
-            )
+    def test_kill_at_every_instruction_class(self, strategy, schedule):
+        baseline = self._baseline(strategy, schedule)
+        for op in _boundary_ops(schedule, 4):
+            trainer = self._trainer(strategy, schedule)
             failures = FailureSchedule([
                 FailureEvent(2, 8, FailurePhase.INSTRUCTION,
                              after_updates=1, instruction=op)
             ])
             trace = trainer.train(self.ITERS, failures=failures)
-            assert loss_curve(trace) == baseline, (strategy, op)
+            assert loss_curve(trace) == baseline, (strategy, schedule, op)
 
     def test_chaos_trace_drives_instruction_boundary(self):
         """The same injection flows through a replayable FailureTrace
@@ -525,23 +528,34 @@ class TestChaosAtInstructionBoundaries:
         assert event.phase is FailurePhase.INSTRUCTION
         assert event.instruction == "SendGrad"
 
-        baseline = self._baseline("logging")
-        engine = _golden_engine("1f1b", 4)
-        trainer = SwiftTrainer(
-            engine, TrainerConfig(checkpoint_interval=6, strategy="logging")
-        )
-        result = trainer.train(self.ITERS, failures=schedule)
-        assert loss_curve(result) == baseline
+        result = self._trainer("logging").train(self.ITERS, failures=schedule)
+        assert loss_curve(result) == self._baseline("logging")
 
-    def test_interleaved_rejects_logging_recovery(self):
-        """LoggingRecovery cannot replay scattered chunks; the trainer
-        must refuse rather than corrupt."""
-        engine = make_engine("interleaved_1f1b", 2, 4)
-        with pytest.raises(ConfigurationError, match="interleaved"):
-            SwiftTrainer(
-                engine,
-                TrainerConfig(checkpoint_interval=6, strategy="logging"),
-            )
+    def test_interleaved_logging_recovery(self):
+        """Two chunks per worker replay from the log like one: the failed
+        worker re-runs its own stream, whatever the schedule scattered
+        onto it — loss curve AND final state, bitwise at degree 1."""
+        ref = self._trainer("logging", "interleaved_1f1b")
+        baseline = loss_curve(ref.train(self.ITERS))
+        for machine, degree in itertools.product(range(4), (1, 2)):
+            trainer = self._trainer("logging", "interleaved_1f1b", degree)
+            failures = FailureSchedule([
+                FailureEvent(machine, 9, FailurePhase.INSTRUCTION,
+                             after_updates=3, instruction="RecvGrad")
+            ])
+            trace = trainer.train(self.ITERS, failures=failures)
+            [report] = trace.recoveries
+            assert report.strategy == ("logging" if degree == 1
+                                       else "logging+pr")
+            assert report.details["stage_ids"] == [machine]
+            assert report.lost_iterations == 3
+            if degree == 1:
+                assert loss_curve(trace) == baseline
+                assert state_digest(trainer.engine) == \
+                    state_digest(ref.engine)
+            else:  # bucket sums re-associate the micro-batch order
+                assert np.allclose(loss_curve(trace), baseline,
+                                   rtol=0, atol=1e-7)
 
     def test_interleaved_checkpoint_recovery(self):
         """checkpoint_only recovery works for interleaved schedules and

@@ -157,6 +157,62 @@ class TestSearchSpace:
         }
         assert "not_worth_it" in set(reasons.values())
 
+    def test_chunk_level_log_volume_prunes_many_chunk_schedules(self):
+        # v chunks per worker log v times the tensors into 1/v of the
+        # bubble: two chunks still fit, eight are refused by Section
+        # 5.4's numbers — interleaving as such is not banned
+        from repro.parallel import programs, register_schedule
+
+        def candidate(schedule):
+            return Candidate(kind="pp", num_workers=2, num_microbatches=2,
+                             strategy="logging", checkpoint_interval=10,
+                             schedule=schedule)
+
+        register_schedule("tiny_interleaved_v8",
+                          programs.program_interleaved_1f1b,
+                          virtual_stages=8)
+        try:
+            space = ExperimentSearchSpace(Experiment(
+                model=ModelSpec(family="mlp", dim=4, hidden_dim=64,
+                                num_classes=4, depth=20, seed=5),
+                data=DataSpec(batch_size=1024, seed=6),
+                cluster=ClusterSpec(num_machines=2, devices_per_machine=1),
+                parallelism=ParallelismSpec(kind="dp", num_workers=2),
+            ))
+            assert space.feasible(candidate("1f1b")) is None
+            assert space.feasible(candidate("interleaved_1f1b")) is None
+            assert space.feasible(
+                candidate("tiny_interleaved_v8")) == "not_worth_it"
+            flat, v2, v8 = (
+                space.to_experiment(candidate(name)).plan().feasibility
+                for name in ("1f1b", "interleaved_1f1b",
+                             "tiny_interleaved_v8"))
+        finally:
+            programs._REGISTRY.pop("tiny_interleaved_v8")
+        assert v2.log_bytes_per_iteration == 2 * flat.log_bytes_per_iteration
+        assert v8.log_bytes_per_iteration == 8 * flat.log_bytes_per_iteration
+        assert flat.bubble_time > v2.bubble_time > v8.bubble_time
+        assert v8.copy_time > v8.bubble_time and not v8.worth_it
+        assert v8.reason == ("PCIe copy of 8.39 MB takes 0.699 ms, does "
+                             "not fit in the 0.375 ms of bubble time")
+
+    def test_selective_logging_budget_sees_chunk_level_volume(self):
+        def stored(schedule):
+            return Experiment(
+                model=ModelSpec(family="mlp", dim=4, hidden_dim=64,
+                                num_classes=4, depth=20, seed=5),
+                data=DataSpec(batch_size=64),
+                cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+                parallelism=ParallelismSpec(
+                    kind="pp", num_workers=4, num_microbatches=4,
+                    schedule=schedule),
+                fault_tolerance=FaultToleranceSpec(
+                    strategy="logging", log_budget_bytes=1e9,
+                    checkpoint_interval=10),
+            ).plan().selective.storage_bytes
+
+        assert stored("interleaved_1f1b") == 2 * stored("1f1b")
+
     def test_workload_space_default_is_published_row(self):
         space = WorkloadSearchSpace(BERT_128)
         d = space.default()

@@ -103,3 +103,41 @@ def test_one_run_path_constructor_census():
     # through a local, so that one has no direct call site
     assert not called.pop("ShardedReplicationRecovery") - {"core/policies.py"}
     assert called == {name: home[name] for name in called}
+
+
+def test_one_pipeline_interpreter_census():
+    """Pipeline instructions are executed in exactly one place.
+
+    ``PipelineEngine`` dispatches on ``Instruction.op`` and drives the
+    stages' forward/backward for the live step *and* for logging replay;
+    a second, private interpreter (the hand-written replay loop removed
+    from ``core/replay.py``) fails here.
+    """
+    import ast
+
+    from repro.parallel import INSTRUCTION_OPS
+
+    interpreter = "parallel/pipeline.py"
+    # schedule generation, verification and pricing read ops, none executes
+    reads_ops = {interpreter, "parallel/instructions.py",
+                 "parallel/programs.py", "parallel/schedules.py"}
+    stage_calls, op_dispatch = set(), set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        where = path.relative_to(PACKAGE_DIR).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) in ("forward_mb", "backward_mb"):
+                stage_calls.add(where)
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in INSTRUCTION_OPS
+                    for c in ast.walk(node)):
+                op_dispatch.add(where)
+    assert stage_calls == {interpreter}
+    assert op_dispatch <= reads_ops
+    replay = (PACKAGE_DIR / "core" / "replay.py").read_text()
+    assert ".backward(" not in replay and "module(" not in replay
+    # the bans the second interpreter needed are gone with it
+    source = "".join(p.read_text() for p in PACKAGE_DIR.rglob("*.py"))
+    for banned in ("logging_interleaved", "cannot replay interleaved",
+                   "contiguous stage"):
+        assert banned not in source, banned
