@@ -15,7 +15,8 @@ worker's state when new workers come in)."
 * a resize *schedule* so tests/benchmarks can script membership changes.
 
 Throughout, the replica-consistency invariant of data parallelism is
-preserved — asserted by :meth:`DataParallelEngine.replicas_consistent`.
+preserved — checked by :meth:`DataParallelEngine.replicas_consistent`
+after every scheduled resize (a ``RecoveryError`` otherwise).
 """
 
 from __future__ import annotations
@@ -145,9 +146,11 @@ class ElasticCoordinator:
                 if event.join:
                     t += self.scale_out(list(event.join))
                 trace.resize_times.append(t)
-                assert self.engine.replicas_consistent(), (
-                    "elastic resize broke replica consistency"
-                )
+                if not self.engine.replicas_consistent():
+                    raise RecoveryError(
+                        f"elastic resize at iteration {it} broke replica "
+                        f"consistency: {event}"
+                    )
             result = self.engine.run_iteration()
             trace.losses.append(result.loss)
             trace.memberships.append(len(self.engine.alive_workers()))

@@ -128,10 +128,10 @@ class ReplicationRecovery:
             if w.machine_id in failed_machines
         ]
 
-        # 4. broadcast the surviving state to the replacements — captured
-        # as a read-only COW view, so the broadcast payload is immune to
-        # concurrent mutation and costs no extra copy (each replacement's
-        # load_full_state copies on ingest)
+        # 4. broadcast the surviving state to the replacements:
+        # full_state() copies every leaf once, the read-only COW view
+        # over that copy keeps the payload immune to mutation, and each
+        # replacement's load_full_state copies again on ingest
         source = survivors[0]
         state = StateView.of(source.full_state())
         nbytes = state.nbytes

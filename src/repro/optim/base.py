@@ -75,8 +75,10 @@ class Optimizer:
         #: dirty-key report incremental checkpointing persists deltas from.
         #: Everything is dirty before the first full checkpoint.
         self.dirty_params: set[str] = set(self.params)
-        #: flat arena backing the fused step path (built on first use)
+        #: flat arena backing the fused step path (built on first use, or
+        #: recycled from a retired optimizer — then stale until first bound)
         self._arena: FlatArena | None = None
+        self._arena_stale = False
 
     # -- single-parameter update/undo (implemented by subclasses) ----------
     def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
@@ -151,6 +153,16 @@ class Optimizer:
             self._arena = FlatArena(shapes, order, self.flat_slots)
         return self._arena
 
+    def recycle_arena(self, donor: Optimizer) -> None:
+        """Take over a retired, identically laid out optimizer's arena.
+
+        Its contents are stale: the first :meth:`bind_flat` overwrites the
+        parameters and re-zeroes the slot buffers (the kernels create
+        slots lazily over zeros) — never a cost unless it binds at all.
+        """
+        self._arena, donor._arena = donor._arena, None
+        self._arena_stale = self._arena is not None
+
     def bind_flat(self, order: Iterable[str] | None = None) -> FlatArena:
         """Adopt parameters (and existing slots) into the flat arena.
 
@@ -161,6 +173,10 @@ class Optimizer:
         arena views.  Idempotent and cheap once bound.
         """
         arena = self.flat_arena(order)
+        if self._arena_stale:
+            self._arena_stale = False
+            for buf in arena.slots.values():
+                buf.zero()
         pviews = arena.params.views()
         for name in arena.order:
             param = self.params[name]

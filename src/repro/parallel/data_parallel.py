@@ -20,13 +20,17 @@ the iteration:
   replica's flat arena (:mod:`repro.utils.flat`), synchronizes them with a
   *single* all-reduce over one contiguous buffer, and applies vectorized
   optimizer kernels.  Because replicas are bit-identical, the update runs
-  *once* on a canonical replica; surviving replicas adopt read-only
-  copy-on-write views of the canonical arena (they track every in-place
-  arena update for free, and accidental in-place writes raise).  Failure
-  injection — or any replica whose leaves stopped aliasing the canonical
-  arena — automatically falls back to divergent per-replica state, so
-  MID_UPDATE crash budgets, update-undo, and recovery see exactly the
-  states the eager path would produce.
+  *once* on a canonical replica; the others hold read-only copy-on-write
+  views of its arena (they track every in-place update for free,
+  accidental in-place writes raise) and own a gradient buffer only.
+  Sharing is *verify-then-share*: whenever some replica's leaves do not
+  alias the canonical arena (iteration 0, replacements after a recovery,
+  an elastic resize, an external load) all leaves are compared *before*
+  the update; if they agree bit for bit the replicas share at once and
+  still update once, otherwise each runs the fused kernel on a private
+  arena and the check repeats next iteration.  MID_UPDATE failure
+  injection privatizes every replica first, so crash budgets, update-undo,
+  and recovery see exactly the states the eager path would produce.
 """
 
 from __future__ import annotations
@@ -192,13 +196,16 @@ class DataParallelEngine:
 
     def replicas_consistent(self) -> bool:
         """Bitwise agreement of all live replicas — the core DP invariant."""
-        live = self.alive_workers()
-        if len(live) < 2:
-            return True
-        ref = live[0].model.state_dict()
+        # leaves compared in place, neighbour to neighbour: COW followers
+        # hold the very same frozen views, so only one pair reads memory
+        leaves = [
+            [p.data for _, p in w.model.named_parameters()]
+            for w in self.alive_workers()
+        ]
         return all(
-            all(np.array_equal(ref[k], w.model.state_dict()[k]) for k in ref)
-            for w in live[1:]
+            a is b or np.array_equal(a, b)
+            for prev, cur in zip(leaves, leaves[1:])
+            for a, b in zip(prev, cur)
         )
 
     # -- the iteration ----------------------------------------------------------
@@ -371,29 +378,31 @@ class DataParallelEngine:
 
         canon = live[0]
         with self.recorder.span("engine/optimizer"):
-            if self._sharing_valid(live, canon):
-                # replicas are bit-identical and share the canonical arena:
-                # compute the update once; followers see it through their
-                # views
+            sharing = self._sharing_valid(live, canon)
+            if sharing or self._replicas_agree(live, canon):
+                # replicas are bit-identical: compute the update once.
+                # Followers already aliasing the canonical arena see it
+                # through their views; freshly verified ones adopt views
+                # *after* the step, so slots the kernel created lazily
+                # (Adam's m/v on the first step) are shared too
                 canon.optimizer.step_flat(order=order, grads=self._reduced.data)
+                adopt = (
+                    self._sync_follower_scalars if sharing
+                    else self._share_follower
+                )
                 for w in live:
                     if w is not canon:
-                        self._sync_follower_scalars(w, canon)
+                        adopt(w, canon)
+                self._canonical = canon
             else:
-                # divergent/unverified replicas: fused compute on every one,
-                # then re-establish canonical sharing once they provably
-                # agree
+                # divergent replicas: fused compute on every private arena
+                # (followers privatize before a stale canonical rebinds);
+                # agreement is checked again next iteration
                 for w in sorted(live, key=lambda w: w is self._canonical):
                     w.optimizer.bind_flat(order)
                 for w in live:
                     w.optimizer.step_flat(order=order, grads=self._reduced.data)
-                if self._replicas_arena_equal(live, canon):
-                    for w in live:
-                        if w is not canon:
-                            self._share_follower(w, canon)
-                    self._canonical = canon
-                else:
-                    self._canonical = None
+                self._canonical = None
             for w in live:
                 w.iteration += 1
                 w.updated_params = []
@@ -446,7 +455,7 @@ class DataParallelEngine:
                     return False
                 cstate, wstate = cstates[name], wstates[name]
                 # sharing is only ever established over flat slots (see
-                # _replicas_arena_equal), so size + per-flat-slot aliasing
+                # _replicas_agree), so size + per-flat-slot aliasing
                 # pins the whole slot dict
                 if len(wstate) != len(cstate):
                     return False
@@ -455,39 +464,49 @@ class DataParallelEngine:
                         return False
         return True
 
-    def _replicas_arena_equal(self, live: list[DPWorker], canon: DPWorker) -> bool:
-        """Bitwise agreement of all live arenas (the sharing precondition)."""
-        copt = canon.optimizer
-        ca = copt.flat_arena(self.update_order)
+    def _replicas_agree(self, live: list[DPWorker], canon: DPWorker) -> bool:
+        """Bitwise agreement of all live replicas — the sharing precondition.
+
+        Evaluated on the state the update is about to read, so agreeing
+        replicas share from this very iteration.  Only ``canon`` is bound;
+        every other replica's *current* leaves are compared with its arena
+        views (``is`` first: leaves still aliasing the arena cost nothing),
+        plus step counts and slot keys.  The only place sharing is
+        established — whatever broke it lands here via :meth:`_sharing_valid`.
+        """
+        order, copt = self.update_order, canon.optimizer
+        if self._canonical is canon and not copt.flat_bound(order):
+            # a load detached the canonical while followers may still read
+            # its arena: binding now would overwrite what they hold
+            return False
+        arena = copt.bind_flat(order)
+        cstates = copt.state
+        # only share when every slot lives in the arena — non-flat slots
+        # (exotic loads) would dodge the aliasing checks of _sharing_valid
+        if not all(cstates[n].keys() <= arena.slots.keys() for n in order):
+            return False
+        fparams = arena.params.frozen_views()
+        fslots = {s: b.frozen_views() for s, b in arena.slots.items()}
         for w in live:
             if w is canon:
                 continue
             wopt = w.optimizer
-            wa = wopt.flat_arena(self.update_order)
-            if not np.array_equal(ca.params.data, wa.params.data):
-                return False
-            if any(
-                not np.array_equal(buf.data, wa.slots[slot].data)
-                for slot, buf in ca.slots.items()
-            ):
-                return False
             if wopt.step_counts != copt.step_counts:
                 return False
-            if any(
-                wopt.state[n].keys() != copt.state[n].keys()
-                for n in self.update_order
-            ):
-                return False
-        # only share when every slot lives in the arena — non-flat slots
-        # (exotic loads) would dodge the aliasing checks of _sharing_valid
-        return all(
-            set(copt.state[n]) <= ca.slots.keys() for n in self.update_order
-        )
+            for name in order:
+                cstate, wstate = cstates[name], wopt.state[name]
+                if wstate.keys() != cstate.keys():
+                    return False
+                pairs = [(wopt.params[name].data, fparams[name])]
+                pairs += [(wstate[s], fslots[s][name]) for s in cstate]
+                if any(a is not b and not np.array_equal(a, b) for a, b in pairs):
+                    return False
+        return True
 
     def _share_follower(self, w: DPWorker, canon: DPWorker) -> None:
         """Bind a replica's leaves as frozen COW views of the canonical arena.
 
-        Only reached after :meth:`_replicas_arena_equal`, whose final guard
+        Only reached after :meth:`_replicas_agree`, whose slot guard
         ensures every canonical slot is arena-backed.
         """
         opt, wopt = canon.optimizer, w.optimizer
@@ -525,11 +544,21 @@ class DataParallelEngine:
 
     # -- recovery hooks (used by repro.core.replication) -----------------------
     def rebuild_worker(self, rank: int) -> DPWorker:
-        """Recreate a worker object on its (replaced) device."""
+        """Recreate a worker object on its (replaced) device.
+
+        The replacement takes over the replaced worker's flat arena (same
+        layout, scratch included) instead of allocating one, under one
+        rule: a write through a recycled arena must never change what a
+        live replica reads.  Only the canonical's arena has foreign readers
+        (its machine dying in FORWARD/BACKWARD/ITERATION_START leaves the
+        survivors aliasing it), so that one is never recycled.
+        """
         old = self.workers[rank]
         model = self.model_factory()
         worker = DPWorker(rank, old.device, model, self.opt_factory(model))
         self.workers[rank] = worker
         if self._canonical is old:
             self._canonical = None
+        else:
+            worker.optimizer.recycle_arena(old.optimizer)
         return worker

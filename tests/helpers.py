@@ -87,8 +87,10 @@ def make_dp_engine(
     machines: int = 2,
     seed: int = 7,
     lr: float = 0.05,
+    opt_factory=None,
 ) -> DataParallelEngine:
-    """Small 2-machine data-parallel MLP setup used across tests."""
+    """Small 2-machine data-parallel MLP setup used across tests
+    (SGD-momentum unless ``opt_factory(model)`` builds another)."""
     cluster = cluster or Cluster(machines, devices_per_machine=num_workers // machines)
     per = num_workers // machines
     placement = [(m, d) for m in range(machines) for d in range(per)]
@@ -96,8 +98,8 @@ def make_dp_engine(
     return DataParallelEngine(
         cluster,
         model_factory=lambda: make_mlp(8, 16, 4, seed=seed),
-        opt_factory=lambda m: SGDMomentum(m, lr=lr, momentum=0.9,
-                                          weight_decay=1e-4),
+        opt_factory=opt_factory or (lambda m: SGDMomentum(
+            m, lr=lr, momentum=0.9, weight_decay=1e-4)),
         loss_factory=CrossEntropyLoss,
         task=task,
         placement=placement,

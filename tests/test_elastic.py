@@ -7,7 +7,7 @@ from helpers import make_dp_engine
 from repro.cluster import Cluster
 from repro.core import ElasticCoordinator, ResizeEvent
 from repro.core.elastic import ElasticTrace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RecoveryError
 
 
 def make_coordinator(machines=2, per_machine=4, workers=4):
@@ -164,3 +164,25 @@ class TestScheduledElasticTraining:
         trace = coord.train(12, schedule=schedule)
         assert all(np.isfinite(v) for v in trace.losses)
         assert coord.engine.replicas_consistent()
+
+    def test_inconsistent_resize_raises_typed_error(self, monkeypatch):
+        """The post-resize check is a real check (``python -O`` strips a
+        bare assert) and says which iteration and event broke it."""
+        coord, _ = make_coordinator()
+        monkeypatch.setattr(coord.engine, "replicas_consistent", lambda: False)
+        with pytest.raises(RecoveryError, match=r"iteration 2 .*join=\(\(0, 2\),\)"):
+            coord.train(4, schedule=[ResizeEvent(iteration=2, join=((0, 2),))])
+
+    def test_consistency_check_copies_no_state(self, monkeypatch):
+        """Leaves are compared in place: no ``state_dict()`` copy per key."""
+        coord, _ = make_coordinator()
+        for _ in range(2):
+            coord.engine.run_iteration()
+        skewed = {k: v + 1.0 if k == "model/0.bias" else v
+                  for k, v in coord.engine.workers[0].full_state().items()}
+        monkeypatch.setattr(
+            type(coord.engine.workers[0].model), "state_dict",
+            lambda self: pytest.fail("replicas_consistent copied the model"))
+        assert coord.engine.replicas_consistent()
+        coord.engine.workers[2].load_full_state(skewed)
+        assert not coord.engine.replicas_consistent()

@@ -16,7 +16,7 @@ from repro.core import SwiftTrainer, TrainerConfig
 from repro.core.undo import resolve_dp_consistency
 from repro.errors import NotInvertibleError, ShapeError
 from repro.models import make_mlp
-from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, SGDMomentum
+from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, Optimizer, SGDMomentum
 from repro.utils import FlatBuffer, state_equal
 
 OPTIMIZERS = {
@@ -343,6 +343,163 @@ class TestFusedEngine:
         for _ in range(4):
             fused.run_iteration()
         assert fused.replicas_consistent()
+
+    # -- "replicas agree => one update", pinned as call counts -----------------
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Live counts of ``Optimizer.step_flat`` / ``np.array_equal`` calls."""
+        counts = {"step_flat": 0, "array_equal": 0}
+
+        def spy(owner, attr, key):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(Optimizer, "step_flat", "step_flat")
+        spy(np, "array_equal", "array_equal")
+        return counts
+
+    @staticmethod
+    def trainer_pair(engines, **config):
+        return [SwiftTrainer(eng, TrainerConfig(**config)) for eng in engines]
+
+    def assert_sharing(self, eng):
+        order = eng.update_order
+        assert eng._canonical is eng.workers[0]
+        assert eng.workers[0].optimizer.flat_bound(order)
+        assert not any(w.optimizer.flat_bound(order) for w in eng.workers[1:])
+
+    @pytest.mark.parametrize("phase", [
+        FailurePhase.ITERATION_START, FailurePhase.FORWARD,
+        FailurePhase.BACKWARD, FailurePhase.MID_UPDATE,
+    ])
+    @pytest.mark.parametrize("machine", [0, 1])
+    def test_one_update_from_the_first_agreeing_iteration(
+        self, calls, phase, machine
+    ):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        tf, te = self.trainer_pair([fused, eager])
+        schedule = lambda: FailureSchedule(  # noqa: E731
+            [FailureEvent(machine, 3, phase, after_updates=2)])
+        te.train(5, failures=schedule())
+        failures = schedule()
+
+        def step():
+            before = dict(calls)
+            result = tf.step(failures)
+            return result, {k: calls[k] - before[k] for k in calls}
+
+        # iteration 0 verifies and shares at once; Adam's m/v, created by
+        # that very step, are shared with it — so iteration 1 is a pure
+        # ``is`` check (no compare, still one update)
+        _, made = step()
+        assert made["step_flat"] == 1 and made["array_equal"] > 0
+        self.assert_sharing(fused)
+        for _ in range(2):
+            _, made = step()
+            assert made == {"step_flat": 1, "array_equal": 0}
+        result, _ = step()
+        assert result.failed and len(tf.trace.recoveries) == 1
+        # the re-run: replacements verified leaf by leaf, one update
+        result, made = step()
+        assert not result.failed
+        assert made["step_flat"] == 1 and made["array_equal"] > 0
+        self.assert_sharing(fused)
+        _, made = step()
+        assert made == {"step_flat": 1, "array_equal": 0}
+        assert self.bitwise(self.states(fused), self.states(eager))
+
+    def test_heterogeneous_progress_keeps_per_replica_updates(self, calls):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        trainers = self.trainer_pair([fused, eager])
+        for eng, trainer in zip((fused, eager), trainers):
+            for _ in range(3):
+                trainer.step()
+            eng.run_iteration(
+                failure=FailureEvent(1, 3, FailurePhase.MID_UPDATE,
+                                     after_updates=2),
+                survivor_progress={0: 1, 1: 4},
+            )
+            trainer.recover_now()
+        # survivors undid different prefixes: equal to rounding only, so
+        # every replica keeps its own fused update
+        before = calls["step_flat"]
+        trainers[0].step()
+        assert calls["step_flat"] - before == len(fused.workers)
+        assert fused._canonical is None
+        for trainer in trainers:
+            trainer.train(7)
+        assert fused._canonical is None
+        assert self.bitwise(self.states(fused), self.states(eager))
+
+    # -- the recycled-arena rule: a write through an arena handed to a
+    # replacement never changes what a live replica reads ---------------------
+    def test_canonical_arena_is_left_to_its_followers(self):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adamw"])
+        tf, te = self.trainer_pair([fused, eager])
+        for trainer in (tf, te):
+            trainer.train(3)
+        order = fused.update_order
+        arenas = [w.optimizer.flat_arena(order) for w in fused.workers]
+        survivors = {w.rank: w.full_state() for w in fused.workers[2:]}
+        for eng, trainer in ((fused, tf), (eager, te)):
+            eng.run_iteration(failure=FailureEvent(0, 3, FailurePhase.FORWARD))
+            trainer.recover_now()
+        # the survivors still read the dead canonical's arena: rank 0's
+        # replacement must not write there, rank 1's may reuse its own
+        new0, new1 = (w.optimizer for w in fused.workers[:2])
+        assert new1.flat_arena(order) is arenas[1]
+        assert new0.flat_arena(order) is not arenas[0]
+        loaded = {name: p.data for name, p in new0.params.items()}
+        for p in new0.params.values():
+            p.data = p.data + 1.0
+        new0.bind_flat(order)
+        assert self.bitwise(
+            survivors, {r: fused.workers[r].full_state() for r in survivors})
+        for name, p in new0.params.items():
+            p.data = loaded[name]
+        for trainer in (tf, te):
+            trainer.train(6)
+        assert self.bitwise(self.states(fused), self.states(eager))
+
+    @pytest.mark.parametrize("interval, phase, lost", [
+        # followers aliasing the canonical arena when every worker reloads
+        (4, FailurePhase.FORWARD, 3),
+        # every replica privatized, so every recycled arena is full of
+        # Adam moments the iteration-0 checkpoint knows nothing about
+        (100, FailurePhase.MID_UPDATE, 7),
+    ])
+    def test_rollback_to_an_older_checkpoint_through_recycled_arenas(
+        self, interval, phase, lost
+    ):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        for trainer in self.trainer_pair(
+            [fused, eager], strategy="checkpoint_only",
+            checkpoint_interval=interval,
+        ):
+            trace = trainer.train(10, failures=FailureSchedule(
+                [FailureEvent(0, 7, phase, after_updates=2)]))
+            assert trace.recoveries[0].lost_iterations == lost
+        assert self.bitwise(self.states(fused), self.states(eager))
+        self.assert_sharing(fused)
+
+    def test_load_on_the_canonical_alone_never_leaks_to_followers(self):
+        fused, eager = self.engines()
+        for eng in (fused, eager):
+            for _ in range(3):
+                eng.run_iteration()
+            w = eng.workers[0]
+            w.load_full_state(
+                {k: v + 1.0 if k.startswith("model/") else v
+                 for k, v in w.full_state().items()})
+        for _ in range(3):
+            assert fused.run_iteration().loss == eager.run_iteration().loss
+        assert self.bitwise(self.states(fused), self.states(eager))
+        assert fused._canonical is None
 
 
 class TestFusedPipelineReplay:

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from helpers import make_dp_engine, make_pp_engine, pipeline_states
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import GroupingPlan, SwiftTrainer, TrainerConfig
+from repro.optim import LAMB, Adam, AdamW, SGDMomentum
 from repro.parallel import INSTRUCTION_OPS
+from repro.utils import state_equal
 
 settings.register_profile("recovery", deadline=None, max_examples=15)
 settings.load_profile("recovery")
@@ -27,8 +29,9 @@ settings.load_profile("recovery")
 TOTAL_ITERATIONS = 14
 
 # failure-free references, computed once per (schedule, checkpoint interval)
+# for pipelines and once per optimizer for data parallelism
 _PP_REF: dict[tuple[str, int], dict] = {}
-_DP_REF: dict[int, dict] = {}
+_DP_REF: dict[str, dict] = {}
 
 
 def pp_engine(schedule: str):
@@ -46,14 +49,12 @@ def pp_reference(schedule: str, ckpt: int):
     return _PP_REF[schedule, ckpt]
 
 
-def dp_reference(ckpt: int):
-    if ckpt not in _DP_REF:
-        eng = make_dp_engine()
-        SwiftTrainer(eng, TrainerConfig(checkpoint_interval=ckpt)).train(
-            TOTAL_ITERATIONS
-        )
-        _DP_REF[ckpt] = eng.workers[0].model.state_dict()
-    return _DP_REF[ckpt]
+def dp_reference(optimizer: str):
+    if optimizer not in _DP_REF:
+        eng = make_dp_engine(opt_factory=DP_OPTIMIZERS[optimizer])
+        SwiftTrainer(eng, TrainerConfig()).train(TOTAL_ITERATIONS)
+        _DP_REF[optimizer] = eng.workers[0].model.state_dict()
+    return _DP_REF[optimizer]
 
 
 @settings(max_examples=100)
@@ -125,28 +126,78 @@ def test_pipeline_recovery_always_exact(schedule, machine, iteration, phase,
             assert same, (sid, key, exact)
 
 
+DP_OPTIMIZERS = {
+    "sgd_momentum": lambda m: SGDMomentum(m, lr=0.05, momentum=0.9,
+                                          weight_decay=1e-4),
+    "adam": lambda m: Adam(m, lr=1e-3, weight_decay=1e-3),
+    # its undo rebinds ``param.data`` out of place
+    "adamw": lambda m: AdamW(m, lr=1e-3, weight_decay=1e-2),
+    "lamb": lambda m: LAMB(m, lr=1e-3, weight_decay=1e-2),
+}
+DP_PHASES = [
+    FailurePhase.ITERATION_START,
+    FailurePhase.FORWARD,
+    FailurePhase.BACKWARD,
+    FailurePhase.MID_UPDATE,
+]
+_dp_failure = st.tuples(
+    st.integers(0, 1),  # machine; 0 hosts the canonical replica
+    st.sampled_from(DP_PHASES),
+    st.integers(0, 6),  # after_updates
+    st.integers(0, 3),  # progress_offset
+)
+
+
 @given(
-    machine=st.integers(0, 1),
-    iteration=st.integers(1, TOTAL_ITERATIONS - 1),
-    phase=st.sampled_from([
-        FailurePhase.ITERATION_START,
-        FailurePhase.FORWARD,
-        FailurePhase.MID_UPDATE,
-    ]),
-    after_updates=st.integers(0, 6),
-    progress_offset=st.integers(0, 3),
+    optimizer=st.sampled_from(sorted(DP_OPTIMIZERS)),
+    iteration=st.integers(1, TOTAL_ITERATIONS - 5),
+    first=_dp_failure,
+    # a second failure ``gap`` iterations later; 0 strikes the re-run of
+    # the interrupted iteration, the same machine kills the replacements
+    second=st.none() | st.tuples(st.integers(0, 3), _dp_failure),
     ckpt=st.sampled_from([5, 9]),
 )
-def test_dp_recovery_always_exact(machine, iteration, phase, after_updates,
-                                  progress_offset, ckpt):
-    ref = dp_reference(ckpt)
-    eng = make_dp_engine()
-    trainer = SwiftTrainer(eng, TrainerConfig(checkpoint_interval=ckpt))
-    schedule = FailureSchedule([
-        FailureEvent(machine, iteration, phase, after_updates=after_updates)
-    ])
-    trainer.train(TOTAL_ITERATIONS, failures=schedule)
-    got = eng.workers[0].model.state_dict()
+def test_dp_recovery_always_exact(optimizer, iteration, first, second, ckpt):
+    failures = [(iteration, first)]
+    if second is not None:
+        failures.append((iteration + second[0], second[1]))
+
+    def run(fused):
+        eng = make_dp_engine(opt_factory=DP_OPTIMIZERS[optimizer])
+        eng.fused = fused
+        trainer = SwiftTrainer(eng, TrainerConfig(checkpoint_interval=ckpt))
+        for at, (machine, phase, after_updates, offset) in failures:
+            while eng.iteration < at:
+                trainer.step()
+            # survivors stop ``offset`` updates apart from each other
+            progress = {
+                w.rank: after_updates + offset * (w.rank % 2)
+                for w in eng.workers if w.machine_id != machine
+            }
+            result = eng.run_iteration(
+                failure=FailureEvent(machine, at, phase,
+                                     after_updates=after_updates),
+                survivor_progress=progress,
+            )
+            assert result.failed
+            trainer.recover_now()
+        while eng.iteration < TOTAL_ITERATIONS:
+            trainer.step()
+        return eng
+
+    fused, eager = run(True), run(False)
+    for wf, we in zip(fused.workers, eager.workers):
+        assert state_equal(wf.full_state(), we.full_state()), wf.rank
+    ref = dp_reference(optimizer)
+    got = fused.workers[0].model.state_dict()
     for key in ref:
         assert np.allclose(ref[key], got[key], atol=1e-7), key
-    assert eng.replicas_consistent()
+    uniform = all(
+        phase != FailurePhase.MID_UPDATE or offset == 0
+        for _, (_, phase, _, offset) in failures
+    )
+    if uniform:
+        # identical undo on identical replicas: bit-identical again, so
+        # the single shared update resumed
+        assert fused.replicas_consistent()
+        assert fused._canonical is fused.workers[0]
