@@ -18,10 +18,12 @@ control plane:
 4. **network drills** — :func:`repro.serve.network_drill`'s netchaos ×
    crash-restart × corruption matrix, gated at zero acked loss, zero
    duplicate admissions, and bitwise baseline equality per cell;
-5. **segmented replay** — recover a long segmented WAL and gate the
-   fold at O(segment): the anchored recovery must replay at most
-   ``--max-recovery-fraction`` of the full history (and land bitwise
-   on the genesis fold's state).
+5. **segmented replay** — recover a segmented WAL and gate the two
+   byte bounds the rotation rules state: the anchored fold replays at
+   most ``max(segment_bytes, anchor bytes) + segment_bytes`` (+ one
+   event) of log, the directory holds at most
+   :data:`MAX_WRITE_AMPLIFICATION` bytes per event byte — and the fold
+   lands bitwise on the genesis fold's state.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from _common import emit, fmt_table, write_bench_json
 from repro.serve import (
@@ -44,6 +47,11 @@ from repro.serve import (
 )
 
 PROFILES = ("bursty", "diurnal", "priority-mixed")
+
+#: gate: bytes on disk per byte of events in a segmented WAL (snapshots
+#: behind the newest are paid for by the events after them, the newest is
+#: one state, and a state is no bigger than its history)
+MAX_WRITE_AMPLIFICATION = 3.0
 
 
 def bench_config() -> ServeConfig:
@@ -145,8 +153,8 @@ def bench_segmented_replay(num_jobs: int, segment_bytes: int,
 
     Runs a bursty profile onto snapshot-anchored segments, then times a
     cold anchored recovery against a full-history fold of the same log.
-    ``recovery_fraction`` is the share of history the anchored fold had
-    to replay — the O(segment)/O(history) ratio CI gates on.
+    ``replayed_event_bytes`` against ``replay_bound_bytes`` and
+    ``bytes_on_disk`` against ``event_bytes`` are what CI gates on.
     """
     script = synthetic_traffic("bursty", num_jobs=num_jobs, seed=0)
     path = f"{tmpdir}/segmented-wal"
@@ -162,8 +170,11 @@ def bench_segmented_replay(num_jobs: int, segment_bytes: int,
     anchored_wall = time.perf_counter() - start
     tail_events = len(wal.events)
     segment_count = wal.segment_count
+    anchor_bytes = len(wal.anchor_snapshot or "")
     all_events = wal.all_events()
     wal.close()
+    line_bytes = [len(e.to_json()) + 1 for e in all_events]
+    on_disk = sum(f.stat().st_size for f in Path(path).iterdir())
 
     start = time.perf_counter()
     genesis_state = ServeState.replay(all_events)
@@ -172,9 +183,14 @@ def bench_segmented_replay(num_jobs: int, segment_bytes: int,
     return {
         "segment_bytes": segment_bytes,
         "segments": segment_count,
+        "bytes_on_disk": on_disk,
+        "event_bytes": sum(line_bytes),
         "total_events": total_events,
         "recovered_events": tail_events,
-        "recovery_fraction": tail_events / max(1, total_events),
+        "replayed_event_bytes": wal.event_bytes,
+        "anchor_bytes": anchor_bytes,
+        "replay_bound_bytes": max(segment_bytes, anchor_bytes)
+        + segment_bytes + max(line_bytes),
         "anchored_wall_seconds": anchored_wall,
         "genesis_fold_wall_seconds": genesis_wall,
         "anchored_equals_genesis":
@@ -195,12 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate: acknowledged submissions lost "
                              "across all drills (the contract is 0)")
     parser.add_argument("--segment-bytes", type=int, default=8192,
-                        help="segment size for the segmented-replay "
-                             "measurement")
-    parser.add_argument("--max-recovery-fraction", type=float,
-                        default=0.25,
-                        help="gate: anchored recovery may replay at "
-                             "most this fraction of the full history")
+                        help="bytes of events per segment for the "
+                             "segmented-replay measurement")
     args = parser.parse_args(argv)
     num_jobs = 12 if args.quick else 30
     kill_points = 3 if args.quick else 5
@@ -246,11 +258,15 @@ def main(argv: list[str] | None = None) -> int:
 
     segmented = bench_segmented_replay(num_jobs, args.segment_bytes,
                                        tmpdir)
+    amplification = segmented["bytes_on_disk"] / segmented["event_bytes"]
     print(f"segmented replay: {segmented['recovered_events']} of "
           f"{segmented['total_events']} events folded "
-          f"({segmented['recovery_fraction']:.1%} of history, "
-          f"{segmented['segments']} segments of "
-          f"~{args.segment_bytes} B)")
+          f"({segmented['replayed_event_bytes']} B, bound "
+          f"{segmented['replay_bound_bytes']} B); "
+          f"{segmented['segments']} segments, "
+          f"{segmented['bytes_on_disk']} B on disk for "
+          f"{segmented['event_bytes']} B of events "
+          f"({amplification:.2f}x)")
 
     total_lost = sum(d["acked_jobs_lost"] for d in drills)
     write_bench_json("serve", {
@@ -264,8 +280,10 @@ def main(argv: list[str] | None = None) -> int:
             "min_replay_eps": args.min_replay_eps,
             "max_acked_loss": args.max_acked_loss,
             "acked_jobs_lost": total_lost,
-            "max_recovery_fraction": args.max_recovery_fraction,
-            "recovery_fraction": segmented["recovery_fraction"],
+            "replay_bound_bytes": segmented["replay_bound_bytes"],
+            "replayed_event_bytes": segmented["replayed_event_bytes"],
+            "max_write_amplification": MAX_WRITE_AMPLIFICATION,
+            "write_amplification": amplification,
             "netchaos_acked_lost": netchaos["acked_lost"],
             "netchaos_duplicate_admissions":
                 netchaos["duplicate_admissions"],
@@ -297,11 +315,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{netchaos['duplicate_admissions']} duplicate "
             f"admission(s) under network faults (gate: 0)"
         )
-    if segmented["recovery_fraction"] > args.max_recovery_fraction:
+    if segmented["replayed_event_bytes"] > segmented["replay_bound_bytes"]:
         failed.append(
             f"anchored recovery replayed "
-            f"{segmented['recovery_fraction']:.1%} of history "
-            f"(gate: {args.max_recovery_fraction:.0%})"
+            f"{segmented['replayed_event_bytes']} B of events "
+            f"(bound: {segmented['replay_bound_bytes']} B)"
+        )
+    if amplification > MAX_WRITE_AMPLIFICATION:
+        failed.append(
+            f"segmented WAL holds {amplification:.2f} bytes per event "
+            f"byte (gate: {MAX_WRITE_AMPLIFICATION:.0f})"
         )
     if not (segmented["anchored_equals_genesis"]
             and segmented["anchored_equals_live"]):

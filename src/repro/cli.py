@@ -1002,8 +1002,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--segment-bytes", type=int, default=None,
                        metavar="N",
                        help="rotate the WAL into snapshot-anchored "
-                            "segments of ~N bytes (recovery cost "
-                            "becomes O(segment), not O(history))")
+                            "segments of N bytes of events each "
+                            "(recovery folds a bounded tail of the "
+                            "log, not the history)")
     serve.add_argument("--fleet-demo", action="store_true",
                        help="mirror a real FleetSimulator run into a "
                             "serve WAL and audit that replay reproduces "

@@ -1,4 +1,4 @@
-"""Segmented WAL: snapshot-anchored segments, O(segment) recovery.
+"""Segmented WAL: snapshot-anchored segments, bounded recovery.
 
 A month-long control plane cannot afford recovery that replays from
 genesis.  :class:`SegmentedWriteAheadLog` keeps the same append-only,
@@ -8,17 +8,25 @@ but splits the log across a *directory* of segment files::
     wal/
       segment-00000000.jsonl     # base_seq 0, no snapshot (genesis)
       segment-00000001.jsonl     # base_seq 103, snapshot of state@102
-      segment-00000002.jsonl     # base_seq 218, snapshot of state@217
+      segment-00000002.jsonl     # base_seq 218, no snapshot
+      segment-00000003.jsonl     # base_seq 331, snapshot of state@330
 
 Every segment is one WAL file in the format :mod:`repro.serve.wal`
 defines and :func:`~repro.serve.wal.read_wal_file` parses — the flat
-log is the one-segment case of this one.  Each header carries
-``base_seq`` and (after the first rotation) a full
-:meth:`~repro.serve.ServeState.snapshot` of the state *before* the
-segment's first event.  Recovery restores the newest usable snapshot
-anchor and folds only the events after it — O(segment), not O(history)
-— and the anchored fold is asserted bitwise-equal to the full-genesis
-fold by the drill suite.
+log is the one-segment case of this one.  One size, two rules.  A
+segment is sealed once it holds ``segment_bytes`` of *event lines*
+(its header, snapshot included, does not count).  The next header
+states its ``base_seq`` and is an *anchor* — carries a
+:meth:`~repro.serve.ServeState.snapshot` of the state before its first
+event — only if the events since the newest anchor weigh at least what
+that anchor's snapshot does (genesis: nothing, so the first rotation
+anchors).  So every snapshot but the newest is paid for by the events
+after it — disk stays linear in history — and recovery, which restores
+the newest usable anchor and folds only the events after it, folds at
+most ``max(segment_bytes, anchor bytes) + segment_bytes`` (+ one
+event) of log, bitwise-equal to the full-genesis fold (drill suite).
+Both counts are read off the files on open, never remembered, so a
+restarted server writes the directory an uninterrupted one would.
 
 What a directory adds over the single file is corruption *survival*,
 not just detection.  A corrupt segment **behind** the newest anchor is
@@ -61,8 +69,8 @@ from repro.serve.wal import (
 __all__ = ["SegmentedWriteAheadLog", "SegmentInspection", "open_wal",
            "DEFAULT_SEGMENT_BYTES"]
 
-#: rotation threshold when the caller does not pick one (~64 KiB keeps
-#: demo-scale recovery in the hundreds-of-events range)
+#: bytes of event lines per segment when the caller does not pick (64 KiB
+#: is a few hundred events; the fold bound in the module docstring)
 DEFAULT_SEGMENT_BYTES = 64 * 1024
 
 _SEGMENT_GLOB = "segment-*.jsonl"
@@ -328,15 +336,15 @@ class SegmentedWriteAheadLog(_WalBase):
     :meth:`recover_state` rebuilds the control-plane state — from the
     newest snapshot anchor, not from genesis.  Assign
     :attr:`snapshot_provider` (a callable returning a
-    ``ServeState.snapshot()`` string) to anchor each rotation.
+    ``ServeState.snapshot()`` string) for rotations to anchor with.
 
     >>> import tempfile
     >>> wal = SegmentedWriteAheadLog(tempfile.mkdtemp() + "/wal",
-    ...                              segment_bytes=200, fsync=False)
+    ...                              segment_bytes=100, fsync=False)
     >>> for i in range(4):
     ...     _ = wal.append(ServeEvent(seq=i, kind="round",
     ...                               payload={"round": i, "dt": 1.0}))
-    >>> wal.segment_count > 1           # tiny threshold forced rotation
+    >>> wal.segment_count > 1           # 100 B of events seal a segment
     True
     >>> wal.last_seq
     3
@@ -421,18 +429,19 @@ class SegmentedWriteAheadLog(_WalBase):
     def append(self, event: ServeEvent) -> ServeEvent:
         """Durably append one event, rotating segments as needed."""
         self._expect(event)
-        if self.active_path.stat().st_size >= self.segment_bytes:
+        if self.active_bytes >= self.segment_bytes:
             self._rotate()
         return self._write(event)
 
     def _rotate(self) -> None:
-        """Seal the active segment, open the next one (with an anchor).
+        """Seal the active segment and open the next one.
 
-        The new header embeds ``snapshot_provider()`` when one is set —
-        the state *as of* ``next_seq - 1``, which is exactly what the
-        server's append-then-apply discipline guarantees the provider
-        returns at this point.  With an anchor in place, recovery (and
-        :attr:`events`) restart from here.
+        The new header is an anchor — embeds ``snapshot_provider()``,
+        the state *as of* ``next_seq - 1`` (what the server's
+        append-then-apply discipline guarantees the provider returns
+        here) — only if the events since the newest anchor weigh at
+        least what its snapshot does; recovery (and :attr:`events`)
+        then restart from here.
         """
         next_index = self._active_index + 1
         next_path = self.dir / _segment_name(next_index)
@@ -444,21 +453,24 @@ class SegmentedWriteAheadLog(_WalBase):
                 f"history"
             )
         self._writer.close()
-        snap = self.snapshot_provider() if self.snapshot_provider else None
+        due = self.event_bytes >= len(self.anchor_snapshot or "")
+        snap = self.snapshot_provider() \
+            if due and self.snapshot_provider else None
         self._open_segment(next_index, self.next_seq, snap)
         if snap is not None:
             self.anchor_snapshot = snap
             self.anchor_base_seq = self.next_seq
             self.events = []
+            self.event_bytes = 0
 
     # -- recovery views ----------------------------------------------------
     def recover_state(self):
         """Rebuild the control-plane state from anchor + tail events.
 
-        Restores the newest snapshot anchor (O(1) in history length)
-        and folds only the events after it — the O(segment) recovery
-        the ROADMAP asked for.  Bitwise-equal to a genesis replay of
-        the full history (asserted by the drill suite).
+        Restores the newest snapshot anchor and folds only the events
+        after it — a bounded stretch of log (module docstring), not the
+        history.  Bitwise-equal to a genesis replay of the full history
+        (asserted by the drill suite).
         """
         return _fold_state(self.anchor_snapshot, self.events)
 

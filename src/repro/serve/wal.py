@@ -186,6 +186,11 @@ class _WalFile(LogFile):
     def is_anchor(self) -> bool:
         return self.snapshot is not None or self.base_seq == 0
 
+    @property
+    def event_bytes(self) -> int:
+        """Bytes of the valid event lines (header excluded)."""
+        return sum(len(line) + 1 for line in self.lines[1:])
+
     def truncate(self) -> None:
         """Cut the file on disk back to its valid prefix, so the next
         append cannot concatenate onto torn or corrupt bytes."""
@@ -280,9 +285,9 @@ class _WalBase:
     sequence bookkeeping, the plan executor and the active writer.
     """
 
-    #: called at every rotation for the snapshot anchoring the new
-    #: segment; the server always assigns it (the flat file never
-    #: rotates, so never calls it)
+    #: called at a rotation that is due an anchor, for the snapshot the
+    #: new segment carries; the server always assigns it (the flat file
+    #: never rotates, so never calls it)
     snapshot_provider: Callable[[], str] | None = None
 
     def __init__(self, fsync: bool, meta: dict | None):
@@ -292,6 +297,9 @@ class _WalBase:
         #: events since (and including) the newest snapshot anchor —
         #: exactly what ``recover_state`` folds
         self.events: list[ServeEvent] = []
+        #: bytes of event lines behind ``events``, and of those the share
+        #: in the active file; both re-derived from the files on reopen
+        self.event_bytes = self.active_bytes = 0
         #: snapshot string of the anchor file (None = genesis)
         self.anchor_snapshot: str | None = None
         self.anchor_base_seq = 0
@@ -307,6 +315,7 @@ class _WalBase:
         self._active_index = index
         #: the file appends currently land in
         self.active_path = path
+        self.active_bytes = 0
         self._writer = JsonlWriter(path, fsync=self.fsync)
         self._writer.write_line(canonical_json(header))
 
@@ -334,6 +343,9 @@ class _WalBase:
         self.anchor_snapshot = anchor.snapshot
         self.anchor_base_seq = anchor.base_seq
         self.events = [e for s in plan.chain for e in s.records]
+        self.active_bytes = tail.event_bytes
+        self.event_bytes = self.active_bytes + sum(
+            s.event_bytes for s in plan.chain[:-1])
         self.last_seq = (self.events[-1].seq if self.events
                          else anchor.base_seq - 1)
         self.last_kind = self.events[-1].kind if self.events else None
@@ -355,7 +367,10 @@ class _WalBase:
             )
 
     def _write(self, event: ServeEvent) -> ServeEvent:
-        self._writer.write_line(event.to_json())
+        line = event.to_json()
+        self._writer.write_line(line)
+        self.event_bytes += len(line) + 1
+        self.active_bytes += len(line) + 1
         self.events.append(event)
         self.last_seq = event.seq
         self.last_kind = event.kind

@@ -1,14 +1,15 @@
 """Checksummed, segmented WAL: CRC bit-rot detection, snapshot-anchored
-rotation, O(segment) recovery, and corruption quarantine drills.
+rotation, bounded recovery, and corruption quarantine drills.
 
 The acceptance surface:
 
 * every WAL v2 record carries a CRC; a flipped byte anywhere in the
   file raises :class:`~repro.errors.LogIntegrityError` naming the seq,
   and v1 records (no checksum) still load;
-* rotation seals segments at ``segment_bytes`` and embeds a full state
-  snapshot in each new header, so recovery folds O(segment) events
-  instead of O(history) — and is bitwise-equal to a genesis fold;
+* rotation seals a segment once it holds ``segment_bytes`` of event
+  lines and embeds a state snapshot in the new header only when the log
+  has outgrown the last one, so both the fold and the bytes on disk stay
+  bounded — and the anchored fold is bitwise-equal to a genesis fold;
 * corruption behind the newest anchor quarantines the segment with an
   exact report of the lost seq range and zero state loss; corruption
   after the anchor truncates at the first bad record, keeps a
@@ -16,9 +17,12 @@ The acceptance surface:
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, LogIntegrityError
 from repro.serve import (
@@ -169,6 +173,183 @@ class TestSegmentRotation:
         revived.close()
 
 
+# -- the two rules: rotate on event bytes, anchor when outgrown --------------
+
+def write_log(wal_dir, events, segment_bytes, reopen_every=None):
+    """Append ``events`` the way the server does (append, then apply, the
+    live state's snapshot anchoring rotations), optionally restarting —
+    close, reopen, recover — before every ``reopen_every``-th append.
+    Returns the final live state."""
+    wal = SegmentedWriteAheadLog(wal_dir, fsync=False,
+                                 segment_bytes=segment_bytes)
+    state = ServeState()
+    wal.snapshot_provider = state.snapshot
+    for i, event in enumerate(events):
+        if reopen_every and i % reopen_every == 0:
+            wal.close()
+            wal = SegmentedWriteAheadLog(wal_dir, fsync=False,
+                                         segment_bytes=segment_bytes)
+            state = wal.recover_state()
+            wal.snapshot_provider = state.snapshot
+        wal.append(event)
+        state.apply(event)
+    wal.close()
+    return state
+
+
+def segments_of(wal_dir):
+    """``[(path, header, event_bytes)]`` of a segment directory."""
+    out = []
+    for path in sorted(wal_dir.glob("segment-*.jsonl")):
+        header, *lines = path.read_text().splitlines()
+        out.append((path, json.loads(header),
+                    sum(len(line) + 1 for line in lines)))
+    return out
+
+
+def dir_bytes(wal_dir):
+    return {p.name: p.read_bytes() for p in wal_dir.iterdir()}
+
+
+def strip_snapshot(path):
+    header, _, records = path.read_text().partition("\n")
+    header = {**json.loads(header), "snapshot": None}
+    path.write_text(canonical_json(header) + "\n" + records)
+
+
+@st.composite
+def event_streams(draw):
+    """Events of drawn sizes: a ``tenant`` event grows the state (and so
+    the next snapshot), a padded ``round`` event grows only the log."""
+    events, rounds = [], 0
+    for seq, (grows, pad) in enumerate(draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 400)),
+            min_size=1, max_size=60))):
+        if grows:
+            events.append(ServeEvent(seq=seq, kind="tenant", payload={
+                "name": f"t{seq}-" + "x" * pad}))
+        else:
+            events.append(ServeEvent(seq=seq, kind="round", payload={
+                "round": rounds, "dt": 1.0, "pad": "x" * pad}))
+            rounds += 1
+    return events
+
+
+class TestRotationAndAnchorRules:
+    @settings(deadline=None, max_examples=60)
+    @given(events=event_streams(), segment_bytes=st.integers(1, 2000))
+    def test_generated_logs_meet_both_bounds(self, events, segment_bytes):
+        with tempfile.TemporaryDirectory() as root:
+            wal_dir = Path(root) / "wal"
+            live = write_log(wal_dir, events, segment_bytes).snapshot()
+            segs = segments_of(wal_dir)
+            one_event = max(len(e.to_json()) + 1 for e in events)
+
+            # rule 1: a segment is sealed by the first append that finds
+            # segment_bytes of event lines in it — header not counted
+            for _, _, size in segs[:-1]:
+                assert segment_bytes <= size < segment_bytes + one_event
+            assert segs[-1][2] < segment_bytes + one_event
+
+            # rule 2: a rotation anchors exactly when the events since
+            # the newest anchor weigh what its snapshot does (genesis: 0)
+            anchors, anchor_bytes, since = [0], 0, 0
+            for i, (_, header, size) in enumerate(segs):
+                anchored = header["snapshot"] is not None
+                if i:
+                    assert anchored == (since >= anchor_bytes)
+                if anchored:
+                    anchors.append(i)
+                    anchor_bytes, since = len(header["snapshot"]), 0
+                since += size
+            # ... so every snapshot but the newest is paid for by the
+            # events after it, and the anchored fold is bounded
+            snapshots = [len(h["snapshot"] or "") for _, h, _ in segs]
+            assert sum(snapshots) - anchor_bytes \
+                <= sum(size for _, _, size in segs)
+            assert since <= max(segment_bytes, anchor_bytes) \
+                + segment_bytes + one_event
+
+            # the fold from the newest anchor, from the one before it and
+            # from genesis all land on the live state
+            for start in (anchors[-1], anchors[-2:][0], 0):
+                for path, _, _ in segs[start + 1:]:
+                    strip_snapshot(path)
+                info = SegmentedWriteAheadLog.inspect(wal_dir)
+                assert info.anchor_base_seq == segs[start][1]["base_seq"]
+                assert info.recover_state().snapshot() == live
+            assert len(info.events) == len(events)
+
+    @settings(deadline=None, max_examples=40)
+    @given(events=event_streams(), segment_bytes=st.integers(1, 2000),
+           k=st.integers(1, 7))
+    def test_restarts_leave_the_same_bytes(self, events, segment_bytes, k):
+        """The counters are a function of the log alone: a server that
+        restarts before every k-th append writes what one that never
+        stopped writes."""
+        with tempfile.TemporaryDirectory() as root:
+            once, restarted = Path(root) / "once", Path(root) / "restarted"
+            a = write_log(once, events, segment_bytes)
+            b = write_log(restarted, events, segment_bytes, reopen_every=k)
+            assert a.snapshot() == b.snapshot()
+            assert dir_bytes(restarted) == dir_bytes(once)
+
+    def test_restart_at_every_position_leaves_the_same_bytes(self, tmp_path):
+        # a restart before *every* append hits each position there is:
+        # mid-segment, right after an anchored rotation, right after an
+        # unanchored one (the stream has both kinds, asserted below)
+        events = [ServeEvent(seq=s, kind="tenant",
+                             payload={"name": f"tenant-{s}"})
+                  for s in range(40)]
+        write_log(tmp_path / "once", events, 300)
+        write_log(tmp_path / "restarted", events, 300, reopen_every=1)
+        headers = [h for _, h, _ in segments_of(tmp_path / "once")][1:]
+        assert any(h["snapshot"] for h in headers)
+        assert not all(h["snapshot"] for h in headers)
+        assert dir_bytes(tmp_path / "restarted") \
+            == dir_bytes(tmp_path / "once")
+
+
+class TestNoRotationStormAtTheDefaultSize:
+    """The shape of ``bench/``'s ``serve_burst_segmented``: once the
+    snapshot outgrew ``segment_bytes`` the old file-size rule rotated on
+    every append and embedded the whole state each time — 94 files /
+    7.9 MB for 73 KB of events at 105 jobs, 498 files / 71.7 MB at 200."""
+
+    def burst(self, wal_dir, jobs):
+        config = ServeConfig(num_machines=8, devices_per_machine=4,
+                             num_spares=1)
+        with ServeServer(wal_dir, config, fsync=False,
+                         segment_bytes=DEFAULT_SEGMENT_BYTES) as server:
+            for t in range(4):
+                server.register_tenant(TenantSpec(name=f"tenant-{t}"))
+            for j in range(jobs):
+                verdict, _ = server.submit(f"tenant-{j % 4}", JobSpec(
+                    name=f"job-{j}", parallelism="dp",
+                    num_workers=2 + j % 3, iterations=2 + (j // 3) % 3))
+                assert verdict == "accepted"
+                if (j + 1) % 35 == 0:
+                    server.tick()
+                    server.tick()
+            server.run()
+            live = server.state.snapshot()
+        files = list(wal_dir.iterdir())
+        event_bytes = sum(size for _, _, size in segments_of(wal_dir))
+        return live, len(files), sum(f.stat().st_size for f in files), \
+            event_bytes
+
+    def test_bench_burst_stays_in_three_files(self, tmp_path):
+        live, files, on_disk, event_bytes = self.burst(tmp_path / "wal", 105)
+        assert files <= 3
+        assert on_disk <= 3 * event_bytes
+        with ServeServer(tmp_path / "wal", fsync=False) as reopened:
+            assert reopened.state.snapshot() == live
+
+    def test_bytes_on_disk_stay_linear_in_history(self, tmp_path):
+        _, _, on_disk, event_bytes = self.burst(tmp_path / "wal", 200)
+        assert on_disk <= 3 * event_bytes
+
+
 class TestSnapshotsAreAnOptimisation:
     def test_recovery_without_any_snapshot_anchor(self, tmp_path):
         """The log alone reproduces every answer: strip the snapshot
@@ -185,9 +366,7 @@ class TestSnapshotsAreAnOptimisation:
         segments = sorted((tmp_path / "wal").glob("segment-*.jsonl"))
         assert len(segments) > 2
         for seg in segments:
-            header, _, records = seg.read_text().partition("\n")
-            header = {**json.loads(header), "snapshot": None}
-            seg.write_text(canonical_json(header) + "\n" + records)
+            strip_snapshot(seg)
         bare = SegmentedWriteAheadLog(tmp_path / "wal", fsync=False)
         assert bare.anchor_snapshot is None and bare.anchor_base_seq == 0
         assert bare.events == bare.all_events()   # folds from genesis
@@ -235,7 +414,7 @@ class TestCorruptionQuarantine:
         # no snapshot_provider: the only anchor is genesis, so a rotted
         # record in a middle segment sits inside the recovery range
         wal = SegmentedWriteAheadLog(tmp_path / "wal", fsync=False,
-                                     segment_bytes=256)
+                                     segment_bytes=100)
         fill(wal, 12)
         wal.close()
         segments = sorted((tmp_path / "wal").glob("segment-*.jsonl"))
@@ -377,7 +556,7 @@ class TestTornRotationHeader:
 class TestChainGap:
     def test_missing_segment_reports_gap(self, tmp_path):
         wal = SegmentedWriteAheadLog(tmp_path / "wal", fsync=False,
-                                     segment_bytes=256)
+                                     segment_bytes=100)
         fill(wal, 12)
         wal.close()
         segments = sorted((tmp_path / "wal").glob("segment-*.jsonl"))
@@ -406,9 +585,9 @@ class TestReadOnlyInspection:
         lines = victim.read_text().splitlines()
         lines[-1] = lines[-1].replace(":", ";", 1)
         victim.write_text("\n".join(lines) + "\n")
-        before = {p.name: p.read_bytes() for p in wal_dir.iterdir()}
+        before = dir_bytes(wal_dir)
         info = SegmentedWriteAheadLog.inspect(wal_dir)
-        after = {p.name: p.read_bytes() for p in wal_dir.iterdir()}
+        after = dir_bytes(wal_dir)
         assert after == before  # no renames, rewrites, or writer opens
         (report,) = info.quarantined
         assert report["state_loss"] is False
