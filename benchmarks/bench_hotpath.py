@@ -318,9 +318,8 @@ class EagerReplicationRecovery(ReplicationRecovery):
         for machine_id in failed_machines:
             self.engine.cluster.replace_machine(machine_id)
         self.clock.advance(self.replacement_join_time, "replacement_join")
-        replacements = [
-            self.engine.rebuild_worker(w.rank)
-            for w in self.engine.workers
+        replaced = [
+            w.rank for w in self.engine.workers
             if w.machine_id in failed_machines
         ]
         source = survivors[0]
@@ -331,9 +330,8 @@ class EagerReplicationRecovery(ReplicationRecovery):
             {w.rank: w.device for w in self.engine.workers},
         )
         broadcast_time = group.broadcast_time(nbytes)
-        for worker in replacements:
-            worker.load_full_state(state)
-            worker.iteration = source.iteration
+        for rank in replaced:
+            self.engine.restore_shard(rank, state)
         self.clock.advance(broadcast_time, "replica_broadcast")
         from repro.core.replication import RecoveryReport
 

@@ -39,6 +39,7 @@ from repro.core.selective import (
     SelectiveLoggingPlanner,
 )
 from repro.core.strategy import (
+    MECHANISMS_BY_KIND,
     FTStrategy,
     LoggingFeasibility,
     choose_strategy,
@@ -65,11 +66,6 @@ _STATE_MULTIPLIER = {
     "amsgrad": 4,
 }
 
-_STRATEGY_KINDS = {
-    FTStrategy.REPLICATION: ("dp", "fsdp"),
-    FTStrategy.LOGGING: ("pp",),
-    FTStrategy.CHECKPOINT_ONLY: ("dp", "pp"),
-}
 #: what a fleet decides for every job whatever the experiment says: where
 #: it runs, which failures hit it, where its checkpoints live, that it
 #: re-baselines after every recovery and that a PP model is at least one
@@ -297,18 +293,14 @@ class Experiment:
                 par.schedule, par.num_workers, par.num_microbatches, v
             )
         strategy = self.fault_tolerance.strategy
-        if strategy != "auto":
-            try:
-                allowed = _STRATEGY_KINDS[FTStrategy(strategy)]
-            except ValueError:
-                # custom-registered policy: engine compatibility is the
-                # policy's own call, checked when the trainer is built
-                allowed = None
-            if allowed is not None and par.kind not in allowed:
-                raise ConfigurationError(
-                    f"strategy {strategy!r} requires parallelism in "
-                    f"{allowed}, got {par.kind!r}"
-                )
+        allowed = MECHANISMS_BY_KIND[par.kind]
+        # a custom-registered policy's engine compatibility is its own
+        # call, checked when the trainer is built
+        if strategy in tuple(FTStrategy) and strategy not in allowed:
+            raise ConfigurationError(
+                f"strategy {strategy!r} cannot protect {par.kind!r} "
+                f"parallelism, which takes {[s.value for s in allowed]}"
+            )
         return self
 
     # -- derived views ----------------------------------------------------

@@ -39,7 +39,6 @@ class Message:
     microbatch: int
     phase: str  # "fwd" (activation) or "bwd" (gradient)
     seq: int = 0
-    meta: dict = field(default_factory=dict, compare=False)
     #: model chunk the message is addressed to (interleaved schedules host
     #: several per rank); ``None`` = the rank's only chunk, ``dst_rank``
     dst_chunk: int | None = None
@@ -104,7 +103,6 @@ class Transport:
         microbatch: int,
         phase: str,
         dst_chunk: int | None = None,
-        **meta: object,
     ) -> float:
         """Enqueue a message; returns the simulated transfer time.
 
@@ -129,7 +127,6 @@ class Transport:
             microbatch=microbatch,
             phase=phase,
             seq=self._seq,
-            meta=dict(meta),
             dst_chunk=dst_chunk,
             buffer=buf,
         )
@@ -189,20 +186,4 @@ class Transport:
                     msg.buffer.release()  # undelivered: safe to recycle
             dropped += len(channel)
         self._channels.clear()
-        return dropped
-
-    def drop_channels_touching(self, ranks: set[int]) -> int:
-        """Discard in-flight messages to/from failed ranks; returns count.
-
-        In-flight data on a crashed machine is gone; data *to* it will be
-        regenerated by replay, so both directions are dropped on failure.
-        """
-        dropped = 0
-        for key in list(self._channels):
-            if key[0] in ranks or key[1] in ranks:
-                for msg in self._channels[key]:
-                    if msg.buffer is not None:
-                        msg.buffer.release()
-                dropped += len(self._channels[key])
-                del self._channels[key]
         return dropped

@@ -29,7 +29,7 @@ from repro.cluster.clock import SimClock
 from repro.comm.collectives import CollectiveGroup
 from repro.core.undo import resolve_dp_consistency
 from repro.errors import ConfigurationError, RecoveryError
-from repro.parallel.data_parallel import DataParallelEngine, DPWorker
+from repro.parallel.data_parallel import DataParallelEngine
 from repro.utils.serialization import state_nbytes
 
 __all__ = ["ResizeEvent", "ElasticCoordinator"]
@@ -74,24 +74,14 @@ class ElasticCoordinator:
         live = self.engine.alive_workers()
         if not live:
             raise RecoveryError("cannot scale out with no live replica")
-        source = live[0]
-        state = source.full_state()
-        new_workers = []
+        state = live[0].full_state()
         for machine_id, dev_idx in slots:
             device = self.engine.cluster.device(machine_id, dev_idx)
             if not device.alive:
                 raise ConfigurationError(
                     f"device ({machine_id}, {dev_idx}) is on a failed machine"
                 )
-            model = self.engine.model_factory()
-            worker = DPWorker(
-                len(self.engine.workers), device, model,
-                self.engine.opt_factory(model),
-            )
-            worker.load_full_state(state)
-            worker.iteration = source.iteration
-            self.engine.workers.append(worker)
-            new_workers.append(worker)
+            self.engine.restore_shard(len(self.engine.workers), state, device)
         self._rebuild_group()
         nbytes = state_nbytes(state)
         t = CollectiveGroup(

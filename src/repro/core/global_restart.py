@@ -9,6 +9,12 @@ checkpoint are re-computed live by the training loop.  This is the
 behaviour Figures 8-9 compare against; having it on the live engines lets
 integration tests measure the lost-work gap against Swift on identical
 numerics.
+
+It is the one mechanism that must restore *every* engine (Section 3), so
+it knows no engine type: each shard goes back through the engine's
+``restore_shard``, and ``finish_restore`` does what only that engine
+knows.  A sharded (FSDP) checkpoint holds owned *trainable* shards only;
+non-parameter buffers are not in it and so not restored.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.detector import FailureDetector
 from repro.core.replication import RecoveryReport
 from repro.errors import RecoveryError
-from repro.parallel.data_parallel import DataParallelEngine
-from repro.parallel.pipeline import PipelineEngine
 
 __all__ = ["GlobalCheckpointRecovery"]
 
@@ -29,7 +33,7 @@ class GlobalCheckpointRecovery:
 
     def __init__(
         self,
-        engine: DataParallelEngine | PipelineEngine,
+        engine,
         checkpoints: CheckpointManager,
         detector: FailureDetector,
         clock: SimClock,
@@ -55,27 +59,15 @@ class GlobalCheckpointRecovery:
             self.engine.cluster.replace_machine(machine_id)
         self.clock.advance(self.replacement_join_time, "replacement_join")
 
-        # every worker loads; loads proceed in parallel -> stall is the max
-        load_time = 0.0
-        if isinstance(self.engine, PipelineEngine):
-            for stage in list(self.engine.stages):
-                state, t = self.checkpoints.load(stage.stage_id, ckpt_iter)
-                fresh = self.engine.new_stage(stage.stage_id, stage.device)
-                fresh.load_full_state(state)
-                self.engine.stages[stage.stage_id] = fresh
-                self.engine.transport.rebind(stage.stage_id, fresh.device)
-                load_time = max(load_time, t)
-            self.engine.transport.drop_all()
-        else:
-            for rank in range(len(self.engine.workers)):
-                worker = self.engine.rebuild_worker(rank)
-                state, t = self.checkpoints.load(rank, ckpt_iter)
-                worker.load_full_state(state)
-                worker.iteration = ckpt_iter
-                worker.updated_params = []
-                load_time = max(load_time, t)
-
-        self.engine.iteration = ckpt_iter
+        # every shard is read back before the first holder is replaced, so
+        # a missing or unreadable one raises with the engine as it was;
+        # loads proceed in parallel -> the stall is the max
+        shards = [h.shard_id for h in self.engine.state_holders()]
+        loaded = [self.checkpoints.load(shard, ckpt_iter) for shard in shards]
+        for shard, (state, _) in zip(shards, loaded):
+            self.engine.restore_shard(shard, state)
+        self.engine.finish_restore(ckpt_iter)
+        load_time = max(seconds for _, seconds in loaded)
         self.clock.advance(load_time, "checkpoint_restart")
 
         return RecoveryReport(

@@ -17,6 +17,9 @@ A policy owns the *whole* wiring of its mechanism: the logging policy,
 for example, attaches the tensor log to the pipeline transport, installs
 the overhead hook, and registers log GC with the checkpoint manager —
 side effects that previously lived in the trainer's constructor.
+
+Which engine kinds a built-in may protect is the one table beside
+:class:`~repro.core.strategy.FTStrategy`, ``MECHANISMS_BY_KIND``.
 """
 
 from __future__ import annotations
@@ -28,12 +31,9 @@ from repro.cluster.clock import SimClock
 from repro.cluster.topology import Cluster
 from repro.core.checkpoint import CheckpointManager
 from repro.core.detector import FailureDetector
-from repro.core.strategy import FTStrategy
+from repro.core.strategy import MECHANISMS_BY_KIND, FTStrategy
 from repro.core.tlog import GroupingPlan, LoggingMode, TensorLog
 from repro.errors import ConfigurationError
-from repro.parallel.data_parallel import DataParallelEngine
-from repro.parallel.fsdp import FSDPEngine
-from repro.parallel.pipeline import PipelineEngine
 from repro.utils.pool import BufferPool
 
 __all__ = [
@@ -104,6 +104,11 @@ class RecoveryPolicy(Protocol):
         ...
 
 
+def _mechanisms_for(engine: object) -> tuple[FTStrategy, ...]:
+    """The table row of ``engine``'s kind (empty for an unknown engine)."""
+    return MECHANISMS_BY_KIND.get(getattr(engine, "kind", None), ())
+
+
 class ReplicationPolicy:
     """Replication-based recovery: survivors re-seed replacements (§4).
 
@@ -114,7 +119,7 @@ class ReplicationPolicy:
     name = FTStrategy.REPLICATION.value
 
     def compatible(self, engine: object) -> bool:
-        return isinstance(engine, (DataParallelEngine, FSDPEngine))
+        return self.name in _mechanisms_for(engine)
 
     def describe_requirements(self) -> str:
         return "a data-parallel or sharded engine (replicas on >= 2 machines)"
@@ -125,7 +130,7 @@ class ReplicationPolicy:
 
         mechanism = (
             ShardedReplicationRecovery
-            if isinstance(ctx.engine, FSDPEngine) else ReplicationRecovery
+            if ctx.engine.kind == "fsdp" else ReplicationRecovery
         )
         return RecoveryBundle(
             recovery=mechanism(
@@ -148,7 +153,7 @@ class LoggingPolicy:
     name = FTStrategy.LOGGING.value
 
     def compatible(self, engine: object) -> bool:
-        return isinstance(engine, PipelineEngine)
+        return self.name in _mechanisms_for(engine)
 
     def describe_requirements(self) -> str:
         return "a pipeline-parallel engine (loggable stage boundaries)"
@@ -181,12 +186,13 @@ class LoggingPolicy:
 
 
 class CheckpointOnlyPolicy:
-    """Global checkpoint-restart, the Section 3 fallback baseline."""
+    """Global checkpoint-restart, the Section 3 fallback baseline and the
+    one mechanism every engine kind accepts."""
 
     name = FTStrategy.CHECKPOINT_ONLY.value
 
     def compatible(self, engine: object) -> bool:
-        return isinstance(engine, (DataParallelEngine, PipelineEngine))
+        return self.name in _mechanisms_for(engine)
 
     def describe_requirements(self) -> str:
         return "any checkpointable engine"
@@ -261,23 +267,22 @@ def resolve_strategy(
 ) -> FTStrategy | str:
     """Normalize a requested strategy against the engine (build time).
 
-    ``"auto"`` applies the engine-default arm of the Section 3 chain
-    (replication for plain and sharded data parallelism, logging for
-    pipelines); explicit
+    ``"auto"`` applies the engine-default arm of the Section 3 chain —
+    the first mechanism of the engine kind's row in
+    :data:`~repro.core.strategy.MECHANISMS_BY_KIND`; explicit
     names are validated against the engine so a mismatch fails with a
     clear :class:`ConfigurationError` instead of mis-wiring recovery.
     """
     if isinstance(requested, FTStrategy):
         requested = requested.value
     if requested == "auto":
-        if isinstance(engine, PipelineEngine):
-            return FTStrategy.LOGGING
-        if isinstance(engine, (DataParallelEngine, FSDPEngine)):
-            return FTStrategy.REPLICATION
-        raise ConfigurationError(
-            f"no auto strategy for engine {type(engine).__name__}; "
-            "pass an explicit strategy"
-        )
+        mechanisms = _mechanisms_for(engine)
+        if not mechanisms:
+            raise ConfigurationError(
+                f"no auto strategy for engine {type(engine).__name__}; "
+                "pass an explicit strategy"
+            )
+        return mechanisms[0]
     try:
         strategy = FTStrategy(requested)
     except ValueError:
@@ -285,11 +290,8 @@ def resolve_strategy(
         strategy = requested
     policy = get_recovery_policy(strategy)
     if not policy.compatible(engine):
-        name = (
-            strategy.value if isinstance(strategy, FTStrategy) else strategy
-        )
         raise ConfigurationError(
-            f"strategy {name!r} requires "
+            f"strategy {requested!r} requires "
             f"{policy.describe_requirements()}, "
             f"got {type(engine).__name__}"
         )

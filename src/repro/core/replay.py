@@ -141,9 +141,7 @@ class LoggingRecovery:
         load_times: dict[int, float] = {}
         for sid in stage_ids:
             state, load_times[sid] = self.checkpoints.load(sid, from_iteration)
-            stage = self.engine.new_stage(sid, self.engine.stages[sid].device)
-            stage.load_full_state(state)
-            rebuilt[sid] = stage
+            rebuilt[sid] = self.engine.build_stage(sid, state)
         return rebuilt, load_times
 
     def _replay(
@@ -238,19 +236,21 @@ class LoggingRecovery:
             if mm.machine_id != detection.machine_id
         ]
 
+        # whatever can refuse does so before anything is touched
+        ckpt_iter = self.checkpoints.latest_iteration
+        if ckpt_iter is None:
+            raise RecoveryError("no global checkpoint exists to replay from")
+        stage_ids = self.failed_stages(failed_machines)
+
         # surviving stages: consensus + undo
         undo_report = resolve_pipeline_consistency(self.engine)
         consensus = undo_report.consensus_iteration
         undo_time = 0.01 if undo_report.num_undone else 0.0
         self.clock.advance(undo_time, "undo")
 
-        ckpt_iter = self.checkpoints.latest_iteration
-        if ckpt_iter is None:
-            raise RecoveryError("no global checkpoint exists to replay from")
-        # drop the failed machines' own (lost) records, then fix the scope
+        # drop the failed machines' own (lost) records
         for machine_id in failed_machines:
             self.tlog.drop_machine(machine_id)
-        stage_ids = self.failed_stages(failed_machines)
 
         # replacement joins (plus logging re-initialization, Section 7.1)
         for machine_id in failed_machines:
@@ -268,8 +268,7 @@ class LoggingRecovery:
                     f"replayed stage {sid} is at iteration "
                     f"{stage.iteration}, expected {consensus}"
                 )
-            self.engine.stages[sid] = stage
-            self.engine.transport.rebind(sid, stage.device)
+            self.engine.install_stage(stage)
 
         # price it: independent portions recover concurrently (Appendix
         # B), so wall time is the max across them

@@ -5,9 +5,9 @@ Flow after a machine failure:
 1. detect the failure (async error → KV flag → aborts);
 2. surviving workers *undo* any partially applied updates, returning every
    replica to the consistent iteration-start state;
-3. a replacement machine joins; its workers are rebuilt empty;
+3. a replacement machine joins;
 4. one surviving replica broadcasts the full model state (parameters +
-   optimizer state) to the replacements;
+   optimizer state) and the failed workers are rebuilt from it;
 5. everyone resumes from the consensus iteration.
 
 No checkpoint load, no lost-iteration recomputation — which is why the
@@ -122,27 +122,24 @@ class ReplicationRecovery:
         for machine_id in failed_machines:
             self.engine.cluster.replace_machine(machine_id)
         self.clock.advance(self.replacement_join_time, "replacement_join")
-        replacements = [
-            self.engine.rebuild_worker(w.rank)
-            for w in self.engine.workers
+        replaced = [
+            w.rank for w in self.engine.workers
             if w.machine_id in failed_machines
         ]
 
         # 4. broadcast the surviving state to the replacements:
         # full_state() copies every leaf once, the read-only COW view
         # over that copy keeps the payload immune to mutation, and each
-        # replacement's load_full_state copies again on ingest
-        source = survivors[0]
-        state = StateView.of(source.full_state())
+        # replacement copies again on ingest
+        state = StateView.of(survivors[0].full_state())
         nbytes = state.nbytes
         group = CollectiveGroup(
             self.engine.cluster,
             {w.rank: w.device for w in self.engine.workers},
         )
         broadcast_time = group.broadcast_time(nbytes)
-        for worker in replacements:
-            worker.load_full_state(state)
-            worker.iteration = source.iteration
+        for rank in replaced:
+            self.engine.restore_shard(rank, state)
         self.clock.advance(broadcast_time, "replica_broadcast")
 
         return RecoveryReport(
@@ -157,6 +154,6 @@ class ReplicationRecovery:
             details={
                 "undone_params": undo_report.num_undone,
                 "broadcast_bytes": nbytes,
-                "replacement_ranks": [w.rank for w in replacements],
+                "replacement_ranks": replaced,
             },
         )

@@ -6,19 +6,20 @@ failure.  The flow generalizes plain replication-based recovery:
 1. detect the failure;
 2. undo partially applied updates on surviving *owners* (shard-wise
    update-undo — only the shards updated past the consensus roll back);
-3. replacements join; dead workers are rebuilt;
-4. every shard whose owner or mirror died is restored from its surviving
-   copy (the mirror on another machine), and mirrors are re-established;
-5. the full parameter set is re-gathered so every worker's compute copy
-   is consistent.
+3. replacements join;
+4. dead workers are rebuilt from the surviving copies of their shards
+   (the mirrors on another machine);
+5. mirrors are re-established and the full parameter set is re-gathered
+   so every worker's compute copy is consistent.
 
 If both copies of any shard died (a two-machine failure hitting an
 owner/mirror pair), recovery raises :class:`~repro.errors.RecoveryError`
 before touching any state.  The trainer's periodic global checkpoint of
 every rank's owned shards (``FSDPWorker.full_state``) exists for exactly
-that case — the catastrophic-failure net of Section 3 — but nothing
-restores from it automatically yet: ``checkpoint_only`` does not accept a
-sharded engine and no engine falls back when replication gives up.
+that case — the catastrophic-failure net of Section 3 — and
+``checkpoint_only`` restores a sharded engine from it
+(:mod:`repro.core.global_restart`), but no engine falls back when
+replication gives up.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from repro.cluster.clock import SimClock
 from repro.core.detector import FailureDetector
 from repro.core.replication import RecoveryReport
+from repro.core.undo import resolve_dp_consistency
 from repro.parallel.fsdp import FSDPEngine
 from repro.utils.cow import StateView
 
@@ -62,55 +64,49 @@ class ShardedReplicationRecovery:
             sources[name] = self.engine.shard_source(name, dead_machines)
 
         # 2. shard-wise update-undo on surviving owners
-        undone = 0
-        for worker in self.engine.alive_workers():
-            if worker.updated_params and worker.optimizer is not None:
-                names = list(reversed(worker.updated_params))
-                worker.optimizer.undo(names)
-                undone += len(names)
-                worker.updated_params = []
+        undone = resolve_dp_consistency(self.engine).num_undone
         undo_time = 0.01 if undone else 0.0
         self.clock.advance(undo_time, "undo")
 
-        # 3. replacements join, dead workers rebuilt
+        # 3. replacements join
         for machine_id in dead_machines:
             self.engine.cluster.replace_machine(machine_id)
         self.clock.advance(self.replacement_join_time, "replacement_join")
         dead_ranks = [
             w.rank for w in self.engine.workers if w.machine_id in dead_machines
         ]
-        for rank in dead_ranks:
-            self.engine.rebuild_worker(rank)
 
-        # 4. restore shards from surviving copies and re-mirror everything
+        # 4. dead workers are rebuilt from the surviving copies of the
+        # shards they owned, keyed as ``FSDPWorker.full_state`` keys them.
+        # shard_state already exports private arrays, and mirror dicts are
+        # rebound (never mutated in place) by _sync_mirrors, so a read-only
+        # view suffices — the load copies on ingest.  Every shard's
+        # transfer is charged, a live owner's included.
         restored_bytes = 0
+        lost: dict[int, dict] = {rank: {} for rank in dead_ranks}
         for name, (kind, src_rank) in sources.items():
             src = self.engine.workers[src_rank]
-            # zero-copy restore source: shard_state already exports private
-            # arrays, and mirror dicts are rebound (never mutated in place)
-            # by _sync_mirrors, so a read-only view suffices —
-            # load_shard_state copies on ingest
             state = StateView.of(
                 src.shard_state(name) if kind == "owner"
                 else dict(src.mirrors[name])
             )
-            owner = self.engine.workers[self.engine.plan.owner[name]]
-            owner.load_shard_state(name, state)
             restored_bytes += state.nbytes
-        self.engine._sync_mirrors(list(self.engine.plan.owner))
+            owner = self.engine.plan.owner[name]
+            if owner in lost:
+                lost[owner].update(
+                    (f"{name}/{key}", arr) for key, arr in state.items()
+                )
+        for rank, state in lost.items():
+            self.engine.restore_shard(rank, state)
 
-        # 5. re-gather full parameters onto every (now live) worker
-        self.engine._gather_full_params()
+        # 5. re-mirror everything and re-gather full parameters onto every
+        # (now live) worker
+        self.engine.finish_restore(self.engine.iteration)
 
         restore_time = (
             restored_bytes / self.engine.cluster.bandwidth.network
         )
         self.clock.advance(restore_time, "shard_restore")
-        survivors = [
-            w for w in self.engine.workers if w.rank not in dead_ranks
-        ]
-        for w in self.engine.workers:
-            w.iteration = max(s.iteration for s in survivors)
 
         return RecoveryReport(
             strategy="sharded_replication",

@@ -28,6 +28,7 @@ from repro.parallel.schedules import bubble_ratio
 
 __all__ = [
     "FTStrategy",
+    "MECHANISMS_BY_KIND",
     "LoggingFeasibility",
     "logging_worth_it",
     "choose_strategy",
@@ -52,6 +53,18 @@ class FTStrategy(str, Enum):
     REPLICATION = "replication"
     LOGGING = "logging"
     CHECKPOINT_ONLY = "checkpoint_only"
+
+
+#: Which mechanisms may protect which engine kind, stated once: specs, the
+#: planner's grid, the built-in policies and job submission look it up.
+#: Replication needs machine-level replicas (shard mirrors for ``fsdp``),
+#: logging a pipeline, the global checkpoint restores every engine.  The
+#: first entry is what ``"auto"`` resolves to when no plan ran the chain.
+MECHANISMS_BY_KIND: dict[str, tuple[FTStrategy, ...]] = {
+    "dp": (FTStrategy.REPLICATION, FTStrategy.CHECKPOINT_ONLY),
+    "pp": (FTStrategy.LOGGING, FTStrategy.CHECKPOINT_ONLY),
+    "fsdp": (FTStrategy.REPLICATION, FTStrategy.CHECKPOINT_ONLY),
+}
 
 
 def transformer_message_bytes(

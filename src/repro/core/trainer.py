@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from repro.cluster.clock import SimClock
 from repro.cluster.failures import FailureEvent, FailurePhase, FailureSchedule
 from repro.core.checkpoint import CheckpointManager, SnapshotManager
@@ -32,9 +30,6 @@ from repro.core.strategy import FTStrategy
 from repro.core.tlog import GroupingPlan, LoggingMode
 from repro.errors import ConfigurationError, RecoveryError
 from repro.obs import NULL_RECORDER, Recorder, record_recovery_phases
-from repro.parallel.data_parallel import DataParallelEngine
-from repro.parallel.fsdp import FSDPEngine
-from repro.parallel.pipeline import PipelineEngine
 from repro.parallel.results import IterationResult
 
 __all__ = ["TrainerConfig", "TrainingTrace", "SwiftTrainer"]
@@ -60,12 +55,12 @@ class TrainerConfig:
     parallel_recovery_degree: int = 1
     #: replacement-machine provisioning time, seconds
     replacement_join_time: float = 5.0
-    #: "auto" picks the engine default (replication for DP and sharded
-    #: DP, logging for PP; ``Experiment.plan()`` runs the whole Section 3
-    #: chain instead); any :class:`FTStrategy` value — "replication",
-    #: "logging", "checkpoint_only" — may be named explicitly and is
-    #: validated against the engine when the trainer is built (a mismatch
-    #: raises :class:`ConfigurationError`)
+    #: "auto" picks the engine kind's default (``MECHANISMS_BY_KIND``;
+    #: ``Experiment.plan()`` runs the whole Section 3 chain instead); any
+    #: :class:`FTStrategy` value — "replication", "logging",
+    #: "checkpoint_only" — may be named explicitly and is validated
+    #: against the engine when the trainer is built (a mismatch raises
+    #: :class:`ConfigurationError`)
     strategy: str = "auto"
     #: persist only the leaves the optimizers report dirty since the last
     #: checkpoint (delta checkpoints); every ``incremental_full_every``-th
@@ -172,7 +167,7 @@ class SwiftTrainer:
 
     def __init__(
         self,
-        engine: DataParallelEngine | PipelineEngine | FSDPEngine,
+        engine,
         config: TrainerConfig,
         clock: SimClock | None = None,
         grouping: GroupingPlan | None = None,
@@ -204,7 +199,6 @@ class SwiftTrainer:
         self.snapshots = snapshots
         self.snapshot_interval = snapshot_interval
 
-        self.is_pipeline = isinstance(engine, PipelineEngine)
         #: the mechanism actually protecting this run (strategy vocabulary
         #: is unified on :class:`FTStrategy`; "auto" resolves here)
         self.strategy: FTStrategy = resolve_strategy(config.strategy, engine)
@@ -230,17 +224,6 @@ class SwiftTrainer:
         self._recoveries = 0
 
     # -- checkpoint plumbing --------------------------------------------------
-    def _engine_states(self) -> dict[int, dict[str, np.ndarray]]:
-        if self.is_pipeline:
-            return self.engine.full_state()
-        return {w.rank: w.full_state() for w in self.engine.workers if w.alive}
-
-    def _engine_shards(self) -> list:
-        """Live shard objects (workers or stages) in checkpoint-shard order."""
-        if self.is_pipeline:
-            return list(self.engine.stages)
-        return [w for w in self.engine.workers if w.alive]
-
     def take_checkpoint(self) -> float:
         """Synchronous global checkpoint of the whole job.
 
@@ -251,42 +234,35 @@ class SwiftTrainer:
         rec = self.recorder
         dirty = None
         with rec.span("checkpoint/capture", iteration=self.engine.iteration):
-            shards = self._engine_shards()
+            holders = self.engine.state_holders()
             if self.config.incremental_checkpoints:
                 dirty = {
-                    (s.stage_id if self.is_pipeline else s.rank):
-                        s.dirty_full_state_keys()
-                    for s in shards
+                    h.shard_id: h.dirty_full_state_keys() for h in holders
                 }
-            states = self._engine_states()
+            states = {h.shard_id: h.full_state() for h in holders}
         with rec.span("checkpoint/persist",
                       iteration=self.engine.iteration) as sp:
             stall = self.checkpoints.save_global(
                 states,
                 self.engine.iteration,
-                pipelined=self.is_pipeline,
+                pipelined=self.engine.checkpoint_writes_overlap,
                 dirty=dirty,
             )
             sp.set(stall_s=stall)
         if dirty is not None:
-            for s in shards:
-                s.clear_dirty()
+            for h in holders:
+                h.clear_dirty()
         rec.count("trainer/checkpoints")
         return stall
 
     def take_snapshot(self) -> None:
         """CheckFreq/Elastic-Horovod snapshot of every shard (baseline)."""
         assert self.snapshots is not None
-        for shard, state in self._engine_states().items():
-            if self.is_pipeline:
-                device = self.engine.stages[shard].device
-                machine = self.engine.stages[shard].machine_id
-            else:
-                device = self.engine.workers[shard].device
-                machine = self.engine.workers[shard].machine_id
+        for h in self.engine.state_holders():
             self.snapshots.take(
-                shard, machine, state, self.engine.iteration,
-                gpu_free_bytes=device.free_bytes(),
+                h.shard_id, h.machine_id, h.full_state(),
+                self.engine.iteration,
+                gpu_free_bytes=h.device.free_bytes(),
             )
 
     # -- the loop -----------------------------------------------------------------

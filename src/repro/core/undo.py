@@ -41,7 +41,7 @@ class UndoReport:
 
 
 def resolve_dp_consistency(engine: DataParallelEngine) -> UndoReport:
-    """Undo partial updates on surviving data-parallel workers.
+    """Undo partial updates on surviving (plain or sharded) DP workers.
 
     After this call every live replica holds exactly the iteration-start
     state ``x_t`` (up to floating-point error, per Section 4), restoring

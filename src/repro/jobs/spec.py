@@ -31,7 +31,7 @@ from repro.cluster.clock import SimClock
 from repro.cluster.topology import Cluster
 from repro.core.elastic import ElasticCoordinator
 from repro.core.replication import RecoveryReport
-from repro.core.strategy import FTStrategy
+from repro.core.strategy import MECHANISMS_BY_KIND, FTStrategy
 from repro.core.trainer import SwiftTrainer
 from repro.errors import ConfigurationError
 from repro.parallel.results import IterationResult
@@ -122,15 +122,11 @@ class JobSpec:
                 f"unknown strategy {self.strategy!r}; expected 'auto' or "
                 f"one of {[s.value for s in FTStrategy]}"
             )
-        if self.strategy == FTStrategy.REPLICATION.value \
-                and self.parallelism != "dp":
+        if self.strategy != "auto" \
+                and self.strategy not in MECHANISMS_BY_KIND[self.parallelism]:
             raise ConfigurationError(
-                "strategy 'replication' requires a data-parallel job"
-            )
-        if self.strategy == FTStrategy.LOGGING.value \
-                and self.parallelism != "pp":
-            raise ConfigurationError(
-                "strategy 'logging' requires a pipeline-parallel job"
+                f"strategy {self.strategy!r} cannot protect a "
+                f"{self.parallelism!r} job"
             )
         # what Experiment.validate would refuse on any placement fails
         # here, at submission, not when the scheduler places the job

@@ -80,6 +80,10 @@ class DPWorker:
     def machine_id(self) -> int:
         return self.device.machine.machine_id
 
+    @property
+    def shard_id(self) -> int:
+        return self.rank
+
     def full_state(self) -> dict[str, np.ndarray]:
         """Model + optimizer state — the paper's "model state"."""
         state = {f"model/{k}": v for k, v in self.model.state_dict().items()}
@@ -132,6 +136,11 @@ class DataParallelEngine:
         Maps a per-worker shard size to simulated forward+backward seconds
         (the temporal layer; defaults to a throughput-neutral constant).
     """
+
+    #: row of ``repro.core.strategy.MECHANISMS_BY_KIND``
+    kind = "dp"
+    #: a global checkpoint stalls for the sum of its shard writes
+    checkpoint_writes_overlap = False
 
     def __init__(
         self,
@@ -186,6 +195,11 @@ class DataParallelEngine:
     # -- queries ------------------------------------------------------------
     def alive_workers(self) -> list[DPWorker]:
         return [w for w in self.workers if w.alive]
+
+    def state_holders(self) -> list[DPWorker]:
+        """What a global checkpoint saves and a restart reloads, in shard
+        order: ``shard_id``/``device``/``machine_id``/``full_state()``."""
+        return self.alive_workers()
 
     def worker(self, rank: int) -> DPWorker:
         return self.workers[rank]
@@ -542,9 +556,13 @@ class DataParallelEngine:
             sim_time=sim_time,
         )
 
-    # -- recovery hooks (used by repro.core.replication) -----------------------
-    def rebuild_worker(self, rank: int) -> DPWorker:
-        """Recreate a worker object on its (replaced) device.
+    # -- the restore contract (replication, global restart, elastic) ------------
+    def restore_shard(
+        self, rank: int, state: dict[str, np.ndarray], device=None
+    ) -> None:
+        """Rebuild worker ``rank`` from ``state`` (a ``full_state()``) on
+        its (replaced) device — or, one past the end, add it on ``device``
+        (elastic scale-out).  Nothing changes if loading raises.
 
         The replacement takes over the replaced worker's flat arena (same
         layout, scratch included) instead of allocating one, under one
@@ -553,12 +571,26 @@ class DataParallelEngine:
         (its machine dying in FORWARD/BACKWARD/ITERATION_START leaves the
         survivors aliasing it), so that one is never recycled.
         """
-        old = self.workers[rank]
+        old = self.workers[rank] if rank < len(self.workers) else None
         model = self.model_factory()
-        worker = DPWorker(rank, old.device, model, self.opt_factory(model))
+        worker = DPWorker(
+            rank, device or old.device, model, self.opt_factory(model)
+        )
+        worker.load_full_state(state)
+        worker.iteration = self.iteration
+        if old is None:
+            self.workers.append(worker)
+            return
         self.workers[rank] = worker
         if self._canonical is old:
             self._canonical = None
         else:
             worker.optimizer.recycle_arena(old.optimizer)
-        return worker
+
+    def finish_restore(self, iteration: int) -> None:
+        """Every worker is back at ``iteration``: resume there, sharing
+        nothing that predates the restore."""
+        self._canonical = None
+        self.iteration = iteration
+        for w in self.workers:
+            w.iteration = iteration

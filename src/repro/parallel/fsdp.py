@@ -109,6 +109,10 @@ class FSDPWorker:
     def machine_id(self) -> int:
         return self.device.machine.machine_id
 
+    @property
+    def shard_id(self) -> int:
+        return self.rank
+
     def bind_shard(self, names: list[str]) -> None:
         """Declare this worker the owner of the named parameters."""
         self.owned = [n for n in names if self._params[n].requires_grad]
@@ -142,6 +146,17 @@ class FSDPWorker:
             if "step" in state:
                 self.optimizer.step_counts[name] = int(state["step"])
 
+    def load_full_state(self, state: dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`full_state`: the owned *trainable* shards and
+        nothing else — other ranks' shards and non-parameter buffers are
+        not in a sharded checkpoint, so not this call's to restore."""
+        for name in self.owned:
+            prefix = f"{name}/"
+            self.load_shard_state(name, {
+                key[len(prefix):]: arr for key, arr in state.items()
+                if key.startswith(prefix)
+            })
+
 
 class FSDPEngine:
     """Sharded data-parallel engine with mirrored shards.
@@ -150,6 +165,11 @@ class FSDPEngine:
     hold identical full parameter values (from the all-gather), and every
     owned shard's state equals its mirror.
     """
+
+    #: row of ``repro.core.strategy.MECHANISMS_BY_KIND``
+    kind = "fsdp"
+    #: a global checkpoint stalls for the sum of its shard writes
+    checkpoint_writes_overlap = False
 
     def __init__(
         self,
@@ -232,6 +252,10 @@ class FSDPEngine:
 
     def alive_workers(self) -> list[FSDPWorker]:
         return [w for w in self.workers if w.alive]
+
+    def state_holders(self) -> list[FSDPWorker]:
+        """What a global checkpoint saves, as in ``DataParallelEngine``."""
+        return self.alive_workers()
 
     def full_params_consistent(self) -> bool:
         live = self.alive_workers()
@@ -341,14 +365,25 @@ class FSDPEngine:
             failed_machine=failure.machine_id,
         )
 
-    # -- recovery hooks -----------------------------------------------------------
-    def rebuild_worker(self, rank: int) -> FSDPWorker:
-        old = self.workers[rank]
-        worker = FSDPWorker(rank, old.device, self.model_factory(),
-                            self.opt_factory)
+    # -- the restore contract (sharded replication, global restart) --------------
+    def restore_shard(self, rank: int, state: dict[str, np.ndarray]) -> None:
+        """Rebuild worker ``rank`` on its (replaced) device from ``state``,
+        a ``full_state()``; its mirror copies, its view of the other ranks'
+        shards and its iteration come with :meth:`finish_restore`."""
+        worker = FSDPWorker(rank, self.workers[rank].device,
+                            self.model_factory(), self.opt_factory)
         worker.bind_shard(self.plan.params_owned_by(rank))
+        worker.load_full_state(state)
         self.workers[rank] = worker
-        return worker
+
+    def finish_restore(self, iteration: int) -> None:
+        """Every lost shard is back at ``iteration``: re-mirror them all,
+        re-gather the full parameters onto every worker, resume there."""
+        self._sync_mirrors(list(self.plan.owner))
+        self._gather_full_params()
+        self.iteration = iteration
+        for w in self.workers:
+            w.iteration = iteration
 
     def shard_source(self, name: str, dead_machines: set[int]
                      ) -> tuple[str, int]:

@@ -107,18 +107,20 @@ class PipelineStage:
     def machine_id(self) -> int:
         return self.device.machine.machine_id
 
+    @property
+    def shard_id(self) -> int:
+        return self.stage_id
+
     def forward_mb(self, microbatch: int, x: np.ndarray,
-                   chunk: int | None = None) -> np.ndarray:
-        c = self.stage_id if chunk is None else chunk
-        self.input_cache[(c, microbatch)] = x
-        return self.chunks[c](x)
+                   chunk: int) -> np.ndarray:
+        self.input_cache[(chunk, microbatch)] = x
+        return self.chunks[chunk](x)
 
     def backward_mb(self, microbatch: int, grad: np.ndarray,
-                    chunk: int | None = None) -> np.ndarray:
+                    chunk: int) -> np.ndarray:
         # repopulate layer caches for this micro-batch, then backprop
-        c = self.stage_id if chunk is None else chunk
-        x = self.input_cache.pop((c, microbatch))
-        module = self.chunks[c]
+        x = self.input_cache.pop((chunk, microbatch))
+        module = self.chunks[chunk]
         module(x)
         return module.backward(grad)
 
@@ -202,6 +204,11 @@ class PipelineEngine:
         Name of a registered schedule generator (``repro schedule --list``).
     """
 
+    #: row of ``repro.core.strategy.MECHANISMS_BY_KIND``
+    kind = "pp"
+    #: a global checkpoint stalls for its slowest shard, not their sum
+    checkpoint_writes_overlap = True
+
     def __init__(
         self,
         cluster: Cluster,
@@ -259,15 +266,10 @@ class PipelineEngine:
         verify_program(self._program)
 
         chunk_modules = partition_by_sizes(model_factory(), partition_sizes)
-        self.stages: list[PipelineStage] = []
-        for sid, (machine_id, dev_idx) in enumerate(placement):
-            device = cluster.device(machine_id, dev_idx)
-            chunks = self._stage_chunks(sid, chunk_modules)
-            module = self._combine_chunks(sid, chunks)
-            self.stages.append(
-                PipelineStage(sid, module, opt_factory(module), device,
-                              chunks=chunks)
-            )
+        self.stages: list[PipelineStage] = [
+            self._make_stage(sid, chunk_modules, cluster.device(*slot))
+            for sid, slot in enumerate(placement)
+        ]
         self.transport = Transport(
             cluster, {s.stage_id: s.device for s in self.stages}
         )
@@ -336,55 +338,62 @@ class PipelineEngine:
         return self._order_cache
 
     # -- state access ----------------------------------------------------------
-    def stage(self, stage_id: int) -> PipelineStage:
-        return self.stages[stage_id]
-
-    def machine_of_stage(self, stage_id: int) -> int:
-        return self.placement[stage_id][0]
-
     def full_state(self) -> dict[int, dict[str, np.ndarray]]:
         return {s.stage_id: s.full_state() for s in self.stages}
 
-    def _stage_chunks(
-        self, stage_id: int, chunk_modules: list[Sequential]
-    ) -> dict[int, Sequential]:
-        return {
+    def state_holders(self) -> list[PipelineStage]:
+        """What a global checkpoint saves, as in ``DataParallelEngine``."""
+        return list(self.stages)
+
+    def _make_stage(
+        self, stage_id: int, chunk_modules: list[Sequential], device
+    ) -> PipelineStage:
+        """Stage ``stage_id`` over its chunks of a freshly cut model (chunk
+        ``c`` lives on stage ``c % p``) with a fresh optimizer."""
+        chunks = {
             c: chunk_modules[c]
             for c in range(len(chunk_modules))
             if c % self.num_stages == stage_id
         }
-
-    def _combine_chunks(
-        self, stage_id: int, chunks: dict[int, Sequential]
-    ) -> Sequential:
         if self.virtual_stages == 1:
-            return chunks[stage_id]
-        combined = Sequential()
-        for c in sorted(chunks):
-            for layer in chunks[c].layers:
-                combined.append(layer)
-        return combined
-
-    def build_stage_parts(
-        self, stage_id: int
-    ) -> tuple[Sequential, dict[int, Sequential]]:
-        """Fresh (combined module, chunk map) for a stage (recovery path)."""
-        chunk_modules = partition_by_sizes(
-            self.model_factory(), self.partition_sizes
-        )
-        chunks = self._stage_chunks(stage_id, chunk_modules)
-        return self._combine_chunks(stage_id, chunks), chunks
-
-    def build_stage_module(self, stage_id: int) -> Sequential:
-        """Rebuild a stage's architecture (recovery re-instantiates it)."""
-        return self.build_stage_parts(stage_id)[0]
-
-    def new_stage(self, stage_id: int, device) -> PipelineStage:
-        """A freshly built stage (module + optimizer) on ``device``."""
-        module, chunks = self.build_stage_parts(stage_id)
+            module = chunks[stage_id]
+        else:
+            module = Sequential()
+            for c in sorted(chunks):
+                for layer in chunks[c].layers:
+                    module.append(layer)
         return PipelineStage(
             stage_id, module, self.opt_factory(module), device, chunks=chunks
         )
+
+    # -- the restore contract (logging replay, global restart) -------------------
+    def build_stage(
+        self, stage_id: int, state: dict[str, np.ndarray]
+    ) -> PipelineStage:
+        """A fresh stage holding ``state`` (a ``full_state()``) on the
+        current holder's device, *detached*: logging replay runs and
+        verifies it before :meth:`install_stage` swaps it in."""
+        stage = self._make_stage(
+            stage_id,
+            partition_by_sizes(self.model_factory(), self.partition_sizes),
+            self.stages[stage_id].device,
+        )
+        stage.load_full_state(state)
+        return stage
+
+    def install_stage(self, stage: PipelineStage) -> None:
+        self.stages[stage.stage_id] = stage
+        self.transport.rebind(stage.stage_id, stage.device)
+
+    def restore_shard(self, stage_id: int, state: dict[str, np.ndarray]) -> None:
+        """Rebuild stage ``stage_id`` from ``state``, in place."""
+        self.install_stage(self.build_stage(stage_id, state))
+
+    def finish_restore(self, iteration: int) -> None:
+        """Every stage is back at ``iteration``: resume there with nothing
+        of the abandoned iterations in flight."""
+        self.transport.drop_all()
+        self.iteration = iteration
 
     def state_nbytes(self, stage_id: int) -> int:
         return sum(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.strategy import logging_worth_it
+from repro.core.strategy import MECHANISMS_BY_KIND, logging_worth_it
 from repro.errors import ConfigurationError
 from repro.optim import optimizer_invertible
 from repro.parallel.programs import default_virtual_stages
@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 GB = 1e9
-
-#: recovery strategies compatible with each parallelism kind (Section 3:
-#: replication needs machine-level replicas, logging needs a pipeline)
-_KIND_STRATEGIES = {
-    "dp": ("replication", "checkpoint_only"),
-    "pp": ("logging", "checkpoint_only"),
-    "fsdp": ("replication",),
-}
 
 
 class PlanSearchError(ConfigurationError):
@@ -251,7 +243,7 @@ class SearchSpace:
         return spec.horizon_hours
 
     def _strategies_for(self, kind: str) -> tuple[str, ...]:
-        strategies = _KIND_STRATEGIES[kind]
+        strategies = tuple(s.value for s in MECHANISMS_BY_KIND[kind])
         if self.strategies is not None:
             strategies = tuple(
                 s for s in strategies if s in self.strategies
@@ -451,9 +443,9 @@ class ExperimentSearchSpace(SearchSpace):
         base, cluster = self.base, self.base.cluster
         if c.checkpoint_interval < 1 or c.parallel_recovery_degree < 1:
             return "bounds"
-        if c.kind not in _KIND_STRATEGIES:
+        if c.kind not in MECHANISMS_BY_KIND:
             return "unknown_kind"
-        if c.strategy not in _KIND_STRATEGIES[c.kind]:
+        if c.strategy not in MECHANISMS_BY_KIND[c.kind]:
             return "strategy_kind"
         if c.num_workers > cluster.num_slots:
             return "placement"
@@ -502,21 +494,16 @@ class ExperimentSearchSpace(SearchSpace):
         return self._experiment(c)
 
     def default(self) -> Candidate:
-        """The naive plan: keep the base layout, checkpoint-only at the
-        spec's cadence (replication for fsdp, which cannot run bare)."""
+        """The naive plan: keep the base layout, checkpoint-only (which
+        every engine kind can run) at the spec's cadence."""
         par, ft = self.base.parallelism, self.base.fault_tolerance
-        strategies = _KIND_STRATEGIES[par.kind]
-        strategy = (
-            "checkpoint_only" if "checkpoint_only" in strategies
-            else strategies[0]
-        )
         return Candidate(
             kind=par.kind,
             num_workers=par.num_workers,
             num_microbatches=(
                 par.num_microbatches if par.kind == "pp" else 1
             ),
-            strategy=strategy,
+            strategy="checkpoint_only",
             checkpoint_interval=ft.checkpoint_interval,
             parallel_recovery_degree=1,
             schedule=par.schedule if par.kind == "pp" else "1f1b",
@@ -658,7 +645,7 @@ class WorkloadSearchSpace(SearchSpace):
         w = self.workload
         if c.checkpoint_interval < 1 or c.parallel_recovery_degree < 1:
             return "bounds"
-        if c.strategy not in _KIND_STRATEGIES[c.kind]:
+        if c.strategy not in MECHANISMS_BY_KIND[c.kind]:
             return "strategy_kind"
         if c.strategy == "replication":
             if w.num_machines < 2:

@@ -16,6 +16,7 @@ from repro.parallel import (
     PipelineEngine,
     default_virtual_stages,
 )
+from repro.utils import state_equal
 
 
 def numerical_grad_check(
@@ -159,3 +160,32 @@ def states_allclose(a, b, atol=1e-7) -> bool:
 
 def states_equal(a, b) -> bool:
     return all(np.array_equal(a[sid][k], b[sid][k]) for sid in a for k in a[sid])
+
+
+def engine_snapshot(engine, tlog=None) -> dict:
+    """What a recovery that refuses must leave exactly as it found it:
+    every holder object (dead ones included), its state and progress
+    marks, the engine's iteration, the tensor log's records."""
+    holders = list(getattr(engine, "stages", None) or engine.workers)
+    return {
+        "holders": holders,
+        "states": [h.full_state() for h in holders],
+        "progress": [
+            (h.iteration, list(getattr(h, "updated_params", ())),
+             getattr(h, "updated_this_iteration", None))
+            for h in holders
+        ],
+        "iteration": engine.iteration,
+        "log_records": None if tlog is None else len(tlog._index),
+    }
+
+
+def assert_untouched(before: dict, engine, tlog=None) -> None:
+    after = engine_snapshot(engine, tlog)
+    assert len(before["holders"]) == len(after["holders"])
+    for old, new in zip(before["holders"], after["holders"]):
+        assert old is new
+    for old, new in zip(before["states"], after["states"]):
+        assert state_equal(old, new)
+    for key in ("progress", "iteration", "log_records"):
+        assert before[key] == after[key], key

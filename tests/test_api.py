@@ -42,6 +42,7 @@ from repro.nn import CrossEntropyLoss
 from repro.optim import Adam, SGDMomentum
 from repro.parallel import DataParallelEngine, PipelineEngine
 from repro.sim import BERT_128, FleetSimulator, WIDE_RESNET_50
+from repro.utils import state_equal
 
 
 def dp_experiment(**ft_kwargs) -> Experiment:
@@ -385,17 +386,33 @@ class TestSessionBitwise:
         assert session.trainer.strategy is FTStrategy.REPLICATION
         assert [it for it, _ in session.trace.checkpoints] == [0]
 
-    def test_fsdp_plan_no_engine_can_run_fails_at_build(self):
+    def test_fsdp_plan_no_engine_can_run_runs_and_recovers(self):
         # AMSGrad cannot undo, so the chain leaves checkpoint_only — which
-        # no sharded engine can restore from yet.  The session used to run
-        # sharded replication against the plan; now the mismatch is typed.
+        # a sharded engine restores from like every other: what plan()
+        # chooses, build() runs
         exp = Experiment(
             model=ModelSpec(optimizer="amsgrad"),
             parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+            fault_tolerance=FaultToleranceSpec(checkpoint_interval=4),
         )
         assert exp.plan().strategy is FTStrategy.CHECKPOINT_ONLY
-        with pytest.raises(ConfigurationError, match="checkpoint_only"):
-            exp.build()
+        ref = exp.build()
+        ref.run(10)
+        session = exp.build()
+        trace = session.run(10, failures=FailureSchedule([
+            FailureEvent(1, 6, FailurePhase.MID_UPDATE, after_updates=3)
+        ]))
+        (report,) = trace.recoveries
+        assert report.strategy == "global_checkpoint_restart"
+        assert report.lost_iterations == 2
+        for got, want in zip(session.engine.workers, ref.engine.workers):
+            assert state_equal(got.full_state(), want.full_state()), got.rank
+        # iterations 4 and 5 ran twice, to the same losses
+        assert trace.iteration_numbers == [0, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9]
+        assert trace.losses[6:] == ref.trace.losses[4:]
+        assert trace.losses[:6] == ref.trace.losses[:6]
+        assert session.engine.mirrors_consistent()
+        assert session.engine.full_params_consistent()
 
     def test_fsdp_checkpoint_round_trips_every_shard(self):
         session = Experiment(

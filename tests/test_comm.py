@@ -69,15 +69,6 @@ class TestTransport:
         assert tr.drop_all() == 1
         assert tr.pending(0, 1) == 0
 
-    def test_drop_channels_touching(self):
-        cluster = Cluster(3, devices_per_machine=1)
-        tr = Transport(cluster, {i: cluster.device(i, 0) for i in range(3)})
-        tr.send(0, 1, np.zeros(1), iteration=0, microbatch=0, phase="fwd")
-        tr.send(1, 2, np.zeros(1), iteration=0, microbatch=0, phase="fwd")
-        dropped = tr.drop_channels_touching({2})
-        assert dropped == 1
-        assert tr.pending(0, 1) == 1
-
     def test_rebind(self):
         cluster, tr = make_transport()
         cluster.fail_machine(1)

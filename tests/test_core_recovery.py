@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_untouched,
+    engine_snapshot,
     make_dp_engine,
     make_pp_engine,
     pipeline_states,
@@ -126,6 +128,66 @@ class TestReplicationRecovery:
         a = ref.workers[0].model.state_dict()
         b = eng.workers[0].model.state_dict()
         assert all(np.allclose(a[k], b[k], atol=1e-8) for k in a)
+
+
+class TestRefusalTouchesNothing:
+    """A mechanism that gives up raises its typed error before the first
+    mutation: survivors keep their partial update (and its undo marks),
+    the log keeps its records, no holder is replaced."""
+
+    def crash_before_any_checkpoint(self, build, strategy):
+        eng = build()
+        trainer = SwiftTrainer(eng, TrainerConfig(
+            checkpoint_interval=8, checkpoint_at_start=False,
+            strategy=strategy))
+        trainer.train(3)
+        # mid-update, so that a survivor has an update it could undo
+        assert eng.run_iteration(failure=FailureEvent(
+            1, 3, FailurePhase.MID_UPDATE, after_updates=2)).failed
+        return eng, trainer
+
+    def test_logging_without_a_checkpoint(self):
+        eng, trainer = self.crash_before_any_checkpoint(make_pp_engine, "auto")
+        assert any(s.updated_this_iteration for s in eng.stages if s.alive)
+        before = engine_snapshot(eng, trainer.tlog)
+        assert before["log_records"] > 0
+        with pytest.raises(RecoveryError, match="no global checkpoint"):
+            trainer.recover_now()
+        assert_untouched(before, eng, trainer.tlog)
+
+    def test_global_restart_without_a_checkpoint(self):
+        eng, trainer = self.crash_before_any_checkpoint(
+            make_dp_engine, "checkpoint_only")
+        assert any(w.updated_params for w in eng.alive_workers())
+        before = engine_snapshot(eng)
+        with pytest.raises(RecoveryError, match="no global checkpoint"):
+            trainer.recover_now()
+        assert_untouched(before, eng)
+
+    def test_replication_with_every_replica_lost(self):
+        eng, trainer = self.crash_before_any_checkpoint(make_dp_engine, "auto")
+        eng.cluster.fail_machine(0)
+        before = engine_snapshot(eng)
+        with pytest.raises(RecoveryError, match="no surviving replica"):
+            trainer.recover_now()
+        assert_untouched(before, eng)
+
+    def test_sharded_replication_with_an_owner_and_its_mirror_lost(self):
+        session = Experiment(
+            cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+            parallelism=ParallelismSpec(kind="fsdp", num_workers=4),
+        ).build()
+        session.run(3)
+        eng = session.engine
+        # ranks 0 and 2 mirror each other; rank 1 updated before the crash
+        assert eng.run_iteration(failure=FailureEvent(
+            0, 3, FailurePhase.MID_UPDATE, after_updates=2)).failed
+        eng.cluster.fail_machine(2)
+        assert eng.workers[1].updated_params
+        before = engine_snapshot(eng)
+        with pytest.raises(RecoveryError, match="both copies of shard"):
+            session.trainer.recover_now()
+        assert_untouched(before, eng)
 
 
 def wide_resnet_run(failure: FailureEvent | None = None, *, workers=2,

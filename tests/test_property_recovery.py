@@ -13,10 +13,18 @@ scenarios to the whole failure space the fail-stop model admits.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_dp_engine, make_pp_engine, pipeline_states
+from repro.api import (
+    ClusterSpec,
+    DataSpec,
+    Experiment,
+    FaultToleranceSpec,
+    ModelSpec,
+    ParallelismSpec,
+)
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import GroupingPlan, SwiftTrainer, TrainerConfig
 from repro.optim import LAMB, Adam, AdamW, SGDMomentum
@@ -201,3 +209,90 @@ def test_dp_recovery_always_exact(optimizer, iteration, first, second, ckpt):
         # the single shared update resumed
         assert fused.replicas_consistent()
         assert fused._canonical is fused.workers[0]
+
+
+# -- the last rung: a global restart restores every engine, bitwise ----------
+RESTART_KINDS = {
+    "dp": dict(kind="dp"),
+    "pp/1f1b": dict(kind="pp", schedule="1f1b"),
+    "pp/interleaved_1f1b": dict(kind="pp", schedule="interleaved_1f1b"),
+    # ranks r and r + 2 mirror each other, one rank per machine
+    "fsdp": dict(kind="fsdp"),
+}
+RESTART_ITERATIONS = 10
+_RESTART_REF: dict[tuple[str, int], list] = {}
+
+
+def restart_session(kind: str, ckpt: int):
+    return Experiment(
+        # 17 layers: every one of interleaved_1f1b's 8 chunks owns parameters
+        model=ModelSpec(family="mlp", dim=8, hidden_dim=16, num_classes=4,
+                        depth=8, seed=7, optimizer="adam", lr=0.01),
+        data=DataSpec(batch_size=16, seed=3),
+        cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+        parallelism=ParallelismSpec(num_workers=4, **RESTART_KINDS[kind]),
+        fault_tolerance=FaultToleranceSpec(strategy="checkpoint_only",
+                                           checkpoint_interval=ckpt),
+    ).build()
+
+
+def restart_states(session) -> list:
+    return [h.full_state() for h in session.engine.state_holders()]
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(sorted(RESTART_KINDS)),
+    machine=st.integers(0, 3),
+    iteration=st.integers(1, RESTART_ITERATIONS - 1),
+    phase=st.sampled_from([*DP_PHASES, *INSTRUCTION_OPS]),
+    after_updates=st.integers(0, 7),
+    # a second machine lost in the same instant; for fsdp machine + 2 is
+    # the owner + mirror pair sharded replication has to refuse
+    also_down=st.none() | st.integers(0, 3),
+    ckpt=st.sampled_from([3, 4, 100]),
+)
+@example(kind="fsdp", machine=0, iteration=5, phase=FailurePhase.MID_UPDATE,
+         after_updates=3, also_down=2, ckpt=4)
+def test_global_restart_always_exact(kind, machine, iteration, phase,
+                                     after_updates, also_down, ckpt):
+    if (kind, ckpt) not in _RESTART_REF:
+        ref = restart_session(kind, ckpt)
+        ref.run(RESTART_ITERATIONS)
+        _RESTART_REF[kind, ckpt] = ref.trace.losses, restart_states(ref)
+    ref_losses, ref_states = _RESTART_REF[kind, ckpt]
+    session = restart_session(kind, ckpt)
+    engine, trainer = session.engine, session.trainer
+    if isinstance(phase, FailurePhase):
+        # 4 micro-batches, 4 stage updates, >= 4 parameters: always fires
+        point = dict(phase=phase, after_updates=after_updates % 4)
+    else:
+        # instruction boundaries exist on pipelines only, and only where
+        # the machine's own stream names the op
+        assume(kind.startswith("pp"))
+        hits = sum(i.op == phase for i in engine.program().streams[machine])
+        assume(hits)
+        point = dict(phase=FailurePhase.INSTRUCTION, instruction=phase,
+                     after_updates=after_updates % hits)
+    session.run(iteration)
+    checkpoint = trainer.checkpoints.latest_iteration
+    assert engine.run_iteration(
+        failure=FailureEvent(machine, iteration, **point)).failed
+    down = {machine}
+    if also_down is not None:
+        # Appendix B: found dead in the same instant
+        session.cluster.fail_machine(also_down)
+        down.add(also_down)
+    report = trainer.recover_now()
+    session.run(RESTART_ITERATIONS)
+    assert session.trace.recoveries == [report]
+    assert report.strategy == "global_checkpoint_restart"
+    assert set(report.failed_machines) == down
+    assert report.resume_iteration == checkpoint
+    assert report.lost_iterations == iteration - checkpoint
+    assert session.trace.losses[iteration:] == ref_losses[checkpoint:]
+    for got, want in zip(restart_states(session), ref_states):
+        assert state_equal(got, want)
+    if kind == "fsdp":
+        assert engine.mirrors_consistent()
+        assert engine.full_params_consistent()

@@ -141,3 +141,51 @@ def test_one_pipeline_interpreter_census():
     for banned in ("logging_interleaved", "cannot replay interleaved",
                    "contiguous stage"):
         assert banned not in source, banned
+
+
+def test_one_restore_contract_census():
+    """State holders are built, engines told apart and the kind ->
+    mechanisms rule stated in one place each.
+
+    Every recovery mechanism, the elastic coordinator and the trainer go
+    through the engines' ``state_holders`` / ``restore_shard`` /
+    ``finish_restore``; a second construct-and-load copy, an engine-type
+    fork or a private copy of the compatibility table fails here.
+    """
+    import ast
+
+    holder_home = {
+        "DPWorker": {"parallel/data_parallel.py"},
+        "FSDPWorker": {"parallel/fsdp.py"},
+        "PipelineStage": {"parallel/pipeline.py"},
+    }
+    engines = {"DataParallelEngine", "PipelineEngine", "FSDPEngine"}
+    built = {name: set() for name in holder_home}
+    type_forks, sources = set(), {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        where = path.relative_to(PACKAGE_DIR).as_posix()
+        sources[where] = path.read_text()
+        for node in ast.walk(ast.parse(sources[where])):
+            if isinstance(node, ast.Attribute) and node.attr == "is_pipeline":
+                type_forks.add(where)
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None)
+            if name in built:
+                built[name].add(where)
+            if name == "isinstance" and any(
+                    getattr(n, "id", None) in engines
+                    or getattr(n, "attr", None) in engines
+                    for n in ast.walk(node.args[1])):
+                type_forks.add(where)
+    assert built == holder_home
+    # the constructor dispatch reads ``plan.engine_kind`` and the
+    # replication policy picks its mechanism by ``engine.kind``: nobody
+    # asks an engine for its class
+    assert not type_forks
+    for name in ("_STRATEGY_KINDS", "_KIND_STRATEGIES"):
+        assert not [w for w, text in sources.items() if name in text], name
+    for where in ("core/strategy.py", "api/experiment.py", "plan/space.py",
+                  "core/policies.py", "jobs/spec.py"):
+        assert "MECHANISMS_BY_KIND" in sources[where], where
