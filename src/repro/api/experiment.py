@@ -23,7 +23,7 @@ gets back onto the same validate -> plan -> build path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import lru_cache
 
 from repro.api.specs import (
     ClusterSpec,
@@ -48,6 +48,7 @@ from repro.core.strategy import (
 from repro.errors import ConfigurationError
 from repro.jobs.spec import JobSpec
 from repro.parallel.hybrid import ParallelLayout, StagePlacement
+from repro.parallel.instructions import ScheduleProgram
 from repro.parallel.programs import build_program
 from repro.parallel.schedules import simulate_program
 
@@ -74,6 +75,17 @@ _FLEET_DECIDES = frozenset({
     "placement", "scenario", "scenario_seed",
     "checkpoint_after_recovery", "checkpoint_prefix", "depth",
 })
+
+
+@lru_cache(maxsize=256)
+def _default_makespan(program: ScheduleProgram, comm_time: float) -> float:
+    """Simulated iteration time of ``program`` at the engine-default
+    stage times, priced once per (program, comm_time) per process.  Only
+    the float is kept: a ``ScheduleTiming`` is mutable and not shared."""
+    p = program.num_stages
+    return simulate_program(
+        program, [DEFAULT_FWD_TIME] * p, [DEFAULT_BWD_TIME] * p, comm_time
+    ).iteration_time
 
 
 @dataclass(frozen=True)
@@ -287,8 +299,8 @@ class Experiment:
                     f"{par.num_workers} pipeline stages"
                     + (f" x {v} virtual stages" if v > 1 else "")
                 )
-            # surface schedule-shape errors (e.g. interleaved needs
-            # num_microbatches % num_workers == 0) at composition time
+            # schedule-shape errors (e.g. interleaved needs m % p == 0)
+            # surface here, on the shared program the estimate prices
             build_program(
                 par.schedule, par.num_workers, par.num_microbatches, v
             )
@@ -342,11 +354,12 @@ class Experiment:
         return ParallelLayout(stages=list(stages)).validate()
 
     # -- the plan ---------------------------------------------------------
-    @cached_property
+    @property
     def _iteration_time_estimate(self) -> float:
         """Engine-default schedule makespan (pp) — the timing the logging
-        calculus compares the PCIe copy against.  Priced once per
-        experiment: the Section 5.4 verdict, the goodput estimate and the
+        calculus compares the PCIe copy against.  Priced once per pipeline
+        shape, not per experiment (cadence / degree / budget variants
+        share it): the Section 5.4 verdict, the goodput estimate and the
         planner's cost model all read it."""
         par = self.parallelism
         program = build_program(
@@ -355,13 +368,7 @@ class Experiment:
             par.num_microbatches,
             par.resolved_virtual_stages(),
         )
-        timing = simulate_program(
-            program,
-            [DEFAULT_FWD_TIME] * par.num_workers,
-            [DEFAULT_BWD_TIME] * par.num_workers,
-            par.comm_time,
-        )
-        return timing.iteration_time
+        return _default_makespan(program, par.comm_time)
 
     def _predicted_log_bytes(self) -> float:
         """Busiest sender's per-iteration log volume (Section 5.4).

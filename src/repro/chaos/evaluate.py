@@ -154,9 +154,6 @@ def evaluate_trace(
     )
     outages: list[tuple[float, float]] = []  # [start, end) in seconds
 
-    def in_outage(t: float) -> bool:
-        return any(start <= t < end for start, end in outages)
-
     elapsed = 0.0
     completed = 0
     last_ckpt = 0  # iteration of the last durable global checkpoint

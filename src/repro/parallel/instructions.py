@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.utils.jsonl import (
@@ -168,6 +169,14 @@ class ScheduleProgram(JsonlDocument):
         object.__setattr__(
             self, "streams", tuple(tuple(s) for s in self.streams)
         )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.num_chunks, self.streams))
+
+    def __hash__(self) -> int:
+        # hashed once: a shared program is a memo key, its streams long
+        return self._hash
 
     @property
     def virtual_stages(self) -> int:

@@ -18,6 +18,7 @@ will execute it — schedules are data, not trusted code.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -129,7 +130,8 @@ def build_program(
     num_microbatches: int,
     virtual_stages: int = 1,
 ) -> ScheduleProgram:
-    """Generate the named schedule's program for (p, m, v).
+    """The named schedule's program for (p, m, v), generated once per
+    shape per process: equal arguments get the same frozen instance.
 
     >>> prog = build_program("gpipe", 2, 3)
     >>> [i.op for i in prog.streams[1][:2]]
@@ -141,7 +143,19 @@ def build_program(
         raise ConfigurationError("need at least one micro-batch")
     if virtual_stages < 1:
         raise ConfigurationError("virtual_stages must be >= 1")
-    return get_schedule(name)(num_stages, num_microbatches, virtual_stages)
+    return _generate(
+        get_schedule(name), num_stages, num_microbatches, virtual_stages
+    )
+
+
+@lru_cache(maxsize=256)
+def _generate(
+    generator: ScheduleGenerator, p: int, m: int, v: int
+) -> ScheduleProgram:
+    """Keyed on the generator *object*, so a re-registered name is never
+    answered with the old program; a generator that raises is not cached.
+    """
+    return generator(p, m, v)
 
 
 #: one compute unit of a stage's order: ("F" | "B", chunk, microbatch)

@@ -27,12 +27,14 @@ Golden instruction streams for the registered schedules live under
 import hashlib
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api import ClusterSpec, Experiment, ModelSpec, ParallelismSpec
+from repro.api.experiment import DEFAULT_BWD_TIME, DEFAULT_FWD_TIME
 from repro.chaos import ChaosEvent, FailureTrace
 from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
@@ -47,9 +49,13 @@ from repro.parallel import (
     PipelineEngine,
     ScheduleProgram,
     ScheduleVerificationError,
+    bubble_ratio,
     build_program,
     default_virtual_stages,
+    programs,
+    register_schedule,
     schedule_names,
+    simulate_program,
     verify_program,
 )
 
@@ -574,3 +580,96 @@ class TestChaosAtInstructionBoundaries:
         ])
         trace = trainer().train(8, failures=failures)
         assert loss_curve(trace) == baseline
+
+
+# -- one program per shape per process ------------------------------------
+
+SCRATCH = "scratch_schedule"
+
+
+@pytest.fixture
+def scratch_name():
+    """A schedule name the test may register; unregistered afterwards."""
+    yield SCRATCH
+    programs._REGISTRY.pop(SCRATCH, None)
+
+
+def program_serial(p: int, m: int, v: int = 1) -> ScheduleProgram:
+    """No overlap at all: a micro-batch's backward ends before the next
+    forward starts, so the makespan is far from any pipelined one."""
+    return programs._lower(
+        SCRATCH, p, m, 1,
+        lambda s: [u for k in range(m) for u in (("F", s, k), ("B", s, k))],
+    )
+
+
+class TestSharedPrograms:
+    """``build_program`` runs a generator once per shape and hands every
+    caller the same instance — safe only because nothing in a program can
+    be assigned to, and only while a re-registered name gets new ones."""
+
+    def test_equal_arguments_share_one_frozen_program(self):
+        prog = build_program("1f1b", 3, 4)
+        assert build_program("1f1b", 3, 4) is prog
+        assert build_program("1f1b", num_stages=3, num_microbatches=4,
+                             virtual_stages=1) is prog
+        assert build_program("1f1b", 3, 5) is not prog
+        with pytest.raises(FrozenInstanceError):
+            prog.num_microbatches = 8
+        with pytest.raises(FrozenInstanceError):
+            prog.streams[0][0].microbatch = 3
+        assert all(type(stream) is tuple for stream in prog.streams)
+        assert hash(prog) == hash(replace(prog))  # field hash, cached
+
+    def test_reregistering_a_name_replaces_its_programs(self, scratch_name):
+        def as_scratch(generator):
+            return lambda p, m, v: replace(generator(p, m, v),
+                                           name=scratch_name)
+
+        def experiment():
+            return Experiment(
+                model=ModelSpec(family="mlp", dim=4, hidden_dim=8, depth=3),
+                cluster=ClusterSpec(num_machines=3, devices_per_machine=1),
+                parallelism=ParallelismSpec(
+                    kind="pp", num_workers=3, num_microbatches=4,
+                    schedule=scratch_name),
+            )
+
+        def makespan(program):
+            return simulate_program(
+                program, [DEFAULT_FWD_TIME] * 3, [DEFAULT_BWD_TIME] * 3,
+            ).iteration_time
+
+        register_schedule(scratch_name, as_scratch(programs.program_1f1b))
+        old = build_program(scratch_name, 3, 4)
+        assert experiment()._iteration_time_estimate == makespan(old)
+
+        register_schedule(scratch_name, program_serial, overwrite=True)
+        new = build_program(scratch_name, 3, 4)
+        verify_program(new)
+        assert new == program_serial(3, 4) and new != old
+        assert makespan(new) > makespan(old)
+        assert experiment()._iteration_time_estimate == makespan(new)
+        assert experiment().plan().feasibility.bubble_time \
+            == bubble_ratio(3, 4) * makespan(new)
+
+    def test_a_refused_shape_is_refused_every_time(self, scratch_name):
+        runs = []
+
+        def picky(p, m, v):
+            runs.append((p, m, v))
+            return programs.program_interleaved_1f1b(p, m, v)
+
+        register_schedule(scratch_name, picky, virtual_stages=2)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigurationError,
+                               match="divisible by num_stages") as err:
+                build_program(scratch_name, 4, 6, 2)
+            messages.append(str(err.value))
+        assert runs == [(4, 6, 2)] * 2  # the failure was not memoised
+        assert messages[0] == messages[1]
+        # build_program's own argument checks still come first
+        with pytest.raises(ConfigurationError, match="at least one stage"):
+            build_program(scratch_name, 0, 4, 2)
+        assert len(runs) == 2

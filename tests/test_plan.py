@@ -267,6 +267,69 @@ class TestObjectiveMemoization:
         assert dict(report.to_dict()["cache"])["hits"] == report.cache_hits
 
 
+class TestOneProgramPerShape:
+    """Cadence / degree / budget / strategy variants of one pipeline shape
+    share its generated program and its simulated makespan."""
+
+    def test_generator_runs_once_per_shape_and_reports_same_bytes(self):
+        from repro.api import experiment
+        from repro.parallel import (
+            build_program,
+            programs,
+            register_schedule,
+            simulate_program,
+        )
+
+        runs = []
+
+        def counted(p, m, v):
+            runs.append((p, m))
+            return programs.program_1f1b(p, m, v)
+
+        def search():
+            space = ExperimentSearchSpace(
+                _mlp_experiment(machines=4), kinds=("pp",),
+                worker_counts=(2, 4), microbatch_counts=(2, 4, 8),
+                intervals=(10, 50, 200), recovery_degrees=(1, 2),
+                log_budgets_gb=(None, 1.0), schedules=("counted_1f1b",),
+            )
+            report = autoplan(space, "rack_burst", searcher="exhaustive",
+                              seed=3, eval_seeds=2, top_k=5)
+            return space, report
+
+        register_schedule("counted_1f1b", counted)
+        try:
+            programs._generate.cache_clear()
+            experiment._default_makespan.cache_clear()
+            space, cold = search()
+            cold_runs = list(runs)
+            _, warm = search()
+            # past the cheap prunes = lowered to an Experiment
+            lowered = [c for c in space.candidates()
+                       if space.feasible(c) in (None, "not_worth_it")]
+            # a built engine interprets the shared program and still
+            # prices it with its own simulator call
+            built = space.to_experiment(next(space.iter_feasible()))
+            engine = built.build().engine
+            assert engine.program() is build_program(
+                "counted_1f1b", built.parallelism.num_workers,
+                built.parallelism.num_microbatches)
+            assert engine.timing() == simulate_program(
+                engine.program(), engine.fwd_times, engine.bwd_times,
+                engine.comm_time)
+            assert engine.timing().iteration_time \
+                == built._iteration_time_estimate
+        finally:
+            programs._REGISTRY.pop("counted_1f1b")
+        shapes = {(c.num_workers, c.num_microbatches) for c in lowered}
+        # several shapes, many variants of each: at the parent commit the
+        # generator ran twice per lowered candidate
+        assert len(shapes) > 1 and len(lowered) > 2 * len(shapes)
+        assert sorted(cold_runs) == sorted(shapes)
+        assert runs == cold_runs  # nothing after the cold search ran one
+        assert warm.to_json() == cold.to_json()
+
+
 # -- determinism -----------------------------------------------------------
 
 class TestDeterminism:
