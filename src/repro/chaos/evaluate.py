@@ -5,9 +5,11 @@ checkpointing — was only ever simulated under uniform singleton failures
 (Section 7.3).  This module walks an arbitrary
 :class:`~repro.chaos.trace.FailureTrace` (correlated bursts, flaky
 nodes, storage outages, stragglers) through the calibrated
-:class:`~repro.sim.CostModel`, re-using the exact per-iteration overhead
-and recovery pricing of :mod:`repro.sim.endtoend`, and reports the
-end-to-end hours and goodput fraction each method achieves.
+:class:`~repro.sim.CostModel` and reports the end-to-end hours and
+goodput fraction each method achieves.  Iterations and crashes are priced
+by :meth:`CostModel.pricing <repro.sim.CostModel.pricing>` — the one
+pricer :class:`~repro.sim.EndToEndSimulator` uses too — built once per
+batch of traces; this module owns only the trace walk.
 
 Semantics:
 
@@ -37,8 +39,7 @@ from repro.chaos.scenarios import ScenarioSpec, get_scenario
 from repro.chaos.trace import FailureTrace
 from repro.core.strategy import FTStrategy
 from repro.errors import ConfigurationError
-from repro.sim.costmodel import CostModel
-from repro.sim.endtoend import per_iteration_overhead, recovery_seconds
+from repro.sim.costmodel import CostModel, Pricing
 from repro.sim.workloads import Workload
 
 __all__ = [
@@ -112,39 +113,15 @@ def evaluate_trace(
     :class:`~repro.errors.ConfigurationError` rather than dividing by
     zero; single-machine traces and event-free horizons are fine.
     """
-    cost = cost or CostModel(workload, use_experiment_time=False)
-    snapshot_based = method in ("checkfreq", "elastic_horovod")
-    if interval is None:
-        if snapshot_based:  # the tuned snapshot cadence, as EndToEnd does
-            from repro.core.checkpoint import checkfreq_interval
+    return evaluate_traces((trace,), workload, method, interval=interval,
+                           cost=cost, parallel_degree=parallel_degree)[0]
 
-            interval = checkfreq_interval(
-                cost.iteration_time, cost.snapshot_stall()
-            )
-        else:
-            interval = workload.checkpoint_interval_iters or 100
-    if interval < 1:
-        raise ConfigurationError(
-            f"checkpoint interval must be >= 1, got {interval}"
-        )
-    if parallel_degree < 1:
-        raise ConfigurationError(
-            f"parallel_degree must be >= 1, got {parallel_degree}"
-        )
-    if cost.iteration_time <= 0:
-        raise ConfigurationError(
-            f"workload {workload.name!r} prices a non-positive "
-            "iteration time; set experiment_iteration_time or "
-            "total_iterations + end_to_end_hours"
-        )
-    dt_base = cost.iteration_time + per_iteration_overhead(
-        cost, workload, method, interval
-    )
-    total = workload.total_iterations or 10_000
-    if total < 0:
-        raise ConfigurationError(
-            f"total_iterations must be >= 0, got {total}"
-        )
+
+def _walk(trace: FailureTrace, pricing: Pricing, total: int) -> GoodputResult:
+    """Walk one trace's events through a resolved :class:`Pricing`."""
+    method, interval = pricing.method, pricing.interval
+    dt_base, recovery = pricing.iteration_seconds, pricing.recovery
+    snapshot_based = method in ("checkfreq", "elastic_horovod")
 
     # event timeline in seconds, time-ordered (ties: outages first so a
     # simultaneous crash already sees the window)
@@ -214,7 +191,7 @@ def evaluate_trace(
                 lost = completed % interval  # in-memory snapshots persist
             else:
                 lost = completed - last_ckpt
-            elapsed += recovery_seconds(cost, method, lost, parallel_degree)
+            elapsed += recovery(lost)
 
     if completed < total:
         # no events remain: run the tail uninterrupted
@@ -254,13 +231,9 @@ def evaluate_scenario(
     hours = horizon_hours or max(
         spec.horizon_hours, 1.5 * (workload.end_to_end_hours or 100.0)
     )
-    return [
-        evaluate_trace(
-            spec.sample(seed, machines, horizon_hours=hours),
-            workload, method, interval=interval,
-        )
-        for seed in seeds
-    ]
+    traces = [spec.sample(seed, machines, horizon_hours=hours)
+              for seed in seeds]
+    return evaluate_traces(traces, workload, method, interval=interval)
 
 
 def sample_paired_traces(
@@ -304,9 +277,10 @@ def evaluate_traces(
 ) -> list[GoodputResult]:
     """Price ``method`` over many pre-sampled traces at once.
 
-    The cost model is resolved once and shared across the batch, so a
-    search loop pays per-candidate setup a single time per candidate
-    rather than per ``(candidate, seed)`` pair.  Raises
+    The inputs are checked and the pricing is built once for the whole
+    batch, so a search loop pays per-candidate setup a single time per
+    candidate rather than per ``(candidate, seed)`` pair, and each crash
+    costs one call.  Raises
     :class:`~repro.errors.ConfigurationError` on an empty batch — a
     searcher bug, not a zero-goodput configuration.
 
@@ -324,10 +298,10 @@ def evaluate_traces(
             "evaluate_traces needs at least one trace"
         )
     cost = cost or CostModel(workload, use_experiment_time=False)
-    return [
-        evaluate_trace(
-            trace, workload, method, interval=interval, cost=cost,
-            parallel_degree=parallel_degree,
+    pricing = cost.pricing(method, interval, parallel_degree)
+    total = workload.total_iterations or 10_000
+    if total < 0:
+        raise ConfigurationError(
+            f"total_iterations must be >= 0, got {total}"
         )
-        for trace in traces
-    ]
+    return [_walk(trace, pricing, total) for trace in traces]

@@ -3,9 +3,10 @@
 Scoring a candidate means pricing its recovery configuration under the
 *same* pre-sampled failure traces every other candidate sees (the
 comparison is paired: the trace carries all the randomness), via
-:func:`repro.chaos.evaluate_traces` over the calibrated
-:class:`~repro.sim.CostModel`.  Seconds per thousand candidates, so a
-full grid is searchable interactively.
+:func:`repro.chaos.evaluate_traces`, which builds the candidate's
+:meth:`CostModel.pricing <repro.sim.CostModel.pricing>` once per cost
+key.  Seconds per thousand candidates, so a full grid is searchable
+interactively.
 
 Candidates that differ only in selective-logging budget share one
 evaluation (:meth:`Candidate.cost_key`): the budget shapes storage
@@ -26,7 +27,6 @@ from repro.chaos.evaluate import evaluate_traces, method_for_strategy
 from repro.chaos.scenarios import get_scenario
 from repro.errors import ConfigurationError
 from repro.plan.space import Candidate, SearchSpace
-from repro.sim.costmodel import CostModel
 
 __all__ = ["CandidateScore", "GoodputObjective"]
 
@@ -161,11 +161,9 @@ class GoodputObjective:
         self.misses += 1
         w = self.candidate_workload(candidate)
         method = method_for_strategy(candidate.strategy)
-        cost = CostModel(w, use_experiment_time=False)
         results = evaluate_traces(
             self.traces, w, method,
             interval=candidate.checkpoint_interval,
-            cost=cost,
             parallel_degree=candidate.parallel_recovery_degree,
         )
         mean_hours = sum(r.hours for r in results) / len(results)

@@ -11,7 +11,8 @@ disks).  The formulas implement Sections 2.1-2.2 and 5.1-5.4:
 * recovery-time models for every method (global checkpointing,
   CheckFreq/Elastic-Horovod snapshots, Swift replication, Swift logging
   with/without parallel recovery) — the inputs to Figures 8-13 and
-  Table 5.
+  Table 5.  :meth:`CostModel.pricing` resolves them once per (method,
+  cadence, degree) for every simulator, trace walk and planner.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.checkpoint import checkfreq_interval
+from repro.errors import ConfigurationError
 from repro.parallel.schedules import bubble_ratio
 from repro.sim.workloads import Workload
 
-__all__ = ["HardwareConfig", "CostModel", "RecoveryTimes"]
+__all__ = ["HardwareConfig", "CostModel", "Pricing", "RecoveryPrice",
+           "RecoveryTimes"]
 
 GB = 1e9
 
@@ -64,6 +68,62 @@ class RecoveryTimes:
         """Paper's metric: replacement join -> pre-failure iteration."""
         return self.load_time + max(self.recompute_time, self.transfer_time) \
             + self.extra_time
+
+
+@dataclass(frozen=True)
+class RecoveryPrice:
+    """One method's recovery terms, resolved once; a crash is O(1).
+
+    :meth:`times` is the :class:`RecoveryTimes` decomposition Figures
+    9/10 and the ablations read; calling the price with the iterations a
+    crash lost returns detection + replacement join +
+    ``times(lost).recovery_time``, bit for bit, without building it.
+    """
+
+    method: str
+    #: detection + replacement join, paid by every crash
+    base: float
+    load: float
+    #: re-computation seconds per lost iteration
+    replay: float
+    extra: float = 0.0
+    #: logging: each lost iteration fetches one forward and one backward
+    #: boundary tensor of ``log_boundary_bytes`` per micro-batch at
+    #: ``log_bw`` (upload and download pipelined)
+    log_microbatches: int = 0
+    log_boundary_bytes: float = 0.0
+    log_bw: float = 1.0
+
+    def _transfer(self, lost: int) -> float:
+        return lost * 2.0 * self.log_microbatches \
+            * self.log_boundary_bytes / self.log_bw
+
+    def times(self, lost: int) -> RecoveryTimes:
+        return RecoveryTimes(self.method, self.load, lost * self.replay,
+                             self._transfer(lost), self.extra)
+
+    def __call__(self, lost: int) -> float:
+        return self.base + (self.load + max(lost * self.replay,
+                                            self._transfer(lost))
+                            + self.extra)
+
+
+@dataclass(frozen=True)
+class Pricing:
+    """A method's price on one cost model at one cadence and degree.
+
+    Built once by :meth:`CostModel.pricing`; every failure walk reads
+    ``iteration_seconds`` per iteration and calls ``recovery(lost)`` per
+    crash.
+    """
+
+    method: str
+    #: checkpoint (or snapshot) cadence in iterations, default resolved
+    interval: int
+    #: failure-free iteration time plus the method's amortised overhead
+    iteration_seconds: float
+    #: seconds one crash costs, given the iterations it lost
+    recovery: RecoveryPrice
 
 
 class CostModel:
@@ -178,6 +238,98 @@ class CostModel:
         total = self.logging_bytes_per_iteration(num_groups)
         return total / self.w.num_machines / self.iteration_time
 
+    # -- pricing: the steady overhead and recovery of one method ---------------
+    def pricing(self, method: str, interval: int | None = None,
+                parallel_degree: int = 16) -> Pricing:
+        """``method``'s price at one cadence and recovery degree.
+
+        ``interval`` (checkpoint or snapshot cadence, in iterations)
+        defaults to the workload's Table 4 setting, or to the tuned
+        snapshot frequency for CheckFreq-style methods;
+        ``parallel_degree`` is ``swift_logging_pr``'s replay degree.  All
+        checks run here, before any crash is priced: a non-positive
+        cadence, degree or iteration time raises
+        :class:`~repro.errors.ConfigurationError`; an unknown method, or
+        logging on a workload that is not pipeline-parallel, ``ValueError``.
+        """
+        snapshot = method in ("checkfreq", "elastic_horovod")
+        if interval is None:
+            interval = checkfreq_interval(
+                self.iteration_time, self.snapshot_stall()
+            ) if snapshot else self.w.checkpoint_interval_iters or 100
+        if interval < 1:
+            raise ConfigurationError(
+                f"checkpoint interval must be >= 1, got {interval}"
+            )
+        if parallel_degree < 1:
+            raise ConfigurationError(
+                f"parallel_degree must be >= 1, got {parallel_degree}"
+            )
+        if self.iteration_time <= 0:
+            raise ConfigurationError(
+                f"workload {self.w.name!r} prices a non-positive "
+                "iteration time; set experiment_iteration_time or "
+                "total_iterations + end_to_end_hours"
+            )
+        recovery = self._recovery_price(
+            method, parallel_degree if method.endswith("_pr") else 1)
+        if method == "global_checkpoint":
+            overhead = self.global_checkpoint_stall() / interval
+        elif snapshot:
+            overhead = self.snapshot_stall() / interval
+            if method == "checkfreq":
+                overhead += self.checkfreq_persist_interference() / interval
+        elif method == "swift_replication":
+            # zero failure-free overhead; only the safety-net checkpoints
+            overhead = self.global_checkpoint_stall() / max(
+                self.w.checkpoint_interval_iters, interval, 1
+            )
+        else:  # logging, with or without parallel replay
+            overhead = self.logging_overhead("bubble") \
+                + self.global_checkpoint_stall() / interval
+        return Pricing(method, interval, self.iteration_time + overhead,
+                       recovery)
+
+    def _recovery_price(self, method: str, parallel_degree: int = 1,
+                        machines_per_group: int = 1) -> RecoveryPrice:
+        """Each method's recovery terms, written once for
+        :meth:`pricing` and the ``recovery_*`` decompositions."""
+        w, hw = self.w, self.hw
+        base = hw.detection_time + hw.replacement_join_time
+        if method == "global_checkpoint":
+            return RecoveryPrice(method, base,
+                                 self._load_checkpoint_time(w.num_workers),
+                                 self.iteration_time)
+        if method in ("checkfreq", "elastic_horovod"):
+            state = w.state_bytes
+            return RecoveryPrice(method, base, state / hw.pcie_bw
+                                 + state / hw.network_bw, self.iteration_time)
+        if method == "swift_replication":
+            # undo + broadcast, no recompute; undo kernels are sub-50 ms
+            return RecoveryPrice(method, base, 0.0, 0.0,
+                                 extra=w.state_bytes / hw.network_bw + 0.05)
+        if method not in ("swift_logging", "swift_logging_pr"):
+            raise ValueError(f"unknown method {method!r}")
+        if w.parallelism != "PP":
+            raise ValueError("logging recovery applies to pipeline parallelism")
+        s = machines_per_group * w.gpus_per_machine
+        m = w.num_microbatches
+        d = max(1, parallel_degree)
+        per_iter = (math.ceil(m / d) + s - 1) * self.slot_time
+        if d > 1:
+            # each stage's recovery group all-reduces its own (per-stage)
+            # state concurrently with the other stages' groups
+            per_iter += 2.0 * (d - 1) / d * self.per_shard_state_bytes() \
+                / hw.network_bw
+        # the failed group re-reads its boundary inputs (fwd into the
+        # first stage, bwd into the last) for every lost iteration; +1 s
+        # of logging init on the load (§7.1)
+        return RecoveryPrice(
+            method, base, self._load_checkpoint_time(s) + 1.0, per_iter,
+            log_microbatches=m, log_boundary_bytes=w.boundary_bytes,
+            log_bw=hw.hdfs_bw,
+        )
+
     # -- recovery-time models --------------------------------------------------
     def _load_checkpoint_time(self, scope_workers: int) -> float:
         shard = self.per_shard_state_bytes()
@@ -186,11 +338,7 @@ class CostModel:
 
     def recovery_global_checkpoint(self, lost_iterations: int) -> RecoveryTimes:
         """All workers load the checkpoint and redo the lost iterations."""
-        return RecoveryTimes(
-            method="global_checkpoint",
-            load_time=self._load_checkpoint_time(self.w.num_workers),
-            recompute_time=lost_iterations * self.iteration_time,
-        )
+        return self._recovery_price("global_checkpoint").times(lost_iterations)
 
     def recovery_snapshot(self, lost_iterations_since_snapshot: int,
                           method: str) -> RecoveryTimes:
@@ -200,24 +348,12 @@ class CostModel:
         broadcast to the replacement, and redo the iterations since the
         snapshot (Section 7.1: 30 iterations at snapshot interval 30).
         """
-        state = self.w.state_bytes
-        restore = state / self.hw.pcie_bw
-        broadcast = state / self.hw.network_bw
-        return RecoveryTimes(
-            method=method,
-            load_time=restore + broadcast,
-            recompute_time=lost_iterations_since_snapshot * self.iteration_time,
-        )
+        return self._recovery_price(method).times(
+            lost_iterations_since_snapshot)
 
     def recovery_replication(self) -> RecoveryTimes:
         """Swift replication: undo + broadcast, no recompute (Section 4)."""
-        broadcast = self.w.state_bytes / self.hw.network_bw
-        return RecoveryTimes(
-            method="swift_replication",
-            load_time=0.0,
-            recompute_time=0.0,
-            extra_time=broadcast + 0.05,  # undo kernels are sub-50 ms
-        )
+        return self._recovery_price("swift_replication").times(0)
 
     def recovery_logging(
         self,
@@ -232,27 +368,6 @@ class CostModel:
         global pipeline's bubbles; parallel recovery divides micro-batches
         across ``parallel_degree`` workers (and adds a gradient sync).
         """
-        if self.w.parallelism != "PP":
-            raise ValueError("logging recovery applies to pipeline parallelism")
-        s = machines_per_group * self.w.gpus_per_machine
-        m = self.w.num_microbatches
-        d = max(1, parallel_degree)
-        mb = math.ceil(m / d)
-        per_iter = (mb + s - 1) * self.slot_time
-        if d > 1:
-            # each stage's recovery group all-reduces its own (per-stage)
-            # state concurrently with the other stages' groups
-            stage_state = self.per_shard_state_bytes()
-            per_iter += 2.0 * (d - 1) / d * stage_state / self.hw.network_bw
-        recompute = lost_iterations * per_iter
-        # log files: the failed group needs its boundary inputs (fwd into
-        # the first stage, bwd into the last) for every lost iteration
-        log_bytes = lost_iterations * 2.0 * m * self.w.boundary_bytes
-        transfer = log_bytes / self.hw.hdfs_bw  # upload+download pipelined
-        load = self._load_checkpoint_time(s) + 1.0  # +logging init (§7.1)
-        return RecoveryTimes(
-            method="swift_logging" if d == 1 else "swift_logging_pr",
-            load_time=load,
-            recompute_time=recompute,
-            transfer_time=transfer,
-        )
+        method = "swift_logging" if parallel_degree <= 1 else "swift_logging_pr"
+        return self._recovery_price(
+            method, parallel_degree, machines_per_group).times(lost_iterations)

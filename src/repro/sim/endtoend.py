@@ -5,7 +5,10 @@ count, per-iteration time, checkpoint (or snapshot) interval, and a
 median-time-between-failure, inject failures uniformly at random and
 accumulate the end-to-end completion time under each fault-tolerance
 method.  Each configuration is repeated and averaged (the paper repeats
-ten times).
+ten times).  Every iteration and every failure is priced by one
+:meth:`~repro.sim.CostModel.pricing`, resolved once per call; only the
+failure walk — exponential inter-arrival times, work lost back to the
+last interval boundary — lives here.
 """
 
 from __future__ import annotations
@@ -14,79 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.checkpoint import checkfreq_interval
 from repro.errors import ConfigurationError
 from repro.sim.costmodel import CostModel
 from repro.sim.workloads import Workload
 
-__all__ = [
-    "EndToEndResult",
-    "EndToEndSimulator",
-    "per_iteration_overhead",
-    "recovery_seconds",
-]
-
-
-def per_iteration_overhead(
-    cost: CostModel, workload: Workload, method: str, interval: int
-) -> float:
-    """Amortized failure-free overhead added to every iteration.
-
-    Shared between :class:`EndToEndSimulator` and the scenario-driven
-    goodput evaluation in :mod:`repro.chaos.evaluate`, so the two always
-    price a method's steady-state cost identically.  A non-positive
-    ``interval`` — a plan search exploring a degenerate cadence — raises
-    :class:`~repro.errors.ConfigurationError` rather than dividing by
-    zero.
-    """
-    if interval < 1:
-        raise ConfigurationError(
-            f"checkpoint interval must be >= 1, got {interval}"
-        )
-    if method == "global_checkpoint":
-        return cost.global_checkpoint_stall() / interval
-    if method in ("checkfreq", "elastic_horovod"):
-        stall = cost.snapshot_stall()
-        per = stall / interval
-        if method == "checkfreq":
-            per += cost.checkfreq_persist_interference() / interval
-        return per
-    if method == "swift_replication":
-        # zero failure-free overhead; only the safety-net checkpoints
-        return cost.global_checkpoint_stall() / max(
-            workload.checkpoint_interval_iters, interval, 1
-        )
-    if method in ("swift_logging", "swift_logging_pr"):
-        return (
-            cost.logging_overhead("bubble")
-            + cost.global_checkpoint_stall() / interval
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
-def recovery_seconds(
-    cost: CostModel,
-    method: str,
-    lost_iterations: int,
-    parallel_degree: int = 16,
-) -> float:
-    """Seconds one failure costs ``method``, including re-computation."""
-    hw = cost.hw
-    base = hw.detection_time + hw.replacement_join_time
-    if method == "global_checkpoint":
-        return base + cost.recovery_global_checkpoint(
-            lost_iterations).recovery_time
-    if method in ("checkfreq", "elastic_horovod"):
-        return base + cost.recovery_snapshot(
-            lost_iterations, method).recovery_time
-    if method == "swift_replication":
-        return base + cost.recovery_replication().recovery_time
-    if method in ("swift_logging", "swift_logging_pr"):
-        degree = parallel_degree if method.endswith("_pr") else 1
-        return base + cost.recovery_logging(
-            lost_iterations, machines_per_group=1,
-            parallel_degree=degree).recovery_time
-    raise ValueError(f"unknown method {method!r}")
+__all__ = ["EndToEndResult", "EndToEndSimulator"]
 
 
 @dataclass(frozen=True)
@@ -115,15 +50,6 @@ class EndToEndSimulator:
         self.repeats = repeats
         self.seed = seed
 
-    # -- per-method per-iteration overheads and recovery -----------------------
-    def _per_iteration_overhead(self, method: str, interval: int) -> float:
-        return per_iteration_overhead(self.cost, self.w, method, interval)
-
-    def _recovery_seconds(self, method: str, lost_iterations: int,
-                          parallel_degree: int = 16) -> float:
-        return recovery_seconds(self.cost, method, lost_iterations,
-                                parallel_degree)
-
     # -- the simulation ------------------------------------------------------------
     def simulate(
         self,
@@ -135,34 +61,17 @@ class EndToEndSimulator:
 
         ``interval`` is the checkpoint interval (global checkpointing,
         Swift) or snapshot interval (CheckFreq/Elastic Horovod) in
-        iterations; it defaults to the workload's Table 4 setting, except
-        CheckFreq-style methods default to their tuned snapshot frequency.
-
-        Degenerate configurations — non-positive MTBF, a workload whose
-        iteration prices to zero seconds — raise
-        :class:`~repro.errors.ConfigurationError` instead of dividing by
-        zero or looping forever.
+        iterations; :meth:`~repro.sim.CostModel.pricing` resolves its
+        default and refuses degenerate configurations.  A non-positive
+        MTBF raises :class:`~repro.errors.ConfigurationError` too.
         """
         mtbf = median_tbf_hours or self.median_tbf_hours
         if mtbf <= 0:
             raise ConfigurationError(
                 f"median_tbf_hours must be > 0, got {mtbf}"
             )
-        if interval is None:
-            if method in ("checkfreq", "elastic_horovod"):
-                interval = checkfreq_interval(
-                    self.cost.iteration_time, self.cost.snapshot_stall()
-                )
-            else:
-                interval = self.w.checkpoint_interval_iters or 100
-        iter_time = self.cost.iteration_time \
-            + self._per_iteration_overhead(method, interval)
-        if iter_time <= 0:
-            raise ConfigurationError(
-                f"workload {self.w.name!r} prices a non-positive "
-                "iteration time; set experiment_iteration_time or "
-                "total_iterations + end_to_end_hours"
-            )
+        pricing = self.cost.pricing(method, interval)
+        iter_time, interval = pricing.iteration_seconds, pricing.interval
         total_iters = self.w.total_iterations
         failure_free_hours = total_iters * iter_time / 3600.0
         rate = np.log(2.0) / mtbf  # exponential rate from the median
@@ -194,7 +103,7 @@ class EndToEndSimulator:
                     lost = 0  # undo resolves the partial update; nothing lost
                 else:
                     lost = completed % interval
-                elapsed += self._recovery_seconds(method, lost)
+                elapsed += pricing.recovery(lost)
                 next_failure = elapsed + rng.exponential(1.0 / rate) * 3600.0
             hours.append(elapsed / 3600.0)
             failures.append(num_failures)

@@ -8,6 +8,7 @@ rides along (a config search generates exactly those inputs).
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -328,6 +329,59 @@ class TestOneProgramPerShape:
         assert sorted(cold_runs) == sorted(shapes)
         assert runs == cold_runs  # nothing after the cold search ran one
         assert warm.to_json() == cold.to_json()
+
+
+def _pinned_space():
+    exp = Experiment(
+        name="pin",
+        model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=4,
+                        num_classes=4, seed=3),
+        data=DataSpec(batch_size=16, seed=3),
+        cluster=ClusterSpec(num_machines=4, devices_per_machine=2),
+        parallelism=ParallelismSpec(kind="dp", num_workers=4),
+    )
+    return ExperimentSearchSpace(
+        exp, kinds=("dp", "pp", "fsdp"), worker_counts=(2, 4),
+        microbatch_counts=(1, 2), intervals=(10, 100),
+        recovery_degrees=(1, 2))
+
+
+class TestOnePricePerKey:
+    """A cost key is priced once; a crash is one call on that price."""
+
+    def test_pricing_built_once_per_miss_and_never_per_crash(
+            self, monkeypatch):
+        from repro.sim import CostModel
+
+        calls = {}
+
+        def count(name):
+            real = getattr(CostModel, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(CostModel, name, counted)
+
+        for name in list(vars(CostModel)):
+            if name == "pricing" or name.startswith("recovery_"):
+                count(name)
+        report = autoplan(_pinned_space(), "rack_burst",
+                          searcher="exhaustive", eval_seeds=3)
+        assert sum(s.mean_crashes for s in report.ranked) > 0
+        assert calls == {"pricing": report.cache_misses}
+
+    def test_reports_are_unchanged(self):
+        def digest(report):
+            return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+        report = autoplan(_pinned_space(), "rack_burst",
+                          searcher="exhaustive", eval_seeds=3)
+        assert digest(report) == ("76e389b86159e396e6b8a9318b13c82f"
+                                  "d12f1ff193e666386ef039a733ee5801")
+        report = autoplan_workload(BERT_128, "steady_mtbf", eval_seeds=2)
+        assert digest(report) == ("31f3e3207b3ba5e089453c0a6b0d773e"
+                                  "1cb9eb31b1f45e09893d07a3e2ceed00")
 
 
 # -- determinism -----------------------------------------------------------

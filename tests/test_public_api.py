@@ -189,3 +189,34 @@ def test_one_restore_contract_census():
     for where in ("core/strategy.py", "api/experiment.py", "plan/space.py",
                   "core/policies.py", "jobs/spec.py"):
         assert "MECHANISMS_BY_KIND" in sources[where], where
+
+
+def test_one_pricer_census():
+    """Iterations and crashes are priced by ``CostModel.pricing`` alone.
+
+    The simulator, the chaos trace walk and the planner objective used
+    to share module-level ``per_iteration_overhead`` / ``recovery_seconds``
+    helpers that rebuilt a ``RecoveryTimes`` per crash; a second pricer,
+    or a per-crash call to a ``recovery_*`` decomposition from the walk
+    or the planner, fails here.
+    """
+    import ast
+
+    from repro.sim import CostModel
+
+    decompositions = {n for n in vars(CostModel) if n.startswith("recovery_")}
+    assert decompositions  # the Figure 9/10 decompositions stay
+    defined, decomposed = set(), set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        where = path.relative_to(PACKAGE_DIR).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.lstrip("_") in ("recovery_seconds",
+                                                  "per_iteration_overhead"):
+                defined.add(where)
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) in decompositions \
+                    and where.split("/")[0] in ("chaos", "plan"):
+                decomposed.add(f"{where}:{node.func.attr}")
+    assert not defined
+    assert not decomposed

@@ -4,10 +4,22 @@ These tests pin the reproduction to the paper's published numbers
 (Tables 2-4) and to the qualitative shapes of Figures 3, 8-13 and Table 5.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import ClusterSpec, Experiment, ModelSpec, ParallelismSpec
+from repro.chaos import (
+    ChaosEvent,
+    FailureTrace,
+    evaluate_scenario,
+    evaluate_trace,
+)
 from repro.core import checkfreq_interval
+from repro.plan import Candidate, ExperimentSearchSpace
 from repro.sim import (
     BERT_128,
     VIT_128_32,
@@ -19,6 +31,9 @@ from repro.sim import (
 )
 
 GB = 1e9
+
+METHODS = ("global_checkpoint", "checkfreq", "elastic_horovod",
+           "swift_replication", "swift_logging", "swift_logging_pr")
 
 
 class TestWorkloadConstants:
@@ -269,3 +284,124 @@ class TestEndToEndSimulator:
         sim = EndToEndSimulator(WIDE_RESNET_50, repeats=1)
         with pytest.raises(ValueError):
             sim.simulate("bogus")
+
+
+# -- one pricer: CostModel.pricing -----------------------------------------
+
+def _bridge_workloads():
+    """Search-space bridge workloads: one DP, one pipeline candidate."""
+    space = ExperimentSearchSpace(Experiment(
+        model=ModelSpec(family="mlp", dim=4, hidden_dim=8, depth=4),
+        cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+        parallelism=ParallelismSpec(kind="dp", num_workers=4)))
+    return tuple(
+        space.to_workload(Candidate(
+            kind=kind, num_workers=4, num_microbatches=m, strategy=strategy,
+            checkpoint_interval=10, parallel_recovery_degree=1))
+        for kind, m, strategy in (("dp", 1, "replication"),
+                                  ("pp", 2, "logging"))
+    )
+
+
+PRICED_WORKLOADS = (WIDE_RESNET_50, VIT_128_32, BERT_128,
+                    *_bridge_workloads())
+
+
+def _priceable(w):
+    return [m for m in METHODS
+            if w.parallelism == "PP" or not m.startswith("swift_logging")]
+
+
+def _reference_recovery(cost, method, lost, degree):
+    """detection + join + the RecoveryTimes decomposition of one crash."""
+    if method == "global_checkpoint":
+        times = cost.recovery_global_checkpoint(lost)
+    elif method in ("checkfreq", "elastic_horovod"):
+        times = cost.recovery_snapshot(lost, method)
+    elif method == "swift_replication":
+        times = cost.recovery_replication()
+    else:
+        times = cost.recovery_logging(
+            lost, 1, degree if method.endswith("_pr") else 1)
+    hw = cost.hw
+    return hw.detection_time + hw.replacement_join_time + times.recovery_time
+
+
+class TestPricing:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        drawn=st.sampled_from(PRICED_WORKLOADS).flatmap(
+            lambda w: st.tuples(st.just(w), st.sampled_from(_priceable(w)))),
+        experiment_time=st.booleans(),
+        interval=st.integers(1, 100_000),
+        degree=st.integers(1, 64),
+        lost=st.integers(0, 10**8),
+    )
+    def test_recovery_is_the_decomposition_bit_for_bit(
+            self, drawn, experiment_time, interval, degree, lost):
+        workload, method = drawn
+        cost = CostModel(workload, use_experiment_time=experiment_time)
+        pricing = cost.pricing(method, interval, degree)
+        assert pricing.recovery(lost) == _reference_recovery(
+            cost, method, lost, degree)
+
+    def test_logging_on_a_dp_workload_is_refused_before_any_crash(self):
+        calm = FailureTrace(scenario="calm", seed=0, num_machines=2,
+                            horizon_hours=10.0)
+        crashing = FailureTrace(
+            scenario="crash", seed=0, num_machines=2, horizon_hours=10.0,
+            events=(ChaosEvent(time_hours=5.0, machine_id=0),))
+        refusal = "logging recovery applies to pipeline parallelism"
+        for trace in (calm, crashing):
+            with pytest.raises(ValueError, match=refusal):
+                evaluate_trace(trace, WIDE_RESNET_50, "swift_logging_pr")
+        sim = EndToEndSimulator(WIDE_RESNET_50, repeats=1)
+        for mtbf in (1e12, 1.0):  # no failure lands / failures land
+            with pytest.raises(ValueError, match=refusal):
+                sim.simulate("swift_logging", median_tbf_hours=mtbf)
+
+
+# -- regression pins: exact outputs before the pricer was unified -----------
+
+TABLE5_PINS = {
+    ("Wide-ResNet-50", "global_checkpoint"): "EndToEndResult(method='global_checkpoint', mean_hours=528.7319536229323, std_hours=9.846929667996278, mean_failures=18.6, failure_free_hours=479.54350000000005)",  # noqa: E501
+    ("Wide-ResNet-50", "swift_replication"): "EndToEndResult(method='swift_replication', mean_hours=479.5899889276887, std_hours=0.009360556899305995, mean_failures=18.6, failure_free_hours=479.54350000000005)",  # noqa: E501
+    ("ViT-128/32", "global_checkpoint"): "EndToEndResult(method='global_checkpoint', mean_hours=86.02361624885165, std_hours=0.22870589317053347, mean_failures=3.0, failure_free_hours=85.60498263888888)",  # noqa: E501
+    ("ViT-128/32", "swift_logging_pr"): "EndToEndResult(method='swift_logging_pr', mean_hours=85.69416808097078, std_hours=0.04742166489115582, mean_failures=3.0, failure_free_hours=85.60498263888888)",  # noqa: E501
+    ("BERT-128", "global_checkpoint"): "EndToEndResult(method='global_checkpoint', mean_hours=506.04343504282843, std_hours=8.065393365655591, mean_failures=17.8, failure_free_hours=461.10168619791665)",  # noqa: E501
+    ("BERT-128", "swift_logging_pr"): "EndToEndResult(method='swift_logging_pr', mean_hours=464.4117381120212, std_hours=0.593763811324969, mean_failures=17.8, failure_free_hours=461.10168619791665)",  # noqa: E501
+}
+
+#: sha256 prefix of ``repr`` of evaluate_scenario over steady_mtbf and
+#: storage_outage, seeds 0-1
+SCENARIO_PINS = {
+    ("BERT-128", "global_checkpoint"): "f15ab17426183791",
+    ("BERT-128", "checkfreq"): "1f81f324db497206",
+    ("BERT-128", "elastic_horovod"): "fecfc3892721de98",
+    ("BERT-128", "swift_replication"): "d8411bb0fc163bf3",
+    ("BERT-128", "swift_logging"): "6ff1233f7fd94cb7",
+    ("BERT-128", "swift_logging_pr"): "183b936ddfb4877c",
+    ("Wide-ResNet-50", "global_checkpoint"): "4659e79dcc93ce1e",
+    ("Wide-ResNet-50", "checkfreq"): "f06c79851bfba2fd",
+    ("Wide-ResNet-50", "elastic_horovod"): "0260f8a6dfbb6b0d",
+    ("Wide-ResNet-50", "swift_replication"): "85e5dd21ef5e1270",
+}
+
+
+class TestPricingPins:
+    @pytest.mark.parametrize("key", sorted(TABLE5_PINS))
+    def test_table5_simulation_is_unchanged(self, key):
+        # cmd_table5's defaults: 17 h MTBF, 10 repeats, seed 1
+        sim = EndToEndSimulator(WORKLOADS[key[0]], median_tbf_hours=17.0,
+                                repeats=10, seed=1)
+        assert repr(sim.simulate(key[1])) == TABLE5_PINS[key]
+
+    @pytest.mark.parametrize("key", sorted(SCENARIO_PINS))
+    def test_scenario_goodput_is_unchanged(self, key):
+        results = [
+            evaluate_scenario(scenario, WORKLOADS[key[0]], key[1],
+                              seeds=range(2))
+            for scenario in ("steady_mtbf", "storage_outage")
+        ]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest[:16] == SCENARIO_PINS[key], results
