@@ -413,25 +413,9 @@ class Experiment:
         placement = self.resolved_placement()
         layout = self.derive_layout()
         state_bytes = self._model_state_bytes()
-        feasibility = None
         log_bytes = self._predicted_log_bytes()
         virtual_stages = par.resolved_virtual_stages() if par.kind == "pp" else 1
-        if par.kind == "pp":
-            feasibility = self._logging_feasibility()
-            if virtual_stages > 1 and ft.strategy == "auto":
-                # a kept policy, not a limitation (replay handles any
-                # schedule): the reason string below is the whole of it
-                feasibility = replace(
-                    feasibility,
-                    worth_it=False,
-                    reason=(
-                        f"schedule {par.schedule!r} interleaves "
-                        f"{virtual_stages} virtual stages per worker; "
-                        "'auto' keeps checkpoints there (the log tap "
-                        "rides every chunk boundary) — ask for "
-                        "strategy='logging' to log and replay"
-                    ),
-                )
+        feasibility = self._logging_feasibility() if par.kind == "pp" else None
         if ft.strategy == "auto":
             strategy = choose_strategy(
                 layout, feasibility,

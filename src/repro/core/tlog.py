@@ -159,7 +159,8 @@ class TensorLog:
         self._iter_bytes_by_stage: dict[int, int] = {}
         #: total bytes logged per iteration (history for Table 3)
         self.bytes_per_iteration: dict[int, int] = {}
-        self._uploaded_bytes = 0
+        #: sum of every indexed record's bytes, kept by tap/gc/drop_machine
+        self._total_bytes = 0
 
     # -- wiring ---------------------------------------------------------------
     def attach(self, transport: Transport) -> None:
@@ -208,6 +209,7 @@ class TensorLog:
         if stale is not None and stale.buffer is not None:
             stale.buffer.release()  # a re-run overwrote this record
         self._index[key] = record
+        self._total_bytes += record.nbytes - (stale.nbytes if stale else 0)
         self._by_machine.setdefault(src_m, []).append(key)
         self._iter_bytes_by_stage[msg.src_rank] = (
             self._iter_bytes_by_stage.get(msg.src_rank, 0) + record.nbytes
@@ -266,7 +268,7 @@ class TensorLog:
         return (chunk, iteration, microbatch, phase) in self._index
 
     def total_bytes(self) -> int:
-        return sum(r.nbytes for r in self._index.values())
+        return self._total_bytes
 
     # -- lifecycle -----------------------------------------------------------
     def drop_machine(self, machine_id: int) -> int:
@@ -281,6 +283,7 @@ class TensorLog:
         for key in keys:
             record = self._index.pop(key, None)
             if record is not None:
+                self._total_bytes -= record.nbytes
                 if record.buffer is not None:
                     record.buffer.release()
                 dropped += 1
@@ -308,6 +311,7 @@ class TensorLog:
             if record.buffer is not None:
                 record.buffer.release()
             del self._index[key]
+        self._total_bytes -= freed
         for machine, keys in self._by_machine.items():
             self._by_machine[machine] = [k for k in keys if k in self._index]
         for it in [i for i in self.bytes_per_iteration if i < checkpoint_iteration]:

@@ -19,6 +19,7 @@ Two properties matter for Swift and are guaranteed here:
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -202,3 +203,22 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+    # -- per-call caches -------------------------------------------------------
+    @cached_property
+    def cache_slots(self) -> tuple[tuple[dict, str], ...]:
+        """``(owner.__dict__, name)`` of each per-call cache in :meth:`modules`:
+        the private attributes ``forward`` sets for ``backward`` (``_x``,
+        ``_mask``, ``_cache``, ...).  Resolved once, on first use."""
+        return tuple(
+            (vars(m), name) for m in self.modules() for name in vars(m)
+            if name[0] == "_" and name not in ("_parameters", "_modules"))
+
+    def stash_caches(self) -> list:
+        """What the latest :meth:`forward` left for :meth:`backward`."""
+        return [owner[name] for owner, name in self.cache_slots]
+
+    def restore_caches(self, stash: list) -> None:
+        """Put a :meth:`stash_caches` back for the next :meth:`backward`."""
+        for (owner, name), value in zip(self.cache_slots, stash):
+            owner[name] = value

@@ -23,12 +23,13 @@ of the transport (:meth:`PipelineEngine.replay_streams`).
 
 Design notes:
 
-* **Activation recomputation on backward.**  Layers cache a single forward
-  activation set, but 1F1B keeps several micro-batches in flight per stage.
-  Each stage therefore caches only its *input* per (chunk, micro-batch) and
-  re-runs the forward just before the corresponding backward.  This is
-  numerically identical (deterministic layers) and mirrors common
-  activation checkpointing practice.
+* **Per-micro-batch layer caches.**  Layers cache one forward's
+  activations, but 1F1B keeps several micro-batches in flight per stage.
+  Each forward stashes its chunk's layer caches per (chunk, micro-batch)
+  and its backward restores them instead of running the forward again
+  (as DeepSpeed's engine keeps activations): every layer runs once per
+  micro-batch, so a backward differentiates the very forward sent
+  downstream (same dropout mask, BatchNorm statistics moved once).
 * **Per-stage iteration counters.**  Stages update as soon as their own
   backwards finish, at different simulated times (wait-free across stages),
   so a crash can catch stages on different iterations — the pipeline
@@ -93,10 +94,8 @@ class PipelineStage:
         self.chunks: dict[int, Sequential] = (
             dict(chunks) if chunks is not None else {stage_id: module}
         )
-        #: per-(chunk, microbatch) stage inputs, kept until the backward
-        self.input_cache: dict[tuple[int, int], np.ndarray] = {}
-        #: last-stage only: per-microbatch outputs for the loss
-        self.output_cache: dict[int, np.ndarray] = {}
+        #: per-(chunk, microbatch) layer caches, kept from forward to backward
+        self.stash: dict[tuple[int, int], list] = {}
         self.updated_this_iteration = False
 
     @property
@@ -113,15 +112,15 @@ class PipelineStage:
 
     def forward_mb(self, microbatch: int, x: np.ndarray,
                    chunk: int) -> np.ndarray:
-        self.input_cache[(chunk, microbatch)] = x
-        return self.chunks[chunk](x)
+        module = self.chunks[chunk]
+        out = module(x)
+        self.stash[(chunk, microbatch)] = module.stash_caches()
+        return out
 
     def backward_mb(self, microbatch: int, grad: np.ndarray,
                     chunk: int) -> np.ndarray:
-        # repopulate layer caches for this micro-batch, then backprop
-        x = self.input_cache.pop((chunk, microbatch))
         module = self.chunks[chunk]
-        module(x)
+        module.restore_caches(self.stash.pop((chunk, microbatch)))
         return module.backward(grad)
 
     def step(self) -> None:
@@ -139,12 +138,7 @@ class PipelineStage:
         self.updated_this_iteration = False
 
     def clear_caches(self) -> None:
-        self.input_cache.clear()
-        self.output_cache.clear()
-
-    def reset_transient(self) -> None:
-        self.clear_caches()
-        self.updated_this_iteration = False
+        self.stash.clear()
 
     def full_state(self) -> dict[str, np.ndarray]:
         state = {f"model/{k}": v for k, v in self.module.state_dict().items()}
@@ -431,7 +425,8 @@ class PipelineEngine:
         stages = dict(enumerate(self.stages))
         for s in self.stages:
             s.module.zero_grad()
-            s.reset_transient()
+            s.clear_caches()
+            s.updated_this_iteration = False
 
         # the live binding: every Recv* reads the transport, every Send*
         # writes it (and so passes the tensor-log tap)
@@ -547,6 +542,7 @@ class PipelineEngine:
         instruction_hits = 0
         last_chunk = self._program.num_chunks - 1
         #: transient per-iteration dataflow: values between recv/compute/send
+        #: (and the last chunk's outputs until their loss)
         acts: dict[tuple[int, int], np.ndarray] = {}
         outs: dict[tuple[int, int], np.ndarray] = {}
         grads_in: dict[tuple[int, int], np.ndarray] = {}
@@ -575,13 +571,9 @@ class PipelineEngine:
             elif instr.op == "RecvActivation":
                 acts[key] = recv(instr, "fwd")
             elif instr.op == "Forward":
-                out = stage.forward_mb(
+                outs[key] = stage.forward_mb(
                     instr.microbatch, acts.pop(key), chunk=instr.chunk
                 )
-                if instr.chunk == last_chunk:
-                    stage.output_cache[instr.microbatch] = out
-                else:
-                    outs[key] = out
             elif instr.op == "SendActivation":
                 send(instr, outs.pop(key), "fwd")
             elif instr.op == "RecvGrad":
@@ -589,8 +581,7 @@ class PipelineEngine:
             elif instr.op == "Backward":
                 if instr.chunk == last_chunk:
                     loss_fn = self.loss_factory()
-                    out = stage.output_cache.pop(instr.microbatch)
-                    losses.append(loss_fn(out, ys[instr.microbatch]))
+                    losses.append(loss_fn(outs.pop(key), ys[instr.microbatch]))
                     grad = loss_fn.backward() / self.num_microbatches
                 else:
                     grad = grads_in.pop(key)

@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError, RecoveryError
 from repro.models import make_bert, make_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam, SGDMomentum
-from repro.parallel import DataParallelEngine, PipelineEngine
+from repro.parallel import DataParallelEngine, PipelineEngine, schedule_names
 from repro.sim import BERT_128, FleetSimulator, WIDE_RESNET_50
 from repro.utils import state_equal
 
@@ -251,38 +251,43 @@ class TestPlan:
         assert plan.strategy is FTStrategy.CHECKPOINT_ONLY
         assert plan.strategy_source == "explicit"
 
-    def test_interleaved_auto_keeps_checkpoints_explicit_logging_runs(self):
-        def interleaved(strategy):
-            return Experiment(
-                model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=8,
-                                optimizer="adam"),
-                data=DataSpec(batch_size=16),
-                cluster=ClusterSpec(num_machines=2, devices_per_machine=1),
-                parallelism=ParallelismSpec(
-                    kind="pp", num_workers=2, num_microbatches=4,
-                    schedule="interleaved_1f1b"),
-                fault_tolerance=FaultToleranceSpec(
-                    strategy=strategy, checkpoint_interval=4),
-            )
+    @staticmethod
+    def pp_on(schedule: str) -> Experiment:
+        return Experiment(
+            model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=8,
+                            optimizer="adam"),
+            data=DataSpec(batch_size=16),
+            cluster=ClusterSpec(num_machines=2, devices_per_machine=1),
+            parallelism=ParallelismSpec(
+                kind="pp", num_workers=2, num_microbatches=4,
+                schedule=schedule),
+            fault_tolerance=FaultToleranceSpec(checkpoint_interval=4),
+        )
 
-        # a policy, stated as one: 'auto' does not put the log tap on
-        # every chunk boundary by itself
-        auto = interleaved("auto").plan()
-        assert auto.strategy is FTStrategy.CHECKPOINT_ONLY
-        assert "strategy='logging'" in auto.feasibility.reason
-        # ... while asking for it plans on the real Section 5.4 numbers
-        # and recovers by replay
-        explicit = interleaved("logging").plan()
-        assert explicit.strategy is FTStrategy.LOGGING
-        assert explicit.feasibility.worth_it
-        session = interleaved("logging").build()
+    @pytest.mark.parametrize("schedule", schedule_names())
+    def test_pp_auto_is_the_section3_chain_on_every_schedule(self, schedule):
+        """No schedule is an exception: 'auto' reads the raw Section 5.4
+        verdict, interleaved pipelines included."""
+        exp = self.pp_on(schedule)
+        plan = exp.plan()
+        assert plan.feasibility == exp._logging_feasibility()
+        assert plan.strategy is choose_strategy(
+            plan.layout, exp._logging_feasibility(),
+            optimizer_name=exp.model.table1_optimizer,
+        )
+
+    def test_interleaved_auto_logs_and_recovers_bitwise(self):
+        session = self.pp_on("interleaved_1f1b").build()
+        assert session.plan.strategy is FTStrategy.LOGGING
         assert type(session.recovery).__name__ == "LoggingRecovery"
         trace = session.run(8, failures=FailureSchedule(
             [FailureEvent(1, 6, FailurePhase.BACKWARD)]))
         [report] = trace.recoveries
         assert (report.strategy, report.lost_iterations) == ("logging", 2)
-        reference = interleaved("logging").build()
+        reference = self.pp_on("interleaved_1f1b").build()
         reference.run(8)
+        losses = lambda t: dict(zip(t.iteration_numbers, t.losses))  # noqa: E731
+        assert losses(trace) == losses(reference.trace)
         assert all(
             np.array_equal(value, session.engine.full_state()[sid][key])
             for sid, state in reference.engine.full_state().items()

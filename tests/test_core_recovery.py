@@ -230,7 +230,8 @@ class TestLoggingRecovery:
         assert states_equal(ref, pipeline_states(eng))
         # BatchNorm moves its running statistics on every forward, so
         # replay has to make exactly the live step's forwards, in its
-        # order — the recompute before each backward included
+        # order: one per (chunk, micro-batch), each backward reusing its
+        # forward's stashed caches
         ref = wide_resnet_run()
         assert any("running_mean" in key for key in ref[0])
         for machine in (0, 1):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_pp_engine
 from repro.cluster import Cluster
@@ -9,6 +11,7 @@ from repro.comm import Transport
 from repro.core import GroupingPlan, LoggingMode, TensorLog
 from repro.errors import LogIntegrityError
 from repro.parallel.schedules import ScheduleTiming
+from repro.utils.pool import BufferPool
 
 
 def make_setup(num_machines=3, grouping=None, mode=LoggingMode.BUBBLE):
@@ -125,6 +128,42 @@ class TestLifecycle:
         tr.send(3, 4, np.zeros(4), iteration=0, microbatch=0, phase="fwd")
         assert tlog.upload_bytes_for(range(0, 1), exclude_machine=0) == 32
         assert tlog.upload_bytes_for(range(0, 1), exclude_machine=-1) == 64
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("tap"), st.integers(0, 5), st.integers(0, 3),
+                      st.integers(0, 1), st.integers(1, 6)),
+            st.tuples(st.just("gc"), st.integers(0, 4)),
+            st.tuples(st.just("drop"), st.integers(0, 2)),
+        ), max_size=40),
+        pooled=st.booleans(),
+        precision=st.sampled_from(["full", "fp16"]),
+    )
+    def test_running_total_is_the_sum_over_records(self, ops, pooled,
+                                                   precision):
+        cluster = Cluster(3, devices_per_machine=2)
+        pool = BufferPool() if pooled else None
+        tr = Transport(cluster, {m * 2 + d: cluster.device(m, d)
+                                 for m in range(3) for d in range(2)},
+                       pool=pool)
+        tlog = TensorLog(cluster, precision=precision)
+        tlog.pool = pool
+        tlog.attach(tr)
+        for op, *args in ops:
+            if op == "tap":
+                # to the next machine's first rank, so always logged; two
+                # senders share each receiver and a repeated (receiver,
+                # iteration, micro-batch) overwrites, possibly resized
+                src, it, mb, n = args
+                tr.send(src, (src // 2 + 1) % 3 * 2, np.ones(n),
+                        iteration=it, microbatch=mb, phase="fwd")
+            elif op == "gc":
+                tlog.gc(args[0])
+            else:
+                tlog.drop_machine(args[0])
+            assert tlog.total_bytes() == sum(
+                r.nbytes for r in tlog._index.values())
 
 
 class TestOverheadModes:

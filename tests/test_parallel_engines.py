@@ -1,20 +1,36 @@
 """Data-parallel and pipeline engine behaviour (pre-recovery)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from helpers import make_dp_engine, make_pp_engine, pipeline_states
 from repro.cluster import Cluster, FailureEvent, FailurePhase
-from repro.data import ClassificationTask
+from repro.data import ClassificationTask, ImageTask
 from repro.errors import ConfigurationError, MachineFailure
 from repro.models import make_mlp
-from repro.nn import CrossEntropyLoss
+from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    CrossEntropyLoss,
+    Dropout,
+    GlobalAvgPool2d,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+)
 from repro.optim import SGDMomentum
 from repro.parallel import (
     DataParallelEngine,
     PipelineEngine,
+    PipelineStage,
     megatron_figure2_layout,
+    schedule_names,
+    verify_program,
 )
+from repro.utils.seeding import RngStream
 
 
 class TestDataParallelEngine:
@@ -197,6 +213,119 @@ class TestPipelineEngine:
                 loss_factory=CrossEntropyLoss,
                 task=task,
             )
+
+
+def dropout_mlp() -> Sequential:
+    rng = RngStream(5, "stash")
+    return Sequential([
+        Linear(8, 16, rng=rng.child("a")), ReLU(), Dropout(0.5, rng=rng),
+        Linear(16, 16, rng=rng.child("b")), ReLU(),
+        Linear(16, 4, rng=rng.child("c")),
+    ])
+
+
+def batchnorm_cnn() -> Sequential:
+    rng = RngStream(6, "stash")
+    return Sequential([
+        Conv2d(3, 4, 3, padding=1, rng=rng.child("conv")), BatchNorm2d(4),
+        ReLU(), GlobalAvgPool2d(), Linear(4, 3, rng=rng.child("fc")),
+    ])
+
+
+class TestStashedLayerCaches:
+    """A backward differentiates its own forward from the layer caches
+    that forward stashed; nothing is run a second time."""
+
+    def assert_matches_monolithic(self, model_factory, partition, task):
+        """A PP-2 run of two iterations equals one model trained
+        micro-batch by micro-batch (forward, then its backward)."""
+        m = 4
+        eng = PipelineEngine(
+            Cluster(2, devices_per_machine=1), model_factory=model_factory,
+            partition_sizes=partition, placement=[(0, 0), (1, 0)],
+            num_microbatches=m,
+            opt_factory=lambda mod: SGDMomentum(mod, lr=0.05, momentum=0.9),
+            loss_factory=CrossEntropyLoss, task=task,
+        )
+        ref = model_factory()
+        ref_opt = SGDMomentum(ref, lr=0.05, momentum=0.9)
+        for it in range(2):
+            eng.run_iteration()
+            ref.zero_grad()
+            x, y = task.batch(it)
+            for xb, yb in zip(np.array_split(x, m), np.array_split(y, m)):
+                loss = CrossEntropyLoss()
+                loss(ref(xb), yb)
+                ref.backward(loss.backward() / m)
+            ref_opt.step()
+        want = ref.state_dict()
+        for stage, offset in zip(eng.stages, (0, partition[0])):
+            for key, value in stage.module.state_dict().items():
+                layer, rest = key.split(".", 1)
+                assert np.allclose(
+                    want[f"{int(layer) + offset}.{rest}"], value, atol=1e-9
+                ), key
+
+    def test_dropout_backward_uses_the_forward_mask(self):
+        task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
+        self.assert_matches_monolithic(dropout_mlp, [3, 3], task)
+
+    def test_batchnorm_running_stats_move_once_per_microbatch(self):
+        task = ImageTask(image_size=4, num_classes=3, batch_size=8, seed=1)
+        self.assert_matches_monolithic(batchnorm_cnn, [3, 2], task)
+
+    @pytest.mark.parametrize("schedule", schedule_names())
+    def test_each_layer_forwards_once_per_microbatch(self, schedule,
+                                                     monkeypatch):
+        eng = make_pp_engine(schedule=schedule, depth=8)
+        calls = Counter()
+        call = Module.__call__
+
+        def counted(module, x):
+            if not module._modules:
+                calls[id(module)] += 1
+            return call(module, x)
+
+        monkeypatch.setattr(Module, "__call__", counted)
+        for _ in range(2):
+            eng.run_iteration()
+        leaves = [id(layer) for s in eng.stages for layer in s.module.layers]
+        assert calls == {leaf: 2 * eng.num_microbatches for leaf in leaves}
+
+    @pytest.mark.parametrize("schedule", schedule_names())
+    def test_stash_holds_only_the_in_flight_forwards(self, schedule,
+                                                     monkeypatch):
+        eng = make_pp_engine(schedule=schedule, depth=8, num_microbatches=8)
+        peak = Counter()
+        forward_mb = PipelineStage.forward_mb
+
+        def watched(stage, *args, **kwargs):
+            out = forward_mb(stage, *args, **kwargs)
+            peak[stage.stage_id] = max(peak[stage.stage_id], len(stage.stash))
+            return out
+
+        monkeypatch.setattr(PipelineStage, "forward_mb", watched)
+        eng.run_iteration()
+        check = verify_program(eng.program())
+        assert tuple(peak[s] for s in range(eng.num_stages)) \
+            == check.peak_in_flight
+        assert not any(s.stash for s in eng.stages)
+
+    def test_failure_and_clear_caches_leave_no_stash(self, monkeypatch):
+        eng = make_pp_engine()
+        held = {}
+        clear = PipelineStage.clear_caches
+
+        def spy(stage):
+            held[stage.stage_id] = len(stage.stash)
+            clear(stage)
+
+        monkeypatch.setattr(PipelineStage, "clear_caches", spy)
+        result = eng.run_iteration(failure=FailureEvent(
+            3, 0, FailurePhase.BACKWARD, after_updates=1))
+        assert result.failed
+        assert held[0] > 0  # the crash caught stage 0 with forwards out
+        assert not any(s.stash for s in eng.stages if s.alive)
 
 
 class TestHybridLayout:

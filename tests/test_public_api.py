@@ -136,10 +136,20 @@ def test_one_pipeline_interpreter_census():
     assert op_dispatch <= reads_ops
     replay = (PACKAGE_DIR / "core" / "replay.py").read_text()
     assert ".backward(" not in replay and "module(" not in replay
-    # the bans the second interpreter needed are gone with it
+    # a backward restores its forward's stashed layer caches; it calls
+    # no module (that would be the deleted second forward)
+    [backward_mb] = [
+        node for node in ast.walk(ast.parse(
+            (PACKAGE_DIR / interpreter).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "backward_mb"]
+    calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(backward_mb) if isinstance(node, ast.Call)}
+    assert calls == {"pop", "restore_caches", "backward"}
+    # the bans the second interpreter needed are gone with it, and so is
+    # the 'auto' exception that kept interleaved pipelines off the log
     source = "".join(p.read_text() for p in PACKAGE_DIR.rglob("*.py"))
     for banned in ("logging_interleaved", "cannot replay interleaved",
-                   "contiguous stage"):
+                   "contiguous stage", "'auto' keeps checkpoints there"):
         assert banned not in source, banned
 
 
