@@ -32,6 +32,7 @@ from repro.api.specs import (
     ModelSpec,
     ParallelismSpec,
 )
+from repro.chaos.evaluate import method_for_strategy
 from repro.cluster.topology import Cluster
 from repro.core.selective import (
     PipelineProfile,
@@ -51,6 +52,8 @@ from repro.parallel.hybrid import ParallelLayout, StagePlacement
 from repro.parallel.instructions import ScheduleProgram
 from repro.parallel.programs import build_program
 from repro.parallel.schedules import simulate_program
+from repro.sim.costmodel import CostModel, HardwareConfig
+from repro.sim.workloads import Workload
 
 __all__ = ["Experiment", "ExecutionPlan"]
 
@@ -140,8 +143,10 @@ class ExecutionPlan:
     predicted_failure_rate_per_hour: float | None = None
     #: expected crashes over one scenario horizon
     expected_failures: float | None = None
-    #: predicted useful fraction of wall-clock under the scenario
-    #: (failure-free time / total time, over a default-length run)
+    #: expectation of :attr:`~repro.chaos.GoodputResult.goodput_fraction`
+    #: over a default-length run under the scenario, from the same
+    #: ``CostModel.pricing`` ``autoplan`` scores with: ``None`` for a
+    #: custom policy the cost model does not price
     expected_goodput_fraction: float | None = None
     #: "user" for hand-composed plans; ``autoplan:<searcher>:<scenario>``
     #: when :meth:`Experiment.autoplan` chose the configuration
@@ -207,14 +212,17 @@ class ExecutionPlan:
                 self.experiment.cluster.num_machines
                 if self.experiment is not None else len(self.machines)
             )
+            goodput = (
+                f"not priced for policy {self.strategy!r}"
+                if self.expected_goodput_fraction is None else
+                f"expected goodput ~{self.expected_goodput_fraction:.0%} "
+                "of failure-free"
+            )
             lines.append(
                 f"  scenario:        {self.scenario} "
                 f"(~{self.predicted_failure_rate_per_hour * 100:.1f} "
                 f"failures/100h on {cluster_machines} machines, "
-                f"E[{self.expected_failures:.1f}] per horizon; "
-                f"expected goodput "
-                f"~{self.expected_goodput_fraction * 100:.0f}% of "
-                "failure-free)"
+                f"E[{self.expected_failures:.1f}] per horizon; {goodput})"
             )
         if self.provenance != "user":
             lines.append(f"  provenance:      {self.provenance}")
@@ -356,12 +364,15 @@ class Experiment:
     # -- the plan ---------------------------------------------------------
     @property
     def _iteration_time_estimate(self) -> float:
-        """Engine-default schedule makespan (pp) — the timing the logging
+        """Engine-default iteration time: one forward + backward for dp
+        and fsdp, the schedule makespan for pp — the timing the logging
         calculus compares the PCIe copy against.  Priced once per pipeline
         shape, not per experiment (cadence / degree / budget variants
-        share it): the Section 5.4 verdict, the goodput estimate and the
-        planner's cost model all read it."""
+        share it): the Section 5.4 verdict and :meth:`to_workload` read
+        it."""
         par = self.parallelism
+        if par.kind != "pp":
+            return DEFAULT_FWD_TIME + DEFAULT_BWD_TIME
         program = build_program(
             par.schedule,
             par.num_workers,
@@ -450,7 +461,16 @@ class Experiment:
             n = self.cluster.num_machines
             rate = chaos_spec.rate_per_hour(n)
             expected = chaos_spec.expected_failures(n)
-            goodput = self._expected_goodput(chaos_spec, strategy, expected)
+            if isinstance(strategy, FTStrategy):  # a custom policy: None
+                pricing = CostModel(
+                    self.to_workload(), self.hardware_config()
+                ).pricing(method_for_strategy(strategy),
+                          ft.checkpoint_interval, ft.parallel_recovery_degree)
+                # a crash loses half a cadence on average; undo loses none
+                lost = (0 if strategy is FTStrategy.REPLICATION
+                        else ft.checkpoint_interval / 2)
+                useful = chaos_spec.default_iters * pricing.iteration_seconds
+                goodput = useful / (useful + expected * pricing.recovery(lost))
         return ExecutionPlan(
             experiment=self,
             engine_kind=par.kind,
@@ -474,34 +494,40 @@ class Experiment:
             expected_goodput_fraction=goodput,
         )
 
-    def _expected_goodput(
-        self, chaos_spec, strategy, expected_failures: float
-    ) -> float:
-        """Availability estimate under a scenario (plan-time, analytic).
+    def hardware_config(self) -> HardwareConfig:
+        """The paper's testbed, with the join the engines charge."""
+        return HardwareConfig(
+            replacement_join_time=self.fault_tolerance.replacement_join_time)
 
-        Useful time over useful time plus expected recovery cost, for a
-        ``default_iters``-iteration run mapped over the scenario
-        horizon.  Lost work per failure is half a checkpoint interval
-        (checkpoint restart), divided by the parallel-replay degree for
-        logging, and zero for replication (update-undo loses nothing).
-        """
-        ft = self.fault_tolerance
-        if self.parallelism.kind == "pp":
-            iter_time = self._iteration_time_estimate
-        else:
-            iter_time = DEFAULT_FWD_TIME + DEFAULT_BWD_TIME
-        if strategy is FTStrategy.REPLICATION:
-            lost_iters = 0.0
-        elif strategy is FTStrategy.LOGGING:
-            lost_iters = ft.checkpoint_interval / 2.0 / max(
-                1, ft.parallel_recovery_degree
-            )
-        else:
-            lost_iters = ft.checkpoint_interval / 2.0
-        # detection is ~0.1 s of simulated time; provisioning dominates
-        per_failure = ft.replacement_join_time + 0.1 + lost_iters * iter_time
-        useful = chaos_spec.default_iters * iter_time
-        return useful / (useful + expected_failures * per_failure)
+    def to_workload(self) -> Workload:
+        """This experiment as a synthetic :class:`~repro.sim.Workload`
+        whose cost-model view (state bytes, boundary bytes, iteration
+        time) matches the float64 engines: what ``plan()`` and
+        ``autoplan`` price.  It has no iteration budget; a scenario's
+        horizon maps one on."""
+        model, data, par = self.model, self.data, self.parallelism
+        pp = par.kind == "pp"
+        return Workload(
+            name=self.name,
+            dataset="synthetic",
+            batch_size=data.batch_size,
+            # float64 tensors expressed in the Workload's 4-byte units
+            num_params=float(model.param_elements()) * 2.0,
+            parallelism="PP" if pp else "DP",
+            num_machines=len({m for m, _ in self.resolved_placement()}),
+            gpus_per_machine=self.cluster.devices_per_machine,
+            optimizer=model.optimizer,
+            state_multiplier=_STATE_MULTIPLIER[model.optimizer],
+            num_stages=par.num_workers if pp else 1,
+            num_microbatches=par.num_microbatches if pp else 1,
+            # boundary_bytes = micro * seq_len * hidden * 4; encode the
+            # per-element float64 width as seq_len=2 so it matches
+            # boundary_elements(micro) * 8 exactly
+            seq_len=2,
+            hidden_size=model.boundary_elements(1) if pp else 0,
+            experiment_iteration_time=self._iteration_time_estimate,
+            checkpoint_interval_iters=self.fault_tolerance.checkpoint_interval,
+        )
 
     def _plan_selective_logging(
         self,

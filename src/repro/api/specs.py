@@ -27,6 +27,7 @@ from functools import lru_cache
 
 from repro.cluster.topology import BandwidthModel, Cluster
 from repro.core.policies import recovery_policy_names
+from repro.core.replication import REPLACEMENT_JOIN_TIME
 from repro.core.strategy import FTStrategy
 from repro.core.tlog import GroupingPlan, LoggingMode
 from repro.core.trainer import TrainerConfig
@@ -498,7 +499,7 @@ class FaultToleranceSpec:
     checkpoint_interval: int = 100
     checkpoint_at_start: bool = True
     parallel_recovery_degree: int = 1
-    replacement_join_time: float = 5.0
+    replacement_join_time: float = REPLACEMENT_JOIN_TIME
     incremental_checkpoints: bool = False
     incremental_full_every: int = 8
     pooled_messaging: bool = True

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.cluster.clock import SimClock
 from repro.core.checkpoint import CheckpointManager
 from repro.core.detector import FailureDetector
-from repro.core.replication import RecoveryReport
+from repro.core.replication import REPLACEMENT_JOIN_TIME, RecoveryReport
 from repro.errors import RecoveryError
 
 __all__ = ["GlobalCheckpointRecovery"]
@@ -37,7 +37,7 @@ class GlobalCheckpointRecovery:
         checkpoints: CheckpointManager,
         detector: FailureDetector,
         clock: SimClock,
-        replacement_join_time: float = 5.0,
+        replacement_join_time: float = REPLACEMENT_JOIN_TIME,
     ):
         self.engine = engine
         self.checkpoints = checkpoints

@@ -36,7 +36,11 @@ import numpy as np
 from repro.cluster.clock import SimClock
 from repro.core.checkpoint import CheckpointManager
 from repro.core.detector import FailureDetector
-from repro.core.replication import RecoveryReport
+from repro.core.replication import (
+    LOGGING_INIT_TIME,
+    REPLACEMENT_JOIN_TIME,
+    RecoveryReport,
+)
 from repro.core.tlog import TensorLog
 from repro.core.undo import resolve_pipeline_consistency
 from repro.errors import RecoveryError
@@ -77,9 +81,7 @@ class LoggingRecovery:
         detector: FailureDetector,
         clock: SimClock,
         parallel_degree: int = 1,
-        replacement_join_time: float = 5.0,
-        #: logging needs extra setup (CUDA stream + threads), Section 7.1
-        logging_init_time: float = 1.0,
+        replacement_join_time: float = REPLACEMENT_JOIN_TIME,
         transfer_chunks: int = 8,
     ):
         self.engine = engine
@@ -89,7 +91,6 @@ class LoggingRecovery:
         self.clock = clock
         self.parallel_degree = max(1, int(parallel_degree))
         self.replacement_join_time = replacement_join_time
-        self.logging_init_time = logging_init_time
         self.transfer_chunks = transfer_chunks
 
     # -- scope ------------------------------------------------------------
@@ -255,7 +256,7 @@ class LoggingRecovery:
         # replacement joins (plus logging re-initialization, Section 7.1)
         for machine_id in failed_machines:
             self.engine.cluster.replace_machine(machine_id)
-        init_time = self.replacement_join_time + self.logging_init_time
+        init_time = self.replacement_join_time + LOGGING_INIT_TIME
         self.clock.advance(init_time, "replacement_join")
 
         # rebuild + replay the failed stages (numerics)

@@ -27,7 +27,14 @@ from repro.errors import RecoveryError
 from repro.parallel.data_parallel import DataParallelEngine
 from repro.utils.cow import StateView
 
-__all__ = ["RecoveryReport", "ReplicationRecovery"]
+__all__ = ["RecoveryReport", "ReplicationRecovery", "REPLACEMENT_JOIN_TIME",
+           "LOGGING_INIT_TIME"]
+
+#: seconds to provision a replacement machine, the paper's "initialization
+#: time" (§7.1), wherever a join is charged or priced
+REPLACEMENT_JOIN_TIME = 5.0
+#: setup a logging recovery pays with the join: CUDA stream + threads
+LOGGING_INIT_TIME = 1.0
 
 
 @dataclass
@@ -41,7 +48,7 @@ class RecoveryReport:
     #: iterations of work that had to be re-computed (0 for replication)
     lost_iterations: int = 0
     detection_time: float = 0.0
-    #: replacement join/initialization time
+    #: replacement join, plus the logging init for a logging recovery
     init_time: float = 0.0
     undo_time: float = 0.0
     #: replica broadcast (replication) or replay+transfer (logging)
@@ -83,14 +90,12 @@ class ReplicationRecovery:
         engine: DataParallelEngine,
         detector: FailureDetector,
         clock: SimClock,
-        replacement_join_time: float = 5.0,
+        replacement_join_time: float = REPLACEMENT_JOIN_TIME,
         undo_kernel_time: float = 0.01,
     ):
         self.engine = engine
         self.detector = detector
         self.clock = clock
-        #: time for the scheduler to provision a replacement (paper's
-        #: "initialization time")
         self.replacement_join_time = replacement_join_time
         #: simulated GPU time to undo one worker's partial update
         self.undo_kernel_time = undo_kernel_time

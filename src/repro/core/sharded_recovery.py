@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.cluster.clock import SimClock
 from repro.core.detector import FailureDetector
-from repro.core.replication import RecoveryReport
+from repro.core.replication import REPLACEMENT_JOIN_TIME, RecoveryReport
 from repro.core.undo import resolve_dp_consistency
 from repro.parallel.fsdp import FSDPEngine
 from repro.utils.cow import StateView
@@ -42,7 +42,7 @@ class ShardedReplicationRecovery:
         engine: FSDPEngine,
         detector: FailureDetector,
         clock: SimClock,
-        replacement_join_time: float = 5.0,
+        replacement_join_time: float = REPLACEMENT_JOIN_TIME,
     ):
         self.engine = engine
         self.detector = detector

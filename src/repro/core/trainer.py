@@ -25,7 +25,7 @@ from repro.core.policies import (
     recovery_policy_names,
     resolve_strategy,
 )
-from repro.core.replication import RecoveryReport
+from repro.core.replication import REPLACEMENT_JOIN_TIME, RecoveryReport
 from repro.core.strategy import FTStrategy
 from repro.core.tlog import GroupingPlan, LoggingMode
 from repro.errors import ConfigurationError, RecoveryError
@@ -54,7 +54,7 @@ class TrainerConfig:
     #: workers assisting each failed worker during logging replay (§5.2)
     parallel_recovery_degree: int = 1
     #: replacement-machine provisioning time, seconds
-    replacement_join_time: float = 5.0
+    replacement_join_time: float = REPLACEMENT_JOIN_TIME
     #: "auto" picks the engine kind's default (``MECHANISMS_BY_KIND``;
     #: ``Experiment.plan()`` runs the whole Section 3 chain instead); any
     #: :class:`FTStrategy` value — "replication", "logging",

@@ -5,8 +5,9 @@ Scoring a candidate means pricing its recovery configuration under the
 comparison is paired: the trace carries all the randomness), via
 :func:`repro.chaos.evaluate_traces`, which builds the candidate's
 :meth:`CostModel.pricing <repro.sim.CostModel.pricing>` once per cost
-key.  Seconds per thousand candidates, so a full grid is searchable
-interactively.
+key, on the space's :class:`~repro.sim.HardwareConfig` (an experiment's
+own replacement join).  Seconds per thousand candidates, so a full grid
+is searchable interactively.
 
 Candidates that differ only in selective-logging budget share one
 evaluation (:meth:`Candidate.cost_key`): the budget shapes storage
@@ -27,6 +28,7 @@ from repro.chaos.evaluate import evaluate_traces, method_for_strategy
 from repro.chaos.scenarios import get_scenario
 from repro.errors import ConfigurationError
 from repro.plan.space import Candidate, SearchSpace
+from repro.sim.costmodel import CostModel
 
 __all__ = ["CandidateScore", "GoodputObjective"]
 
@@ -164,6 +166,7 @@ class GoodputObjective:
         results = evaluate_traces(
             self.traces, w, method,
             interval=candidate.checkpoint_interval,
+            cost=CostModel(w, self.space.hardware, use_experiment_time=False),
             parallel_degree=candidate.parallel_recovery_degree,
         )
         mean_hours = sum(r.hours for r in results) / len(results)

@@ -215,6 +215,8 @@ class SearchSpace:
 
     #: machines the scenario sampler should crash (set by subclasses)
     num_machines: int = 1
+    #: the testbed the objective prices every candidate on
+    hardware: HardwareConfig = HardwareConfig()
 
     def __init__(self) -> None:
         self.stats = PruneStats()
@@ -421,6 +423,7 @@ class ExperimentSearchSpace(SearchSpace):
         self.base = base
         cluster = base.cluster
         self.num_machines = cluster.num_machines
+        self.hardware = base.hardware_config()
         self.kinds = tuple(kinds) if kinds else ("dp", "pp", "fsdp")
         if worker_counts is None:
             worker_counts = _powers_of_two_upto(cluster.num_slots)
@@ -510,48 +513,8 @@ class ExperimentSearchSpace(SearchSpace):
         )
 
     def to_workload(self, c: Candidate) -> Workload:
-        """Bridge a candidate into a synthetic :class:`Workload` whose
-        calibrated-cost-model view (state bytes, boundary bytes,
-        iteration time) matches the experiment's float64 engines."""
-        exp = self._experiment(c)
-        model, data, cluster = exp.model, exp.data, exp.cluster
-        if c.kind == "pp":
-            iter_time = exp._iteration_time_estimate
-        else:
-            from repro.api.experiment import (
-                DEFAULT_BWD_TIME,
-                DEFAULT_FWD_TIME,
-            )
-
-            iter_time = DEFAULT_FWD_TIME + DEFAULT_BWD_TIME
-        state_mult = _state_multiplier(model.optimizer)
-        return Workload(
-            name=f"search:{c.label()}",
-            dataset="synthetic",
-            batch_size=data.batch_size,
-            # float64 tensors expressed in the Workload's 4-byte units
-            num_params=float(model.param_elements()) * 2.0,
-            parallelism="PP" if c.kind == "pp" else "DP",
-            num_machines=max(1, self._spanned_machines(c.num_workers)),
-            gpus_per_machine=cluster.devices_per_machine,
-            optimizer=model.optimizer,
-            state_multiplier=state_mult,
-            num_stages=c.num_workers if c.kind == "pp" else 1,
-            num_microbatches=(
-                c.num_microbatches if c.kind == "pp" else 1
-            ),
-            # boundary_bytes = micro * seq_len * hidden * 4; encode the
-            # per-element float64 width as seq_len=2 so it matches
-            # boundary_elements(micro) * 8 exactly
-            seq_len=2,
-            hidden_size=(
-                model.boundary_elements(1) if c.kind == "pp" else 0
-            ),
-            experiment_iteration_time=iter_time,
-            total_iterations=0,  # the objective maps the horizon on
-            checkpoint_interval_iters=c.checkpoint_interval,
-            end_to_end_hours=0.0,
-        )
+        """The candidate's experiment as the cost model sees it."""
+        return self._experiment(c).to_workload()
 
     def winning_plan(self, report) -> "ExecutionPlan":
         """The winner's :class:`~repro.api.ExecutionPlan`, stamped with
@@ -572,12 +535,6 @@ class ExperimentSearchSpace(SearchSpace):
             f"budgets_gb={self.log_budgets_gb}, "
             f"schedules={self.schedules})"
         )
-
-
-def _state_multiplier(optimizer: str) -> int:
-    from repro.api.experiment import _STATE_MULTIPLIER
-
-    return _STATE_MULTIPLIER[optimizer]
 
 
 class WorkloadSearchSpace(SearchSpace):
@@ -667,7 +624,7 @@ class WorkloadSearchSpace(SearchSpace):
                     cw.iteration_time or cw.experiment_iteration_time,
                     cw.num_stages,
                     cw.num_microbatches,
-                    HardwareConfig().pcie_bw,
+                    self.hardware.pcie_bw,
                     model_state_bytes=cw.state_bytes,
                 )
                 if not feas.worth_it:

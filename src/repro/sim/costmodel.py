@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.checkpoint import checkfreq_interval
+from repro.core.replication import LOGGING_INIT_TIME, REPLACEMENT_JOIN_TIME
 from repro.errors import ConfigurationError
 from repro.parallel.schedules import bubble_ratio
 from repro.sim.workloads import Workload
@@ -50,7 +51,7 @@ class HardwareConfig:
     snapshot_bw: float = 2.5 * GB
     gpu_memory: float = 32.0 * GB
     detection_time: float = 0.1
-    replacement_join_time: float = 5.0
+    replacement_join_time: float = REPLACEMENT_JOIN_TIME
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,9 @@ class RecoveryTimes:
     recompute_time: float
     transfer_time: float = 0.0
     extra_time: float = 0.0
+    #: detection + replacement join + the method's init, paid before the
+    #: recovery proper starts (Figure 8's "init" column)
+    initialization_time: float = 0.0
 
     @property
     def recovery_time(self) -> float:
@@ -75,9 +79,9 @@ class RecoveryPrice:
     """One method's recovery terms, resolved once; a crash is O(1).
 
     :meth:`times` is the :class:`RecoveryTimes` decomposition Figures
-    9/10 and the ablations read; calling the price with the iterations a
-    crash lost returns detection + replacement join +
-    ``times(lost).recovery_time``, bit for bit, without building it.
+    8-10 and the ablations read; calling the price with the iterations a
+    crash lost returns detection + replacement join + init +
+    ``times(lost).recovery_time`` without building it.
     """
 
     method: str
@@ -87,6 +91,9 @@ class RecoveryPrice:
     #: re-computation seconds per lost iteration
     replay: float
     extra: float = 0.0
+    #: setup paid with the join, as the engines charge it (§7.1's logging
+    #: init); not part of the paper's recovery time
+    init: float = 0.0
     #: logging: each lost iteration fetches one forward and one backward
     #: boundary tensor of ``log_boundary_bytes`` per micro-batch at
     #: ``log_bw`` (upload and download pipelined)
@@ -100,11 +107,14 @@ class RecoveryPrice:
 
     def times(self, lost: int) -> RecoveryTimes:
         return RecoveryTimes(self.method, self.load, lost * self.replay,
-                             self._transfer(lost), self.extra)
+                             self._transfer(lost), self.extra,
+                             self.base + self.init)
 
     def __call__(self, lost: int) -> float:
-        return self.base + (self.load + max(lost * self.replay,
-                                            self._transfer(lost))
+        # init is added to the load first: the float sums the Table 5 and
+        # scenario pins were taken with
+        return self.base + (self.load + self.init
+                            + max(lost * self.replay, self._transfer(lost))
                             + self.extra)
 
 
@@ -322,12 +332,13 @@ class CostModel:
             per_iter += 2.0 * (d - 1) / d * self.per_shard_state_bytes() \
                 / hw.network_bw
         # the failed group re-reads its boundary inputs (fwd into the
-        # first stage, bwd into the last) for every lost iteration; +1 s
-        # of logging init on the load (§7.1)
+        # first stage, bwd into the last) for every lost iteration; the
+        # §7.1 logging init is charged with the join, as LoggingRecovery
+        # charges it, not inside the load
         return RecoveryPrice(
-            method, base, self._load_checkpoint_time(s) + 1.0, per_iter,
-            log_microbatches=m, log_boundary_bytes=w.boundary_bytes,
-            log_bw=hw.hdfs_bw,
+            method, base, self._load_checkpoint_time(s), per_iter,
+            init=LOGGING_INIT_TIME, log_microbatches=m,
+            log_boundary_bytes=w.boundary_bytes, log_bw=hw.hdfs_bw,
         )
 
     # -- recovery-time models --------------------------------------------------

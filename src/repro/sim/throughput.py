@@ -88,10 +88,8 @@ class ThroughputSimulator:
                          self.cost.global_checkpoint_stall(), "checkpoint")
         lost = self.failure_at - self.checkpoint_at
         rec = self.cost.recovery_global_checkpoint(lost)
-        return Timeline("global_checkpointing", points,
-                        recovery_time=rec.recovery_time,
-                        initialization_time=self.cost.hw.detection_time
-                        + self.cost.hw.replacement_join_time)
+        return Timeline("global_checkpointing", points, rec.recovery_time,
+                        rec.initialization_time)
 
     def checkfreq(self, overhead_budget: float = 0.035) -> Timeline:
         """CheckFreq: periodic snapshots (stall + persist interference)."""
@@ -112,9 +110,8 @@ class ThroughputSimulator:
                          self.cost.global_checkpoint_stall(), "checkpoint")
         rec = self.cost.recovery_snapshot(self.failure_at - last_snapshot,
                                           "checkfreq")
-        return Timeline("checkfreq", points, recovery_time=rec.recovery_time,
-                        initialization_time=self.cost.hw.detection_time
-                        + self.cost.hw.replacement_join_time)
+        return Timeline("checkfreq", points, rec.recovery_time,
+                        rec.initialization_time)
 
     def elastic_horovod(self, overhead_budget: float = 0.035) -> Timeline:
         """Elastic Horovod: snapshot only (no persist phase)."""
@@ -131,10 +128,8 @@ class ThroughputSimulator:
                          self.cost.global_checkpoint_stall(), "checkpoint")
         rec = self.cost.recovery_snapshot(self.failure_at - last_snapshot,
                                           "elastic_horovod")
-        return Timeline("elastic_horovod", points,
-                        recovery_time=rec.recovery_time,
-                        initialization_time=self.cost.hw.detection_time
-                        + self.cost.hw.replacement_join_time)
+        return Timeline("elastic_horovod", points, rec.recovery_time,
+                        rec.initialization_time)
 
     def swift_replication(self) -> Timeline:
         """Swift on DP: zero failure-free overhead; undo+broadcast recovery."""
@@ -142,10 +137,8 @@ class ThroughputSimulator:
         self._with_event(points, self.checkpoint_at,
                          self.cost.global_checkpoint_stall(), "checkpoint")
         rec = self.cost.recovery_replication()
-        return Timeline("swift_replication", points,
-                        recovery_time=rec.recovery_time,
-                        initialization_time=self.cost.hw.detection_time
-                        + self.cost.hw.replacement_join_time)
+        return Timeline("swift_replication", points, rec.recovery_time,
+                        rec.initialization_time)
 
     def swift_logging(
         self,
@@ -168,9 +161,8 @@ class ThroughputSimulator:
         name = f"swift_logging_{groups}g" + ("_pr" if parallel_degree > 1 else "")
         if mode != "bubble":
             name = f"swift_logging_{mode}"
-        return Timeline(name, points, recovery_time=rec.recovery_time,
-                        initialization_time=self.cost.hw.detection_time
-                        + self.cost.hw.replacement_join_time + 1.0)
+        return Timeline(name, points, rec.recovery_time,
+                        rec.initialization_time)
 
     def recovery_timeline(
         self, method: str, resolution: float = 5.0, **kwargs

@@ -450,6 +450,37 @@ class TestApiIntegration:
         assert "scenario:" in plan.describe()
         assert "steady_mtbf" in plan.describe()
 
+    def test_custom_policy_goes_unpriced(self):
+        from repro.core.policies import _REGISTRY, register_recovery_policy
+
+        class Custom:
+            name = "priced_by_nobody"
+
+            def compatible(self, engine):
+                return True
+
+            def describe_requirements(self):
+                return "anything"
+
+            def build(self, ctx):  # pragma: no cover - never built
+                raise AssertionError("plan() builds nothing")
+
+        register_recovery_policy(Custom())
+        try:
+            plan = Experiment(
+                model=ModelSpec(family="mlp", dim=8, hidden_dim=16),
+                cluster=ClusterSpec(num_machines=4, devices_per_machine=1),
+                parallelism=ParallelismSpec(kind="dp", num_workers=4),
+                fault_tolerance=FaultToleranceSpec(
+                    strategy="priced_by_nobody", scenario="steady_mtbf"),
+            ).plan()
+        finally:
+            _REGISTRY.pop("priced_by_nobody")
+        # no longer silently priced as checkpoint restart
+        assert plan.expected_goodput_fraction is None
+        assert plan.expected_failures > 0
+        assert "not priced for policy 'priced_by_nobody'" in plan.describe()
+
     def test_plan_without_scenario_has_no_prediction(self):
         exp = Experiment(
             model=ModelSpec(family="mlp"),

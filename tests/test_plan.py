@@ -331,7 +331,7 @@ class TestOneProgramPerShape:
         assert warm.to_json() == cold.to_json()
 
 
-def _pinned_space():
+def _pinned_space(**ft_kwargs):
     exp = Experiment(
         name="pin",
         model=ModelSpec(family="mlp", dim=8, hidden_dim=16, depth=4,
@@ -339,6 +339,7 @@ def _pinned_space():
         data=DataSpec(batch_size=16, seed=3),
         cluster=ClusterSpec(num_machines=4, devices_per_machine=2),
         parallelism=ParallelismSpec(kind="dp", num_workers=4),
+        fault_tolerance=FaultToleranceSpec(**ft_kwargs),
     )
     return ExperimentSearchSpace(
         exp, kinds=("dp", "pp", "fsdp"), worker_counts=(2, 4),
@@ -382,6 +383,19 @@ class TestOnePricePerKey:
         report = autoplan_workload(BERT_128, "steady_mtbf", eval_seeds=2)
         assert digest(report) == ("31f3e3207b3ba5e089453c0a6b0d773e"
                                   "1cb9eb31b1f45e09893d07a3e2ceed00")
+
+    def test_the_base_experiments_join_is_priced(self):
+        """The planner charges each crash the join the engines will, not
+        the cost model's default 5 s."""
+        def baseline(**ft_kwargs):
+            space = _pinned_space(**ft_kwargs)
+            return GoodputObjective(space, "rack_burst", eval_seeds=3) \
+                .score(space.default())
+
+        slow, default = baseline(replacement_join_time=60.0), baseline()
+        assert default.mean_crashes > 0
+        assert slow.failure_free_hours == default.failure_free_hours
+        assert slow.mean_hours > default.mean_hours
 
 
 # -- determinism -----------------------------------------------------------

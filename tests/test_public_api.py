@@ -230,3 +230,56 @@ def test_one_pricer_census():
                 decomposed.add(f"{where}:{node.func.attr}")
     assert not defined
     assert not decomposed
+
+
+def test_one_set_of_recovery_constants_census():
+    """The paper's recovery constants are written once and ``plan()``
+    prices through ``CostModel.pricing``.
+
+    The 5 s replacement join and §7.1's 1 s logging init live in
+    ``core/replication.py``; every default that names the join reads that
+    definition, nothing takes a logging-init knob, and the private goodput
+    model and the planner's copy of the candidate -> workload bridge (with
+    its lazy ``repro.api.experiment`` import) stay deleted.
+    """
+    import ast
+
+    constants = {"REPLACEMENT_JOIN_TIME", "LOGGING_INIT_TIME"}
+    defined, join_defaults, deleted = [], set(), set()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        where = path.relative_to(PACKAGE_DIR).as_posix()
+        source = path.read_text()
+        assert "logging_init_time" not in source, where
+        for node in ast.walk(ast.parse(source)):
+            pairs = []
+            if isinstance(node, ast.Assign):
+                defined += [(where, t.id) for t in node.targets
+                            if getattr(t, "id", None) in constants]
+            elif isinstance(node, ast.AnnAssign):
+                pairs.append((node.target, node.value))
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                pairs += zip(positional[len(positional)
+                                        - len(node.defaults):],
+                             node.defaults)
+                pairs += zip(node.kwonlyargs, node.kw_defaults)
+            elif isinstance(node, ast.FunctionDef) and node.name in (
+                    "_expected_goodput", "_state_multiplier"):
+                deleted.add(f"{where}:{node.name}")
+            for target, default in pairs:
+                name = getattr(target, "id", None) or getattr(
+                    target, "arg", None)
+                if name == "replacement_join_time":
+                    join_defaults.add((where, ast.unparse(default)))
+    assert sorted(defined) == [("core/replication.py", "LOGGING_INIT_TIME"),
+                               ("core/replication.py",
+                                "REPLACEMENT_JOIN_TIME")]
+    assert {default for _, default in join_defaults} == {
+        "REPLACEMENT_JOIN_TIME"}
+    assert {"api/specs.py", "core/trainer.py", "sim/costmodel.py"} <= {
+        where for where, _ in join_defaults}
+    assert not deleted
+    space = ast.parse((PACKAGE_DIR / "plan" / "space.py").read_text())
+    assert not [node.module for node in ast.walk(space)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "repro.api.experiment"]
