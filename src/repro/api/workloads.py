@@ -28,22 +28,13 @@ from repro.core.selective import PipelineProfile, SelectiveLoggingPlanner
 from repro.core.strategy import FTStrategy, choose_strategy, logging_worth_it
 from repro.errors import ConfigurationError
 from repro.jobs.spec import JobSpec
+from repro.optim import OPTIMIZER_TABLE1_BY_CLASS
 from repro.parallel.hybrid import ParallelLayout, StagePlacement
 from repro.sim.costmodel import CostModel
 from repro.sim.fleet import FleetFailure
 from repro.sim.workloads import Workload
 
 __all__ = ["plan_workload", "demo_fleet_specs"]
-
-#: published optimizer names -> Table-1 operator-universe rows
-_TABLE1_NAMES = {
-    "SGD": "SGD",
-    "SGDMomentum": "SGD",
-    "Adam": "Adam",
-    "AdamW": "AdamW",
-    "LAMB": "LAMB",
-    "AMSGrad": "AMSGrad",
-}
 
 
 def _workload_layout(w: Workload) -> ParallelLayout:
@@ -108,7 +99,7 @@ def plan_workload(
         )
     strategy = choose_strategy(
         layout, feasibility,
-        optimizer_name=_TABLE1_NAMES.get(w.optimizer),
+        optimizer_name=OPTIMIZER_TABLE1_BY_CLASS.get(w.optimizer),
     )
     selective = None
     if strategy is FTStrategy.LOGGING and log_budget_bytes is not None:
@@ -167,8 +158,7 @@ def demo_fleet_specs(
     Mixed DP/PP gangs of different priorities (two elastic, one
     preempting high-priority arrival, one queued non-elastic gang) plus
     the two machine crashes of the registered ``"demo_fleet_crashes"``
-    :mod:`repro.chaos` scenario — byte-for-byte the schedule
-    ``repro.sim.demo_fleet`` used to hand-write.
+    :mod:`repro.chaos` scenario.
 
     >>> specs, failures = demo_fleet_specs(iterations=10)
     >>> [s.name for s in specs]

@@ -7,9 +7,9 @@ failures from a single hand-picked ``(iteration, worker)`` list.  This
 package makes failure workloads first-class:
 
 * :mod:`~repro.chaos.distributions` — seeded failure processes:
-  Poisson/Weibull per-machine MTBF, bathtub infant mortality, bursty
-  correlated rack failures, cascades, flaky nodes, straggler onset,
-  storage outages;
+  Poisson MTBF (the Section 7.3 simulation study's model, behind
+  ``steady_mtbf``), bathtub infant mortality, bursty correlated rack
+  failures, cascades, flaky nodes, straggler onset, storage outages;
 * :mod:`~repro.chaos.trace` — :class:`FailureTrace`, a versioned,
   seed-stamped JSONL record/replay format: any stochastic run can be
   re-executed bitwise-deterministically from its trace;
@@ -39,7 +39,6 @@ from repro.chaos.distributions import (
     ScriptedEvents,
     StorageOutage,
     StragglerOnset,
-    WeibullMTBF,
 )
 from repro.chaos.evaluate import (
     GoodputResult,
@@ -67,7 +66,6 @@ __all__ = [
     "scenario_names",
     "FailureProcess",
     "PoissonMTBF",
-    "WeibullMTBF",
     "BathtubMTBF",
     "RackBurst",
     "Cascade",

@@ -2,10 +2,10 @@
 
 The seed reproduction injected failures from hand-picked ``(iteration,
 machine)`` lists or a single uniform-exponential sampler.  Real clusters
-fail differently: per-machine MTBF follows heavy-tailed distributions,
-young machines die more often (infant mortality), rack/switch faults
-take down *groups* of machines at once, one flaky host can dominate the
-failure log, and stragglers degrade throughput without crashing anything.
+fail differently: young machines die more often (infant mortality),
+rack/switch faults take down *groups* of machines at once, one flaky host
+can dominate the failure log, and stragglers degrade throughput without
+crashing anything.
 
 Each process here turns a seeded :class:`numpy.random.Generator` plus a
 cluster shape and time horizon into a list of
@@ -33,7 +33,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "FailureProcess",
     "PoissonMTBF",
-    "WeibullMTBF",
     "BathtubMTBF",
     "RackBurst",
     "Cascade",
@@ -114,41 +113,6 @@ class PoissonMTBF:
                 phase=phase, after_updates=after,
             ))
             t += float(rng.exponential(1.0 / rate))
-        return out
-
-
-@dataclass(frozen=True)
-class WeibullMTBF:
-    """Per-machine Weibull inter-failure times.
-
-    ``shape < 1`` models decreasing hazard (most failures early after
-    each repair — the empirically observed cluster regime), ``shape = 1``
-    degenerates to exponential, ``shape > 1`` models wear-out.
-    ``scale_hours`` is the Weibull scale (characteristic life) of each
-    machine.
-    """
-
-    scale_hours: float = 120.0
-    shape: float = 0.7
-
-    def __post_init__(self) -> None:
-        if self.scale_hours <= 0 or self.shape <= 0:
-            raise ConfigurationError("scale_hours and shape must be positive")
-
-    def rate_per_hour(self, num_machines: int) -> float:
-        # mean TBF of a Weibull is scale * Gamma(1 + 1/shape)
-        from math import gamma
-
-        mean_tbf = self.scale_hours * gamma(1.0 + 1.0 / self.shape)
-        return num_machines / mean_tbf
-
-    def events(self, rng, num_machines, horizon_hours):
-        out: list[ChaosEvent] = []
-        for m in range(num_machines):
-            t = float(self.scale_hours * rng.weibull(self.shape))
-            while t < horizon_hours:
-                out.append(ChaosEvent(time_hours=t, machine_id=m))
-                t += float(self.scale_hours * rng.weibull(self.shape))
         return out
 
 

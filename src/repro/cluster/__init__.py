@@ -7,7 +7,6 @@ from repro.cluster.failures import (
     FailurePhase,
     FailureSchedule,
     FailureSource,
-    MTBFSampler,
 )
 from repro.cluster.kvstore import FAILURE_FLAG, KVStore
 from repro.cluster.machine import Machine
@@ -37,5 +36,4 @@ __all__ = [
     "FailurePhase",
     "FailureSchedule",
     "FailureSource",
-    "MTBFSampler",
 ]

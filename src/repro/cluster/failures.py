@@ -1,19 +1,18 @@
-"""Failure injection: deterministic kill schedules and MTBF sampling.
+"""Failure injection: deterministic kill schedules.
 
-Three modes cover the paper's experiments and beyond:
+Two modes cover the paper's experiments and beyond:
 
 * **Deterministic** — "kill a machine (rank 1) at the beginning of
   iteration 150" (Section 7): a :class:`FailureSchedule` of exact
   ``(iteration, phase, machine)`` triggers, including *mid-update* points
   that expose the crash-consistency problem.
-* **Stochastic** — the simulation study (Section 7.3) injects failures
-  "uniformly randomly during training, assuming a 17-hour
-  median-time-between-failure": :class:`MTBFSampler` draws exponential
-  inter-failure times with a given median.
-* **Scenario-driven** — :mod:`repro.chaos` samples correlated,
-  distribution-driven failure workloads (rack bursts, flaky nodes,
-  cascades) into replayable traces and lowers them onto the same
-  :class:`FailureSchedule` the engines already consume.
+* **Scenario-driven** — :mod:`repro.chaos` samples stochastic failure
+  workloads into replayable traces and lowers them onto the same
+  :class:`FailureSchedule` the engines already consume.  The simulation
+  study's model (Section 7.3: failures "uniformly randomly during
+  training, assuming a 17-hour median-time-between-failure") is the
+  ``steady_mtbf`` scenario, drawn by :class:`repro.chaos.PoissonMTBF`;
+  the others add correlated rack bursts, flaky nodes and cascades.
 
 Engines and trainers depend only on the :class:`FailureSource` protocol
 — anything with ``pop_due``/``pending`` — of which
@@ -22,18 +21,15 @@ Engines and trainers depend only on the :class:`FailureSource` protocol
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 __all__ = [
     "FailurePhase",
     "FailureEvent",
     "FailureSource",
     "FailureSchedule",
-    "MTBFSampler",
 ]
 
 
@@ -120,42 +116,3 @@ class FailureSchedule:
     def __len__(self) -> int:
         return len(self._events)
 
-
-@dataclass
-class MTBFSampler:
-    """Exponential failure-time sampler parameterised by *median* TBF.
-
-    The exponential with rate λ has median ln(2)/λ, so a 17-hour median
-    (the paper's assumption, following Maeng et al.) gives
-    λ = ln(2)/17h.
-    """
-
-    median_hours: float = 17.0
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.median_hours <= 0:
-            raise ValueError("median_hours must be positive")
-        self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def rate_per_hour(self) -> float:
-        return float(np.log(2.0) / self.median_hours)
-
-    def next_failure_hours(self) -> float:
-        """Hours until the next failure (exponential draw)."""
-        return float(self._rng.exponential(1.0 / self.rate_per_hour))
-
-    def failure_times_within(self, horizon_hours: float) -> list[float]:
-        """All failure timestamps (hours) within a training horizon."""
-        times: list[float] = []
-        t = self.next_failure_hours()
-        while t < horizon_hours:
-            times.append(t)
-            t += self.next_failure_hours()
-        return times
-
-    def pick_machine(self, num_machines: int) -> int:
-        """Uniformly choose which machine fails (equal-probability model)."""
-        return int(self._rng.integers(num_machines))

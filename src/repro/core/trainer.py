@@ -13,6 +13,7 @@ training trace that the benchmark harness turns into the paper's figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from repro.cluster.clock import SimClock
@@ -142,8 +143,9 @@ class TrainingTrace:
         iteration completed *through* recovery replay rather than a
         successful step (a mid-update pipeline crash resolves forward)
         still counts, even though no loss row was recorded for it.
+        A non-finite run time (a NaN clock reading) gives 0.0, never NaN.
         """
-        if self.total_time <= 0 or not self.iteration_numbers:
+        if not 0 < self.total_time < math.inf or not self.iteration_numbers:
             return 0.0
         useful = max(self.iteration_numbers) - min(self.iteration_numbers) + 1
         return useful * samples_per_iteration / self.total_time

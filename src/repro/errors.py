@@ -20,7 +20,6 @@ __all__ = [
     "StorageError",
     "LogIntegrityError",
     "RecoveryError",
-    "StateInconsistencyError",
 ]
 
 
@@ -92,11 +91,3 @@ class LogIntegrityError(ReproError):
 
 class RecoveryError(ReproError):
     """Failure recovery could not complete."""
-
-
-class StateInconsistencyError(ReproError):
-    """Workers hold model states from different logical versions.
-
-    This is the crash-consistency problem of Section 2.3; it is resolved by
-    update-undo (:mod:`repro.core.undo`).
-    """

@@ -5,9 +5,9 @@ pair — see :mod:`repro.nn.module` for why determinism and layer-granular
 state matter to Swift.
 """
 
-from repro.nn.activations import GELU, Dropout, Identity, ReLU, Tanh
+from repro.nn.activations import GELU, Dropout, Identity, ReLU
 from repro.nn.attention import MultiHeadSelfAttention, softmax, softmax_backward
-from repro.nn.conv import AvgPool2d, Conv2d, Flatten, GlobalAvgPool2d
+from repro.nn.conv import Conv2d, Flatten, GlobalAvgPool2d
 from repro.nn.embedding import Embedding, PositionalEmbedding
 from repro.nn.linear import Linear
 from repro.nn.loss import CrossEntropyLoss, MSELoss
@@ -21,12 +21,10 @@ __all__ = [
     "Parameter",
     "Linear",
     "Conv2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ReLU",
     "GELU",
-    "Tanh",
     "Dropout",
     "Identity",
     "LayerNorm",

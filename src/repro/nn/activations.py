@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.utils.seeding import RngStream
 
-__all__ = ["ReLU", "GELU", "Tanh", "Dropout", "Identity"]
+__all__ = ["ReLU", "GELU", "Dropout", "Identity"]
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
@@ -34,20 +34,6 @@ class ReLU(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._mask is not None
         return np.where(self._mask, grad_out, 0.0)
-
-
-class Tanh(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._y is not None
-        return grad_out * (1.0 - self._y**2)
 
 
 class GELU(Module):

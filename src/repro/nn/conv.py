@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.module import Module, Parameter
 from repro.utils.seeding import RngStream
 
-__all__ = ["Conv2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten"]
+__all__ = ["Conv2d", "GlobalAvgPool2d", "Flatten"]
 
 
 def _im2col(
@@ -118,30 +118,6 @@ class Conv2d(Module):
         w2d = self.weight.data.reshape(self.out_channels, -1)
         col_grad = np.einsum("of,nol->nfl", w2d, g2d, optimize=True)
         return _col2im(col_grad, x_shape, k, k, s, p)
-
-
-class AvgPool2d(Module):
-    """Average pooling with square window and matching stride."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ValueError(f"input {h}x{w} not divisible by pool size {k}")
-        self._x_shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._x_shape is not None
-        k = self.kernel_size
-        g = grad_out / (k * k)
-        g = np.repeat(np.repeat(g, k, axis=2), k, axis=3)
-        return g.reshape(self._x_shape)
 
 
 class GlobalAvgPool2d(Module):

@@ -22,6 +22,7 @@ from repro.obs.export import (
     summarize_telemetry,
     telemetry_to_csv,
     to_chrome_trace,
+    trace_to_csv,
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -50,6 +51,7 @@ __all__ = [
     "JsonlSink",
     "record_recovery_phases",
     "to_chrome_trace",
+    "trace_to_csv",
     "telemetry_to_csv",
     "summarize_telemetry",
 ]

@@ -3,20 +3,23 @@
 ``to_chrome_trace`` emits the Trace Event Format consumed by Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing`` — drag the file in
 and every span, counter, and instant lands on a labeled track.
-``telemetry_to_csv`` reconstructs the per-iteration rows of
-:func:`repro.utils.metrics.trace_to_csv` from the trainer's iteration
-spans.  ``summarize_telemetry`` renders the terminal report behind
-``repro obs``.
+``trace_to_csv`` writes a trainer's per-iteration rows, and
+``telemetry_to_csv`` reconstructs the same rows from the trainer's
+iteration spans.  ``summarize_telemetry`` renders the terminal report
+behind ``repro obs``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import TelemetryTrace
 
-__all__ = ["to_chrome_trace", "telemetry_to_csv", "summarize_telemetry"]
+__all__ = ["to_chrome_trace", "trace_to_csv", "telemetry_to_csv",
+           "summarize_telemetry"]
 
 _TIMELINES = ("wall", "sim")
 
@@ -99,13 +102,27 @@ def to_chrome_trace(trace: TelemetryTrace, timeline: str = "wall") -> str:
     )
 
 
+def trace_to_csv(trace, samples_per_iteration: int) -> str:
+    """Serialize per-iteration rows (iteration, loss, time, throughput)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "loss", "sim_time_s", "throughput"])
+    for it, loss, t in zip(trace.iteration_numbers, trace.losses,
+                           trace.iteration_times):
+        writer.writerow([
+            it, f"{loss:.8f}", f"{t:.6f}",
+            f"{samples_per_iteration / t:.3f}" if t else "0",
+        ])
+    return buf.getvalue()
+
+
 def telemetry_to_csv(trace: TelemetryTrace,
                      samples_per_iteration: int | None = None) -> str:
     """Per-iteration CSV rows reconstructed from ``trainer/iteration`` spans.
 
     Pulls iteration number and loss out of each span's attributes and the
     iteration time from its sim duration, then delegates row formatting
-    to :func:`repro.utils.metrics.trace_to_csv`.  When
+    to :func:`trace_to_csv`.  When
     ``samples_per_iteration`` is not given it falls back to the trace's
     ``batch_size`` metadata (1 if absent).
 
@@ -119,7 +136,6 @@ def telemetry_to_csv(trace: TelemetryTrace,
     """
     # imported lazily: repro.core.trainer itself imports repro.obs
     from repro.core.trainer import TrainingTrace
-    from repro.utils.metrics import trace_to_csv
 
     numbers: list[int] = []
     losses: list[float] = []

@@ -10,6 +10,7 @@ from repro.optim.amsgrad import AMSGrad
 from repro.optim.base import Optimizer
 from repro.optim.factory import (
     OPTIMIZER_FAMILIES,
+    OPTIMIZER_TABLE1_BY_CLASS,
     OPTIMIZER_TABLE1_NAMES,
     make_optimizer,
 )
@@ -21,13 +22,6 @@ from repro.optim.ops import (
     optimizer_invertible,
     table1_rows,
 )
-from repro.optim.schedulers import (
-    ConstantLR,
-    CosineLR,
-    LRScheduler,
-    StepDecayLR,
-    WarmupLR,
-)
 from repro.optim.sgd import SGD, SGDMomentum
 
 __all__ = [
@@ -38,16 +32,12 @@ __all__ = [
     "AdamW",
     "LAMB",
     "AMSGrad",
-    "LRScheduler",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineLR",
-    "WarmupLR",
     "OperatorInfo",
     "OPERATORS",
     "OPTIMIZER_OPERATORS",
     "OPTIMIZER_FAMILIES",
     "OPTIMIZER_TABLE1_NAMES",
+    "OPTIMIZER_TABLE1_BY_CLASS",
     "make_optimizer",
     "optimizer_invertible",
     "table1_rows",

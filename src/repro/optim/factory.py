@@ -19,6 +19,7 @@ from repro.optim.sgd import SGD, SGDMomentum
 __all__ = [
     "OPTIMIZER_FAMILIES",
     "OPTIMIZER_TABLE1_NAMES",
+    "OPTIMIZER_TABLE1_BY_CLASS",
     "make_optimizer",
 ]
 
@@ -41,6 +42,13 @@ OPTIMIZER_TABLE1_NAMES: dict[str, str] = {
     "adamw": "AdamW",
     "lamb": "LAMB",
     "amsgrad": "AMSGrad",
+}
+
+#: optimizer class name (how a published ``Workload`` names its optimizer)
+#: -> Table 1 operator-universe row
+OPTIMIZER_TABLE1_BY_CLASS: dict[str, str] = {
+    cls.__name__: OPTIMIZER_TABLE1_NAMES[family]
+    for family, cls in OPTIMIZER_FAMILIES.items()
 }
 
 

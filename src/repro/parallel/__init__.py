@@ -2,23 +2,12 @@
 
 from repro.parallel.data_parallel import DataParallelEngine, DPWorker
 from repro.parallel.fsdp import FSDPEngine, FSDPWorker, ShardPlan
-from repro.parallel.operator_parallel import (
-    ColumnParallelLinear,
-    RowParallelLinear,
-    TensorParallelMLP,
-    shard_linear_by_columns,
-    shard_linear_by_rows,
-)
 from repro.parallel.hybrid import (
     ParallelLayout,
     StagePlacement,
     megatron_figure2_layout,
 )
-from repro.parallel.partition import (
-    partition_balanced,
-    partition_by_sizes,
-    stage_boundaries,
-)
+from repro.parallel.partition import partition_by_sizes
 from repro.parallel.instructions import (
     INSTRUCTION_OPS,
     Instruction,
@@ -48,17 +37,10 @@ __all__ = [
     "FSDPEngine",
     "FSDPWorker",
     "ShardPlan",
-    "ColumnParallelLinear",
-    "RowParallelLinear",
-    "TensorParallelMLP",
-    "shard_linear_by_columns",
-    "shard_linear_by_rows",
     "PipelineEngine",
     "PipelineStage",
     "IterationResult",
-    "partition_balanced",
     "partition_by_sizes",
-    "stage_boundaries",
     "simulate_program",
     "bubble_ratio",
     "ScheduleTiming",

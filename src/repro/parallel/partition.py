@@ -2,10 +2,9 @@
 
 The paper notes that pipeline model partitions are "often unbalanced"
 (Section 5.3), which is exactly why its selective-logging grouping is
-cost-driven rather than count-balanced.  This module provides both an
-optimal balanced partitioner (minimize the maximum stage weight) and
-arbitrary explicit partitions, so experiments can reproduce balanced and
-unbalanced pipelines.
+cost-driven rather than count-balanced.  Stages here are explicit layer
+counts: ``Experiment.resolved_partition_sizes`` splits the layers evenly
+unless ``ParallelismSpec.partition_sizes`` names an unbalanced split.
 """
 
 from __future__ import annotations
@@ -13,71 +12,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
-from repro.nn.module import Module
 from repro.nn.sequential import Sequential
 
-__all__ = ["partition_balanced", "partition_by_sizes", "stage_boundaries"]
-
-
-def _feasible(weights: Sequence[float], k: int, cap: float) -> bool:
-    """Can ``weights`` be split into ≤ k contiguous chunks of sum ≤ cap?"""
-    chunks, current = 1, 0.0
-    for w in weights:
-        if w > cap:
-            return False
-        if current + w > cap:
-            chunks += 1
-            current = w
-        else:
-            current += w
-    return chunks <= k
-
-
-def stage_boundaries(weights: Sequence[float], num_stages: int) -> list[int]:
-    """Optimal contiguous split minimizing the max stage weight.
-
-    Returns stage sizes (counts of consecutive layers per stage) via binary
-    search over the bottleneck value — O(n log sum).  Every stage is
-    non-empty.
-    """
-    n = len(weights)
-    if num_stages < 1:
-        raise ConfigurationError("num_stages must be >= 1")
-    if num_stages > n:
-        raise ConfigurationError(
-            f"cannot split {n} layers into {num_stages} non-empty stages"
-        )
-    lo, hi = float(max(weights)), float(sum(weights))
-    for _ in range(100):  # bisection to machine precision
-        mid = (lo + hi) / 2.0
-        if _feasible(weights, num_stages, mid):
-            hi = mid
-        else:
-            lo = mid
-    cap = hi
-    # Greedy fill under the bottleneck cap, but keep enough layers in the
-    # tail so every remaining stage stays non-empty.
-    sizes: list[int] = []
-    idx = 0
-    for stage in range(num_stages):
-        remaining_stages = num_stages - stage - 1
-        current, count = 0.0, 0
-        while idx < n and (n - idx) > remaining_stages:
-            if count > 0 and current + weights[idx] > cap * (1 + 1e-9):
-                break
-            current += weights[idx]
-            count += 1
-            idx += 1
-        if count == 0:  # forced by non-empty constraint
-            count = 1
-            idx += 1
-        sizes.append(count)
-    # distribute any leftover layers (can happen with pathological caps)
-    while idx < n:
-        sizes[-1] += 1
-        idx += 1
-    assert sum(sizes) == n and all(s > 0 for s in sizes)
-    return sizes
+__all__ = ["partition_by_sizes"]
 
 
 def partition_by_sizes(model: Sequential, sizes: Sequence[int]) -> list[Sequential]:
@@ -94,14 +31,3 @@ def partition_by_sizes(model: Sequential, sizes: Sequence[int]) -> list[Sequenti
         idx += size
     return stages
 
-
-def partition_balanced(
-    model: Sequential,
-    num_stages: int,
-    weights: Sequence[float] | None = None,
-) -> list[Sequential]:
-    """Partition by parameter count (or explicit weights) into stages."""
-    if weights is None:
-        weights = [max(layer.num_parameters(), 1) for layer in model]
-    sizes = stage_boundaries(list(weights), num_stages)
-    return partition_by_sizes(model, sizes)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.strategy import MECHANISMS_BY_KIND, logging_worth_it
 from repro.errors import ConfigurationError
-from repro.optim import optimizer_invertible
+from repro.optim import OPTIMIZER_TABLE1_BY_CLASS, optimizer_invertible
 from repro.parallel.programs import default_virtual_stages
 from repro.sim.costmodel import HardwareConfig
 from repro.sim.workloads import Workload
@@ -607,9 +607,7 @@ class WorkloadSearchSpace(SearchSpace):
         if c.strategy == "replication":
             if w.num_machines < 2:
                 return "replica_coverage"
-            from repro.api.workloads import _TABLE1_NAMES
-
-            table1 = _TABLE1_NAMES.get(w.optimizer)
+            table1 = OPTIMIZER_TABLE1_BY_CLASS.get(w.optimizer)
             if table1 is None or not optimizer_invertible(table1):
                 return "optimizer_not_invertible"
         if c.kind == "pp":

@@ -7,7 +7,6 @@ from repro.sim.fleet import (
     FleetReport,
     FleetSimulator,
     JobStats,
-    demo_fleet,
 )
 from repro.sim.throughput import Timeline, TimelinePoint, ThroughputSimulator
 from repro.sim.workloads import (
@@ -28,7 +27,6 @@ __all__ = [
     "FleetReport",
     "FleetSimulator",
     "JobStats",
-    "demo_fleet",
     "ThroughputSimulator",
     "Timeline",
     "TimelinePoint",

@@ -30,7 +30,6 @@ __all__ = [
     "JobStats",
     "FleetReport",
     "FleetSimulator",
-    "demo_fleet",
 ]
 
 
@@ -450,18 +449,3 @@ class FleetSimulator:
         )
         return report
 
-
-def demo_fleet(
-    iterations: int = 30,
-) -> tuple[list[JobSpec], list[FleetFailure]]:
-    """The canonical demo scenario: five mixed DP/PP jobs of different
-    priorities — two elastic, one preempting high-priority arrival, one
-    queued non-elastic gang — plus two machine crashes.
-
-    Thin alias of :func:`repro.api.demo_fleet_specs`, which declares the
-    jobs as Experiments and lowers them through the API; kept here for
-    backward compatibility.
-    """
-    from repro.api.workloads import demo_fleet_specs
-
-    return demo_fleet_specs(iterations)

@@ -2,13 +2,6 @@
 
 from repro.utils.cow import StateView, freeze_array
 from repro.utils.flat import FlatArena, FlatBuffer
-from repro.utils.metrics import (
-    TraceSummary,
-    goodput,
-    loss_curve_distance,
-    summarize_trace,
-    trace_to_csv,
-)
 from repro.utils.jsonl import JsonlWriter, canonical_json, salvage_jsonl
 from repro.utils.pool import BufferPool, PooledBuffer
 from repro.utils.seeding import RngStream, derive_seed, stream
@@ -19,7 +12,6 @@ from repro.utils.serialization import (
     state_nbytes,
     load_state_bytes,
     save_state_bytes,
-    tree_map,
 )
 
 __all__ = [
@@ -41,10 +33,4 @@ __all__ = [
     "state_nbytes",
     "save_state_bytes",
     "load_state_bytes",
-    "tree_map",
-    "TraceSummary",
-    "summarize_trace",
-    "goodput",
-    "loss_curve_distance",
-    "trace_to_csv",
 ]

@@ -165,18 +165,3 @@ class StateView(Mapping):
     @property
     def nbytes(self) -> int:
         return int(sum(v.nbytes for v in self._leaves.values()))
-
-    def diff_keys(self, other: Mapping[str, np.ndarray]) -> set[str]:
-        """Keys whose leaves differ from ``other`` (identity fast path).
-
-        Leaves shared by reference (the COW case) are recognized in O(1);
-        distinct arrays fall back to a bitwise comparison.
-        """
-        changed = set(self._leaves.keys() ^ other.keys())
-        for k in self._leaves.keys() & other.keys():
-            a, b = self._leaves[k], np.asarray(other[k])
-            if a is b:
-                continue
-            if a.shape != b.shape or not np.array_equal(a, b):
-                changed.add(k)
-        return changed

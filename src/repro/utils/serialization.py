@@ -17,7 +17,7 @@ was taken against.
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "state_nbytes",
     "save_state_bytes",
     "load_state_bytes",
-    "tree_map",
 ]
 
 StateDict = dict[str, np.ndarray]
@@ -115,10 +114,3 @@ def load_state_bytes(
     merged: StateDict = {k: np.asarray(v) for k, v in base.items()}
     merged.update(loaded)
     return merged
-
-
-def tree_map(
-    fn: Callable[[np.ndarray], np.ndarray], state: Mapping[str, np.ndarray]
-) -> StateDict:
-    """Apply ``fn`` to every leaf array, returning a new state dict."""
-    return {k: fn(np.asarray(v)) for k, v in state.items()}

@@ -6,6 +6,13 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.api import (
+    ClusterSpec,
+    DataSpec,
+    Experiment,
+    ModelSpec,
+    ParallelismSpec,
+)
 from repro.cluster import Cluster
 from repro.data import ClassificationTask
 from repro.models import make_mlp
@@ -15,6 +22,7 @@ from repro.parallel import (
     DataParallelEngine,
     PipelineEngine,
     default_virtual_stages,
+    partition_by_sizes,
 )
 from repro.utils import state_equal
 
@@ -79,6 +87,21 @@ def numerical_grad_check(
             assert np.isclose(num, grad_x[idx], atol=atol, rtol=rtol), (
                 f"input[{idx}]: numeric {num} vs analytic {grad_x[idx]}"
             )
+
+
+def even_stage_split(model: ModelSpec, stages: int):
+    """``(model, stage list)``: ``model`` built and cut the way a PP run
+    cuts it, ``partition_by_sizes`` over the even layer split of
+    ``Experiment.resolved_partition_sizes``."""
+    data = {"mlp": "classification", "bert": "tokens"}.get(model.family,
+                                                           "images")
+    exp = Experiment(
+        model=model, data=DataSpec(kind=data),
+        cluster=ClusterSpec(num_machines=stages, devices_per_machine=1),
+        parallelism=ParallelismSpec(kind="pp", num_workers=stages),
+    )
+    built = model.build()
+    return built, partition_by_sizes(built, exp.resolved_partition_sizes())
 
 
 def make_dp_engine(

@@ -642,16 +642,11 @@ class TestFleetLowering:
         assert job.spec == spec
         assert job.name in scheduler.jobs
 
-    def test_demo_fleet_matches_legacy_scenario(self):
-        from repro.sim import demo_fleet
-
-        s1, f1 = demo_fleet_specs(12)
-        s2, f2 = demo_fleet(12)
-        assert [s.name for s in s1] == [s.name for s in s2]
-        assert f1 == f2
-        r1 = FleetSimulator(s1, num_machines=6, devices_per_machine=4,
-                            num_spares=1, failures=f1).run()
-        assert {j.state for j in r1.jobs} == {"completed"}
+    def test_demo_fleet_completes(self):
+        specs, failures = demo_fleet_specs(12)
+        report = FleetSimulator(specs, num_machines=6, devices_per_machine=4,
+                                num_spares=1, failures=failures).run()
+        assert {j.state for j in report.jobs} == {"completed"}
 
 
 class TestStrategyVocabulary:
@@ -812,11 +807,9 @@ class TestTraceReporting:
         assert trace.recovery_time_total == 0.0
         assert trace.goodput(32) == 0.0
 
-    def test_metrics_helpers_agree(self):
-        from repro.utils.metrics import goodput, summarize_trace
-
+    def test_failure_free_totals(self):
         session = dp_experiment().build()
         trace = session.run(12)
-        assert goodput(trace, 32) == trace.goodput(32)
-        summary = summarize_trace(trace, 32)
-        assert summary.recovery_time == trace.recovery_time_total
+        assert len(trace.iteration_times) == 12 and not trace.recoveries
+        assert trace.recovery_time_total == 0
+        assert trace.goodput(32) == 12 * 32 / trace.total_time

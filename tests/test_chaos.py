@@ -33,7 +33,6 @@ from repro.chaos import (
     ScriptedEvents,
     StorageOutage,
     StragglerOnset,
-    WeibullMTBF,
     evaluate_scenario,
     evaluate_trace,
     get_scenario,
@@ -64,7 +63,6 @@ ISSUE_SCENARIOS = ("steady_mtbf", "rack_burst", "flaky_node",
 class TestDistributions:
     @pytest.mark.parametrize("process", [
         PoissonMTBF(median_hours=10.0),
-        WeibullMTBF(scale_hours=50.0, shape=0.7),
         BathtubMTBF(),
         RackBurst(burst_rate_per_khour=30.0),
         Cascade(trigger_median_hours=20.0),
@@ -150,6 +148,52 @@ class TestDistributions:
             Cascade(cascade_probability=1.0)
         with pytest.raises(ConfigurationError):
             StragglerOnset(slowdown_min=0.5)
+
+
+class TestPoissonMTBF:
+    """The Section 7.3 failure model ``steady_mtbf`` draws from."""
+
+    def test_median_gap_matches_target(self):
+        events = PoissonMTBF(median_hours=17.0).events(
+            np.random.default_rng(1), 4, 17.0 * 4000)
+        gaps = np.diff([0.0] + [e.time_hours for e in events])
+        # the median of exponential draws should approximate the target
+        assert np.median(gaps) == pytest.approx(17.0, rel=0.1)
+
+    def test_events_within_horizon_and_ordered(self):
+        events = PoissonMTBF(median_hours=1.0).events(
+            np.random.default_rng(2), 4, 100.0)
+        times = [e.time_hours for e in events]
+        assert all(0 < t < 100 for t in times)
+        assert times == sorted(times)
+        assert len(times) > 30  # ~100/1.44 expected
+
+    def test_failing_machine_drawn_uniformly_in_range(self):
+        events = PoissonMTBF(median_hours=1.0).events(
+            np.random.default_rng(3), 4, 200.0)
+        machines = [e.machine_id for e in events]
+        assert all(0 <= m < 4 for m in machines)
+        assert set(machines) == {0, 1, 2, 3}
+
+    def test_per_machine_scales_rate_with_cluster(self):
+        whole = PoissonMTBF(median_hours=17.0)
+        each = PoissonMTBF(median_hours=17.0, per_machine=True)
+        assert whole.rate_per_hour(8) == pytest.approx(np.log(2) / 17.0)
+        assert each.rate_per_hour(8) == pytest.approx(8 * np.log(2) / 17.0)
+
+    def test_crashes_land_between_iterations_by_default(self):
+        events = PoissonMTBF(median_hours=1.0).events(
+            np.random.default_rng(4), 2, 20.0)
+        assert events
+        assert {(e.phase, e.after_updates) for e in events} == {
+            (FailurePhase.ITERATION_START.value, 0)}
+
+    def test_mid_update_fraction_one_crashes_mid_update(self):
+        events = PoissonMTBF(median_hours=1.0, mid_update_fraction=1.0
+                             ).events(np.random.default_rng(4), 2, 20.0)
+        assert events
+        assert {e.phase for e in events} == {FailurePhase.MID_UPDATE.value}
+        assert all(1 <= e.after_updates <= 3 for e in events)
 
 
 class TestTrace:

@@ -12,7 +12,6 @@ from repro.cluster import (
     GlobalStore,
     KVStore,
     LocalDisk,
-    MTBFSampler,
     SimClock,
     pipelined_transfer_time,
 )
@@ -189,24 +188,3 @@ class TestFailures:
         sched.add(FailureEvent(0, 20))
         sched.add(FailureEvent(0, 10))
         assert sched.pending()[0].iteration == 10
-
-    def test_mtbf_median_property(self):
-        sampler = MTBFSampler(median_hours=17.0, seed=1)
-        draws = [sampler.next_failure_hours() for _ in range(4000)]
-        # the median of exponential draws should approximate the target
-        assert np.median(draws) == pytest.approx(17.0, rel=0.1)
-
-    def test_failure_times_within_horizon(self):
-        sampler = MTBFSampler(median_hours=1.0, seed=2)
-        times = sampler.failure_times_within(100.0)
-        assert all(0 < t < 100 for t in times)
-        assert times == sorted(times)
-        assert len(times) > 30  # ~100/1.44 expected
-
-    def test_invalid_median(self):
-        with pytest.raises(ValueError):
-            MTBFSampler(median_hours=0)
-
-    def test_pick_machine_in_range(self):
-        sampler = MTBFSampler(seed=3)
-        assert all(0 <= sampler.pick_machine(4) < 4 for _ in range(50))

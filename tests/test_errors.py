@@ -1,5 +1,9 @@
 """Exception hierarchy contracts."""
 
+import ast
+import functools
+from pathlib import Path
+
 import pytest
 
 from repro.errors import (
@@ -12,7 +16,7 @@ from repro.errors import (
     RecoveryError,
     ReproError,
     ShapeError,
-    StateInconsistencyError,
+    StorageError,
 )
 
 ALL = [
@@ -24,7 +28,7 @@ ALL = [
     NotInvertibleError,
     RecoveryError,
     ShapeError,
-    StateInconsistencyError,
+    StorageError,
 ]
 
 
@@ -32,6 +36,27 @@ ALL = [
 def test_all_derive_from_repro_error(exc):
     assert issubclass(exc, ReproError)
     assert issubclass(exc, Exception)
+
+
+@functools.cache
+def raised_by_library() -> set[str]:
+    """Names of the exception classes some ``raise`` in ``src/repro``
+    raises."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    raised = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return raised
+
+
+@pytest.mark.parametrize("exc", ALL)
+def test_every_error_is_raised_by_the_library(exc):
+    """An error class nothing raises is surface with no behaviour."""
+    assert exc.__name__ in raised_by_library()
 
 
 def test_machine_failure_carries_machine_id():

@@ -1,4 +1,4 @@
-"""Trace metrics, CSV export, and the CLI experiment runner."""
+"""Trace totals, CSV export, and the CLI experiment runner."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ import pytest
 from helpers import make_dp_engine
 from repro.cli import main as cli_main
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
-from repro.core import SwiftTrainer, TrainerConfig
-from repro.utils.metrics import (
-    goodput,
-    loss_curve_distance,
-    summarize_trace,
-    trace_to_csv,
-)
+from repro.core import SwiftTrainer, TrainerConfig, TrainingTrace
+from repro.obs import trace_to_csv
 
 
 def run_trace(with_failure=False, iterations=12):
@@ -27,109 +22,86 @@ def run_trace(with_failure=False, iterations=12):
 
 
 class TestSummary:
+    """The run summary a report reads straight off ``TrainingTrace``."""
+
     def test_basic_fields(self):
         trace = run_trace()
-        s = summarize_trace(trace, samples_per_iteration=16)
-        assert s.iterations == 12
-        assert s.steady_throughput > 0
-        assert s.num_checkpoints == 3  # iterations 0, 5, 10
-        assert s.num_recoveries == 0
-        assert s.final_loss == trace.losses[-1]
+        assert len(trace.iteration_times) == 12
+        assert min(trace.throughput(16)) > 0
+        assert [it for it, _ in trace.checkpoints] == [0, 5, 10]
+        assert not trace.recoveries
+        assert np.isfinite(trace.losses[-1])
 
     def test_recovery_counted(self):
         trace = run_trace(with_failure=True)
-        s = summarize_trace(trace, 16)
-        assert s.num_recoveries == 1
-        assert s.recovery_time > 0
+        assert len(trace.recoveries) == 1
+        assert trace.recovery_time_total > 0
 
     def test_overhead_fraction_bounded(self):
-        s = summarize_trace(run_trace(), 16)
-        assert 0.0 <= s.overhead_fraction < 1.0
+        trace = run_trace()
+        overhead = 1.0 - sum(trace.iteration_times) / trace.total_time
+        assert 0.0 <= overhead < 1.0
 
     def test_goodput_below_steady_throughput(self):
         trace = run_trace(with_failure=True)
-        s = summarize_trace(trace, 16)
-        assert goodput(trace, 16) <= s.steady_throughput
+        assert trace.goodput(16) <= np.median(trace.throughput(16))
 
 
 class TestDegenerateTraces:
     """Empty and zero-iteration traces reduce to well-defined zeros.
 
-    Regression tests for the NaN / ZeroDivisionError family: summarizing
-    a trace before any iteration ran (or after a run that recorded no
-    useful work) must be safe — telemetry and dashboards summarize live,
+    Regression tests for the NaN / ZeroDivisionError family: the totals
+    of a trace before any iteration ran (or after a run that recorded no
+    useful work) must be safe — telemetry and dashboards read live,
     possibly-empty runs.
     """
 
-    def empty(self):
-        from repro.core.trainer import TrainingTrace
-
-        return TrainingTrace()
-
-    def test_empty_trace_summary_is_all_zeros(self):
-        s = summarize_trace(self.empty(), samples_per_iteration=16)
-        assert s.iterations == 0
-        assert s.total_sim_time == 0.0
-        assert s.median_iteration_time == 0.0
-        assert s.steady_throughput == 0.0
-        assert s.num_checkpoints == 0 and s.checkpoint_time == 0.0
-        assert s.num_recoveries == 0 and s.recovery_time == 0
-        assert s.final_loss is None
-        assert s.overhead_fraction == 0.0
-
-    def test_empty_trace_goodput_zero(self):
-        assert goodput(self.empty(), 16) == 0.0
+    def test_empty_trace_is_all_zeros(self):
+        trace = TrainingTrace()
+        assert trace.total_time == 0.0
+        assert trace.throughput(16) == []
+        assert trace.recovery_time_total == 0
+        assert trace.goodput(16) == 0.0
 
     def test_zero_iteration_times_never_nan(self):
-        from repro.core.trainer import TrainingTrace
-
         trace = TrainingTrace(
             losses=[1.0, 0.9], iteration_times=[0.0, 0.0],
             iteration_numbers=[0, 1], wall_times=[0.0, 0.0],
         )
-        s = summarize_trace(trace, 16)
-        assert s.median_iteration_time == 0.0
-        assert s.steady_throughput == 0.0
-        assert s.overhead_fraction == 0.0
-        assert goodput(trace, 16) == 0.0
-        assert not np.isnan(s.overhead_fraction)
+        assert trace.throughput(16) == [0.0, 0.0]
+        assert trace.total_time == 0.0
+        assert trace.goodput(16) == 0.0
 
     def test_nonfinite_iteration_times_guarded(self):
-        from repro.core.trainer import TrainingTrace
-
         trace = TrainingTrace(
             losses=[1.0], iteration_times=[float("inf")],
             iteration_numbers=[0], wall_times=[float("inf")],
         )
-        s = summarize_trace(trace, 16)
-        assert s.median_iteration_time == 0.0
-        assert s.overhead_fraction == 0.0
-        assert goodput(trace, 16) == 0.0
+        assert trace.throughput(16) == [0.0]
+        assert trace.goodput(16) == 0.0
+
+    @pytest.mark.parametrize("bad", [float("-inf"), float("nan")])
+    def test_nan_and_negative_times_give_zero(self, bad):
+        trace = TrainingTrace(
+            losses=[1.0], iteration_times=[bad],
+            iteration_numbers=[0], wall_times=[bad],
+        )
+        assert trace.throughput(16) == [0.0]
+        assert trace.goodput(16) == 0.0
 
     def test_empty_trace_csv_is_header_only(self):
-        assert trace_to_csv(self.empty(), 16).strip() == (
+        assert trace_to_csv(TrainingTrace(), 16).strip() == (
             "iteration,loss,sim_time_s,throughput"
         )
 
 
 class TestLossCurveDistance:
-    def test_identical_curves(self):
-        assert loss_curve_distance([1.0, 0.5], [1.0, 0.5]) == 0.0
-
-    def test_max_abs(self):
-        assert loss_curve_distance([1.0, 0.5], [1.1, 0.2]) == pytest.approx(0.3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            loss_curve_distance([1.0], [1.0, 2.0])
-
-    def test_empty(self):
-        assert loss_curve_distance([], []) == 0.0
-
     def test_recovered_run_has_zero_distance(self):
+        """Figure 11's metric: recovery preserves the loss trajectory."""
         ref = run_trace()
         rec = run_trace(with_failure=True)
-        assert loss_curve_distance(ref.losses, rec.losses) < 1e-6
+        assert len(ref.losses) == len(rec.losses)
+        assert np.max(np.abs(np.subtract(ref.losses, rec.losses))) < 1e-6
 
 
 class TestCsvExport:
@@ -142,6 +114,22 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(trace.losses[0])
+
+    def test_rows_follow_the_trace(self):
+        trace = run_trace(iterations=5)
+        rows = [line.split(",") for line in
+                trace_to_csv(trace, 16).strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == trace.iteration_numbers
+        assert [float(r[2]) for r in rows] == pytest.approx(
+            trace.iteration_times, abs=1e-6)
+        assert [float(r[3]) for r in rows] == pytest.approx(
+            trace.throughput(16), abs=1e-3)
+
+    def test_zero_time_row_reads_zero_throughput(self):
+        trace = TrainingTrace(losses=[1.0], iteration_times=[0.0],
+                              iteration_numbers=[0], wall_times=[0.0])
+        row = trace_to_csv(trace, 16).strip().splitlines()[1]
+        assert row == "0,1.00000000,0.000000,0"
 
 
 class TestCLI:

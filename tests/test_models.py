@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import numerical_grad_check
+from helpers import even_stage_split, numerical_grad_check
+from repro.api import ModelSpec
 from repro.models import make_bert, make_mlp, make_vit, make_wide_resnet
 from repro.models.wide_resnet import BasicBlock
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGDMomentum
-from repro.parallel import partition_balanced
 from repro.utils.seeding import RngStream
 
 RNG = np.random.default_rng(1)
@@ -75,8 +75,7 @@ class TestViT:
         assert model(RNG.normal(size=(2, 3, 16, 16))).shape == (2, 7)
 
     def test_flat_and_partitionable(self):
-        model = make_vit(depth=4)
-        stages = partition_balanced(model, 3)
+        model, stages = even_stage_split(ModelSpec(family="vit", depth=4), 3)
         assert len(stages) == 3
         assert sum(len(s) for s in stages) == len(model)
 
@@ -98,8 +97,8 @@ class TestBert:
         assert model(ids).shape == (2, 6, 20)
 
     def test_stage_per_layer_partition(self):
-        model = make_bert(depth=4)
-        stages = partition_balanced(model, len(model))
+        spec = ModelSpec(family="bert", depth=4)
+        _, stages = even_stage_split(spec, spec.num_partitionable_layers())
         assert all(len(s) == 1 for s in stages)
 
     def test_trains_on_token_task(self):

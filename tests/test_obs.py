@@ -43,10 +43,10 @@ from repro.obs import (
     summarize_telemetry,
     telemetry_to_csv,
     to_chrome_trace,
+    trace_to_csv,
 )
 from repro.obs.recorder import _NULL_SPAN
 from repro.sim.fleet import FleetSimulator
-from repro.utils.metrics import trace_to_csv
 
 GOLDEN = Path(__file__).parent / "traces" / "telemetry_golden.jsonl"
 

@@ -11,6 +11,9 @@ from repro.optim import (
     Adam,
     AdamW,
     LAMB,
+    OPTIMIZER_FAMILIES,
+    OPTIMIZER_TABLE1_BY_CLASS,
+    OPTIMIZER_TABLE1_NAMES,
     SGD,
     SGDMomentum,
     optimizer_invertible,
@@ -250,3 +253,19 @@ class TestTable1:
     def test_classes_match_table(self):
         assert SGD.invertible and Adam.invertible and LAMB.invertible
         assert not AMSGrad.invertible
+
+    def test_class_names_map_to_table1_rows(self):
+        """Published workloads name optimizers by class; one derived map
+        takes those names to Table-1 rows."""
+        assert OPTIMIZER_TABLE1_BY_CLASS == {
+            "SGD": "SGD", "SGDMomentum": "SGD", "Adam": "Adam",
+            "AdamW": "AdamW", "LAMB": "LAMB", "AMSGrad": "AMSGrad",
+        }
+
+    @pytest.mark.parametrize("family", sorted(OPTIMIZER_FAMILIES))
+    def test_class_undo_follows_its_table1_row(self, family):
+        """The planner prices replication by the Table-1 row; the optimizer
+        undoes by its class flag.  The two must agree."""
+        cls = OPTIMIZER_FAMILIES[family]
+        assert cls.invertible == optimizer_invertible(
+            OPTIMIZER_TABLE1_NAMES[family])

@@ -31,6 +31,11 @@ from repro.chaos import (
     sample_paired_traces,
 )
 from repro.errors import ConfigurationError
+from repro.optim import (
+    OPTIMIZER_FAMILIES,
+    OPTIMIZER_TABLE1_BY_CLASS,
+    optimizer_invertible,
+)
 from repro.plan import (
     AnnealSearcher,
     Candidate,
@@ -227,6 +232,33 @@ class TestSearchSpace:
         c = Candidate(kind="pp", num_workers=128, num_microbatches=4,
                       strategy="replication", checkpoint_interval=100)
         assert space.feasible(c) == "strategy_kind"
+
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZER_TABLE1_BY_CLASS))
+    def test_workload_replication_follows_table1(self, optimizer):
+        # a published row names its optimizer by class; Table 1 decides
+        w = dataclasses.replace(WIDE_RESNET_50, optimizer=optimizer)
+        space = WorkloadSearchSpace(w)
+        c = dataclasses.replace(space.default(), strategy="replication")
+        invertible = optimizer_invertible(OPTIMIZER_TABLE1_BY_CLASS[optimizer])
+        assert space.feasible(c) == (
+            None if invertible else "optimizer_not_invertible")
+
+    def test_workload_replication_refuses_unknown_optimizer(self):
+        w = dataclasses.replace(WIDE_RESNET_50, optimizer="Adagrad")
+        space = WorkloadSearchSpace(w)
+        c = dataclasses.replace(space.default(), strategy="replication")
+        assert space.feasible(c) == "optimizer_not_invertible"
+
+    @pytest.mark.parametrize("family", sorted(OPTIMIZER_FAMILIES))
+    def test_experiment_replication_follows_table1(self, family):
+        base = _mlp_experiment(machines=2)
+        space = ExperimentSearchSpace(base.with_(
+            model=dataclasses.replace(base.model, optimizer=family)))
+        c = Candidate(kind="dp", num_workers=2, num_microbatches=1,
+                      strategy="replication", checkpoint_interval=10)
+        assert space.feasible(c) == (
+            None if OPTIMIZER_FAMILIES[family].invertible
+            else "optimizer_not_invertible")
 
     def test_grid_size_matches_enumeration(self):
         space = ExperimentSearchSpace(_mlp_experiment(machines=2))

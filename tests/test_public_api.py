@@ -6,9 +6,13 @@ suite keeps the advertised surface honest:
 * every ``__all__`` name in every module resolves to a real attribute;
 * every public module *has* an ``__all__`` (no accidental surface);
 * the ``py.typed`` marker ships so checkers consume the annotations;
-* the facade re-exports the documented spec/plan/session names.
+* the facade re-exports the documented spec/plan/session names;
+* nothing is an island: every module and export is reached from what
+  runs (the CLI, the facade, the examples, the benchmarks).
 """
 
+import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -283,3 +287,219 @@ def test_one_set_of_recovery_constants_census():
     assert not [node.module for node in ast.walk(space)
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "repro.api.experiment"]
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: what runs the package besides its CLI and facade: CI runs every example
+#: (``test_ci_runs_every_example``), and the paper benchmarks and the
+#: end-to-end harness import it
+CALLER_DIRS = ("examples", "benchmarks", "bench")
+
+#: exported names that nothing but tests and doctests calls, and why each
+#: stays
+ALLOWED_TEST_ONLY = {
+    "megatron_figure2_layout": "Figure 2's layout, the case choose_strategy "
+                               "is tested on",
+    "transformer_message_bytes": "the formula Table 2's boundary_bytes are "
+                                 "checked against",
+    "Dropout": "a layer whose backward reads forward-time state; the "
+               "pipeline stash oracle runs it",
+    "Identity": "an nn test fixture",
+    "FailureSource": "the documented protocol the engines consume",
+    "evaluate_trace": "a doctested repro.chaos entry point",
+    "sample_paired_traces": "a doctested repro.chaos entry point",
+    "register_searcher": "the extension point docs/autoplan.md documents",
+    "fuzz_protocol": "the tier-1 protocol fuzz",
+}
+
+
+class _ImportGraph:
+    """``src/repro`` parsed, with every import resolved to the module that
+    defines the imported name: a package ``__init__`` re-export is
+    followed to its source and never counts as a use of its own."""
+
+    def __init__(self):
+        src = REPO_ROOT / "src"
+        self.trees, self.packages = {}, set()
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+                self.packages.add(".".join(parts))
+            self.trees[".".join(parts)] = ast.parse(path.read_text())
+        #: module -> {bound name: (source module, name there)}
+        self.bindings = {
+            module: {alias.asname or alias.name:
+                     (self.source(node, module), alias.name)
+                     for node in tree.body if isinstance(node, ast.ImportFrom)
+                     for alias in node.names}
+            for module, tree in self.trees.items()
+        }
+
+    def source(self, node, here=None):
+        """Absolute module name of a ``from ... import``."""
+        if not node.level:
+            return node.module or ""
+        parts = here.split(".")
+        base = parts[:len(parts) - node.level + (here in self.packages)]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def resolve(self, module, name):
+        """``(defining module, name)``, or ``(submodule, None)``."""
+        if f"{module}.{name}" in self.trees:
+            return f"{module}.{name}", None
+        source, original = self.bindings.get(module, {}).get(name, ("", ""))
+        if source.split(".")[0] != "repro":
+            return module, name
+        return self.resolve(source, original)
+
+    def scan(self, tree, here=None):
+        """The modules a file imports and the (module, name)s it uses."""
+        modules, used, aliases = set(), set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        modules.add(alias.name)
+                        aliases[alias.asname or "repro"] = (
+                            alias.name if alias.asname else "repro")
+            elif isinstance(node, ast.ImportFrom):
+                source = self.source(node, here)
+                if source.split(".")[0] != "repro":
+                    continue
+                for alias in node.names:
+                    module, name = self.resolve(source, alias.name)
+                    modules.add(module)
+                    if name is None:
+                        aliases[alias.asname or alias.name] = module
+                    else:
+                        used.add((module, name))
+
+        def module_of(expr):
+            if isinstance(expr, ast.Name):
+                return aliases.get(expr.id)
+            if isinstance(expr, ast.Attribute):
+                base = module_of(expr.value)
+                if base is not None:
+                    module, name = self.resolve(base, expr.attr)
+                    return module if name is None else None
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                base = module_of(node.value)
+                if base is not None:
+                    module, name = self.resolve(base, node.attr)
+                    modules.add(module)
+                    if name is not None:
+                        used.add((module, name))
+        return modules, used
+
+    def own_uses(self, module):
+        """Names a module reads outside their own top-level definition."""
+        return {(module, node.id) for top in self.trees[module].body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id != getattr(top, "name", None)}
+
+    def exported(self, module):
+        for node in self.trees[module].body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                return ast.literal_eval(node.value)
+        return []
+
+
+def test_no_islands_census():
+    """Every module runs and every export is used by something that runs.
+
+    (a) Each module under ``src/repro`` is imported, transitively, from
+    ``repro.cli``, ``repro.api`` or a file under ``examples/``,
+    ``benchmarks/`` or ``bench/``, through modules that are not package
+    ``__init__``s (a re-export alone reaches nothing).  (b) Each
+    ``__all__`` name is used outside its own definition by such a module,
+    one of those files or ``docs/build.py``, or is in
+    ``ALLOWED_TEST_ONLY`` with its reason.  (c) The planner and the
+    simulators never import the ``repro.api`` facade, eagerly or lazily.
+    The operator-parallel layers, the LR schedulers and the test-only
+    aliases and samplers deleted beside them fail here if they return.
+    """
+    graph = _ImportGraph()
+    edges, used = {}, set()
+    for module, tree in graph.trees.items():
+        if module not in graph.packages:
+            edges[module], names = graph.scan(tree, module)
+            used |= names | graph.own_uses(module)
+    roots = {"repro.cli"} | graph.scan(graph.trees["repro.api"], "repro.api")[0]
+    callers = [path for d in CALLER_DIRS
+               for path in sorted((REPO_ROOT / d).rglob("*.py"))]
+    for path in callers:
+        modules, names = graph.scan(ast.parse(path.read_text()))
+        roots |= modules
+        used |= names
+    docs = ast.parse((REPO_ROOT / "docs" / "build.py").read_text())
+    used |= graph.scan(docs)[1]
+
+    reached, todo = set(), list(roots)
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += edges.get(module, ())
+    assert sorted(set(edges) - reached) == []
+
+    unused = {}
+    for module in graph.trees:
+        for name in graph.exported(module):
+            home, defined = graph.resolve(module, name)
+            if defined and home not in graph.packages \
+                    and (home, defined) not in used:
+                unused[name] = home
+    assert set(unused) == set(ALLOWED_TEST_ONLY), unused
+
+    for module, tree in graph.trees.items():
+        if module.split(".")[1:2] not in (["plan"], ["sim"]):
+            continue
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [f"{graph.source(node, module)}.{alias.name}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     for alias in node.names]
+        assert not [path for path in imported if path == "repro.api"
+                    or path.startswith("repro.api.")], module
+
+
+@functools.cache
+def names_used_by_tests() -> set[str]:
+    """Every identifier, attribute and imported name under ``tests/``."""
+    used = set()
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED_TEST_ONLY))
+def test_allowed_test_only_names_are_tested(name):
+    """A name kept for its tests alone must still have one; once none
+    uses it, it is an island like any other and goes."""
+    assert name in names_used_by_tests()
+
+
+def test_ci_runs_every_example():
+    """The census counts an example as a caller because CI runs it: the
+    ``examples`` matrix of the CI workflow names exactly
+    ``examples/*.py``."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    matrix = ci.split("        example:\n", 1)[1].split("    steps:", 1)[0]
+    listed = [line.strip()[2:] for line in matrix.splitlines()
+              if line.strip().startswith("- ")]
+    assert sorted(listed) == sorted(
+        path.stem for path in (REPO_ROOT / "examples").glob("*.py"))

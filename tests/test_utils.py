@@ -13,7 +13,6 @@ from repro.utils import (
     state_equal,
     state_nbytes,
     stream,
-    tree_map,
 )
 
 
@@ -67,7 +66,7 @@ class TestSerialization:
 
     def test_allclose_tolerates_fp_error(self):
         s = self.make_state()
-        c = tree_map(lambda a: a + 1e-12, s)
+        c = {k: v + 1e-12 for k, v in s.items()}
         assert not state_equal(s, c)
         assert state_allclose(s, c)
 
@@ -78,8 +77,3 @@ class TestSerialization:
         s = self.make_state()
         restored = load_state_bytes(save_state_bytes(s))
         assert state_equal(s, restored)
-
-    def test_tree_map(self):
-        s = self.make_state()
-        doubled = tree_map(lambda a: a * 2, s)
-        assert np.array_equal(doubled["w"], s["w"] * 2)
