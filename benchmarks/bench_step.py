@@ -11,8 +11,8 @@ per-parameter path the engine keeps as its bitwise reference:
 
 Every speedup claim is paired with bitwise equality checks
 (``state_equal``): fused and eager paths must produce identical replica
-states after plain training, after MID_UPDATE crashes (heterogeneous
-survivor progress included), after update-undo consumes those crash
+states after plain training, after MID_UPDATE crashes (uniform and
+heterogeneous survivor progress), after update-undo consumes those crash
 states, after full replication recovery, and after logging-based replay.
 
 Run::
@@ -217,28 +217,41 @@ def check_equivalence(quick: bool) -> dict:
     train_bitwise = states_bitwise(worker_states(fused_eng),
                                    worker_states(eager_eng))
 
-    # -- MID_UPDATE crash states (heterogeneous survivor progress),
-    #    then the update-undo that consumes them ---------------------------
-    def run_crash(fused: bool):
+    # -- MID_UPDATE crash states, then the update-undo that consumes them:
+    #    heterogeneous survivor progress privatizes every replica, one
+    #    budget for all keeps them sharing an arena updated and undone once
+    def run_crash(fused: bool, progress: dict[int, int] | None):
         eng = make_dp8(fused, quick=True)
         for _ in range(3):
             eng.run_iteration()
         eng.run_iteration(
             failure=FailureEvent(1, 3, FailurePhase.MID_UPDATE,
                                  after_updates=3),
-            survivor_progress={0: 1, 1: 5, 2: 2, 3: 7},
+            survivor_progress=progress,
         )
         return eng
 
-    fc, ec = run_crash(True), run_crash(False)
-    crash_bitwise = states_bitwise(worker_states(fc), worker_states(ec))
-    marks_equal = all(
-        wf.updated_params == we.updated_params
-        for wf, we in zip(fc.workers, ec.workers)
-    )
-    resolve_dp_consistency(fc)
-    resolve_dp_consistency(ec)
-    undo_bitwise = states_bitwise(worker_states(fc), worker_states(ec))
+    def live_states(eng: DataParallelEngine) -> dict:
+        # a dead follower reads the undone shared arena; an eager dead
+        # replica keeps its crash state — both are retired, not undone
+        return {w.rank: w.full_state() for w in eng.alive_workers()}
+
+    crash = {}
+    for prefix, progress, undone_states in (
+        ("", {0: 1, 1: 5, 2: 2, 3: 7}, worker_states),
+        ("uniform_", None, live_states),
+    ):
+        fc, ec = run_crash(True, progress), run_crash(False, progress)
+        crash[f"{prefix}crash_state_bitwise"] = states_bitwise(
+            worker_states(fc), worker_states(ec))
+        crash[f"{prefix}crash_marks_equal"] = all(
+            wf.updated_params == we.updated_params
+            for wf, we in zip(fc.workers, ec.workers)
+        )
+        resolve_dp_consistency(fc)
+        resolve_dp_consistency(ec)
+        crash[f"{prefix}undo_state_bitwise"] = states_bitwise(
+            undone_states(fc), undone_states(ec))
 
     # -- full replication recovery through SwiftTrainer --------------------
     def run_recovery(fused: bool):
@@ -279,9 +292,7 @@ def check_equivalence(quick: bool) -> dict:
 
     return {
         "train_bitwise": bool(train_bitwise),
-        "crash_state_bitwise": bool(crash_bitwise),
-        "crash_marks_equal": bool(marks_equal),
-        "undo_state_bitwise": bool(undo_bitwise),
+        **{k: bool(v) for k, v in crash.items()},
         "recovery_bitwise": bool(recovery_bitwise),
         "replay_bitwise": bool(replay_bitwise),
     }

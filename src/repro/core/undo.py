@@ -45,9 +45,11 @@ def resolve_dp_consistency(engine: DataParallelEngine) -> UndoReport:
 
     After this call every live replica holds exactly the iteration-start
     state ``x_t`` (up to floating-point error, per Section 4), restoring
-    the replica-consistency invariant.
+    the replica-consistency invariant; replicas sharing an arena undo once.
     """
     report = UndoReport(consensus_iteration=engine.iteration)
+    if engine.kind == "dp":
+        report.undone = engine.undo_shared_update()
     for worker in engine.alive_workers():
         if not worker.updated_params:
             continue

@@ -163,6 +163,18 @@ class Optimizer:
         self._arena, donor._arena = donor._arena, None
         self._arena_stale = self._arena is not None
 
+    def take_arena(self, donor: Optimizer) -> None:
+        """Swap arenas with a retiring optimizer whose *live* arena this
+        one's leaves follow as frozen views: rebind them writable, no copy."""
+        self._arena, donor._arena = donor._arena, self._arena
+        self._arena_stale, donor._arena_stale = donor._arena_stale, self._arena_stale
+        pviews = self._arena.params.views()
+        sviews = {s: b.views() for s, b in self._arena.slots.items()}
+        for name in self._arena.order:
+            self.params[name].data = pviews[name]
+            for slot in self.state[name].keys() & sviews.keys():
+                self.state[name][slot] = sviews[slot][name]
+
     def bind_flat(self, order: Iterable[str] | None = None) -> FlatArena:
         """Adopt parameters (and existing slots) into the flat arena.
 

@@ -28,9 +28,12 @@ the iteration:
   an elastic resize, an external load) all leaves are compared *before*
   the update; if they agree bit for bit the replicas share at once and
   still update once, otherwise each runs the fused kernel on a private
-  arena and the check repeats next iteration.  MID_UPDATE failure
-  injection privatizes every replica first, so crash budgets, update-undo,
-  and recovery see exactly the states the eager path would produce.
+  arena and the check repeats next iteration.  A MID_UPDATE crash with one
+  budget for all stays shared: the canonical updates once and, handed to a
+  survivor at recovery if its machine died, undoes once (a dead follower
+  then reads the undone arena, not its crash state).  Uneven survivor
+  progress privatizes every replica first, so each stops at its budget as
+  the eager path would.
 """
 
 from __future__ import annotations
@@ -209,17 +212,20 @@ class DataParallelEngine:
         return sum(int(np.asarray(v).nbytes) for v in w.full_state().values())
 
     def replicas_consistent(self) -> bool:
-        """Bitwise agreement of all live replicas — the core DP invariant."""
+        """Live replicas agree bitwise on parameters, slots and step counts
+        — the core DP invariant."""
         # leaves compared in place, neighbour to neighbour: COW followers
         # hold the very same frozen views, so only one pair reads memory
-        leaves = [
+        states = [(
+            (w.optimizer.step_counts,
+             {n: sorted(s) for n, s in w.optimizer.state.items()}),
             [p.data for _, p in w.model.named_parameters()]
-            for w in self.alive_workers()
-        ]
+            + [s[k] for s in w.optimizer.state.values() for k in sorted(s)],
+        ) for w in self.alive_workers()]
         return all(
-            a is b or np.array_equal(a, b)
-            for prev, cur in zip(leaves, leaves[1:])
-            for a, b in zip(prev, cur)
+            pkeys == ckeys and all(
+                a is b or np.array_equal(a, b) for a, b in zip(prev, cur))
+            for (pkeys, prev), (ckeys, cur) in zip(states, states[1:])
         )
 
     # -- the iteration ----------------------------------------------------------
@@ -368,29 +374,35 @@ class DataParallelEngine:
         t_comm = self.group.allreduce_time(grad_bytes)
 
         if failure is not None and failure.phase == FailurePhase.MID_UPDATE:
-            # failure injection: replicas stop at different update budgets,
-            # so every replica needs divergent private state — privatize
-            # COW followers first (their views alias the canonical arena,
-            # which the canonical's bind/update would otherwise mutate)
-            prev_canon, self._canonical = self._canonical, None
-            for w in sorted(live, key=lambda w: w is prev_canon):
+            progress = survivor_progress or {}
+            budgets = [min(len(order), failure.after_updates
+                           if w.machine_id == failure.machine_id
+                           else progress.get(w.rank, failure.after_updates))
+                       for w in live]
+            canon = self._canonical
+            if (len(set(budgets)) == 1 and canon in live
+                    and self._sharing_valid(live, canon)):
+                # one budget for bit-identical replicas: update once, on
+                # the canonical; followers keep their views
+                names = canon.optimizer.step_flat(
+                    count=budgets[0], order=order, grads=self._reduced.data)
+                for w in live:
+                    if w is not canon:
+                        self._sync_follower_scalars(w, canon, names)
+                    w.updated_params = list(names)
+                return self._fail(failure, sim_time=t_compute + t_comm)
+            # uneven budgets need divergent private states: privatize COW
+            # followers first (their views alias the canonical arena, which
+            # the canonical's bind/update would otherwise mutate)
+            self._canonical = None
+            for w in sorted(live, key=lambda w: w is canon):
                 w.optimizer.bind_flat(order)
-            for w in live:
-                if w.machine_id == failure.machine_id:
-                    budget = failure.after_updates
-                else:
-                    budget = (survivor_progress or {}).get(
-                        w.rank, failure.after_updates
-                    )
-                budget = min(budget, len(order))
-                w.updated_params = list(
-                    w.optimizer.step_flat(
-                        count=budget, order=order, grads=self._reduced.data
-                    )
-                )
+            for w, budget in zip(live, budgets):
+                w.updated_params = w.optimizer.step_flat(
+                    count=budget, order=order, grads=self._reduced.data)
             return self._fail(failure, sim_time=t_compute + t_comm)
 
-        canon = live[0]
+        canon = self._canonical if self._canonical in live else live[0]
         with self.recorder.span("engine/optimizer"):
             sharing = self._sharing_valid(live, canon)
             if sharing or self._replicas_agree(live, canon):
@@ -450,32 +462,28 @@ class DataParallelEngine:
         elastic membership churn, test interference) breaks aliasing and
         routes the iteration through the verified per-replica path instead.
         """
-        if self._canonical is not canon:
-            return False
-        opt = canon.optimizer
-        if not opt.flat_bound(self.update_order):
-            return False
+        return (self._canonical is canon
+                and canon.optimizer.flat_bound(self.update_order)
+                and all(w is canon or self._follows(w, canon) for w in live))
+
+    def _follows(self, w: DPWorker, canon: DPWorker) -> bool:
+        """Every leaf of ``w`` is a frozen view of ``canon``'s arena."""
+        opt, wopt = canon.optimizer, w.optimizer
         arena = opt.flat_arena(self.update_order)
         fparams = arena.params.frozen_views()
         fslots = [(s, b.frozen_views()) for s, b in arena.slots.items()]
-        cstates = opt.state
-        for w in live:
-            if w is canon:
-                continue
-            wopt = w.optimizer
-            wparams, wstates = wopt.params, wopt.state
-            for name in self.update_order:
-                if wparams[name].data is not fparams[name]:
+        for name in self.update_order:
+            if wopt.params[name].data is not fparams[name]:
+                return False
+            cstate, wstate = opt.state[name], wopt.state[name]
+            # sharing is only ever established over flat slots (see
+            # _replicas_agree), so size + per-flat-slot aliasing pins the
+            # whole slot dict
+            if len(wstate) != len(cstate):
+                return False
+            for slot, views in fslots:
+                if slot in cstate and wstate.get(slot) is not views[name]:
                     return False
-                cstate, wstate = cstates[name], wstates[name]
-                # sharing is only ever established over flat slots (see
-                # _replicas_agree), so size + per-flat-slot aliasing
-                # pins the whole slot dict
-                if len(wstate) != len(cstate):
-                    return False
-                for slot, views in fslots:
-                    if slot in cstate and wstate.get(slot) is not views[name]:
-                        return False
         return True
 
     def _replicas_agree(self, live: list[DPWorker], canon: DPWorker) -> bool:
@@ -536,13 +544,47 @@ class DataParallelEngine:
                 wstate[slot] = fslots[slot][name]
         self._sync_follower_scalars(w, canon)
 
-    def _sync_follower_scalars(self, w: DPWorker, canon: DPWorker) -> None:
-        """Mirror the canonical step's scalar bookkeeping onto a follower."""
+    def _sync_follower_scalars(self, w: DPWorker, canon: DPWorker,
+                               names: list[str] | None = None) -> None:
+        """Mirror the canonical's scalar bookkeeping onto a follower."""
         opt, wopt = canon.optimizer, w.optimizer
-        for name in self.update_order:
+        names = self.update_order if names is None else names
+        for name in names:
             wopt.step_counts[name] = opt.step_counts[name]
             wopt.undo_journal[name] = dict(opt.undo_journal[name])
-        wopt.dirty_params.update(self.update_order)
+        wopt.dirty_params.update(names)
+
+    def undo_shared_update(self) -> dict[int, list[str]]:
+        """Resolve a crash on the shared arena once, before replacements join.
+
+        A canonical whose machine died (in any phase) moves its arena,
+        uncopied, to its first live follower, the new canonical; it retires
+        as that one's follower.  A uniform MID_UPDATE crash is then undone
+        once on the canonical (``bind_flat`` puts AdamW's out-of-place undo
+        back in the arena).  Returns the names undone per rank of a sharing
+        group with one set of marks, else ``{}``: private replicas undo on
+        their own.
+        """
+        live, canon = self.alive_workers(), self._canonical
+        dead = canon is not None and not canon.alive
+        heir = next((w for w in live if dead and self._follows(w, canon)), None)
+        if heir is not None:
+            heir.optimizer.take_arena(canon.optimizer)
+            self._share_follower(canon, heir)
+            self._canonical = canon = heir
+        if canon not in live or not canon.optimizer.flat_bound(self.update_order):
+            return {}
+        group = [w for w in live if w is canon or self._follows(w, canon)]
+        marks = canon.updated_params
+        if not marks or any(w.updated_params != marks for w in group):
+            return {}
+        names = canon.optimizer.undo(reversed(marks))
+        canon.optimizer.bind_flat(self.update_order)
+        for w in group:
+            if w is not canon:
+                self._sync_follower_scalars(w, canon, names)
+            w.updated_params = []
+        return {w.rank: list(names) for w in group}
 
     def _fail(self, failure: FailureEvent, sim_time: float = 0.0) -> IterationResult:
         self.cluster.fail_machine(failure.machine_id)
@@ -566,10 +608,10 @@ class DataParallelEngine:
 
         The replacement takes over the replaced worker's flat arena (same
         layout, scratch included) instead of allocating one, under one
-        rule: a write through a recycled arena must never change what a
-        live replica reads.  Only the canonical's arena has foreign readers
-        (its machine dying in FORWARD/BACKWARD/ITERATION_START leaves the
-        survivors aliasing it), so that one is never recycled.
+        rule: no live replica reads an arena owned by a retired worker.
+        Only the canonical's arena has foreign readers, so that one is never
+        recycled — but replication undoes first, where a dead canonical
+        hands its arena to a survivor (:meth:`undo_shared_update`).
         """
         old = self.workers[rank] if rank < len(self.workers) else None
         model = self.model_factory()

@@ -171,6 +171,30 @@ def make_pp_engine(
     )
 
 
+def assert_shared(engine: DataParallelEngine) -> None:
+    """The fused DP replicas share one arena: the canonical is live and
+    flat-bound, and every other live worker aliases its frozen views leaf
+    for leaf (parameters and every slot)."""
+    canon, order = engine._canonical, engine.update_order
+    live = engine.alive_workers()
+    assert any(w is canon for w in live), "canonical is not a live worker"
+    copt = canon.optimizer
+    assert copt.flat_bound(order)
+    arena = copt.flat_arena(order)
+    fparams = arena.params.frozen_views()
+    fslots = {s: b.frozen_views() for s, b in arena.slots.items()}
+    for w in live:
+        if w is canon:
+            continue
+        wopt = w.optimizer
+        for name in order:
+            assert wopt.params[name].data is fparams[name], (w.rank, name)
+            assert wopt.state[name].keys() == copt.state[name].keys()
+            for slot in copt.state[name]:
+                assert wopt.state[name][slot] is fslots[slot][name], (
+                    w.rank, name, slot)
+
+
 def pipeline_states(engine: PipelineEngine) -> dict[int, dict[str, np.ndarray]]:
     return {sid: s.module.state_dict() for sid, s in enumerate(engine.stages)}
 

@@ -10,7 +10,7 @@ pins that contract for every optimizer and both engines.
 import numpy as np
 import pytest
 
-from helpers import make_dp_engine, make_pp_engine
+from helpers import assert_shared, make_dp_engine, make_pp_engine
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
 from repro.core.undo import resolve_dp_consistency
@@ -309,6 +309,35 @@ class TestFusedEngine:
         resolve_dp_consistency(eager)
         assert self.bitwise(self.states(fused), self.states(eager))
 
+    @pytest.mark.parametrize("revived", [False, True])
+    @pytest.mark.parametrize("machine", [0, 1])  # 0 hosts the canonical
+    def test_uniform_mid_update_crash_stays_shared(self, machine, revived):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adamw"])
+        for _ in range(3):
+            fused.run_iteration()
+            eager.run_iteration()
+        for eng in (fused, eager):
+            eng.run_iteration(failure=FailureEvent(
+                machine, 3, FailurePhase.MID_UPDATE, after_updates=3))
+        assert self.bitwise(self.states(fused), self.states(eager))
+        for wf, we in zip(fused.workers, eager.workers):
+            assert wf.updated_params == we.updated_params
+        if revived:
+            # the crashed replicas come back before the undo (an abrupt
+            # elastic departure): a live canonical keeps its arena
+            for eng in (fused, eager):
+                eng.cluster.replace_machine(machine)
+            assert_shared(fused)
+        reports = [resolve_dp_consistency(eng) for eng in (fused, eager)]
+        assert reports[0].undone == reports[1].undone
+        # the dead replicas are retired, not undone: eager ones keep their
+        # crash state, fused followers read the undone shared arena
+        assert self.bitwise(
+            {w.rank: w.full_state() for w in fused.alive_workers()},
+            {w.rank: w.full_state() for w in eager.alive_workers()})
+        assert_shared(fused)
+        assert fused.replicas_consistent()
+
     def test_recovery_resumes_sharing_and_stays_bitwise(self):
         def run(fused_flag):
             eng = make_dp_engine()
@@ -322,7 +351,7 @@ class TestFusedEngine:
         fused, eager = run(True), run(False)
         assert self.bitwise(self.states(fused), self.states(eager))
         # replicas re-verified bitwise-equal after recovery: sharing resumed
-        assert fused._canonical is fused.workers[0]
+        assert_shared(fused)
 
     def test_load_full_state_breaks_sharing_safely(self):
         fused, eager = self.engines()
@@ -344,11 +373,27 @@ class TestFusedEngine:
             fused.run_iteration()
         assert fused.replicas_consistent()
 
+    def test_replicas_consistent_compares_slots_and_step_counts(self):
+        fused, _ = self.engines(opt_factory=OPTIMIZERS["adam"])
+        for _ in range(3):
+            fused.run_iteration()
+        w = fused.workers[2]
+        w.load_full_state(w.full_state())  # private, still bit-identical
+        assert fused.replicas_consistent()
+        name = fused.update_order[0]
+        w.optimizer.state[name]["m"][...] += 1e-3
+        assert not fused.replicas_consistent()
+        w.load_full_state(fused.workers[0].full_state())
+        assert fused.replicas_consistent()
+        w.optimizer.step_counts[name] += 1
+        assert not fused.replicas_consistent()
+
     # -- "replicas agree => one update", pinned as call counts -----------------
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Live counts of ``Optimizer.step_flat`` / ``np.array_equal`` calls."""
-        counts = {"step_flat": 0, "array_equal": 0}
+        """Live counts of ``Optimizer.step_flat`` / ``Optimizer.undo`` /
+        ``np.array_equal`` calls."""
+        counts = {"step_flat": 0, "undo": 0, "array_equal": 0}
 
         def spy(owner, attr, key):
             real = getattr(owner, attr)
@@ -360,6 +405,7 @@ class TestFusedEngine:
             monkeypatch.setattr(owner, attr, counted)
 
         spy(Optimizer, "step_flat", "step_flat")
+        spy(Optimizer, "undo", "undo")
         spy(np, "array_equal", "array_equal")
         return counts
 
@@ -367,21 +413,16 @@ class TestFusedEngine:
     def trainer_pair(engines, **config):
         return [SwiftTrainer(eng, TrainerConfig(**config)) for eng in engines]
 
-    def assert_sharing(self, eng):
-        order = eng.update_order
-        assert eng._canonical is eng.workers[0]
-        assert eng.workers[0].optimizer.flat_bound(order)
-        assert not any(w.optimizer.flat_bound(order) for w in eng.workers[1:])
-
+    @pytest.mark.parametrize("opt", ["adam", "adamw"])
     @pytest.mark.parametrize("phase", [
         FailurePhase.ITERATION_START, FailurePhase.FORWARD,
         FailurePhase.BACKWARD, FailurePhase.MID_UPDATE,
     ])
-    @pytest.mark.parametrize("machine", [0, 1])
+    @pytest.mark.parametrize("machine", [0, 1])  # 0 hosts the canonical
     def test_one_update_from_the_first_agreeing_iteration(
-        self, calls, phase, machine
+        self, calls, phase, machine, opt
     ):
-        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        fused, eager = self.engines(opt_factory=OPTIMIZERS[opt])
         tf, te = self.trainer_pair([fused, eager])
         schedule = lambda: FailureSchedule(  # noqa: E731
             [FailureEvent(machine, 3, phase, after_updates=2)])
@@ -396,21 +437,30 @@ class TestFusedEngine:
         # iteration 0 verifies and shares at once; Adam's m/v, created by
         # that very step, are shared with it — so iteration 1 is a pure
         # ``is`` check (no compare, still one update)
+        clean = {"step_flat": 1, "undo": 0, "array_equal": 0}
         _, made = step()
         assert made["step_flat"] == 1 and made["array_equal"] > 0
-        self.assert_sharing(fused)
+        assert_shared(fused)
         for _ in range(2):
             _, made = step()
-            assert made == {"step_flat": 1, "array_equal": 0}
-        result, _ = step()
+            assert made == clean
+        # a uniform MID_UPDATE crash updates and undoes the shared arena
+        # once, on a canonical that outlives its machine; the survivors
+        # are not compared
+        result, made = step()
         assert result.failed and len(tf.trace.recoveries) == 1
-        # the re-run: replacements verified leaf by leaf, one update
+        mid = int(phase is FailurePhase.MID_UPDATE)
+        assert made == {"step_flat": mid, "undo": mid, "array_equal": 0}
+        # the re-run: only the two replacements verified leaf by leaf, the
+        # survivors still read the canonical arena
         result, made = step()
         assert not result.failed
-        assert made["step_flat"] == 1 and made["array_equal"] > 0
-        self.assert_sharing(fused)
+        leaves = sum(1 + len(fused._canonical.optimizer.state[n])
+                     for n in fused.update_order)
+        assert made == {"step_flat": 1, "undo": 0, "array_equal": 2 * leaves}
+        assert_shared(fused)
         _, made = step()
-        assert made == {"step_flat": 1, "array_equal": 0}
+        assert made == clean
         assert self.bitwise(self.states(fused), self.states(eager))
 
     def test_heterogeneous_progress_keeps_per_replica_updates(self, calls):
@@ -436,9 +486,9 @@ class TestFusedEngine:
         assert fused._canonical is None
         assert self.bitwise(self.states(fused), self.states(eager))
 
-    # -- the recycled-arena rule: a write through an arena handed to a
-    # replacement never changes what a live replica reads ---------------------
-    def test_canonical_arena_is_left_to_its_followers(self):
+    # -- the recycled-arena rule: the canonical is live, and no live replica
+    # reads an arena owned by a retired worker --------------------------------
+    def test_a_survivor_inherits_the_canonical_arena(self):
         fused, eager = self.engines(opt_factory=OPTIMIZERS["adamw"])
         tf, te = self.trainer_pair([fused, eager])
         for trainer in (tf, te):
@@ -449,28 +499,55 @@ class TestFusedEngine:
         for eng, trainer in ((fused, tf), (eager, te)):
             eng.run_iteration(failure=FailureEvent(0, 3, FailurePhase.FORWARD))
             trainer.recover_now()
-        # the survivors still read the dead canonical's arena: rank 0's
-        # replacement must not write there, rank 1's may reuse its own
-        new0, new1 = (w.optimizer for w in fused.workers[:2])
-        assert new1.flat_arena(order) is arenas[1]
-        assert new0.flat_arena(order) is not arenas[0]
-        loaded = {name: p.data for name, p in new0.params.items()}
-        for p in new0.params.values():
-            p.data = p.data + 1.0
-        new0.bind_flat(order)
+        # the first follower off the dead machine owns the arena, uncopied,
+        # and the other survivor still reads it through its frozen views
+        heir, other = fused.workers[2:]
+        assert fused._canonical is heir
+        assert heir.optimizer.flat_arena(order) is arenas[0]
+        assert heir.optimizer.flat_bound(order)
+        frozen = arenas[0].params.frozen_views()
+        assert all(other.optimizer.params[n].data is frozen[n] for n in order)
+        # both retired workers' arenas went to the replacements: the dead
+        # canonical was left the heir's own
+        recycled = [w.optimizer.flat_arena(order) for w in fused.workers[:2]]
+        assert recycled[0] is arenas[2] and recycled[1] is arenas[1]
+        for arena in recycled:
+            for buf in (arena.params, arena.grads, *arena.slots.values()):
+                buf.data[...] = np.nan
         assert self.bitwise(
             survivors, {r: fused.workers[r].full_state() for r in survivors})
-        for name, p in new0.params.items():
-            p.data = loaded[name]
         for trainer in (tf, te):
             trainer.train(6)
         assert self.bitwise(self.states(fused), self.states(eager))
+        assert_shared(fused)
+
+    @pytest.mark.parametrize("phase", [FailurePhase.FORWARD,
+                                       FailurePhase.MID_UPDATE])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_canonical_lands_on_a_survivor_when_two_machines_fail(
+        self, first, phase
+    ):
+        # machine 0 hosts the canonical, machine 1 the ranks before the
+        # survivors': its retired workers may inherit the arena on the way
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adamw"],
+                                    num_workers=6, machines=3)
+        survivors = fused.workers[4:]
+        for trainer in self.trainer_pair([fused, eager]):
+            trace = trainer.train(8, failures=FailureSchedule([
+                FailureEvent(first, 3, phase, after_updates=2),
+                FailureEvent(1 - first, 3, FailurePhase.ITERATION_END),
+            ]))
+            assert trace.recoveries[0].failed_machines == [0, 1]
+        assert self.bitwise(self.states(fused), self.states(eager))
+        assert_shared(fused)
+        assert fused._canonical is survivors[0]
+        assert fused.workers[4:] == survivors
 
     @pytest.mark.parametrize("interval, phase, lost", [
         # followers aliasing the canonical arena when every worker reloads
         (4, FailurePhase.FORWARD, 3),
-        # every replica privatized, so every recycled arena is full of
-        # Adam moments the iteration-0 checkpoint knows nothing about
+        # every recycled arena is full of Adam moments the iteration-0
+        # checkpoint knows nothing about
         (100, FailurePhase.MID_UPDATE, 7),
     ])
     def test_rollback_to_an_older_checkpoint_through_recycled_arenas(
@@ -485,7 +562,7 @@ class TestFusedEngine:
                 [FailureEvent(0, 7, phase, after_updates=2)]))
             assert trace.recoveries[0].lost_iterations == lost
         assert self.bitwise(self.states(fused), self.states(eager))
-        self.assert_sharing(fused)
+        assert_shared(fused)
 
     def test_load_on_the_canonical_alone_never_leaks_to_followers(self):
         fused, eager = self.engines()

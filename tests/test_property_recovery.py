@@ -16,7 +16,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_dp_engine, make_pp_engine, pipeline_states
+from helpers import (assert_shared, make_dp_engine, make_pp_engine,
+                     pipeline_states)
 from repro.api import (
     ClusterSpec,
     DataSpec,
@@ -208,7 +209,7 @@ def test_dp_recovery_always_exact(optimizer, iteration, first, second, ckpt):
         # identical undo on identical replicas: bit-identical again, so
         # the single shared update resumed
         assert fused.replicas_consistent()
-        assert fused._canonical is fused.workers[0]
+        assert_shared(fused)
 
 
 # -- the last rung: a global restart restores every engine, bitwise ----------
