@@ -28,7 +28,9 @@ Semantics:
 
 The walk is segment-based (O(#events), not O(#iterations)); an
 iteration in flight when an event lands is charged but not counted — the
-same convention as :class:`~repro.sim.EndToEndSimulator`.
+same convention as :class:`~repro.sim.EndToEndSimulator`.  It is one
+flat loop over the trace's ``walk_order``, which each trace sorts once
+however many prices walk it: a batch of prices pays only for pricing.
 """
 
 from __future__ import annotations
@@ -122,68 +124,51 @@ def _walk(trace: FailureTrace, pricing: Pricing, total: int) -> GoodputResult:
     method, interval = pricing.method, pricing.interval
     dt_base, recovery = pricing.iteration_seconds, pricing.recovery
     snapshot_based = method in ("checkfreq", "elastic_horovod")
-
-    # event timeline in seconds, time-ordered (ties: outages first so a
-    # simultaneous crash already sees the window)
-    order = {"storage_outage": 0, "straggler": 1, "crash": 2}
-    events = sorted(
-        trace.events, key=lambda e: (e.time_hours, order[e.kind], e.machine_id)
-    )
     outages: list[tuple[float, float]] = []  # [start, end) in seconds
 
     elapsed = 0.0
     completed = 0
     last_ckpt = 0  # iteration of the last durable global checkpoint
     slowdown = 1.0
+    dt = dt_base  # dt_base * slowdown, recomputed when a straggler starts
     crashes = onsets = outage_count = 0
 
-    def advance_to(t_target: float) -> None:
-        """Run whole iterations until the next would cross ``t_target``.
-
-        Closed-form (O(#outages), not O(#intervals)): a search horizon
-        can map onto 10^8 iterations at cadence 10, so walking interval
-        boundaries one by one is not an option.
-        """
-        nonlocal elapsed, completed, last_ckpt
-        dt = dt_base * slowdown
-        fit = max(0, min(int((t_target - elapsed) / dt), total - completed))
+    for t, rank, magnitude in trace.walk_order:
+        if completed >= total:
+            break
+        # whole iterations until the next would cross t, in closed form: a
+        # search horizon can map onto 10^8 iterations at cadence 10
+        fit = int((t - elapsed) / dt)
+        if fit > total - completed:
+            fit = total - completed
+        if fit < 0:
+            fit = 0
         # latest interval boundary reached whose completion instant falls
         # outside every outage window (its checkpoint persisted); walk
         # backwards one outage at a time
         b = (completed + fit) // interval * interval
         while b > completed:
             t_b = elapsed + (b - completed) * dt
-            hit = next(
-                ((s, e) for s, e in outages if s <= t_b < e), None
-            )
-            if hit is None:
-                last_ckpt = max(last_ckpt, b)
+            for start, end in outages:
+                if start <= t_b < end:
+                    break
+            else:
+                last_ckpt = b  # b > completed >= last_ckpt: a step forward
                 break
             # that checkpoint never persisted; try the last boundary
             # completed strictly before the outage began
-            before = int((hit[0] - elapsed) / dt)
-            if elapsed + before * dt >= hit[0]:
+            before = int((start - elapsed) / dt)
+            if elapsed + before * dt >= start:
                 before -= 1  # int() truncation landed on the edge
             b = (completed + max(0, min(before, fit))) // interval * interval
         completed += fit
         elapsed += fit * dt
-
-    for e in events:
-        if completed >= total:
-            break
-        t = e.time_hours * 3600.0
-        advance_to(t)
         if completed >= total:
             break
         # the iteration in flight at the event is charged but not counted
-        elapsed = max(elapsed, t)
-        if e.kind == "storage_outage":
-            outage_count += 1
-            outages.append((t, t + e.magnitude * 3600.0))
-        elif e.kind == "straggler":
-            onsets += 1
-            slowdown = max(slowdown, e.magnitude)
-        else:  # crash
+        if t > elapsed:
+            elapsed = t
+        if rank == 2:  # crash
             crashes += 1
             if method == "swift_replication":
                 lost = 0  # undo resolves the partial update; nothing lost
@@ -192,6 +177,14 @@ def _walk(trace: FailureTrace, pricing: Pricing, total: int) -> GoodputResult:
             else:
                 lost = completed - last_ckpt
             elapsed += recovery(lost)
+        elif rank == 1:  # straggler
+            onsets += 1
+            if magnitude > slowdown:
+                slowdown = magnitude
+                dt = dt_base * slowdown
+        else:  # storage outage
+            outage_count += 1
+            outages.append((t, t + magnitude * 3600.0))
 
     if completed < total:
         # no events remain: run the tail uninterrupted

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.cluster.failures import FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
@@ -209,6 +210,19 @@ class FailureTrace(JsonlDocument):
     @property
     def stragglers(self) -> tuple[ChaosEvent, ...]:
         return tuple(e for e in self.events if e.kind == "straggler")
+
+    @cached_property
+    def walk_order(self) -> tuple[tuple[float, int, float], ...]:
+        """``(seconds, kind rank, magnitude)`` per event in the analytic
+        walk's order, sorted once per trace (cached outside equality,
+        hashing and JSONL).  Time-ordered; ties: outages (rank 0) first
+        so a simultaneous crash already sees the window, then stragglers
+        (1), then crashes (2), then by machine."""
+        rank = {"storage_outage": 0, "straggler": 1, "crash": 2}
+        return tuple(
+            (e.time_hours * 3600.0, rank[e.kind], e.magnitude)
+            for e in sorted(self.events, key=lambda e: (
+                e.time_hours, rank[e.kind], e.machine_id)))
 
     def with_meta(self, **kv: object) -> "FailureTrace":
         """Return a copy with extra metadata entries recorded."""

@@ -220,6 +220,7 @@ class SearchSpace:
 
     def __init__(self) -> None:
         self.stats = PruneStats()
+        self._verdicts: dict[Candidate, str | None] = {}
 
     # -- subclass interface ------------------------------------------------
     def _feasibility_reason(self, candidate: Candidate) -> str | None:
@@ -285,8 +286,12 @@ class SearchSpace:
 
     def feasible(self, candidate: Candidate) -> str | None:
         """``None`` if the candidate survives, else the prune reason
-        (recorded in :attr:`stats`)."""
-        reason = self._feasibility_reason(candidate)
+        (recorded in :attr:`stats` per call, judged once per space)."""
+        try:
+            reason = self._verdicts[candidate]
+        except KeyError:
+            reason = self._feasibility_reason(candidate)
+            self._verdicts[candidate] = reason
         self.stats.record(reason)
         return reason
 
@@ -300,6 +305,7 @@ class SearchSpace:
         return sum(1 for _ in self.candidates())
 
     def reset_stats(self) -> None:
+        """Zero the prune counters; the verdicts behind them are kept."""
         self.stats = PruneStats()
 
     # -- mutation (seeded searchers) ---------------------------------------

@@ -50,10 +50,11 @@ TRACES_DIR = Path(__file__).parent / "traces"
 
 #: checked-in FailureTrace goldens (telemetry goldens belong to
 #: tests/test_obs.py, serve WAL goldens to tests/test_serve.py,
-#: schedule-program goldens to tests/test_pipeline_programs.py)
+#: schedule-program goldens to tests/test_pipeline_programs.py, the
+#: trace-walk golden to tests/test_trace_walk.py)
 FAILURE_TRACES = sorted(
     p for p in TRACES_DIR.glob("*.jsonl")
-    if not p.stem.startswith(("telemetry", "serve_wal", "program"))
+    if not p.stem.startswith(("telemetry", "serve_wal", "program", "walk"))
 )
 
 ISSUE_SCENARIOS = ("steady_mtbf", "rack_burst", "flaky_node",

@@ -430,6 +430,54 @@ class TestOnePricePerKey:
         assert slow.mean_hours > default.mean_hours
 
 
+class TestAReplanPaysOnlyForPricing:
+    """Each trace is sorted once, however many cost keys walk it, and a
+    space judges each candidate once, however many searches it serves."""
+
+    def test_walk_order_built_once_per_trace(self, monkeypatch):
+        prop = FailureTrace.__dict__["walk_order"]
+        real, built = prop.func, []
+
+        def counted(trace):
+            built.append(trace.seed)
+            return real(trace)
+        monkeypatch.setattr(prop, "func", counted)
+        report = autoplan(_pinned_space(), "rack_burst",
+                          searcher="exhaustive", eval_seeds=3)
+        assert report.cache_misses > 1
+        assert sorted(built) == [0, 1, 2]
+
+    def test_warm_replan_judges_no_candidate_again(self, monkeypatch):
+        space = _pinned_space()
+        cold = autoplan(space, "rack_burst", searcher="exhaustive",
+                        eval_seeds=2)
+        judged = []
+        real = ExperimentSearchSpace._feasibility_reason
+
+        def counted(self, candidate):
+            judged.append(candidate)
+            return real(self, candidate)
+        monkeypatch.setattr(ExperimentSearchSpace, "_feasibility_reason",
+                            counted)
+        warm = autoplan(space, "flaky_node", searcher="exhaustive",
+                        eval_seeds=2)
+        assert judged == []
+        assert (warm.enumerated, warm.feasible, warm.pruned) == (
+            cold.enumerated, cold.feasible, cold.pruned)
+        fresh = autoplan(_pinned_space(), "flaky_node",
+                         searcher="exhaustive", eval_seeds=2)
+        assert judged and warm.to_json() == fresh.to_json()
+
+    def test_memoised_winner_scores_as_when_priced_alone(self):
+        space = _pinned_space()
+        for scenario in ("rack_burst", "flaky_node"):
+            report = autoplan(space, scenario, searcher="exhaustive",
+                              eval_seeds=3)
+            alone = GoodputObjective(_pinned_space(), scenario,
+                                     eval_seeds=3).score(report.winner)
+            assert alone == report.winner_score
+
+
 # -- determinism -----------------------------------------------------------
 
 class TestDeterminism:

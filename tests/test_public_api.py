@@ -503,3 +503,29 @@ def test_ci_runs_every_example():
               if line.strip().startswith("- ")]
     assert sorted(listed) == sorted(
         path.stem for path in (REPO_ROOT / "examples").glob("*.py"))
+
+
+def test_every_bench_smoke_gate_reports():
+    """A failed gate does not hide the gates after it: every bench-smoke
+    step after the first gate carries an ``if:``, and each later gate
+    (a step running something under ``benchmarks/``) has an ``id`` and
+    runs on ``success()`` or on the failure of any earlier gate."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    job = ci.split("\n  bench-smoke:\n", 1)[1]
+    steps = job.split("\n      - ")[1:]
+    first = next(i for i, step in enumerate(steps) if "benchmarks/" in step)
+    earlier: list[str] = []
+    for step in steps[first:]:
+        name, *lines = step.splitlines()
+        # the step's own keys, one indent level in (not nested values)
+        keys = dict(line.strip().split(":", 1) for line in lines
+                    if line[:8] == " " * 8 and line[8:9].isalpha())
+        assert not earlier or "if" in keys, name
+        if "benchmarks/" not in step:
+            continue
+        assert keys.get("id"), name
+        for gate in earlier:
+            assert f"steps.{gate}.outcome == 'failure'" in step, (name, gate)
+        if earlier:
+            assert "success()" in step, name
+        earlier.append(keys["id"].strip())
