@@ -55,6 +55,7 @@ from repro.core import (
     TensorLog,
     TrainerConfig,
 )
+from repro.core.replication import UNDO_KERNEL_TIME
 from repro.data import ClassificationTask
 from repro.jobs import JobSpec
 from repro.models import make_mlp
@@ -313,7 +314,7 @@ class EagerReplicationRecovery(ReplicationRecovery):
         ] or [detection.machine_id]
         survivors = self.engine.alive_workers()
         undo_report = resolve_dp_consistency(self.engine)
-        undo_time = self.undo_kernel_time if undo_report.num_undone else 0.0
+        undo_time = UNDO_KERNEL_TIME if undo_report.num_undone else 0.0
         self.clock.advance(undo_time, "undo")
         for machine_id in failed_machines:
             self.engine.cluster.replace_machine(machine_id)

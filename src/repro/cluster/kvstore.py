@@ -3,7 +3,8 @@
 The paper co-locates a KV store with the master (rank 0): a worker that
 catches an asynchronous NCCL error sets a failure flag there, and all other
 workers poll the flag and abort their communicators (Section 6, "Failure
-detection").  This module reproduces that protocol over simulated time.
+detection").  This module holds the flag; the time the protocol takes is
+charged once, as :data:`repro.core.detector.DETECTION_TIME`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ class KVStore:
 
     def __init__(self) -> None:
         self._data: dict[str, object] = {}
-        #: polling interval workers use for the failure flag, seconds
-        self.poll_interval = 0.005
 
     def set(self, key: str, value: object) -> None:
         self._data[key] = value

@@ -4,8 +4,9 @@ Reproduces the paper's protocol (Section 6): every worker runs a background
 thread polling ``ncclCommGetAsyncError()``; on error it sets a failure flag
 in the global KV store (co-located with rank 0) and aborts its own
 communicators; all other workers poll the flag and abort too.  Here the
-protocol is collapsed into a timing model plus the KV-store flag the
-engines already raise on injected failures.
+protocol is collapsed into one charge, :data:`DETECTION_TIME` (which the
+cost model prices too), plus the KV-store flag the engines already raise
+on injected failures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from dataclasses import dataclass
 from repro.cluster.clock import SimClock
 from repro.cluster.kvstore import KVStore
 
-__all__ = ["DetectionReport", "FailureDetector"]
+__all__ = ["DETECTION_TIME", "DetectionReport", "FailureDetector"]
+
+#: seconds from a crash to every worker having aborted its communicators,
+#: charged by the engines and priced by the cost model
+DETECTION_TIME = 0.1
 
 
 @dataclass(frozen=True)
@@ -29,41 +34,22 @@ class DetectionReport:
 
 
 class FailureDetector:
-    """Timing + protocol model of Swift's failure detection."""
+    """Protocol model of Swift's failure detection."""
 
-    def __init__(
-        self,
-        kvstore: KVStore,
-        clock: SimClock,
-        nccl_poll_interval: float = 0.002,
-        kv_roundtrip: float = 0.001,
-        abort_time: float = 0.05,
-    ):
+    def __init__(self, kvstore: KVStore, clock: SimClock):
         self.kvstore = kvstore
         self.clock = clock
-        self.nccl_poll_interval = nccl_poll_interval
-        self.kv_roundtrip = kv_roundtrip
-        self.abort_time = abort_time
-
-    def detection_time(self) -> float:
-        """Crash → error surfaced → flag set → peers polled → aborted."""
-        return (
-            self.nccl_poll_interval  # observer thread notices the error
-            + self.kv_roundtrip  # set the flag at rank 0's store
-            + self.kvstore.poll_interval  # other workers poll the flag
-            + self.abort_time  # abort NCCL communicators everywhere
-        )
 
     def detect(self) -> DetectionReport:
-        """Consume the raised failure flag, charging detection time."""
+        """Consume the raised failure flag, charging :data:`DETECTION_TIME`."""
         info = self.kvstore.failure_info()
         if info is None:
             raise RuntimeError("detect() called but no failure flag is set")
-        t = self.detection_time()
-        self.clock.advance(t, "failure_detection", machine=info["machine_id"])
+        self.clock.advance(DETECTION_TIME, "failure_detection",
+                           machine=info["machine_id"])
         self.kvstore.clear_failure()
         return DetectionReport(
             machine_id=int(info["machine_id"]),
             iteration=int(info["iteration"]),
-            detection_time=t,
+            detection_time=DETECTION_TIME,
         )

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.cluster.clock import SimClock
 from repro.comm.collectives import CollectiveGroup
+from repro.core.replication import UNDO_KERNEL_TIME
 from repro.core.undo import resolve_dp_consistency
 from repro.errors import ConfigurationError, RecoveryError
 from repro.parallel.data_parallel import DataParallelEngine
@@ -99,19 +100,18 @@ class ElasticCoordinator:
         ]
         if not remaining:
             raise ConfigurationError("cannot remove every worker")
-        t = 0.0
-        if abrupt:
-            # departures mid-update leave survivors inconsistent: undo
-            report = resolve_dp_consistency(self.engine)
-            if report.num_undone:
-                t += 0.01
+        undo_time = 0.0
+        # departures mid-update leave survivors inconsistent: undo
+        if abrupt and resolve_dp_consistency(self.engine).num_undone:
+            undo_time = UNDO_KERNEL_TIME
         self.engine.workers = remaining
         # re-rank contiguously so sharding stays balanced
         for new_rank, w in enumerate(self.engine.workers):
             w.rank = new_rank
         self._rebuild_group()
-        self.clock.advance(t + 0.05, "elastic_scale_in", left=len(ranks))
-        return t + 0.05
+        self.clock.advance(undo_time + 0.05, "elastic_scale_in",
+                           left=len(ranks))
+        return undo_time + 0.05
 
     def _rebuild_group(self) -> None:
         self.engine.group = CollectiveGroup(

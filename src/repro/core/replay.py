@@ -39,6 +39,7 @@ from repro.core.detector import FailureDetector
 from repro.core.replication import (
     LOGGING_INIT_TIME,
     REPLACEMENT_JOIN_TIME,
+    UNDO_KERNEL_TIME,
     RecoveryReport,
 )
 from repro.core.tlog import TensorLog
@@ -246,7 +247,7 @@ class LoggingRecovery:
         # surviving stages: consensus + undo
         undo_report = resolve_pipeline_consistency(self.engine)
         consensus = undo_report.consensus_iteration
-        undo_time = 0.01 if undo_report.num_undone else 0.0
+        undo_time = UNDO_KERNEL_TIME if undo_report.num_undone else 0.0
         self.clock.advance(undo_time, "undo")
 
         # drop the failed machines' own (lost) records

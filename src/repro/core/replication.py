@@ -28,13 +28,16 @@ from repro.parallel.data_parallel import DataParallelEngine
 from repro.utils.cow import StateView
 
 __all__ = ["RecoveryReport", "ReplicationRecovery", "REPLACEMENT_JOIN_TIME",
-           "LOGGING_INIT_TIME"]
+           "LOGGING_INIT_TIME", "UNDO_KERNEL_TIME"]
 
 #: seconds to provision a replacement machine, the paper's "initialization
 #: time" (§7.1), wherever a join is charged or priced
 REPLACEMENT_JOIN_TIME = 5.0
 #: setup a logging recovery pays with the join: CUDA stream + threads
 LOGGING_INIT_TIME = 1.0
+#: GPU time of the update-undo kernels (§4), charged once per recovery
+#: that undid anything, on every mechanism and in the replication price
+UNDO_KERNEL_TIME = 0.05
 
 
 @dataclass
@@ -91,14 +94,11 @@ class ReplicationRecovery:
         detector: FailureDetector,
         clock: SimClock,
         replacement_join_time: float = REPLACEMENT_JOIN_TIME,
-        undo_kernel_time: float = 0.01,
     ):
         self.engine = engine
         self.detector = detector
         self.clock = clock
         self.replacement_join_time = replacement_join_time
-        #: simulated GPU time to undo one worker's partial update
-        self.undo_kernel_time = undo_kernel_time
 
     def recover(self) -> RecoveryReport:
         """Run the full replication-recovery procedure."""
@@ -120,7 +120,7 @@ class ReplicationRecovery:
 
         # 2. update-undo on survivors
         undo_report: UndoReport = resolve_dp_consistency(self.engine)
-        undo_time = self.undo_kernel_time if undo_report.num_undone else 0.0
+        undo_time = UNDO_KERNEL_TIME if undo_report.num_undone else 0.0
         self.clock.advance(undo_time, "undo")
 
         # 3. replacements join (concurrently)

@@ -26,7 +26,11 @@ from __future__ import annotations
 
 from repro.cluster.clock import SimClock
 from repro.core.detector import FailureDetector
-from repro.core.replication import REPLACEMENT_JOIN_TIME, RecoveryReport
+from repro.core.replication import (
+    REPLACEMENT_JOIN_TIME,
+    UNDO_KERNEL_TIME,
+    RecoveryReport,
+)
 from repro.core.undo import resolve_dp_consistency
 from repro.parallel.fsdp import FSDPEngine
 from repro.utils.cow import StateView
@@ -65,7 +69,7 @@ class ShardedReplicationRecovery:
 
         # 2. shard-wise update-undo on surviving owners
         undone = resolve_dp_consistency(self.engine).num_undone
-        undo_time = 0.01 if undone else 0.0
+        undo_time = UNDO_KERNEL_TIME if undone else 0.0
         self.clock.advance(undo_time, "undo")
 
         # 3. replacements join

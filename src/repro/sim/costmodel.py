@@ -21,7 +21,12 @@ import math
 from dataclasses import dataclass
 
 from repro.core.checkpoint import checkfreq_interval
-from repro.core.replication import LOGGING_INIT_TIME, REPLACEMENT_JOIN_TIME
+from repro.core.detector import DETECTION_TIME
+from repro.core.replication import (
+    LOGGING_INIT_TIME,
+    REPLACEMENT_JOIN_TIME,
+    UNDO_KERNEL_TIME,
+)
 from repro.errors import ConfigurationError
 from repro.parallel.schedules import bubble_ratio
 from repro.sim.workloads import Workload
@@ -34,7 +39,10 @@ GB = 1e9
 
 @dataclass(frozen=True)
 class HardwareConfig:
-    """Bandwidths/latencies of the simulated testbed (bytes/s, seconds)."""
+    """Bandwidths/latencies of the simulated testbed (bytes/s, seconds).
+
+    Detection and undo are priced from the engines' constants, not here.
+    """
 
     network_bw: float = 5.0 * GB  # 40 Gbps Ethernet
     pcie_bw: float = 12.0 * GB
@@ -50,7 +58,6 @@ class HardwareConfig:
     #: on the paper's "once per 30 iterations" for Wide-ResNet-50.
     snapshot_bw: float = 2.5 * GB
     gpu_memory: float = 32.0 * GB
-    detection_time: float = 0.1
     replacement_join_time: float = REPLACEMENT_JOIN_TIME
 
 
@@ -85,7 +92,7 @@ class RecoveryPrice:
     """
 
     method: str
-    #: detection + replacement join, paid by every crash
+    #: ``DETECTION_TIME`` + the replacement join, as every engine charges
     base: float
     load: float
     #: re-computation seconds per lost iteration
@@ -305,7 +312,7 @@ class CostModel:
         """Each method's recovery terms, written once for
         :meth:`pricing` and the ``recovery_*`` decompositions."""
         w, hw = self.w, self.hw
-        base = hw.detection_time + hw.replacement_join_time
+        base = DETECTION_TIME + hw.replacement_join_time
         if method == "global_checkpoint":
             return RecoveryPrice(method, base,
                                  self._load_checkpoint_time(w.num_workers),
@@ -315,9 +322,10 @@ class CostModel:
             return RecoveryPrice(method, base, state / hw.pcie_bw
                                  + state / hw.network_bw, self.iteration_time)
         if method == "swift_replication":
-            # undo + broadcast, no recompute; undo kernels are sub-50 ms
-            return RecoveryPrice(method, base, 0.0, 0.0,
-                                 extra=w.state_bytes / hw.network_bw + 0.05)
+            # undo + broadcast, no recompute
+            return RecoveryPrice(
+                method, base, 0.0, 0.0,
+                extra=w.state_bytes / hw.network_bw + UNDO_KERNEL_TIME)
         if method not in ("swift_logging", "swift_logging_pr"):
             raise ValueError(f"unknown method {method!r}")
         if w.parallelism != "PP":

@@ -7,6 +7,7 @@ from helpers import make_dp_engine
 from repro.cluster import Cluster
 from repro.core import ElasticCoordinator, ResizeEvent
 from repro.core.elastic import ElasticTrace
+from repro.core.replication import UNDO_KERNEL_TIME
 from repro.errors import ConfigurationError, RecoveryError
 
 
@@ -75,13 +76,20 @@ class TestScaleIn:
         event = FailureEvent(1, 1, FailurePhase.MID_UPDATE, after_updates=2)
         coord.engine.run_iteration(failure=event)
         coord.engine.cluster.replace_machine(1)  # machine comes back empty
-        coord.scale_in(
+        resize = coord.scale_in(
             [w.rank for w in coord.engine.workers if w.machine_id == 1],
             abrupt=True,
         )
         post = coord.engine.workers[0].model.state_dict()
         for k in pre:
             assert np.allclose(pre[k], post[k], atol=1e-9), k
+        assert resize == UNDO_KERNEL_TIME + 0.05
+
+    def test_undo_is_charged_only_when_something_was_undone(self):
+        coord, _ = make_coordinator()
+        coord.engine.run_iteration()
+        assert coord.scale_in([3]) == 0.05
+        assert coord.scale_in([2], abrupt=True) == 0.05
 
     def test_cannot_remove_everyone(self):
         coord, _ = make_coordinator()

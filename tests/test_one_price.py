@@ -2,11 +2,14 @@
 
 ``ExecutionPlan.expected_goodput_fraction`` is the closed form over the
 ``CostModel.pricing`` the planner scores with, on the experiment's own
-``to_workload()`` and replacement join; the engines charge the join and
-the §7.1 logging init from the same definitions the pricing reads.
+``to_workload()`` and replacement join; the engines charge detection, the
+join, the §7.1 logging init and the undo kernels from the same definitions
+the pricing reads.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ClusterSpec,
@@ -18,7 +21,7 @@ from repro.api import (
 )
 from repro.chaos import get_scenario, method_for_strategy
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
-from repro.core.replication import LOGGING_INIT_TIME
+from repro.core.replication import UNDO_KERNEL_TIME
 from repro.core.strategy import MECHANISMS_BY_KIND, FTStrategy
 from repro.plan import Candidate, ExperimentSearchSpace, GoodputObjective
 from repro.sim import CostModel
@@ -91,19 +94,35 @@ def test_plan_ranks_logging_and_restart_as_autoplan_does():
     assert logging < restart
 
 
+#: every phase all three engines crash in without naming an instruction
+PHASES = [FailurePhase.ITERATION_START, FailurePhase.FORWARD,
+          FailurePhase.BACKWARD, FailurePhase.MID_UPDATE]
+
+
 @pytest.mark.parametrize("kind, strategy, degree", CASES)
-def test_engine_charges_the_priced_join_and_init(kind, strategy, degree):
+@settings(deadline=None, max_examples=20)
+@given(join=st.floats(0.25, 60.0), phase=st.sampled_from(PHASES),
+       after_updates=st.integers(0, 3), machine=st.integers(0, 3))
+@example(join=7.25, phase=FailurePhase.MID_UPDATE, after_updates=2,
+         machine=1)
+def test_engine_charges_the_priced_join_and_init(
+        kind, strategy, degree, join, phase, after_updates, machine):
+    """A crash costs the engine what ``CostModel.pricing`` prices it.
+
+    Bit for bit: detection + join is the price's ``base``, the init is the
+    join plus the price's ``init`` (§7.1's logging init), and the undo
+    kernels cost ``UNDO_KERNEL_TIME`` whenever anything was undone.  The
+    rest of a recovery the engine measures on its own model and the price
+    estimates on the paper's testbed: the replica broadcast bytes, the
+    replay or re-execution compute, and the checkpoint load.
+    """
     exp = experiment(kind, strategy, degree, checkpoint_interval=5,
-                     replacement_join_time=7.25)
+                     replacement_join_time=join)
     trace = exp.build().run(8, failures=FailureSchedule(
-        [FailureEvent(1, 6, FailurePhase.FORWARD)]))
+        [FailureEvent(machine, 6, phase, after_updates=after_updates)]))
     [report] = trace.recoveries
     hw, price = exp.hardware_config(), pricing(exp).recovery
-    init = LOGGING_INIT_TIME if strategy == "logging" else 0.0
-    assert report.init_time == 7.25 + init
+    assert report.detection_time + hw.replacement_join_time == price.base
     assert report.init_time == hw.replacement_join_time + price.init
-    # detection is the one term charged differently: the FailureDetector
-    # protocol (poll + KV round trip + flag poll + abort) on the engines,
-    # a flat 0.1 s in the cost model that the Table 5 pins rest on
-    assert report.detection_time == pytest.approx(0.058)
-    assert hw.detection_time == 0.1
+    undone = report.details.get("undone_params", 0)
+    assert report.undo_time == (UNDO_KERNEL_TIME if undone else 0.0)

@@ -237,23 +237,33 @@ def test_one_pricer_census():
 
 
 def test_one_set_of_recovery_constants_census():
-    """The paper's recovery constants are written once and ``plan()``
-    prices through ``CostModel.pricing``.
+    """The paper's recovery constants are written once, the engines charge
+    them and ``plan()`` prices through ``CostModel.pricing``.
 
-    The 5 s replacement join and §7.1's 1 s logging init live in
-    ``core/replication.py``; every default that names the join reads that
-    definition, nothing takes a logging-init knob, and the private goodput
-    model and the planner's copy of the candidate -> workload bridge (with
-    its lazy ``repro.api.experiment`` import) stay deleted.
+    §6's detection lives in ``core/detector.py``; the 5 s replacement
+    join, §7.1's 1 s logging init and §4's undo kernels in
+    ``core/replication.py``.  Every default that names the join reads that
+    definition, every update-undo charges ``UNDO_KERNEL_TIME``, the cost
+    model reads detection and undo from the same definitions, nothing
+    takes a knob for any of them (``detection_time`` is a field of the
+    two reports only), and the private goodput model and the planner's
+    copy of the candidate -> workload bridge (with its lazy
+    ``repro.api.experiment`` import) stay deleted.
     """
     import ast
 
-    constants = {"REPLACEMENT_JOIN_TIME", "LOGGING_INIT_TIME"}
+    constants = {"REPLACEMENT_JOIN_TIME", "LOGGING_INIT_TIME",
+                 "UNDO_KERNEL_TIME", "DETECTION_TIME"}
+    knobs = ("logging_init_time", "undo_kernel_time", "nccl_poll_interval",
+             "kv_roundtrip", "abort_time", "poll_interval")
+    resolvers = {"resolve_dp_consistency", "resolve_pipeline_consistency"}
     defined, join_defaults, deleted = [], set(), set()
+    detection_fields, undo_charges = set(), {}
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         where = path.relative_to(PACKAGE_DIR).as_posix()
         source = path.read_text()
-        assert "logging_init_time" not in source, where
+        for knob in knobs:
+            assert knob not in source, (where, knob)
         for node in ast.walk(ast.parse(source)):
             pairs = []
             if isinstance(node, ast.Assign):
@@ -270,18 +280,45 @@ def test_one_set_of_recovery_constants_census():
             elif isinstance(node, ast.FunctionDef) and node.name in (
                     "_expected_goodput", "_state_multiplier"):
                 deleted.add(f"{where}:{node.name}")
+            if isinstance(node, ast.FunctionDef) and resolvers & {
+                    getattr(n.func, "id", None) for n in ast.walk(node)
+                    if isinstance(n, ast.Call)}:
+                charged = [n.value for n in ast.walk(node)
+                           if isinstance(n, ast.Assign)
+                           and [getattr(t, "id", None) for t in n.targets]
+                           == ["undo_time"]]
+                leaves = [n for value in charged for n in ast.walk(value)]
+                # the constant is read and no other number is charged
+                undo_charges[f"{where}:{node.name}"] = "UNDO_KERNEL_TIME" in {
+                    getattr(n, "id", None) for n in leaves} and {
+                    n.value for n in leaves
+                    if isinstance(n, ast.Constant)} <= {0.0}
             for target, default in pairs:
                 name = getattr(target, "id", None) or getattr(
                     target, "arg", None)
                 if name == "replacement_join_time":
                     join_defaults.add((where, ast.unparse(default)))
-    assert sorted(defined) == [("core/replication.py", "LOGGING_INIT_TIME"),
+                if name == "detection_time":
+                    detection_fields.add(where)
+    assert sorted(defined) == [("core/detector.py", "DETECTION_TIME"),
+                               ("core/replication.py", "LOGGING_INIT_TIME"),
                                ("core/replication.py",
-                                "REPLACEMENT_JOIN_TIME")]
+                                "REPLACEMENT_JOIN_TIME"),
+                               ("core/replication.py", "UNDO_KERNEL_TIME")]
     assert {default for _, default in join_defaults} == {
         "REPLACEMENT_JOIN_TIME"}
     assert {"api/specs.py", "core/trainer.py", "sim/costmodel.py"} <= {
         where for where, _ in join_defaults}
+    # DetectionReport and RecoveryReport: no config or engine sets it
+    assert detection_fields == {"core/detector.py", "core/replication.py"}
+    assert undo_charges == {
+        "core/elastic.py:scale_in": True,
+        "core/replay.py:recover": True,
+        "core/replication.py:recover": True,
+        "core/sharded_recovery.py:recover": True,
+    }
+    costmodel = (PACKAGE_DIR / "sim" / "costmodel.py").read_text()
+    assert all(name in costmodel for name in constants)
     assert not deleted
     space = ast.parse((PACKAGE_DIR / "plan" / "space.py").read_text())
     assert not [node.module for node in ast.walk(space)

@@ -20,6 +20,7 @@ from repro.chaos import (
     evaluate_trace,
 )
 from repro.core import checkfreq_interval
+from repro.core.detector import DETECTION_TIME
 from repro.core.replication import LOGGING_INIT_TIME
 from repro.plan import Candidate, ExperimentSearchSpace
 from repro.sim import (
@@ -226,7 +227,7 @@ class TestThroughputSimulator:
             tl = sim.swift_logging(num_groups=16)
             hw = sim.cost.hw
             assert tl.initialization_time == pytest.approx(
-                hw.detection_time + hw.replacement_join_time
+                DETECTION_TIME + hw.replacement_join_time
                 + LOGGING_INIT_TIME)
             lost = sim.failure_at - sim.checkpoint_at
             stall = tl.total_time - sum(p.duration for p in tl.points)
@@ -342,8 +343,8 @@ def _reference_recovery(cost, method, lost, degree):
             lost, 1, degree if method.endswith("_pr") else 1)
         # the logging init is charged with the join, summed beside the load
         times = replace(times, load_time=times.load_time + LOGGING_INIT_TIME)
-    hw = cost.hw
-    return hw.detection_time + hw.replacement_join_time + times.recovery_time
+    return DETECTION_TIME + cost.hw.replacement_join_time \
+        + times.recovery_time
 
 
 class TestPricing:
