@@ -754,13 +754,13 @@ def _serve_demo(args: argparse.Namespace) -> int:
 
 
 def _serve_fleet_demo(args: argparse.Namespace) -> int:
-    """Mirror a real fleet run into a serve WAL and audit the replay."""
+    """Record a real fleet run's serve WAL and audit the replay."""
     path = Path(args.wal) if args.wal else Path("fleet-wal.jsonl")
     machines = args.machines if args.machines else 6
     devices = args.devices if args.devices else 4
     specs, failures = demo_fleet_specs(args.iterations)
     wal = WriteAheadLog(path, fsync=not args.no_fsync,
-                        meta={"service": "repro.serve.mirror"})
+                        meta={"service": "repro.sim.fleet"})
     try:
         sim = FleetSimulator(
             specs,
@@ -793,7 +793,7 @@ def _serve_fleet_demo(args: argparse.Namespace) -> int:
             mismatches.append(
                 f"{name}: wal status {job['status']} != "
                 f"fleet {fleet_job.state}")
-    print(f"mirrored {len(WriteAheadLog.load_events(path))} WAL events "
+    print(f"recorded {len(WriteAheadLog.load_events(path))} WAL events "
           f"from a real {machines}x{devices} fleet run to {path}")
     print(report.format_table())
     if mismatches:
@@ -1006,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(recovery folds a bounded tail of the "
                             "log, not the history)")
     serve.add_argument("--fleet-demo", action="store_true",
-                       help="mirror a real FleetSimulator run into a "
-                            "serve WAL and audit that replay reproduces "
-                            "its accounting")
+                       help="run a real FleetSimulator whose scheduler "
+                            "logs its own serve WAL, and audit that "
+                            "replay reproduces its accounting")
     serve.add_argument("--machines", type=int, default=None,
                        help="cluster machines (default: 5, or 6 for "
                             "--fleet-demo)")

@@ -8,18 +8,20 @@ story:
 
 * :class:`JobSpec` / :class:`Job` — a ``SwiftTrainer`` run as a
   schedulable, steppable, (optionally) elastic unit;
-* :class:`JobQueue` — priority + FIFO gang queue;
+* :mod:`repro.jobs.placement` — the gang policy as pure functions
+  (failure-aware spread, elastic preemption, restoration order,
+  head-of-line), shared with the serve control plane;
 * :class:`SparePool` — hot spares leased to recoveries and reclaimed
   after repair;
-* :class:`Scheduler` — failure-aware gang placement, priority preemption
-  via elastic scale-in/out, and machine-failure routing to owning jobs.
+* :class:`Scheduler` — applies that policy to a live cluster, routes
+  machine failures to owning jobs, and logs every transition it takes
+  in the serve WAL vocabulary.
 
 The round-based :class:`repro.sim.FleetSimulator` drives a whole fleet
 through a failure schedule; ``python -m repro.cli fleet`` prints the
 resulting per-job and cluster-wide report.
 """
 
-from repro.jobs.queue import JobQueue
 from repro.jobs.scheduler import Scheduler
 from repro.jobs.spare import SparePool
 from repro.jobs.spec import Job, JobSpec, JobState
@@ -28,7 +30,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "JobState",
-    "JobQueue",
     "SparePool",
     "Scheduler",
 ]

@@ -1,35 +1,39 @@
 """Gang scheduler: places jobs on a shared cluster, preempts, routes failures.
 
-The scheduling model (one PR-sized slice of a production scheduler à la
-ReaLHF's scheduler layer):
+The gang policy is :mod:`repro.jobs.placement`, the one the serve control
+plane decides with; the scheduler applies it to a live :class:`Cluster`:
 
 * **Gang placement.**  A job needs all ``num_workers`` slots at once.  The
-  queue is priority-then-FIFO; the head blocks the line (no backfilling),
-  so large high-priority gangs cannot be starved.  A job whose plan has
-  no engine for the slots it was granted ends ``FAILED`` (``job.error``
-  says why) and gives them back.
-* **Failure-aware placement.**  Free slots are taken round-robin across
-  machines ordered by ascending hardware ``failure_count`` — gangs spread
-  over the healthiest failure domains first, which both shrinks the blast
-  radius of the next crash and keeps survivors for replication recovery.
-* **Priority preemption via elasticity.**  When the head job does not fit,
-  lower-priority *elastic* jobs are shrunk with
-  :meth:`ElasticCoordinator.scale_in` (abrupt; update-undo keeps them
-  crash-consistent, paper Section 8) instead of being killed.  Freed slots
-  go to the head job; shrunk jobs are re-grown by :meth:`restore` once
-  capacity frees up.
+  queue is a plain list in submission order; :func:`head_of_line` picks
+  the highest-priority, earliest job, and if it does not fit the line
+  blocks.  :func:`spread` takes slots round-robin over the machines with
+  the fewest failures.  A job whose plan has no engine for the slots it
+  was granted ends ``FAILED`` (``job.error`` says why) and gives them back.
+* **Priority preemption via elasticity.**  When the head does not fit,
+  the lower-priority *elastic* jobs :func:`preemption` names are shrunk
+  with :meth:`ElasticCoordinator.scale_in` (abrupt; update-undo keeps them
+  crash-consistent, paper Section 8) instead of being killed, and re-grow
+  in :func:`restoration_order` once nothing is queued.
 * **Failure routing.**  A machine crash is routed to *every* job holding a
-  slot on that machine; each runs its own Swift recovery (replication for
-  DP, logging replay for PP) while all other jobs keep running.  Each
-  crash consumes one spare from the :class:`SparePool`; with the pool
-  empty the affected jobs block until a repair reclaims capacity.
+  slot on that machine; each runs its own Swift recovery while all other
+  jobs keep running.  Each crash consumes one spare from the
+  :class:`SparePool`; with the pool empty the affected jobs block until a
+  repair reclaims capacity.
+* **Its own log.**  Every transition is appended to ``events`` in the
+  serve WAL vocabulary at the moment it is taken, so the fleet's WAL is
+  written by the code that decided.
 """
 
 from __future__ import annotations
 
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError, RecoveryError
-from repro.jobs.queue import JobQueue
+from repro.jobs.placement import (
+    head_of_line,
+    preemption,
+    restoration_order,
+    spread,
+)
 from repro.jobs.spare import SparePool
 from repro.jobs.spec import Job, JobState
 
@@ -42,7 +46,8 @@ class Scheduler:
     def __init__(self, cluster: Cluster, spares: SparePool | None = None):
         self.cluster = cluster
         self.spares = spares
-        self.queue = JobQueue()
+        #: queued jobs in submission order; :func:`head_of_line` picks
+        self.queue: list[Job] = []
         self.jobs: dict[str, Job] = {}
         self.running: list[Job] = []
         self.blocked: list[Job] = []
@@ -51,6 +56,9 @@ class Scheduler:
         #: broken machines whose replacement has already been leased while
         #: their owning job(s) were still blocked on further machines
         self._leased_pending: set[int] = set()
+        #: ``(kind, payload)`` serve WAL events, appended as transitions
+        #: are taken; the fleet simulator adds its own and drains the list
+        self.events: list[tuple[str, dict]] = []
 
     # -- submission --------------------------------------------------------
     def submit(self, job: Job, now: float = 0.0) -> None:
@@ -58,59 +66,35 @@ class Scheduler:
             raise ConfigurationError(f"duplicate job name {job.name!r}")
         self.jobs[job.name] = job
         job.submit_time = now
-        self.queue.push(job)
+        self.queue.append(job)
+
+    def _log(self, kind: str, payload: dict) -> None:
+        self.events.append((kind, payload))
 
     # -- placement ---------------------------------------------------------
-    def _free_slots_by_machine(self) -> dict[int, list[tuple[int, int]]]:
-        by_machine: dict[int, list[tuple[int, int]]] = {}
-        for slot in self.cluster.free_slots():
-            by_machine.setdefault(slot[0], []).append(slot)
-        return by_machine
+    def _spread(self, num: int) -> list[tuple[int, int]] | None:
+        failures = {m.machine_id: m.failure_count
+                    for m in self.cluster.machines}
+        return spread(self.cluster.free_slots(), failures, num)
 
-    def pick_slots(self, num: int) -> list[tuple[int, int]] | None:
-        """Failure-aware gang placement: spread across healthy machines.
-
-        Machines are ordered by (failure_count, machine_id); slots are
-        taken round-robin, one per machine per pass, so the gang lands on
-        as many distinct low-failure machines as possible.
-        """
-        by_machine = self._free_slots_by_machine()
-        order = sorted(
-            by_machine,
-            key=lambda m: (self.cluster.machine(m).failure_count, m),
-        )
-        if sum(len(v) for v in by_machine.values()) < num:
-            return None
-        picked: list[tuple[int, int]] = []
-        while len(picked) < num:
-            for m in order:
-                if by_machine[m] and len(picked) < num:
-                    picked.append(by_machine[m].pop(0))
-        return picked
-
-    # -- preemption --------------------------------------------------------
     def _preempt_for(self, job: Job) -> list[tuple[int, int]] | None:
         """Shrink lower-priority elastic jobs until ``job``'s gang fits."""
-        free = len(self.cluster.free_slots())
-        need = job.spec.num_workers - free
-        victims = sorted(
-            (
-                j for j in self.running
-                if j.spec.priority < job.spec.priority and j.shrinkable > 0
-            ),
-            key=lambda j: (j.spec.priority, j.submit_time),
+        takes = preemption(
+            job.spec.num_workers,
+            len(self.cluster.free_slots()),
+            [(v, v.spec.priority, v.submit_time, v.shrinkable)
+             for v in self.running if v.spec.priority < job.spec.priority],
         )
-        if need > sum(j.shrinkable for j in victims):
+        if takes is None:
             return None
-        for victim in victims:
-            if need <= 0:
-                break
-            take = min(need, victim.shrinkable)
+        for victim, take in takes:
             freed = victim.shrink(take)
             self.cluster.release_slots(freed, victim.owner_tag)
             self.preempted_workers += take
-            need -= take
-        return self.pick_slots(job.spec.num_workers)
+            self._log("preempt", {"name": victim.name,
+                                  "slots": [[m, d] for m, d in freed],
+                                  "for": job.name})
+        return self._spread(job.spec.num_workers)
 
     def restore(self) -> int:
         """Re-grow preempted elastic jobs from free capacity.
@@ -119,22 +103,22 @@ class Scheduler:
         restoration).  Higher-priority victims are restored first.
         Returns the number of workers given back.
         """
-        if len(self.queue):
+        if self.queue:
             return 0
         restored = 0
-        for job in sorted(
-            self.running,
-            key=lambda j: (-j.spec.priority, j.submit_time),
+        for job in restoration_order(
+            (j, j.spec.priority, j.submit_time) for j in self.running
+            if j.missing_workers and j.state == JobState.RUNNING
         ):
-            missing = job.missing_workers
-            if missing == 0 or job.state != JobState.RUNNING:
-                continue
-            slots = self.pick_slots(min(missing, len(self.cluster.free_slots())))
+            free = len(self.cluster.free_slots())
+            slots = self._spread(min(job.missing_workers, free))
             if not slots:
                 continue
             self.cluster.reserve_slots(slots, job.owner_tag)
             job.grow(slots)
             restored += len(slots)
+            self._log("restore", {"name": job.name,
+                                  "slots": [[m, d] for m, d in slots]})
         return restored
 
     # -- the scheduling pass -----------------------------------------------
@@ -142,13 +126,16 @@ class Scheduler:
         """Start as many queued gangs as fit (head-of-line order)."""
         started: list[Job] = []
         while self.queue:
-            job = self.queue.peek()
-            slots = self.pick_slots(job.spec.num_workers)
+            # one tenant: every queued job is at equal usage
+            job = head_of_line(
+                (j, 0, j.spec.priority, i) for i, j in enumerate(self.queue)
+            )
+            slots = self._spread(job.spec.num_workers)
             if slots is None:
                 slots = self._preempt_for(job)
             if slots is None:
                 break
-            self.queue.pop()
+            self.queue.remove(job)
             self.cluster.reserve_slots(slots, job.owner_tag)
             try:
                 job.start(self.cluster, slots, now=now)
@@ -159,9 +146,12 @@ class Scheduler:
                 self.cluster.release_owner(job.owner_tag)
                 job.state = JobState.FAILED
                 job.error = str(exc)
+                self._log("fail", {"name": job.name, "reason": job.error})
                 continue
             self.running.append(job)
             started.append(job)
+            self._log("place", {"name": job.name,
+                                "slots": [[m, d] for m, d in slots]})
         return started
 
     # -- completion --------------------------------------------------------
@@ -172,6 +162,7 @@ class Scheduler:
             self.running.remove(job)
         job.state = JobState.COMPLETED
         job.finish_time = now
+        self._log("complete", {"name": job.name})
 
     # -- failure routing ---------------------------------------------------
     def owners_of(self, machine_id: int) -> list[Job]:
@@ -190,9 +181,13 @@ class Scheduler:
         jobs block (pool reclaim unblocks them via :meth:`unblock`).
         """
         owners = self.owners_of(machine_id)
+        is_spare = self.spares is not None and self.spares.is_spare(machine_id)
+        self._log("crash", {"machine": machine_id,
+                            "jobs": sorted(job.name for job in owners),
+                            "spare": is_spare})
         if not owners:
             # idle machine: either a spare or genuinely free capacity
-            if self.spares is not None and self.spares.is_spare(machine_id):
+            if is_spare:
                 self.spares.fail_spare(machine_id)
             else:
                 self.cluster.fail_machine(machine_id)
@@ -200,7 +195,7 @@ class Scheduler:
         if machine_id in self._leased_pending:
             spare = 0  # this machine's replacement is already secured
         else:
-            spare = self.spares.lease(machine_id) if self.spares else 0
+            spare = self._lease(machine_id)
         # fail once for every owner first (the machine stays down until
         # the first recovery replaces it), THEN run recoveries — so one
         # hardware event is one failure_count tick, and no owner re-kills
@@ -248,10 +243,7 @@ class Scheduler:
                 if m not in pending and m not in self._leased_pending:
                     pending.append(m)
         for machine_id in pending:
-            if (
-                self.spares is not None
-                and self.spares.lease(machine_id) is None
-            ):
+            if self._lease(machine_id) is None:
                 break  # pool drained; the rest keep waiting
             self._leased_pending.add(machine_id)
         for job in list(self.blocked):
@@ -263,6 +255,16 @@ class Scheduler:
                 resumed.append(job)
             self._drop_leases(machines)
         return resumed
+
+    def _lease(self, machine_id: int) -> int | None:
+        """One spare for a broken machine: its id, ``None`` with the pool
+        empty, ``0`` with no pool (replacements appear by fiat)."""
+        if self.spares is None:
+            return 0
+        spare = self.spares.lease(machine_id)
+        if spare is not None:
+            self._log("lease", {"machine": machine_id, "spare": spare})
+        return spare
 
     def _drop_leases(self, machines: set[int]) -> None:
         """Forget banked leases no still-blocked job is waiting on."""
@@ -295,9 +297,12 @@ class Scheduler:
             if job in self.running:
                 self.running.remove(job)
             job.state = JobState.FAILED
+            self._log("fail", {"name": job.name,
+                               "reason": "recovery impossible"})
         else:
             if job not in self.running:
                 self.running.append(job)
+            self._log("recover", {"name": job.name})
         for machine_id in protected:
             machine = self.cluster.machine(machine_id)
             if machine.alive:

@@ -50,9 +50,6 @@ class SparePool:
         #: broken hardware being repaired: [machine_id, ticks_remaining]
         self._repairing: list[list[int]] = []
         self.total_leases = 0
-        #: every lease as ``(failed_machine_id, spare_id)``, in order —
-        #: observers (the serve WAL mirror) read pairings from here
-        self.lease_log: list[tuple[int, int]] = []
         # keep the scheduler off the spares
         for m in machine_ids:
             slots = [(m, d) for d in range(len(cluster.machine(m).devices))]
@@ -85,7 +82,6 @@ class SparePool:
         spare = self._available.pop(0)
         self._repairing.append([spare, self.repair_ticks])
         self.total_leases += 1
-        self.lease_log.append((failed_machine_id, spare))
         return spare
 
     def fail_spare(self, machine_id: int) -> None:

@@ -20,9 +20,11 @@ cluster — and it survives being SIGKILLed at any instant:
   kills the control plane at N WAL offsets (tearing alternate cut
   lines) and proves bitwise-equal replay, zero acknowledged-submission
   loss, and goodput identical to the uninterrupted run;
-* **the mirror** (:mod:`repro.serve.mirror`): a real
-  :class:`~repro.sim.FleetSimulator` run can be recorded into the same
-  WAL vocabulary and audited by replay;
+* **one gang policy** (:mod:`repro.jobs.placement`): the server places,
+  preempts and restores through the same pure functions as the fleet
+  :class:`~repro.jobs.Scheduler`, which logs its own transitions in this
+  WAL vocabulary — a :class:`~repro.sim.FleetSimulator` run given a WAL
+  is audited by replaying it;
 * **exactly-once sessions** (:mod:`repro.serve.client`): client-stamped
   request ids fold into the state as a dedup table, so a retry after a
   lost ack returns the original verdict — :class:`ServeClient`
@@ -67,7 +69,6 @@ from repro.serve.drill import (
     run_script,
     synthetic_traffic,
 )
-from repro.serve.mirror import FleetWalMirror
 from repro.serve.netchaos import (
     NETCHAOS_PROFILES,
     FaultyTransport,
@@ -138,5 +139,4 @@ __all__ = [
     "control_plane_drill",
     "DrillReport",
     "KillPointResult",
-    "FleetWalMirror",
 ]

@@ -14,14 +14,15 @@ events the dead process would have written next — crash recovery is
 replay, never reconciliation.  That is the paper's thesis applied to the
 scheduler itself.
 
-Scheduling semantics mirror the fleet layer: gang placement with
-failure-aware spread (:meth:`ServeState.pick_slots`), priority
-preemption of elastic jobs, spare-machine leases with repair delays, and
-weighted fair-share ordering across tenants.  Admission control enforces
-per-tenant worker quotas and pending caps; when the cluster shrinks
-(``retire``) the queue is gracefully degraded by shedding jobs that can
-never fit — lowest tenant priority first — instead of deadlocking the
-head of the queue.
+Gang placement is the fleet scheduler's own policy, through the same
+pure functions of :mod:`repro.jobs.placement`: failure-aware spread,
+priority preemption of elastic jobs, restoration once the queue is
+empty, and a head of line chosen by weighted fair share across tenants.
+Spare-machine leases follow :class:`~repro.jobs.SparePool`, repair
+delays included.  Admission control enforces per-tenant worker quotas
+and pending caps; when the cluster shrinks (``retire``) the queue is
+gracefully degraded by shedding jobs that can never fit — lowest tenant
+priority first — instead of deadlocking the head of the queue.
 
 Checkpoint-storage writes (periodic state snapshots to the
 :class:`~repro.cluster.GlobalStore`) ride through outage windows via
@@ -37,6 +38,12 @@ from pathlib import Path
 
 from repro.cluster.storage import GlobalStore
 from repro.errors import ConfigurationError, StorageError
+from repro.jobs.placement import (
+    head_of_line,
+    preemption,
+    restoration_order,
+    spread,
+)
 from repro.jobs.spec import JobSpec
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.serve.retry import BackoffPolicy, retry_call
@@ -439,36 +446,36 @@ class ServeServer:
             })
             self.recorder.count("serve/shed", track="serve")
 
-    def _queue_order(self) -> list[dict]:
-        """Weighted fair-share order over the queued jobs.
-
-        Tenants furthest below their share go first; job priority then
-        submission order break ties.  Pure function of the state.
-        """
+    def _spread(self, num: int) -> list[tuple[int, int]] | None:
         state = self.state
-        return sorted(
-            (state.jobs[name] for name in state.queue),
-            key=lambda job: (
-                state.tenant_usage(job["tenant"])
-                / state.tenants[job["tenant"]]["share"],
-                -int(job["spec"].get("priority", 0)),
-                job["submitted_seq"],
-            ),
+        failures = {m: rec["failures"] for m, rec in state.machines.items()}
+        return spread(state.free_slots(), failures, num)
+
+    def _head(self) -> dict:
+        """The queued job to place next, by weighted fair share."""
+        state = self.state
+        queued = [state.jobs[name] for name in state.queue]
+        # an in-flight preemption (crash between preempt and place) pins
+        # the head: finish the decision the dead server started
+        reserved = [job for job in queued if job["reserved_slots"]]
+        if reserved:
+            return min(reserved, key=lambda job: job["submitted_seq"])
+        usage = {
+            tenant: state.tenant_usage(tenant) / state.tenants[tenant]["share"]
+            for tenant in {job["tenant"] for job in queued}
+        }
+        return head_of_line(
+            (job, usage[job["tenant"]], int(job["spec"].get("priority", 0)),
+             job["submitted_seq"])
+            for job in queued
         )
 
     def _place_queue(self) -> None:
         state = self.state
         while state.queue:
-            # an in-flight preemption (crash between preempt and place)
-            # pins the head: finish the decision the dead server started
-            reserved = sorted(
-                (state.jobs[name] for name in state.queue
-                 if state.jobs[name]["reserved_slots"]),
-                key=lambda job: job["submitted_seq"],
-            )
-            head = reserved[0] if reserved else self._queue_order()[0]
+            head = self._head()
             want = int(head["spec"]["num_workers"])
-            slots = state.pick_slots(want)
+            slots = self._spread(want)
             if slots is None:
                 slots = self._try_preempt_for(head, want)
             if slots is None:
@@ -481,51 +488,35 @@ class ServeServer:
         self, head: dict, want: int
     ) -> list[tuple[int, int]] | None:
         """Shrink lower-priority elastic jobs until ``head`` fits."""
-        state = self.state
-        free = len(state.free_slots())
-        victims = []
         priority = int(head["spec"].get("priority", 0))
-        for job in state.jobs_with_status("running"):
-            if not job["spec"].get("elastic", False):
-                continue
-            if int(job["spec"].get("priority", 0)) >= priority:
-                continue
-            give = len(job["slots"]) - int(job["spec"].get("min_workers", 1))
-            if give > 0:
-                victims.append((int(job["spec"].get("priority", 0)),
-                                job["submitted_seq"], job, give))
-        victims.sort(key=lambda v: (v[0], v[1]))
-        takeable = sum(v[3] for v in victims)
-        if free + takeable < want:
+        takes = preemption(want, len(self.state.free_slots()), [
+            (job, int(job["spec"].get("priority", 0)), job["submitted_seq"],
+             len(job["slots"]) - int(job["spec"].get("min_workers", 1)))
+            for job in self.state.jobs_with_status("running")
+            if job["spec"].get("elastic", False)
+            and int(job["spec"].get("priority", 0)) < priority
+        ])
+        if takes is None:
             return None
-        needed = want - free
-        for _, _, job, give in victims:
-            if needed <= 0:
-                break
-            take = min(give, needed)
-            freed = job["slots"][-take:]
-            self._log("preempt", {"name": job["name"], "slots": freed,
+        for job, take in takes:
+            self._log("preempt", {"name": job["name"],
+                                  "slots": job["slots"][-take:],
                                   "for": head["name"]})
             self.recorder.count("serve/preemptions", track="serve")
-            needed -= take
-        return state.pick_slots(want)
+        return self._spread(want)
 
     def _restore_preempted(self) -> None:
         state = self.state
         if state.queue:
             return  # demand first, restoration second (fleet semantics)
-        shrunk = [
-            job for job in state.jobs_with_status("running")
+        for job in restoration_order(
+            (job, int(job["spec"].get("priority", 0)), job["submitted_seq"])
+            for job in state.jobs_with_status("running")
             if job["spec"].get("elastic", False)
             and len(job["slots"]) < int(job["spec"]["num_workers"])
-        ]
-        shrunk.sort(key=lambda job: (
-            -int(job["spec"].get("priority", 0)), job["submitted_seq"],
-        ))
-        for job in shrunk:
+        ):
             missing = int(job["spec"]["num_workers"]) - len(job["slots"])
-            slots = state.pick_slots(min(missing,
-                                         len(state.free_slots())))
+            slots = self._spread(min(missing, len(state.free_slots())))
             if slots:
                 self._log("restore", {"name": job["name"],
                                       "slots": [list(s) for s in slots]})

@@ -219,13 +219,8 @@ class ServeState:
 
     def _on_restore(self, p: dict) -> None:
         job = self.jobs[str(p["name"])]
-        slots = [[int(m), int(d)] for m, d in p["slots"]]
-        if p.get("sync"):
-            # absolute slot resync (the fleet WAL mirror records the
-            # real cluster's placement verbatim after complex moves)
-            job["slots"] = slots
-        else:
-            job["slots"] = job["slots"] + slots
+        added = [[int(m), int(d)] for m, d in p["slots"]]
+        job["slots"] = job["slots"] + added
 
     def _on_crash(self, p: dict) -> None:
         machine = int(p["machine"])
@@ -349,30 +344,6 @@ class ServeState:
             for d in range(dev)
             if (m, d) not in occupied
         ]
-
-    def pick_slots(self, num: int) -> list[tuple[int, int]] | None:
-        """Failure-aware spread placement, mirroring the fleet scheduler.
-
-        Machines are visited round-robin in ``(failure_count, id)``
-        order so workers spread across the healthiest machines first —
-        a pure function of the state, hence identical before and after
-        a crash-replay.
-        """
-        per_machine: dict[int, list[tuple[int, int]]] = {}
-        for m, d in self.free_slots():
-            per_machine.setdefault(m, []).append((m, d))
-        order = sorted(
-            per_machine,
-            key=lambda m: (self.machines[m]["failures"], m),
-        )
-        if sum(len(per_machine[m]) for m in order) < num:
-            return None
-        picked: list[tuple[int, int]] = []
-        while len(picked) < num:
-            for m in order:
-                if per_machine[m] and len(picked) < num:
-                    picked.append(per_machine[m].pop(0))
-        return picked
 
     def tenant_usage(self, tenant: str) -> int:
         """Device slots currently held by a tenant's running jobs."""

@@ -13,6 +13,13 @@ not of the jobs themselves).
 The resulting :class:`FleetReport` gives per-job and cluster-wide
 throughput, goodput, queueing delay, preemption and failure counts — the
 fleet-level version of the paper's Figure-8 story.
+
+Given ``wal=``, the run is also a serve WAL.  The scheduler logs every
+transition it takes (:attr:`~repro.jobs.Scheduler.events`); the simulator
+adds ``init``, ``tenant``, ``submit``, ``reclaim`` and ``round`` and
+appends the lot at the end of each round, so
+:meth:`repro.serve.ServeState.replay` of the log reproduces the fleet's
+accounting.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ __all__ = [
     "FleetReport",
     "FleetSimulator",
 ]
+
+#: the single tenant a fleet run is recorded under in its serve WAL
+FLEET_TENANT = "fleet"
 
 
 @dataclass(frozen=True)
@@ -191,18 +201,20 @@ class FleetSimulator:
         self.specs = sorted(specs, key=lambda s: s.arrival)
         self.cluster = Cluster(num_machines, devices_per_machine=devices_per_machine)
         # the highest-numbered machines become hot spares
+        spare_ids = list(range(num_machines - num_spares, num_machines))
         self.spares = (
-            SparePool(
-                self.cluster,
-                machine_ids=list(
-                    range(num_machines - num_spares, num_machines)
-                ),
-                repair_ticks=repair_ticks,
-            )
+            SparePool(self.cluster, spare_ids, repair_ticks=repair_ticks)
             if num_spares > 0
             else None  # no pool: replacements appear by fiat (seed model)
         )
         self.scheduler = Scheduler(self.cluster, spares=self.spares)
+        self.scheduler.events += [
+            ("init", {"num_machines": num_machines,
+                      "devices_per_machine": devices_per_machine,
+                      "spares": spare_ids, "repair_ticks": repair_ticks,
+                      "iteration_time": 1.0, "idle_time": idle_time}),
+            ("tenant", {"name": FLEET_TENANT}),
+        ]
         for f in failures or []:
             if not 0 <= f.machine_id < num_machines:
                 raise ConfigurationError(
@@ -221,19 +233,10 @@ class FleetSimulator:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         if self.recorder.enabled and getattr(self.recorder, "clock", None) is None:
             self.recorder.clock = _FleetClock(self)
-        self._num_machines = num_machines
-        self._devices_per_machine = devices_per_machine
-        self._repair_ticks = repair_ticks
-        self._spare_ids = list(
-            range(num_machines - num_spares, num_machines)
-        )
-        #: optional serve-WAL mirror: the run is recorded as control-plane
-        #: events so ``repro.serve.ServeState.replay`` can audit it
-        self.mirror = None
-        if wal is not None:
-            from repro.serve.mirror import FleetWalMirror
-
-            self.mirror = FleetWalMirror(wal)
+        #: optional serve WAL: the scheduler's own events plus the
+        #: simulator's are appended every round, so
+        #: ``repro.serve.ServeState.replay`` can audit the run
+        self.wal = wal
 
     # -- the round loop -----------------------------------------------------
     def _all_terminal(self) -> bool:
@@ -250,15 +253,7 @@ class FleetSimulator:
         pending_failures = deque(self.failures)
 
         rec = self.recorder
-        mir = self.mirror
-        if mir is not None:
-            mir.start(
-                num_machines=self._num_machines,
-                devices_per_machine=self._devices_per_machine,
-                spares=self._spare_ids,
-                repair_ticks=self._repair_ticks,
-                idle_time=self.idle_time,
-            )
+        events = self.scheduler.events
         while self.rounds < self.max_rounds and not self._all_terminal():
             r = self.rounds
             round_start = self.fleet_time
@@ -279,61 +274,25 @@ class FleetSimulator:
                 spec = pending_specs.popleft()
                 self.scheduler.submit(Job(spec), now=self.fleet_time)
                 rec.count("fleet/arrivals", job=spec.name)
-                if mir is not None:
-                    mir.arrival(spec)
+                payload = spec.to_payload()
+                payload["tenant"] = FLEET_TENANT
+                events.append(("submit", {"name": spec.name,
+                                          "tenant": FLEET_TENANT,
+                                          "spec": payload}))
             # 2. repairs complete -> blocked jobs may resume
             if self.spares is not None:
                 reclaimed = self.spares.tick()
                 if reclaimed:
-                    if mir is not None:
-                        mir.reclaims(reclaimed)
-                    blocked = [
-                        name
-                        for name, job in self.scheduler.jobs.items()
-                        if job.state == JobState.BLOCKED
-                    ]
+                    events += [("reclaim", {"machine": m}) for m in reclaimed]
                     self.scheduler.unblock()
-                    if mir is not None:
-                        jobs = self.scheduler.jobs
-                        mir.resumed(
-                            [n for n in blocked
-                             if jobs[n].state == JobState.RUNNING],
-                            [n for n in blocked
-                             if jobs[n].state == JobState.FAILED],
-                            self.spares,
-                        )
             # 3. due machine failures, routed one event at a time
             while pending_failures and pending_failures[0].round <= r:
                 event = pending_failures.popleft()
-                owners: list[Job] = []
-                was_spare = False
-                if mir is not None:
-                    owners = [
-                        job for job in self.scheduler.jobs.values()
-                        if job.state in (JobState.RUNNING, JobState.BLOCKED)
-                        and event.machine_id in job.machines_used()
-                    ]
-                    was_spare = (
-                        self.spares is not None
-                        and self.spares.is_spare(event.machine_id)
-                    )
                 self.scheduler.handle_machine_failure(event.machine_id)
                 rec.count("fleet/failures", machine=event.machine_id)
-                if mir is not None:
-                    mir.failure(
-                        event.machine_id, owners, was_spare,
-                        self.scheduler.jobs, self.spares,
-                        tag=f"fleet-r{r}-m{event.machine_id}",
-                    )
             # 4. placement (may preempt), then restoration of preemptees
-            queued = self.scheduler.queue.pending() if mir is not None else []
             self.scheduler.schedule(now=self.fleet_time)
             self.scheduler.restore()
-            if mir is not None:
-                for job in queued:
-                    if job.state == JobState.FAILED:
-                        mir.unplaceable(job.name, job.error)
-                mir.placement_diff(self.scheduler.jobs)
             # 5. every running job advances one iteration
             for job in list(self.scheduler.running):
                 if job.state == JobState.RUNNING:
@@ -348,23 +307,32 @@ class FleetSimulator:
             )
             charged_dt = round_dt if round_dt > 0 else self.idle_time
             self.fleet_time += charged_dt
-            if mir is not None:
-                stepped: list[str] = []
-                for name, job in self.scheduler.jobs.items():
-                    delta = job.iteration - iters_at_start.get(name, 0)
-                    stepped.extend([name] * max(0, delta))
-                mir.round(r, charged_dt, stepped)
+            stepped: list[str] = []
+            for name, job in self.scheduler.jobs.items():
+                delta = job.iteration - iters_at_start.get(name, 0)
+                stepped += [name] * max(0, delta)
+            events.append(("round", {"round": r, "dt": charged_dt,
+                                     "stepped": sorted(stepped)}))
             # 6. completions release their gangs
             for job in list(self.scheduler.running):
                 if job.done:
                     self.scheduler.finish(job, now=self.fleet_time)
-                    if mir is not None:
-                        mir.complete(job.name)
+            self._write_events()
             self.rounds += 1
             if rec.enabled:
                 self._record_round(r, round_start)
 
         return self._report()
+
+    def _write_events(self) -> None:
+        """Append the round's events to the WAL (if any), then drop them."""
+        if self.wal is not None:
+            from repro.serve.wal import ServeEvent
+
+            for kind, payload in self.scheduler.events:
+                self.wal.append(ServeEvent(seq=self.wal.next_seq,
+                                           kind=kind, payload=payload))
+        self.scheduler.events.clear()
 
     def _record_round(self, r: int, round_start: float) -> None:
         """Per-round telemetry: the fleet gauges and the round span."""

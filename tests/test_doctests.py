@@ -41,6 +41,7 @@ DOCTEST_MODULES = [
     "repro.core.strategy",
     "repro.core.tlog",
     "repro.core.trainer",
+    "repro.jobs.placement",
     "repro.jobs.spec",
     "repro.obs.export",
     "repro.obs.recorder",
@@ -55,7 +56,6 @@ DOCTEST_MODULES = [
     "repro.plan.space",
     "repro.serve.client",
     "repro.serve.drill",
-    "repro.serve.mirror",
     "repro.serve.netchaos",
     "repro.serve.protocol",
     "repro.serve.retry",

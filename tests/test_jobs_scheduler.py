@@ -6,7 +6,8 @@ import pytest
 from repro.api import FTStrategy, demo_fleet_specs
 from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
-from repro.jobs import Job, JobQueue, JobSpec, JobState, Scheduler, SparePool
+from repro.jobs import Job, JobSpec, JobState, Scheduler, SparePool
+from repro.jobs import placement
 from repro.sim import FleetFailure, FleetSimulator
 
 
@@ -61,19 +62,74 @@ class TestJobSpec:
         assert dp_spec(iterations=5, batch_size=8).samples == 40
 
 
-class TestJobQueue:
-    def test_priority_then_fifo(self):
-        q = JobQueue()
-        low1 = Job(dp_spec("low1", priority=0))
-        high = Job(dp_spec("high", priority=9))
-        low2 = Job(dp_spec("low2", priority=0))
-        for j in (low1, high, low2):
-            q.push(j)
-        assert [j.name for j in q.pending()] == ["high", "low1", "low2"]
-        assert q.pop() is high
-        assert q.pop() is low1
-        assert q.pop() is low2
-        assert len(q) == 0
+class TestPlacementCore:
+    """The pure gang policy both the fleet and the control plane use."""
+
+    def test_spread_round_robins_over_failures_then_id(self):
+        free = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        # machine 1 failed most, machines 0 and 2 tie and go by id
+        assert placement.spread(free, {0: 1, 1: 3, 2: 1}, 5) == [
+            (0, 0), (2, 0), (1, 0), (0, 1), (2, 1)]
+        assert placement.spread(free, {0: 2, 1: 0, 2: 1}, 3) == [
+            (1, 0), (2, 0), (0, 0)]
+
+    def test_spread_takes_each_machines_slots_in_given_order(self):
+        free = [(0, 3), (0, 1), (1, 2)]
+        assert placement.spread(free, {0: 0, 1: 0}, 3) == [
+            (0, 3), (1, 2), (0, 1)]
+
+    def test_spread_is_none_when_short(self):
+        free = [(0, 0), (1, 0)]
+        assert placement.spread(free, {0: 0, 1: 0}, 3) is None
+        assert placement.spread([], {}, 1) is None
+        assert placement.spread(free, {0: 0, 1: 0}, 0) == []
+
+    def test_preemption_none_when_free_plus_give_is_short(self):
+        rows = [("a", 0, 0.0, 2), ("b", 1, 0.0, 1)]
+        assert placement.preemption(6, 2, rows) is None
+        assert placement.preemption(5, 2, rows) == [("a", 2), ("b", 1)]
+
+    def test_preemption_lowest_priority_then_earliest_gives_first(self):
+        rows = [("late", 0, 5.0, 2), ("high", 3, 0.0, 2),
+                ("early", 0, 1.0, 2)]
+        assert placement.preemption(6, 0, rows) == [
+            ("early", 2), ("late", 2), ("high", 2)]
+
+    def test_preemption_takes_only_what_is_needed(self):
+        rows = [("a", 0, 0.0, 4), ("b", 0, 1.0, 4), ("none", 0, 0.5, 0)]
+        assert placement.preemption(3, 1, rows) == [("a", 2)]
+        assert placement.preemption(7, 1, rows) == [("a", 4), ("b", 2)]
+        # a job that cannot give is never asked to
+        assert placement.preemption(9, 1, rows) == [("a", 4), ("b", 4)]
+
+    def test_preemption_ties_keep_the_callers_order(self):
+        rows = [("x", 0, 2.0, 1), ("y", 0, 2.0, 1), ("w", 0, 2.0, 1)]
+        assert placement.preemption(2, 0, rows) == [("x", 1), ("y", 1)]
+
+    def test_restoration_order_highest_priority_then_earliest(self):
+        rows = [("low", 0, 0.0), ("late", 5, 9.0), ("tie-a", 5, 1.0),
+                ("tie-b", 5, 1.0)]
+        assert placement.restoration_order(rows) == [
+            "tie-a", "tie-b", "late", "low"]
+
+    def test_head_of_line_usage_then_priority_then_submission(self):
+        rows = [("busy-high", 0.5, 9, 0), ("idle-low", 0.0, 0, 1),
+                ("idle-high-late", 0.0, 4, 3), ("idle-high", 0.0, 4, 2)]
+        assert placement.head_of_line(rows) == "idle-high"
+        assert placement.head_of_line(rows[:2]) == "idle-low"
+        assert placement.head_of_line(rows[:1]) == "busy-high"
+
+    def test_fleet_queue_is_submission_order_and_picks_priority(self):
+        sched = Scheduler(Cluster(1, devices_per_machine=1))
+        low1, high, low2 = (Job(dp_spec(n, workers=1, priority=p))
+                            for n, p in (("low1", 0), ("high", 9),
+                                         ("low2", 0)))
+        for job in (low1, high, low2):
+            sched.submit(job)
+        assert sched.queue == [low1, high, low2]
+        assert sched.schedule() == [high]
+        assert sched.queue == [low1, low2]
+        assert [kind for kind, _ in sched.events] == ["place"]
 
 
 class TestPlacement:
@@ -361,7 +417,7 @@ class TestPlannedStrategy:
         assert healthy.state == JobState.COMPLETED
         assert healthy.iteration == 6 and healthy.start_time == 0.0
         assert sim.cluster.owners_on_machine(0) == set()
-        # and the WAL mirror folds to the same outcome
+        # and the fleet's own WAL folds to the same outcome
         state = ServeState.replay(WriteAheadLog.load_events(wal.path))
         assert {n: j["status"] for n, j in state.jobs.items()} == {
             j.name: j.state for j in report.jobs

@@ -326,6 +326,63 @@ def test_one_set_of_recovery_constants_census():
                 and node.module == "repro.api.experiment"]
 
 
+def test_one_placement_core_census():
+    """The fleet scheduler and the serve control plane place gangs through
+    ``repro.jobs.placement`` alone, and the fleet logs its own WAL.
+
+    The core is pure: it imports nothing from ``repro``, and
+    ``repro.jobs`` imports nothing from ``repro.serve`` or ``repro.sim``.
+    The spread's failure-count sort key and the preemption hand-out
+    (``take = min(...)``, then ``need -= take``) are written once, in the
+    core.  The priority queue, the WAL mirror,
+    its slot-diffing and the spare pool's lease log for it stay deleted.
+    """
+    import ast
+
+    def failure_key(node):
+        return isinstance(node, ast.Lambda) and isinstance(
+            node.body, ast.Tuple) and any(
+            "fail" in str(getattr(n, "id", None) or getattr(n, "attr", None)
+                          or getattr(n, "value", ""))
+            for n in ast.walk(node.body))
+
+    def hand_out(node):
+        if not isinstance(node, ast.For):
+            return False
+        taken = {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+                 and getattr(getattr(n.value, "func", None), "id", None)
+                 == "min" for t in n.targets if isinstance(t, ast.Name)}
+        return any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Sub)
+                   and getattr(n.value, "id", None) in taken
+                   for n in ast.walk(node))
+
+    found = {"failure_key": set(), "hand_out": set()}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        where = path.relative_to(PACKAGE_DIR).as_posix()
+        source = path.read_text()
+        for name in ("JobQueue", "FleetWalMirror", "placement_diff",
+                     "lease_log"):
+            assert name not in source, (where, name)
+        tree = ast.parse(source)
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [("." * node.level) + (node.module or "")
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        if where == "jobs/placement.py":
+            assert not [m for m in imported
+                        if m.startswith((".", "repro"))], imported
+        if where.startswith("jobs/"):
+            assert not [m for m in imported
+                        if m.startswith(("repro.serve", "repro.sim"))], where
+        for node in ast.walk(tree):
+            for kind, matches in (("failure_key", failure_key),
+                                  ("hand_out", hand_out)):
+                if matches(node):
+                    found[kind].add(where)
+    assert found == {kind: {"jobs/placement.py"} for kind in found}
+
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: what runs the package besides its CLI and facade: CI runs every example

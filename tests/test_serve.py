@@ -16,8 +16,9 @@ The acceptance surface the ISSUE names, as tier-1 tests:
 * admission control (quota, pending caps, gang size), graceful
   degradation on cluster shrink, and the NDJSON protocol's fault
   envelope;
-* the fleet WAL mirror: replaying a real FleetSimulator run's WAL
-  reproduces its accounting exactly.
+* the fleet's own WAL: a real FleetSimulator run's scheduler logs its
+  transitions, and folding that log matches the scheduler after every
+  round.
 """
 
 import io
@@ -529,25 +530,93 @@ class TestProtocol:
         assert bound["replies"][1]["bye"] is True
 
 
-# -- the fleet WAL mirror ---------------------------------------------------
+# -- the fleet's own WAL ----------------------------------------------------
 
-class TestFleetMirror:
+class TestFleetWal:
+    """The fleet scheduler logs its own transitions; folding that log must
+    land on the scheduler's state after every round, not just at the end.
+    """
+
     @pytest.fixture()
     def fleet_run(self, tmp_path):
         from repro.api import demo_fleet_specs
+        from repro.obs import TraceRecorder
 
         specs, failures = demo_fleet_specs(20)
         path = tmp_path / "fleet-wal.jsonl"
         wal = WriteAheadLog(path, fsync=False)
+        recorder = TraceRecorder()
         sim = FleetSimulator(specs, num_machines=6,
                              devices_per_machine=4, num_spares=1,
-                             failures=failures, wal=wal)
+                             failures=failures, wal=wal, recorder=recorder)
+        state, audits = ServeState(), []
+
+        def audit(event):
+            # the round span is recorded after the round's events are
+            # written, so the fold and the scheduler describe one moment
+            if event.name != "fleet/round":
+                return
+            for e in wal.events:
+                state.apply(e)  # already-folded seqs are no-ops
+            audits.append(self._mismatches(state, sim))
+
+        recorder.subscribe(audit)
         report = sim.run()
         wal.close()
-        return report, WriteAheadLog.load_events(path)
+        return sim, report, state, audits, WriteAheadLog.load_events(path)
+
+    @staticmethod
+    def _mismatches(state, sim):
+        """Where the fold disagrees with the live scheduler and spares.
+
+        The spare repair countdown is left out on purpose: the fold
+        decrements it on each ``round`` event, the pool on its next
+        ``tick()``, so the two read one round apart by design.
+        """
+        out = []
+        if (state.round, state.fleet_time) != (sim.rounds, sim.fleet_time):
+            out.append(("clock", state.round, sim.rounds))
+        if set(state.jobs) != set(sim.scheduler.jobs):
+            out.append(("jobs", sorted(state.jobs)))
+        for name, job in sim.scheduler.jobs.items():
+            folded = state.jobs.get(name)
+            if folded is None:
+                continue
+            status = {"pending": "queued"}.get(job.state.value,
+                                               job.state.value)
+            if folded["status"] != status:
+                out.append((name, "status", folded["status"], status))
+            if status in ("running", "blocked") and sorted(
+                    tuple(slot) for slot in folded["slots"]
+            ) != sim.cluster.owned_slots(job.owner_tag):
+                out.append((name, "slots", folded["slots"]))
+            if folded["iterations_done"] != job.iteration:
+                out.append((name, "iterations", folded["iterations_done"]))
+        if (len(state.spares), len(state.repairing)) != (
+                sim.spares.available, sim.spares.repairing):
+            out.append(("spares", state.spares, state.repairing))
+        return out
+
+    def test_every_round_folds_to_the_scheduler(self, fleet_run):
+        sim, report, state, audits, events = fleet_run
+        # the run exercises preemption and failure routing
+        assert report.total_preemptions == 2
+        assert report.total_failures == 6
+        assert len(audits) == report.rounds
+        assert [a for a in audits if a] == []
+        for name, job in sim.scheduler.jobs.items():
+            assert state.jobs[name]["recoveries"] == len(job.recoveries)
+            assert state.jobs[name]["preemptions"] == job.preemptions
+        # decisions are logged as taken: each preemption names the gang
+        # it frees slots for, and that gang is the next one placed
+        preempts = [i for i, e in enumerate(events) if e.kind == "preempt"]
+        assert len(preempts) == 2
+        for i in preempts:
+            placed = next(e for e in events[i:] if e.kind == "place")
+            assert placed.payload["name"] == events[i].payload["for"]
 
     def test_replay_reproduces_fleet_accounting(self, fleet_run):
-        report, events = fleet_run
+        _, report, _, _, events = fleet_run
         state = ServeState.replay(events)
         assert state.round == report.rounds
         assert state.fleet_time == report.makespan  # exact float
@@ -560,8 +629,8 @@ class TestFleetMirror:
         leases = sum(1 for e in events if e.kind == "lease")
         assert leases == report.spare_leases
 
-    def test_mirror_replay_idempotent(self, fleet_run):
-        _, events = fleet_run
+    def test_fleet_wal_replay_idempotent(self, fleet_run):
+        *_, events = fleet_run
         state = ServeState.replay(events)
         for e in events:
             assert state.apply(e) is False
