@@ -17,8 +17,10 @@ Four gates on the :mod:`repro.plan` auto-planner, all CI-enforced:
   already priced must be a cache hit; the microbench reports the
   hit-path speedup and the gate requires the searches above to have
   recorded at least one hit.
-* **determinism** — two searches with identical arguments must produce
-  byte-identical ``PlanSearchReport.to_json()``.
+* **determinism** — two searches with identical arguments, anneal and
+  exhaustive, must produce byte-identical ``PlanSearchReport.to_json()``,
+  and every score the exhaustive searcher ranks (one batch) must equal
+  that candidate's score priced alone by a fresh objective.
 
 Run::
 
@@ -145,17 +147,37 @@ def run_memo_microbench() -> dict:
 
 
 def run_determinism() -> dict:
-    """Two identical searches must serialize byte-identically."""
-    payloads = []
-    for _ in range(2):
-        space = ExperimentSearchSpace(
-            _experiment(), kinds=("dp",), intervals=(50, 200),
+    """Two identical searches must serialize byte-identically, and a
+    batch-scored ranking must equal each candidate priced alone."""
+    from repro.plan import GoodputObjective, get_searcher
+
+    def space():
+        return ExperimentSearchSpace(
+            _experiment(), kinds=("dp", "pp"), intervals=(50, 200),
         )
-        payloads.append(
-            autoplan(space, "flaky_node", searcher="anneal", seed=7,
-                     eval_seeds=2, top_k=3).to_json()
-        )
-    return {"bitwise_identical": payloads[0] == payloads[1]}
+
+    payloads = {"anneal": [], "exhaustive": []}
+    for searcher in payloads:
+        for _ in range(2):
+            payloads[searcher].append(
+                autoplan(space(), "flaky_node", searcher=searcher, seed=7,
+                         eval_seeds=2, top_k=3).to_json()
+            )
+    grid = space()
+    ranked = get_searcher("exhaustive").search(
+        grid, GoodputObjective(grid, "flaky_node", eval_seeds=2))
+    differs = [
+        s.candidate.label() for s in ranked
+        if GoodputObjective(space(), "flaky_node", eval_seeds=2)
+        .score(s.candidate) != s
+    ]
+    return {
+        "bitwise_identical": payloads["anneal"][0] == payloads["anneal"][1],
+        "exhaustive_bitwise_identical":
+            payloads["exhaustive"][0] == payloads["exhaustive"][1],
+        "ranked_scores": len(ranked),
+        "differs_when_priced_alone": differs,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,7 +233,10 @@ def main(argv: list[str] | None = None) -> int:
             "ok": memo_hits > 0 and memo["hits"] > 0,
         },
         "determinism": {
-            "ok": determinism["bitwise_identical"],
+            "ok": determinism["bitwise_identical"]
+            and determinism["exhaustive_bitwise_identical"]
+            and determinism["ranked_scores"] > 0
+            and not determinism["differs_when_priced_alone"],
         },
     }
     ok = all(g["ok"] for g in gates.values())
@@ -221,8 +246,12 @@ def main(argv: list[str] | None = None) -> int:
           f"(budget {args.max_seconds}s)")
     print(f"[gate] memoized hit path {memo['speedup']:.0f}x faster "
           f"({memo['hit_us']:.1f}us vs {memo['cold_ms']:.2f}ms cold)")
-    print(f"[gate] deterministic report JSON: "
-          f"{determinism['bitwise_identical']}")
+    differs = determinism["differs_when_priced_alone"]
+    print(f"[gate] deterministic report JSON: anneal "
+          f"{determinism['bitwise_identical']}, exhaustive "
+          f"{determinism['exhaustive_bitwise_identical']}; "
+          f"{determinism['ranked_scores']} ranked scores, differing when "
+          f"priced alone: {differs or 'none'}")
     print(f"[gate] -> {'OK' if ok else 'FAIL'}")
 
     write_bench_json("autoplan", {

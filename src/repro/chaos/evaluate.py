@@ -8,8 +8,8 @@ nodes, storage outages, stragglers) through the calibrated
 :class:`~repro.sim.CostModel` and reports the end-to-end hours and
 goodput fraction each method achieves.  Iterations and crashes are priced
 by :meth:`CostModel.pricing <repro.sim.CostModel.pricing>` — the one
-pricer :class:`~repro.sim.EndToEndSimulator` uses too — built once per
-batch of traces; this module owns only the trace walk.
+pricer :class:`~repro.sim.EndToEndSimulator` uses too; this module owns
+only the trace walk.
 
 Semantics:
 
@@ -28,20 +28,25 @@ Semantics:
 
 The walk is segment-based (O(#events), not O(#iterations)); an
 iteration in flight when an event lands is charged but not counted — the
-same convention as :class:`~repro.sim.EndToEndSimulator`.  It is one
-flat loop over the trace's ``walk_order``, which each trace sorts once
-however many prices walk it: a batch of prices pays only for pricing.
+same convention as :class:`~repro.sim.EndToEndSimulator`.  There is one
+walk and it prices a batch: every branch is on the event, which all
+prices share, so :func:`evaluate_traces` steps each trace's
+``walk_order`` once with each price's state as one NumPy column, every
+expression in the scalar operand order (a column is bit for bit the
+price walked alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.chaos.scenarios import ScenarioSpec, get_scenario
 from repro.chaos.trace import FailureTrace
 from repro.core.strategy import FTStrategy
 from repro.errors import ConfigurationError
-from repro.sim.costmodel import CostModel, Pricing
+from repro.sim.costmodel import CostModel
 from repro.sim.workloads import Workload
 
 __all__ = [
@@ -115,92 +120,136 @@ def evaluate_trace(
     :class:`~repro.errors.ConfigurationError` rather than dividing by
     zero; single-machine traces and event-free horizons are fine.
     """
-    return evaluate_traces((trace,), workload, method, interval=interval,
-                           cost=cost, parallel_degree=parallel_degree)[0]
+    cost = cost or CostModel(workload, use_experiment_time=False)
+    pricing = cost.pricing(method, interval, parallel_degree)
+    return evaluate_traces(
+        (trace,), [(pricing, workload.total_iterations)])[0][0]
 
 
-def _walk(trace: FailureTrace, pricing: Pricing, total: int) -> GoodputResult:
-    """Walk one trace's events through a resolved :class:`Pricing`."""
-    method, interval = pricing.method, pricing.interval
-    dt_base, recovery = pricing.iteration_seconds, pricing.recovery
-    snapshot_based = method in ("checkfreq", "elastic_horovod")
-    outages: list[tuple[float, float]] = []  # [start, end) in seconds
+class _Batch:
+    """K prices as columns: :meth:`walk` steps one trace for all of them,
+    :meth:`charge` is ``RecoveryPrice.__call__`` elementwise."""
 
-    elapsed = 0.0
-    completed = 0
-    last_ckpt = 0  # iteration of the last durable global checkpoint
-    slowdown = 1.0
-    dt = dt_base  # dt_base * slowdown, recomputed when a straggler starts
-    crashes = onsets = outage_count = 0
+    def __init__(self, prices) -> None:
+        prices = list(prices)
+        self.pricings = [pricing for pricing, _ in prices]
+        self.total = np.array([total or 10_000 for _, total in prices],
+                              dtype=np.int64)
+        if (self.total < 0).any():
+            raise ConfigurationError(
+                f"total_iterations must be >= 0, got {self.total.min()}")
 
-    for t, rank, magnitude in trace.walk_order:
-        if completed >= total:
-            break
-        # whole iterations until the next would cross t, in closed form: a
-        # search horizon can map onto 10^8 iterations at cadence 10
-        fit = int((t - elapsed) / dt)
-        if fit > total - completed:
-            fit = total - completed
-        if fit < 0:
-            fit = 0
-        # latest interval boundary reached whose completion instant falls
-        # outside every outage window (its checkpoint persisted); walk
-        # backwards one outage at a time
-        b = (completed + fit) // interval * interval
-        while b > completed:
-            t_b = elapsed + (b - completed) * dt
-            for start, end in outages:
-                if start <= t_b < end:
-                    break
+        def column(name, of=self.pricings):
+            return np.array([getattr(x, name) for x in of])
+
+        self.interval = column("interval").astype(np.int64)
+        self.dt_base = column("iteration_seconds").astype(float)
+        self.free_hours = (self.total * self.dt_base / 3600.0).tolist()
+        # the three lost formulas: replication's undo loses nothing,
+        # in-memory snapshots persist, the rest recompute since the last
+        # durable checkpoint
+        methods = column("method")
+        self.loses = methods != "swift_replication"
+        self.snapshot = np.isin(methods, ("checkfreq", "elastic_horovod"))
+        recovery = [pricing.recovery for pricing in self.pricings]
+        (self.base, self.load, self.init, self.replay, self.extra, self.mb,
+         self.bb, self.bw) = (
+            column(name, recovery).astype(float) for name in (
+                "base", "load", "init", "replay", "extra",
+                "log_microbatches", "log_boundary_bytes", "log_bw"))
+
+    def charge(self, lost: np.ndarray) -> np.ndarray:
+        """Seconds each price's crash costs, every operand in the
+        scalar order."""
+        lost = lost.astype(float)
+        return self.base + (self.load + self.init
+                            + np.maximum(lost * self.replay,
+                                         lost * 2.0 * self.mb * self.bb
+                                         / self.bw)
+                            + self.extra)
+
+    def walk(self, trace: FailureTrace) -> list[GoodputResult]:
+        """One result per price under ``trace``'s events."""
+        total, interval, dt_base = self.total, self.interval, self.dt_base
+        elapsed, slowdown = np.zeros(len(total)), np.ones(len(total))
+        dt = dt_base  # dt_base * slowdown
+        completed, last_ckpt = np.zeros((2, len(total)), dtype=np.int64)
+        # per price, the outages, straggler onsets and crashes it lived to
+        # see (indexed by the event's rank)
+        counts = np.zeros((3, len(total)), dtype=np.int64)
+        outages: list[tuple[float, float]] = []  # [start, end) in seconds
+
+        for t, rank, magnitude in trace.walk_order:
+            # whole iterations until the next would cross t, in closed form
+            # (int() truncation; a search horizon can map onto 10^8
+            # iterations at cadence 10); a finished price fits none
+            fit = np.trunc((t - elapsed) / dt)
+            fit = np.maximum(np.minimum(fit, total - completed), 0.0) \
+                .astype(np.int64)
+            # latest interval boundary reached whose completion instant
+            # falls outside every outage window (its checkpoint persisted)
+            b = (completed + fit) // interval * interval
+            if outages:
+                _persist(b, completed, elapsed, dt, fit, interval,
+                         outages, last_ckpt)
             else:
-                last_ckpt = b  # b > completed >= last_ckpt: a step forward
+                np.copyto(last_ckpt, b, where=b > completed)
+            completed += fit
+            elapsed += fit * dt
+            live = completed < total
+            if not live.any():
                 break
-            # that checkpoint never persisted; try the last boundary
-            # completed strictly before the outage began
-            before = int((start - elapsed) / dt)
-            if elapsed + before * dt >= start:
-                before -= 1  # int() truncation landed on the edge
-            b = (completed + max(0, min(before, fit))) // interval * interval
-        completed += fit
-        elapsed += fit * dt
-        if completed >= total:
-            break
-        # the iteration in flight at the event is charged but not counted
-        if t > elapsed:
-            elapsed = t
-        if rank == 2:  # crash
-            crashes += 1
-            if method == "swift_replication":
-                lost = 0  # undo resolves the partial update; nothing lost
-            elif snapshot_based:
-                lost = completed % interval  # in-memory snapshots persist
-            else:
-                lost = completed - last_ckpt
-            elapsed += recovery(lost)
-        elif rank == 1:  # straggler
-            onsets += 1
-            if magnitude > slowdown:
-                slowdown = magnitude
+            # the iteration in flight at the event is charged but not counted
+            np.maximum(elapsed, t, out=elapsed, where=live)
+            counts[rank] += live
+            if rank == 2:  # crash
+                lost = np.where(self.snapshot, completed % interval,
+                                completed - last_ckpt) * self.loses
+                np.add(elapsed, self.charge(lost), out=elapsed, where=live)
+            elif rank == 1:  # straggler; a finished price never reads dt
+                slowdown = np.maximum(slowdown, magnitude)
                 dt = dt_base * slowdown
-        else:  # storage outage
-            outage_count += 1
-            outages.append((t, t + magnitude * 3600.0))
+            else:  # storage outage
+                outages.append((t, t + magnitude * 3600.0))
 
-    if completed < total:
-        # no events remain: run the tail uninterrupted
-        elapsed += (total - completed) * dt_base * slowdown
-        completed = total
+        # no events remain: run the tail uninterrupted (adds 0.0 to a
+        # finished price)
+        elapsed = elapsed + (total - completed) * dt_base * slowdown
+        return [
+            GoodputResult(
+                scenario=trace.scenario, method=pricing.method,
+                seed=trace.seed, hours=hours, failure_free_hours=free,
+                num_crashes=c, num_straggler_onsets=o, num_storage_outages=s,
+            )
+            for pricing, hours, free, s, o, c in zip(
+                self.pricings, (elapsed / 3600.0).tolist(), self.free_hours,
+                *counts.tolist())
+        ]
 
-    return GoodputResult(
-        scenario=trace.scenario,
-        method=method,
-        seed=trace.seed,
-        hours=elapsed / 3600.0,
-        failure_free_hours=total * dt_base / 3600.0,
-        num_crashes=crashes,
-        num_straggler_onsets=onsets,
-        num_storage_outages=outage_count,
-    )
+
+def _persist(b, completed, elapsed, dt, fit, interval, outages,
+             last_ckpt) -> None:
+    """Move ``last_ckpt`` to each price's latest boundary ``b`` whose
+    checkpoint persisted, stepping back one outage at a time."""
+    starts = np.array([start for start, _ in outages])
+    ends = np.array([end for _, end in outages])
+    todo = np.flatnonzero(b > completed)
+    while todo.size:
+        t_b = elapsed[todo] + (b[todo] - completed[todo]) * dt[todo]
+        inside = (starts <= t_b[:, None]) & (t_b[:, None] < ends)
+        hit = inside.any(axis=1)
+        done = todo[~hit]
+        last_ckpt[done] = b[done]  # b > completed >= last_ckpt: forward
+        todo = todo[hit]
+        # that checkpoint never persisted; try the last boundary
+        # completed strictly before the first outage holding it began
+        start = starts[inside[hit].argmax(axis=1)]
+        e, d = elapsed[todo], dt[todo]
+        before = np.trunc((start - e) / d)
+        before -= e + before * d >= start  # truncation landed on the edge
+        step = np.maximum(np.minimum(before, fit[todo]), 0.0).astype(np.int64)
+        b[todo] = (completed[todo] + step) // interval[todo] * interval[todo]
+        todo = todo[b[todo] > completed[todo]]
 
 
 def evaluate_scenario(
@@ -226,7 +275,9 @@ def evaluate_scenario(
     )
     traces = [spec.sample(seed, machines, horizon_hours=hours)
               for seed in seeds]
-    return evaluate_traces(traces, workload, method, interval=interval)
+    pricing = CostModel(workload, use_experiment_time=False).pricing(
+        method, interval)
+    return evaluate_traces(traces, [(pricing, workload.total_iterations)])[0]
 
 
 def sample_paired_traces(
@@ -260,41 +311,34 @@ def sample_paired_traces(
     )
 
 
-def evaluate_traces(
-    traces,
-    workload: Workload,
-    method: str,
-    interval: int | None = None,
-    cost: CostModel | None = None,
-    parallel_degree: int = 16,
-) -> list[GoodputResult]:
-    """Price ``method`` over many pre-sampled traces at once.
+def evaluate_traces(traces, prices) -> list[list[GoodputResult]]:
+    """Price a batch of ``(Pricing, total_iterations)`` over many traces.
 
-    The inputs are checked and the pricing is built once for the whole
-    batch, so a search loop pays per-candidate setup a single time per
-    candidate rather than per ``(candidate, seed)`` pair, and each crash
-    costs one call.  Raises
-    :class:`~repro.errors.ConfigurationError` on an empty batch — a
-    searcher bug, not a zero-goodput configuration.
+    Each trace is walked once for the whole batch: the walk branches on
+    the event, which every price shares, and carries each price's state
+    as one column.  ``result[k][i]`` is price ``k`` under trace ``i``,
+    bit for bit what a batch holding price ``k`` alone returns.  A
+    ``total_iterations`` of ``None`` or 0 means 10 000.  Raises
+    :class:`~repro.errors.ConfigurationError` on an empty batch of
+    traces — a searcher bug, not a zero-goodput configuration.
 
-    >>> from repro.sim import BERT_128
+    >>> from repro.sim import BERT_128, CostModel
+    >>> cost = CostModel(BERT_128, use_experiment_time=False)
+    >>> prices = [(cost.pricing(m), BERT_128.total_iterations)
+    ...           for m in ("global_checkpoint", "swift_logging_pr")]
     >>> traces = sample_paired_traces("steady_mtbf", 16, seeds=range(2))
-    >>> results = evaluate_traces(traces, BERT_128, "swift_logging_pr")
-    >>> [round(r.goodput_fraction, 3) == round(
-    ...     evaluate_trace(t, BERT_128, "swift_logging_pr")
-    ...     .goodput_fraction, 3) for t, r in zip(traces, results)]
-    [True, True]
+    >>> ckpt, logging = evaluate_traces(traces, prices)
+    >>> [r.hours for r in logging] == [evaluate_trace(
+    ...     t, BERT_128, "swift_logging_pr").hours for t in traces]
+    True
+    >>> all(a.hours > b.hours for a, b in zip(ckpt, logging))
+    True
     """
     traces = tuple(traces)
     if not traces:
         raise ConfigurationError(
             "evaluate_traces needs at least one trace"
         )
-    cost = cost or CostModel(workload, use_experiment_time=False)
-    pricing = cost.pricing(method, interval, parallel_degree)
-    total = workload.total_iterations or 10_000
-    if total < 0:
-        raise ConfigurationError(
-            f"total_iterations must be >= 0, got {total}"
-        )
-    return [_walk(trace, pricing, total) for trace in traces]
+    batch = _Batch(prices)
+    return [list(column) for column in
+            zip(*(batch.walk(trace) for trace in traces))]

@@ -3,10 +3,11 @@
 Scoring a candidate means pricing its recovery configuration under the
 *same* pre-sampled failure traces every other candidate sees (the
 comparison is paired: the trace carries all the randomness), via
-:func:`repro.chaos.evaluate_traces`, which builds the candidate's
-:meth:`CostModel.pricing <repro.sim.CostModel.pricing>` once per cost
-key, on the space's :class:`~repro.sim.HardwareConfig` (an experiment's
-own replacement join).  Seconds per thousand candidates, so a full grid
+:func:`repro.chaos.evaluate_traces` with the candidate's
+:meth:`CostModel.pricing <repro.sim.CostModel.pricing>`, built once per
+cost key on the space's :class:`~repro.sim.HardwareConfig` (an
+experiment's own replacement join).  :meth:`GoodputObjective.score_all`
+prices a whole batch of keys in one walk of each trace, so a full grid
 is searchable interactively.
 
 Candidates that differ only in selective-logging budget share one
@@ -82,8 +83,8 @@ class GoodputObjective:
 
     Traces are sampled once at construction (one per ``eval_seeds``
     seed, over the space's scenario horizon) and shared by every
-    :meth:`score` call, so two candidates always face identical failure
-    timelines.
+    :meth:`score` and :meth:`score_all` call, so two candidates always
+    face identical failure timelines.
 
     >>> from repro.api import (ClusterSpec, Experiment, ModelSpec,
     ...                        ParallelismSpec)
@@ -155,40 +156,54 @@ class GoodputObjective:
 
     def score(self, candidate: Candidate) -> CandidateScore:
         """Predicted goodput of ``candidate`` (memoized on cost_key)."""
-        key = candidate.cost_key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return replace(cached, candidate=candidate)
-        self.misses += 1
-        w = self.candidate_workload(candidate)
-        method = method_for_strategy(candidate.strategy)
-        results = evaluate_traces(
-            self.traces, w, method,
-            interval=candidate.checkpoint_interval,
-            cost=CostModel(w, self.space.hardware, use_experiment_time=False),
-            parallel_degree=candidate.parallel_recovery_degree,
-        )
-        mean_hours = sum(r.hours for r in results) / len(results)
-        fractions = tuple(r.goodput_fraction for r in results)
-        samples_per_sec = (
-            w.batch_size * w.total_iterations / (mean_hours * 3600.0)
-            if mean_hours > 0 else 0.0
-        )
-        score = CandidateScore(
-            candidate=candidate,
-            method=method,
-            goodput_samples_per_sec=samples_per_sec,
-            goodput_fraction=sum(fractions) / len(fractions),
-            mean_hours=mean_hours,
-            failure_free_hours=results[0].failure_free_hours,
-            mean_crashes=(
-                sum(r.num_crashes for r in results) / len(results)
-            ),
-            goodput_by_seed=fractions,
-        )
-        self._cache[key] = score
-        return score
+        return self.score_all((candidate,))[0]
+
+    def score_all(self, candidates) -> list[CandidateScore]:
+        """Predicted goodput of each candidate, in order.
+
+        Hits and misses count as one :meth:`score` per candidate would,
+        but every missing cost key is priced in one batch: each trace is
+        walked once for all of them.
+        """
+        candidates = list(candidates)
+        keys = [candidate.cost_key() for candidate in candidates]
+        fresh: dict[tuple, tuple] = {}
+        for candidate, key in zip(candidates, keys):
+            if key in self._cache or key in fresh:
+                self.hits += 1
+            else:
+                self.misses += 1
+                fresh[key] = (candidate, self.candidate_workload(candidate),
+                              method_for_strategy(candidate.strategy))
+        if fresh:
+            results = evaluate_traces(self.traces, [
+                (CostModel(w, self.space.hardware, use_experiment_time=False)
+                 .pricing(method, c.checkpoint_interval,
+                          c.parallel_recovery_degree), w.total_iterations)
+                for c, w, method in fresh.values()])
+            for (key, (c, w, method)), per_seed in zip(fresh.items(),
+                                                       results):
+                mean_hours = sum(r.hours for r in per_seed) / len(per_seed)
+                fractions = tuple(r.goodput_fraction for r in per_seed)
+                self._cache[key] = CandidateScore(
+                    candidate=c,
+                    method=method,
+                    goodput_samples_per_sec=(
+                        w.batch_size * w.total_iterations
+                        / (mean_hours * 3600.0)
+                        if mean_hours > 0 else 0.0
+                    ),
+                    goodput_fraction=sum(fractions) / len(fractions),
+                    mean_hours=mean_hours,
+                    failure_free_hours=per_seed[0].failure_free_hours,
+                    mean_crashes=(
+                        sum(r.num_crashes for r in per_seed) / len(per_seed)
+                    ),
+                    goodput_by_seed=fractions,
+                )
+        scores = [self._cache[key] for key in keys]
+        return [s if s.candidate is c else replace(s, candidate=c)
+                for s, c in zip(scores, candidates)]
 
     @property
     def evaluations(self) -> int:

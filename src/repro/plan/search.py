@@ -2,8 +2,9 @@
 
 Two built-ins cover the grid sizes the planner meets in practice:
 
-* :class:`ExhaustiveSearcher` — score every feasible point; with eager
-  pruning and the memoized objective a full Table-2 grid costs seconds;
+* :class:`ExhaustiveSearcher` — score every feasible point as one batch;
+  with eager pruning and the memoized objective a full Table-2 grid
+  costs seconds;
 * :class:`AnnealSearcher` — seeded beam-style annealing for spaces too
   large to enumerate: keep the best ``beam`` candidates, mutate each a
   few times per generation, repeat.  Deterministic given ``seed`` (the
@@ -86,9 +87,7 @@ class ExhaustiveSearcher(Searcher):
     name = "exhaustive"
 
     def search(self, space, objective, seed: int = 0):
-        return ranked_scores(
-            objective.score(c) for c in space.iter_feasible()
-        )
+        return ranked_scores(objective.score_all(space.iter_feasible()))
 
 
 class AnnealSearcher(Searcher):
@@ -97,7 +96,8 @@ class AnnealSearcher(Searcher):
     The pool seeds with the space's default candidate plus ``explore``
     uniform draws; each generation mutates every beam member
     ``mutations`` times, keeping everything ever scored (the memoized
-    objective makes re-visits free).
+    objective makes re-visits free).  The explore draws, then each
+    generation's mutants, are scored as one batch.
 
     >>> from repro.api import (ClusterSpec, Experiment, ModelSpec,
     ...                        ParallelismSpec)
@@ -135,22 +135,24 @@ class AnnealSearcher(Searcher):
         rng = np.random.default_rng(derive_seed(seed, "plan", self.name))
         pool: dict[tuple, CandidateScore] = {}
 
-        def consider(candidate) -> None:
-            key = candidate.key()
-            if key in pool:
-                return
-            if space.feasible(candidate) is not None:
-                return
-            pool[key] = objective.score(candidate)
+        def consider(candidates) -> None:
+            fresh = {}
+            for candidate in candidates:
+                key = candidate.key()
+                if key in pool or key in fresh:
+                    continue
+                if space.feasible(candidate) is None:
+                    fresh[key] = candidate
+            pool.update(zip(fresh, objective.score_all(fresh.values())))
 
-        consider(space.default())
-        for _ in range(self.explore):
-            consider(space.random_candidate(rng))
+        consider([space.default(), *(
+            space.random_candidate(rng) for _ in range(self.explore))])
         for _ in range(self.generations):
+            # the beam is fixed for the generation and no draw reads a
+            # score, so scoring its mutants as one batch changes nothing
             beam = ranked_scores(pool.values())[: self.beam]
-            for score in beam:
-                for _ in range(self.mutations):
-                    consider(space.mutate(score.candidate, rng))
+            consider([space.mutate(score.candidate, rng)
+                      for score in beam for _ in range(self.mutations)])
         return ranked_scores(pool.values())
 
 

@@ -7,6 +7,7 @@ join, the §7.1 logging init and the undo kernels from the same definitions
 the pricing reads.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,12 @@ from repro.api import (
     ParallelismSpec,
 )
 from repro.chaos import get_scenario, method_for_strategy
+from repro.chaos.evaluate import _Batch
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core.replication import UNDO_KERNEL_TIME
 from repro.core.strategy import MECHANISMS_BY_KIND, FTStrategy
 from repro.plan import Candidate, ExperimentSearchSpace, GoodputObjective
-from repro.sim import CostModel
+from repro.sim import BERT_128, WIDE_RESNET_50, CostModel
 
 #: every kind x mechanism, logging at replay degrees 1 and 2
 CASES = [
@@ -126,3 +128,24 @@ def test_engine_charges_the_priced_join_and_init(
     assert report.init_time == hw.replacement_join_time + price.init
     undone = report.details.get("undone_params", 0)
     assert report.undo_time == (UNDO_KERNEL_TIME if undone else 0.0)
+
+
+#: the six analytic methods and a workload each prices on
+ANALYTIC = {
+    "global_checkpoint": WIDE_RESNET_50, "checkfreq": WIDE_RESNET_50,
+    "elastic_horovod": WIDE_RESNET_50, "swift_replication": WIDE_RESNET_50,
+    "swift_logging": BERT_128, "swift_logging_pr": BERT_128,
+}
+
+
+@pytest.mark.parametrize("lost", [0, 1, 7, 10**8])
+def test_the_walks_vector_charge_is_the_scalar_price(lost):
+    """The trace walk charges a batch of crashes with one vector
+    expression; ``EndToEndSimulator`` and the plan-time goodput call the
+    scalar ``RecoveryPrice``.  The two spellings agree bit for bit."""
+    prices = [CostModel(w, use_experiment_time=False).pricing(m)
+              for m, w in ANALYTIC.items()]
+    batch = _Batch([(pricing, None) for pricing in prices])
+    charged = batch.charge(np.full(len(prices), lost, dtype=np.int64))
+    assert [x.hex() for x in charged.tolist()] == [
+        pricing.recovery(lost).hex() for pricing in prices]

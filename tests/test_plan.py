@@ -50,7 +50,14 @@ from repro.plan import (
     register_searcher,
     searcher_names,
 )
-from repro.sim import BERT_128, VIT_128_32, WIDE_RESNET_50, EndToEndSimulator
+from repro.plan.search import ranked_scores
+from repro.sim import (
+    BERT_128,
+    VIT_128_32,
+    WIDE_RESNET_50,
+    CostModel,
+    EndToEndSimulator,
+)
 
 
 def _mlp_experiment(machines=4, devices=1, batch=16, **ft_kwargs):
@@ -380,7 +387,7 @@ def _pinned_space(**ft_kwargs):
 
 
 class TestOnePricePerKey:
-    """A cost key is priced once; a crash is one call on that price."""
+    """A cost key is priced once; a crash is one charge on that price."""
 
     def test_pricing_built_once_per_miss_and_never_per_crash(
             self, monkeypatch):
@@ -476,6 +483,77 @@ class TestAReplanPaysOnlyForPricing:
             alone = GoodputObjective(_pinned_space(), scenario,
                                      eval_seeds=3).score(report.winner)
             assert alone == report.winner_score
+
+    def test_warm_replan_walks_the_traces_twice(self, monkeypatch):
+        """One batch for the baseline, one for every feasible key."""
+        import repro.plan.objective as objective
+
+        space = _pinned_space()
+        autoplan(space, "rack_burst", searcher="exhaustive", eval_seeds=3)
+        calls = []
+        real = objective.evaluate_traces
+
+        def counted(traces, prices):
+            prices = list(prices)
+            calls.append(len(prices))
+            return real(traces, prices)
+        monkeypatch.setattr(objective, "evaluate_traces", counted)
+        warm = autoplan(space, "flaky_node", searcher="exhaustive",
+                        eval_seeds=3)
+        assert calls == [1, warm.cache_misses - 1]
+
+
+def _bench_space() -> ExperimentSearchSpace:
+    """The grid ``bench/plan.py`` searches (seed 1)."""
+    exp = Experiment(
+        name="autoplan_exhaustive",
+        model=ModelSpec(family="mlp", dim=16, hidden_dim=64, depth=8,
+                        num_classes=8, seed=1),
+        data=DataSpec(batch_size=32, seed=1),
+        cluster=ClusterSpec(num_machines=8, devices_per_machine=2),
+        parallelism=ParallelismSpec(kind="dp", num_workers=8),
+    )
+    return ExperimentSearchSpace(
+        exp, kinds=("dp", "pp", "fsdp"), worker_counts=(2, 4, 8, 16),
+        microbatch_counts=(1, 2, 4, 8), intervals=(10, 50, 200),
+        recovery_degrees=(1, 2, 4), log_budgets_gb=(None, 0.01),
+        schedules=("gpipe", "1f1b", "interleaved_1f1b"))
+
+
+class TestScoreAllIsSequentialScore:
+    """Batching the scoring changes when keys are priced, not what."""
+
+    def test_bench_grid_scores_as_one_call_per_candidate(self):
+        space = _bench_space()
+        candidates = [space.default(), *space.iter_feasible()]
+        for scenario in ("rack_burst", "flaky_node"):
+            batch = GoodputObjective(space, scenario, eval_seeds=8)
+            sequential = GoodputObjective(space, scenario, eval_seeds=8)
+            scores = batch.score_all(candidates)
+            one_by_one = [sequential.score(c) for c in candidates]
+            assert scores == one_by_one
+            assert ranked_scores(scores) == ranked_scores(one_by_one)
+            assert (batch.hits, batch.misses) == (
+                sequential.hits, sequential.misses)
+            assert list(batch._cache) == list(sequential._cache)
+            # a second batch is all hits
+            assert batch.score_all(candidates[:3]) == scores[:3]
+            assert batch.misses == sequential.misses
+
+    def test_seeded_anneal_report_is_unchanged(self):
+        """Pinned before the anneal scored its draws and mutants in
+        batches: the pool, the winner and the hit count hold."""
+        space = _pinned_space()
+        digests = []
+        for scenario in ("rack_burst", "flaky_node"):
+            report = autoplan(space, scenario, searcher="anneal", seed=11,
+                              eval_seeds=3)
+            digests.append(
+                hashlib.sha256(report.to_json().encode()).hexdigest())
+        assert digests == [
+            "ac1e5a3635b3eee16e0e370efa4d3a2f179fa3412cad4da352a71b1c4f05434d",
+            "2a1803173556ef31867d915e8acf9fb70fbb8ab0d4ab1ac3c7936dcefdaffd94",
+        ]
 
 
 # -- determinism -----------------------------------------------------------
@@ -697,7 +775,10 @@ class TestGoodputMonotonicity:
             )
             traces = [spec.sample(seed, workload.num_machines)
                       for seed in range(5)]
-            results = evaluate_traces(traces, workload, method)
+            pricing = CostModel(workload, use_experiment_time=False) \
+                .pricing(method)
+            [results] = evaluate_traces(
+                traces, [(pricing, workload.total_iterations)])
             means.append(sum(r.goodput_fraction for r in results)
                          / len(results))
         assert means == sorted(means, reverse=True)
@@ -736,7 +817,7 @@ class TestDegenerateInputs:
 
     def test_empty_trace_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one"):
-            evaluate_traces([], BERT_128, "global_checkpoint")
+            evaluate_traces([], [])
 
     def test_paired_traces_need_a_machine(self):
         with pytest.raises(ConfigurationError, match="num_machines"):

@@ -1,21 +1,27 @@
 """The analytic trace walk: golden results and the walk order.
 
-``tests/traces/walk_golden.jsonl`` pins ``repro.chaos.evaluate._walk``
-bit for bit.  Each row is one (trace, workload, method) and lists, for
-every (interval, total) below, ``repr(hours)`` and the three event
-counts.  The file was written once and the suite never regenerates it,
-so a walk change that moves one bit of one result fails here.  The two
-benchmark scenarios contain only crashes; this file is what gates the
-outage and straggler branches.
+``tests/traces/walk_golden.jsonl`` pins the walk of
+``repro.chaos.evaluate_traces`` bit for bit.  Each row is one (trace,
+workload, method) and lists, for every (interval, total) below,
+``repr(hours)`` and the three event counts.  The file was written once
+and the suite never regenerates it, so a walk change that moves one bit
+of one result fails here.  The two benchmark scenarios contain only
+crashes; this file is what gates the outage and straggler branches.
+Each (trace, workload) walks as one mixed batch of every method,
+interval and total, so a price that leaks into its neighbour's column
+fails here too.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import ChaosEvent, FailureTrace, get_scenario
-from repro.chaos.evaluate import _walk
+from repro.chaos.evaluate import evaluate_traces
+from repro.errors import ConfigurationError
 from repro.sim import BERT_128, WIDE_RESNET_50
 from repro.sim.costmodel import CostModel
 
@@ -91,18 +97,21 @@ def _trace(scenario: str, seed: int, workload) -> FailureTrace:
     return spec.sample(seed, workload.num_machines, horizon_hours=hours)
 
 
-def _walks(trace: FailureTrace, workload, method: str) -> list[list]:
-    """``[interval, total, repr(hours), crashes, onsets, outages]`` for
-    every (interval, total) of the golden grid."""
+def _walks(trace: FailureTrace, workload, methods) -> list[list[list]]:
+    """Per method, ``[interval, total, repr(hours), crashes, onsets,
+    outages]`` for every (interval, total) of the golden grid, all
+    walked as one batch."""
     cost = CostModel(workload, use_experiment_time=False)
-    rows = []
-    for interval in INTERVALS:
-        pricing = cost.pricing(method, interval)
-        for total in TOTALS:
-            r = _walk(trace, pricing, total or workload.total_iterations)
-            rows.append([interval, total, repr(r.hours), r.num_crashes,
-                         r.num_straggler_onsets, r.num_storage_outages])
-    return rows
+    keys = [(method, interval, total) for method in methods
+            for interval in INTERVALS for total in TOTALS]
+    results = evaluate_traces((trace,), [
+        (cost.pricing(method, interval), total or workload.total_iterations)
+        for method, interval, total in keys])
+    rows = {method: [] for method in methods}
+    for (method, interval, total), (r,) in zip(keys, results):
+        rows[method].append([interval, total, repr(r.hours), r.num_crashes,
+                             r.num_straggler_onsets, r.num_storage_outages])
+    return [rows[method] for method in methods]
 
 
 def _grid():
@@ -129,13 +138,16 @@ def test_golden_covers_the_grid():
 
 @pytest.mark.parametrize("scenario", (*SCENARIOS, *HAND_BUILT))
 def test_walk_matches_golden(scenario):
+    by_trace: dict[tuple, list[dict]] = {}
     for row in _golden():
-        if row["scenario"] != scenario:
-            continue
-        workload = WORKLOADS[row["workload"]]
-        trace = _trace(scenario, row["seed"], workload)
-        assert _walks(trace, workload, row["method"]) == row["walks"], (
-            row["seed"], row["workload"], row["method"])
+        if row["scenario"] == scenario:
+            by_trace.setdefault((row["seed"], row["workload"]), []).append(row)
+    assert by_trace
+    for (seed, name), rows in by_trace.items():
+        workload = WORKLOADS[name]
+        walks = _walks(_trace(scenario, seed, workload), workload,
+                       [row["method"] for row in rows])
+        assert walks == [row["walks"] for row in rows], (seed, name)
 
 
 def test_outage_boundary_trace_reaches_the_backward_walk():
@@ -146,12 +158,78 @@ def test_outage_boundary_trace_reaches_the_backward_walk():
         scenario=trace.scenario, seed=0, num_machines=trace.num_machines,
         horizon_hours=trace.horizon_hours,
         events=tuple(e for e in trace.events if e.kind != "storage_outage"))
-    pricing = CostModel(WIDE_RESNET_50, use_experiment_time=False) \
-        .pricing("global_checkpoint", 100)
-    total = WIDE_RESNET_50.total_iterations
-    with_outages = _walk(trace, pricing, total)
+    price = (CostModel(WIDE_RESNET_50, use_experiment_time=False)
+             .pricing("global_checkpoint", 100),
+             WIDE_RESNET_50.total_iterations)
+    [[with_outages, without]] = evaluate_traces((trace, crashes_only),
+                                                [price])
     assert with_outages.num_storage_outages == 4
-    assert with_outages.hours > _walk(crashes_only, pricing, total).hours
+    assert with_outages.hours > without.hours
+
+
+#: (workload, method) pairs a batch may mix; logging needs a pipeline
+PRICED = [(WORKLOADS[name], method)
+          for name, methods in METHODS.items() for method in methods]
+
+
+@st.composite
+def _events(draw):
+    """Events shaped like the hand-built traces' (crashes, stragglers,
+    overlapping outages), on a coarse clock so instants tie."""
+    kind = draw(st.sampled_from(("crash", "straggler", "storage_outage")))
+    magnitude = {
+        "crash": 0.0,
+        "straggler": draw(st.sampled_from((1.0, 1.25, 1.5, 3.0))),
+        "storage_outage": draw(st.sampled_from((0.25, 0.4, 2.0, 30.0))),
+    }[kind]
+    return ChaosEvent(time_hours=draw(st.integers(0, 80)) / 4.0,
+                      machine_id=draw(st.integers(0, 3)), kind=kind,
+                      magnitude=magnitude)
+
+
+@st.composite
+def _prices(draw):
+    workload, method = draw(st.sampled_from(PRICED))
+    pricing = CostModel(workload, use_experiment_time=False).pricing(
+        method, draw(st.sampled_from((None, 1, 7, 100, 5000))))
+    return pricing, draw(st.one_of(st.none(), st.integers(0, 10**9)))
+
+
+def _bits(r):
+    return (repr(r.hours), repr(r.failure_free_hours), r.num_crashes,
+            r.num_straggler_onsets, r.num_storage_outages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.lists(_events(), max_size=14),
+       prices=st.lists(_prices(), min_size=2, max_size=6))
+def test_key_of_a_batch_walks_as_a_batch_of_one(events, prices):
+    trace = FailureTrace(scenario="drawn", seed=0, num_machines=4,
+                         horizon_hours=25.0, events=tuple(events))
+    batch = evaluate_traces((trace,), prices)
+    for price, (r,) in zip(prices, batch):
+        [[alone]] = evaluate_traces((trace,), [price])
+        assert _bits(r) == _bits(alone)
+
+
+def test_a_batch_of_many_traces_is_one_column_per_price():
+    workload = BERT_128
+    traces = [_trace(s, 0, workload) for s in ("storage_outage", "stragglers")]
+    cost = CostModel(workload, use_experiment_time=False)
+    prices = [(cost.pricing(m, 7), None) for m in METHODS["BERT_128"]]
+    batch = evaluate_traces(traces, prices)
+    assert [[r.method for r in column] for column in batch] == [
+        [m] * 2 for m in METHODS["BERT_128"]]
+    for trace, results in zip(traces, zip(*batch)):
+        assert [_bits(r) for r in results] == [
+            _bits(r) for (r,) in evaluate_traces((trace,), prices)]
+
+
+def test_a_negative_total_is_rejected():
+    pricing = CostModel(BERT_128, use_experiment_time=False).pricing(
+        "global_checkpoint")
+    with pytest.raises(ConfigurationError, match="total_iterations"):
+        evaluate_traces((_same_instant(4),), [(pricing, 10), (pricing, -1)])
 
 
 class TestWalkOrder:
