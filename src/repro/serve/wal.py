@@ -11,14 +11,18 @@ process died; in-memory state is always a pure function of the log.
 
 There is **one file-level format**, parsed by :func:`read_wal_file`
 through the shared :class:`repro.utils.jsonl.LogFormat` codec: a
-versioned header line, then one canonical-JSON line per event, gapless
-from the header's ``base_seq``, each stamped with a CRC-32 of its body
-(the ``c`` field) so *mid-file bit rot* — a flipped byte that still
-parses as JSON but replays to a silently wrong state — is refused
-instead of folded in.  v1 lines (no checksum) still load.  A segment of
-the directory log (:mod:`repro.serve.segments`) states its ``base_seq``
-and a ``snapshot`` of the state before its first event; the flat log is
-the degenerate segment: base 0, no snapshot, rotation off.
+versioned header line, then one line per event, gapless from the
+header's ``base_seq``: ``{"c":<crc>,`` + the event's canonical-JSON
+body without its ``{``, encoded once on append, ``<crc>`` the CRC-32 of
+that body.  The reader checks the CRC on the line's own bytes, not on a
+re-encode, so *mid-file bit rot* — a flipped byte that still parses as
+JSON, even to the same value — is refused instead of folded in, and so
+is a v2 line reformatted by hand (spaces, reordered keys, re-escaped
+unicode), which a re-encode check passed whenever the re-encode
+matched.  v1 lines (no checksum) still load.  A segment of the
+directory log (:mod:`repro.serve.segments`) states its ``base_seq`` and
+a ``snapshot`` of the state before its first event; the flat log is the
+degenerate segment: base 0, no snapshot, rotation off.
 
 A torn final line (the process died mid-append) was never acknowledged,
 so on reopen it is warned about and truncated away; it must never crash
@@ -85,16 +89,21 @@ class ServeEvent:
     is one of :data:`EVENT_KINDS`; ``payload`` carries the kind-specific
     fields (job name, slot list, spec, ...) as plain JSON data.
 
-    Serialized lines carry a ``c`` field: the CRC-32 of the record body,
-    verified on parse so mid-file bit rot raises
-    :class:`~repro.errors.LogIntegrityError` instead of replaying a
-    corrupted transition.  v1 lines (no ``c``) still parse.
+    A line is ``{"c":<crc>,`` + the canonical body without its ``{``
+    (``c`` sorts first, so the line is canonical JSON too), ``<crc>``
+    the body's CRC-32: :meth:`to_json` encodes once, and
+    :meth:`from_json` checks the CRC on the line's raw bytes.  Any
+    flipped bit, even one that parses to the same value, and any hand
+    reformatting raise :class:`~repro.errors.LogIntegrityError` instead
+    of replaying a corrupted transition (a re-encode check let both
+    through whenever the re-encode matched).  v1 lines (no ``c``; the
+    canonical body, so they start ``{"k":"``) still parse.
 
     >>> e = ServeEvent(seq=0, kind="submit", payload={"name": "job-0"})
     >>> ServeEvent.from_json(e.to_json()) == e
     True
-    >>> '"c":' in e.to_json()
-    True
+    >>> e.to_json()
+    '{"c":818474185,"k":"submit","p":{"name":"job-0"},"seq":0}'
     """
 
     seq: int
@@ -119,25 +128,22 @@ class ServeEvent:
         body = canonical_json(
             {"seq": self.seq, "k": self.kind, "p": self.payload}
         )
-        return canonical_json(
-            {"seq": self.seq, "k": self.kind, "p": self.payload,
-             "c": crc32_text(body)}
-        )
+        return f'{{"c":{crc32_text(body)},{body[1:]}'
 
     @classmethod
     def from_json(cls, line: str) -> "ServeEvent":
         d = json.loads(line)
         event = cls(seq=int(d["seq"]), kind=str(d["k"]),
                     payload=dict(d.get("p", {})))
-        if "c" in d:
-            body = canonical_json(
-                {"seq": event.seq, "k": event.kind, "p": event.payload}
-            )
-            if int(d["c"]) != crc32_text(body):
+        if "c" in d or not line.startswith('{"k":"'):
+            # anything but a v1 line — one whose "c" was flipped, say
+            head, _, rest = line.partition(",")
+            crc = crc32_text("{" + rest)
+            if head != f'{{"c":{crc}':
                 raise LogIntegrityError(
                     f"WAL record seq {event.seq} ({event.kind!r}) fails "
-                    f"its checksum: stored crc {d['c']}, computed "
-                    f"{crc32_text(body)} — mid-file corruption (bit rot?)"
+                    f"its checksum: stored crc {d.get('c')}, computed "
+                    f"{crc} — mid-file corruption (bit rot?)"
                 )
         return event
 

@@ -40,6 +40,7 @@ from repro.serve import (
     run_script,
 )
 from repro.jobs import JobSpec
+from repro.serve.wal import EVENT_KINDS, read_wal_file
 from repro.utils.jsonl import canonical_json, crc32_text
 
 SMALL = ServeConfig(num_machines=4, devices_per_machine=2, num_spares=1,
@@ -59,6 +60,20 @@ def round_event(seq):
 def fill(wal, n, start=0):
     for seq in range(start, start + n):
         wal.append(round_event(seq))
+
+
+#: a payload whose line holds \u escapes, a signed zero, an exponent and
+#: nesting — the spellings a re-encode normalises
+PAYLOAD = {"name": "café-ü", "x": -0.0, "y": 1e20,
+           "z": [1, [2.5, "a"], {"q": None}]}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 # -- per-record CRC (WAL schema v2) -----------------------------------------
@@ -107,6 +122,66 @@ class TestRecordChecksums:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LogIntegrityError, match=str(path)):
             WriteAheadLog.load_events(path)
+
+    # one-bit flips that parse to the same value: a checksum of the
+    # re-encoded parse cannot see them, one of the line's bytes does
+    @pytest.mark.parametrize("before, after", [
+        ("\\u00e9", "\\u00E9"),     # hex case of a \u escape
+        ("1e+20", "1E+20"),         # exponent marker
+    ])
+    def test_same_value_bit_flip_refused(self, tmp_path, before, after):
+        path = tmp_path / "w.jsonl"
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(ServeEvent(seq=0, kind="init"))
+            wal.append(ServeEvent(seq=1, kind="submit", payload=PAYLOAD))
+            wal.append(round_event(2))
+        lines = path.read_text().splitlines()
+        assert before in lines[2]
+        flipped = lines[2].replace(before, after)
+        assert json.loads(flipped) == json.loads(lines[2])
+        lines[2] = flipped
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogIntegrityError,
+                           match=f"{path}.*seq 1.*checksum"):
+            WriteAheadLog.load_events(path)
+
+    def test_hand_reformatted_line_refused(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        with WriteAheadLog(path, fsync=False) as wal:
+            fill(wal, 2)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]))    # ", " and ": "
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogIntegrityError, match="seq 0.*checksum"):
+            WriteAheadLog.load_events(path)
+
+    def test_every_one_bit_flip_of_a_record_refused(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(ServeEvent(seq=0, kind="init"))
+            wal.append(ServeEvent(seq=1, kind="submit", payload=PAYLOAD))
+            wal.append(round_event(2))
+        lines = path.read_text().splitlines()
+        middle = lines[2]
+        damaged = tmp_path / "d.jsonl"
+        for i, ch in enumerate(middle):
+            for k in range(7):
+                flipped = middle[:i] + chr(ord(ch) ^ 1 << k) + middle[i + 1:]
+                damaged.write_text(
+                    "\n".join([*lines[:2], flipped, lines[3]]) + "\n")
+                parsed = read_wal_file(damaged)
+                assert parsed.error is not None, (i, k, flipped)
+                assert [e.seq for e in parsed.records] == [0], (i, k)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seq=st.integers(0, 2**40), kind=st.sampled_from(EVENT_KINDS),
+           payload=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+    def test_line_is_the_two_encode_form(self, seq, kind, payload):
+        event = ServeEvent(seq=seq, kind=kind, payload=payload)
+        body = canonical_json({"seq": seq, "k": kind, "p": payload})
+        assert event.to_json() == canonical_json(
+            {"seq": seq, "k": kind, "p": payload, "c": crc32_text(body)})
+        assert ServeEvent.from_json(event.to_json()) == event
 
 
 # -- rotation and anchored recovery -----------------------------------------
