@@ -17,6 +17,11 @@ alternating which side goes first; ``--workload`` may repeat and defaults
 to every workload in ``BENCHMARK.json``.  Nothing is reported if any
 run's result line says ``correct: false`` or ``failed > 0``.
 
+``--trace`` pairs traced runs (``--trace 1``) instead, whose result lines
+hold the per-layer metrics; ``--report METRIC`` (repeatable) names the
+ones to print, default all of them.  A traced run carries no end-to-end
+metric, so ``--claim`` refuses ``--trace``.
+
 Per end-to-end metric it prints both medians with quartiles and the
 pairs each side won (ties count for neither).  ``--claim METRIC`` applies
 the rule a gain must meet: the change wins at least nine tenths of all
@@ -64,11 +69,13 @@ def parent_checkout(parent: str):
             )
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One run of ``tree``'s own harness; its final JSON line, parsed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=False,
     )
     try:
@@ -76,7 +83,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, ValueError):
         result = {"correct": False, "attempted": 1, "failed": 1, "metrics": {},
                   "stderr": proc.stderr[-2000:]}
-    result.update(seed=seed, trace=0)
+    result.update(seed=seed, trace=trace)
     return result
 
 
@@ -98,14 +105,16 @@ class Row(NamedTuple):
     wins_change: int
 
 
-def summarize(runs_a: list[dict], runs_b: list[dict], lower) -> list[Row]:
+def summarize(runs_a: list[dict], runs_b: list[dict], lower,
+              names: list[str] | None = None) -> list[Row]:
     rows = []
-    for metric, m in runs_a[0]["metrics"].items():
+    for metric in names or runs_a[0]["metrics"]:
         a = [r["metrics"][metric]["value"] for r in runs_a]
         b = [r["metrics"][metric]["value"] for r in runs_b]
         sign = 1 if lower(metric) else -1
         rows.append(Row(
-            metric, m["unit"], quartiles(a), quartiles(b),
+            metric, runs_a[0]["metrics"][metric]["unit"],
+            quartiles(a), quartiles(b),
             sum(sign * x < sign * y for x, y in zip(a, b)),
             sum(sign * y < sign * x for x, y in zip(a, b)),
         ))
@@ -133,16 +142,30 @@ def main(argv: list[str] | None = None) -> int:
                     help="pair i runs both sides on seed0 + i")
     ap.add_argument("--claim", metavar="METRIC",
                     help="end-to-end metric the change claims to improve")
+    ap.add_argument("--trace", action="store_true",
+                    help="pair traced runs and report per-layer metrics")
+    ap.add_argument("--report", action="append", metavar="METRIC",
+                    help="with --trace, repeatable: per-layer metric to "
+                         "print; default every one")
     ap.add_argument("--out", default=str(ROOT / "benchmarks" / "out" / "paired"),
                     help="directory for A.json / B.json")
     args = ap.parse_args(argv)
 
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in manifest["end_to_end"]}
+    claimable = {m["name"]: m["better"] for m in manifest["end_to_end"]}
+    layered = {m["name"]: m["better"] for m in manifest["per_layer"]}
+    better = {**claimable, **layered}
     lower = lambda metric: better.get(metric, "lower") == "lower"  # noqa: E731
     workloads = args.workload or [w["name"] for w in manifest["workloads"]]
-    if args.claim and (args.claim not in better or len(workloads) != 1):
-        ap.error(f"--claim takes one of {sorted(better)} on one --workload")
+    if args.claim and (args.claim not in claimable or len(workloads) != 1
+                       or args.trace):
+        ap.error(f"--claim takes one of {sorted(claimable)} on one "
+                 "--workload, untraced")
+    if args.report and not args.trace:
+        ap.error("--report needs --trace")
+    unknown = sorted(set(args.report or ()) - layered.keys())
+    if unknown:
+        ap.error(f"--report takes per-layer metrics; unknown: {unknown}")
 
     #: side -> workload -> one result per pair
     sides = {side: {w: [] for w in workloads} for side in "AB"}
@@ -152,11 +175,13 @@ def main(argv: list[str] | None = None) -> int:
             for workload in workloads:
                 for side in ("AB", "BA")[i % 2]:
                     result = run_once(trees[side], workload,
-                                      args.seed0 + i, args.seconds)
+                                      args.seed0 + i, args.seconds,
+                                      int(args.trace))
                     sides[side][workload].append(result)
                     shown = "  ".join(
                         f"{k} {m['value']:.4g}"
-                        for k, m in result["metrics"].items())
+                        for k, m in result["metrics"].items()
+                        if not args.trace or k in (args.report or (k,)))
                     print(f"pair {i} {side} {workload} seed "
                           f"{args.seed0 + i}: {shown}", flush=True)
 
@@ -165,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     for side, tree in (("A", args.parent), ("B", str(ROOT))):
         (out / f"{side}.json").write_text(json.dumps(
             {"env": {"tree": tree, "seed": args.seed0},
-             "seconds": args.seconds, "runs": sides[side]},
+             "seconds": args.seconds, "trace": int(args.trace),
+             "runs": sides[side]},
             indent=1, sort_keys=True))
     print(f"# wrote {out}/A.json (parent) and {out}/B.json (change)")
 
@@ -182,14 +208,15 @@ def main(argv: list[str] | None = None) -> int:
     show = lambda q: f"{q[1]:9.4g} [{q[0]:9.4g}, {q[2]:9.4g}]"  # noqa: E731
     print(f"{args.pairs} pairs, seeds {args.seed0}.."
           f"{args.seed0 + args.pairs - 1}, {args.seconds:g} s per run")
-    print(f"{'workload':26s} {'metric':11s} "
+    width = 34 if args.trace else 11
+    print(f"{'workload':26s} {'metric':{width}s} "
           f"{'parent median [q1, q3]':>33s} "
           f"{'change median [q1, q3]':>33s}  pairs won parent/change")
-    tables = {w: summarize(sides["A"][w], sides["B"][w], lower)
+    tables = {w: summarize(sides["A"][w], sides["B"][w], lower, args.report)
               for w in workloads}
     for workload, rows in tables.items():
         for row in rows:
-            print(f"{workload:26s} {row.metric:11s} {show(row.parent)} "
+            print(f"{workload:26s} {row.metric:{width}s} {show(row.parent)} "
                   f"{show(row.change)}  {row.wins_parent}/{row.wins_change} "
                   f"of {args.pairs}  ({row.unit})")
     if not args.claim:

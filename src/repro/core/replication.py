@@ -7,7 +7,12 @@ Flow after a machine failure:
    replica to the consistent iteration-start state;
 3. a replacement machine joins;
 4. one surviving replica broadcasts the full model state (parameters +
-   optimizer state) and the failed workers are rebuilt from it;
+   optimizer state), priced on its byte count, and each replacement takes
+   it in the retired worker's model and optimizer — no init is drawn.
+   Survivors that still share one arena are joined: the replacement's
+   leaves become views of that arena, so nothing is copied and nothing is
+   compared when the iteration re-runs.  From private replicas, the first
+   survivor's state is written into the replacement's own leaves;
 5. everyone resumes from the consensus iteration.
 
 No checkpoint load, no lost-iteration recomputation — which is why the
@@ -25,7 +30,6 @@ from repro.core.detector import FailureDetector
 from repro.core.undo import UndoReport, resolve_dp_consistency
 from repro.errors import RecoveryError
 from repro.parallel.data_parallel import DataParallelEngine
-from repro.utils.cow import StateView
 
 __all__ = ["RecoveryReport", "ReplicationRecovery", "REPLACEMENT_JOIN_TIME",
            "LOGGING_INIT_TIME", "UNDO_KERNEL_TIME"]
@@ -122,6 +126,8 @@ class ReplicationRecovery:
         undo_report: UndoReport = resolve_dp_consistency(self.engine)
         undo_time = UNDO_KERNEL_TIME if undo_report.num_undone else 0.0
         self.clock.advance(undo_time, "undo")
+        # what one survivor broadcasts: its full_state()'s bytes
+        nbytes = self.engine.state_nbytes()
 
         # 3. replacements join (concurrently)
         for machine_id in failed_machines:
@@ -132,19 +138,13 @@ class ReplicationRecovery:
             if w.machine_id in failed_machines
         ]
 
-        # 4. broadcast the surviving state to the replacements:
-        # full_state() copies every leaf once, the read-only COW view
-        # over that copy keeps the payload immune to mutation, and each
-        # replacement copies again on ingest
-        state = StateView.of(survivors[0].full_state())
-        nbytes = state.nbytes
+        # 4. broadcast the surviving state to the replacements
         group = CollectiveGroup(
             self.engine.cluster,
             {w.rank: w.device for w in self.engine.workers},
         )
         broadcast_time = group.broadcast_time(nbytes)
-        for rank in replaced:
-            self.engine.restore_shard(rank, state)
+        self.engine.restore_replicas(replaced)
         self.clock.advance(broadcast_time, "replica_broadcast")
 
         return RecoveryReport(

@@ -241,7 +241,7 @@ class SwiftTrainer:
                 dirty = {
                     h.shard_id: h.dirty_full_state_keys() for h in holders
                 }
-            states = {h.shard_id: h.full_state() for h in holders}
+            states = self.engine.checkpoint_states()
         with rec.span("checkpoint/persist",
                       iteration=self.engine.iteration) as sp:
             stall = self.checkpoints.save_global(

@@ -130,12 +130,11 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
         for name, param in params.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.data.shape:
-                raise ShapeError(
-                    f"shape mismatch for {name!r}: {value.shape} != {param.data.shape}"
-                )
-            param.data = np.array(value, copy=True)
+            if np.shape(state[name]) != param.data.shape:
+                raise ShapeError(f"shape mismatch for {name!r}: "
+                                 f"{np.shape(state[name])} != {param.data.shape}")
+        for name, param in params.items():
+            param.data = np.array(state[name], dtype=np.float64, copy=True)
 
     # -- flat views -----------------------------------------------------------
     def param_shapes(self, trainable_only: bool = False) -> dict[str, tuple[int, ...]]:

@@ -75,10 +75,8 @@ class Optimizer:
         #: dirty-key report incremental checkpointing persists deltas from.
         #: Everything is dirty before the first full checkpoint.
         self.dirty_params: set[str] = set(self.params)
-        #: flat arena backing the fused step path (built on first use, or
-        #: recycled from a retired optimizer — then stale until first bound)
+        #: flat arena backing the fused step path (built on first use)
         self._arena: FlatArena | None = None
-        self._arena_stale = False
 
     # -- single-parameter update/undo (implemented by subclasses) ----------
     def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
@@ -153,21 +151,10 @@ class Optimizer:
             self._arena = FlatArena(shapes, order, self.flat_slots)
         return self._arena
 
-    def recycle_arena(self, donor: Optimizer) -> None:
-        """Take over a retired, identically laid out optimizer's arena.
-
-        Its contents are stale: the first :meth:`bind_flat` overwrites the
-        parameters and re-zeroes the slot buffers (the kernels create
-        slots lazily over zeros) — never a cost unless it binds at all.
-        """
-        self._arena, donor._arena = donor._arena, None
-        self._arena_stale = self._arena is not None
-
     def take_arena(self, donor: Optimizer) -> None:
         """Swap arenas with a retiring optimizer whose *live* arena this
         one's leaves follow as frozen views: rebind them writable, no copy."""
         self._arena, donor._arena = donor._arena, self._arena
-        self._arena_stale, donor._arena_stale = donor._arena_stale, self._arena_stale
         pviews = self._arena.params.views()
         sviews = {s: b.views() for s, b in self._arena.slots.items()}
         for name in self._arena.order:
@@ -185,10 +172,6 @@ class Optimizer:
         arena views.  Idempotent and cheap once bound.
         """
         arena = self.flat_arena(order)
-        if self._arena_stale:
-            self._arena_stale = False
-            for buf in arena.slots.values():
-                buf.zero()
         pviews = arena.params.views()
         for name in arena.order:
             param = self.params[name]
@@ -336,24 +319,32 @@ class Optimizer:
         raise NotImplementedError
 
     # -- checkpointable state --------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
+    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
         """Flatten optimizer state (slots + step counts) into arrays.
 
         Together with the model state dict this forms the *model state* the
-        paper protects: "parameters and optimizer states".
+        paper protects: "parameters and optimizer states".  ``copy=False``
+        hands out the live slot tensors themselves.
         """
         out: dict[str, np.ndarray] = {}
         for name, slots in self.state.items():
             for slot, arr in slots.items():
-                out[f"{name}::{slot}"] = np.array(arr, copy=True)
+                out[f"{name}::{slot}"] = np.array(arr, copy=True) if copy else arr
             out[f"{name}::step"] = np.array(self.step_counts[name], dtype=np.int64)
         return out
 
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Load a :meth:`state_dict`: each parameter it names keeps only
+        the slots it holds.  Checked before anything changes."""
+        names = {key.rsplit("::", 1)[0] for key in state}
+        unknown = sorted(names - self.params.keys())
+        if unknown:
+            raise ShapeError(
+                f"unknown parameter {unknown[0]!r} in optimizer state")
+        for name in names:
+            self.state[name] = {}
         for key, arr in state.items():
             name, slot = key.rsplit("::", 1)
-            if name not in self.params:
-                raise ShapeError(f"unknown parameter {name!r} in optimizer state")
             self.dirty_params.add(name)
             if slot == "step":
                 self.step_counts[name] = int(arr)

@@ -24,21 +24,23 @@ the iteration:
   views of its arena (they track every in-place update for free,
   accidental in-place writes raise) and own a gradient buffer only.
   Sharing is *verify-then-share*: whenever some replica's leaves do not
-  alias the canonical arena (iteration 0, replacements after a recovery,
-  an elastic resize, an external load) all leaves are compared *before*
-  the update; if they agree bit for bit the replicas share at once and
-  still update once, otherwise each runs the fused kernel on a private
-  arena and the check repeats next iteration.  A MID_UPDATE crash with one
-  budget for all stays shared: the canonical updates once and, handed to a
-  survivor at recovery if its machine died, undoes once (a dead follower
-  then reads the undone arena, not its crash state).  Uneven survivor
-  progress privatizes every replica first, so each stops at its budget as
-  the eager path would.
+  alias the canonical arena (iteration 0, a global restart, an elastic
+  resize, an external load, replicas that diverged) all leaves are
+  compared *before* the update; if they agree bit for bit the replicas
+  share at once and still update once, otherwise each runs the fused
+  kernel on a private arena and the check repeats next iteration.  A
+  MID_UPDATE crash with one budget for all stays shared: the canonical
+  updates once and, handed to a survivor at recovery if its machine died,
+  undoes once (a dead follower then reads the undone arena, not its crash
+  state).  Replacements then join the group the survivors never left
+  without a compare: their retained leaves become views of the canonical
+  arena.  Uneven survivor progress privatizes every replica first, so
+  each stops at its budget as the eager path would.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -52,7 +54,9 @@ from repro.nn.sequential import Sequential
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
 from repro.parallel.results import IterationResult
+from repro.utils.cow import StateView
 from repro.utils.flat import FlatBuffer
+from repro.utils.serialization import state_nbytes
 
 __all__ = ["DPWorker", "DataParallelEngine"]
 
@@ -95,13 +99,22 @@ class DPWorker:
         )
         return state
 
-    def load_full_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_full_state(self, state: Mapping[str, np.ndarray],
+                        order: list[str] | None = None) -> None:
+        """Load ``state`` (a :meth:`full_state`) into private copies — or,
+        given the fused layout ``order``, on into this worker's own flat
+        arena, its slot buffers zeroed first (the kernels create a slot
+        the state lacks over zeros)."""
         self.model.load_state_dict(
             {k[len("model/"):]: v for k, v in state.items() if k.startswith("model/")}
         )
         self.optimizer.load_state_dict(
             {k[len("optim/"):]: v for k, v in state.items() if k.startswith("optim/")}
         )
+        if order is not None:
+            for buf in self.optimizer.flat_arena(order).slots.values():
+                buf.zero()
+            self.optimizer.bind_flat(order)
 
     def dirty_full_state_keys(self) -> set[str]:
         """Keys of :meth:`full_state` changed since the last checkpoint.
@@ -204,12 +217,25 @@ class DataParallelEngine:
         order: ``shard_id``/``device``/``machine_id``/``full_state()``."""
         return self.alive_workers()
 
+    def checkpoint_states(self) -> dict[int, Mapping[str, np.ndarray]]:
+        """Each holder's ``full_state()`` by shard, captured once for a
+        sharing group: every follower's shard gets the canonical's frozen
+        :class:`~repro.utils.cow.StateView`."""
+        live, canon = self.alive_workers(), self._canonical
+        if canon not in live or not self._sharing_valid(live, canon):
+            return {w.rank: w.full_state() for w in live}
+        return dict.fromkeys((w.rank for w in live),
+                             StateView.of(canon.full_state()))
+
     def worker(self, rank: int) -> DPWorker:
         return self.workers[rank]
 
     def state_nbytes(self) -> int:
-        w = self.workers[0]
-        return sum(int(np.asarray(v).nbytes) for v in w.full_state().values())
+        """``full_state()``'s byte count on the first live replica, read
+        off its leaves in place."""
+        w = self.alive_workers()[0]
+        return (w.model.state_nbytes()
+                + state_nbytes(w.optimizer.state_dict(copy=False)))
 
     def replicas_consistent(self) -> bool:
         """Live replicas agree bitwise on parameters, slots and step counts
@@ -528,8 +554,9 @@ class DataParallelEngine:
     def _share_follower(self, w: DPWorker, canon: DPWorker) -> None:
         """Bind a replica's leaves as frozen COW views of the canonical arena.
 
-        Only reached after :meth:`_replicas_agree`, whose slot guard
-        ensures every canonical slot is arena-backed.
+        Only reached over a sharing group :meth:`_replicas_agree`
+        established, whose slot guard ensures every canonical slot is
+        arena-backed.
         """
         opt, wopt = canon.optimizer, w.optimizer
         arena = opt.flat_arena(self.update_order)
@@ -599,35 +626,56 @@ class DataParallelEngine:
         )
 
     # -- the restore contract (replication, global restart, elastic) ------------
-    def restore_shard(
-        self, rank: int, state: dict[str, np.ndarray], device=None
-    ) -> None:
-        """Rebuild worker ``rank`` from ``state`` (a ``full_state()``) on
-        its (replaced) device — or, one past the end, add it on ``device``
-        (elastic scale-out).  Nothing changes if loading raises.
+    def restore_replicas(self, ranks: list[int]) -> None:
+        """Rebuild the replaced workers ``ranks`` from the survivors
+        (replication, after :meth:`undo_shared_update`).
 
-        The replacement takes over the replaced worker's flat arena (same
-        layout, scratch included) instead of allocating one, under one
-        rule: no live replica reads an arena owned by a retired worker.
-        Only the canonical's arena has foreign readers, so that one is never
-        recycled — but replication undoes first, where a dead canonical
-        hands its arena to a survivor (:meth:`undo_shared_update`).
+        Survivors that all still share the canonical arena are joined: a
+        replacement's retained leaves become frozen views of that arena
+        and its scalars the canonical's, so nothing is copied and the
+        re-run compares nothing.  Otherwise the first survivor's state is
+        written into each replacement's own leaves (:meth:`restore_shard`).
         """
-        old = self.workers[rank] if rank < len(self.workers) else None
-        model = self.model_factory()
-        worker = DPWorker(
-            rank, device or old.device, model, self.opt_factory(model)
-        )
-        worker.load_full_state(state)
-        worker.iteration = self.iteration
-        if old is None:
-            self.workers.append(worker)
+        survivors = [w for w in self.alive_workers() if w.rank not in ranks]
+        canon = self._canonical
+        if canon not in survivors or not self._sharing_valid(survivors, canon):
+            state = survivors[0].full_state()
+            for rank in ranks:
+                self.restore_shard(rank, state)
             return
-        self.workers[rank] = worker
-        if self._canonical is old:
-            self._canonical = None
+        for rank in ranks:
+            worker = self.workers[rank]
+            self._share_follower(worker, canon)
+            worker.updated_params = []
+            worker.iteration = self.iteration
+
+    def restore_shard(
+        self, rank: int, state: Mapping[str, np.ndarray], device=None
+    ) -> None:
+        """Load ``state`` (a ``full_state()``) into worker ``rank``'s
+        retained model and optimizer — its own flat arena on the fused
+        path — or, one past the end, into a worker ``model_factory`` builds
+        on ``device`` (elastic scale-out, the only init drawn).
+
+        Other replicas read only the canonical's arena, so restoring the
+        canonical ends sharing.  No live replica is left reading it:
+        replication first hands a dead canonical's arena to a live
+        follower, and a global restart restores every worker.
+        """
+        new = rank == len(self.workers)
+        if new:
+            model = self.model_factory()
+            worker = DPWorker(rank, device, model, self.opt_factory(model))
         else:
-            worker.optimizer.recycle_arena(old.optimizer)
+            worker = self.workers[rank]
+        fused = self.fused and self._fusable
+        worker.load_full_state(state, self.update_order if fused else None)
+        worker.updated_params = []
+        worker.iteration = self.iteration
+        if new:
+            self.workers.append(worker)
+        elif self._canonical is worker:
+            self._canonical = None
 
     def finish_restore(self, iteration: int) -> None:
         """Every worker is back at ``iteration``: resume there, sharing

@@ -257,6 +257,10 @@ class FSDPEngine:
         """What a global checkpoint saves, as in ``DataParallelEngine``."""
         return self.alive_workers()
 
+    def checkpoint_states(self) -> dict[int, dict[str, np.ndarray]]:
+        """Each holder's ``full_state()`` by shard."""
+        return {h.shard_id: h.full_state() for h in self.state_holders()}
+
     def full_params_consistent(self) -> bool:
         live = self.alive_workers()
         ref = live[0].model.state_dict()

@@ -53,6 +53,7 @@ from repro.cluster.failures import FailureEvent, FailurePhase
 from repro.cluster.topology import Cluster
 from repro.comm.p2p import Transport
 from repro.errors import ConfigurationError, MachineFailure
+from repro.nn.module import Parameter
 from repro.nn.sequential import Sequential
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
@@ -97,6 +98,10 @@ class PipelineStage:
         #: per-(chunk, microbatch) layer caches, kept from forward to backward
         self.stash: dict[tuple[int, int], list] = {}
         self.updated_this_iteration = False
+        #: ``(leaf, data)`` of every non-trainable leaf as the current
+        #: iteration began: forwards rebind a BatchNorm's running
+        #: statistics, and an aborted attempt must not keep them
+        self.buffers_at_start: list[tuple[Parameter, np.ndarray]] = []
 
     @property
     def alive(self) -> bool:
@@ -339,6 +344,10 @@ class PipelineEngine:
         """What a global checkpoint saves, as in ``DataParallelEngine``."""
         return list(self.stages)
 
+    def checkpoint_states(self) -> dict[int, dict[str, np.ndarray]]:
+        """Each holder's ``full_state()`` by shard."""
+        return {h.shard_id: h.full_state() for h in self.state_holders()}
+
     def _make_stage(
         self, stage_id: int, chunk_modules: list[Sequential], device
     ) -> PipelineStage:
@@ -415,6 +424,9 @@ class PipelineEngine:
         live = [s for s in self.stages if s.alive]
         if len(live) != self.num_stages:
             raise MachineFailure(-1, "cannot run with failed stages; recover first")
+        for s in self.stages:
+            s.buffers_at_start = [(p, p.data) for p in s.module.parameters()
+                                  if not p.requires_grad]
         if failure is not None and failure.phase == FailurePhase.ITERATION_START:
             return self._fail(failure)
 
@@ -630,11 +642,14 @@ class PipelineEngine:
         # the interrupted iteration is abandoned wholesale: no in-flight
         # message may survive into the post-recovery re-run
         self.transport.drop_all()
-        # clear in-flight activation caches but KEEP the updated-this-
-        # iteration marks: update-undo consumes them during recovery
+        # clear in-flight activation caches and put back the buffers the
+        # aborted forwards moved, but KEEP the updated-this-iteration
+        # marks: update-undo consumes them during recovery
         for s in self.stages:
             if s.alive:
                 s.clear_caches()
+                for param, data in s.buffers_at_start:
+                    param.data = data
         return IterationResult(
             iteration=self.iteration,
             failed=True,

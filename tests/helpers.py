@@ -24,7 +24,7 @@ from repro.parallel import (
     default_virtual_stages,
     partition_by_sizes,
 )
-from repro.utils import state_equal
+from repro.utils import state_allclose, state_equal
 
 
 def numerical_grad_check(
@@ -236,3 +236,24 @@ def assert_untouched(before: dict, engine, tlog=None) -> None:
         assert state_equal(old, new)
     for key in ("progress", "iteration", "log_records"):
         assert before[key] == after[key], key
+
+
+def assert_back_at_iteration_start(engine, view: dict, exact: bool = True
+                                   ) -> None:
+    """After ``recover()``: every holder is where ``view`` (an
+    :func:`engine_snapshot` taken as the interrupted iteration began)
+    found it — its state, buffers included, bitwise (to rounding unless
+    ``exact``: an undone update or a parallel replay), its iteration, no
+    update marks left — and no message is in flight."""
+    after = engine_snapshot(engine)
+    assert after["iteration"] == view["iteration"]
+    for holder, (old, new) in enumerate(zip(view["states"], after["states"])):
+        assert (state_equal(old, new) if exact
+                else state_allclose(old, new, atol=1e-7)), holder
+    for (iteration, _, _), (now, marks, _) in zip(view["progress"],
+                                                 after["progress"]):
+        assert now == iteration and not marks
+    transport = getattr(engine, "transport", None)
+    if transport is not None:
+        ranks = range(len(after["holders"]))
+        assert not any(transport.pending(s, d) for s in ranks for d in ranks)

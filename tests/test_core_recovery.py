@@ -239,11 +239,9 @@ class TestLoggingRecovery:
                 FailureEvent(machine, 6, FailurePhase.ITERATION_START))
             assert states_equal(ref, got), machine
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect (ROADMAP aim 3): the aborted attempt's forwards "
-        "already moved the SURVIVING stage's BatchNorm running statistics, "
-        "and nothing rolls them back before the iteration re-runs"))
     def test_mid_iteration_failure_keeps_survivor_batchnorm_exact(self):
+        # the aborted attempt's forwards moved the surviving stage's
+        # BatchNorm running statistics; the abort puts them back
         got = wide_resnet_run(FailureEvent(1, 6, FailurePhase.FORWARD))
         assert states_equal(wide_resnet_run(), got)
 

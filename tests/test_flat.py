@@ -17,7 +17,7 @@ from repro.core.undo import resolve_dp_consistency
 from repro.errors import NotInvertibleError, ShapeError
 from repro.models import make_mlp
 from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, Optimizer, SGDMomentum
-from repro.utils import FlatBuffer, state_equal
+from repro.utils import FlatBuffer, state_equal, state_nbytes
 
 OPTIMIZERS = {
     "sgd": lambda m: SGD(m, lr=0.05, weight_decay=1e-3),
@@ -446,18 +446,21 @@ class TestFusedEngine:
             assert made == clean
         # a uniform MID_UPDATE crash updates and undoes the shared arena
         # once, on a canonical that outlives its machine; the survivors
-        # are not compared
+        # are not compared, and the two replacements join the sharing
+        # group in the retired workers' models: no init is drawn
+        draws = []
+        build = fused.model_factory
+        fused.model_factory = lambda: draws.append(1) or build()
         result, made = step()
         assert result.failed and len(tf.trace.recoveries) == 1
         mid = int(phase is FailurePhase.MID_UPDATE)
         assert made == {"step_flat": mid, "undo": mid, "array_equal": 0}
-        # the re-run: only the two replacements verified leaf by leaf, the
-        # survivors still read the canonical arena
+        assert draws == []
+        assert_shared(fused)
+        # the re-run is one plain shared step: nothing left to verify
         result, made = step()
         assert not result.failed
-        leaves = sum(1 + len(fused._canonical.optimizer.state[n])
-                     for n in fused.update_order)
-        assert made == {"step_flat": 1, "undo": 0, "array_equal": 2 * leaves}
+        assert made == clean
         assert_shared(fused)
         _, made = step()
         assert made == clean
@@ -577,6 +580,72 @@ class TestFusedEngine:
             assert fused.run_iteration().loss == eager.run_iteration().loss
         assert self.bitwise(self.states(fused), self.states(eager))
         assert fused._canonical is None
+
+
+    # -- the state lifecycle: a restore writes into the retained worker, a
+    # checkpoint captures a sharing group once ---------------------------------
+    @pytest.mark.parametrize("strategy", ["replication", "checkpoint_only"])
+    def test_a_restore_writes_into_the_retained_workers(self, strategy):
+        # uneven survivor progress leaves every replica private; the
+        # global restart reloads the iteration-0 checkpoint, which holds
+        # no Adam moments, into every worker
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        trainers = self.trainer_pair([fused, eager], strategy=strategy,
+                                     checkpoint_interval=100)
+        draws = []
+        build = fused.model_factory
+        fused.model_factory = lambda: draws.append(1) or build()
+        for eng, trainer in zip((fused, eager), trainers):
+            trainer.train(3)
+            eng.run_iteration(
+                failure=FailureEvent(1, 3, FailurePhase.MID_UPDATE,
+                                     after_updates=2),
+                survivor_progress={0: 1, 1: 4},
+            )
+            if eng is fused:
+                # poison what the restored workers own, leaves included
+                # (privatized: they are views of the arenas)
+                for w in fused.workers:
+                    if w.alive and strategy == "replication":
+                        continue
+                    arena = w.optimizer.flat_arena(fused.update_order)
+                    for buf in (arena.params, arena.grads,
+                                *arena.slots.values()):
+                        buf.data[...] = np.nan
+            trainer.recover_now()
+        assert draws == []
+        assert all(w.optimizer.flat_bound(fused.update_order)
+                   for w in fused.workers)
+        assert self.bitwise(self.states(fused), self.states(eager))
+        for trainer in trainers:
+            trainer.train(8)
+        assert self.bitwise(self.states(fused), self.states(eager))
+        # survivors that undid different prefixes agree to rounding only
+        # and never share again; a global restart shares at once
+        assert (fused._canonical is None) == (strategy == "replication")
+
+    def test_a_checkpoint_captures_a_sharing_group_once(self):
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        for eng in (fused, eager):
+            for _ in range(3):
+                eng.run_iteration()
+        assert_shared(fused)
+        shared, private = fused.checkpoint_states(), eager.checkpoint_states()
+        assert len({id(v) for v in shared.values()}) == 1
+        assert len({id(v) for v in private.values()}) == len(eager.workers)
+        assert self.bitwise(shared, private)
+        assert self.bitwise(shared, self.states(fused))
+
+    @pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("fused_flag", [True, False])
+    def test_state_nbytes_counts_the_leaves_in_place(self, opt, fused_flag):
+        eng = make_dp_engine(opt_factory=OPTIMIZERS[opt])
+        eng.fused = fused_flag
+        for _ in range(2):
+            eng.run_iteration()
+        w = eng.alive_workers()[0]
+        assert eng.state_nbytes() == state_nbytes(w.full_state())
+        assert eng.state_nbytes() > w.model.state_nbytes()
 
 
 class TestFusedPipelineReplay:

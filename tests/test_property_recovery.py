@@ -16,7 +16,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_shared, make_dp_engine, make_pp_engine,
+from helpers import (assert_back_at_iteration_start, assert_shared,
+                     engine_snapshot, make_dp_engine, make_pp_engine,
                      pipeline_states)
 from repro.api import (
     ClusterSpec,
@@ -120,13 +121,22 @@ def test_pipeline_recovery_always_exact(schedule, machine, iteration, phase,
         events.append(
             FailureEvent(also_down, iteration, FailurePhase.ITERATION_START))
         down.add(also_down)
-    trace = trainer.train(TOTAL_ITERATIONS, failures=FailureSchedule(events))
-    (report,) = trace.recoveries
+    failures = FailureSchedule(events)
+    trainer.train(iteration, failures=failures)
+    view = engine_snapshot(eng)
+    assert trainer.step(failures).failed
+    (report,) = trainer.trace.recoveries
     assert set(report.failed_machines) == down
     assert report.strategy.startswith("logging")
     # logging replay is exact; update-undo and the bucket sums of
     # parallel replay are exact to rounding only
     exact = degree == 1 and not report.details["undone_params"]
+    # every holder is back where the interrupted iteration began, unless
+    # every survivor had already updated: then the replay completes that
+    # iteration instead (a roll forward)
+    if report.resume_iteration == iteration:
+        assert_back_at_iteration_start(eng, view, exact)
+    trainer.train(TOTAL_ITERATIONS, failures=failures)
     got = pipeline_states(eng)
     for sid in ref:
         for key in ref[sid]:
