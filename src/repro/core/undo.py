@@ -68,7 +68,8 @@ def resolve_pipeline_consistency(engine: PipelineEngine) -> UndoReport:
     Surviving stages exchange iteration counters; the consensus pre-failure
     iteration is the minimum.  Stages that already advanced past it undo
     their latest update (whole-stage undo — stage updates are atomic at
-    stage granularity in 1F1B).
+    stage granularity in 1F1B).  If the interrupted iteration re-runs, each
+    survivor's non-trainable leaves go back to their iteration-start data.
     """
     alive = [s for s in engine.stages if s.alive]
     if not alive:
@@ -80,4 +81,11 @@ def resolve_pipeline_consistency(engine: PipelineEngine) -> UndoReport:
             names = list(stage.optimizer.params)
             stage.undo()
             report.undone.setdefault(stage.stage_id, []).extend(names)
+    # the interrupted iteration re-runs: put back the buffers (a
+    # BatchNorm's running statistics) its aborted forwards moved.  When
+    # every survivor had updated, it rolls forward and they stay.
+    if consensus == engine.iteration:
+        for stage in alive:
+            for param, data in stage.buffers_at_start:
+                param.data = data
     return report

@@ -121,7 +121,9 @@ class Module:
         """Copy of all parameters, keyed by qualified name."""
         return {name: np.array(p.data, copy=True) for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+    def check_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Raise :class:`ShapeError` unless :meth:`load_state_dict` takes
+        ``state``: the same names, each with its leaf's shape."""
         params = dict(self.named_parameters())
         missing = params.keys() - state.keys()
         extra = state.keys() - params.keys()
@@ -133,7 +135,11 @@ class Module:
             if np.shape(state[name]) != param.data.shape:
                 raise ShapeError(f"shape mismatch for {name!r}: "
                                  f"{np.shape(state[name])} != {param.data.shape}")
-        for name, param in params.items():
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Rebind every leaf to a copy of ``state``'s; checked first."""
+        self.check_state_dict(state)
+        for name, param in self.named_parameters():
             param.data = np.array(state[name], dtype=np.float64, copy=True)
 
     # -- flat views -----------------------------------------------------------

@@ -319,29 +319,44 @@ class Optimizer:
         raise NotImplementedError
 
     # -- checkpointable state --------------------------------------------------
-    def state_dict(self, copy: bool = True) -> dict[str, np.ndarray]:
+    def state_dict(self) -> dict[str, np.ndarray]:
         """Flatten optimizer state (slots + step counts) into arrays.
 
         Together with the model state dict this forms the *model state* the
-        paper protects: "parameters and optimizer states".  ``copy=False``
-        hands out the live slot tensors themselves.
+        paper protects: "parameters and optimizer states".
         """
         out: dict[str, np.ndarray] = {}
         for name, slots in self.state.items():
             for slot, arr in slots.items():
-                out[f"{name}::{slot}"] = np.array(arr, copy=True) if copy else arr
+                out[f"{name}::{slot}"] = np.array(arr, copy=True)
             out[f"{name}::step"] = np.array(self.step_counts[name], dtype=np.int64)
         return out
+
+    def state_nbytes(self) -> int:
+        """:meth:`state_dict`'s byte count, read off the slots in place
+        (each step count is one int64)."""
+        return int(sum(arr.nbytes for slots in self.state.values()
+                       for arr in slots.values()) + 8 * len(self.state))
+
+    def check_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Raise :class:`ShapeError` unless :meth:`load_state_dict` takes
+        ``state``: every key names a parameter, and a flat slot has its
+        parameter's shape."""
+        for key, arr in state.items():
+            name, slot = key.rsplit("::", 1)
+            if name not in self.params:
+                raise ShapeError(
+                    f"unknown parameter {name!r} in optimizer state")
+            shape = self.params[name].data.shape
+            if slot in self.flat_slots and np.shape(arr) != shape:
+                raise ShapeError(f"shape mismatch for {key!r}: "
+                                 f"{np.shape(arr)} != {shape}")
 
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         """Load a :meth:`state_dict`: each parameter it names keeps only
         the slots it holds.  Checked before anything changes."""
-        names = {key.rsplit("::", 1)[0] for key in state}
-        unknown = sorted(names - self.params.keys())
-        if unknown:
-            raise ShapeError(
-                f"unknown parameter {unknown[0]!r} in optimizer state")
-        for name in names:
+        self.check_state_dict(state)
+        for name in {key.rsplit("::", 1)[0] for key in state}:
             self.state[name] = {}
         for key, arr in state.items():
             name, slot = key.rsplit("::", 1)

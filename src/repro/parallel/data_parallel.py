@@ -56,7 +56,6 @@ from repro.optim.base import Optimizer
 from repro.parallel.results import IterationResult
 from repro.utils.cow import StateView
 from repro.utils.flat import FlatBuffer
-from repro.utils.serialization import state_nbytes
 
 __all__ = ["DPWorker", "DataParallelEngine"]
 
@@ -104,13 +103,16 @@ class DPWorker:
         """Load ``state`` (a :meth:`full_state`) into private copies — or,
         given the fused layout ``order``, on into this worker's own flat
         arena, its slot buffers zeroed first (the kernels create a slot
-        the state lacks over zeros)."""
-        self.model.load_state_dict(
-            {k[len("model/"):]: v for k, v in state.items() if k.startswith("model/")}
-        )
-        self.optimizer.load_state_dict(
-            {k[len("optim/"):]: v for k, v in state.items() if k.startswith("optim/")}
-        )
+        the state lacks over zeros).  Both halves are checked before
+        either loads, so nothing changes if loading raises."""
+        model = {k[len("model/"):]: v for k, v in state.items()
+                 if k.startswith("model/")}
+        optim = {k[len("optim/"):]: v for k, v in state.items()
+                 if k.startswith("optim/")}
+        self.model.check_state_dict(model)
+        self.optimizer.check_state_dict(optim)
+        self.model.load_state_dict(model)
+        self.optimizer.load_state_dict(optim)
         if order is not None:
             for buf in self.optimizer.flat_arena(order).slots.values():
                 buf.zero()
@@ -234,8 +236,7 @@ class DataParallelEngine:
         """``full_state()``'s byte count on the first live replica, read
         off its leaves in place."""
         w = self.alive_workers()[0]
-        return (w.model.state_nbytes()
-                + state_nbytes(w.optimizer.state_dict(copy=False)))
+        return w.model.state_nbytes() + w.optimizer.state_nbytes()
 
     def replicas_consistent(self) -> bool:
         """Live replicas agree bitwise on parameters, slots and step counts
@@ -655,7 +656,8 @@ class DataParallelEngine:
         """Load ``state`` (a ``full_state()``) into worker ``rank``'s
         retained model and optimizer — its own flat arena on the fused
         path — or, one past the end, into a worker ``model_factory`` builds
-        on ``device`` (elastic scale-out, the only init drawn).
+        on ``device`` (elastic scale-out, the only init drawn).  Nothing
+        changes if loading raises.
 
         Other replicas read only the canonical's arena, so restoring the
         canonical ends sharing.  No live replica is left reading it:

@@ -98,9 +98,10 @@ class PipelineStage:
         #: per-(chunk, microbatch) layer caches, kept from forward to backward
         self.stash: dict[tuple[int, int], list] = {}
         self.updated_this_iteration = False
-        #: ``(leaf, data)`` of every non-trainable leaf as the current
-        #: iteration began: forwards rebind a BatchNorm's running
-        #: statistics, and an aborted attempt must not keep them
+        #: ``(leaf, data)`` of every non-trainable leaf as the iteration in
+        #: flight (or the one a failure aborted) began: forwards rebind a
+        #: BatchNorm's running statistics, and an attempt that is re-run
+        #: must not keep them.  Empty once an iteration completes.
         self.buffers_at_start: list[tuple[Parameter, np.ndarray]] = []
 
     @property
@@ -468,6 +469,8 @@ class PipelineEngine:
             if not self.apply_updates(stages, failure):
                 return self._fail(failure)
 
+        for s in self.stages:
+            s.buffers_at_start = []
         self.iteration += 1
         overheads: dict[str, float] = {}
         for hook in self.overhead_hooks:
@@ -642,14 +645,11 @@ class PipelineEngine:
         # the interrupted iteration is abandoned wholesale: no in-flight
         # message may survive into the post-recovery re-run
         self.transport.drop_all()
-        # clear in-flight activation caches and put back the buffers the
-        # aborted forwards moved, but KEEP the updated-this-iteration
-        # marks: update-undo consumes them during recovery
+        # clear in-flight activation caches but KEEP the updated-this-
+        # iteration marks: update-undo consumes them during recovery
         for s in self.stages:
             if s.alive:
                 s.clear_caches()
-                for param, data in s.buffers_at_start:
-                    param.data = data
         return IterationResult(
             iteration=self.iteration,
             failed=True,

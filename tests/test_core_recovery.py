@@ -190,12 +190,10 @@ class TestRefusalTouchesNothing:
         assert_untouched(before, eng)
 
 
-def wide_resnet_run(failure: FailureEvent | None = None, *, workers=2,
-                    **fault_tolerance):
+def wide_resnet_session(workers=2, **fault_tolerance):
     """The paper's CNN family, one stage per machine (PP-2 / m = 2 by
-    default), logging, checkpoint every 4, run to iteration 8; returns
-    every stage's ``full_state()``."""
-    session = Experiment(
+    default), logging, checkpoint every 4."""
+    return Experiment(
         model=ModelSpec(family="wide_resnet", base_channels=4, image_size=8,
                         num_classes=3),
         data=DataSpec(kind="images", batch_size=2 * workers),
@@ -205,6 +203,13 @@ def wide_resnet_run(failure: FailureEvent | None = None, *, workers=2,
         fault_tolerance=FaultToleranceSpec(
             strategy="logging", checkpoint_interval=4, **fault_tolerance),
     ).build()
+
+
+def wide_resnet_run(failure: FailureEvent | None = None, *, workers=2,
+                    **fault_tolerance):
+    """:func:`wide_resnet_session` run to iteration 8; returns every
+    stage's ``full_state()``."""
+    session = wide_resnet_session(workers, **fault_tolerance)
     session.run(8, failures=FailureSchedule([failure] if failure else []))
     return session.engine.full_state()
 
@@ -241,9 +246,30 @@ class TestLoggingRecovery:
 
     def test_mid_iteration_failure_keeps_survivor_batchnorm_exact(self):
         # the aborted attempt's forwards moved the surviving stage's
-        # BatchNorm running statistics; the abort puts them back
+        # BatchNorm running statistics; recovery puts them back before
+        # the iteration re-runs
         got = wide_resnet_run(FailureEvent(1, 6, FailurePhase.FORWARD))
         assert states_equal(wide_resnet_run(), got)
+
+    def test_rolled_forward_survivor_keeps_its_batchnorm_statistics(self):
+        # stage 1 finishes its backwards first and updates, then machine 0
+        # fails: the survivor completed iteration 6, so recovery rolls
+        # forward and its running statistics keep that iteration's forwards
+        got = wide_resnet_run(
+            FailureEvent(0, 6, FailurePhase.MID_UPDATE, after_updates=1))
+        assert states_equal(wide_resnet_run(), got)
+
+    def test_failure_between_iterations_keeps_survivor_batchnorm(self):
+        # a shared-cluster crash lands between iterations (as the fleet
+        # routes it): nothing was aborted, so the survivor keeps every
+        # completed forward's running statistics
+        session = wide_resnet_session()
+        session.run(6)
+        session.engine.cluster.fail_machine(0)
+        session.engine.cluster.kvstore.raise_failure(0, 6)
+        session.trainer.recover_now()
+        session.run(8)
+        assert states_equal(wide_resnet_run(), session.engine.full_state())
 
     @pytest.mark.parametrize("pooled", [True, False])
     def test_handed_over_tensors_arrive_as_the_transport_delivers(

@@ -10,7 +10,8 @@ pins that contract for every optimizer and both engines.
 import numpy as np
 import pytest
 
-from helpers import assert_shared, make_dp_engine, make_pp_engine
+from helpers import (assert_shared, assert_untouched, engine_snapshot,
+                     make_dp_engine, make_pp_engine)
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
 from repro.core.undo import resolve_dp_consistency
@@ -623,6 +624,30 @@ class TestFusedEngine:
         # survivors that undid different prefixes agree to rounding only
         # and never share again; a global restart shares at once
         assert (fused._canonical is None) == (strategy == "replication")
+
+    @pytest.mark.parametrize("bad", ["unknown_param", "slot_shape"])
+    def test_a_restore_that_raises_changes_nothing(self, bad):
+        # the model half loads fine; the optimizer half is refused, so the
+        # retained follower must keep its shared leaves and slots
+        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
+        for eng in (fused, eager):
+            for _ in range(3):
+                eng.run_iteration()
+            state = {k: v + 1.0 if k.startswith("model/") else v
+                     for k, v in eng.workers[0].full_state().items()}
+            if bad == "unknown_param":
+                state["optim/nope::m"] = np.zeros(1)
+            else:
+                key = next(k for k in state if k.endswith("::m"))
+                state[key] = np.zeros(state[key].size + 1)
+            before = engine_snapshot(eng)
+            with pytest.raises(ShapeError):
+                eng.restore_shard(1, state)
+            assert_untouched(before, eng)
+        assert_shared(fused)
+        for _ in range(2):
+            assert fused.run_iteration().loss == eager.run_iteration().loss
+        assert self.bitwise(self.states(fused), self.states(eager))
 
     def test_a_checkpoint_captures_a_sharing_group_once(self):
         fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
