@@ -25,17 +25,21 @@ control plane:
    most ``max(segment_bytes, anchor bytes) + segment_bytes`` (+ one
    event) of log, the directory holds at most
    :data:`MAX_WRITE_AMPLIFICATION` bytes per event byte — and the fold
-   lands bitwise on the genesis fold's state.
+   lands bitwise on the genesis fold's state.  The reopen must open
+   exactly the files of the newest anchor's chain (``segments_read``,
+   counted by its ``wal/parse`` spans), no file behind it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
 from _common import emit, fmt_table, write_bench_json
+from repro.obs import TraceRecorder
 from repro.serve import (
     SegmentedWriteAheadLog,
     ServeConfig,
@@ -141,6 +145,7 @@ def bench_netchaos(seed: int, workdir: str) -> dict:
                 "final_state_equal": c.final_state_equal,
                 "events_equal": c.events_equal,
                 "quarantined": c.quarantined,
+                "unverified": len(c.unverified),
                 "passed": c.passed,
             }
             for c in report.cells
@@ -170,10 +175,20 @@ def bench_segmented_replay(num_jobs: int, segment_bytes: int,
         total_events = server.wal.next_seq
         final_snapshot = server.state.snapshot()
 
+    recorder = TraceRecorder()
     start = time.perf_counter()
-    wal = SegmentedWriteAheadLog(path, fsync=False)
+    wal = SegmentedWriteAheadLog(path, fsync=False, recorder=recorder)
     anchored_state = wal.recover_state()
     anchored_wall = time.perf_counter() - start
+    segments_read = sum(e.name == "wal/parse"
+                        for e in recorder.trace("reopen").events)
+    # the newest anchor's chain, read off the headers: a snapshot or
+    # genesis starts it, every later file belongs to it
+    headers = [json.loads(p.read_text().partition("\n")[0])
+               for p in sorted(Path(path).glob("segment-*.jsonl"))]
+    chain_segments = len(headers) - max(
+        i for i, h in enumerate(headers)
+        if h["snapshot"] is not None or h["base_seq"] == 0)
     tail_events = len(wal.events)
     segment_count = wal.segment_count
     anchor_bytes = len(wal.anchor_snapshot or "")
@@ -189,6 +204,8 @@ def bench_segmented_replay(num_jobs: int, segment_bytes: int,
     return {
         "segment_bytes": segment_bytes,
         "segments": segment_count,
+        "segments_read": segments_read,
+        "chain_segments": chain_segments,
         "bytes_on_disk": on_disk,
         "event_bytes": sum(line_bytes),
         "total_events": total_events,
@@ -257,10 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     netchaos = bench_netchaos(seed=0, workdir=f"{tmpdir}/netchaos")
     emit("serve_netchaos", fmt_table(
         ["cell", "frames", "restarts", "acked", "lost", "dup",
-         "state==", "events==", "quarantined"],
+         "state==", "events==", "quarantined", "unverified"],
         [[c["cell"], c["frames"], c["restarts"], c["acked"],
           c["acked_lost"], c["duplicate_admissions"],
-          c["final_state_equal"], c["events_equal"], c["quarantined"]]
+          c["final_state_equal"], c["events_equal"], c["quarantined"],
+          c["unverified"]]
          for c in netchaos["cells"]],
     ))
 
@@ -271,7 +289,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{segmented['total_events']} events folded "
           f"({segmented['replayed_event_bytes']} B, bound "
           f"{segmented['replay_bound_bytes']} B); "
-          f"{segmented['segments']} segments, "
+          f"{segmented['segments']} segments "
+          f"({segmented['segments_read']} read on reopen, anchor chain "
+          f"{segmented['chain_segments']}), "
           f"{segmented['bytes_on_disk']} B on disk for "
           f"{segmented['event_bytes']} B of events "
           f"({amplification:.2f}x)")
@@ -290,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             "acked_jobs_lost": total_lost,
             "replay_bound_bytes": segmented["replay_bound_bytes"],
             "replayed_event_bytes": segmented["replayed_event_bytes"],
+            "chain_segments": segmented["chain_segments"],
+            "segments_read": segmented["segments_read"],
             "max_write_amplification": MAX_WRITE_AMPLIFICATION,
             "write_amplification": amplification,
             "netchaos_acked_lost": netchaos["acked_lost"],
@@ -328,6 +350,12 @@ def main(argv: list[str] | None = None) -> int:
             f"anchored recovery replayed "
             f"{segmented['replayed_event_bytes']} B of events "
             f"(bound: {segmented['replay_bound_bytes']} B)"
+        )
+    if segmented["segments_read"] != segmented["chain_segments"]:
+        failed.append(
+            f"reopen opened {segmented['segments_read']} segment "
+            f"file(s); the anchor chain is "
+            f"{segmented['chain_segments']} (gate: exactly that)"
         )
     if amplification > MAX_WRITE_AMPLIFICATION:
         failed.append(

@@ -702,7 +702,8 @@ def _serve_replay(path: str) -> int:
         print(f"serve: cannot replay WAL {path!r}: {exc}",
               file=sys.stderr)
         return 1
-    for note in info.notes:  # what a real recovery would warn about
+    # full audit: every segment, including those a reopen leaves unverified
+    for note in info.notes:
         print(f"serve: {note}", file=sys.stderr)
     for q in info.quarantined:
         print(f"serve: corrupt segment {q['segment']} at "
@@ -730,10 +731,14 @@ def _serve_demo(args: argparse.Namespace) -> int:
         return 1
     with server:
         if server.recovered:
+            unread = len(server.wal.unverified)
             print(f"recovered from {wal}: "
                   f"{len(server.wal.events)} events replayed "
                   f"(history seq {server.wal.last_seq}), "
-                  f"resuming at round {server.state.round}")
+                  f"resuming at round {server.state.round}"
+                  + (f"; {unread} segment(s) behind the anchor not "
+                     f"verified; `repro serve --replay` audits them"
+                     if unread else ""))
         run_script(server, demo_traffic())
         state = server.state
         print(f"{'job':<14} {'tenant':<9} {'status':>9} {'iters':>5} "

@@ -35,8 +35,10 @@ cluster — and it survives being SIGKILLed at any instant:
   corruption matrix and :func:`fuzz_protocol` fuzzes the decoder;
 * **segmented WAL** (:mod:`repro.serve.segments`): per-record CRC
   (schema v2) catches mid-file bit rot, segment rotation with snapshot
-  anchors bounds both the recovery fold and the bytes on disk, and
-  corrupt segments are quarantined with an exact loss report.
+  anchors bounds both the recovery fold and the bytes on disk, a
+  reopen reads only the newest clean anchor's chain (older segments
+  stay unverified until ``inspect`` audits them), and corrupt segments
+  are quarantined with an exact loss report.
 
 Quick tour::
 

@@ -46,6 +46,7 @@ from repro.serve.client import (
 from repro.serve.drill import TrafficScript, demo_config, demo_traffic
 from repro.serve.protocol import respond_line
 from repro.serve.retry import BackoffPolicy
+from repro.serve.segments import SegmentedWriteAheadLog
 from repro.serve.server import ServeConfig, ServeServer
 from repro.utils.seeding import derive_seed
 
@@ -400,6 +401,12 @@ class _CrashingTransport:
 class NetChaosCellResult:
     """One cell of the :func:`network_drill` matrix.
 
+    ``quarantined`` counts the segments the cell's last reopen set
+    aside.  The corruption cell alone fills in ``unverified``, the
+    segments its cold restart left unread behind the anchor, and
+    ``flagged``, what the full audit (``inspect``) reports as
+    ``(segment, state_loss)``.
+
     >>> NetChaosCellResult(cell="drop", frames=10, faults={},
     ...                    restarts=0, acked=8, acked_lost=0,
     ...                    duplicate_admissions=0,
@@ -418,6 +425,8 @@ class NetChaosCellResult:
     final_state_equal: bool
     events_equal: bool
     quarantined: int
+    unverified: tuple[int, ...] = ()
+    flagged: tuple[tuple[int, bool], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -451,14 +460,15 @@ class NetworkDrillReport:
 
     def format_table(self) -> str:
         rows = ["cell             frames  restarts  acked  lost  dup  "
-                "state==  events==  quarantined"]
+                "state==  events==  quarantined  unverified"]
         for c in self.cells:
             rows.append(
                 f"{c.cell:<16} {c.frames:>6}  {c.restarts:>8}  "
                 f"{c.acked:>5}  {c.acked_lost:>4}  "
                 f"{c.duplicate_admissions:>3}  "
                 f"{str(c.final_state_equal):<7}  "
-                f"{str(c.events_equal):<8}  {c.quarantined:>11}"
+                f"{str(c.events_equal):<8}  {c.quarantined:>11}  "
+                f"{len(c.unverified):>10}"
             )
         rows.append(
             f"baseline: {self.baseline_events} events, goodput "
@@ -507,7 +517,8 @@ def network_drill(
     ``crash-restart`` cell (deterministic server kills mid-protocol,
     torn WAL tails included), a ``storm+crash`` cell stacking both, and
     a ``corruption`` cell that flips a byte in an old WAL segment and
-    expects quarantine-with-report instead of state damage.  Every cell
+    expects the cold restart to leave it unverified behind the anchor,
+    the full audit to flag it, and no state damage.  Every cell
     asserts the module docstring's three invariants.  Deterministic in
     ``seed``, end to end.
 
@@ -557,20 +568,22 @@ def network_drill(
             acks = run_script_via_client(client, script)
             server = harness.current()
         quarantined = len(server.wal.quarantined)
+        unverified, flagged = (), ()
         if check_corruption:
             # flip payload bytes in the oldest segment, behind the
             # newest snapshot anchor, then force a cold restart
             harness.kill(torn=False)
-            segments = sorted((workdir / f"wal-{name}")
-                              .glob("segment-*.jsonl"))
-            victim = segments[0]
+            wal_dir = workdir / f"wal-{name}"
+            victim = sorted(wal_dir.glob("segment-*.jsonl"))[0]
             lines = victim.read_text().splitlines()
             lines[-1] = lines[-1].replace(":", ";", 1)
             victim.write_text("\n".join(lines) + "\n")
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
-                server = harness.current()
+            server = harness.current()
             quarantined = len(server.wal.quarantined)
+            unverified = tuple(server.wal.unverified)
+            flagged = tuple(
+                (q["segment"], q["state_loss"])
+                for q in SegmentedWriteAheadLog.inspect(wal_dir).quarantined)
         audit = _audit(server, acks, baseline_snapshot,
                        None if check_corruption else baseline_lines)
         stats = dict(getattr(transport, "stats", {}))
@@ -578,7 +591,7 @@ def network_drill(
         cells.append(NetChaosCellResult(
             cell=name, frames=frames, faults=stats,
             restarts=harness.restarts, quarantined=quarantined,
-            **audit,
+            unverified=unverified, flagged=flagged, **audit,
         ))
         harness.kill(torn=False)
 

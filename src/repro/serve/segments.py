@@ -28,20 +28,31 @@ event) of log, bitwise-equal to the full-genesis fold (drill suite).
 Both counts are read off the files on open, never remembered, so a
 restarted server writes the directory an uninterrupted one would.
 
+A reopen verifies and folds from the newest clean anchor forward.  It
+reads segment files newest first and stops at the first anchor whose
+chain to the tail is clean and contiguous; the files behind it are
+never opened and are listed, by index, in ``unverified`` — not
+verified, not vouched for.  Only when that chain fails does a reopen
+read every file and plan over the whole directory, as
+:meth:`SegmentedWriteAheadLog.inspect` — the full audit behind
+``repro serve --replay`` — always does.
+
 What a directory adds over the single file is corruption *survival*,
-not just detection.  A corrupt segment **behind** the newest anchor is
-quarantined (renamed ``*.quarantined``) with an exact report of which
-sequence numbers became unreadable — pure history loss, zero state
-loss.  Corruption **after** the newest anchor is truncated at the first
-bad record, the original preserved as a quarantine copy, and the loss
-reported honestly (``state_loss: true``) instead of silently replaying
-garbage.  A final segment whose header never became a complete line is
-*not* corruption: the crash happened mid-rotation, before anything in
-that segment could be acknowledged, so it is dropped like a torn tail.
+not just detection.  A corrupt segment **behind** the newest anchor
+costs history, never state: the audit reports the exact sequence
+numbers that became unreadable, and a reopen that falls back to the
+full parse quarantines it (renamed ``*.quarantined``).  Corruption
+**after** the newest anchor is truncated at the first bad record, the
+original preserved as a quarantine copy, and the loss reported honestly
+(``state_loss: true``) instead of silently replaying garbage.  A final
+segment whose header never became a complete line is *not* corruption:
+the crash happened mid-rotation, before anything in that segment could
+be acknowledged, so it is dropped like a torn tail.
 
 Recovery is computed as a pure *plan* over the parsed segments before a
-single byte is touched; :meth:`SegmentedWriteAheadLog.inspect` exposes
-the same plan read-only — for a directory or a flat file — so
+single byte is touched — one planner, given the suffix a reopen read or
+the whole directory; :meth:`SegmentedWriteAheadLog.inspect` exposes the
+whole-directory plan read-only — for a directory or a flat file — so
 ``repro serve --replay`` can audit a live server's WAL without
 renaming, truncating, or opening a writer.
 """
@@ -53,6 +64,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigurationError, LogIntegrityError
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.serve.wal import (
     SEGMENT_FORMAT,
     WAL_VERSION,
@@ -97,42 +109,53 @@ def _segment_index(path: Path) -> int:
     return int(stem)
 
 
-def _parse_directory(dirpath: Path) -> list[_WalFile]:
-    segs = [read_wal_file(p, _segment_index(p))
-            for p in sorted(dirpath.glob(_SEGMENT_GLOB))]
-    for seg in segs[:-1]:
-        if seg.torn is not None:
+def _read_segments(
+    dirpath: Path, read: Callable = read_wal_file, *,
+    from_anchor: bool = False,
+) -> tuple[list[_WalFile], list[int]]:
+    """Parse a segment directory newest file first.
+
+    Returns the parsed files oldest first, and the indices of the older
+    files left unread.  With ``from_anchor`` the walk stops at the first
+    anchor whose chain to the tail is clean and contiguous.  Once the
+    chain fails (a corrupt record, a gap, a torn non-final line, an
+    empty final header) every older anchor's chain, which contains it,
+    fails too, so every file is read and the plan is the full
+    directory's.
+    """
+    paths = sorted(dirpath.glob(_SEGMENT_GLOB))
+    indices = [_segment_index(p) for p in paths]
+    segs: list[_WalFile] = []
+    clean = from_anchor
+    for k in range(len(paths) - 1, -1, -1):
+        seg = read(paths[k], indices[k])
+        if segs and seg.torn is not None:
             # only the file being appended to can be torn by a crash
             seg.error = seg.error or ConfigurationError(
                 f"torn line in non-final segment ({len(seg.torn)} bytes)")
             seg.torn = None
-    return segs
+        clean = clean and seg.error is None \
+            and (not segs or segs[0].base_seq == seg.end_seq)
+        segs.insert(0, seg)
+        if clean and seg.is_anchor:
+            return segs, indices[:k]
+    return segs, []
 
 
 def _find_anchor(segs: list[_WalFile]) -> int | None:
-    """Position (in ``segs``) of the newest usable anchor segment.
+    """Position (in ``segs``) of the newest anchor whose *header* (and
+    thus snapshot) survived.
 
-    Prefers an anchor with a fully clean, contiguous chain to the tail
-    (normal recovery); falls back to the newest segment whose *header*
-    (and thus snapshot) survived even if its records are corrupt — the
-    valid prefix still replays, and the truncation plan handles the
-    rest.
+    No older anchor can do better: its chain to the tail contains this
+    one's, so it is clean only if this one's is.  When this chain is
+    damaged, its valid prefix still replays and the truncation plan
+    handles the rest.  A reopen whose read stopped at a clean anchor
+    hands over only that chain, so the answer is position 0; a corrupt
+    segment behind it was left unread, and the full audit, not the
+    reopen, reports it.
     """
-    fallback = None
-    for i in range(len(segs) - 1, -1, -1):
-        s = segs[i]
-        if s.base_seq < 0 or not s.is_anchor:
-            continue
-        if fallback is None:
-            fallback = i
-        chain = segs[i:]
-        contiguous = all(
-            chain[j].base_seq == chain[j - 1].end_seq
-            for j in range(1, len(chain))
-        )
-        if contiguous and all(c.error is None for c in chain):
-            return i
-    return fallback
+    return next((i for i in range(len(segs) - 1, -1, -1)
+                 if segs[i].is_anchor), None)
 
 
 def _quarantine(plan: _RecoveryPlan, seg: _WalFile, reason: object,
@@ -291,11 +314,13 @@ def _plan_truncation(plan: _RecoveryPlan, chain: list[_WalFile],
 class SegmentInspection:
     """Read-only recovery view of a WAL (segment directory or flat file).
 
-    What opening it *would* recover — same anchor, same foldable
-    events, same quarantine verdicts — computed without renaming,
-    truncating, or opening a writer, so it is safe against a live
-    server's WAL.  ``quarantined`` reports point at the live files;
-    ``notes`` holds the warnings recovery would emit.
+    The full audit: every segment parsed, the same anchor and foldable
+    events a reopen recovers, and a verdict on every corrupt file —
+    including the ones behind the anchor that a reopen leaves
+    unverified — computed without renaming, truncating, or opening a
+    writer, so it is safe against a live server's WAL.  ``quarantined``
+    reports point at the live files; ``notes`` holds the warnings a
+    full-parse recovery would emit.
 
     >>> import tempfile
     >>> root = tempfile.mkdtemp() + "/wal"
@@ -334,7 +359,9 @@ class SegmentedWriteAheadLog(_WalBase):
     server's point of view: ``append`` is durable-before-return and
     gapless, ``events`` holds what recovery needs to fold, and
     :meth:`recover_state` rebuilds the control-plane state — from the
-    newest snapshot anchor, not from genesis.  Assign
+    newest snapshot anchor, not from genesis.  Opening reads only the
+    newest clean anchor's chain (module docstring); ``unverified``
+    names the segments behind it.  Assign
     :attr:`snapshot_provider` (a callable returning a
     ``ServeState.snapshot()`` string) for rotations to anchor with.
 
@@ -354,8 +381,9 @@ class SegmentedWriteAheadLog(_WalBase):
     def __init__(self, path: str | Path, *, fsync: bool = True,
                  meta: dict | None = None,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 snapshot_provider: Callable[[], str] | None = None):
-        super().__init__(fsync, meta)
+                 snapshot_provider: Callable[[], str] | None = None,
+                 recorder: Recorder = NULL_RECORDER):
+        super().__init__(fsync, meta, recorder)
         self.dir = Path(path)
         self.segment_bytes = int(segment_bytes)
         if self.segment_bytes <= 0:
@@ -367,7 +395,8 @@ class SegmentedWriteAheadLog(_WalBase):
                 f"directory (did you mean a plain --wal?)"
             )
         self.dir.mkdir(parents=True, exist_ok=True)
-        segs = _parse_directory(self.dir)
+        segs, self.unverified = _read_segments(self.dir, self._read,
+                                               from_anchor=True)
         if not (segs and self._recover(_plan_recovery(self.dir, segs))):
             self._open_segment(0, 0, None)
 
@@ -392,18 +421,18 @@ class SegmentedWriteAheadLog(_WalBase):
         """Plan recovery for a WAL without executing it.
 
         Accepts a segment directory or a flat WAL file.  Parses every
-        file, picks the anchor, and reports exactly what
-        :meth:`recover_state` would fold and what would be quarantined
-        — but performs **zero** writes: no renames, no truncation, no
-        writer.  Safe to run against the WAL of a live server
-        (``repro serve --replay`` uses this).
+        file — those a reopen leaves unverified too — picks the anchor,
+        and reports exactly what :meth:`recover_state` would fold and
+        every corrupt segment — but performs **zero** writes: no
+        renames, no truncation, no writer.  Safe to run against the WAL
+        of a live server (``repro serve --replay`` uses this).
         """
         p = Path(path)
         if p.is_file():
             segs = [read_wal_file(p)]
             plan = _plan_flat(segs[0])
         elif p.is_dir():
-            segs = _parse_directory(p)
+            segs, _ = _read_segments(p)
             if not segs:
                 raise ConfigurationError(f"{p}: no WAL segments found")
             plan = _plan_recovery(p, segs)
@@ -478,16 +507,19 @@ class SegmentedWriteAheadLog(_WalBase):
         """Full readable history across every live segment.
 
         Quarantined segments are skipped (their loss is recorded in
-        :attr:`quarantined`); used by drills to audit global invariants
-        like at-most-one admission per job name.
+        :attr:`quarantined`); a corrupt segment left unverified gives
+        its valid prefix (``inspect`` reports the rest).  Used by drills
+        to audit global invariants like at-most-one admission per job
+        name.
         """
-        return [e for s in _parse_directory(self.dir) for e in s.records]
+        return [e for s in _read_segments(self.dir)[0] for e in s.records]
 
 
 def open_wal(path: str | Path, *, fsync: bool = True,
              meta: dict | None = None,
              segment_bytes: int | None = None,
-             snapshot_provider: Callable[[], str] | None = None):
+             snapshot_provider: Callable[[], str] | None = None,
+             recorder: Recorder = NULL_RECORDER):
     """Open the right WAL flavor for a path.
 
     An existing *file* is always a single-file
@@ -509,6 +541,6 @@ def open_wal(path: str | Path, *, fsync: bool = True,
         return SegmentedWriteAheadLog(
             p, fsync=fsync, meta=meta,
             segment_bytes=segment_bytes or DEFAULT_SEGMENT_BYTES,
-            snapshot_provider=snapshot_provider,
+            snapshot_provider=snapshot_provider, recorder=recorder,
         )
-    return WriteAheadLog(p, fsync=fsync, meta=meta)
+    return WriteAheadLog(p, fsync=fsync, meta=meta, recorder=recorder)

@@ -173,7 +173,7 @@ class ServeServer:
         self.storage = storage if storage is not None else GlobalStore()
         self.wal = open_wal(wal_path, fsync=fsync,
                             meta={"service": "repro.serve"},
-                            segment_bytes=segment_bytes)
+                            segment_bytes=segment_bytes, recorder=recorder)
         self.state = self.wal.recover_state()
         # anchor every segment rotation at the current state (the state
         # object is mutated in place, so the bound method always

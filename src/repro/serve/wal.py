@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigurationError, LogIntegrityError
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.utils.jsonl import (
     JsonlWriter,
     LogFile,
@@ -296,8 +297,11 @@ class _WalBase:
     #: never rotates, so never calls it)
     snapshot_provider: Callable[[], str] | None = None
 
-    def __init__(self, fsync: bool, meta: dict | None):
+    def __init__(self, fsync: bool, meta: dict | None,
+                 recorder: Recorder):
         self.fsync = bool(fsync)
+        #: gets one ``wal/parse`` span per file read at open, none after
+        self.recorder = recorder
         #: free-form header metadata, stamped on every file this log opens
         self.meta = {str(k): str(v) for k, v in (meta or {}).items()}
         #: events since (and including) the newest snapshot anchor —
@@ -311,10 +315,20 @@ class _WalBase:
         self.anchor_base_seq = 0
         #: quarantine reports from recovery: one dict per bad segment
         self.quarantined: list[dict] = []
+        #: segment indices behind the adopted anchor that the reopen
+        #: never read, so never verified (``inspect`` audits them)
+        self.unverified: list[int] = []
         self.torn_tail_dropped: str | None = None
         #: sequence number / kind of the newest event (-1 / None: empty)
         self.last_seq = -1
         self.last_kind: str | None = None
+
+    def _read(self, path: Path, index: int | None = None) -> _WalFile:
+        """:func:`read_wal_file` as one ``wal/parse`` leaf span."""
+        with self.recorder.span("wal/parse", segment=index or 0) as span:
+            wal_file = read_wal_file(path, index)
+            span.set(records=len(wal_file.records))
+        return wal_file
 
     def _open_fresh(self, path: Path, header: dict, index: int = 0) -> None:
         """Start a new file at ``path`` and make it the active one."""
@@ -422,11 +436,12 @@ class WriteAheadLog(_WalBase):
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = True,
-                 meta: dict | None = None):
-        super().__init__(fsync, meta)
+                 meta: dict | None = None,
+                 recorder: Recorder = NULL_RECORDER):
+        super().__init__(fsync, meta, recorder)
         self.path = Path(path)
         if self.path.exists() and self.path.stat().st_size > 0:
-            self._recover(_plan_flat(read_wal_file(self.path)))
+            self._recover(_plan_flat(self._read(self.path)))
         else:
             self._open_fresh(self.path, {
                 "version": WAL_VERSION,

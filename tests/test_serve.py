@@ -649,7 +649,21 @@ class TestServeCLI:
         # a second invocation resumes the finished WAL, changes nothing
         assert cli_main(["serve", "--demo", "--wal", wal,
                          "--no-fsync"]) == 0
-        assert "recovered from" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "recovered from" in out
+        assert "not verified" not in out  # one file: nothing left unread
+
+    def test_segmented_resume_names_unverified_segments(self, tmp_path,
+                                                       capsys):
+        argv = ["serve", "--demo", "--wal", str(tmp_path / "demo-wal"),
+                "--no-fsync", "--segment-bytes", "1024"]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "recovered from" in out
+        assert "segment(s) behind the anchor not verified; " \
+            "`repro serve --replay` audits them" in out
 
     def test_drill_exits_zero_on_pass(self, capsys):
         assert cli_main(["serve", "--drill", "--kill-points", "3"]) == 0

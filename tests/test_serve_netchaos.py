@@ -5,7 +5,8 @@
 * the protocol fuzzer (bounded, tier-1) never crashes the decoder —
   every mutated frame comes back as a parseable fault envelope;
 * the acceptance matrix: every netchaos profile, the crash-restart
-  cell, storm+crash, and segment corruption all finish with zero
+  cell, storm+crash, and segment corruption (left unverified by the
+  cold restart, flagged by the full audit) all finish with zero
   acked-submission loss, zero duplicate admissions, and a final state
   (and event history, where applicable) bitwise-equal to the unfaulted
   baseline.
@@ -133,8 +134,15 @@ class TestNetworkDrill:
         assert by_name["storm+crash"].restarts > 0
 
     def test_corruption_cell_quarantines(self, report):
-        by_name = {c.cell: c for c in report.cells}
-        assert by_name["corruption"].quarantined == 1
+        # the cold restart reads from the newest anchor forward: the
+        # flipped segment 0 behind it is left unverified, not set aside,
+        # and the full audit flags it with zero state damage
+        cell = {c.cell: c for c in report.cells}["corruption"]
+        assert cell.quarantined == 0
+        assert cell.unverified[0] == 0
+        assert cell.flagged == ((0, False),)
+        assert cell.final_state_equal
+        assert cell.acked_lost == 0 and cell.duplicate_admissions == 0
 
     def test_report_table_renders(self, report):
         table = report.format_table()

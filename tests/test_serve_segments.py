@@ -10,21 +10,27 @@ The acceptance surface:
   lines and embeds a state snapshot in the new header only when the log
   has outgrown the last one, so both the fold and the bytes on disk stay
   bounded — and the anchored fold is bitwise-equal to a genesis fold;
-* corruption behind the newest anchor quarantines the segment with an
-  exact report of the lost seq range and zero state loss; corruption
-  after the anchor truncates at the first bad record, keeps a
-  quarantine copy, and reports the loss honestly.
+* a reopen reads from the newest clean anchor forward and leaves the
+  segments behind it unverified, so corruption there costs a reopen
+  nothing and the full audit (``inspect``) reports it with an exact lost
+  seq range and zero state loss; corruption after the anchor truncates
+  at the first bad record, keeps a quarantine copy, and reports the
+  loss honestly — exactly as a full parse does.
 """
 
+import functools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, LogIntegrityError
+import repro.serve.wal as wal_module
+from repro.errors import ConfigurationError, LogIntegrityError, ReproError
+from repro.obs import TraceRecorder
 from repro.serve import (
     DEFAULT_SEGMENT_BYTES,
     SegmentedWriteAheadLog,
@@ -451,10 +457,10 @@ class TestSnapshotsAreAnOptimisation:
 
 # -- corruption drills ------------------------------------------------------
 
-def segmented_run(tmp_path):
+def segmented_run(tmp_path, segment_bytes=2048):
     """A finished demo run over small segments; returns (dir, snapshot)."""
     with ServeServer(tmp_path / "wal", demo_config(), fsync=False,
-                     segment_bytes=2048) as server:
+                     segment_bytes=segment_bytes) as server:
         run_script(server, demo_traffic())
         snap = server.state.snapshot()
     return tmp_path / "wal", snap
@@ -469,21 +475,34 @@ class TestCorruptionQuarantine:
         lines = victim.read_text().splitlines()
         lines[-1] = lines[-1].replace(":", ";", 1)
         victim.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="quarantined corrupt"):
+        rotted = victim.read_bytes()
+        # the reopen reads from the newest clean anchor forward: the
+        # rotted segment behind it is never opened, so nothing to warn
+        # about and nothing to quarantine — it is reported unverified
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             revived = SegmentedWriteAheadLog(wal_dir, fsync=False)
-        (report,) = revived.quarantined
-        assert report["state_loss"] is False
-        assert report["lost_first_seq"] == 0
-        assert report["lost_last_seq"] is not None
-        assert Path(report["path"]).exists()
+        assert revived.quarantined == []
+        assert victim.read_bytes() == rotted
+        assert revived.unverified[0] == 0
         # zero state loss: recovery still folds to the exact final state
         assert revived.recover_state().snapshot() == snap
         revived.close()
-        # the quarantine is durable: the next open is clean and quiet
-        clean = SegmentedWriteAheadLog(wal_dir, fsync=False)
-        assert clean.quarantined == []
-        assert clean.recover_state().snapshot() == snap
-        clean.close()
+        # the full audit still finds it: history loss, state intact
+        (report,) = SegmentedWriteAheadLog.inspect(wal_dir).quarantined
+        assert report["segment"] == 0
+        assert report["state_loss"] is False
+        assert report["lost_first_seq"] == 0
+        assert report["lost_last_seq"] is not None
+        assert Path(report["path"]) == victim
+        # the verdict is stable: the next open is just as quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = SegmentedWriteAheadLog(wal_dir, fsync=False)
+        assert again.quarantined == []
+        assert again.unverified == revived.unverified
+        assert again.recover_state().snapshot() == snap
+        again.close()
 
     def test_post_anchor_corruption_truncates_and_reports(self, tmp_path):
         # no snapshot_provider: the only anchor is genesis, so a rotted
@@ -525,6 +544,176 @@ class TestCorruptionQuarantine:
             SegmentedWriteAheadLog(wal_dir, fsync=False)
 
 
+# -- a reopen reads from its newest anchor forward ---------------------------
+
+def index_of(path):
+    return int(path.name[len("segment-"):-len(".jsonl")])
+
+
+def anchor_chain(wal_dir):
+    """Segment indices from the newest anchor (snapshot or genesis) on."""
+    segs = segments_of(wal_dir)
+    start = max(i for i, (_, header, _) in enumerate(segs)
+                if header["snapshot"] is not None or header["base_seq"] == 0)
+    return [index_of(path) for path, _, _ in segs[start:]]
+
+
+def without_path(reports):
+    return [{k: v for k, v in r.items() if k != "path"} for r in reports]
+
+
+def fold(recover_state):
+    """The folded snapshot, or the type of what the fold raised (a header
+    flip can leave a snapshot that parses but does not restore)."""
+    try:
+        return recover_state().snapshot()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def demo_files():
+    """``(name, bytes)`` of a finished demo run over 512-byte segments."""
+    with tempfile.TemporaryDirectory() as root:
+        wal_dir, _ = segmented_run(Path(root), segment_bytes=512)
+        return tuple(sorted(dir_bytes(wal_dir).items()))
+
+
+def damage(wal_dir, kind, file, line, char, bit):
+    """One seeded damage: a bit flip in any line, a header flip, a torn
+    final line, or a removed segment file.  ``file`` counts from the
+    newest file, so small draws land in the anchor chain."""
+    files = sorted(wal_dir.glob("segment-*.jsonl"))[::-1]
+    if kind == "remove":
+        files[file % len(files)].unlink()
+        return
+    victim = files[0] if kind == "torn" else files[file % len(files)]
+    lines = victim.read_text().splitlines()
+    if kind == "torn":
+        keep = 1 + char % (len(lines[-1]) - 1)
+        victim.write_text("".join(ln + "\n" for ln in lines[:-1])
+                          + lines[-1][:keep])
+        return
+    j = 0 if kind == "header" else line % len(lines)
+    i = char % len(lines[j])
+    lines[j] = lines[j][:i] + chr(ord(lines[j][i]) ^ 1 << bit) \
+        + lines[j][i + 1:]
+    victim.write_text("\n".join(lines) + "\n")
+
+
+class TestReopenFromTheAnchor:
+    def test_clean_reopen_opens_exactly_the_anchor_chain(self, tmp_path,
+                                                         monkeypatch):
+        wal_dir, snap = segmented_run(tmp_path, segment_bytes=512)
+        chain = anchor_chain(wal_dir)
+        indices = [index_of(p) for p in sorted(wal_dir.glob("segment-*"))]
+        assert len(chain) < len(indices)
+        opened = []
+        real = wal_module.read_wal_file
+
+        def spy(path, index=None):
+            opened.append(index_of(path))
+            return real(path, index)
+
+        monkeypatch.setattr(wal_module, "read_wal_file", spy)
+        wal = SegmentedWriteAheadLog(wal_dir, fsync=False)
+        wal.close()
+        assert opened == chain[::-1]            # newest first, no more
+        assert wal.unverified == indices[:-len(chain)]
+        assert wal.quarantined == []
+        assert wal.recover_state().snapshot() == snap
+        info = SegmentedWriteAheadLog.inspect(wal_dir)
+        assert wal.events == info.events
+
+    def test_damage_after_the_anchor_falls_back_to_the_full_parse(
+            self, tmp_path):
+        wal_dir, _ = segmented_run(tmp_path, segment_bytes=512)
+        files = sorted(wal_dir.glob("segment-*.jsonl"))
+        assert index_of(files[0]) not in anchor_chain(wal_dir)
+        for victim in (files[0], files[-1]):   # one behind, one after
+            lines = victim.read_text().splitlines()
+            assert len(lines) > 2  # a rotted last line reads as torn
+            lines[1] = lines[1].replace(":", ";", 1)
+            victim.write_text("\n".join(lines) + "\n")
+        info = SegmentedWriteAheadLog.inspect(wal_dir)
+        with pytest.warns(UserWarning) as caught:
+            wal = SegmentedWriteAheadLog(wal_dir, fsync=False)
+        wal.close()
+        notes = " ".join(str(w.message) for w in caught)
+        assert "quarantined corrupt" in notes and "LOST" in notes
+        assert wal.unverified == []
+        assert wal.events == info.events
+        assert wal.anchor_base_seq == info.anchor_base_seq
+        assert without_path(wal.quarantined) \
+            == without_path(info.quarantined)
+        pre, post = wal.quarantined
+        assert (pre["segment"], pre["state_loss"]) == (0, False)
+        assert post["state_loss"] is True
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["flip", "torn", "header", "remove"]),
+           where=st.tuples(st.integers(0, 99), st.integers(0, 99),
+                           st.integers(0, 9999), st.integers(0, 6)))
+    def test_reopen_agrees_with_the_full_audit(self, kind, where):
+        """Under any one damage the reopen recovers what ``inspect``
+        plans; the only difference allowed is that segments behind the
+        anchor are unverified instead of quarantined."""
+        with tempfile.TemporaryDirectory() as root:
+            wal_dir = Path(root) / "wal"
+            wal_dir.mkdir()
+            for name, body in demo_files():
+                (wal_dir / name).write_bytes(body)
+            damage(wal_dir, kind, *where)
+            indices = [index_of(p)
+                       for p in sorted(wal_dir.glob("segment-*.jsonl"))]
+            try:
+                info = SegmentedWriteAheadLog.inspect(wal_dir)
+            except ReproError as exc:
+                with pytest.raises(type(exc)), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    SegmentedWriteAheadLog(wal_dir, fsync=False)
+                return
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                wal = SegmentedWriteAheadLog(wal_dir, fsync=False)
+            wal.close()
+            assert wal.events == info.events
+            assert wal.anchor_base_seq == info.anchor_base_seq
+            assert wal.torn_tail_dropped == info.torn_tail
+            assert fold(wal.recover_state) == fold(info.recover_state)
+            assert wal.unverified == indices[:len(wal.unverified)]
+            if wal.unverified:   # only a clean chain stops the read early
+                assert wal.quarantined == []
+            audit = without_path(info.quarantined)
+            assert without_path(wal.quarantined) == [
+                r for r in audit if r["segment"] not in wal.unverified]
+            assert not any(r["state_loss"] for r in audit
+                           if r["segment"] in wal.unverified)
+
+    def test_each_file_parsed_at_open_is_one_leaf_span(self, tmp_path):
+        wal_dir, _ = segmented_run(tmp_path, segment_bytes=512)
+        chain = anchor_chain(wal_dir)
+        rec = TraceRecorder()
+        with ServeServer(wal_dir, fsync=False, recorder=rec) as server:
+            replayed = len(server.wal.events)
+        spans = [e.attrs_dict for e in rec.trace("reopen").events
+                 if e.name == "wal/parse"]
+        assert [int(a["segment"]) for a in spans] == chain[::-1]
+        assert sum(int(a["records"]) for a in spans) == replayed
+
+    def test_flat_reopen_is_one_span_and_append_none(self, tmp_path):
+        rec = TraceRecorder()
+        with WriteAheadLog(tmp_path / "w.jsonl", fsync=False,
+                           recorder=rec) as wal:
+            fill(wal, 3)
+        assert rec.trace("append").events == ()
+        WriteAheadLog(tmp_path / "w.jsonl", fsync=False,
+                      recorder=rec).close()
+        (span,) = rec.trace("reopen").events
+        assert (span.name, span.attrs_dict) \
+            == ("wal/parse", {"segment": "0", "records": "3"})
+
+
 # -- segment identity is the filename, not the listing position -------------
 
 class TestSegmentIndexIntegrity:
@@ -536,19 +725,15 @@ class TestSegmentIndexIntegrity:
         # live one
         wal_dir, snap = segmented_run(tmp_path)
         victim = sorted(wal_dir.glob("segment-*.jsonl"))[0]
-        lines = victim.read_text().splitlines()
-        lines[-1] = lines[-1].replace(":", ";", 1)
-        victim.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="quarantined corrupt"):
-            revived = SegmentedWriteAheadLog(wal_dir, fsync=False,
-                                             segment_bytes=256)
-        revived.close()
-        # the second recovery sees the renamed-away segment: the live
-        # files' directory positions no longer equal their numbers
+        # the rename a quarantining (full-parse) recovery performs
+        victim.rename(victim.with_name(victim.name + ".quarantined"))
+        # the recovery sees the renamed-away segment: the live files'
+        # directory positions no longer equal their numbers
         revived = SegmentedWriteAheadLog(wal_dir, fsync=False,
                                          segment_bytes=256)
         tail = sorted(wal_dir.glob("segment-*.jsonl"))[-1]
         assert revived._active_index == int(tail.stem.split("-")[1])
+        assert revived.recover_state().snapshot() == snap
         before = [e.seq for e in revived.all_events()]
         start = revived.next_seq
         fill(revived, 40, start=start)  # forces several rotations
