@@ -12,7 +12,8 @@ apply the answer — reserve and shrink, or log events:
 * :func:`restoration_order` — shrunk jobs re-grow highest priority first
   (callers restore only while nothing is queued);
 * :func:`head_of_line` — the queued job to place next.  If it does not
-  fit, the line blocks: no backfilling, so a large gang is never starved.
+  fit, the line blocks: no backfilling, so a large gang is never starved;
+  :func:`line_key` is its order within one tenant.
 
 Every sort is stable: equal keys keep the caller's order.
 """
@@ -22,7 +23,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import TypeVar
 
-__all__ = ["spread", "preemption", "restoration_order", "head_of_line"]
+__all__ = [
+    "spread", "preemption", "restoration_order", "line_key", "head_of_line",
+]
 
 T = TypeVar("T")
 Slot = tuple[int, int]
@@ -97,12 +100,30 @@ def restoration_order(candidates: Iterable[tuple[T, int, float]]) -> list[T]:
     return [row[0] for row in ranked]
 
 
+def line_key(priority: int, submitted: float) -> tuple[int, float]:
+    """A queued job's place in its tenant's line: higher priority first,
+    then earlier submission.
+
+    >>> sorted([line_key(0, 1), line_key(9, 3), line_key(9, 2)])
+    [(-9, 2), (-9, 3), (0, 1)]
+    """
+    return (-priority, submitted)
+
+
 def head_of_line(rows: Iterable[tuple[T, float, int, float]]) -> T:
     """The queued job to place next, from ``(job, usage, priority,
     submitted)`` rows; ``usage`` is the job's tenant's usage per share.
+
+    Rows rank by ``(usage, *line_key(priority, submitted))``.  All of a
+    tenant's rows share its usage, so only its first job by
+    :func:`line_key` can win.  Two callers rely on that: the fleet
+    :class:`~repro.jobs.Scheduler` passes its whole queue, and
+    :class:`~repro.serve.ServeServer` passes one row per tenant, the
+    head of that tenant's line in :class:`~repro.serve.ServeState`'s
+    index.  Both get the same job.
 
     >>> head_of_line([("late", 0, 9, 2), ("early", 0, 9, 1),
     ...               ("low", 0, 0, 0), ("heavy", 1.5, 9, 0)])
     'early'
     """
-    return min(rows, key=lambda row: (row[1], -row[2], row[3]))[0]
+    return min(rows, key=lambda row: (row[1], *line_key(row[2], row[3])))[0]

@@ -14,11 +14,17 @@ mid-byte, the ``kill -9`` signature), restart a server on the cut log,
 and assert
 
 1. the replayed state is **bitwise-equal** (canonical snapshot string)
-   to a pure ``ServeState.replay`` of the same prefix,
+   to a pure fold of the same prefix, and its ``summary()`` views are
+   equal too,
 2. **zero acknowledged submissions** are lost, and
-3. the resumed run finishes with the **same final state and goodput**
-   as the uninterrupted baseline — crash recovery is invisible in the
-   accounting.
+3. the resumed run finishes with the **same final state, views and
+   goodput** as the uninterrupted baseline — crash recovery is
+   invisible in the accounting.
+
+The views compare two ways of building the state's scheduling indexes:
+the resumed server builds them lazily from its replayed records, the
+baseline and the prefix fold keep them event by event.  A stale index
+on either side fails the drill.
 """
 
 from __future__ import annotations
@@ -400,6 +406,7 @@ def control_plane_drill(
     with ServeServer(baseline_wal, config, fsync=False) as baseline:
         run_script(baseline, script)
         baseline_snapshot = baseline.state.snapshot()
+        baseline_summary = baseline.state.summary()
         baseline_goodput = baseline.state.goodput()
     events = WriteAheadLog.load_events(baseline_wal)
     total = len(events)
@@ -418,18 +425,25 @@ def control_plane_drill(
         torn = bool(i % 2)
         cut = workdir / f"cut-{kept}{'-torn' if torn else ''}.jsonl"
         _cut_wal(baseline_wal, cut, kept, torn)
-        expected = ServeState.replay(events[:kept])
+        expected = ServeState()
+        expected.summary()  # keep its indexes through the fold below
+        for event in events[:kept]:
+            expected.apply(event)
         acked_before = expected.acked_jobs()
         with ServeServer(cut, config, fsync=False) as revived:
             replay_equal = (
                 revived.state.snapshot() == expected.snapshot()
+                and revived.state.summary() == expected.summary()
             )
             lost = sum(
                 1 for name in acked_before
                 if name not in revived.state.jobs
             )
             run_script(revived, script)
-            final_equal = revived.state.snapshot() == baseline_snapshot
+            final_equal = (
+                revived.state.snapshot() == baseline_snapshot
+                and revived.state.summary() == baseline_summary
+            )
             goodput = revived.state.goodput()
         results.append(KillPointResult(
             events_kept=kept,

@@ -21,7 +21,9 @@ asserting the same three invariants against an unfaulted baseline —
    job name across the *entire* WAL history;
 3. **bitwise replay equality** — the final state snapshot (and, absent
    corruption, the full event history) is byte-identical to the
-   unfaulted run's.
+   unfaulted run's, and so is its ``summary()``: a restarted server
+   builds its scheduling indexes lazily, the baseline keeps them event
+   by event, and the two must agree.
 
 :func:`fuzz_protocol` is the bounded-iteration decoder fuzz wired into
 tier-1: seeded corrupt/truncated/oversized NDJSON frames must always
@@ -479,7 +481,7 @@ class NetworkDrillReport:
 
 
 def _audit(server: ServeServer, acks: list[tuple[str, str]],
-           baseline_snapshot: str,
+           baseline: tuple[str, dict],
            baseline_lines: list[str] | None) -> dict:
     """The three invariants, measured against a finished cell."""
     state = server.state
@@ -497,7 +499,8 @@ def _audit(server: ServeServer, acks: list[tuple[str, str]],
         "acked": len(acks),
         "acked_lost": lost,
         "duplicate_admissions": duplicates,
-        "final_state_equal": state.snapshot() == baseline_snapshot,
+        "final_state_equal": (state.snapshot(), state.summary())
+        == baseline,
         "events_equal": events_equal,
     }
 
@@ -547,7 +550,8 @@ def network_drill(
         client = ServeClient(LoopbackTransport(baseline),
                              client_id="drill", policy=policy)
         base_acks = run_script_via_client(client, script)
-        baseline_snapshot = baseline.state.snapshot()
+        baseline_state = (baseline.state.snapshot(),
+                          baseline.state.summary())
         baseline_goodput = baseline.state.goodput()
         baseline_lines = [e.to_json() for e in baseline.wal.events]
 
@@ -584,7 +588,7 @@ def network_drill(
             flagged = tuple(
                 (q["segment"], q["state_loss"])
                 for q in SegmentedWriteAheadLog.inspect(wal_dir).quarantined)
-        audit = _audit(server, acks, baseline_snapshot,
+        audit = _audit(server, acks, baseline_state,
                        None if check_corruption else baseline_lines)
         stats = dict(getattr(transport, "stats", {}))
         frames = getattr(transport, "frames", 0) or stats.get("frames", 0)

@@ -305,11 +305,11 @@ class ServeServer:
         if not self.state.machines[machine]["alive"] and not in_repair:
             return False
         is_spare = machine in self.state.spares or in_repair
-        hit = [] if is_spare else sorted(
-            job["name"] for job in self.state.jobs.values()
-            if job["status"] in ("running", "blocked")
-            and any(m == machine for m, _ in job["slots"])
-        )
+        hit = [] if is_spare else [
+            job["name"]
+            for job in self.state.jobs_with_status("running", "blocked")
+            if any(m == machine for m, _ in job["slots"])
+        ]
         self._log("crash", {"machine": machine, "jobs": hit,
                             "tag": tag, "spare": is_spare})
         self.recorder.count("serve/machine_failures", track="serve")
@@ -360,10 +360,8 @@ class ServeServer:
             self._shed_impossible()
             self._place_queue()
             self._restore_preempted()
-            stepped = sorted(
-                job["name"] for job in state.jobs.values()
-                if job["status"] == "running"
-            )
+            stepped = [job["name"]
+                       for job in state.jobs_with_status("running")]
             dt = (self.config.iteration_time if stepped
                   else self.config.idle_time)
             self._log("round", {"round": rnd, "dt": dt,
@@ -454,20 +452,19 @@ class ServeServer:
     def _head(self) -> dict:
         """The queued job to place next, by weighted fair share."""
         state = self.state
-        queued = [state.jobs[name] for name in state.queue]
         # an in-flight preemption (crash between preempt and place) pins
         # the head: finish the decision the dead server started
-        reserved = [job for job in queued if job["reserved_slots"]]
+        reserved = state.reserved_jobs()
         if reserved:
             return min(reserved, key=lambda job: job["submitted_seq"])
-        usage = {
-            tenant: state.tenant_usage(tenant) / state.tenants[tenant]["share"]
-            for tenant in {job["tenant"] for job in queued}
-        }
+        # each tenant's own line head is its only candidate (see
+        # head_of_line), so this is O(tenants), not O(queue)
         return head_of_line(
-            (job, usage[job["tenant"]], int(job["spec"].get("priority", 0)),
-             job["submitted_seq"])
-            for job in queued
+            (job,
+             state.tenant_usage(job["tenant"])
+             / state.tenants[job["tenant"]]["share"],
+             int(job["spec"].get("priority", 0)), job["submitted_seq"])
+            for job in state.tenant_heads()
         )
 
     def _place_queue(self) -> None:

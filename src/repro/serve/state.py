@@ -16,6 +16,12 @@ itself:
   decision as a pure function of this state, so a resumed run re-derives
   exactly the future the uninterrupted run would have had.
 
+The scheduling views (free slots, per-tenant usage, demand and queue,
+jobs by status) read derived indexes kept by ``apply``, equal to
+recomputation from ``jobs``.  They are not part of the snapshot: a
+folded or restored state builds them from its job records on the first
+query, so a WAL fold does no index work.
+
 Machine identity follows :class:`repro.jobs.SparePool` semantics: a
 ``lease`` slides the spare's hardware into the failed machine's id (job
 slots stay stable), the broken hardware repairs under the spare's id,
@@ -24,7 +30,10 @@ and ``reclaim`` returns it to the pool as the new spare.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from repro.errors import ConfigurationError
+from repro.jobs.placement import line_key
 from repro.serve.wal import ServeEvent
 from repro.utils.jsonl import canonical_json
 
@@ -78,6 +87,76 @@ def _tenant_record(payload: dict) -> dict:
     }
 
 
+def _named_jobs(p: dict) -> list[str]:
+    """The job names an event payload carries: its subject (``name``),
+    a preemption's beneficiary (``for``) and a crash's victims
+    (``jobs``).  Every handler that changes a field :class:`_Index`
+    reads changes it only on these records."""
+    names = [str(p["name"])] if "name" in p else []
+    if p.get("for"):
+        names.append(str(p["for"]))
+    names.extend(str(n) for n in p.get("jobs", ()))
+    return list(dict.fromkeys(names))
+
+
+class _Index:
+    """Scheduling indexes over job records, built from ``jobs`` and then
+    kept by :meth:`ServeState.apply`.  They read a record's ``status``,
+    ``tenant``, ``slots``, ``reserved_slots``, ``submitted_seq`` and its
+    spec's ``num_workers`` and ``priority``."""
+
+    def __init__(self, jobs: dict[str, dict]) -> None:
+        self.by_status: dict[str, set[str]] = {}
+        #: (machine, device) -> number of running/blocked jobs holding it
+        self.occupied: dict[tuple[int, int], int] = {}
+        #: tenant -> slots its running jobs hold
+        self.usage: dict[str, int] = {}
+        #: tenant -> workers its active jobs request
+        self.demand: dict[str, int] = {}
+        #: tenant -> its queued jobs as sorted ``(line_key, name)`` rows
+        self.line: dict[str, list[tuple[tuple, str]]] = {}
+        #: queued jobs holding slots an in-flight preemption freed
+        self.reserved: set[str] = set()
+        for job in jobs.values():
+            self.update(job, 1)
+
+    def update(self, job: dict, sign: int) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) one record."""
+        name, tenant, status = job["name"], job["tenant"], job["status"]
+        names = self.by_status.setdefault(status, set())
+        if sign > 0:
+            names.add(name)
+        else:
+            names.discard(name)
+        if status in ("running", "blocked"):
+            for m, d in job["slots"]:
+                held = self.occupied.get((m, d), 0) + sign
+                if held:
+                    self.occupied[(m, d)] = held
+                else:
+                    del self.occupied[(m, d)]
+        if status == "running":
+            self.usage[tenant] = (self.usage.get(tenant, 0)
+                                  + sign * len(job["slots"]))
+        if status in ACTIVE_STATUSES:
+            self.demand[tenant] = (
+                self.demand.get(tenant, 0)
+                + sign * int(job["spec"].get("num_workers", 1)))
+        if status == "queued":
+            row = (line_key(int(job["spec"].get("priority", 0)),
+                            job["submitted_seq"]), name)
+            line = self.line.setdefault(tenant, [])
+            if sign > 0:
+                insort(line, row)
+            else:
+                del line[bisect_left(line, row)]
+            if job["reserved_slots"]:
+                if sign > 0:
+                    self.reserved.add(name)
+                else:
+                    self.reserved.discard(name)
+
+
 class ServeState:
     """The event-sourced control-plane state (see module docstring).
 
@@ -110,6 +189,9 @@ class ServeState:
         # replay — a client retrying after a lost ack gets the original
         # verdict back even from a restarted server.
         self.dedup: dict[str, dict] = {}
+        # built on the first view query, then kept by apply; never
+        # snapshotted
+        self._index: _Index | None = None
 
     # -- event fold --------------------------------------------------------
     def apply(self, event: ServeEvent) -> bool:
@@ -118,6 +200,10 @@ class ServeState:
         Events at or below ``last_seq`` were already applied (this is
         what makes replay idempotent); a gap above ``last_seq + 1``
         means the log lost events and is refused.
+
+        Once the indexes are built, ``apply`` is their only writer: it
+        removes the records the event names, runs the handler, and adds
+        them back.
         """
         if event.seq <= self.last_seq:
             return False
@@ -131,7 +217,22 @@ class ServeState:
             raise ConfigurationError(
                 f"no state handler for event kind {event.kind!r}"
             )
-        handler(event.payload)
+        index = self._index
+        if index is None:
+            handler(event.payload)
+        else:
+            names = _named_jobs(event.payload)
+            for name in names:
+                if name in self.jobs:
+                    index.update(self.jobs[name], -1)
+            try:
+                handler(event.payload)
+            except BaseException:
+                self._index = None  # rebuilt from the records on demand
+                raise
+            for name in names:
+                if name in self.jobs:
+                    index.update(self.jobs[name], 1)
         self.last_seq = event.seq
         return True
 
@@ -314,7 +415,12 @@ class ServeState:
         self.round += 1
         self.fleet_time += float(p["dt"])
 
-    # -- derived views (pure functions of the state) -----------------------
+    # -- derived indexes kept by apply, equal to recomputation -------------
+    def _indexed(self) -> _Index:
+        if self._index is None:
+            self._index = _Index(self.jobs)
+        return self._index
+
     def schedulable_machines(self) -> list[int]:
         """Alive, non-retired machines outside the spare/repair pools."""
         held = set(self.spares) | {m for m, _ in self.repairing}
@@ -329,14 +435,11 @@ class ServeState:
                 * self.config.get("devices_per_machine", 0))
 
     def occupied_slots(self) -> set[tuple[int, int]]:
-        occupied: set[tuple[int, int]] = set()
-        for job in self.jobs.values():
-            if job["status"] in ("running", "blocked"):
-                occupied.update((m, d) for m, d in job["slots"])
-        return occupied
+        """Slots held by running and blocked jobs."""
+        return set(self._indexed().occupied)
 
     def free_slots(self) -> list[tuple[int, int]]:
-        occupied = self.occupied_slots()
+        occupied = self._indexed().occupied
         dev = self.config.get("devices_per_machine", 0)
         return [
             (m, d)
@@ -347,30 +450,29 @@ class ServeState:
 
     def tenant_usage(self, tenant: str) -> int:
         """Device slots currently held by a tenant's running jobs."""
-        return sum(
-            len(job["slots"]) for job in self.jobs.values()
-            if job["tenant"] == tenant and job["status"] == "running"
-        )
+        return self._indexed().usage.get(tenant, 0)
 
     def tenant_demand(self, tenant: str) -> int:
         """Worker slots requested by a tenant's active jobs."""
-        return sum(
-            int(job["spec"].get("num_workers", 1))
-            for job in self.jobs.values()
-            if job["tenant"] == tenant and job["status"] in ACTIVE_STATUSES
-        )
+        return self._indexed().demand.get(tenant, 0)
 
     def pending_count(self, tenant: str) -> int:
-        return sum(
-            1 for name in self.queue
-            if self.jobs[name]["tenant"] == tenant
-        )
+        return len(self._indexed().line.get(tenant, ()))
+
+    def tenant_heads(self) -> list[dict]:
+        """Each tenant's first queued job by
+        :func:`~repro.jobs.placement.line_key`."""
+        return [self.jobs[line[0][1]]
+                for line in self._indexed().line.values() if line]
+
+    def reserved_jobs(self) -> list[dict]:
+        """Queued jobs holding slots an in-flight preemption freed."""
+        return [self.jobs[name] for name in self._indexed().reserved]
 
     def jobs_with_status(self, *statuses: str) -> list[dict]:
-        return [
-            job for _, job in sorted(self.jobs.items())
-            if job["status"] in statuses
-        ]
+        by_status = self._indexed().by_status
+        names = set().union(*(by_status.get(s, ()) for s in statuses))
+        return [self.jobs[name] for name in sorted(names)]
 
     def acked_jobs(self) -> list[str]:
         """Every job name whose submission was acknowledged.
@@ -395,9 +497,8 @@ class ServeState:
 
     def all_done(self) -> bool:
         """True when no job is queued, running, or blocked."""
-        return not any(
-            job["status"] in ACTIVE_STATUSES for job in self.jobs.values()
-        )
+        by_status = self._indexed().by_status
+        return not any(by_status.get(s) for s in ACTIVE_STATUSES)
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> str:
@@ -457,14 +558,13 @@ class ServeState:
 
     def summary(self) -> dict:
         """Small human-facing status dict (the ``status`` protocol op)."""
-        by_status: dict[str, int] = {}
-        for job in self.jobs.values():
-            by_status[job["status"]] = by_status.get(job["status"], 0) + 1
         return {
             "round": self.round,
             "fleet_time": self.fleet_time,
             "last_seq": self.last_seq,
-            "jobs": by_status,
+            "jobs": {status: len(names) for status, names
+                     in sorted(self._indexed().by_status.items())
+                     if names},
             "tenants": {
                 name: {k: rec[k] for k in
                        ("submitted", "rejected", "completed", "shed")}
