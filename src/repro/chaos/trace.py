@@ -21,7 +21,6 @@ stored in the trace so replay never has to recompute it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from repro.utils.jsonl import (
     LogFormat,
     canonical_json,
     check_version,
+    decode_json,
     dump_log,
 )
 
@@ -127,7 +127,11 @@ class ChaosEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "ChaosEvent":
-        d = json.loads(line)
+        return cls.from_decoded(line, decode_json(line))
+
+    @classmethod
+    def from_decoded(cls, line: str, d: dict) -> "ChaosEvent":
+        """The event a decoded line holds (the ``LogFormat`` record)."""
         return cls(
             time_hours=float(d["t"]),
             machine_id=int(d["machine"]),
@@ -324,7 +328,7 @@ class FailureTrace(JsonlDocument):
 
     # -- serialization ----------------------------------------------------
     _format = LogFormat("failure trace", TRACE_VERSION,
-                        header=_header_fields, record=ChaosEvent.from_json)
+                        header=_header_fields, record=ChaosEvent.from_decoded)
 
     def to_jsonl(self) -> str:
         header = {

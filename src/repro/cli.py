@@ -873,7 +873,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         print(f"control-plane crash drill: SIGKILL at "
               f"{len(report.results)} WAL offsets "
-              f"(every other one torn mid-line)")
+              f"(next line left out / torn mid-line / whole without "
+              f"its newline, in turn; each WAL restarted twice)")
         print(report.format_table())
         return 0 if report.passed else 1
     if args.stdio or args.tcp is not None:

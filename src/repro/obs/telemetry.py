@@ -19,7 +19,6 @@ Every event carries *two* timelines:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -28,6 +27,7 @@ from repro.utils.jsonl import (
     LogFormat,
     canonical_json,
     check_version,
+    decode_json,
     dump_log,
 )
 
@@ -109,7 +109,11 @@ class TelemetryEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
-        d = json.loads(line)
+        return cls.from_decoded(line, decode_json(line))
+
+    @classmethod
+    def from_decoded(cls, line: str, d: dict) -> "TelemetryEvent":
+        """The event a decoded line holds (the ``LogFormat`` record)."""
         return cls(
             seq=int(d["seq"]),
             kind=str(d["k"]),
@@ -253,7 +257,7 @@ class TelemetryTrace(JsonlDocument):
     # -- serialization ----------------------------------------------------
     _format = LogFormat("telemetry trace", TELEMETRY_VERSION,
                         header=_header_fields,
-                        record=TelemetryEvent.from_json)
+                        record=TelemetryEvent.from_decoded)
 
     def to_jsonl(self) -> str:
         header = {

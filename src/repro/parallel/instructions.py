@@ -30,7 +30,6 @@ interleaving), activations flow chunk ``c`` → ``c+1`` and gradients
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +41,7 @@ from repro.utils.jsonl import (
     LogFormat,
     canonical_json,
     check_version,
+    decode_json,
     dump_log,
 )
 
@@ -115,7 +115,12 @@ class Instruction:
 
     @classmethod
     def from_json(cls, line: str) -> "Instruction":
-        d = json.loads(line)
+        return cls.from_decoded(line, decode_json(line))
+
+    @classmethod
+    def from_decoded(cls, line: str, d: dict) -> "Instruction":
+        """The instruction a decoded line holds (the ``LogFormat``
+        record)."""
         return cls(op=str(d["op"]), stage=int(d["stage"]),
                    microbatch=int(d["mb"]), chunk=int(d["chunk"]))
 
@@ -204,7 +209,7 @@ class ScheduleProgram(JsonlDocument):
 
     # -- serialization ----------------------------------------------------
     _format = LogFormat("schedule program", PROGRAM_VERSION,
-                        header=_header_fields, record=Instruction.from_json)
+                        header=_header_fields, record=Instruction.from_decoded)
 
     def to_jsonl(self) -> str:
         header = {

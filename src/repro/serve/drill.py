@@ -7,19 +7,23 @@ tenant registrations, job submissions, machine failures, cluster
 shrinks — keyed by scheduling round, so an uninterrupted run and a
 crash-resumed run replay the identical workload.
 
-:func:`control_plane_drill` is the acceptance harness the ISSUE asks
-for: run a baseline to completion, then for each of N kill points cut
-the WAL after that many events (optionally tearing the next line
-mid-byte, the ``kill -9`` signature), restart a server on the cut log,
-and assert
+:func:`control_plane_drill` is the control plane's acceptance
+harness: run a baseline to completion, then for each of N kill points
+cut the WAL after that many events — and, cycling through the cut
+kinds, leave the next line out, tear it mid-byte (the ``kill -9``
+signature), or write it whole without its newline — restart a server
+on the cut log, and assert
 
 1. the replayed state is **bitwise-equal** (canonical snapshot string)
    to a pure fold of the same prefix, and its ``summary()`` views are
    equal too,
-2. **zero acknowledged submissions** are lost, and
+2. **zero acknowledged submissions** are lost, across both restarts,
 3. the resumed run finishes with the **same final state, views and
    goodput** as the uninterrupted baseline — crash recovery is
-   invisible in the accounting.
+   invisible in the accounting, and
+4. reopening the resumed run's WAL a second time folds to that same
+   final state: whatever the first recovery left on disk is a log the
+   next one reads whole.
 
 The views compare two ways of building the state's scheduling indexes:
 the resumed server builds them lazily from its replayed records, the
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.jobs.spec import JobSpec
 from repro.serve.server import ServeConfig, ServeServer, TenantSpec
 from repro.serve.state import ServeState
@@ -306,19 +310,23 @@ def synthetic_traffic(
 class KillPointResult:
     """What one WAL cut point proved (see :func:`control_plane_drill`).
 
-    >>> KillPointResult(events_kept=1, torn=False,
+    >>> KillPointResult(events_kept=1, cut="kept",
     ...                 replay_bitwise_equal=True, acked_jobs_before=0,
     ...                 acked_jobs_lost=0, final_state_equal=True,
-    ...                 goodput=0.0).acked_jobs_lost
+    ...                 reopen_equal=True, goodput=0.0).acked_jobs_lost
     0
     """
 
     events_kept: int
-    torn: bool
+    #: what follows the kept events on disk (one of :data:`CUT_KINDS`)
+    cut: str
     replay_bitwise_equal: bool
     acked_jobs_before: int
+    #: acked jobs missing after the first restart or the second
     acked_jobs_lost: int
     final_state_equal: bool
+    #: a second reopen of the resumed run's WAL folds to the baseline
+    reopen_equal: bool
     goodput: float
 
 
@@ -345,18 +353,19 @@ class DrillReport:
     def passed(self) -> bool:
         return all(
             r.replay_bitwise_equal and r.final_state_equal
-            and r.acked_jobs_lost == 0
+            and r.reopen_equal and r.acked_jobs_lost == 0
             for r in self.results
         )
 
     def format_table(self) -> str:
-        rows = ["kept  torn  replay==  acked-lost  final==  goodput"]
+        rows = ["kept  cut           replay==  acked-lost  final==  "
+                "reopen==  goodput"]
         for r in self.results:
             rows.append(
-                f"{r.events_kept:>4}  {str(r.torn):<5} "
+                f"{r.events_kept:>4}  {r.cut:<13} "
                 f"{str(r.replay_bitwise_equal):<9} "
-                f"{r.acked_jobs_lost:>10}  {str(r.final_state_equal):<7} "
-                f"{r.goodput:.3f}"
+                f"{r.acked_jobs_lost:>10}  {str(r.final_state_equal):<7}  "
+                f"{str(r.reopen_equal):<8}  {r.goodput:.3f}"
             )
         rows.append(
             f"baseline: {self.baseline_events} events, "
@@ -366,15 +375,24 @@ class DrillReport:
         return "\n".join(rows)
 
 
+#: what a kill point leaves after its kept events: nothing, the next
+#: line torn mid-byte, or the next line whole but without its newline
+CUT_KINDS = ("kept", "torn", "unterminated")
+
+
 def _cut_wal(source: Path, dest: Path, events_kept: int,
-             torn: bool) -> None:
-    """Write a WAL prefix: header + N events (+ half a torn line)."""
+             cut: str) -> None:
+    """Write a WAL prefix: header + N events, then the next line as
+    ``cut`` says (see :data:`CUT_KINDS`)."""
     lines = source.read_text().splitlines()
     kept = lines[: events_kept + 1]  # +1: the header line
     text = "\n".join(kept) + "\n"
-    if torn and events_kept + 1 < len(lines):
+    if events_kept + 1 < len(lines):
         next_line = lines[events_kept + 1]
-        text += next_line[: max(1, len(next_line) // 2)]
+        if cut == "torn":
+            text += next_line[: max(1, len(next_line) // 2)]
+        elif cut == "unterminated":
+            text += next_line
     dest.write_text(text)
 
 
@@ -387,9 +405,9 @@ def control_plane_drill(
 ) -> DrillReport:
     """SIGKILL the control plane at N WAL offsets and prove recovery.
 
-    See the module docstring for the three assertions each kill point
-    carries.  Alternating kill points additionally tear the next line
-    mid-byte, exercising torn-write recovery on every other restart.
+    See the module docstring for the four assertions each kill point
+    carries.  Kill point ``i`` uses cut kind ``CUT_KINDS[i % 3]``, so
+    torn-write recovery and the newline a crash cut off both recur.
     (The :class:`DrillReport` doctest runs a full drill; here just the
     shape.)
 
@@ -422,12 +440,13 @@ def control_plane_drill(
 
     results = []
     for i, kept in enumerate(offsets):
-        torn = bool(i % 2)
-        cut = workdir / f"cut-{kept}{'-torn' if torn else ''}.jsonl"
-        _cut_wal(baseline_wal, cut, kept, torn)
+        kind = CUT_KINDS[i % len(CUT_KINDS)]
+        cut = workdir / f"cut-{kept}-{kind}.jsonl"
+        _cut_wal(baseline_wal, cut, kept, kind)
         expected = ServeState()
         expected.summary()  # keep its indexes through the fold below
-        for event in events[:kept]:
+        # a whole line is a complete event, newline or not
+        for event in events[:kept + (kind == "unterminated")]:
             expected.apply(event)
         acked_before = expected.acked_jobs()
         with ServeServer(cut, config, fsync=False) as revived:
@@ -445,13 +464,26 @@ def control_plane_drill(
                 and revived.state.summary() == baseline_summary
             )
             goodput = revived.state.goodput()
+            acked_after = revived.state.acked_jobs()
+        try:
+            with ServeServer(cut, config, fsync=False) as again:
+                reopen_equal = (
+                    again.state.snapshot() == baseline_snapshot
+                    and again.state.summary() == baseline_summary
+                )
+                lost += sum(1 for name in acked_after
+                            if name not in again.state.jobs)
+        except ReproError:
+            # the first recovery left a log the second cannot read
+            reopen_equal, lost = False, lost + len(acked_after)
         results.append(KillPointResult(
             events_kept=kept,
-            torn=torn,
+            cut=kind,
             replay_bitwise_equal=replay_equal,
             acked_jobs_before=len(acked_before),
             acked_jobs_lost=lost,
             final_state_equal=final_equal,
+            reopen_equal=reopen_equal,
             goodput=goodput,
         ))
     return DrillReport(

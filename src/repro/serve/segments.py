@@ -226,8 +226,7 @@ def _plan_recovery(dirpath: Path, segs: list[_WalFile]) -> _RecoveryPlan:
     elif break_at is not None:
         _plan_truncation(plan, chain, break_at)
     else:
-        if chain[-1].torn is not None:
-            plan.drop_torn_tail(chain[-1])
+        plan.end_tail(chain[-1])
         plan.chain = chain
     return plan
 

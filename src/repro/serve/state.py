@@ -212,21 +212,21 @@ class ServeState:
                 f"event sequence gap: state at seq {self.last_seq}, "
                 f"got event seq {event.seq}"
             )
-        handler = getattr(self, f"_on_{event.kind}", None)
+        handler = _HANDLERS.get(event.kind)
         if handler is None:
             raise ConfigurationError(
                 f"no state handler for event kind {event.kind!r}"
             )
         index = self._index
         if index is None:
-            handler(event.payload)
+            handler(self, event.payload)
         else:
             names = _named_jobs(event.payload)
             for name in names:
                 if name in self.jobs:
                     index.update(self.jobs[name], -1)
             try:
-                handler(event.payload)
+                handler(self, event.payload)
             except BaseException:
                 self._index = None  # rebuilt from the records on demand
                 raise
@@ -575,3 +575,10 @@ class ServeState:
             "spares": len(self.spares),
             "goodput": self.goodput(),
         }
+
+
+#: event kind -> its ``ServeState._on_<kind>`` handler, the one table
+#: ``apply`` dispatches through
+_HANDLERS = {name[len("_on_"):]: handler
+             for name, handler in vars(ServeState).items()
+             if name.startswith("_on_")}

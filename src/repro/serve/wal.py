@@ -14,30 +14,36 @@ through the shared :class:`repro.utils.jsonl.LogFormat` codec: a
 versioned header line, then one line per event, gapless from the
 header's ``base_seq``: ``{"c":<crc>,`` + the event's canonical-JSON
 body without its ``{``, encoded once on append, ``<crc>`` the CRC-32 of
-that body.  The reader checks the CRC on the line's own bytes, not on a
-re-encode, so *mid-file bit rot* — a flipped byte that still parses as
-JSON, even to the same value — is refused instead of folded in, and so
-is a v2 line reformatted by hand (spaces, reordered keys, re-escaped
-unicode), which a re-encode check passed whenever the re-encode
-matched.  v1 lines (no checksum) still load.  A segment of the
-directory log (:mod:`repro.serve.segments`) states its ``base_seq`` and
-a ``snapshot`` of the state before its first event; the flat log is the
+that body.  ``LogFormat`` decodes each line once and hands
+:meth:`ServeEvent.from_decoded` the raw line with its decoded object
+(``record(line, obj)``); the event is built from the object, and the
+CRC is taken on the line's own bytes, not on a re-encode, so *mid-file
+bit rot* — a flipped byte that still parses as JSON, even to the same
+value — is refused instead of folded in, and so is a v2 line
+reformatted by hand (spaces, reordered keys, re-escaped unicode), which
+a re-encode check passed whenever the re-encode matched.  v1 lines (no
+checksum) still load.  A segment of the directory log
+(:mod:`repro.serve.segments`) states its ``base_seq`` and a
+``snapshot`` of the state before its first event; the flat log is the
 degenerate segment: base 0, no snapshot, rotation off.
 
 A torn final line (the process died mid-append) was never acknowledged,
 so on reopen it is warned about and truncated away; it must never crash
-recovery.  Recovery is a pure :class:`_RecoveryPlan` computed before a
-byte is touched; :class:`_WalBase` executes it and holds everything else
-the two writer classes share.  Their names stay distinct, each with its
+recovery.  A complete final line whose newline never reached disk is
+kept, and terminated before the next append, which would otherwise
+land on the same line and tear both.  Recovery is a pure
+:class:`_RecoveryPlan` computed before a byte is touched;
+:class:`_WalBase` executes it and holds everything else the two writer
+classes share.  Their names stay distinct, each with its
 own ``append`` and ``recover_state``, because ``bench/spans.py`` wraps
 exactly those four methods by name.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -51,6 +57,7 @@ from repro.utils.jsonl import (
     LogFormat,
     canonical_json,
     crc32_text,
+    decode_json,
     torn_tail_message,
 )
 
@@ -80,6 +87,13 @@ EVENT_KINDS = (
     "fail",       # job unrecoverable
     "round",      # one scheduling round stepped; advances time
 )
+#: the same kinds, for the membership test every event makes
+_KINDS = frozenset(EVENT_KINDS)
+
+#: CRC-32 state after the ``{`` a body starts with: a v2 line replaces
+#: that brace by ``{"c":<crc>,``, so the body's CRC continues from here
+#: over the line's bytes after its first comma
+_CRC_OPEN = zlib.crc32(b"{")
 
 
 @dataclass(frozen=True)
@@ -93,7 +107,7 @@ class ServeEvent:
     A line is ``{"c":<crc>,`` + the canonical body without its ``{``
     (``c`` sorts first, so the line is canonical JSON too), ``<crc>``
     the body's CRC-32: :meth:`to_json` encodes once, and
-    :meth:`from_json` checks the CRC on the line's raw bytes.  Any
+    :meth:`from_decoded` checks the CRC on the line's raw bytes.  Any
     flipped bit, even one that parses to the same value, and any hand
     reformatting raise :class:`~repro.errors.LogIntegrityError` instead
     of replaying a corrupted transition (a re-encode check let both
@@ -112,7 +126,7 @@ class ServeEvent:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigurationError(
                 f"unknown serve event kind {self.kind!r}; "
                 f"known: {EVENT_KINDS}"
@@ -133,13 +147,18 @@ class ServeEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "ServeEvent":
-        d = json.loads(line)
-        event = cls(seq=int(d["seq"]), kind=str(d["k"]),
-                    payload=dict(d.get("p", {})))
+        return cls.from_decoded(line, decode_json(line))
+
+    @classmethod
+    def from_decoded(cls, line: str, d: dict) -> "ServeEvent":
+        """The event a line holds, given the line and its decode (the
+        ``LogFormat`` record): built from ``d`` (the payload copied, so
+        the event aliases nothing), its CRC checked on ``line``."""
+        event = cls(int(d["seq"]), str(d["k"]), dict(d.get("p", ())))
         if "c" in d or not line.startswith('{"k":"'):
             # anything but a v1 line — one whose "c" was flipped, say
             head, _, rest = line.partition(",")
-            crc = crc32_text("{" + rest)
+            crc = zlib.crc32(rest.encode("utf-8"), _CRC_OPEN)
             if head != f'{{"c":{crc}':
                 raise LogIntegrityError(
                     f"WAL record seq {event.seq} ({event.kind!r}) fails "
@@ -178,6 +197,9 @@ class _WalFile(LogFile):
     #: seq of the first record (-1: the header is unreadable)
     base_seq: int = -1
     snapshot: str | None = None
+    #: the file does not end in a newline (and no torn line follows
+    #: its last complete one), so the next append would land on that line
+    unterminated: bool = False
 
     @property
     def total_records(self) -> int:
@@ -212,10 +234,13 @@ def read_wal_file(path: Path, index: int | None = None) -> _WalFile:
     the first violation ends the valid prefix and is kept as ``error``
     (never raised), next to the torn tail if there is one.
     """
-    fmt = LogFormat("WAL", WAL_VERSION, record=ServeEvent.from_json,
+    fmt = LogFormat("WAL", WAL_VERSION, record=ServeEvent.from_decoded,
                     header=partial(_header_fields, index=index))
+    text = path.read_text()
     wal_file = _WalFile(path=path, index=index or 0,
-                        **vars(fmt.parse(path.read_text(), path)))
+                        **vars(fmt.parse(text, path)))
+    wal_file.unterminated = (wal_file.torn is None
+                             and not text.endswith("\n"))
     if wal_file.header:
         wal_file.base_seq, wal_file.snapshot = wal_file.header
     for i, event in enumerate(wal_file.records):
@@ -245,12 +270,22 @@ class _RecoveryPlan:
     warnings: list[str] = field(default_factory=list)
     torn_tail: str | None = None
 
-    def drop_torn_tail(self, tail: _WalFile) -> None:
-        """Plan the truncation of the tail file's torn final line."""
-        self.torn_tail = tail.torn
+    def end_tail(self, tail: _WalFile) -> None:
+        """Plan the repair the tail file needs before the next append:
+        cut its torn final line, or end its complete final line with the
+        newline a crash cut off (rewriting the valid prefix does both)."""
+        if tail.torn is not None:
+            self.torn_tail = tail.torn
+            self.warnings.append(
+                torn_tail_message(tail.path, tail.torn, "WAL line"))
+        elif tail.unterminated:
+            self.warnings.append(
+                f"{tail.path}: final WAL line lacks its newline (crash "
+                f"mid-write?); kept, and terminated before the next "
+                f"append")
+        else:
+            return
         self.actions.append({"op": "rewrite", "seg": tail})
-        self.warnings.append(
-            torn_tail_message(tail.path, tail.torn, "WAL line"))
 
 
 def _plan_flat(wal_file: _WalFile) -> _RecoveryPlan:
@@ -262,8 +297,7 @@ def _plan_flat(wal_file: _WalFile) -> _RecoveryPlan:
     if wal_file.error is not None:
         raise wal_file.error
     plan = _RecoveryPlan(chain=[wal_file])
-    if wal_file.torn is not None:
-        plan.drop_torn_tail(wal_file)
+    plan.end_tail(wal_file)
     return plan
 
 

@@ -2,7 +2,7 @@
 
 from repro.utils.cow import StateView, freeze_array
 from repro.utils.flat import FlatArena, FlatBuffer
-from repro.utils.jsonl import JsonlWriter, canonical_json, salvage_jsonl
+from repro.utils.jsonl import JsonlWriter, canonical_json
 from repro.utils.pool import BufferPool, PooledBuffer
 from repro.utils.seeding import RngStream, derive_seed, stream
 from repro.utils.serialization import (
@@ -23,7 +23,6 @@ __all__ = [
     "PooledBuffer",
     "JsonlWriter",
     "canonical_json",
-    "salvage_jsonl",
     "RngStream",
     "derive_seed",
     "stream",

@@ -7,17 +7,23 @@ Five formats in this repo have that shape —
 append-only files (a process killed mid-write leaves a *torn* final
 line) and the contract that the file is plain versioned JSON an outside
 tool can read.  Each format owns only its record-specific half: which
-header fields, how one record line parses.  The rest is here:
+header fields, how one decoded record becomes a value.  The rest is
+here:
 
 * :func:`canonical_json` — the byte-stable serialization (sorted keys,
   no whitespace, repr-round-tripping floats); :func:`dump_log` — the
   writer: header line, record lines, trailing newline;
-* :class:`LogFormat` — the reader: split lines, salvage the torn final
-  line, parse and type-check the header, reject a missing or newer
-  ``version``, map any malformed record to
-  :class:`~repro.errors.ConfigurationError` naming file, format and
-  1-based line.  ``parse`` returns the valid prefix plus the first
-  error (what a recovery planner needs); ``read`` raises it;
+* :func:`decode_json` — the one place a log line is decoded: the C
+  scanner, bound once, with exactly :func:`json.loads`'s acceptance and
+  errors, and none of its per-call dispatch;
+* :class:`LogFormat` — the reader: split lines, split off the torn
+  final line, decode every line once, parse and type-check the header,
+  reject a missing or newer ``version``, hand each record parser the
+  raw line and its decoded object as ``record(line, obj)``, and map any
+  malformed record to :class:`~repro.errors.ConfigurationError` naming
+  file, format and 1-based line.  ``parse`` returns the valid prefix
+  plus the first error (what a recovery planner needs); ``read`` raises
+  it;
 * :class:`JsonlDocument` — ``from_jsonl`` / ``save`` / ``load`` for the
   three whole-document formats, on top of the two above;
 * :func:`crc32_text` — the per-record checksum of the serve WAL, which
@@ -38,7 +44,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigurationError, ReproError
 
-__all__ = ["canonical_json", "crc32_text", "salvage_jsonl", "dump_log",
+__all__ = ["canonical_json", "crc32_text", "decode_json", "dump_log",
            "check_version", "torn_tail_message", "LogFile", "LogFormat",
            "JsonlDocument", "JsonlWriter"]
 
@@ -75,33 +81,44 @@ def crc32_text(text: str) -> int:
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
 
 
-def salvage_jsonl(text: str) -> tuple[list[str], str | None]:
-    """Split JSONL text into valid lines plus a torn final line (if any).
+#: the C scanner :func:`json.loads` ends in, bound once
+_scan_once = json.JSONDecoder().scan_once
+#: JSON's own whitespace (RFC 8259), all ``json.loads`` skips around a value
+_JSON_WS = " \t\n\r"
 
-    A process killed mid-append (``kill -9``, power loss) leaves a file
-    whose last line may be truncated.  The valid prefix is still a
-    complete, consistent log; only the final line can be torn, and it
-    was — by the write-ahead discipline — never acknowledged.  This
-    helper returns ``(good_lines, torn_tail)`` where ``torn_tail`` is
-    the unparseable final line (``None`` when the file is clean).
 
-    A malformed line *before* the end is real corruption, not a torn
-    write; it is returned as part of ``good_lines`` so strict parsers
-    still reject it.
+def decode_json(line: str) -> Any:
+    """``json.loads(line)`` — the same value, acceptance and errors.
 
-    >>> salvage_jsonl('{"a":1}\\n{"b":2}\\n')
-    (['{"a":1}', '{"b":2}'], None)
-    >>> salvage_jsonl('{"a":1}\\n{"b":')
-    (['{"a":1}'], '{"b":')
+    JSON whitespace around the value is skipped, trailing data and a
+    UTF-8 BOM are refused, and every other error is the scanner's own
+    :class:`json.JSONDecodeError`.  Left out: ``json.loads``'s per-call
+    dispatch and its two whitespace regex matches.
+
+    >>> decode_json(' {"a": [1, 2]}\t')
+    {'a': [1, 2]}
+    >>> decode_json('{"a":1} {"b":2}')
+    Traceback (most recent call last):
+        ...
+    json.decoder.JSONDecodeError: Extra data: line 1 column 9 (char 8)
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return [], None
+    start = 0
+    if line[:1] in _JSON_WS:
+        start = len(line) - len(line.lstrip(_JSON_WS))
+    elif line[0] == "\ufeff":
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
     try:
-        json.loads(lines[-1])
-    except json.JSONDecodeError:
-        return lines[:-1], lines[-1]
-    return lines, None
+        obj, end = _scan_once(line, start)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line,
+                                   err.value) from None
+    if end != len(line):
+        extra = line[end:].lstrip(_JSON_WS)
+        if extra:
+            raise json.JSONDecodeError("Extra data", line,
+                                       len(line) - len(extra))
+    return obj
 
 
 def dump_log(header: dict, records: Iterable[str]) -> str:
@@ -155,15 +172,17 @@ class LogFormat:
     """The reader for one header+records format.
 
     ``header`` turns the decoded header object into whatever the format
-    keeps of it; ``record`` parses one record line.  Whatever they raise
-    on a malformed line — bad JSON or a wrong value (``ValueError``), a
-    missing key, a non-object line or a wrong type — becomes a
-    :class:`~repro.errors.ConfigurationError` naming the source, the
-    format and the 1-based line; a :class:`~repro.errors.ReproError` of
-    their own keeps its type and gains the same location prefix.
+    keeps of it; ``record(line, obj)`` turns one record line — the raw
+    line and its decoded object, decoded here and nowhere else — into a
+    record.  Whatever they raise on a malformed line — bad JSON or a
+    wrong value (``ValueError``), a missing key, a non-object line or a
+    wrong type — becomes a :class:`~repro.errors.ConfigurationError`
+    naming the source, the format and the 1-based line; a
+    :class:`~repro.errors.ReproError` of their own keeps its type and
+    gains the same location prefix.
 
     >>> fmt = LogFormat("demo log", 1, header=lambda h: h["name"],
-    ...                 record=lambda line: json.loads(line)["n"])
+    ...                 record=lambda line, obj: obj["n"])
     >>> fmt.read('{"version":1,"name":"x"}\\n{"n":1}\\n').records
     [1]
     >>> fmt.parse('{"version":1,"name":"x"}\\n{"m":1}\\n').error
@@ -173,22 +192,41 @@ class LogFormat:
     what: str
     version: int
     header: Callable[[dict], Any]
-    record: Callable[[str], Any]
+    record: Callable[[str, Any], Any]
 
     def parse(self, text: str, source: object = "<text>") -> LogFile:
-        """Parse as far as the file is valid; never raises on bad data."""
-        good, torn = salvage_jsonl(text)
+        """Parse as far as the file is valid; never raises on bad data.
+
+        A process killed mid-append (``kill -9``, power loss) leaves a
+        final line that may be cut short; by the write-ahead discipline
+        it was never acknowledged.  A final line that does not decode is
+        that *torn* tail, split off into ``torn`` (a complete final line
+        is kept, newline or not).  A malformed line before the end is
+        corruption: it ends the valid prefix and is the ``error``.
+
+        Every line is decoded once: the final line's decode, which
+        decides whether it is torn, is the one its record is built from.
+        """
+        good = [ln for ln in text.splitlines() if ln and not ln.isspace()]
+        torn = last = None
+        if good:
+            try:
+                last = decode_json(good[-1])
+            except json.JSONDecodeError:
+                torn = good.pop()
         log = LogFile(source=str(source), complete_lines=len(good),
                       torn=torn)
         if not good:
             log.error = ConfigurationError(
                 f"{source}: {self.what} is empty (no header line)")
+        final = len(good) - 1 if torn is None else -1
         for i, line in enumerate(good):
             try:
+                obj = last if i == final else decode_json(line)
                 if i:
-                    log.records.append(self.record(line))
+                    log.records.append(self.record(line, obj))
                 else:
-                    log.header = self._header(line)
+                    log.header = self._header(obj)
             except (ReproError, ValueError, KeyError, TypeError,
                     AttributeError) as exc:
                 lineno = [n for n, ln in enumerate(text.splitlines(), 1)
@@ -206,8 +244,7 @@ class LogFormat:
             log.lines.append(line)
         return log
 
-    def _header(self, line: str) -> Any:
-        raw = json.loads(line)
+    def _header(self, raw: Any) -> Any:
         if not isinstance(raw, dict) or "version" not in raw:
             raise ConfigurationError("header missing 'version'")
         check_version(self.what, int(raw["version"]), self.version)

@@ -382,9 +382,12 @@ class TestControlPlaneDrill:
         assert r.goodput == report.baseline_goodput
 
     def test_alternating_points_exercise_torn_writes(self, report):
-        assert [r.torn for r in report.results] == [
-            False, True, False, True, False,
+        assert [r.cut for r in report.results] == [
+            "kept", "torn", "unterminated", "kept", "torn",
         ]
+
+    def test_every_kill_point_survives_a_second_restart(self, report):
+        assert all(r.reopen_equal for r in report.results)
 
     def test_drill_under_shrink_traffic(self, tmp_path):
         script = synthetic_traffic(

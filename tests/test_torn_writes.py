@@ -10,17 +10,27 @@ A line that is whole but *malformed* is the other half of the contract:
 every format reports it as a ``ConfigurationError`` naming file and line.
 """
 
+import functools
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.chaos import FailureTrace
 from repro.errors import ConfigurationError
+from repro.jobs import JobSpec
 from repro.obs import TelemetryTrace
 from repro.parallel import ScheduleProgram
-from repro.serve import SegmentedWriteAheadLog, ServeState, WriteAheadLog
-from repro.utils.jsonl import salvage_jsonl
+from repro.serve import (
+    SegmentedWriteAheadLog,
+    ServeConfig,
+    ServeServer,
+    ServeState,
+    TenantSpec,
+    WriteAheadLog,
+)
+from repro.utils.jsonl import LogFormat
 
 TRACES = Path(__file__).parent / "traces"
 
@@ -37,6 +47,14 @@ def chop_points(text: str) -> list[int]:
     return sorted({
         last_nl + 1 + max(1, (last_len * num) // 4) for num in (1, 2, 3)
     })
+
+
+def salvage_jsonl(text: str) -> tuple[list[str], str | None]:
+    """The record lines a reader keeps of ``text`` and its torn tail."""
+    log = LogFormat("demo", 1, header=dict,
+                    record=lambda line, obj: obj).parse(
+        '{"version":1}\n' + text)
+    return log.lines[1:], log.torn
 
 
 class TestSalvage:
@@ -154,6 +172,75 @@ class TestWalTorn:
         wal.close()
         assert torn.read_text() == whole  # disk is clean again
         WriteAheadLog.load_events(torn)   # and loads silently
+
+
+class TestUnterminatedTail:
+    """A crash that cuts only the final newline leaves a complete record
+    the reopen keeps.  It must also end that line before the next append,
+    which would otherwise land on the same line: the reopen after that
+    reads the merged line as torn or corrupt and loses both events."""
+
+    def test_flat_wal_keeps_both_events_across_two_reopens(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        full = WriteAheadLog.load_events(WAL_GOLDEN)
+        with WriteAheadLog(path, fsync=False) as wal:
+            for event in full[:2]:
+                wal.append(event)
+        path.write_bytes(path.read_bytes()[:-1])
+        with warnings.catch_warnings(record=True) as first:
+            warnings.simplefilter("always")
+            wal = WriteAheadLog(path, fsync=False)
+        assert wal.events == full[:2]
+        wal.append(full[2])
+        wal.close()
+        with warnings.catch_warnings(record=True) as second:
+            warnings.simplefilter("always")
+            reopened = WriteAheadLog(path, fsync=False)
+        reopened.close()
+        assert reopened.events == full[:3]
+        assert path.read_text().endswith("\n")
+        assert [str(w.message) for w in second] == []
+        (warned,) = first
+        assert "lacks its newline" in str(warned.message)
+
+    def test_inspect_reports_it_without_writing(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text(WAL_GOLDEN.read_text().rstrip("\n"))
+        before = path.read_bytes()
+        info = SegmentedWriteAheadLog.inspect(path)
+        assert any("lacks its newline" in note for note in info.notes)
+        assert info.events == WriteAheadLog.load_events(WAL_GOLDEN)
+        assert path.read_bytes() == before
+
+    def test_segmented_wal_keeps_acked_submits(self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        config = ServeConfig(num_machines=4, devices_per_machine=2)
+        spec = functools.partial(JobSpec, parallelism="dp", num_workers=2,
+                                 iterations=2)
+        with ServeServer(wal_dir, config, fsync=False,
+                         segment_bytes=4096) as server:
+            server.register_tenant(TenantSpec(name="t"))
+            for i in range(3):
+                assert server.submit("t", spec(name=f"j{i}"))[0] \
+                    == "accepted"
+        tail = sorted(wal_dir.glob("segment-*.jsonl"))[-1]
+        tail.write_bytes(tail.read_bytes()[:-1])
+        with warnings.catch_warnings(record=True) as first:
+            warnings.simplefilter("always")
+            revived = ServeServer(wal_dir, config, fsync=False,
+                                  segment_bytes=4096)
+        assert revived.state.acked_jobs() == ["j0", "j1", "j2"]
+        assert revived.submit("t", spec(name="j3"))[0] == "accepted"
+        revived.close()
+        with warnings.catch_warnings(record=True) as second:
+            warnings.simplefilter("always")
+            again = ServeServer(wal_dir, config, fsync=False,
+                                segment_bytes=4096)
+        again.close()
+        assert again.state.acked_jobs() == ["j0", "j1", "j2", "j3"]
+        assert [str(w.message) for w in second] == []
+        (warned,) = first
+        assert "lacks its newline" in str(warned.message)
 
 
 #: per format: golden file, loader, a key every record needs, a key that
