@@ -406,7 +406,7 @@ def check_equivalence(quick: bool) -> dict:
     (model(x) * w).sum()
     model.zero_grad()
     model.backward(w)
-    opt.step()
+    opt.step_flat()
     opt.undo()
     undo_allclose = state_allclose(before, model.state_dict())
     undo_not_bitwise_required = True  # §4: undo is exact up to fp rounding

@@ -37,7 +37,7 @@ def trained_model(hidden, width, steps=1):
         lf = CrossEntropyLoss()
         lf(model(x), y)
         model.backward(lf.backward())
-        opt.step()
+        opt.step_flat()
     return model, opt
 
 
@@ -47,7 +47,7 @@ def test_step_vs_undo(benchmark, size):
     model, opt = trained_model(hidden, width, steps=3)
 
     def step_then_undo():
-        opt.step()
+        opt.step_flat()
         opt.undo()
 
     benchmark(step_then_undo)
@@ -93,7 +93,7 @@ def test_undo_not_slower_than_step(benchmark):
     def measure():
         t0 = time.perf_counter()
         for _ in range(20):
-            opt.step()
+            opt.step_flat()
         t_step = time.perf_counter() - t0
         # rewind to keep the comparison at the same state depth
         t0 = time.perf_counter()

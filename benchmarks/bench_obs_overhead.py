@@ -3,14 +3,14 @@
 The hot paths (DP/PP/FSDP engines, SwiftTrainer) are permanently
 instrumented with ``recorder.span(...)`` call sites.  The contract of
 :mod:`repro.obs` is that the default :class:`NullRecorder` keeps those
-call sites within a <2% overhead budget on the fused DP-8 training step
+call sites within a <2% overhead budget on the DP-8 training step
 and perturbs numerics not at all.  This benchmark gates both halves:
 
 * **overhead** — microbenches the cost of one null ``span()`` enter/exit
   (plus the ``count``/``gauge`` no-ops), counts how many recorder calls
-  one instrumented DP-8 fused trainer iteration actually makes (by
+  one instrumented DP-8 trainer iteration actually makes (by
   recording one with a ``TraceRecorder``), and divides the injected cost
-  by the measured fused iteration time.  Fails if the fraction exceeds
+  by the measured iteration time.  Fails if the fraction exceeds
   ``--max-overhead`` (default 0.02);
 * **equivalence** — trains the same DP-8 workload three ways (no
   recorder, ``NullRecorder``, ``TraceRecorder``) through failures and
@@ -75,7 +75,7 @@ def bench_null_call_cost(calls: int) -> dict:
 
 def count_recorder_calls(quick: bool) -> dict:
     """Recorder calls one instrumented DP-8 trainer iteration makes."""
-    eng = make_dp8(fused=True, quick=quick)
+    eng = make_dp8(quick=quick)
     rec = TraceRecorder()
     trainer = SwiftTrainer(
         eng, TrainerConfig(checkpoint_interval=1000,
@@ -97,7 +97,7 @@ def count_recorder_calls(quick: bool) -> dict:
 def bench_fused_iteration(quick: bool) -> dict:
     """Wall time of one DP-8 fused iteration under the null recorder."""
     iters = 8 if quick else 15
-    eng = make_dp8(fused=True, quick=quick)
+    eng = make_dp8(quick=quick)
     for _ in range(3):
         eng.run_iteration()
 
@@ -117,7 +117,7 @@ def check_equivalence(quick: bool) -> dict:
     ])
 
     def run(recorder):
-        eng = make_dp8(fused=True, quick=quick)
+        eng = make_dp8(quick=quick)
         trainer = SwiftTrainer(
             eng, TrainerConfig(checkpoint_interval=4), recorder=recorder,
         )

@@ -1,19 +1,21 @@
 """Fused flat-buffer training step: the DP iteration.
 
 Measures the wall-clock win of the flat-arena training step against the
-per-parameter path the engine keeps as its bitwise reference:
+per-parameter reference the tests keep (``tests/optim_oracle.py``):
 
 * **DP-8 iteration** — one synchronous data-parallel iteration on 8
-  replicas: per-parameter all-reduce + per-parameter ``step_param`` on
-  every replica (eager, ``fused=False``) vs one fused all-reduce over the
-  flat gradient arena + one vectorized canonical-replica update shared to
-  the other replicas through COW views (``fused=True``).
+  replicas: per-parameter all-reduce + one per-parameter reference update
+  on every replica (eager, ``EagerDataParallelEngine``) vs the engine's
+  one all-reduce over the flat gradient arena + one vectorized
+  canonical-replica update shared to the other replicas through COW
+  views (fused).
 
 Every speedup claim is paired with bitwise equality checks
-(``state_equal``): fused and eager paths must produce identical replica
-states after plain training, after MID_UPDATE crashes (uniform and
-heterogeneous survivor progress), after update-undo consumes those crash
-states, after full replication recovery, and after logging-based replay.
+(``state_equal``): the fused engine and the per-parameter reference must
+produce identical replica states after plain training, after MID_UPDATE
+crashes (uniform and heterogeneous survivor progress), after update-undo
+consumes those crash states, after full replication recovery, and after
+logging-based replay (every pipeline stage stepping per parameter).
 
 Run::
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +50,13 @@ from repro.parallel import (
     default_virtual_stages,
     simulate_program,
 )
-from repro.parallel.pipeline import PipelineStage
 from repro.utils import state_equal
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from optim_oracle import (  # noqa: E402  (the tests' per-parameter reference)
+    EagerDataParallelEngine,
+    eager_pipeline_steps,
+)
 
 
 def best_of(fn, repeats: int = 3) -> float:
@@ -65,19 +73,22 @@ def best_of(fn, repeats: int = 3) -> float:
 # 1. DP-8 iteration: per-parameter reduce+update vs fused canonical update
 # ---------------------------------------------------------------------------
 
-def make_dp8(fused: bool, quick: bool, seed: int = 11) -> DataParallelEngine:
+def make_dp8(quick: bool, seed: int = 11,
+             fused: bool = True) -> DataParallelEngine:
+    """The DP-8 Adam MLP; ``fused=False`` builds the per-parameter
+    reference engine of ``tests/optim_oracle.py`` instead."""
     depth, hidden = (6, 192) if quick else (8, 384)
     cluster = Cluster(4, devices_per_machine=2)
     placement = [(m, d) for m in range(4) for d in range(2)]
     task = ClassificationTask(dim=16, num_classes=8, batch_size=16, seed=3)
-    return DataParallelEngine(
+    engine_cls = DataParallelEngine if fused else EagerDataParallelEngine
+    return engine_cls(
         cluster,
         model_factory=lambda: make_mlp(16, hidden, 8, depth=depth, seed=seed),
         opt_factory=lambda m: Adam(m, lr=1e-3, weight_decay=1e-4),
         loss_factory=CrossEntropyLoss,
         task=task,
         placement=placement,
-        fused=fused,
     )
 
 
@@ -85,7 +96,7 @@ def bench_dp_iteration(quick: bool) -> dict:
     iters = 8 if quick else 15
     results = {}
     for tag, fused in (("eager", False), ("fused", True)):
-        eng = make_dp8(fused, quick)
+        eng = make_dp8(quick, fused=fused)
         for _ in range(3):  # warmup: arenas allocate, COW sharing engages
             eng.run_iteration()
 
@@ -94,7 +105,7 @@ def bench_dp_iteration(quick: bool) -> dict:
                 eng.run_iteration()
 
         results[tag] = best_of(run)
-    state_mb = make_dp8(True, quick).state_nbytes() / 1e6
+    state_mb = make_dp8(quick).state_nbytes() / 1e6
     return {
         "workers": 8,
         "state_mb": round(state_mb, 2),
@@ -192,7 +203,7 @@ def schedule_gate_failures(schedules: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# 4. equivalence: fused and per-parameter paths must agree bitwise
+# 4. equivalence: the fused engine and the per-parameter reference agree
 # ---------------------------------------------------------------------------
 
 def worker_states(eng: DataParallelEngine) -> dict[int, dict[str, np.ndarray]]:
@@ -208,7 +219,7 @@ def check_equivalence(quick: bool) -> dict:
 
     # -- plain training ---------------------------------------------------
     def run_plain(fused: bool):
-        eng = make_dp8(fused, quick=True)
+        eng = make_dp8(quick=True, fused=fused)
         for _ in range(iters):
             eng.run_iteration()
         return eng
@@ -221,7 +232,7 @@ def check_equivalence(quick: bool) -> dict:
     #    heterogeneous survivor progress privatizes every replica, one
     #    budget for all keeps them sharing an arena updated and undone once
     def run_crash(fused: bool, progress: dict[int, int] | None):
-        eng = make_dp8(fused, quick=True)
+        eng = make_dp8(quick=True, fused=fused)
         for _ in range(3):
             eng.run_iteration()
         eng.run_iteration(
@@ -255,7 +266,7 @@ def check_equivalence(quick: bool) -> dict:
 
     # -- full replication recovery through SwiftTrainer --------------------
     def run_recovery(fused: bool):
-        eng = make_dp8(fused, quick=True)
+        eng = make_dp8(quick=True, fused=fused)
         trainer = SwiftTrainer(eng, TrainerConfig(checkpoint_interval=8))
         trainer.train(iters + 4, failures=FailureSchedule([
             FailureEvent(2, iters, FailurePhase.MID_UPDATE, after_updates=2)
@@ -264,8 +275,8 @@ def check_equivalence(quick: bool) -> dict:
 
     recovery_bitwise = states_bitwise(run_recovery(True), run_recovery(False))
 
-    # -- logging replay after a crash: fused vs eager stage updates -------
-    def run_replay(fused_updates: bool):
+    # -- logging replay after a crash: flat vs per-parameter stage updates -
+    def run_replay():
         cluster = Cluster(4, devices_per_machine=1)
         task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
         eng = PipelineEngine(
@@ -278,8 +289,6 @@ def check_equivalence(quick: bool) -> dict:
             loss_factory=CrossEntropyLoss,
             task=task,
         )
-        for stage in eng.stages:
-            stage.fused_updates = fused_updates
         trainer = SwiftTrainer(
             eng, TrainerConfig(checkpoint_interval=8, parallel_recovery_degree=2)
         )
@@ -288,7 +297,9 @@ def check_equivalence(quick: bool) -> dict:
         ))
         return {sid: s.full_state() for sid, s in enumerate(eng.stages)}
 
-    replay_bitwise = states_bitwise(run_replay(True), run_replay(False))
+    fused_replay = run_replay()
+    with eager_pipeline_steps():
+        replay_bitwise = states_bitwise(fused_replay, run_replay())
 
     return {
         "train_bitwise": bool(train_bitwise),

@@ -45,7 +45,7 @@ def empirical_invertibility() -> dict[str, bool]:
         lf = CrossEntropyLoss()
         lf(model(x), y)
         model.backward(lf.backward())
-        opt.step()
+        opt.step_flat()
         try:
             opt.undo()
         except NotInvertibleError:

@@ -63,7 +63,6 @@ def build_engine(
             task=task,
             placement=placement,
             clock=clock,
-            fused=par.fused,
         )
     if plan.engine_kind == "pp":
         return PipelineEngine(

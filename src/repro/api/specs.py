@@ -361,8 +361,6 @@ class ParallelismSpec:
     #: interleaved_1f1b)
     virtual_stages: int = 0
     comm_time: float = 0.0
-    #: fused flat-buffer reduce+update path (DP; bitwise-equal to eager)
-    fused: bool = True
 
     def __post_init__(self) -> None:
         from repro.parallel.programs import schedule_names

@@ -18,8 +18,7 @@ def advance_moments(opt, m, v, g, w) -> None:
 
     ``m ← b1*m + (1-b1)*g``, ``v ← b2*v + (1-b2)*g²`` over flat spans,
     chained through the scratch vector ``w`` — the single statement of the
-    arithmetic Adam, AdamW, AMSGrad, and LAMB kernels all share, so the
-    bitwise eager-vs-fused contract has one implementation to audit.
+    arithmetic Adam, AdamW, AMSGrad, and LAMB kernels all share.
     """
     m *= opt.beta1
     np.multiply(g, 1.0 - opt.beta1, out=w)
@@ -74,22 +73,11 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        m = self._slot(name, "m", param.data)
-        v = self._slot(name, "v", param.data)
-        g = grad + self.weight_decay * param.data
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g**2
-        t = self.step_counts[name]
-        param.data -= self.lr * self._direction(name, t)
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # allocation-free restatement of _update: every pass is the same
-        # IEEE add/multiply/divide (commuted operands where convenient —
-        # both ops are commutative bit-for-bit), chained through two
-        # scratch vectors instead of fresh temporaries
+        # allocation-free: every pass is one IEEE add/multiply/divide of
+        # the update rule (commuted operands where convenient — both ops
+        # are commutative bit-for-bit), chained through two scratch
+        # vectors instead of fresh temporaries
         p = arena.params.data[span]
         m = arena.slots["m"].data[span]
         v = arena.slots["v"].data[span]
@@ -163,20 +151,8 @@ class AdamW(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        m = self._slot(name, "m", param.data)
-        v = self._slot(name, "v", param.data)
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad**2
-        t = self.step_counts[name]
-        param.data -= self.lr * (
-            self._direction(name, t) + self.weight_decay * param.data
-        )
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # allocation-free restatement of _update (see Adam._step_flat)
+        # allocation-free, as in Adam._step_flat
         p = arena.params.data[span]
         m = arena.slots["m"].data[span]
         v = arena.slots["v"].data[span]

@@ -44,23 +44,8 @@ class AMSGrad(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        m = self._slot(name, "m", param.data)
-        v = self._slot(name, "v", param.data)
-        v_max = self._slot(name, "v_max", param.data)
-        g = grad + self.weight_decay * param.data
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g**2
-        np.maximum(v_max, v, out=v_max)  # the non-invertible EW-max
-        t = self.step_counts[name]
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v_max / (1.0 - self.beta2**t)
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # allocation-free restatement of _update (same IEEE ops)
+        # allocation-free, as in Adam._step_flat
         p = arena.params.data[span]
         m = arena.slots["m"].data[span]
         v = arena.slots["v"].data[span]

@@ -3,14 +3,18 @@
 Swift's update-undo (paper Section 4) relies on optimizers being
 *mathematically invertible*: for the update ``f`` there exists ``f⁻¹`` that
 recovers ``(x_t, state_{t-1})`` from ``(x_{t+1}, state_t, g_t)``.  Every
-optimizer here therefore implements both :meth:`step_param` and
-:meth:`undo_param`.  The undo path uses the gradient still cached in
-``Parameter.grad`` — exactly the "cache the latest gradients" observation
-the paper makes about mainstream DL frameworks.
+optimizer here therefore implements one fused update kernel,
+:meth:`_step_flat`, and the per-parameter :meth:`undo_param`.  The undo
+path uses the gradient still cached in ``Parameter.grad`` — exactly the
+"cache the latest gradients" observation the paper makes about mainstream
+DL frameworks.
 
-Updates are *per parameter* so that engines can model wait-free layer-wise
-updates (Section 2.3): a crash between two ``step_param`` calls leaves the
-model in the inconsistent state that update-undo then repairs.
+Updates run over a flat arena laid out in update order, so engines model
+wait-free layer-wise updates (Section 2.3) with a prefix: a crash after
+``k`` parameters is ``step_flat(count=k)``, and leaves the model in the
+inconsistent state that update-undo then repairs.  The per-parameter
+restatement of every rule, which the fused kernels are checked against
+bit for bit, lives with the tests (``tests/optim_oracle.py``).
 """
 
 from __future__ import annotations
@@ -43,9 +47,8 @@ class Optimizer:
     #: Whether :meth:`undo_param` is implemented (Table 1).
     invertible: bool = True
 
-    #: slot tensor names the fused kernel advances (momentum, moments, ...);
-    #: subclasses overriding :meth:`_step_flat` must list every slot their
-    #: ``_update`` touches so the flat arena can host them
+    #: slot tensor names :meth:`_step_flat` advances (momentum, moments,
+    #: ...): the flat arena hosts one buffer per name
     flat_slots: tuple[str, ...] = ()
 
     def __init__(self, params: Module | Iterable[tuple[str, Parameter]], lr: float):
@@ -75,38 +78,14 @@ class Optimizer:
         #: dirty-key report incremental checkpointing persists deltas from.
         #: Everything is dirty before the first full checkpoint.
         self.dirty_params: set[str] = set(self.params)
-        #: flat arena backing the fused step path (built on first use)
+        #: flat arena every update runs over (built on first use)
         self._arena: FlatArena | None = None
 
-    # -- single-parameter update/undo (implemented by subclasses) ----------
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        raise NotImplementedError
-
+    # -- single-parameter undo (implemented by subclasses) -----------------
     def _undo(self, name: str, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     # -- public API ----------------------------------------------------------
-    def step_param(self, name: str) -> None:
-        """Apply the update to one parameter using its cached gradient."""
-        param = self.params[name]
-        if param.grad is None:
-            raise ShapeError(f"parameter {name!r} has no gradient")
-        self.step_counts[name] += 1
-        self.undo_journal[name]["lr"] = self.lr
-        self.dirty_params.add(name)
-        self._update(name, param, param.grad)
-
-    def step(self, order: Iterable[str] | None = None) -> list[str]:
-        """Update every parameter (optionally in a given order).
-
-        Returns the list of parameter names in update order — engines use
-        this to mark parameters updated for crash-consistency bookkeeping.
-        """
-        names = list(order) if order is not None else list(self.params)
-        for name in names:
-            self.step_param(name)
-        return names
-
     def undo_param(self, name: str) -> None:
         """Invert the most recent update of one parameter.
 
@@ -134,12 +113,7 @@ class Optimizer:
             self.undo_param(name)
         return names
 
-    # -- fused flat-buffer update path ----------------------------------------
-    @classmethod
-    def supports_flat(cls) -> bool:
-        """Whether this optimizer ships a vectorized flat kernel."""
-        return cls._step_flat is not Optimizer._step_flat
-
+    # -- the flat-buffer update path -------------------------------------------
     def flat_arena(self, order: Iterable[str] | None = None) -> FlatArena:
         """The optimizer's flat arena, (re)built when the layout changes."""
         order = list(order) if order is not None else list(self.params)
@@ -211,45 +185,19 @@ class Optimizer:
         order: Iterable[str] | None = None,
         grads: np.ndarray | None = None,
     ) -> list[str]:
-        """Fused update of the first ``count`` arena parameters.
+        """Update the first ``count`` arena parameters: the one update path.
 
-        Bitwise-identical to calling :meth:`step_param` on the same names
-        in the same order: the kernels perform the same elementwise
-        arithmetic with the same scalars, just over contiguous spans.
         ``count`` is the wait-free update budget — a MID_UPDATE crash after
-        ``k`` parameters is exactly ``step_flat(count=k)``.
+        ``k`` parameters is exactly ``step_flat(count=k)``.  The kernel runs
+        over contiguous spans; the per-parameter reference in
+        ``tests/optim_oracle.py`` performs the same elementwise arithmetic
+        with the same scalars, one parameter at a time, and the two agree
+        bit for bit.
 
         ``grads`` optionally supplies an external flat gradient vector in
         arena layout (e.g. the fused all-reduce output), skipping the
         per-parameter gather entirely.
         """
-        if not self.supports_flat():
-            # no vectorized kernel: plain eager loop, no arena involved
-            full = list(order) if order is not None else list(self.params)
-            names = full if count is None else full[: max(count, 0)]
-            if grads is not None:
-                # honor the external flat gradient source: scatter it into
-                # the per-parameter grads the eager loop reads
-                offset = 0
-                slices = {}
-                for name in full:
-                    size = int(self.params[name].data.size)
-                    slices[name] = slice(offset, offset + size)
-                    offset += size
-                if grads.size != offset:
-                    raise ShapeError(
-                        f"flat gradient size {grads.size} != layout size "
-                        f"{offset}"
-                    )
-                for name in names:
-                    param = self.params[name]
-                    param.grad = np.array(
-                        grads[slices[name]].reshape(param.data.shape),
-                        copy=True,
-                    )
-            for name in names:
-                self.step_param(name)
-            return list(names)
         arena = self.bind_flat(order)
         names = arena.order if count is None else arena.order[: max(count, 0)]
         if not names:
@@ -285,19 +233,21 @@ class Optimizer:
                 arena.params.slices[run[0]].start,
                 arena.params.slices[run[-1]].stop,
             )
+            # a slot is created, over zeros, only for parameters actually
+            # stepped (crash states keep partially created slots); bind_flat
+            # left every existing slot in the arena, so a missing one is
+            # zeroed first: a retained arena's old values never leak in
+            for slot, buf in arena.slots.items():
+                sviews = buf.views()
+                for name in run:
+                    if self.state[name].get(slot) is not sviews[name]:
+                        sviews[name][...] = 0.0
+                        self.state[name][slot] = sviews[name]
             self._step_flat(arena, gflat, span, run, t)
             for name in run:
                 self.step_counts[name] += 1
                 self.undo_journal[name]["lr"] = self.lr
             self.dirty_params.update(run)
-            # bind slots lazily, only for parameters actually stepped, so
-            # the state dict keeps exactly the keys the eager path would
-            # produce (crash states with partially created slots included)
-            for slot, buf in arena.slots.items():
-                sviews = buf.views()
-                for name in run:
-                    if self.state[name].get(slot) is not sviews[name]:
-                        self.state[name][slot] = sviews[name]
             start = stop
         return list(names)
 
@@ -313,8 +263,7 @@ class Optimizer:
 
         ``gflat`` is the flat gradient source (arena layout), ``names`` the
         parameters the span covers, ``t`` their common post-increment step
-        count.  Must perform the same elementwise arithmetic as
-        :meth:`_update` so fused and eager paths stay bitwise identical.
+        count.  A refused step raises before touching a parameter.
         """
         raise NotImplementedError
 
@@ -384,11 +333,3 @@ class Optimizer:
     def clear_dirty(self) -> None:
         """Reset the dirty report (called after a successful checkpoint)."""
         self.dirty_params = set()
-
-    # -- helpers for subclasses ---------------------------------------------
-    def _slot(self, name: str, slot: str, like: np.ndarray) -> np.ndarray:
-        """Fetch (or zero-initialize) a per-parameter state tensor."""
-        slots = self.state[name]
-        if slot not in slots:
-            slots[slot] = np.zeros_like(like)
-        return slots[slot]

@@ -66,29 +66,9 @@ class LAMB(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        m = self._slot(name, "m", param.data)
-        v = self._slot(name, "v", param.data)
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad**2
-        t = self.step_counts[name]
-        r = self._adam_direction(name, t) + self.weight_decay * param.data
-        x_norm = float(np.linalg.norm(param.data))
-        r_norm = float(np.linalg.norm(r))
-        trust = x_norm / r_norm if x_norm > 0.0 and r_norm > 0.0 else 1.0
-        if self.lr * trust * self.weight_decay >= 1.0:
-            raise ConfigurationError(
-                "lr * trust * weight_decay >= 1 makes this LAMB step non-invertible"
-            )
-        # The scalar journal entry is the paper's "save the L2 norm" trick.
-        self.undo_journal[name]["trust"] = trust
-        param.data -= self.lr * trust * r
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # moments advance fused over the whole span (allocation-free, same
-        # IEEE ops as _update); the trust ratio is a per-layer scalar by
+        # moments advance fused over the whole span (allocation-free, as
+        # in Adam._step_flat); the trust ratio is a per-layer scalar by
         # construction, so only the final scaled subtraction runs per
         # parameter (over that parameter's slice)
         p = arena.params.data[span]
@@ -117,7 +97,7 @@ class LAMB(Optimizer):
             )
         # guard the whole span before touching any parameter or journal, so
         # a rejected step never leaves half the span updated with stale
-        # undo bookkeeping (the eager path cannot offer this atomicity)
+        # undo bookkeeping
         if any(self.lr * t_ * self.weight_decay >= 1.0 for t_ in trusts):
             raise ConfigurationError(
                 "lr * trust * weight_decay >= 1 makes this LAMB step "

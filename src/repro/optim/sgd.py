@@ -33,11 +33,8 @@ class SGD(Optimizer):
             )
         self.weight_decay = float(weight_decay)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        param.data -= self.lr * (grad + self.weight_decay * param.data)
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # same IEEE ops as _update, chained through a scratch vector
+        # the update rule's IEEE ops, chained through a scratch vector
         p = arena.params.data[span]
         w = arena.scratch("a")[span]
         np.multiply(p, self.weight_decay, out=w)
@@ -86,15 +83,8 @@ class SGDMomentum(Optimizer):
         self.dampening = float(dampening)
         self.weight_decay = float(weight_decay)
 
-    def _update(self, name: str, param: Parameter, grad: np.ndarray) -> None:
-        m = self._slot(name, "momentum", param.data)
-        g = grad + self.weight_decay * param.data
-        m *= self.momentum
-        m += (1.0 - self.dampening) * g
-        param.data -= self.lr * m
-
     def _step_flat(self, arena, gflat, span, names, t) -> None:
-        # same IEEE ops as _update, chained through a scratch vector
+        # the update rule's IEEE ops, chained through a scratch vector
         p = arena.params.data[span]
         m = arena.slots["momentum"].data[span]
         w = arena.scratch("a")[span]

@@ -11,31 +11,30 @@ The engine keeps replicas bit-identical across workers (same deterministic
 init, same reduced gradients, same update order), which is the invariant
 replication-based recovery exploits.
 
-Two bitwise-equivalent execution paths exist for the reduce+update half of
-the iteration:
+There is one path for the reduce+update half of the iteration.  Each
+replica accumulates its gradients straight into its flat arena
+(:mod:`repro.utils.flat`); one all-reduce over one contiguous buffer
+synchronizes them, and the optimizer's flat kernel applies the update.
+Because replicas are bit-identical, the update runs *once* on a canonical
+replica; the others hold read-only copy-on-write views of its arena (they
+track every in-place update for free, accidental in-place writes raise)
+and own a gradient buffer only.  Sharing is *verify-then-share*: whenever
+some replica's leaves do not alias the canonical arena (iteration 0, a
+global restart, an elastic resize, an external load, replicas that
+diverged) all leaves are compared *before* the update; if they agree bit
+for bit the replicas share at once and still update once, otherwise each
+runs the kernel on a private arena and the check repeats next iteration.
+A MID_UPDATE crash with one budget for all stays shared: the canonical
+updates once and, handed to a survivor at recovery if its machine died,
+undoes once (a dead follower then reads the undone arena, not its crash
+state).  Replacements then join the group the survivors never left
+without a compare: their retained leaves become views of the canonical
+arena.  Uneven survivor progress privatizes every replica first, so each
+stops at its own budget.
 
-* the **eager** path (``fused=False``) issues one all-reduce and one
-  ``step_param`` per parameter per replica — the reference semantics;
-* the **fused** path (default) accumulates gradients straight into each
-  replica's flat arena (:mod:`repro.utils.flat`), synchronizes them with a
-  *single* all-reduce over one contiguous buffer, and applies vectorized
-  optimizer kernels.  Because replicas are bit-identical, the update runs
-  *once* on a canonical replica; the others hold read-only copy-on-write
-  views of its arena (they track every in-place update for free,
-  accidental in-place writes raise) and own a gradient buffer only.
-  Sharing is *verify-then-share*: whenever some replica's leaves do not
-  alias the canonical arena (iteration 0, a global restart, an elastic
-  resize, an external load, replicas that diverged) all leaves are
-  compared *before* the update; if they agree bit for bit the replicas
-  share at once and still update once, otherwise each runs the fused
-  kernel on a private arena and the check repeats next iteration.  A
-  MID_UPDATE crash with one budget for all stays shared: the canonical
-  updates once and, handed to a survivor at recovery if its machine died,
-  undoes once (a dead follower then reads the undone arena, not its crash
-  state).  Replacements then join the group the survivors never left
-  without a compare: their retained leaves become views of the canonical
-  arena.  Uneven survivor progress privatizes every replica first, so
-  each stops at its budget as the eager path would.
+Every leaf of the model must be a parameter the optimizer trains: the
+engine refuses a model with non-trainable leaves (BatchNorm running
+statistics) until buffers get a DP semantic of their own.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class DPWorker:
         #: parameter names updated in the current (possibly interrupted)
         #: update phase — the marks update-undo consumes (Section 6)
         self.updated_params: list[str] = []
-        #: fused-path caches: (arena, [(Parameter, grad view)]) pairs for
+        #: arena caches: (arena, [(Parameter, grad view)]) pairs for
         #: seeding, and [(Parameter, reduced view)] for the post-reduce
         #: rebind — rebuilt whenever the backing buffers change identity
         self._seed_pairs: tuple | None = None
@@ -101,8 +100,8 @@ class DPWorker:
     def load_full_state(self, state: Mapping[str, np.ndarray],
                         order: list[str] | None = None) -> None:
         """Load ``state`` (a :meth:`full_state`) into private copies — or,
-        given the fused layout ``order``, on into this worker's own flat
-        arena, its slot buffers zeroed first (the kernels create a slot
+        given the arena layout ``order``, on into this worker's own flat
+        arena, its slot buffers zeroed first (the kernel creates a slot
         the state lacks over zeros).  Both halves are checked before
         either loads, so nothing changes if loading raises."""
         model = {k[len("model/"):]: v for k, v in state.items()
@@ -170,7 +169,6 @@ class DataParallelEngine:
         placement: list[tuple[int, int]],
         clock: SimClock | None = None,
         compute_time_fn: Callable[[int], float] | None = None,
-        fused: bool = True,
     ):
         if len(placement) < 1:
             raise ConfigurationError("need at least one worker")
@@ -181,8 +179,8 @@ class DataParallelEngine:
         self.task = task
         self.clock = clock or SimClock()
         #: instrumentation sink (replaced by the trainer/session when a
-        #: TraceRecorder is attached); the null default keeps the fused hot
-        #: path bitwise-identical and within the bench_obs_overhead budget
+        #: TraceRecorder is attached); the null default keeps the hot path
+        #: bitwise-identical and within the bench_obs_overhead budget
         self.recorder = NULL_RECORDER
         self.compute_time_fn = compute_time_fn or (lambda n: 1e-3 * max(n, 1))
         self.workers: list[DPWorker] = []
@@ -190,22 +188,21 @@ class DataParallelEngine:
             device = cluster.device(machine_id, dev_idx)
             model = model_factory()
             self.workers.append(DPWorker(rank, device, model, opt_factory(model)))
+        opt0 = self.workers[0].optimizer
+        buffers = [name for name, _ in self.workers[0].model.named_parameters()
+                   if name not in opt0.params]
+        if buffers:
+            raise ConfigurationError(
+                "data parallelism has no semantic yet for non-trainable "
+                f"model leaves (buffers): {', '.join(buffers)}")
         self.group = CollectiveGroup(
             cluster, {w.rank: w.device for w in self.workers}
         )
         #: update order: reverse parameter order, approximating gradients
         #: becoming ready from the output layer backwards (Figure 4)
-        self.update_order: list[str] = [
-            name for name, _ in self.workers[0].model.named_parameters()
-        ][::-1]
+        self.update_order: list[str] = list(opt0.params)[::-1]
         self.iteration = 0
-        #: fused flat-buffer reduce+update path (bitwise-equal to eager)
-        self.fused = bool(fused)
-        opt0 = self.workers[0].optimizer
-        self._fusable = type(opt0).supports_flat() and all(
-            name in opt0.params for name in self.update_order
-        )
-        #: fused all-reduce output, shared read-only by every replica's grads
+        #: all-reduce output, shared read-only by every replica's grads
         self._reduced: FlatBuffer | None = None
         #: worker whose arena the other replicas currently COW-share
         self._canonical: DPWorker | None = None
@@ -278,18 +275,11 @@ class DataParallelEngine:
             return self._fail(failure)
 
         # forward/backward on each live replica's shard
-        use_fused = self.fused and self._fusable
         losses = []
         t_compute = 0.0
         with self.recorder.span("engine/forward_backward"):
             for w, idx in zip(live, shards):
-                if use_fused:
-                    # accumulate gradients straight into the flat arena so
-                    # the reduce needs no per-parameter gather (covers every
-                    # parameter, so no separate zero_grad pass is needed)
-                    self._seed_grads(w)
-                else:
-                    w.model.zero_grad()
+                self._seed_grads(w)
                 w.updated_params = []
                 loss_fn = self.loss_factory()
                 out = w.model(x[idx])
@@ -304,60 +294,12 @@ class DataParallelEngine:
             # crash before any gradient synchronization completed: nobody
             # updated anything, survivors remain at iteration start state
             return self._fail(failure)
-
-        if use_fused:
-            return self._finish_fused(
-                live, losses, t_compute, failure, survivor_progress
-            )
-
-        # gradient synchronization (per-parameter ring all-reduce)
-        grad_bytes = 0
-        params_by_rank = [dict(w.model.named_parameters()) for w in self.workers]
-        with self.recorder.span("engine/allreduce") as sp:
-            for name in self.update_order:
-                buffers = {w.rank: params_by_rank[w.rank][name].grad for w in live}
-                reduced = self.group.allreduce_mean(buffers)
-                grad_bytes += int(reduced.nbytes)
-                for w in live:
-                    params_by_rank[w.rank][name].grad = np.array(reduced, copy=True)
-            sp.set(bytes=grad_bytes)
-        t_comm = self.group.allreduce_time(grad_bytes)
-
-        # wait-free layer-wise update
-        mid_update = (
-            failure is not None and failure.phase == FailurePhase.MID_UPDATE
-        )
-        with self.recorder.span("engine/optimizer"):
-            for w in live:
-                budget = len(self.update_order)
-                if mid_update:
-                    if w.machine_id == failure.machine_id:
-                        budget = failure.after_updates
-                    else:
-                        budget = (survivor_progress or {}).get(
-                            w.rank, failure.after_updates
-                        )
-                    budget = min(budget, len(self.update_order))
-                for name in self.update_order[:budget]:
-                    w.optimizer.step_param(name)
-                    w.updated_params.append(name)
-                if not mid_update:
-                    w.iteration += 1
-                    w.updated_params = []
-
-        if mid_update:
-            return self._fail(failure, sim_time=t_compute + t_comm)
-
-        self.iteration += 1
-        self.clock.advance(t_compute + t_comm, "iteration", iteration=self.iteration)
-        return IterationResult(
-            iteration=self.iteration - 1,
-            loss=float(np.mean(losses)),
-            sim_time=t_compute + t_comm,
+        return self._reduce_and_update(
+            live, losses, t_compute, failure, survivor_progress
         )
 
-    # -- fused flat-buffer reduce + update --------------------------------------
-    def _finish_fused(
+    # -- the reduce + update ----------------------------------------------------
+    def _reduce_and_update(
         self,
         live: list[DPWorker],
         losses: list[float],
@@ -365,13 +307,14 @@ class DataParallelEngine:
         failure: FailureEvent | None,
         survivor_progress: dict[int, int] | None,
     ) -> IterationResult:
-        """Fused tail of the iteration: one all-reduce, one (shared) update.
+        """Tail of the iteration: one all-reduce, one (shared) update.
 
-        Bitwise-equivalent to the eager tail: the reduce sums the same
-        per-rank values in the same order over one contiguous buffer, and
-        the vectorized kernels perform the same elementwise arithmetic as
-        ``step_param`` — verified end-to-end by ``tests/test_flat.py`` and
-        gated in ``benchmarks/bench_step.py``.
+        Bitwise-equivalent to a per-parameter all-reduce and update on
+        every replica: the reduce sums the same per-rank values in the same
+        order over one contiguous buffer, and the kernels perform the
+        per-parameter arithmetic — checked end-to-end against
+        ``tests/optim_oracle.py`` by ``tests/test_flat.py`` and gated in
+        ``benchmarks/bench_step.py``.
         """
         order = self.update_order
         if self._reduced is None:
@@ -469,7 +412,9 @@ class DataParallelEngine:
         )
 
     def _seed_grads(self, w: DPWorker) -> None:
-        """Point ``w``'s gradients at its zeroed flat arena (cached pairs)."""
+        """Point ``w``'s gradients at its zeroed flat arena (cached pairs):
+        backward accumulates straight into it, so the reduce needs no
+        per-parameter gather and no separate ``zero_grad`` pass."""
         arena = w.optimizer.flat_arena(self.update_order)
         cache = w._seed_pairs
         if cache is None or cache[0] is not arena:
@@ -654,8 +599,8 @@ class DataParallelEngine:
         self, rank: int, state: Mapping[str, np.ndarray], device=None
     ) -> None:
         """Load ``state`` (a ``full_state()``) into worker ``rank``'s
-        retained model and optimizer — its own flat arena on the fused
-        path — or, one past the end, into a worker ``model_factory`` builds
+        retained model and optimizer — its own flat arena — or, one past
+        the end, into a worker ``model_factory`` builds
         on ``device`` (elastic scale-out, the only init drawn).  Nothing
         changes if loading raises.
 
@@ -670,8 +615,7 @@ class DataParallelEngine:
             worker = DPWorker(rank, device, model, self.opt_factory(model))
         else:
             worker = self.workers[rank]
-        fused = self.fused and self._fusable
-        worker.load_full_state(state, self.update_order if fused else None)
+        worker.load_full_state(state, self.update_order)
         worker.updated_params = []
         worker.iteration = self.iteration
         if new:

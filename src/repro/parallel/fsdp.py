@@ -15,8 +15,9 @@ This module implements that design:
   live copy of every shard;
 * per-iteration flow mimics FSDP: all-gather parameters (priced, data
   taken from the owners), compute local gradients on a data shard,
-  reduce-scatter gradients to owners, owners update (wait-free per
-  parameter) and re-mirror.
+  reduce-scatter gradients to owners, owners update their shards in
+  their flat arenas (wait-free: a crash budget is a prefix of each
+  owner's names, owners in rank order) and re-mirror.
 
 Recovery (:class:`ShardedReplicationRecovery` in
 :mod:`repro.core.sharded_recovery`) restores lost shards from mirrors and
@@ -228,14 +229,17 @@ class FSDPEngine:
 
         Runs at the *end* of each iteration (and at construction), so
         between iterations every worker's full parameter copy is fresh —
-        the invariant :meth:`full_params_consistent` checks.
+        the invariant :meth:`full_params_consistent` checks.  The owner's
+        own leaf already holds the value (a view of its optimizer's arena)
+        and is left alone; its transfer is still priced.
         """
         moved = 0
         live = self.alive_workers()
         for name, rank in self.plan.owner.items():
-            value = np.array(self.workers[rank]._params[name].data, copy=True)
+            value = self.workers[rank]._params[name].data
             for w in live:
-                w._params[name].data = np.array(value, copy=True)
+                if w.rank != rank:
+                    w._params[name].data = value.copy()
                 moved += int(value.nbytes)
         return moved
 
@@ -325,24 +329,26 @@ class FSDPEngine:
                 self.workers[owner_rank]._params[name].grad = reduced
             sp.set(bytes=reduced_bytes)
 
-        # 4. owners update their shards (wait-free), then re-mirror
+        # 4. owners update their shards (wait-free), then re-mirror: the
+        #    update order is (owner, name), so a MID_UPDATE budget is a
+        #    prefix of each owner's names in rank order, and the crash
+        #    lands after that many updates, before any re-mirroring
         mid_update = (
             failure is not None and failure.phase == FailurePhase.MID_UPDATE
         )
-        update_order = sorted(
-            self.plan.owner, key=lambda n: (self.plan.owner[n], n)
-        )
-        updates_done = 0
-        for w in live:
-            w.updated_params = []
+        budget = failure.after_updates if mid_update else len(self.plan.owner)
+        update_order = []
         with self.recorder.span("engine/optimizer"):
-            for name in update_order:
-                if mid_update and updates_done >= failure.after_updates:
-                    return self._fail(failure)
-                owner = self.workers[self.plan.owner[name]]
-                owner.optimizer.step_param(name)
-                owner.updated_params.append(name)
-                updates_done += 1
+            for w in live:
+                owned = sorted(w.owned)
+                update_order += owned
+                w.updated_params = []
+                if owned and budget > 0:
+                    w.updated_params = w.optimizer.step_flat(
+                        count=min(budget, len(owned)), order=owned)
+                    budget -= len(w.updated_params)
+            if mid_update:
+                return self._fail(failure)
             mirror_bytes = self._sync_mirrors(update_order)
             gathered_bytes = self._gather_full_params()
 

@@ -78,10 +78,6 @@ _PEER = {"RecvActivation": -1, "SendActivation": 1,
 class PipelineStage:
     """One pipeline stage: its model chunk(s), optimizer, and mb caches."""
 
-    #: apply stage updates through the vectorized flat kernels (bitwise
-    #: equal to the per-parameter path; set False to force the eager loop)
-    fused_updates = True
-
     def __init__(self, stage_id: int, module: Sequential, optimizer: Optimizer,
                  device, chunks: dict[int, Sequential] | None = None):
         self.stage_id = stage_id
@@ -130,10 +126,7 @@ class PipelineStage:
         return module.backward(grad)
 
     def step(self) -> None:
-        if self.fused_updates and type(self.optimizer).supports_flat():
-            self.optimizer.step_flat()
-        else:
-            self.optimizer.step()
+        self.optimizer.step_flat()
         self.iteration += 1
         self.updated_this_iteration = True
 

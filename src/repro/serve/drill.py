@@ -409,15 +409,19 @@ def control_plane_drill(
     carries.  Kill point ``i`` uses cut kind ``CUT_KINDS[i % 3]``, so
     torn-write recovery and the newline a crash cut off both recur.
     (The :class:`DrillReport` doctest runs a full drill; here just the
-    shape.)
+    shape.)  Without a ``workdir`` the WAL cuts go to a temporary
+    directory, removed before the report returns.
 
     >>> callable(control_plane_drill)
     True
     """
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-serve-drill-") as tmp:
+            return control_plane_drill(config, script,
+                                       kill_points=kill_points, workdir=tmp)
     config = config or demo_config()
     script = script or demo_traffic()
-    workdir = Path(workdir) if workdir is not None \
-        else Path(tempfile.mkdtemp(prefix="repro-serve-drill-"))
+    workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
     baseline_wal = workdir / "baseline.jsonl"

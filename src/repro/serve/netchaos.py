@@ -523,11 +523,18 @@ def network_drill(
     expects the cold restart to leave it unverified behind the anchor,
     the full audit to flag it, and no state damage.  Every cell
     asserts the module docstring's three invariants.  Deterministic in
-    ``seed``, end to end.
+    ``seed``, end to end.  Without a ``workdir`` the WALs go to a
+    temporary directory, removed before the report returns.
 
     >>> callable(network_drill)
     True
     """
+    if workdir is None:
+        with tempfile.TemporaryDirectory(
+                prefix="repro-serve-netchaos-") as tmp:
+            return network_drill(config, script, profiles=profiles,
+                                 seed=seed, segment_bytes=segment_bytes,
+                                 workdir=tmp)
     config = config or demo_config()
     script = script or demo_traffic()
     profiles = tuple(profiles) if profiles is not None \
@@ -538,8 +545,7 @@ def network_drill(
             f"unknown netchaos profiles {unknown}; "
             f"known: {tuple(NETCHAOS_PROFILES)}"
         )
-    workdir = Path(workdir) if workdir is not None \
-        else Path(tempfile.mkdtemp(prefix="repro-serve-netchaos-"))
+    workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     policy = BackoffPolicy(retries=12, base_delay=0.001,
                            max_delay=0.01, seed=seed)

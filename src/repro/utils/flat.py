@@ -11,16 +11,17 @@ becomes a handful of fused vector operations:
 * gradient synchronization is **one** all-reduce over the flat gradient
   buffer instead of P per-parameter calls;
 * optimizer updates run **vectorized kernels** over the whole arena (or a
-  prefix of it) instead of P ``step_param`` calls;
+  prefix of it) instead of P per-parameter updates;
 * the wait-free/layer-wise update semantics survive because the arena is
   laid out in *update order*: "the first k parameters were updated" is
   exactly the contiguous prefix ``data[:prefix_stop(k)]``, so a MID_UPDATE
   crash budget maps to a fused kernel over a prefix slice.
 
 Because every fused operation performs the same elementwise arithmetic, in
-the same order, with the same scalars as the per-parameter path, results
-are bitwise identical — the property the equivalence suite in
-``tests/test_flat.py`` and ``benchmarks/bench_step.py`` pins down.
+the same order, with the same scalars as a per-parameter update, results
+are bitwise identical to one — the property the equivalence suite in
+``tests/test_flat.py`` and ``benchmarks/bench_step.py`` pins down against
+the per-parameter reference in ``tests/optim_oracle.py``.
 
 :class:`FlatArena` bundles the three buffers one optimizer needs (params,
 grads, one buffer per slot tensor) in one object; adoption/sharing policy

@@ -6,6 +6,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from optim_oracle import EagerDataParallelEngine
 from repro.api import (
     ClusterSpec,
     DataSpec,
@@ -112,14 +113,17 @@ def make_dp_engine(
     seed: int = 7,
     lr: float = 0.05,
     opt_factory=None,
+    eager: bool = False,
 ) -> DataParallelEngine:
     """Small 2-machine data-parallel MLP setup used across tests
-    (SGD-momentum unless ``opt_factory(model)`` builds another)."""
+    (SGD-momentum unless ``opt_factory(model)`` builds another); ``eager``
+    builds the per-parameter reference engine of ``optim_oracle``."""
     cluster = cluster or Cluster(machines, devices_per_machine=num_workers // machines)
     per = num_workers // machines
     placement = [(m, d) for m in range(machines) for d in range(per)]
     task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
-    return DataParallelEngine(
+    engine_cls = EagerDataParallelEngine if eager else DataParallelEngine
+    return engine_cls(
         cluster,
         model_factory=lambda: make_mlp(8, 16, 4, seed=seed),
         opt_factory=opt_factory or (lambda m: SGDMomentum(

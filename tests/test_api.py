@@ -548,7 +548,6 @@ class TestFleetLowering:
         ("parallelism", "partition_sizes", (1, 1, 1, 6)),
         ("parallelism", "comm_time", 1e-3),
         ("parallelism", "virtual_stages", 1),
-        ("parallelism", "fused", False),
         ("fault_tolerance", "parallel_recovery_degree", 2),
         ("fault_tolerance", "replacement_join_time", 9.0),
         ("fault_tolerance", "checkpoint_at_start", False),

@@ -1,10 +1,12 @@
-"""Fused flat-buffer step: bitwise equivalence with the per-parameter path.
+"""Flat-buffer step: bitwise equivalence with the per-parameter reference.
 
-The flat arena (`repro.utils.flat`) promises that fused kernels, the fused
-all-reduce, and canonical-replica COW sharing are *bitwise* equivalent to
-the eager per-parameter path — including MID_UPDATE partial-update crash
-states and the update-undo / recovery flows that consume them.  This suite
-pins that contract for every optimizer and both engines.
+The flat arena (`repro.utils.flat`) promises that the optimizer kernels,
+the single all-reduce, and canonical-replica COW sharing are *bitwise*
+equivalent to a per-parameter update (`optim_oracle`: one all-reduce and
+one update per parameter per replica) — including MID_UPDATE
+partial-update crash states and the update-undo / recovery flows that
+consume them.  This suite pins that contract for every optimizer and both
+engines.
 """
 
 import numpy as np
@@ -12,11 +14,13 @@ import pytest
 
 from helpers import (assert_shared, assert_untouched, engine_snapshot,
                      make_dp_engine, make_pp_engine)
+from optim_oracle import eager_pipeline_steps, reference_step, reference_steps
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
 from repro.core.undo import resolve_dp_consistency
-from repro.errors import NotInvertibleError, ShapeError
+from repro.errors import ConfigurationError, NotInvertibleError, ShapeError
 from repro.models import make_mlp
+from repro.nn import Parameter
 from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, Optimizer, SGDMomentum
 from repro.utils import FlatBuffer, state_equal, state_nbytes
 
@@ -32,7 +36,7 @@ OPTIMIZERS = {
 
 
 def make_pair(opt_name, seed=3):
-    """Two identical (model, optimizer) pairs for eager-vs-fused runs."""
+    """Two identical (model, optimizer) pairs for reference-vs-flat runs."""
     pairs = []
     for _ in range(2):
         model = make_mlp(6, 10, 4, depth=3, seed=seed)
@@ -126,22 +130,22 @@ class TestFusedOptimizerKernels:
         for _ in range(5):
             set_grads(m_e, rng_e)
             set_grads(m_f, rng_f)
-            o_e.step(order)
+            reference_steps(o_e, order)
             o_f.step_flat(order=order)
             assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
         assert o_e.step_counts == o_f.step_counts
 
     @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
     def test_partial_prefix_bitwise(self, opt_name):
-        """MID_UPDATE budgets: fused prefix == eager prefix, keys included."""
+        """MID_UPDATE budgets: flat prefix == reference prefix, keys
+        included."""
         (m_e, o_e), (m_f, o_f) = make_pair(opt_name)
         order = [n for n, _ in m_e.named_parameters()][::-1]
         rng_e, rng_f = np.random.default_rng(2), np.random.default_rng(2)
         set_grads(m_e, rng_e)
         set_grads(m_f, rng_f)
         budget = 3
-        for name in order[:budget]:
-            o_e.step_param(name)
+        reference_steps(o_e, order, budget)
         names = o_f.step_flat(count=budget, order=order)
         assert names == order[:budget]
         # state-dict equality covers keys: slots exist only where stepped
@@ -149,7 +153,7 @@ class TestFusedOptimizerKernels:
         # a later full step crosses mixed step counts (uniform-t runs)
         set_grads(m_e, np.random.default_rng(4))
         set_grads(m_f, np.random.default_rng(4))
-        o_e.step(order)
+        reference_steps(o_e, order)
         o_f.step_flat(order=order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
 
@@ -161,8 +165,7 @@ class TestFusedOptimizerKernels:
         order = [n for n, _ in m_e.named_parameters()][::-1]
         set_grads(m_e, np.random.default_rng(5))
         set_grads(m_f, np.random.default_rng(5))
-        for name in order[:2]:
-            o_e.step_param(name)
+        reference_steps(o_e, order, 2)
         o_f.step_flat(count=2, order=order)
         o_e.undo(list(reversed(order[:2])))
         o_f.undo(list(reversed(order[:2])))
@@ -181,55 +184,67 @@ class TestFusedOptimizerKernels:
         grads = set_grads(m_e, np.random.default_rng(7))
         gbuf = FlatBuffer({n: m_f.param_shapes()[n] for n in order}, order)
         gbuf.pack(grads)
-        o_e.step(order)
+        reference_steps(o_e, order)
         o_f.step_flat(order=order, grads=gbuf.data)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
         with pytest.raises(ShapeError):
             o_f.step_flat(order=order, grads=np.zeros(3))
 
-    def test_fallback_without_kernel_honors_external_grads(self):
-        """Optimizers lacking a flat kernel still honor step_flat(grads=)
-        by scattering the flat vector into per-parameter grads."""
-        from repro.optim import Optimizer
+    @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
+    def test_a_retained_arena_creates_missing_slots_over_zeros(self, opt_name):
+        """A state without slots (an iteration-0 checkpoint) loaded into
+        an optimizer whose arena holds trained slots: the next step starts
+        those slots at zero, as a fresh optimizer does."""
+        (m_e, o_e), (m_f, o_f) = make_pair(opt_name)
+        order = [n for n, _ in m_e.named_parameters()][::-1]
+        initial = full_state(m_f, o_f)
+        for seed in (13, 14):
+            set_grads(m_f, np.random.default_rng(seed))
+            o_f.step_flat(order=order)
+        m_f.load_state_dict({k[6:]: v for k, v in initial.items()
+                             if k.startswith("model/")})
+        o_f.load_state_dict({k[6:]: v for k, v in initial.items()
+                             if k.startswith("optim/")})
+        set_grads(m_e, np.random.default_rng(15))
+        set_grads(m_f, np.random.default_rng(15))
+        reference_steps(o_e, order)
+        o_f.step_flat(order=order)
+        assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
 
-        class PlainSGD(Optimizer):
-            def _update(self, name, param, grad):
-                param.data -= self.lr * grad
-
-        model_a = make_mlp(6, 10, 4, depth=2, seed=3)
-        model_b = make_mlp(6, 10, 4, depth=2, seed=3)
-        opt_a, opt_b = PlainSGD(model_a, lr=0.1), PlainSGD(model_b, lr=0.1)
-        assert not PlainSGD.supports_flat()
-        order = [n for n, _ in model_a.named_parameters()][::-1]
-        grads = {n: np.random.default_rng(12).normal(size=s)
-                 for n, s in model_a.param_shapes().items()}
-        gbuf = FlatBuffer(model_a.param_shapes(), order)
-        gbuf.pack(grads)
-        for n, p in model_a.named_parameters():
-            p.grad = np.array(grads[n], copy=True)
-        opt_a.step(order)
-        opt_b.step_flat(order=order, grads=gbuf.data)
-        assert state_equal(full_state(model_a, opt_a),
-                           full_state(model_b, opt_b))
-        with pytest.raises(ShapeError):
-            opt_b.step_flat(order=order, grads=np.zeros(3))
+    def test_a_refused_lamb_step_matches_the_reference(self):
+        """lr * trust * weight_decay >= 1: both paths raise, and neither
+        moves the parameter, the step count or the journal."""
+        opts = []
+        for _ in range(2):
+            p = Parameter(np.array([1.0, 1.0]))
+            p.grad = np.array([-1.0, -1.0])
+            opts.append(LAMB([("p", p)], lr=1.0, weight_decay=2.0))
+        with pytest.raises(ConfigurationError):
+            reference_step(opts[0], "p")
+        with pytest.raises(ConfigurationError):
+            opts[1].step_flat()
+        for opt in opts:
+            assert np.array_equal(opt.params["p"].data, [1.0, 1.0])
+            assert opt.step_counts == {"p": 0}
+            assert opt.undo_journal == {"p": {}}
+        assert state_equal(opts[0].state_dict(), opts[1].state_dict())
 
     def test_rebinding_detaches_and_rebind_recovers(self):
-        """Out-of-place rebinds (undo, loads) detach; the next fused step
+        """Out-of-place rebinds (undo, loads) detach; the next flat step
         re-adopts and stays bitwise-correct."""
         (m_e, o_e), (m_f, o_f) = make_pair("adamw")
         order = [n for n, _ in m_e.named_parameters()][::-1]
         for rng_seed in (8, 9):
             set_grads(m_e, np.random.default_rng(rng_seed))
             set_grads(m_f, np.random.default_rng(rng_seed))
-            o_e.step(order)
+            reference_steps(o_e, order)
             o_f.step_flat(order=order)
         o_e.undo()
         o_f.undo()  # AdamW undo rebinds param.data out of the arena
         assert not o_f.flat_bound(order)
         set_grads(m_e, np.random.default_rng(10))
         set_grads(m_f, np.random.default_rng(10))
-        o_e.step(order)
+        reference_steps(o_e, order)
         o_f.step_flat(order=order)
         assert o_f.flat_bound(order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
@@ -249,10 +264,7 @@ class TestFusedOptimizerKernels:
 
 class TestFusedEngine:
     def engines(self, **kw):
-        fused = make_dp_engine(**kw)
-        eager = make_dp_engine(**kw)
-        eager.fused = False
-        return fused, eager
+        return make_dp_engine(**kw), make_dp_engine(eager=True, **kw)
 
     @staticmethod
     def states(eng):
@@ -341,8 +353,7 @@ class TestFusedEngine:
 
     def test_recovery_resumes_sharing_and_stays_bitwise(self):
         def run(fused_flag):
-            eng = make_dp_engine()
-            eng.fused = fused_flag
+            eng = make_dp_engine(eager=not fused_flag)
             trainer = SwiftTrainer(eng, TrainerConfig(checkpoint_interval=6))
             trainer.train(10, failures=FailureSchedule([
                 FailureEvent(1, 4, FailurePhase.MID_UPDATE, after_updates=2)
@@ -664,8 +675,7 @@ class TestFusedEngine:
     @pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
     @pytest.mark.parametrize("fused_flag", [True, False])
     def test_state_nbytes_counts_the_leaves_in_place(self, opt, fused_flag):
-        eng = make_dp_engine(opt_factory=OPTIMIZERS[opt])
-        eng.fused = fused_flag
+        eng = make_dp_engine(opt_factory=OPTIMIZERS[opt], eager=not fused_flag)
         for _ in range(2):
             eng.run_iteration()
         w = eng.alive_workers()[0]
@@ -676,13 +686,11 @@ class TestFusedEngine:
 class TestFusedPipelineReplay:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_replay_after_crash_end_states_bitwise(self, degree):
-        """Logging replay (incl. parallel recovery) with fused stage updates
+        """Logging replay (incl. parallel recovery) with flat stage updates
         must reproduce the per-parameter end states bitwise."""
 
-        def run(fused_updates):
+        def run():
             eng = make_pp_engine()
-            for stage in eng.stages:
-                stage.fused_updates = fused_updates
             trainer = SwiftTrainer(eng, TrainerConfig(
                 checkpoint_interval=6, parallel_recovery_degree=degree,
             ))
@@ -691,5 +699,7 @@ class TestFusedPipelineReplay:
             ))
             return {sid: s.full_state() for sid, s in enumerate(eng.stages)}
 
-        fused, eager = run(True), run(False)
+        fused = run()
+        with eager_pipeline_steps():
+            eager = run()
         assert all(state_equal(fused[s], eager[s]) for s in fused)

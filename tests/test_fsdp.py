@@ -155,6 +155,23 @@ class TestShardedRecovery:
         for k in ref:
             assert np.allclose(ref[k], got[k], atol=1e-8), k
 
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_a_budget_past_every_parameter_still_crashes(self, extra):
+        """MID_UPDATE with ``after_updates`` >= the parameter count: every
+        owner updates its whole shard, then the machine dies before any
+        re-mirroring, and recovery undoes every update."""
+        n = len(make_engine().plan.owner)
+        ref = self.reference_state(10)
+        eng, report = self.run_with_failure(
+            FailurePhase.MID_UPDATE, after_updates=n + extra, machine=0
+        )
+        assert report is not None and report.failed_machines == [0]
+        assert report.details["undone_params"] > 0
+        got = eng.workers[0].model.state_dict()
+        for k in ref:
+            assert np.allclose(ref[k], got[k], atol=1e-8), k
+        assert eng.mirrors_consistent()
+
     def test_mirrors_reestablished_after_recovery(self):
         eng, _ = self.run_with_failure(FailurePhase.FORWARD)
         assert eng.mirrors_consistent()

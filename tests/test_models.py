@@ -64,7 +64,7 @@ class TestWideResNet:
             lf = CrossEntropyLoss()
             losses.append(lf(model(x), y))
             model.backward(lf.backward())
-            opt.step()
+            opt.step_flat()
         assert losses[-1] < losses[0]
 
 
@@ -116,5 +116,5 @@ class TestBert:
             lf = CrossEntropyLoss()
             losses.append(lf(model(x), y))
             model.backward(lf.backward())
-            opt.step()
+            opt.step_flat()
         assert losses[-1] < losses[0] * 0.9

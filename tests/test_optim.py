@@ -43,7 +43,7 @@ def one_step(model, opt, x, y):
     lf = CrossEntropyLoss()
     loss = lf(model(x), y)
     model.backward(lf.backward())
-    opt.step()
+    opt.step_flat()
     return loss
 
 
@@ -59,23 +59,23 @@ class TestUpdates:
         p = Parameter(np.array([1.0, 2.0]))
         opt = SGD([("p", p)], lr=0.1, weight_decay=0.0)
         p.grad = np.array([0.5, -0.5])
-        opt.step()
+        opt.step_flat()
         assert np.allclose(p.data, [0.95, 2.05])
 
     def test_sgd_momentum_matches_closed_form(self):
         p = Parameter(np.array([1.0]))
         opt = SGDMomentum([("p", p)], lr=0.1, momentum=0.5, dampening=0.0)
         p.grad = np.array([1.0])
-        opt.step()  # m=1, x = 1 - 0.1 = 0.9
+        opt.step_flat()  # m=1, x = 1 - 0.1 = 0.9
         assert np.allclose(p.data, [0.9])
-        opt.step()  # m = 0.5 + 1 = 1.5, x = 0.9 - 0.15 = 0.75
+        opt.step_flat()  # m = 0.5 + 1 = 1.5, x = 0.9 - 0.15 = 0.75
         assert np.allclose(p.data, [0.75])
 
     def test_adam_bias_correction_first_step(self):
         p = Parameter(np.array([0.0]))
         opt = Adam([("p", p)], lr=0.1, betas=(0.9, 0.999), eps=0.0)
         p.grad = np.array([2.0])
-        opt.step()
+        opt.step_flat()
         # after bias correction the first step is ~lr * sign(g)
         assert np.allclose(p.data, [-0.1])
 
@@ -83,7 +83,7 @@ class TestUpdates:
         p = Parameter(np.array([0.0]))
         opt = SGD([("p", p)], lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step()
+            opt.step_flat()
 
     def test_skips_non_trainable_params(self):
         trainable = Parameter(np.zeros(2))
@@ -147,8 +147,7 @@ class TestUndo:
         model.backward(lf.backward())
         names = list(opt.params)
         updated = names[: len(names) // 2]
-        for n in updated:
-            opt.step_param(n)
+        opt.step_flat(count=len(updated))
         opt.undo(updated)
         for k in model_state_before:
             assert np.allclose(
@@ -167,7 +166,7 @@ class TestUndo:
         p = Parameter(np.array([1.0]))
         opt = SGD([("p", p)], lr=0.1)
         p.grad = np.array([1.0])
-        opt.step_param("p")
+        opt.step_flat()
         opt.lr = 0.5  # schedule moved on
         opt.undo_param("p")
         assert np.allclose(p.data, [1.0])
@@ -183,7 +182,7 @@ class TestUndo:
         p = Parameter(np.array([1.0]))
         opt = SGDMomentum([("p", p)], lr=0.1, momentum=0.0)
         p.grad = np.array([1.0])
-        opt.step_param("p")
+        opt.step_flat()
         opt.undo_param("p")
         assert np.allclose(p.data, [1.0])
 

@@ -38,6 +38,26 @@ class TestDataParallelEngine:
         eng = make_dp_engine()
         assert eng.replicas_consistent()
 
+    def test_a_model_with_buffers_is_refused_by_name(self):
+        """BatchNorm running statistics have no DP semantic yet (broadcast
+        or SyncBN): the engine names them instead of crashing in the
+        first all-reduce."""
+        from repro.models import make_wide_resnet
+
+        buffers = [n for n, p in make_wide_resnet(3, 4).named_parameters()
+                   if not p.requires_grad]
+        assert len(buffers) == 14
+        with pytest.raises(ConfigurationError) as err:
+            DataParallelEngine(
+                Cluster(2, devices_per_machine=1),
+                model_factory=lambda: make_wide_resnet(3, 4),
+                opt_factory=lambda m: SGDMomentum(m, lr=0.05),
+                loss_factory=CrossEntropyLoss,
+                task=ImageTask(num_classes=3, image_size=8, batch_size=4),
+                placement=[(0, 0), (1, 0)],
+            )
+        assert all(name in str(err.value) for name in buffers)
+
     def test_replicas_stay_identical(self):
         eng = make_dp_engine()
         for _ in range(5):
@@ -64,7 +84,7 @@ class TestDataParallelEngine:
             ref_model.backward(lf.backward())
             # shard-mean of shard-gradients == full-batch gradient here
             # because shards are equal-sized
-            ref_opt.step()
+            ref_opt.step_flat()
         a = eng.workers[0].model.state_dict()
         b = ref_model.state_dict()
         for k in a:
@@ -146,7 +166,7 @@ class TestPipelineEngine:
                 lf = CrossEntropyLoss()
                 lf(ref_model(xs[mb]), ys[mb])
                 ref_model.backward(lf.backward() / 4)
-            ref_opt.step()
+            ref_opt.step_flat()
         ref = ref_model.state_dict()
         # map stage-local layer indices back to model-global indices
         offsets = [0, 2, 4, 6]  # cumulative partition sizes [2,2,2,1]
@@ -257,7 +277,7 @@ class TestStashedLayerCaches:
                 loss = CrossEntropyLoss()
                 loss(ref(xb), yb)
                 ref.backward(loss.backward() / m)
-            ref_opt.step()
+            ref_opt.step_flat()
         want = ref.state_dict()
         for stage, offset in zip(eng.stages, (0, partition[0])):
             for key, value in stage.module.state_dict().items():

@@ -140,10 +140,7 @@ def sequential_oracle(m: int, iterations: int, *, depth: int = DEPTH):
             loss_fn = CrossEntropyLoss()
             mb_losses.append(loss_fn(out, ys[mb]))
             model.backward(loss_fn.backward() / m)
-        if type(opt).supports_flat():
-            opt.step_flat()
-        else:
-            opt.step()
+        opt.step_flat()
         losses.append(float(np.mean(mb_losses)))
     params = [np.array(p.data, copy=True)
               for _, p in model.named_parameters()]

@@ -43,7 +43,7 @@ def roundtrip(opt_cls, kwargs, x0, grads, atol):
     ckpt_state = None
     for i, g in enumerate(grads):
         p.grad = g.copy()
-        opt.step_param("p")
+        opt.step_flat()
         if i == len(grads) - 2:
             checkpoint = p.data.copy()
             ckpt_state = {k: v.copy() for k, v in opt.state_dict().items()}
@@ -110,7 +110,7 @@ def test_undo_respects_lr_schedule(data, lrs):
     p = Parameter(x0.copy())
     opt = SGD([("p", p)], lr=lrs[0])
     p.grad = grads[0].copy()
-    opt.step_param("p")
+    opt.step_flat()
     opt.lr = lrs[1]
     opt.undo_param("p")
     assert np.allclose(p.data, x0, atol=1e-9)
@@ -127,7 +127,7 @@ def test_partial_undo_is_per_parameter(data, split):
     for g in grads:
         for n in names:
             params[n].grad = g.copy()
-            opt.step_param(n)
+        opt.step_flat()
     after = {n: params[n].data.copy() for n in names}
     undone = names[:split]
     opt.undo(undone)

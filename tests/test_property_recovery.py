@@ -182,8 +182,8 @@ def test_dp_recovery_always_exact(optimizer, iteration, first, second, ckpt):
         failures.append((iteration + second[0], second[1]))
 
     def run(fused):
-        eng = make_dp_engine(opt_factory=DP_OPTIMIZERS[optimizer])
-        eng.fused = fused
+        eng = make_dp_engine(opt_factory=DP_OPTIMIZERS[optimizer],
+                             eager=not fused)
         trainer = SwiftTrainer(eng, TrainerConfig(checkpoint_interval=ckpt))
         for at, (machine, phase, after_updates, offset) in failures:
             while eng.iteration < at:

@@ -24,6 +24,18 @@ import repro
 PACKAGE_DIR = Path(repro.__file__).parent
 
 
+@functools.cache
+def package_sources() -> dict[str, tuple[str, ast.Module]]:
+    """Every ``src/repro`` file's text and parse tree, keyed by its path
+    under the package: the one parse every census below reads."""
+    sources = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        text = path.read_text()
+        sources[path.relative_to(PACKAGE_DIR).as_posix()] = (
+            text, ast.parse(text))
+    return sources
+
+
 def iter_module_names():
     yield "repro"
     for mod in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -95,14 +107,14 @@ def test_one_run_path_constructor_census():
         "ShardedReplicationRecovery": {"core/policies.py"},
     }
     called = {name: set() for name in home}
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for where, (_, tree) in package_sources().items():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
             if name in home:
-                called[name].add(path.relative_to(PACKAGE_DIR).as_posix())
+                called[name].add(where)
     # the replication policy picks its mechanism class and calls it
     # through a local, so that one has no direct call site
     assert not called.pop("ShardedReplicationRecovery") - {"core/policies.py"}
@@ -126,9 +138,8 @@ def test_one_pipeline_interpreter_census():
     reads_ops = {interpreter, "parallel/instructions.py",
                  "parallel/programs.py", "parallel/schedules.py"}
     stage_calls, op_dispatch = set(), set()
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        where = path.relative_to(PACKAGE_DIR).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
+    for where, (_, tree) in package_sources().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(
                     node.func, "attr", None) in ("forward_mb", "backward_mb"):
                 stage_calls.add(where)
@@ -143,15 +154,14 @@ def test_one_pipeline_interpreter_census():
     # a backward restores its forward's stashed layer caches; it calls
     # no module (that would be the deleted second forward)
     [backward_mb] = [
-        node for node in ast.walk(ast.parse(
-            (PACKAGE_DIR / interpreter).read_text()))
+        node for node in ast.walk(package_sources()[interpreter][1])
         if isinstance(node, ast.FunctionDef) and node.name == "backward_mb"]
     calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
              for node in ast.walk(backward_mb) if isinstance(node, ast.Call)}
     assert calls == {"pop", "restore_caches", "backward"}
     # the bans the second interpreter needed are gone with it, and so is
     # the 'auto' exception that kept interleaved pipelines off the log
-    source = "".join(p.read_text() for p in PACKAGE_DIR.rglob("*.py"))
+    source = "".join(text for text, _ in package_sources().values())
     for banned in ("logging_interleaved", "cannot replay interleaved",
                    "contiguous stage", "'auto' keeps checkpoints there"):
         assert banned not in source, banned
@@ -175,11 +185,10 @@ def test_one_restore_contract_census():
     }
     engines = {"DataParallelEngine", "PipelineEngine", "FSDPEngine"}
     built = {name: set() for name in holder_home}
-    type_forks, sources = set(), {}
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        where = path.relative_to(PACKAGE_DIR).as_posix()
-        sources[where] = path.read_text()
-        for node in ast.walk(ast.parse(sources[where])):
+    type_forks = set()
+    sources = {where: text for where, (text, _) in package_sources().items()}
+    for where, (_, tree) in package_sources().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "is_pipeline":
                 type_forks.add(where)
             if not isinstance(node, ast.Call):
@@ -221,9 +230,8 @@ def test_one_pricer_census():
     decompositions = {n for n in vars(CostModel) if n.startswith("recovery_")}
     assert decompositions  # the Figure 9/10 decompositions stay
     defined, decomposed = set(), set()
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        where = path.relative_to(PACKAGE_DIR).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
+    for where, (_, tree) in package_sources().items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name.lstrip("_") in ("recovery_seconds",
                                                   "per_iteration_overhead"):
@@ -259,12 +267,10 @@ def test_one_set_of_recovery_constants_census():
     resolvers = {"resolve_dp_consistency", "resolve_pipeline_consistency"}
     defined, join_defaults, deleted = [], set(), set()
     detection_fields, undo_charges = set(), {}
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        where = path.relative_to(PACKAGE_DIR).as_posix()
-        source = path.read_text()
+    for where, (source, tree) in package_sources().items():
         for knob in knobs:
             assert knob not in source, (where, knob)
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             pairs = []
             if isinstance(node, ast.Assign):
                 defined += [(where, t.id) for t in node.targets
@@ -317,10 +323,10 @@ def test_one_set_of_recovery_constants_census():
         "core/replication.py:recover": True,
         "core/sharded_recovery.py:recover": True,
     }
-    costmodel = (PACKAGE_DIR / "sim" / "costmodel.py").read_text()
+    costmodel = package_sources()["sim/costmodel.py"][0]
     assert all(name in costmodel for name in constants)
     assert not deleted
-    space = ast.parse((PACKAGE_DIR / "plan" / "space.py").read_text())
+    space = package_sources()["plan/space.py"][1]
     assert not [node.module for node in ast.walk(space)
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "repro.api.experiment"]
@@ -357,13 +363,10 @@ def test_one_placement_core_census():
                    for n in ast.walk(node))
 
     found = {"failure_key": set(), "hand_out": set()}
-    for path in sorted(PACKAGE_DIR.rglob("*.py")):
-        where = path.relative_to(PACKAGE_DIR).as_posix()
-        source = path.read_text()
+    for where, (source, tree) in package_sources().items():
         for name in ("JobQueue", "FleetWalMirror", "placement_diff",
                      "lease_log"):
             assert name not in source, (where, name)
-        tree = ast.parse(source)
         imported = [alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names]
         imported += [("." * node.level) + (node.module or "")
@@ -381,6 +384,32 @@ def test_one_placement_core_census():
                 if matches(node):
                     found[kind].add(where)
     assert found == {kind: {"jobs/placement.py"} for kind in found}
+
+
+def test_one_update_kernel_census():
+    """Every optimizer update runs through ``Optimizer.step_flat``.
+
+    Each rule is written once, as its flat kernel: the per-parameter copy
+    (``_update``), its entry points (``step_param``, ``Optimizer.step``),
+    the ``supports_flat`` probe and the switches that chose between the
+    two paths (``ParallelismSpec.fused``, ``DataParallelEngine(fused=)``,
+    ``PipelineStage.fused_updates``) stay deleted.  The per-parameter
+    reference lives in ``tests/optim_oracle.py``.
+    """
+    banned = {"_update", "step_param", "supports_flat"}
+    switches = {"fused", "fused_updates"}
+    found = set()
+    for where, (_, tree) in package_sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name in banned
+                    or where.startswith("optim/") and node.name == "step"):
+                found.add(f"{where}: def {node.name}")
+            name = (getattr(node, "arg", None) or getattr(node, "attr", None)
+                    or getattr(node, "id", None))
+            if name in switches:
+                found.add(f"{where}: {name}")
+    assert not found
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -414,14 +443,13 @@ class _ImportGraph:
     followed to its source and never counts as a use of its own."""
 
     def __init__(self):
-        src = REPO_ROOT / "src"
         self.trees, self.packages = {}, set()
-        for path in sorted((src / "repro").rglob("*.py")):
-            parts = path.relative_to(src).with_suffix("").parts
+        for where, (_, tree) in package_sources().items():
+            parts = ("repro",) + Path(where).with_suffix("").parts
             if parts[-1] == "__init__":
                 parts = parts[:-1]
                 self.packages.add(".".join(parts))
-            self.trees[".".join(parts)] = ast.parse(path.read_text())
+            self.trees[".".join(parts)] = tree
         #: module -> {bound name: (source module, name there)}
         self.bindings = {
             module: {alias.asname or alias.name:

@@ -389,6 +389,14 @@ class TestControlPlaneDrill:
     def test_every_kill_point_survives_a_second_restart(self, report):
         assert all(r.reopen_equal for r in report.results)
 
+    def test_a_drill_without_workdir_leaves_no_directory(
+            self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert control_plane_drill(kill_points=1).passed
+        assert list(tmp_path.iterdir()) == []
+
     def test_drill_under_shrink_traffic(self, tmp_path):
         script = synthetic_traffic(
             "priority-mixed", num_jobs=8, num_machines=6,

@@ -55,6 +55,14 @@ class TestNetChaosConfig:
         with pytest.raises(ConfigurationError, match="unknown netchaos"):
             network_drill(profiles=("not-a-profile",))
 
+    def test_a_drill_without_workdir_leaves_no_directory(
+            self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert network_drill(profiles=()).passed
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFaultyTransportDeterminism:
     def faulted_run(self, tmp_path, tag, seed):
