@@ -190,20 +190,16 @@ def cmd_fig8(args: argparse.Namespace) -> int:
     scenario_col = ""
     goodput_by_method: dict[str, float] = {}
     if args.scenario:
-        try:
-            # several fig8 columns share one analytic method (the group
-            # count does not change the cost-model pricing): evaluate
-            # each method once
-            for method in {_FIG8_METHODS[n] for n in timelines}:
-                results = evaluate_scenario(
-                    args.scenario, workload, method, seeds=range(args.seeds),
-                )
-                goodput_by_method[method] = (
-                    sum(r.goodput_fraction for r in results) / len(results)
-                )
-        except ConfigurationError as exc:
-            print(f"fig8: {exc}", file=sys.stderr)
-            return 2
+        # several fig8 columns share one analytic method (the group
+        # count does not change the cost-model pricing): evaluate each
+        # method once
+        for method in {_FIG8_METHODS[n] for n in timelines}:
+            results = evaluate_scenario(
+                args.scenario, workload, method, seeds=range(args.seeds),
+            )
+            goodput_by_method[method] = (
+                sum(r.goodput_fraction for r in results) / len(results)
+            )
         scenario_col = f" {'goodput@' + args.scenario:>22}"
     print(f"{'method':<20} {'throughput':>11} {'recovery':>9}{scenario_col}")
     for name, tl in timelines.items():
@@ -224,15 +220,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     workload = _WORKLOAD_ALIASES[args.workload]
-    try:
-        plan = plan_workload(
-            workload,
-            log_budget_bytes=args.budget_gb * GB,
-            checkpoint_interval=args.ckpt_interval,
-        )
-    except ConfigurationError as exc:
-        print(f"plan: {exc}", file=sys.stderr)
-        return 2
+    plan = plan_workload(
+        workload,
+        log_budget_bytes=args.budget_gb * GB,
+        checkpoint_interval=args.ckpt_interval,
+    )
     if plan.strategy is not FTStrategy.LOGGING:
         print("selective logging applies to pipeline-parallel workloads",
               file=sys.stderr)
@@ -279,9 +271,6 @@ def _plan_optimize(args: argparse.Namespace) -> int:
         # the grid had no survivors: a data problem, not a usage error
         print(f"plan: {exc}", file=sys.stderr)
         return 1
-    except ConfigurationError as exc:
-        print(f"plan: {exc}", file=sys.stderr)
-        return 2
     print(report.to_json() if args.json else report.describe())
     return 0
 
@@ -329,15 +318,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
               f"peak in-flight {list(check.peak_in_flight)}")
         return 0
     # --dump NAME
-    try:
-        v = args.virtual_stages or default_virtual_stages(args.dump)
-        program = build_program(
-            args.dump, args.num_stages, args.num_microbatches, v
-        )
-        verify_program(program)
-    except ConfigurationError as exc:
-        print(f"schedule: {exc}", file=sys.stderr)
-        return 2
+    v = args.virtual_stages or default_virtual_stages(args.dump)
+    program = build_program(
+        args.dump, args.num_stages, args.num_microbatches, v
+    )
+    verify_program(program)
     text = program.to_jsonl()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -393,9 +378,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             recorder=recorder,
         )
         report = sim.run()
-    except ConfigurationError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
     finally:
         if sink is not None:
             sink.close()
@@ -526,11 +508,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("chaos: pass --scenario NAME, --trace FILE, or --list",
               file=sys.stderr)
         return 2
-    try:
-        spec = get_scenario(args.scenario)
-    except ConfigurationError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
+    spec = get_scenario(args.scenario)
 
     out_dir = Path(args.out)
     print(f"scenario {spec.name!r}: {spec.description}")
@@ -764,20 +742,16 @@ def _serve_fleet_demo(args: argparse.Namespace) -> int:
     machines = args.machines if args.machines else 6
     devices = args.devices if args.devices else 4
     specs, failures = demo_fleet_specs(args.iterations)
-    wal = WriteAheadLog(path, fsync=not args.no_fsync,
-                        meta={"service": "repro.sim.fleet"})
+    sim = FleetSimulator(specs, num_machines=machines,
+                         devices_per_machine=devices,
+                         num_spares=args.spares, failures=failures)
+    # opened once the geometry is known good: a refused run writes no WAL
+    sim.wal = WriteAheadLog(path, fsync=not args.no_fsync,
+                            meta={"service": "repro.sim.fleet"})
     try:
-        sim = FleetSimulator(
-            specs,
-            num_machines=machines,
-            devices_per_machine=devices,
-            num_spares=args.spares,
-            failures=failures,
-            wal=wal,
-        )
         report = sim.run()
     finally:
-        wal.close()
+        sim.wal.close()
     state = ServeState.replay(WriteAheadLog.load_events(path))
     mismatches = []
     if state.round != report.rounds:
@@ -819,8 +793,9 @@ def _serve_listen(args: argparse.Namespace) -> int:
               "makes a SIGKILL survivable)", file=sys.stderr)
         return 2
     wal = Path(args.wal)
+    config = _serve_config(args, wal)
     try:
-        server = ServeServer(wal, _serve_config(args, wal),
+        server = ServeServer(wal, config,
                              fsync=not args.no_fsync,
                              segment_bytes=args.segment_bytes)
     except (OSError, ConfigurationError) as exc:
@@ -866,11 +841,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(report.format_table())
         return 0 if report.passed else 1
     if args.drill:
-        try:
-            report = control_plane_drill(kill_points=args.kill_points)
-        except ConfigurationError as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
+        report = control_plane_drill(kill_points=args.kill_points)
         print(f"control-plane crash drill: SIGKILL at "
               f"{len(report.results)} WAL offsets "
               f"(next line left out / torn mid-line / whole without "
@@ -1080,7 +1051,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigurationError as exc:
+        # a usage error: one line and exit 2, never a traceback; data
+        # problems are caught where they are read and exit 1
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ story:
   (failure-aware spread, elastic preemption, restoration order,
   head-of-line), shared with the serve control plane;
 * :class:`SparePool` — hot spares leased to recoveries and reclaimed
-  after repair;
+  after repair: the one lease/repair/reclaim state machine, which the
+  serve fold (:class:`repro.serve.ServeState`) runs too;
 * :class:`Scheduler` — applies that policy to a live cluster, routes
   machine failures to owning jobs, and logs every transition it takes
   in the serve WAL vocabulary.

@@ -18,7 +18,10 @@ plane decides with; the scheduler applies it to a live :class:`Cluster`:
   slot on that machine; each runs its own Swift recovery while all other
   jobs keep running.  Each crash consumes one spare from the
   :class:`SparePool`; with the pool empty the affected jobs block until a
-  repair reclaims capacity.
+  repair reclaims capacity.  The pool is the same state machine the serve
+  fold runs; the scheduler applies its ``Cluster`` side effects — the
+  spares' slots stay reserved, a spare that dies in the pool fails, a
+  reclaimed machine is replaced — and counts the leases.
 * **Its own log.**  Every transition is appended to ``events`` in the
   serve WAL vocabulary at the moment it is taken, so the fleet's WAL is
   written by the code that decided.
@@ -39,13 +42,23 @@ from repro.jobs.spec import Job, JobState
 
 __all__ = ["Scheduler"]
 
+#: owner tag holding the spares' slots, so no gang is placed on them
+SPARE_OWNER = "spare-pool"
+
 
 class Scheduler:
     """Multiplexes :class:`Job` gangs onto one shared :class:`Cluster`."""
 
     def __init__(self, cluster: Cluster, spares: SparePool | None = None):
         self.cluster = cluster
+        #: hot spares; ``None`` means replacements appear by fiat
         self.spares = spares
+        #: spares leased to recoveries (cumulative)
+        self.spare_leases = 0
+        for m in spares.spares if spares is not None else ():
+            cluster.reserve_slots(
+                [(m, d) for d in range(len(cluster.machine(m).devices))],
+                SPARE_OWNER)
         #: queued jobs in submission order; :func:`head_of_line` picks
         self.queue: list[Job] = []
         self.jobs: dict[str, Job] = {}
@@ -187,10 +200,12 @@ class Scheduler:
                             "spare": is_spare})
         if not owners:
             # idle machine: either a spare or genuinely free capacity
-            if is_spare:
-                self.spares.fail_spare(machine_id)
-            else:
+            # (a spare in repair is already out of the pool: its timer
+            # restarts, the cluster machine stays as it is)
+            if not is_spare or machine_id in self.spares.spares:
                 self.cluster.fail_machine(machine_id)
+            if is_spare:
+                self.spares.crash(machine_id)
             return []
         if machine_id in self._leased_pending:
             spare = 0  # this machine's replacement is already secured
@@ -256,14 +271,24 @@ class Scheduler:
             self._drop_leases(machines)
         return resumed
 
+    def reclaim(self, machine_id: int) -> None:
+        """A repair is done: the machine rejoins the pool as a spare."""
+        self.spares.reclaim(machine_id)
+        if not self.cluster.machine(machine_id).alive:
+            self.cluster.replace_machine(machine_id)
+        self._log("reclaim", {"machine": machine_id})
+
     def _lease(self, machine_id: int) -> int | None:
         """One spare for a broken machine: its id, ``None`` with the pool
         empty, ``0`` with no pool (replacements appear by fiat)."""
         if self.spares is None:
             return 0
-        spare = self.spares.lease(machine_id)
-        if spare is not None:
-            self._log("lease", {"machine": machine_id, "spare": spare})
+        if not self.spares.spares:
+            return None
+        spare = self.spares.spares[0]
+        self.spares.lease(spare)
+        self.spare_leases += 1
+        self._log("lease", {"machine": machine_id, "spare": spare})
         return spare
 
     def _drop_leases(self, machines: set[int]) -> None:

@@ -1,128 +1,119 @@
-"""Spare-machine pool: replacement capacity for failure recovery.
+"""Spare-machine pool: the one lease/repair/reclaim state machine.
 
 The paper assumes "a replacement machine will be added to the training
-job" after a crash (Section 3) — on a dedicated cluster that replacement
-appears by fiat.  On a *shared* cluster, replacements come from a finite
-pool of hot spares the operator keeps idle:
+job" after a crash (Section 3).  On a shared cluster replacements come
+from a finite pool of hot spares, held here as two plain lists.  The
+serve fold (:class:`~repro.serve.ServeState`) and the fleet
+:class:`~repro.jobs.Scheduler` both run it; the scheduler applies the
+``Cluster`` side effects itself.
 
-* the pool reserves whole machines in the cluster's slot ledger so the
-  scheduler never places job gangs on them;
-* when a machine hosting jobs fails, the scheduler *leases* one spare —
-  conceptually the spare's hardware slides into the failed slot (the
-  simulation keeps machine ids stable, matching
-  :meth:`Cluster.replace_machine`), and the broken hardware goes to
-  repair;
-* after ``repair_ticks`` scheduler rounds the repaired hardware returns
-  to the pool as the new spare (reclaim), restoring capacity;
-* an empty pool blocks recovery: affected jobs sit in ``BLOCKED`` state
-  until a repair completes.
+* A *lease* slides a named spare's hardware into the failed machine's id
+  (job slots stay stable); the broken hardware repairs under the spare's
+  id for ``repair_ticks`` rounds.  An empty pool blocks recovery.
+* A crash on a pool spare sends it to repair; a crash on a spare in
+  repair restarts its timer.
+* Every countdown decrements when a round ends (:meth:`end_round`); a
+  :meth:`due` repair is reclaimed at the start of the next round.
+
+:func:`spare_ids` and :func:`check_repair_ticks` validate a control
+plane's geometry where its configuration comes in.
 """
 
 from __future__ import annotations
 
-from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError
 
-__all__ = ["SparePool"]
+__all__ = ["SparePool", "spare_ids", "check_repair_ticks"]
 
-SPARE_OWNER = "spare-pool"
+
+def spare_ids(num_machines: int, num_spares: int) -> list[int]:
+    """The hot spares of a ``num_machines`` cluster: its highest ids.
+
+    >>> spare_ids(6, 2)
+    [4, 5]
+    >>> spare_ids(4, 4)
+    Traceback (most recent call last):
+    ...
+    repro.errors.ConfigurationError: num_spares must be in 0..3, got 4
+    """
+    if not 0 <= num_spares < num_machines:
+        raise ConfigurationError(
+            f"num_spares must be in 0..{num_machines - 1}, got {num_spares}")
+    return list(range(num_machines - num_spares, num_machines))
+
+
+def check_repair_ticks(repair_ticks: int) -> None:
+    if repair_ticks < 1:
+        raise ConfigurationError(
+            f"repair_ticks must be >= 1, got {repair_ticks}")
 
 
 class SparePool:
-    """Manages the hot-spare machines of a shared cluster."""
+    """The hot spares and the machines in repair (see module docstring).
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        machine_ids: list[int],
-        repair_ticks: int = 5,
-    ):
-        if repair_ticks < 1:
-            raise ConfigurationError("repair_ticks must be >= 1")
-        seen = set()
-        for m in machine_ids:
-            if m in seen:
-                raise ConfigurationError(f"duplicate spare machine {m}")
-            seen.add(m)
-        self.cluster = cluster
+    >>> pool = SparePool([3], repair_ticks=2)
+    >>> pool.lease(3)                   # 3's hardware replaces a dead machine
+    >>> pool.spares, pool.repairing
+    ([], [[3, 2]])
+    >>> pool.end_round(); pool.due()
+    []
+    >>> pool.end_round(); pool.due()
+    [3]
+    >>> pool.reclaim(3); pool.spares
+    [3]
+    """
+
+    def __init__(self, spares: list[int], repair_ticks: int = 5):
+        check_repair_ticks(repair_ticks)
+        if len(set(spares)) != len(spares):
+            raise ConfigurationError(f"duplicate spare machine in {spares}")
+        self.spares = list(spares)
+        #: broken hardware being repaired: ``[machine, ticks_left]``
+        self.repairing: list[list[int]] = []
         self.repair_ticks = repair_ticks
-        self._available: list[int] = list(machine_ids)
-        #: broken hardware being repaired: [machine_id, ticks_remaining]
-        self._repairing: list[list[int]] = []
-        self.total_leases = 0
-        # keep the scheduler off the spares
-        for m in machine_ids:
-            slots = [(m, d) for d in range(len(cluster.machine(m).devices))]
-            cluster.reserve_slots(slots, SPARE_OWNER)
 
-    # -- queries ------------------------------------------------------------
-    @property
-    def available(self) -> int:
-        return len(self._available)
+    @classmethod
+    def restore(cls, spares: list[int], repairing: list[list[int]],
+                repair_ticks: int) -> "SparePool":
+        """The pool a log or snapshot describes, unchecked: a fold
+        trusts what it folds."""
+        pool = cls.__new__(cls)
+        pool.spares = [int(m) for m in spares]
+        pool.repairing = [[int(m), int(t)] for m, t in repairing]
+        pool.repair_ticks = repair_ticks
+        return pool
 
-    @property
-    def repairing(self) -> int:
-        return len(self._repairing)
+    def is_spare(self, machine: int) -> bool:
+        """In the pool or in repair."""
+        return machine in self.spares or any(
+            m == machine for m, _ in self.repairing)
 
-    def is_spare(self, machine_id: int) -> bool:
-        return machine_id in self._available or any(
-            machine_id == entry[0] for entry in self._repairing
-        )
+    def due(self) -> list[int]:
+        """Machines whose repair is done, in the order they went in."""
+        return [m for m, ticks in self.repairing if ticks <= 0]
 
-    # -- lease / reclaim ----------------------------------------------------
-    def lease(self, failed_machine_id: int) -> int | None:
-        """Hand a spare to a recovery; ``None`` if the pool is empty.
+    def lease(self, spare: int) -> None:
+        self.spares.remove(spare)
+        self.repairing.append([spare, self.repair_ticks])
 
-        The spare's hardware takes over the failed slot (ids stay stable);
-        the failed slot's broken hardware enters repair and will come back
-        as the new spare under the leased id.
-        """
-        if not self._available:
-            return None
-        spare = self._available.pop(0)
-        self._repairing.append([spare, self.repair_ticks])
-        self.total_leases += 1
-        return spare
-
-    def fail_spare(self, machine_id: int) -> None:
-        """A failure hit an idle spare itself: repair it, no job affected.
-
-        A spare already in repair can fail "again" (the slot's hardware is
-        flaky); the repair timer simply restarts.
-        """
-        if machine_id in self._available:
-            self._available.remove(machine_id)
-            self.cluster.fail_machine(machine_id)
-            self._repairing.append([machine_id, self.repair_ticks])
+    def crash(self, machine: int) -> None:
+        """No-op for a machine outside the pool."""
+        if machine in self.spares:
+            self.lease(machine)  # it repairs under its own id
             return
-        for entry in self._repairing:
-            if entry[0] == machine_id:
+        for entry in self.repairing:
+            if entry[0] == machine:
                 entry[1] = self.repair_ticks
-                return
-        raise ConfigurationError(f"machine {machine_id} is not a spare")
 
-    def tick(self) -> list[int]:
-        """Advance repairs one round; returns machine ids reclaimed."""
-        for entry in self._repairing:
+    def end_round(self) -> None:
+        for entry in self.repairing:
             entry[1] -= 1
-        return self._collect_done()
 
-    def reclaim_now(self, machine_id: int) -> None:
-        """Finish a repair immediately (test/operator hook)."""
-        for entry in self._repairing:
-            if entry[0] == machine_id:
-                entry[1] = 0
-                self._collect_done()
-                return
-        raise ConfigurationError(f"machine {machine_id} is not in repair")
+    def reclaim(self, machine: int) -> None:
+        """Repaired hardware returns to the pool as the newest spare."""
+        self.repairing = [e for e in self.repairing if e[0] != machine]
+        self.spares.append(machine)
 
-    def _collect_done(self) -> list[int]:
-        reclaimed: list[int] = []
-        for entry in [e for e in self._repairing if e[1] <= 0]:
-            self._repairing.remove(entry)
-            machine_id = entry[0]
-            if not self.cluster.machine(machine_id).alive:
-                self.cluster.replace_machine(machine_id)
-            self._available.append(machine_id)
-            reclaimed.append(machine_id)
-        return reclaimed
+    def retire(self, machine: int) -> None:
+        if machine in self.spares:
+            self.spares.remove(machine)

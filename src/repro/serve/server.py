@@ -18,11 +18,13 @@ Gang placement is the fleet scheduler's own policy, through the same
 pure functions of :mod:`repro.jobs.placement`: failure-aware spread,
 priority preemption of elastic jobs, restoration once the queue is
 empty, and a head of line chosen by weighted fair share across tenants.
-Spare-machine leases follow :class:`~repro.jobs.SparePool`, repair
-delays included.  Admission control enforces per-tenant worker quotas
-and pending caps; when the cluster shrinks (``retire``) the queue is
-gracefully degraded by shedding jobs that can never fit — lowest tenant
-priority first — instead of deadlocking the head of the queue.
+Spare-machine leases and reclaims are decided from the queries of the
+state's :class:`~repro.jobs.SparePool` — the pool the fleet scheduler
+runs — and folded back into it.  Admission control enforces per-tenant
+worker quotas and pending caps; when the cluster shrinks (``retire``)
+the queue is gracefully degraded by shedding jobs that can never fit —
+lowest tenant priority first — instead of deadlocking the head of the
+queue.
 
 Checkpoint-storage writes (periodic state snapshots to the
 :class:`~repro.cluster.GlobalStore`) ride through outage windows via
@@ -44,6 +46,7 @@ from repro.jobs.placement import (
     restoration_order,
     spread,
 )
+from repro.jobs.spare import check_repair_ticks, spare_ids
 from repro.jobs.spec import JobSpec
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.serve.retry import BackoffPolicy, retry_call
@@ -118,22 +121,14 @@ class ServeConfig:
     storage_policy: BackoffPolicy = field(default_factory=BackoffPolicy)
 
     def __post_init__(self) -> None:
-        if self.num_machines < 1:
-            raise ConfigurationError("num_machines must be >= 1")
-        if self.num_spares >= self.num_machines:
-            raise ConfigurationError("num_spares must leave machines over")
+        spare_ids(self.num_machines, self.num_spares)
+        check_repair_ticks(self.repair_ticks)
         if self.snapshot_interval < 1:
             raise ConfigurationError("snapshot_interval must be >= 1")
 
     @property
     def schedulable_machines(self) -> int:
         return self.num_machines - self.num_spares
-
-    @property
-    def spare_ids(self) -> list[int]:
-        """Spares take the highest machine ids, like the fleet layer."""
-        return list(range(self.num_machines - self.num_spares,
-                          self.num_machines))
 
 
 class ServeServer:
@@ -188,8 +183,8 @@ class ServeServer:
             self.config = ServeConfig(
                 num_machines=cfg["num_machines"],
                 devices_per_machine=cfg["devices_per_machine"],
-                num_spares=len(self.state.spares)
-                + len(self.state.repairing),
+                num_spares=len(self.state.pool.spares)
+                + len(self.state.pool.repairing),
                 repair_ticks=cfg["repair_ticks"],
                 iteration_time=cfg["iteration_time"],
                 idle_time=cfg["idle_time"],
@@ -202,7 +197,8 @@ class ServeServer:
             self._log("init", {
                 "num_machines": self.config.num_machines,
                 "devices_per_machine": self.config.devices_per_machine,
-                "spares": self.config.spare_ids,
+                "spares": spare_ids(self.config.num_machines,
+                                    self.config.num_spares),
                 "repair_ticks": self.config.repair_ticks,
                 "iteration_time": self.config.iteration_time,
                 "idle_time": self.config.idle_time,
@@ -301,10 +297,11 @@ class ServeServer:
             raise ConfigurationError(f"unknown machine {machine}")
         if tag and tag in self.state.failure_tags:
             return False
-        in_repair = any(m == machine for m, _ in self.state.repairing)
-        if not self.state.machines[machine]["alive"] and not in_repair:
+        # a spare that died in the pool is down but can fail again: its
+        # repair restarts
+        is_spare = self.state.pool.is_spare(machine)
+        if not self.state.machines[machine]["alive"] and not is_spare:
             return False
-        is_spare = machine in self.state.spares or in_repair
         hit = [] if is_spare else [
             job["name"]
             for job in self.state.jobs_with_status("running", "blocked")
@@ -408,17 +405,16 @@ class ServeServer:
                 self.recorder.count("serve/completed", track="serve")
 
     def _reclaim_repairs(self) -> None:
-        for machine, ticks in list(self.state.repairing):
-            if ticks <= 0:
-                self._log("reclaim", {"machine": machine})
+        for machine in self.state.pool.due():
+            self._log("reclaim", {"machine": machine})
 
     def _recover_blocked(self) -> None:
         for job in self.state.jobs_with_status("blocked"):
             for dead in list(job["pending_machines"]):
-                if not self.state.spares:
+                if not self.state.pool.spares:
                     break
-                spare = self.state.spares[0]
-                self._log("lease", {"machine": dead, "spare": spare})
+                self._log("lease", {"machine": dead,
+                                    "spare": self.state.pool.spares[0]})
             if not job["pending_machines"]:
                 self._log("recover", {"name": job["name"]})
                 self.recorder.count("serve/recoveries", track="serve")

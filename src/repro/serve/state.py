@@ -22,10 +22,12 @@ recomputation from ``jobs``.  They are not part of the snapshot: a
 folded or restored state builds them from its job records on the first
 query, so a WAL fold does no index work.
 
-Machine identity follows :class:`repro.jobs.SparePool` semantics: a
-``lease`` slides the spare's hardware into the failed machine's id (job
-slots stay stable), the broken hardware repairs under the spare's id,
-and ``reclaim`` returns it to the pool as the new spare.
+The spares are a :class:`repro.jobs.SparePool`, the same state machine
+the fleet scheduler runs, and every spare handler calls it: a ``lease``
+slides the spare's hardware into the failed machine's id (job slots stay
+stable), the broken hardware repairs under the spare's id, each
+``round`` counts the repairs down, and ``reclaim`` returns a repaired
+machine to the pool as the new spare.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from bisect import bisect_left, insort
 
 from repro.errors import ConfigurationError
 from repro.jobs.placement import line_key
+from repro.jobs.spare import SparePool
 from repro.serve.wal import ServeEvent
 from repro.utils.jsonl import canonical_json
 
@@ -175,8 +178,7 @@ class ServeState:
     def __init__(self) -> None:
         self.config: dict = {}
         self.machines: dict[int, dict] = {}
-        self.spares: list[int] = []
-        self.repairing: list[list[int]] = []  # [machine_id, ticks_left]
+        self.pool = SparePool.restore([], [], repair_ticks=1)
         self.tenants: dict[str, dict] = {}
         self.jobs: dict[str, dict] = {}
         self.queue: list[str] = []
@@ -267,7 +269,8 @@ class ServeState:
             m: {"alive": True, "failures": 0, "retired": False}
             for m in range(self.config["num_machines"])
         }
-        self.spares = [int(m) for m in p.get("spares", [])]
+        self.pool = SparePool.restore(p.get("spares", []), [],
+                                      self.config["repair_ticks"])
 
     def _on_tenant(self, p: dict) -> None:
         rec = _tenant_record(p)
@@ -331,14 +334,7 @@ class ServeState:
         tag = str(p.get("tag", ""))
         if tag:
             self.failure_tags.append(tag)
-        if machine in self.spares:
-            # a spare died in the pool: it repairs under its own id
-            self.spares.remove(machine)
-            self.repairing.append([machine, self.config["repair_ticks"]])
-        else:
-            for entry in self.repairing:
-                if entry[0] == machine:
-                    entry[1] = self.config["repair_ticks"]
+        self.pool.crash(machine)
         for name in p.get("jobs", []):
             job = self.jobs[str(name)]
             job["failures"] += 1
@@ -349,12 +345,7 @@ class ServeState:
 
     def _on_lease(self, p: dict) -> None:
         dead = int(p["machine"])
-        spare = int(p["spare"])
-        self.spares.remove(spare)
-        # SparePool semantics: the spare's hardware slides into the
-        # failed machine's id (slots stay stable); the broken hardware
-        # repairs under the spare's id and returns to the pool later
-        self.repairing.append([spare, self.config["repair_ticks"]])
+        self.pool.lease(int(p["spare"]))
         self.machines[dead]["alive"] = True
         for job in self.jobs.values():
             if dead in job["pending_machines"]:
@@ -367,15 +358,13 @@ class ServeState:
 
     def _on_reclaim(self, p: dict) -> None:
         machine = int(p["machine"])
-        self.repairing = [e for e in self.repairing if e[0] != machine]
+        self.pool.reclaim(machine)
         self.machines[machine]["alive"] = True
-        self.spares.append(machine)
 
     def _on_retire(self, p: dict) -> None:
         machine = int(p["machine"])
         self.machines[machine]["retired"] = True
-        if machine in self.spares:
-            self.spares.remove(machine)
+        self.pool.retire(machine)
 
     def _on_shed(self, p: dict) -> None:
         job = self.jobs[str(p["name"])]
@@ -410,8 +399,7 @@ class ServeState:
             )
         for name in p.get("stepped", []):
             self.jobs[str(name)]["iterations_done"] += 1
-        for entry in self.repairing:
-            entry[1] -= 1
+        self.pool.end_round()
         self.round += 1
         self.fleet_time += float(p["dt"])
 
@@ -423,7 +411,7 @@ class ServeState:
 
     def schedulable_machines(self) -> list[int]:
         """Alive, non-retired machines outside the spare/repair pools."""
-        held = set(self.spares) | {m for m, _ in self.repairing}
+        held = set(self.pool.spares) | {m for m, _ in self.pool.repairing}
         return [
             m for m, rec in sorted(self.machines.items())
             if rec["alive"] and not rec["retired"] and m not in held
@@ -513,8 +501,8 @@ class ServeState:
             "config": self.config,
             "machines": {str(m): rec
                          for m, rec in sorted(self.machines.items())},
-            "spares": self.spares,
-            "repairing": self.repairing,
+            "spares": self.pool.spares,
+            "repairing": self.pool.repairing,
             "tenants": self.tenants,
             "jobs": self.jobs,
             "queue": self.queue,
@@ -544,8 +532,9 @@ class ServeState:
         state = cls()
         state.config = dict(d["config"])
         state.machines = {int(m): rec for m, rec in d["machines"].items()}
-        state.spares = list(d["spares"])
-        state.repairing = [list(e) for e in d["repairing"]]
+        state.pool = SparePool.restore(
+            d["spares"], d["repairing"],
+            state.config.get("repair_ticks", 1))
         state.tenants = dict(d["tenants"])
         state.jobs = dict(d["jobs"])
         state.queue = list(d["queue"])
@@ -572,7 +561,7 @@ class ServeState:
             },
             "capacity": self.capacity(),
             "free_slots": len(self.free_slots()),
-            "spares": len(self.spares),
+            "spares": len(self.pool.spares),
             "goodput": self.goodput(),
         }
 

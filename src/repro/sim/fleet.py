@@ -16,10 +16,12 @@ fleet-level version of the paper's Figure-8 story.
 
 Given ``wal=``, the run is also a serve WAL.  The scheduler logs every
 transition it takes (:attr:`~repro.jobs.Scheduler.events`); the simulator
-adds ``init``, ``tenant``, ``submit``, ``reclaim`` and ``round`` and
-appends the lot at the end of each round, so
-:meth:`repro.serve.ServeState.replay` of the log reproduces the fleet's
-accounting.
+adds ``init``, ``tenant``, ``submit`` and ``round`` and appends the lot at
+the end of each round, so :meth:`repro.serve.ServeState.replay` of the log
+reproduces the fleet's accounting.  The spare pool is the fold's own
+:class:`~repro.jobs.SparePool`, on the fold's clock: its countdowns
+decrement where the ``round`` event is logged, and a due repair is
+reclaimed at the start of the next round.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError
 from repro.jobs import Job, JobSpec, JobState, Scheduler, SparePool
+from repro.jobs.spare import check_repair_ticks, spare_ids
 from repro.obs import NULL_RECORDER, Recorder
 
 __all__ = [
@@ -185,8 +188,9 @@ class FleetSimulator:
         if self.chaos_trace is not None:
             failures = list(failures or [])
             failures.extend(self.chaos_trace.to_fleet_failures())
-        if num_spares >= num_machines:
-            raise ConfigurationError("spares must leave schedulable machines")
+        # the highest-numbered machines become hot spares
+        spares = spare_ids(num_machines, num_spares)
+        check_repair_ticks(repair_ticks)
         capacity = (num_machines - num_spares) * devices_per_machine
         names = set()
         for spec in specs:
@@ -200,18 +204,16 @@ class FleetSimulator:
                 )
         self.specs = sorted(specs, key=lambda s: s.arrival)
         self.cluster = Cluster(num_machines, devices_per_machine=devices_per_machine)
-        # the highest-numbered machines become hot spares
-        spare_ids = list(range(num_machines - num_spares, num_machines))
         self.spares = (
-            SparePool(self.cluster, spare_ids, repair_ticks=repair_ticks)
-            if num_spares > 0
+            SparePool(spares, repair_ticks=repair_ticks)
+            if spares
             else None  # no pool: replacements appear by fiat (seed model)
         )
         self.scheduler = Scheduler(self.cluster, spares=self.spares)
         self.scheduler.events += [
             ("init", {"num_machines": num_machines,
                       "devices_per_machine": devices_per_machine,
-                      "spares": spare_ids, "repair_ticks": repair_ticks,
+                      "spares": spares, "repair_ticks": repair_ticks,
                       "iteration_time": 1.0, "idle_time": idle_time}),
             ("tenant", {"name": FLEET_TENANT}),
         ]
@@ -280,11 +282,11 @@ class FleetSimulator:
                                           "tenant": FLEET_TENANT,
                                           "spec": payload}))
             # 2. repairs complete -> blocked jobs may resume
-            if self.spares is not None:
-                reclaimed = self.spares.tick()
-                if reclaimed:
-                    events += [("reclaim", {"machine": m}) for m in reclaimed]
-                    self.scheduler.unblock()
+            due = self.spares.due() if self.spares is not None else []
+            for machine_id in due:
+                self.scheduler.reclaim(machine_id)
+            if due:
+                self.scheduler.unblock()
             # 3. due machine failures, routed one event at a time
             while pending_failures and pending_failures[0].round <= r:
                 event = pending_failures.popleft()
@@ -313,6 +315,8 @@ class FleetSimulator:
                 stepped += [name] * max(0, delta)
             events.append(("round", {"round": r, "dt": charged_dt,
                                      "stepped": sorted(stepped)}))
+            if self.spares is not None:
+                self.spares.end_round()
             # 6. completions release their gangs
             for job in list(self.scheduler.running):
                 if job.done:
@@ -345,8 +349,8 @@ class FleetSimulator:
         rec.gauge("fleet/running_jobs", len(self.scheduler.running))
         rec.gauge("fleet/preempted_workers", self.scheduler.preempted_workers)
         if self.spares is not None:
-            rec.gauge("fleet/spares_available", self.spares.available)
-            rec.gauge("fleet/spares_repairing", self.spares.repairing)
+            rec.gauge("fleet/spares_available", len(self.spares.spares))
+            rec.gauge("fleet/spares_repairing", len(self.spares.repairing))
         for name, job in self.scheduler.jobs.items():
             end = (
                 job.finish_time if job.finish_time is not None
@@ -406,9 +410,7 @@ class FleetSimulator:
         report.total_lost_iterations = sum(
             s.lost_iterations for s in report.jobs
         )
-        report.spare_leases = (
-            self.spares.total_leases if self.spares is not None else 0
-        )
+        report.spare_leases = self.scheduler.spare_leases
         delays = [
             s.queueing_delay for s in report.jobs if s.start_time is not None
         ]

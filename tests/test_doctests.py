@@ -14,6 +14,7 @@ Two guarantees, wired into tier-1 so they cannot rot:
 import doctest
 import importlib
 import inspect
+import tempfile
 
 import pytest
 
@@ -42,6 +43,7 @@ DOCTEST_MODULES = [
     "repro.core.tlog",
     "repro.core.trainer",
     "repro.jobs.placement",
+    "repro.jobs.spare",
     "repro.jobs.spec",
     "repro.obs.export",
     "repro.obs.recorder",
@@ -69,7 +71,10 @@ DOCTEST_MODULES = [
 
 
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
-def test_module_doctests_pass(module_name):
+def test_module_doctests_pass(module_name, tmp_path, monkeypatch):
+    # doctests make scratch dirs with tempfile.mkdtemp(); root them in
+    # tmp_path so pytest's own cleanup removes them
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     module = importlib.import_module(module_name)
     result = doctest.testmod(
         module,

@@ -442,40 +442,53 @@ class TestPlannedStrategy:
         }
 
 
+def finish_repair(sched, machine):
+    """Count ``machine``'s repair down through the pool, then reclaim it
+    as the next round's start would."""
+    while machine not in sched.spares.due():
+        sched.spares.end_round()
+    sched.reclaim(machine)
+
+
 class TestSparePool:
     def test_spares_are_not_schedulable(self):
         cluster = Cluster(3, devices_per_machine=2)
-        SparePool(cluster, machine_ids=[2])
+        Scheduler(cluster, spares=SparePool([2]))
         assert all(m != 2 for m, _ in cluster.free_slots())
 
     def test_lease_and_reclaim_cycle(self):
-        cluster = Cluster(3, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[2], repair_ticks=2)
-        assert pool.available == 1
-        assert pool.lease(0) == 2
-        assert pool.available == 0 and pool.repairing == 1
-        assert pool.lease(1) is None  # pool exhausted
-        assert pool.tick() == []  # 1 tick remaining
-        assert pool.tick() == [2]  # repaired hardware returns
-        assert pool.available == 1 and pool.repairing == 0
+        pool = SparePool([2], repair_ticks=2)
+        pool.lease(2)
+        assert pool.spares == [] and pool.repairing == [[2, 2]]
+        with pytest.raises(ValueError):
+            pool.lease(2)  # pool exhausted
+        pool.end_round()
+        assert pool.due() == []  # 1 tick remaining
+        pool.end_round()
+        assert pool.due() == [2]  # repaired hardware is due back
+        pool.reclaim(2)
+        assert pool.spares == [2] and pool.repairing == []
 
     def test_recovery_consumes_one_spare_and_reclaims(self):
         cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[3], repair_ticks=1)
+        pool = SparePool([3], repair_ticks=1)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=2, iterations=8))
         sched.submit(job)
         sched.schedule()
         job.step()
         sched.handle_machine_failure(next(iter(job.machines_used())))
-        assert pool.available == 0
+        assert pool.spares == [] and sched.spare_leases == 1
         assert job.state == JobState.RUNNING  # recovered immediately
-        assert pool.tick() == [3]
-        assert pool.available == 1
+        pool.end_round()
+        assert pool.due() == [3]
+        sched.reclaim(3)
+        assert pool.spares == [3]
+        assert sched.events[-1] == ("reclaim", {"machine": 3})
 
     def test_empty_pool_blocks_until_reclaim(self):
         cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[3], repair_ticks=3)
+        pool = SparePool([3], repair_ticks=3)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=2, iterations=8))
         sched.submit(job)
@@ -487,7 +500,7 @@ class TestSparePool:
         assert job.state == JobState.BLOCKED
         assert job in sched.blocked
         assert sched.unblock() == []  # still no capacity
-        pool.reclaim_now(3)
+        finish_repair(sched, 3)
         resumed = sched.unblock()
         assert resumed == [job]
         assert job.state == JobState.RUNNING
@@ -497,18 +510,19 @@ class TestSparePool:
 
     def test_failed_spare_goes_to_repair(self):
         cluster = Cluster(3, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[2], repair_ticks=1)
+        pool = SparePool([2], repair_ticks=1)
         sched = Scheduler(cluster, spares=pool)
         assert sched.handle_machine_failure(2) == []
-        assert pool.available == 0 and pool.repairing == 1
-        assert pool.tick() == [2]
+        assert pool.spares == [] and pool.repairing == [[2, 1]]
+        assert not cluster.machine(2).alive
+        finish_repair(sched, 2)
         assert cluster.machine(2).alive
 
     def test_recovery_does_not_resurrect_unrelated_dead_machines(self):
         """A job's recovery replaces every failed machine it sees; broken
         machines the job does not own must stay down afterwards."""
         cluster = Cluster(6, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[5], repair_ticks=10)
+        pool = SparePool([5], repair_ticks=10)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=2, iterations=8))
         sched.submit(job)
@@ -528,28 +542,28 @@ class TestSparePool:
         """A job blocked by failures on two machines resumes only after a
         replacement is leased for each (one spare per crash event)."""
         cluster = Cluster(5, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[4], repair_ticks=100)
+        pool = SparePool([4], repair_ticks=100)
         sched = Scheduler(cluster, spares=pool)
         # 3 workers on 3 machines: losing two still leaves a replica
         job = Job(dp_spec(workers=3, iterations=8))
         sched.submit(job)
         sched.schedule()
         job.step()
-        pool.lease(99)  # drain the pool before any failure
+        pool.lease(4)  # drain the pool before any failure
         machines = sorted(job.machines_used())
         sched.handle_machine_failure(machines[0])
         sched.handle_machine_failure(machines[1])
         assert job.state == JobState.BLOCKED
         assert sorted(set(job.pending_machines)) == machines[:2]
         # one repaired spare is not enough for two broken machines
-        pool.reclaim_now(4)
+        finish_repair(sched, 4)
         assert sched.unblock() == []
         assert job.state == JobState.BLOCKED
         # the second lease completes the set and the job resumes
-        pool.reclaim_now(4)
+        finish_repair(sched, 4)
         assert sched.unblock() == [job]
         assert job.state == JobState.RUNNING
-        assert pool.total_leases == 3  # drain + one per broken machine
+        assert sched.spare_leases == 2  # one per broken machine
         run_to_completion(sched)
         assert job.state == JobState.COMPLETED
 
@@ -557,32 +571,32 @@ class TestSparePool:
         """A repeat failure event on a machine whose replacement is
         already banked must not consume another spare."""
         cluster = Cluster(5, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[4], repair_ticks=100)
+        pool = SparePool([4], repair_ticks=100)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=3, iterations=8))
         sched.submit(job)
         sched.schedule()
         job.step()
-        pool.lease(99)  # drain
+        pool.lease(4)  # drain
         m0, m1, _ = sorted(job.machines_used())
         sched.handle_machine_failure(m0)  # pool empty: blocked
-        pool.reclaim_now(4)
+        finish_repair(sched, 4)
         sched.handle_machine_failure(m1)  # lease banked, still blocked on m0
-        assert pool.total_leases == 2
-        pool.reclaim_now(4)
+        assert sched.spare_leases == 1
+        finish_repair(sched, 4)
         sched.handle_machine_failure(m1)  # repeat event: no new lease
-        assert pool.total_leases == 2
+        assert sched.spare_leases == 1
         assert job.pending_machines == [m0, m1]  # no duplicates
         # the banked m1 lease plus one m0 lease completes the set
         assert sched.unblock() == [job]
-        assert pool.total_leases == 3
+        assert sched.spare_leases == 2
         assert sched._leased_pending == set()
         run_to_completion(sched)
         assert job.state == JobState.COMPLETED
 
     def test_failure_on_in_repair_spare_restarts_repair(self):
         cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[3], repair_ticks=2)
+        pool = SparePool([3], repair_ticks=2)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=2, iterations=8))
         sched.submit(job)
@@ -590,20 +604,22 @@ class TestSparePool:
         job.step()
         # first crash leases the spare; its broken hardware is in repair
         sched.handle_machine_failure(next(iter(job.machines_used())))
-        assert pool.repairing == 1
-        pool.tick()  # 1 tick of repair done
+        assert pool.repairing == [[3, 2]]
+        pool.end_round()  # 1 tick of repair done
         # a second failure event targets the in-repair spare id: the
         # repair simply restarts instead of crashing the scheduler
         assert sched.handle_machine_failure(3) == []
-        assert pool.repairing == 1
-        assert pool.tick() == []  # timer was reset: not done yet
-        assert pool.tick() == [3]
+        assert pool.repairing == [[3, 2]]
+        pool.end_round()
+        assert pool.due() == []  # timer was reset: not done yet
+        pool.end_round()
+        assert pool.due() == [3]
 
     def test_second_failure_on_blocked_job_with_fresh_spare(self):
         """A failure routed to a BLOCKED job (spare newly available) must
         recover it and move it back to the running set."""
         cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool(cluster, machine_ids=[3], repair_ticks=2)
+        pool = SparePool([3], repair_ticks=2)
         sched = Scheduler(cluster, spares=pool)
         job = Job(dp_spec(workers=2, iterations=8))
         sched.submit(job)
@@ -613,7 +629,7 @@ class TestSparePool:
         sched.handle_machine_failure(machines[0])  # consumes the spare
         sched.handle_machine_failure(machines[1])  # blocks the job
         assert job.state == JobState.BLOCKED
-        pool.reclaim_now(3)  # capacity is back ...
+        finish_repair(sched, 3)  # capacity is back ...
         # ... and the next failure event routes straight to the blocked job
         sched.handle_machine_failure(machines[1])
         assert job.state == JobState.RUNNING
@@ -621,6 +637,13 @@ class TestSparePool:
         assert sched.unblock() == []  # no stale entries, no crash
         run_to_completion(sched)
         assert job.state == JobState.COMPLETED
+
+    def test_duplicate_ids_and_short_repairs_are_refused(self):
+        with pytest.raises(ConfigurationError, match="duplicate spare"):
+            SparePool([2, 2])
+        for ticks in (0, -3):
+            with pytest.raises(ConfigurationError, match="repair_ticks"):
+                SparePool([2], repair_ticks=ticks)
 
 
 class TestFleetSimulator:

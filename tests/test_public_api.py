@@ -386,6 +386,57 @@ def test_one_placement_core_census():
     assert found == {kind: {"jobs/placement.py"} for kind in found}
 
 
+def test_one_spare_pool_census():
+    """The lease/repair/reclaim state machine is written once, in
+    ``jobs/spare.py``, and both control planes run it.
+
+    The pool is pure (it imports only ``repro.errors``); no other module
+    edits or sifts a ``repairing`` list — appends to it, filters it,
+    assigns it, counts its entries down or picks the due ones — and the
+    fleet pool's private countdown (``reclaim_now``, ``_collect_done``,
+    ``fail_spare``) stays deleted.
+    """
+    home = "jobs/spare.py"
+
+    def names_repairing(node):
+        return any((getattr(n, "attr", None) or getattr(n, "id", None))
+                   == "repairing" for n in ast.walk(node))
+
+    edits = set()
+    for where, (source, tree) in package_sources().items():
+        for name in ("reclaim_now", "_collect_done", "fail_spare"):
+            assert name not in source, (where, name)
+        if where == home:
+            imported = [node.module for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)]
+            imported += [alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.Import)
+                         for alias in node.names]
+            assert {m for m in imported if m.startswith("repro")} \
+                <= {"repro.errors"}, imported
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) in (
+                    "append", "remove", "pop", "insert", "extend") \
+                    and names_repairing(node.func.value):
+                edits.add(f"{where}:{node.lineno} {node.func.attr}")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(t, (ast.Attribute, ast.Name))
+                   and names_repairing(t) for t in targets):
+                edits.add(f"{where}:{node.lineno} assign")
+            if isinstance(node, ast.comprehension) and node.ifs \
+                    and names_repairing(node.iter):
+                edits.add(f"{where}:{node.iter.lineno} filter")
+            if isinstance(node, ast.For) and names_repairing(node.iter) \
+                    and any(isinstance(n, (ast.Assign, ast.AugAssign, ast.If))
+                            for stmt in node.body for n in ast.walk(stmt)):
+                edits.add(f"{where}:{node.lineno} loop")
+    assert not edits, sorted(edits)
+
+
 def test_one_update_kernel_census():
     """Every optimizer update runs through ``Optimizer.step_flat``.
 

@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,7 +61,8 @@ from repro.serve import (
 )
 from repro.sim import FleetSimulator
 
-GOLDEN_WAL = Path(__file__).parent / "traces" / "serve_wal_golden.jsonl"
+TRACES = Path(__file__).parent / "traces"
+GOLDEN_WAL = TRACES / "serve_wal_golden.jsonl"
 
 SMALL = ServeConfig(num_machines=4, devices_per_machine=2, num_spares=1,
                     repair_ticks=2, snapshot_interval=10)
@@ -260,6 +262,52 @@ class TestServeState:
             WriteAheadLog.load_events(tmp_path / "wal.jsonl")
         )
         assert replayed.snapshot() == snap
+
+
+class TestGeometry:
+    """Both control planes refuse a spare geometry no pool can run, at
+    their configuration boundary, through one validator."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(num_spares=-1), dict(num_spares=4),
+        dict(repair_ticks=0), dict(repair_ticks=-3),
+    ])
+    def test_serve_and_fleet_refuse_alike(self, kw):
+        with pytest.raises(ConfigurationError):
+            ServeConfig(num_machines=4, **kw)
+        with pytest.raises(ConfigurationError):
+            FleetSimulator([dp("j", 2, 3)], num_machines=4,
+                           devices_per_machine=2, **kw)
+
+    def test_fold_still_folds_what_it_folded(self):
+        # validation lives at the config boundary; a logged init with a
+        # geometry the config would refuse still replays
+        state = ServeState.replay([
+            ServeEvent(seq=0, kind="init", payload={
+                "num_machines": 4, "devices_per_machine": 2,
+                "spares": [3], "repair_ticks": -3}),
+            ServeEvent(seq=1, kind="crash", payload={
+                "machine": 3, "jobs": [], "spare": True}),
+        ])
+        assert state.pool.repairing == [[3, -3]]
+        assert state.pool.due() == [3]
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--machines", "4", "--devices", "2", "--spares", "-1"],
+        ["serve", "--fleet-demo", "--machines", "4", "--spares", "-1",
+         "--no-fsync"],
+        ["serve", "--stdio", "--spares", "9", "--machines", "4"],
+    ])
+    def test_cli_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        wal = tmp_path / "wal.jsonl"
+        if argv[0] == "serve":
+            argv = argv + ["--wal", str(wal)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "num_spares must be in 0..3" in captured.err
+        assert not wal.exists()  # refused before any WAL is written
 
 
 # -- admission control ------------------------------------------------------
@@ -546,20 +594,32 @@ class TestProtocol:
 class TestFleetWal:
     """The fleet scheduler logs its own transitions; folding that log must
     land on the scheduler's state after every round, not just at the end.
+
+    Two fleets: the demo, and a ``cascading`` seed-0 chaos run that blocks
+    jobs on an empty spare pool and crashes spares.  Their WALs are pinned
+    byte for byte by goldens recorded before the fleet and the fold shared
+    one spare pool.
     """
 
-    @pytest.fixture()
-    def fleet_run(self, tmp_path):
+    #: fleet -> (chaos scenario, preemption events, job failures routed)
+    FLEETS = {"demo": (None, 2, 6), "cascading_seed0": ("cascading", 2, 35)}
+
+    @pytest.fixture(params=sorted(FLEETS))
+    def fleet_run(self, request, tmp_path):
         from repro.api import demo_fleet_specs
         from repro.obs import TraceRecorder
 
+        scenario = self.FLEETS[request.param][0]
         specs, failures = demo_fleet_specs(20)
         path = tmp_path / "fleet-wal.jsonl"
-        wal = WriteAheadLog(path, fsync=False)
+        wal = WriteAheadLog(path, fsync=False,
+                            meta={"service": "repro.sim.fleet"})
         recorder = TraceRecorder()
         sim = FleetSimulator(specs, num_machines=6,
                              devices_per_machine=4, num_spares=1,
-                             failures=failures, wal=wal, recorder=recorder)
+                             failures=[] if scenario else failures,
+                             scenario=scenario, scenario_seed=0,
+                             wal=wal, recorder=recorder)
         state, audits = ServeState(), []
 
         def audit(event):
@@ -574,16 +634,14 @@ class TestFleetWal:
         recorder.subscribe(audit)
         report = sim.run()
         wal.close()
-        return sim, report, state, audits, WriteAheadLog.load_events(path)
+        return SimpleNamespace(
+            name=request.param, path=path, sim=sim, report=report,
+            state=state, audits=audits,
+            events=WriteAheadLog.load_events(path))
 
     @staticmethod
     def _mismatches(state, sim):
-        """Where the fold disagrees with the live scheduler and spares.
-
-        The spare repair countdown is left out on purpose: the fold
-        decrements it on each ``round`` event, the pool on its next
-        ``tick()``, so the two read one round apart by design.
-        """
+        """Where the fold disagrees with the live scheduler and spares."""
         out = []
         if (state.round, state.fleet_time) != (sim.rounds, sim.fleet_time):
             out.append(("clock", state.round, sim.rounds))
@@ -603,31 +661,53 @@ class TestFleetWal:
                 out.append((name, "slots", folded["slots"]))
             if folded["iterations_done"] != job.iteration:
                 out.append((name, "iterations", folded["iterations_done"]))
-        if (len(state.spares), len(state.repairing)) != (
-                sim.spares.available, sim.spares.repairing):
-            out.append(("spares", state.spares, state.repairing))
+        # the whole pool, repair countdowns included
+        if (state.pool.spares, state.pool.repairing) != (
+                sim.spares.spares, sim.spares.repairing):
+            out.append(("spares", state.pool.spares, state.pool.repairing,
+                        sim.spares.spares, sim.spares.repairing))
         return out
 
+    def test_fleet_wal_matches_golden(self, fleet_run):
+        golden = TRACES / f"serve_wal_fleet_{fleet_run.name}_golden.jsonl"
+        assert fleet_run.path.read_bytes() == golden.read_bytes()
+
     def test_every_round_folds_to_the_scheduler(self, fleet_run):
-        sim, report, state, audits, events = fleet_run
+        run = fleet_run
+        _, preemptions, failures = self.FLEETS[run.name]
         # the run exercises preemption and failure routing
-        assert report.total_preemptions == 2
-        assert report.total_failures == 6
-        assert len(audits) == report.rounds
-        assert [a for a in audits if a] == []
-        for name, job in sim.scheduler.jobs.items():
-            assert state.jobs[name]["recoveries"] == len(job.recoveries)
-            assert state.jobs[name]["preemptions"] == job.preemptions
+        assert run.report.total_preemptions == preemptions
+        assert run.report.total_failures == failures
+        assert len(run.audits) == run.report.rounds
+        assert [a for a in run.audits if a] == []
+        for name, job in run.sim.scheduler.jobs.items():
+            assert run.state.jobs[name]["recoveries"] == len(job.recoveries)
+            assert run.state.jobs[name]["preemptions"] == job.preemptions
         # decisions are logged as taken: each preemption names the gang
         # it frees slots for, and that gang is the next one placed
+        events = run.events
         preempts = [i for i, e in enumerate(events) if e.kind == "preempt"]
-        assert len(preempts) == 2
+        assert len(preempts) == preemptions
         for i in preempts:
             placed = next(e for e in events[i:] if e.kind == "place")
             assert placed.payload["name"] == events[i].payload["for"]
 
+    def test_cascading_fleet_blocks_on_an_empty_pool(self):
+        # the audit above covers these moments only if the run has them
+        events = WriteAheadLog.load_events(
+            TRACES / "serve_wal_fleet_cascading_seed0_golden.jsonl")
+        state, blocked_on_empty = ServeState(), 0
+        for e in events:
+            state.apply(e)
+            if e.kind == "round" and not state.pool.spares \
+                    and state.jobs_with_status("blocked"):
+                blocked_on_empty += 1
+        assert blocked_on_empty == 29
+        assert sum(1 for e in events
+                   if e.kind == "crash" and e.payload["spare"]) == 2
+
     def test_replay_reproduces_fleet_accounting(self, fleet_run):
-        _, report, _, _, events = fleet_run
+        report, events = fleet_run.report, fleet_run.events
         state = ServeState.replay(events)
         assert state.round == report.rounds
         assert state.fleet_time == report.makespan  # exact float
@@ -641,7 +721,7 @@ class TestFleetWal:
         assert leases == report.spare_leases
 
     def test_fleet_wal_replay_idempotent(self, fleet_run):
-        *_, events = fleet_run
+        events = fleet_run.events
         state = ServeState.replay(events)
         for e in events:
             assert state.apply(e) is False

@@ -169,7 +169,7 @@ class TestExactlyOnceInjectFailure:
             # lost; the retried frame must not fail the machine again
             client = ServeClient(LossyTransport(server, lose_acks={1}),
                                  client_id="c", policy=FAST)
-            spare = server.config.spare_ids[0]
+            spare = server.state.pool.spares[0]
             client.inject_failure(spare)
             crashes = [e for e in server.wal.events
                        if e.kind == "crash"]
