@@ -793,7 +793,14 @@ def _serve_listen(args: argparse.Namespace) -> int:
               "makes a SIGKILL survivable)", file=sys.stderr)
         return 2
     wal = Path(args.wal)
-    config = _serve_config(args, wal)
+    try:
+        # a bad --spares is a usage error: its ConfigurationError
+        # reaches main() and exits 2
+        config = _serve_config(args, wal)
+    except OSError as exc:
+        print(f"serve: cannot open WAL {str(wal)!r}: {exc}",
+              file=sys.stderr)
+        return 1
     try:
         server = ServeServer(wal, config,
                              fsync=not args.no_fsync,

@@ -283,9 +283,9 @@ class Scheduler:
         empty, ``0`` with no pool (replacements appear by fiat)."""
         if self.spares is None:
             return 0
-        if not self.spares.spares:
+        spare = self.spares.next_spare()
+        if spare is None:
             return None
-        spare = self.spares.spares[0]
         self.spares.lease(spare)
         self.spare_leases += 1
         self._log("lease", {"machine": machine_id, "spare": spare})

@@ -63,30 +63,23 @@ class SparePool:
     [3]
     """
 
-    def __init__(self, spares: list[int], repair_ticks: int = 5):
-        check_repair_ticks(repair_ticks)
-        if len(set(spares)) != len(spares):
-            raise ConfigurationError(f"duplicate spare machine in {spares}")
-        self.spares = list(spares)
+    def __init__(self, spares: list[int], repair_ticks: int = 5,
+                 repairing: list[list[int]] = ()):
+        # unchecked: each control plane validates its geometry where its
+        # configuration comes in, and a fold trusts what it folds
+        self.spares = [int(m) for m in spares]
         #: broken hardware being repaired: ``[machine, ticks_left]``
-        self.repairing: list[list[int]] = []
+        self.repairing = [[int(m), int(t)] for m, t in repairing]
         self.repair_ticks = repair_ticks
-
-    @classmethod
-    def restore(cls, spares: list[int], repairing: list[list[int]],
-                repair_ticks: int) -> "SparePool":
-        """The pool a log or snapshot describes, unchecked: a fold
-        trusts what it folds."""
-        pool = cls.__new__(cls)
-        pool.spares = [int(m) for m in spares]
-        pool.repairing = [[int(m), int(t)] for m, t in repairing]
-        pool.repair_ticks = repair_ticks
-        return pool
 
     def is_spare(self, machine: int) -> bool:
         """In the pool or in repair."""
         return machine in self.spares or any(
             m == machine for m, _ in self.repairing)
+
+    def next_spare(self) -> int | None:
+        """The spare the next lease takes (the oldest), ``None`` if empty."""
+        return self.spares[0] if self.spares else None
 
     def due(self) -> list[int]:
         """Machines whose repair is done, in the order they went in."""

@@ -411,10 +411,10 @@ class ServeServer:
     def _recover_blocked(self) -> None:
         for job in self.state.jobs_with_status("blocked"):
             for dead in list(job["pending_machines"]):
-                if not self.state.pool.spares:
+                spare = self.state.pool.next_spare()
+                if spare is None:
                     break
-                self._log("lease", {"machine": dead,
-                                    "spare": self.state.pool.spares[0]})
+                self._log("lease", {"machine": dead, "spare": spare})
             if not job["pending_machines"]:
                 self._log("recover", {"name": job["name"]})
                 self.recorder.count("serve/recoveries", track="serve")

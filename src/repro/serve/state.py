@@ -178,7 +178,7 @@ class ServeState:
     def __init__(self) -> None:
         self.config: dict = {}
         self.machines: dict[int, dict] = {}
-        self.pool = SparePool.restore([], [], repair_ticks=1)
+        self.pool = SparePool([], repair_ticks=1)
         self.tenants: dict[str, dict] = {}
         self.jobs: dict[str, dict] = {}
         self.queue: list[str] = []
@@ -269,8 +269,8 @@ class ServeState:
             m: {"alive": True, "failures": 0, "retired": False}
             for m in range(self.config["num_machines"])
         }
-        self.pool = SparePool.restore(p.get("spares", []), [],
-                                      self.config["repair_ticks"])
+        self.pool = SparePool(p.get("spares", []),
+                              self.config["repair_ticks"])
 
     def _on_tenant(self, p: dict) -> None:
         rec = _tenant_record(p)
@@ -532,9 +532,9 @@ class ServeState:
         state = cls()
         state.config = dict(d["config"])
         state.machines = {int(m): rec for m, rec in d["machines"].items()}
-        state.pool = SparePool.restore(
-            d["spares"], d["repairing"],
-            state.config.get("repair_ticks", 1))
+        state.pool = SparePool(d["spares"],
+                               state.config.get("repair_ticks", 1),
+                               d["repairing"])
         state.tenants = dict(d["tenants"])
         state.jobs = dict(d["jobs"])
         state.queue = list(d["queue"])

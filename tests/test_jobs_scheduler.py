@@ -7,6 +7,7 @@ from repro.api import FTStrategy, demo_fleet_specs
 from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
 from repro.jobs import Job, JobSpec, JobState, Scheduler, SparePool
+from repro.jobs.spare import check_repair_ticks, spare_ids
 from repro.jobs import placement
 from repro.sim import FleetFailure, FleetSimulator
 
@@ -638,12 +639,28 @@ class TestSparePool:
         run_to_completion(sched)
         assert job.state == JobState.COMPLETED
 
-    def test_duplicate_ids_and_short_repairs_are_refused(self):
-        with pytest.raises(ConfigurationError, match="duplicate spare"):
-            SparePool([2, 2])
+    def test_bad_spare_geometry_is_refused(self):
+        # the pool is unchecked; geometry is validated where a control
+        # plane's configuration comes in, and spare ids come from a range
+        assert spare_ids(6, 2) == [4, 5]
+        for spares in (-1, 6):
+            with pytest.raises(ConfigurationError, match="num_spares"):
+                spare_ids(6, spares)
         for ticks in (0, -3):
             with pytest.raises(ConfigurationError, match="repair_ticks"):
-                SparePool([2], repair_ticks=ticks)
+                check_repair_ticks(ticks)
+            with pytest.raises(ConfigurationError, match="repair_ticks"):
+                FleetSimulator([dp_spec(workers=2)], num_machines=4,
+                               devices_per_machine=1, num_spares=1,
+                               repair_ticks=ticks)
+
+    def test_next_spare_is_the_oldest(self):
+        pool = SparePool([2, 3])
+        assert pool.next_spare() == 2
+        pool.lease(2)
+        assert pool.next_spare() == 3
+        pool.lease(3)
+        assert pool.next_spare() is None
 
 
 class TestFleetSimulator:

@@ -309,6 +309,16 @@ class TestGeometry:
         assert "num_spares must be in 0..3" in captured.err
         assert not wal.exists()  # refused before any WAL is written
 
+    def test_cli_unopenable_wal_exits_one_with_one_line(self, tmp_path,
+                                                        capsys):
+        # a name past NAME_MAX: looking the WAL up raises OSError
+        wal = tmp_path / ("w" * 300)
+        assert cli_main(["serve", "--stdio", "--wal", str(wal)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cannot open WAL" in captured.err
+
 
 # -- admission control ------------------------------------------------------
 
