@@ -9,6 +9,8 @@ over the slowest link, broadcast/all-gather move ``(n-1)/n``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.cluster.device import Device
@@ -40,8 +42,11 @@ class CollectiveGroup:
             if not dev.alive:
                 raise CommunicationError(rank, rank, f"rank {rank} is dead")
 
-    def _check_participants(self, buffers: dict[int, np.ndarray]) -> None:
-        if buffers.keys() != self.devices.keys():
+    def check_members(self, ranks: Iterable[int]) -> None:
+        """Refuse a collective over ``ranks`` unless every member is alive
+        and ``ranks`` are exactly the members."""
+        self._check_alive()
+        if set(ranks) != self.devices.keys():
             raise CommunicationError(
                 -1, -1, "allreduce called with mismatched participant set"
             )
@@ -75,41 +80,18 @@ class CollectiveGroup:
     allgather_time = broadcast_time
 
     # -- data ---------------------------------------------------------------
-    def allreduce_mean(
-        self, buffers: dict[int, np.ndarray], out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def allreduce_mean(self, buffers: dict[int, np.ndarray]) -> np.ndarray:
         """Average buffers across ranks (gradient synchronization).
 
         The reduction order is fixed (ascending rank) so results are
         bit-deterministic — required for logging-based replay to be exact.
-        ``out`` (the fused flat-buffer path) receives the result in place,
-        avoiding a fresh allocation per reduce; it must not alias any
-        buffer other than the lowest rank's.
         """
-        self._check_alive()
-        self._check_participants(buffers)
-        total = self._reduce(buffers, out)
-        if out is None:
-            return total / len(buffers)
-        total /= len(buffers)
-        return total
+        return self.allreduce_sum(buffers) / len(buffers)
 
-    def allreduce_sum(
-        self, buffers: dict[int, np.ndarray], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        self._check_alive()
-        self._check_participants(buffers)
-        return self._reduce(buffers, out)
-
-    def _reduce(
-        self, buffers: dict[int, np.ndarray], out: np.ndarray | None
-    ) -> np.ndarray:
+    def allreduce_sum(self, buffers: dict[int, np.ndarray]) -> np.ndarray:
+        self.check_members(buffers)
         ranks = sorted(buffers)
-        if out is None:
-            total = np.array(buffers[ranks[0]], dtype=np.float64, copy=True)
-        else:
-            total = out
-            np.copyto(total, buffers[ranks[0]])
+        total = np.array(buffers[ranks[0]], dtype=np.float64, copy=True)
         for r in ranks[1:]:
             total += buffers[r]
         return total

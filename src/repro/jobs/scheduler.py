@@ -18,8 +18,9 @@ plane decides with; the scheduler applies it to a live :class:`Cluster`:
   slot on that machine; each runs its own Swift recovery while all other
   jobs keep running.  Each crash consumes one spare from the
   :class:`SparePool`; with the pool empty the affected jobs block until a
-  repair reclaims capacity.  The pool is the same state machine the serve
-  fold runs; the scheduler applies its ``Cluster`` side effects — the
+  repair reclaims capacity, and with no pool the machine is replaced by
+  fiat.  The pool is the same state machine the serve fold runs; the
+  scheduler applies its ``Cluster`` side effects — the
   spares' slots stay reserved, a spare that dies in the pool fails, a
   reclaimed machine is replaced — and counts the leases.
 * **Its own log.**  Every transition is appended to ``events`` in the
@@ -51,11 +52,11 @@ class Scheduler:
 
     def __init__(self, cluster: Cluster, spares: SparePool | None = None):
         self.cluster = cluster
-        #: hot spares; ``None`` means replacements appear by fiat
-        self.spares = spares
+        #: hot spares; ``None`` is no pool (replacements appear by fiat)
+        self.spares = spares if spares is not None else SparePool(None)
         #: spares leased to recoveries (cumulative)
         self.spare_leases = 0
-        for m in spares.spares if spares is not None else ():
+        for m in self.spares.spares:
             cluster.reserve_slots(
                 [(m, d) for d in range(len(cluster.machine(m).devices))],
                 SPARE_OWNER)
@@ -194,7 +195,7 @@ class Scheduler:
         jobs block (pool reclaim unblocks them via :meth:`unblock`).
         """
         owners = self.owners_of(machine_id)
-        is_spare = self.spares is not None and self.spares.is_spare(machine_id)
+        is_spare = self.spares.is_spare(machine_id)
         self._log("crash", {"machine": machine_id,
                             "jobs": sorted(job.name for job in owners),
                             "spare": is_spare})
@@ -281,7 +282,7 @@ class Scheduler:
     def _lease(self, machine_id: int) -> int | None:
         """One spare for a broken machine: its id, ``None`` with the pool
         empty, ``0`` with no pool (replacements appear by fiat)."""
-        if self.spares is None:
+        if self.spares.by_fiat:
             return 0
         spare = self.spares.next_spare()
         if spare is None:

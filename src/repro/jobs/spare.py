@@ -10,6 +10,11 @@ serve fold (:class:`~repro.serve.ServeState`) and the fleet
 * A *lease* slides a named spare's hardware into the failed machine's id
   (job slots stay stable); the broken hardware repairs under the spare's
   id for ``repair_ticks`` rounds.  An empty pool blocks recovery.
+* A control plane configured with no spares has *no pool*
+  (:attr:`SparePool.by_fiat`): a crash that hits a job replaces its
+  machine at once, the paper's assumption that "a replacement machine
+  will be added" (Section 3).  That is not an empty pool, whose
+  recoveries wait for a repair.
 * A crash on a pool spare sends it to repair; a crash on a spare in
   repair restarts its timer.
 * Every countdown decrements when a round ends (:meth:`end_round`); a
@@ -63,14 +68,27 @@ class SparePool:
     [3]
     """
 
-    def __init__(self, spares: list[int], repair_ticks: int = 5,
+    def __init__(self, spares: list[int] | None, repair_ticks: int = 5,
                  repairing: list[list[int]] = ()):
         # unchecked: each control plane validates its geometry where its
         # configuration comes in, and a fold trusts what it folds
-        self.spares = [int(m) for m in spares]
+        #: no pool (``spares`` is ``None``): job machines are replaced by
+        #: fiat and no lease is ever taken
+        self.by_fiat = spares is None
+        self.spares = [int(m) for m in spares or ()]
         #: broken hardware being repaired: ``[machine, ticks_left]``
         self.repairing = [[int(m), int(t)] for m, t in repairing]
         self.repair_ticks = repair_ticks
+
+    @classmethod
+    def configured(cls, spares: list[int],
+                   repair_ticks: int) -> "SparePool":
+        """The pool a control plane starts with; no spares is no pool.
+
+        >>> SparePool.configured([], 5).by_fiat
+        True
+        """
+        return cls(spares or None, repair_ticks)
 
     def is_spare(self, machine: int) -> bool:
         """In the pool or in repair."""

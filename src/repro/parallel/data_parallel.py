@@ -11,14 +11,21 @@ The engine keeps replicas bit-identical across workers (same deterministic
 init, same reduced gradients, same update order), which is the invariant
 replication-based recovery exploits.
 
-There is one path for the reduce+update half of the iteration.  Each
-replica accumulates its gradients straight into its flat arena
-(:mod:`repro.utils.flat`); one all-reduce over one contiguous buffer
-synchronizes them, and the optimizer's flat kernel applies the update.
+There is one path for the reduce+update half of the iteration.  Every
+live replica's backward adds straight into one reduced flat buffer
+(:mod:`repro.utils.flat`), zeroed once per iteration: replicas run in
+ascending rank, so the backwards *are* the all-reduce's rank-order sum,
+and the all-reduce itself only divides by the group size.  The
+optimizer's flat kernel then applies the update from that buffer.  The
+fold is bitwise-equal to summing per-replica gradient buffers in rank
+order, ``((0+g0)+g1)+...`` against ``((0+g0)+(0+g1))+...``, provided
+every module contributes to each parameter at most once per backward (a
+second contribution would re-associate the sum): a sum started at +0.0
+is never -0.0, so adding ``g`` or ``0+g`` to it gives the same bits.
 Because replicas are bit-identical, the update runs *once* on a canonical
 replica; the others hold read-only copy-on-write views of its arena (they
 track every in-place update for free, accidental in-place writes raise)
-and own a gradient buffer only.  Sharing is *verify-then-share*: whenever
+and need no arena of their own.  Sharing is *verify-then-share*: whenever
 some replica's leaves do not alias the canonical arena (iteration 0, a
 global restart, an elastic resize, an external load, replicas that
 diverged) all leaves are compared *before* the update; if they agree bit
@@ -60,7 +67,11 @@ __all__ = ["DPWorker", "DataParallelEngine"]
 
 
 class DPWorker:
-    """One data-parallel worker: a replica, its optimizer, and undo marks."""
+    """One data-parallel worker: a replica, its optimizer, and undo marks.
+
+    It owns no gradient buffer: its parameters' gradients are views of the
+    engine's reduced buffer, writable while backward folds into it and
+    frozen once the all-reduce has averaged it."""
 
     def __init__(self, rank: int, device, model: Module, optimizer: Optimizer):
         self.rank = rank
@@ -71,11 +82,9 @@ class DPWorker:
         #: parameter names updated in the current (possibly interrupted)
         #: update phase — the marks update-undo consumes (Section 6)
         self.updated_params: list[str] = []
-        #: arena caches: (arena, [(Parameter, grad view)]) pairs for
-        #: seeding, and [(Parameter, reduced view)] for the post-reduce
-        #: rebind — rebuilt whenever the backing buffers change identity
-        self._seed_pairs: tuple | None = None
-        self._grad_pairs: tuple | None = None
+        #: [(Parameter, writable view, frozen view)] over the engine's
+        #: reduced buffer, built on the worker's first iteration
+        self._grad_cache: list[tuple] | None = None
 
     @property
     def alive(self) -> bool:
@@ -202,8 +211,11 @@ class DataParallelEngine:
         #: becoming ready from the output layer backwards (Figure 4)
         self.update_order: list[str] = list(opt0.params)[::-1]
         self.iteration = 0
-        #: all-reduce output, shared read-only by every replica's grads
-        self._reduced: FlatBuffer | None = None
+        #: the rank-order gradient sum every backward folds into, then
+        #: the all-reduce output every replica's grads read
+        self._reduced = FlatBuffer(
+            {n: opt0.params[n].data.shape for n in self.update_order},
+            self.update_order)
         #: worker whose arena the other replicas currently COW-share
         self._canonical: DPWorker | None = None
 
@@ -278,8 +290,8 @@ class DataParallelEngine:
         losses = []
         t_compute = 0.0
         with self.recorder.span("engine/forward_backward"):
+            self._seed_grads(live)
             for w, idx in zip(live, shards):
-                self._seed_grads(w)
                 w.updated_params = []
                 loss_fn = self.loss_factory()
                 out = w.model(x[idx])
@@ -310,37 +322,23 @@ class DataParallelEngine:
         """Tail of the iteration: one all-reduce, one (shared) update.
 
         Bitwise-equivalent to a per-parameter all-reduce and update on
-        every replica: the reduce sums the same per-rank values in the same
-        order over one contiguous buffer, and the kernels perform the
-        per-parameter arithmetic — checked end-to-end against
-        ``tests/optim_oracle.py`` by ``tests/test_flat.py`` and gated in
-        ``benchmarks/bench_step.py``.
+        every replica: backward summed the same per-rank values in the
+        same order into one contiguous buffer (see the module docstring),
+        and the kernels perform the per-parameter arithmetic — checked
+        end-to-end against ``tests/optim_oracle.py`` by
+        ``tests/test_flat.py`` and gated in ``benchmarks/bench_step.py``.
         """
         order = self.update_order
-        if self._reduced is None:
-            opt0 = self.workers[0].optimizer
-            self._reduced = FlatBuffer(
-                {n: opt0.params[n].data.shape for n in order}, order
-            )
         with self.recorder.span("engine/allreduce") as sp:
-            buffers = {
-                w.rank: w.optimizer.flat_arena(order).grads.data for w in live
-            }
-            self.group.allreduce_mean(buffers, out=self._reduced.data)
+            self.group.check_members(w.rank for w in live)
+            self._reduced.data /= len(live)
             grad_bytes = self._reduced.nbytes
             sp.set(bytes=grad_bytes)
             # every replica reads the same reduced gradients (undo consumes
             # them); read-only views make accidental in-place writes loud
             for w in live:
-                cache = w._grad_pairs
-                if cache is None or cache[0] is not self._reduced:
-                    gviews = self._reduced.frozen_views()
-                    w._grad_pairs = (self._reduced, [
-                        (w.optimizer.params[name], gviews[name]) for name in order
-                    ])
-                    cache = w._grad_pairs
-                for param, view in cache[1]:
-                    param.grad = view
+                for param, _, frozen in self._grad_views(w):
+                    param.grad = frozen
         t_comm = self.group.allreduce_time(grad_bytes)
 
         if failure is not None and failure.phase == FailurePhase.MID_UPDATE:
@@ -411,21 +409,25 @@ class DataParallelEngine:
             sim_time=t_compute + t_comm,
         )
 
-    def _seed_grads(self, w: DPWorker) -> None:
-        """Point ``w``'s gradients at its zeroed flat arena (cached pairs):
-        backward accumulates straight into it, so the reduce needs no
-        per-parameter gather and no separate ``zero_grad`` pass."""
-        arena = w.optimizer.flat_arena(self.update_order)
-        cache = w._seed_pairs
-        if cache is None or cache[0] is not arena:
-            views = arena.grads.views()
-            w._seed_pairs = (arena, [
-                (p, views[name]) for name, p in w.model.named_parameters()
-            ])
-            cache = w._seed_pairs
-        arena.grads.data[:] = 0.0
-        for param, view in cache[1]:
-            param.grad = view
+    def _seed_grads(self, live: list[DPWorker]) -> None:
+        """Zero the reduced buffer once and point every live replica's
+        gradients at writable views of it: the backwards, run in rank
+        order, fold the all-reduce's sum with no per-replica buffer, no
+        per-parameter gather and no separate reduce pass."""
+        self._reduced.zero()
+        for w in live:
+            for param, view, _ in self._grad_views(w):
+                param.grad = view
+
+    def _grad_views(self, w: DPWorker) -> list[tuple]:
+        """``(Parameter, writable view, frozen view)`` of ``w`` over the
+        reduced buffer (cached on the worker)."""
+        if w._grad_cache is None:
+            views = self._reduced.views()
+            frozen = self._reduced.frozen_views()
+            w._grad_cache = [(w.optimizer.params[n], views[n], frozen[n])
+                             for n in self.update_order]
+        return w._grad_cache
 
     def _sharing_valid(self, live: list[DPWorker], canon: DPWorker) -> bool:
         """All live replicas still alias the canonical arena leaf-for-leaf.

@@ -27,7 +27,9 @@ the fleet scheduler runs, and every spare handler calls it: a ``lease``
 slides the spare's hardware into the failed machine's id (job slots stay
 stable), the broken hardware repairs under the spare's id, each
 ``round`` counts the repairs down, and ``reclaim`` returns a repaired
-machine to the pool as the new spare.
+machine to the pool as the new spare.  Configured with no spares there
+is no pool: a ``crash`` that hits jobs replaces its machine at once, so
+they are blocked only until the next tick logs their ``recover``.
 """
 
 from __future__ import annotations
@@ -269,8 +271,8 @@ class ServeState:
             m: {"alive": True, "failures": 0, "retired": False}
             for m in range(self.config["num_machines"])
         }
-        self.pool = SparePool(p.get("spares", []),
-                              self.config["repair_ticks"])
+        self.pool = SparePool.configured(p.get("spares", []),
+                                         self.config["repair_ticks"])
 
     def _on_tenant(self, p: dict) -> None:
         rec = _tenant_record(p)
@@ -328,19 +330,22 @@ class ServeState:
 
     def _on_crash(self, p: dict) -> None:
         machine = int(p["machine"])
+        names = p.get("jobs", [])
+        # no pool: a job's machine is replaced at once, nothing pends
+        by_fiat = self.pool.by_fiat and bool(names)
         rec = self.machines[machine]
         rec["failures"] += 1
-        rec["alive"] = False
+        rec["alive"] = by_fiat
         tag = str(p.get("tag", ""))
         if tag:
             self.failure_tags.append(tag)
         self.pool.crash(machine)
-        for name in p.get("jobs", []):
+        for name in names:
             job = self.jobs[str(name)]
             job["failures"] += 1
             if job["status"] == "running":
                 job["status"] = "blocked"
-            if machine not in job["pending_machines"]:
+            if not by_fiat and machine not in job["pending_machines"]:
                 job["pending_machines"].append(machine)
 
     def _on_lease(self, p: dict) -> None:
@@ -501,7 +506,8 @@ class ServeState:
             "config": self.config,
             "machines": {str(m): rec
                          for m, rec in sorted(self.machines.items())},
-            "spares": self.pool.spares,
+            # null, not [], for no pool: an empty pool blocks recoveries
+            "spares": None if self.pool.by_fiat else self.pool.spares,
             "repairing": self.pool.repairing,
             "tenants": self.tenants,
             "jobs": self.jobs,

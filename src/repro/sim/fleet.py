@@ -204,11 +204,7 @@ class FleetSimulator:
                 )
         self.specs = sorted(specs, key=lambda s: s.arrival)
         self.cluster = Cluster(num_machines, devices_per_machine=devices_per_machine)
-        self.spares = (
-            SparePool(spares, repair_ticks=repair_ticks)
-            if spares
-            else None  # no pool: replacements appear by fiat (seed model)
-        )
+        self.spares = SparePool.configured(spares, repair_ticks)
         self.scheduler = Scheduler(self.cluster, spares=self.spares)
         self.scheduler.events += [
             ("init", {"num_machines": num_machines,
@@ -282,7 +278,7 @@ class FleetSimulator:
                                           "tenant": FLEET_TENANT,
                                           "spec": payload}))
             # 2. repairs complete -> blocked jobs may resume
-            due = self.spares.due() if self.spares is not None else []
+            due = self.spares.due()
             for machine_id in due:
                 self.scheduler.reclaim(machine_id)
             if due:
@@ -315,8 +311,7 @@ class FleetSimulator:
                 stepped += [name] * max(0, delta)
             events.append(("round", {"round": r, "dt": charged_dt,
                                      "stepped": sorted(stepped)}))
-            if self.spares is not None:
-                self.spares.end_round()
+            self.spares.end_round()
             # 6. completions release their gangs
             for job in list(self.scheduler.running):
                 if job.done:
@@ -348,7 +343,7 @@ class FleetSimulator:
         rec.gauge("fleet/queue_depth", len(self.scheduler.queue))
         rec.gauge("fleet/running_jobs", len(self.scheduler.running))
         rec.gauge("fleet/preempted_workers", self.scheduler.preempted_workers)
-        if self.spares is not None:
+        if not self.spares.by_fiat:
             rec.gauge("fleet/spares_available", len(self.spares.spares))
             rec.gauge("fleet/spares_repairing", len(self.spares.repairing))
         for name, job in self.scheduler.jobs.items():

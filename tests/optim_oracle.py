@@ -128,8 +128,9 @@ class EagerDataParallelEngine(DataParallelEngine):
     """DP with the per-parameter tail: gradients zeroed per replica, one
     all-reduce and one :func:`reference_step` per parameter per replica."""
 
-    def _seed_grads(self, w) -> None:
-        w.model.zero_grad()
+    def _seed_grads(self, live) -> None:
+        for w in live:
+            w.model.zero_grad()
 
     def _reduce_and_update(self, live, losses, t_compute, failure,
                            survivor_progress) -> IterationResult:

@@ -130,19 +130,6 @@ class TestCollectives:
         with pytest.raises(CommunicationError):
             g.allreduce_sum({i: np.zeros(1) for i in range(5)})
 
-    def test_allreduce_out_buffer(self):
-        """The fused path reduces into a caller-owned flat buffer."""
-        _, g = self.make_group()
-        rng = np.random.default_rng(1)
-        buffers = {i: rng.normal(size=16) for i in range(4)}
-        expected_mean = g.allreduce_mean(buffers)
-        expected_sum = g.allreduce_sum(buffers)
-        out = np.empty(16)
-        res = g.allreduce_mean(buffers, out=out)
-        assert res is out and np.array_equal(out, expected_mean)
-        res = g.allreduce_sum(buffers, out=out)
-        assert res is out and np.array_equal(out, expected_sum)
-
     def test_slowest_link_cached(self):
         _, g = self.make_group()
         first = g._slowest_link()

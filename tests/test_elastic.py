@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import make_dp_engine
-from repro.cluster import Cluster
+from helpers import assert_untouched, engine_snapshot, make_dp_engine
+from repro.cluster import Cluster, FailureEvent, FailurePhase
 from repro.core import ElasticCoordinator, ResizeEvent
 from repro.core.elastic import ElasticTrace
 from repro.core.replication import UNDO_KERNEL_TIME
-from repro.errors import ConfigurationError, RecoveryError
+from repro.errors import CommunicationError, ConfigurationError, RecoveryError
+from repro.utils import state_equal
 
 
 def make_coordinator(machines=2, per_machine=4, workers=4):
@@ -194,3 +195,57 @@ class TestScheduledElasticTraining:
         assert coord.engine.replicas_consistent()
         coord.engine.workers[2].load_full_state(skewed)
         assert not coord.engine.replicas_consistent()
+
+
+class TestElasticAgainstTheOracle:
+    """The DP backward folds into one buffer whose order and divisor follow
+    membership: across every kind of resize the fused engine must match
+    the eager per-rank reduce bit for bit."""
+
+    @staticmethod
+    def drive(eager):
+        cluster = Cluster(2, devices_per_machine=4)
+        coord = ElasticCoordinator(make_dp_engine(cluster, eager=eager))
+        engine, seen = coord.engine, []
+
+        def step(failure=None):
+            loss = engine.run_iteration(failure=failure).loss
+            seen.append((loss, [w.full_state()
+                                for w in engine.alive_workers()]))
+
+        step()
+        step()
+        # abrupt scale-in: machine 1 leaves mid-update, survivors undo
+        step(FailureEvent(1, 2, FailurePhase.MID_UPDATE, after_updates=2))
+        cluster.replace_machine(1)
+        coord.scale_in([w.rank for w in engine.workers
+                        if w.machine_id == 1], abrupt=True)
+        step()
+        coord.scale_out([(0, 2), (1, 0), (1, 1)])     # scale-out
+        step()
+        coord.scale_in([1])                           # graceful scale-in
+        step()
+        trace = coord.train(engine.iteration + 1, [ResizeEvent(  # leave+join
+            iteration=engine.iteration, leave=(0,), join=((1, 2),))])
+        seen.append((trace.losses[-1],
+                     [w.full_state() for w in engine.alive_workers()]))
+        step()
+        return seen
+
+    def test_resizes_match_the_eager_reduce_bitwise(self):
+        fused, eager = self.drive(False), self.drive(True)
+        assert [len(states) for _, states in fused] == [4, 4, 2, 2, 5, 4, 4, 4]
+        for (lf, sf), (le, se) in zip(fused, eager):
+            assert lf == le
+            assert len(sf) == len(se)
+            assert all(state_equal(a, b) for a, b in zip(sf, se))
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_a_dead_member_refuses_the_iteration_untouched(self, eager):
+        engine = make_dp_engine(eager=eager)
+        engine.run_iteration()
+        engine.cluster.fail_machine(1)   # dead, never recovered
+        before = engine_snapshot(engine)
+        with pytest.raises(CommunicationError):
+            engine.run_iteration()
+        assert_untouched(before, engine)

@@ -15,6 +15,8 @@ import pytest
 from helpers import (assert_shared, assert_untouched, engine_snapshot,
                      make_dp_engine, make_pp_engine)
 from optim_oracle import eager_pipeline_steps, reference_step, reference_steps
+from repro.api import (ClusterSpec, DataSpec, Experiment, ModelSpec,
+                       ParallelismSpec, build_engine)
 from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
 from repro.core import SwiftTrainer, TrainerConfig
 from repro.core.undo import resolve_dp_consistency
@@ -681,6 +683,60 @@ class TestFusedEngine:
         w = eng.alive_workers()[0]
         assert eng.state_nbytes() == state_nbytes(w.full_state())
         assert eng.state_nbytes() > w.model.state_nbytes()
+
+
+class TestBackwardFold:
+    """DP backward folds every replica's gradient into one reduced buffer.
+
+    The fold equals a rank-order reduce of per-replica buffers bit for bit
+    only if each backward contributes to a parameter at most once; the
+    eager oracle's per-rank buffers keep the comparison independent."""
+
+    @pytest.mark.parametrize("family, data, params", [
+        ("mlp", "classification", 6),
+        ("bert", "tokens", 40),
+        ("vit", "images", 39),
+    ])
+    def test_one_contribution_per_parameter(self, family, data, params,
+                                            monkeypatch):
+        engine = build_engine(Experiment(
+            model=ModelSpec(family=family),
+            data=DataSpec(kind=data, batch_size=8),
+            cluster=ClusterSpec(num_machines=1, devices_per_machine=1),
+            parallelism=ParallelismSpec(kind="dp", num_workers=1),
+        ).plan())
+        calls = {}
+        accumulate = Parameter.accumulate_grad
+
+        def counted(param, grad):
+            calls[id(param)] = calls.get(id(param), 0) + 1
+            accumulate(param, grad)
+
+        monkeypatch.setattr(Parameter, "accumulate_grad", counted)
+        engine.run_iteration()
+        model = engine.workers[0].model
+        assert [calls.get(id(p)) for p in model.parameters()] == [1] * params
+        assert len(calls) == params
+
+    def test_eager_grads_never_alias_the_reduced_buffer(self):
+        fused, eager = make_dp_engine(), make_dp_engine(eager=True)
+        seen = []
+        tail = eager._reduce_and_update
+
+        def check(live, *args):
+            grads = [p.grad for w in live for _, p in
+                     w.model.named_parameters()]
+            seen.append(len(grads))
+            assert not any(np.shares_memory(g, eng._reduced.data)
+                           for g in grads for eng in (fused, eager))
+            assert len({id(g.base if g.base is not None else g)
+                        for g in grads}) == len(grads)
+            return tail(live, *args)
+
+        eager._reduce_and_update = check
+        for _ in range(3):
+            assert fused.run_iteration().loss == eager.run_iteration().loss
+        assert seen == [len(eager.workers) * 6] * 3
 
 
 class TestFusedPipelineReplay:

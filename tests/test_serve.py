@@ -320,6 +320,47 @@ class TestGeometry:
         assert "cannot open WAL" in captured.err
 
 
+class TestNoPool:
+    """A control plane configured with no spares has no pool: a crash that
+    hits a job replaces its machine at once, as in the fleet.  That is not
+    a pool whose spares are all gone, which blocks until a repair."""
+
+    @staticmethod
+    def crash_a_job(server):
+        server.register_tenant(TenantSpec(name="t"))
+        server.submit("t", dp("j", 2, 8))
+        server.tick()
+        machine = server.state.jobs["j"]["slots"][0][0]
+        assert server.inject_failure(machine)
+        return machine
+
+    def test_serve_replaces_a_crashed_job_machine_at_once(self, tmp_path):
+        config = ServeConfig(num_machines=3, devices_per_machine=2,
+                             num_spares=0)
+        with fresh_server(tmp_path, config) as server:
+            machine = self.crash_a_job(server)
+            server.run(max_rounds=200)
+            job, snap = server.state.jobs["j"], server.state.snapshot()
+            assert (job["status"], job["failures"], job["recoveries"]) == (
+                "completed", 1, 1)
+            assert server.state.machines[machine]["alive"]
+        events = WriteAheadLog.load_events(tmp_path / "wal.jsonl")
+        assert not any(e.kind == "lease" for e in events)
+        assert ServeState.replay(events).snapshot() == snap
+        assert ServeState.restore(snap).snapshot() == snap
+
+    def test_a_pool_without_spares_still_blocks(self, tmp_path):
+        with fresh_server(tmp_path) as server:  # SMALL: one spare
+            assert server.shrink_cluster([3]) == [3]
+            self.crash_a_job(server)
+            for _ in range(5):
+                server.tick()
+            assert server.state.jobs["j"]["status"] == "blocked"
+            restored = ServeState.restore(server.state.snapshot())
+            assert (restored.pool.by_fiat, restored.pool.spares) == (False,
+                                                                     [])
+
+
 # -- admission control ------------------------------------------------------
 
 class TestAdmission:
@@ -605,28 +646,33 @@ class TestFleetWal:
     """The fleet scheduler logs its own transitions; folding that log must
     land on the scheduler's state after every round, not just at the end.
 
-    Two fleets: the demo, and a ``cascading`` seed-0 chaos run that blocks
-    jobs on an empty spare pool and crashes spares.  Their WALs are pinned
-    byte for byte by goldens recorded before the fleet and the fold shared
-    one spare pool.
+    Three fleets: the demo, a ``cascading`` seed-0 chaos run that blocks
+    jobs on an empty spare pool and crashes spares, and that run with no
+    pool at all, where every crashed job machine is replaced at once.
+    Their WALs are pinned byte for byte by goldens recorded before the
+    fleet and the fold shared one spare pool (the no-pool one before the
+    fold gave zero spares the fleet's meaning).
     """
 
-    #: fleet -> (chaos scenario, preemption events, job failures routed)
-    FLEETS = {"demo": (None, 2, 6), "cascading_seed0": ("cascading", 2, 35)}
+    #: fleet -> (chaos scenario, spares, preemption events, job failures
+    #: routed)
+    FLEETS = {"demo": (None, 1, 2, 6),
+              "cascading_seed0": ("cascading", 1, 2, 35),
+              "cascading_seed0_no_pool": ("cascading", 0, 0, 33)}
 
     @pytest.fixture(params=sorted(FLEETS))
     def fleet_run(self, request, tmp_path):
         from repro.api import demo_fleet_specs
         from repro.obs import TraceRecorder
 
-        scenario = self.FLEETS[request.param][0]
+        scenario, spares = self.FLEETS[request.param][:2]
         specs, failures = demo_fleet_specs(20)
         path = tmp_path / "fleet-wal.jsonl"
         wal = WriteAheadLog(path, fsync=False,
                             meta={"service": "repro.sim.fleet"})
         recorder = TraceRecorder()
         sim = FleetSimulator(specs, num_machines=6,
-                             devices_per_machine=4, num_spares=1,
+                             devices_per_machine=4, num_spares=spares,
                              failures=[] if scenario else failures,
                              scenario=scenario, scenario_seed=0,
                              wal=wal, recorder=recorder)
@@ -672,10 +718,20 @@ class TestFleetWal:
             if folded["iterations_done"] != job.iteration:
                 out.append((name, "iterations", folded["iterations_done"]))
         # the whole pool, repair countdowns included
-        if (state.pool.spares, state.pool.repairing) != (
-                sim.spares.spares, sim.spares.repairing):
-            out.append(("spares", state.pool.spares, state.pool.repairing,
-                        sim.spares.spares, sim.spares.repairing))
+        pools = [(pool.by_fiat, pool.spares, pool.repairing)
+                 for pool in (state.pool, sim.spares)]
+        if pools[0] != pools[1]:
+            out.append(("spares", *pools))
+        # machine health with no pool, where a crashed job's machine is
+        # replaced at once.  With a pool the planes still disagree: the
+        # fold revives a machine at its lease, the scheduler when its jobs
+        # recover, and a crash on a machine whose lease is banked is never
+        # leased again (ROADMAP "One scheduler")
+        if sim.spares.by_fiat:
+            health = [m for m, rec in state.machines.items()
+                      if rec["alive"] != sim.cluster.machine(m).alive]
+            if health:
+                out.append(("alive", health))
         return out
 
     def test_fleet_wal_matches_golden(self, fleet_run):
@@ -684,7 +740,7 @@ class TestFleetWal:
 
     def test_every_round_folds_to_the_scheduler(self, fleet_run):
         run = fleet_run
-        _, preemptions, failures = self.FLEETS[run.name]
+        _, _, preemptions, failures = self.FLEETS[run.name]
         # the run exercises preemption and failure routing
         assert run.report.total_preemptions == preemptions
         assert run.report.total_failures == failures
