@@ -34,7 +34,7 @@ def main() -> None:
     assert all(j.state == "completed" for j in report.jobs)
 
     print("\nplanned per job, on the slots it was granted:")
-    jobs = list(sim.scheduler.jobs.values())
+    jobs = list(sim.jobs.values())
     for job in jobs:
         plan = job.session.plan
         assert job.trainer.strategy == plan.strategy

@@ -12,9 +12,10 @@ is layered:
   selection, and the :class:`~repro.core.SwiftTrainer` orchestration loop;
 * :mod:`repro.sim` -- the analytic cost model and simulators behind every
   table and figure of the paper's evaluation;
-* :mod:`repro.jobs` -- the fleet layer: a multi-job gang scheduler with
-  failure-aware placement, spare-pool management, and priority preemption
-  via elastic scale-in/out on one shared cluster;
+* :mod:`repro.jobs` -- the fleet layer: schedulable jobs, the gang
+  policy (failure-aware placement, priority preemption via elastic
+  scale-in/out) and the spare pool that the control plane's one
+  scheduler decides with on one shared cluster;
 * :mod:`repro.api` -- the declarative experiment surface (Section 6
   usage): validated specs -> inspectable :class:`~repro.api.ExecutionPlan`
   -> live :class:`~repro.api.Session`, with fleet lowering and a

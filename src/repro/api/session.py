@@ -21,7 +21,7 @@ from repro.cluster.topology import Cluster
 from repro.core.strategy import FTStrategy
 from repro.core.trainer import SwiftTrainer, TrainingTrace
 from repro.errors import ConfigurationError
-from repro.jobs.spec import Job, JobSpec
+from repro.jobs.spec import JobSpec
 from repro.obs import Recorder, TelemetryTrace
 from repro.parallel.results import IterationResult
 
@@ -199,22 +199,8 @@ class Session:
         return self.trainer.step(failures)
 
     # -- fleet lowering ---------------------------------------------------
-    def submit(
-        self,
-        iterations: int,
-        scheduler=None,
-        now: float = 0.0,
-        **spec_kwargs,
-    ) -> JobSpec | Job:
-        """Lower this experiment into the fleet layer.
-
-        Returns the :class:`JobSpec`; when ``scheduler`` (a
-        :class:`repro.jobs.Scheduler`) is given, wraps it in a
-        :class:`Job`, submits it, and returns the Job instead.
-        """
-        spec = self.experiment.to_job_spec(iterations, **spec_kwargs)
-        if scheduler is None:
-            return spec
-        job = Job(spec)
-        scheduler.submit(job, now=now)
-        return job
+    def submit(self, iterations: int, **spec_kwargs) -> JobSpec:
+        """Lower this experiment into the fleet layer: the
+        :class:`JobSpec` a :class:`repro.sim.FleetSimulator` or a
+        :class:`repro.serve.ServeServer` takes."""
+        return self.experiment.to_job_spec(iterations, **spec_kwargs)

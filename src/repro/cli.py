@@ -990,8 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(recovery folds a bounded tail of the "
                             "log, not the history)")
     serve.add_argument("--fleet-demo", action="store_true",
-                       help="run a real FleetSimulator whose scheduler "
-                            "logs its own serve WAL, and audit that "
+                       help="run a real FleetSimulator, which logs its "
+                            "decisions to a serve WAL, and audit that "
                             "replay reproduces its accounting")
     serve.add_argument("--machines", type=int, default=None,
                        help="cluster machines (default: 5, or 6 for "

@@ -63,10 +63,12 @@ class Machine:
     def take_offline(self) -> None:
         """Mark the machine down without recording a new hardware failure.
 
-        Used by the multi-job scheduler to undo an over-eager replacement:
-        a job's recovery replaces every failed machine it sees, including
-        broken machines it does not own — those must stay down until their
-        own repair/recovery actually happens.
+        Used by the fleet simulator to keep each machine's health as the
+        control plane has it: a job's recovery replaces every failed
+        machine it sees, including broken machines it does not own —
+        those must stay down until their own repair/recovery actually
+        happens — and must see the machines it lost as failed, even one
+        whose replacement was leased while the job still waited.
         """
         self.alive = False
         for dev in self.devices:

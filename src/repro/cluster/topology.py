@@ -61,8 +61,8 @@ class Cluster:
         self._replacements: list[int] = []
         #: slot accounting: (machine_id, device_idx) -> owner tag.  Engines
         #: themselves do not consult the ledger (a single-job run owns the
-        #: whole cluster); the :mod:`repro.jobs` scheduler uses it to share
-        #: one cluster between jobs and the spare pool.
+        #: whole cluster); the fleet simulator uses it to share one
+        #: cluster between jobs.
         self._slot_owner: dict[tuple[int, int], str] = {}
 
     # -- lookup ------------------------------------------------------------

@@ -10,20 +10,18 @@ story:
   schedulable, steppable, (optionally) elastic unit;
 * :mod:`repro.jobs.placement` — the gang policy as pure functions
   (failure-aware spread, elastic preemption, restoration order,
-  head-of-line), shared with the serve control plane;
+  head-of-line);
 * :class:`SparePool` — hot spares leased to recoveries and reclaimed
-  after repair: the one lease/repair/reclaim state machine, which the
-  serve fold (:class:`repro.serve.ServeState`) runs too;
-* :class:`Scheduler` — applies that policy to a live cluster, routes
-  machine failures to owning jobs, and logs every transition it takes
-  in the serve WAL vocabulary.
+  after repair: the one lease/repair/reclaim state machine.
 
-The round-based :class:`repro.sim.FleetSimulator` drives a whole fleet
-through a failure schedule; ``python -m repro.cli fleet`` prints the
-resulting per-job and cluster-wide report.
+The one scheduler that decides with them is the serve control plane's
+(:func:`repro.serve.server.decide`, folded by
+:class:`repro.serve.ServeState`).  The round-based
+:class:`repro.sim.FleetSimulator` runs it and executes its decisions on
+live jobs through a failure schedule; ``python -m repro.cli fleet``
+prints the resulting per-job and cluster-wide report.
 """
 
-from repro.jobs.scheduler import Scheduler
 from repro.jobs.spare import SparePool
 from repro.jobs.spec import Job, JobSpec, JobState
 
@@ -32,5 +30,4 @@ __all__ = [
     "JobSpec",
     "JobState",
     "SparePool",
-    "Scheduler",
 ]

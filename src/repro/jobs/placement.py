@@ -1,8 +1,8 @@
 """Gang placement: the one policy the fleet and the control plane decide with.
 
-Pure functions over plain values.  The fleet :class:`~repro.jobs.Scheduler`
-and :class:`~repro.serve.ServeServer` each pass in their own keys, then
-apply the answer — reserve and shrink, or log events:
+Pure functions over plain values.  The control plane's decide phases
+(:func:`repro.serve.server.decide`, which the fleet simulator runs too)
+pass in keys read from the fold and log the answer as events:
 
 * :func:`spread` — slots round-robin over the machines with the fewest
   failures, so a gang spans many healthy failure domains;
@@ -116,11 +116,10 @@ def head_of_line(rows: Iterable[tuple[T, float, int, float]]) -> T:
 
     Rows rank by ``(usage, *line_key(priority, submitted))``.  All of a
     tenant's rows share its usage, so only its first job by
-    :func:`line_key` can win.  Two callers rely on that: the fleet
-    :class:`~repro.jobs.Scheduler` passes its whole queue, and
-    :class:`~repro.serve.ServeServer` passes one row per tenant, the
-    head of that tenant's line in :class:`~repro.serve.ServeState`'s
-    index.  Both get the same job.
+    :func:`line_key` can win.  The control plane relies on that: it
+    passes one row per tenant, the head of that tenant's line in
+    :class:`~repro.serve.ServeState`'s index, and gets the job a scan of
+    the whole queue would.
 
     >>> head_of_line([("late", 0, 9, 2), ("early", 0, 9, 1),
     ...               ("low", 0, 0, 0), ("heavy", 1.5, 9, 0)])

@@ -3,9 +3,9 @@
 The paper assumes "a replacement machine will be added to the training
 job" after a crash (Section 3).  On a shared cluster replacements come
 from a finite pool of hot spares, held here as two plain lists.  The
-serve fold (:class:`~repro.serve.ServeState`) and the fleet
-:class:`~repro.jobs.Scheduler` both run it; the scheduler applies the
-``Cluster`` side effects itself.
+serve fold (:class:`~repro.serve.ServeState`) runs it, for the control
+plane and for the fleet simulator, which makes its live cluster follow
+the fold.
 
 * A *lease* slides a named spare's hardware into the failed machine's id
   (job slots stay stable); the broken hardware repairs under the spare's

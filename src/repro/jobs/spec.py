@@ -191,7 +191,7 @@ class Job:
         self.finish_time: float | None = None
         self.preemptions = 0
         self.machine_failures = 0
-        #: machine ids whose failure is still waiting for a spare
+        #: machines whose loss the next :meth:`recover` must repair
         self.pending_machines: list[int] = []
 
     # -- identity ---------------------------------------------------------
@@ -311,8 +311,9 @@ class Job:
         """A shared-cluster machine this job occupies crashed.
 
         Fails the machine and raises the job's failure flag; the actual
-        recovery runs via :meth:`recover` once the scheduler has secured a
-        replacement from the spare pool (possibly after blocking).
+        recovery runs via :meth:`recover` once the control plane has a
+        replacement for every machine the job lost (possibly after
+        blocking on an empty spare pool).
         """
         assert self.cluster is not None
         self.cluster.fail_machine(machine_id)
@@ -361,21 +362,3 @@ class Job:
         """Restore preempted workers onto freshly granted slots."""
         assert self.coordinator is not None, f"{self.name} is not elastic"
         self.coordinator.scale_out(list(slots))
-
-    @property
-    def shrinkable(self) -> int:
-        """How many workers preemption could still take from this job."""
-        if (
-            not self.spec.elastic
-            or self.trainer is None
-            or self.state != JobState.RUNNING
-        ):
-            return 0
-        return max(0, len(self.engine.workers) - self.spec.min_workers)
-
-    @property
-    def missing_workers(self) -> int:
-        """Workers lost to preemption that restoration should give back."""
-        if not self.spec.elastic or self.trainer is None:
-            return 0
-        return max(0, self.spec.num_workers - len(self.engine.workers))

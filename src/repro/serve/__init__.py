@@ -20,11 +20,11 @@ cluster — and it survives being SIGKILLed at any instant:
   kills the control plane at N WAL offsets (tearing alternate cut
   lines) and proves bitwise-equal replay, zero acknowledged-submission
   loss, and goodput identical to the uninterrupted run;
-* **one gang policy** (:mod:`repro.jobs.placement`): the server places,
-  preempts and restores through the same pure functions as the fleet
-  :class:`~repro.jobs.Scheduler`, which logs its own transitions in this
-  WAL vocabulary — a :class:`~repro.sim.FleetSimulator` run given a WAL
-  is audited by replaying it;
+* **one scheduler** (:func:`~repro.serve.server.decide`): the server's
+  decide phases place, preempt and restore through the pure gang policy
+  of :mod:`repro.jobs.placement`; a :class:`~repro.sim.FleetSimulator`
+  runs the same phases over its own fold and executes their events on
+  live jobs, so its WAL, given one, is its state;
 * **exactly-once sessions** (:mod:`repro.serve.client`): client-stamped
   request ids fold into the state as a dedup table, so a retry after a
   lost ack returns the original verdict — :class:`ServeClient`

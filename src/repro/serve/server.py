@@ -14,17 +14,22 @@ events the dead process would have written next — crash recovery is
 replay, never reconciliation.  That is the paper's thesis applied to the
 scheduler itself.
 
-Gang placement is the fleet scheduler's own policy, through the same
-pure functions of :mod:`repro.jobs.placement`: failure-aware spread,
+The decisions are module functions over a state and a log function:
+:func:`decide` (reclaim, recover, :func:`settle`, shed, place,
+restore), :func:`commit` (the closing ``round`` event) and
+:func:`crash`.  The server runs them through its WAL;
+:class:`~repro.sim.FleetSimulator` runs the same ones over its own fold
+and executes each event on a live cluster, so there is one scheduler.
+Gang placement goes through the pure functions of
+:mod:`repro.jobs.placement`: failure-aware spread,
 priority preemption of elastic jobs, restoration once the queue is
 empty, and a head of line chosen by weighted fair share across tenants.
 Spare-machine leases and reclaims are decided from the queries of the
-state's :class:`~repro.jobs.SparePool` — the pool the fleet scheduler
-runs — and folded back into it.  Admission control enforces per-tenant
-worker quotas and pending caps; when the cluster shrinks (``retire``)
-the queue is gracefully degraded by shedding jobs that can never fit —
-lowest tenant priority first — instead of deadlocking the head of the
-queue.
+state's :class:`~repro.jobs.SparePool` and folded back into it.
+Admission control enforces per-tenant worker quotas and pending caps;
+when the cluster shrinks (``retire``) the queue is gracefully degraded
+by shedding jobs that can never fit — lowest tenant priority first —
+instead of deadlocking the head of the queue.
 
 Checkpoint-storage writes (periodic state snapshots to the
 :class:`~repro.cluster.GlobalStore`) ride through outage windows via
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.cluster.storage import GlobalStore
 from repro.errors import ConfigurationError, StorageError
@@ -54,7 +60,8 @@ from repro.serve.segments import open_wal
 from repro.serve.state import ServeState
 from repro.serve.wal import ServeEvent
 
-__all__ = ["TenantSpec", "ServeConfig", "ServeServer"]
+__all__ = ["TenantSpec", "ServeConfig", "ServeServer",
+           "decide", "settle", "commit", "crash"]
 
 #: event kinds only ever emitted inside :meth:`ServeServer.tick` —
 #: disjoint from the client-op kinds (tenant/submit/reject/crash/retire),
@@ -63,6 +70,14 @@ _TICK_KINDS = frozenset({
     "complete", "reclaim", "lease", "recover",
     "shed", "place", "preempt", "restore",
 })
+
+#: the ``serve/*`` counter each logged event kind bumps
+_COUNTERS = {
+    "submit": "serve/submitted", "reject": "serve/rejected",
+    "crash": "serve/machine_failures", "recover": "serve/recoveries",
+    "complete": "serve/completed", "shed": "serve/shed",
+    "place": "serve/placed", "preempt": "serve/preemptions",
+}
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,181 @@ class ServeConfig:
     @property
     def schedulable_machines(self) -> int:
         return self.num_machines - self.num_spares
+
+
+#: ``log(kind, payload)``: durably append one event, then fold it
+Log = Callable[[str, dict], object]
+
+
+# -- the decide phases ------------------------------------------------------
+# Each reads only the fold and logs a decision before it applies it.
+# ServeServer.tick runs them, and so does the fleet simulator, whose log
+# also executes every event on a live cluster.
+
+def decide(state: ServeState, log: Log) -> None:
+    """One round's decisions: reclaim, recover, settle, shed, place,
+    restore.
+
+    Phase order is crash-safety by construction: every phase's decision
+    is *disabled by its own event's application*, so a server killed
+    between any two appends re-runs the round and emits exactly the
+    remaining events.  Settling comes AFTER recovery: a recover event
+    re-enables the completion check for a blocked-at-target job, so
+    settling first would make a crash-resumed tick (which re-runs all
+    phases) complete jobs the uninterrupted tick stepped once more — the
+    drill catches exactly this divergence.
+    """
+    for machine in state.pool.due():
+        log("reclaim", {"machine": machine})
+    for job in state.jobs_with_status("blocked"):
+        for dead in list(job["pending_machines"]):
+            spare = state.pool.next_spare()
+            if spare is None:
+                break
+            log("lease", {"machine": dead, "spare": spare})
+        if not job["pending_machines"]:
+            log("recover", {"name": job["name"]})
+    settle(state, log)
+    _shed_impossible(state, log)
+    _place_queue(state, log)
+    _restore_preempted(state, log)
+
+
+def settle(state: ServeState, log: Log) -> None:
+    """Complete every running job whose last iteration is done."""
+    for job in state.jobs_with_status("running"):
+        if job["iterations_done"] >= int(job["spec"]["iterations"]):
+            log("complete", {"name": job["name"]})
+
+
+def commit(state: ServeState, log: Log, stepped: list[str],
+           dt: float) -> None:
+    """Close the round: each ``stepped`` job ran one iteration, and the
+    round took ``dt`` simulated seconds."""
+    log("round", {"round": state.round, "dt": dt, "stepped": stepped})
+
+
+def crash(state: ServeState, log: Log, machine: int, tag: str = "") -> bool:
+    """Fail-stop one machine; False, logging nothing, if already dead.
+
+    Every running or blocked job with a slot on it is hit.  A non-empty
+    ``tag`` doubles as an idempotency key: a tag already folded into the
+    state means this exact crash was acknowledged before.
+    """
+    if machine not in state.machines:
+        raise ConfigurationError(f"unknown machine {machine}")
+    if tag and tag in state.failure_tags:
+        return False
+    # a spare that died in the pool is down but can fail again: its
+    # repair restarts
+    is_spare = state.pool.is_spare(machine)
+    if not state.machines[machine]["alive"] and not is_spare:
+        return False
+    hit = [] if is_spare else [
+        job["name"]
+        for job in state.jobs_with_status("running", "blocked")
+        if any(m == machine for m, _ in job["slots"])
+    ]
+    log("crash", {"machine": machine, "jobs": hit, "tag": tag,
+                  "spare": is_spare})
+    return True
+
+
+def _shed_impossible(state: ServeState, log: Log) -> None:
+    if not state.queue:
+        return
+    # a crash whose machine a lease will bring back is not a reason to
+    # shed a job that fits once the repairs finish
+    capacity = state.regainable_capacity()
+    doomed = [
+        state.jobs[name] for name in state.queue
+        if int(state.jobs[name]["spec"]["num_workers"]) > capacity
+    ]
+    # graceful degradation: lowest tenant priority sheds first
+    doomed.sort(key=lambda job: (
+        state.tenants[job["tenant"]]["priority"],
+        int(job["spec"].get("priority", 0)),
+        job["submitted_seq"],
+    ))
+    for job in doomed:
+        log("shed", {
+            "name": job["name"],
+            "reason": (f"needs {job['spec']['num_workers']} workers, "
+                       f"cluster capacity is {capacity}"),
+        })
+
+
+def _spread(state: ServeState, num: int) -> list[tuple[int, int]] | None:
+    failures = {m: rec["failures"] for m, rec in state.machines.items()}
+    return spread(state.free_slots(), failures, num)
+
+
+def _head(state: ServeState) -> dict:
+    """The queued job to place next, by weighted fair share."""
+    # an in-flight preemption (crash between preempt and place) pins
+    # the head: finish the decision the dead server started
+    reserved = state.reserved_jobs()
+    if reserved:
+        return min(reserved, key=lambda job: job["submitted_seq"])
+    # each tenant's own line head is its only candidate (see
+    # head_of_line), so this is O(tenants), not O(queue)
+    return head_of_line(
+        (job,
+         state.tenant_usage(job["tenant"])
+         / state.tenants[job["tenant"]]["share"],
+         int(job["spec"].get("priority", 0)), job["submitted_seq"])
+        for job in state.tenant_heads()
+    )
+
+
+def _place_queue(state: ServeState, log: Log) -> None:
+    while state.queue:
+        head = _head(state)
+        want = int(head["spec"]["num_workers"])
+        slots = _spread(state, want)
+        if slots is None:
+            slots = _try_preempt_for(state, log, head, want)
+        if slots is None:
+            return  # the head of the line blocks: no backfilling
+        log("place", {"name": head["name"],
+                      "slots": [list(s) for s in slots]})
+
+
+def _try_preempt_for(
+    state: ServeState, log: Log, head: dict, want: int
+) -> list[tuple[int, int]] | None:
+    """Shrink lower-priority elastic jobs until ``head`` fits."""
+    priority = int(head["spec"].get("priority", 0))
+    takes = preemption(want, len(state.free_slots()), [
+        (job, int(job["spec"].get("priority", 0)), job["submitted_seq"],
+         len(job["slots"]) - int(job["spec"].get("min_workers", 1)))
+        for job in state.jobs_with_status("running")
+        if job["spec"].get("elastic", False)
+        and int(job["spec"].get("priority", 0)) < priority
+    ])
+    if takes is None:
+        return None
+    for job, take in takes:
+        log("preempt", {"name": job["name"],
+                        "slots": job["slots"][-take:],
+                        "for": head["name"]})
+    return _spread(state, want)
+
+
+def _restore_preempted(state: ServeState, log: Log) -> None:
+    if state.queue:
+        return  # demand first, restoration second
+    for job in restoration_order(
+        (job, int(job["spec"].get("priority", 0)), job["submitted_seq"])
+        for job in state.jobs_with_status("running")
+        if job["spec"].get("elastic", False)
+        and len(job["slots"]) < int(job["spec"]["num_workers"])
+    ):
+        missing = int(job["spec"]["num_workers"]) - len(job["slots"])
+        slots = _spread(state, min(missing, len(state.free_slots())))
+        if slots:
+            log("restore", {"name": job["name"],
+                            "slots": [list(s) for s in slots]})
 
 
 class ServeServer:
@@ -211,6 +401,9 @@ class ServeServer:
                            payload=payload)
         self.wal.append(event)
         self.state.apply(event)
+        counter = _COUNTERS.get(kind)
+        if counter is not None:
+            self.recorder.count(counter, track="serve")
         return event
 
     # -- client-facing operations (each acknowledged after the WAL) --------
@@ -278,39 +471,18 @@ class ServeServer:
             self._log("reject", {"name": name, "tenant": tenant,
                                  "spec": payload, "reason": reason,
                                  **extra})
-            self.recorder.count("serve/rejected", track="serve")
             return ("rejected", name)
         self._log("submit", {"name": name, "tenant": tenant,
                              "spec": payload, **extra})
-        self.recorder.count("serve/submitted", track="serve")
         return ("accepted", name)
 
     def inject_failure(self, machine: int, tag: str = "") -> bool:
         """Fail-stop one machine (chaos drills); False if already dead.
 
-        A non-empty ``tag`` doubles as an idempotency key: a tag already
-        folded into the state means this exact crash was acknowledged
-        before (a retried request after a lost ack), so it is not
-        injected twice.
+        A tag already folded means this crash was acknowledged before (a
+        retried request after a lost ack): it is not injected twice.
         """
-        if machine not in self.state.machines:
-            raise ConfigurationError(f"unknown machine {machine}")
-        if tag and tag in self.state.failure_tags:
-            return False
-        # a spare that died in the pool is down but can fail again: its
-        # repair restarts
-        is_spare = self.state.pool.is_spare(machine)
-        if not self.state.machines[machine]["alive"] and not is_spare:
-            return False
-        hit = [] if is_spare else [
-            job["name"]
-            for job in self.state.jobs_with_status("running", "blocked")
-            if any(m == machine for m, _ in job["slots"])
-        ]
-        self._log("crash", {"machine": machine, "jobs": hit,
-                            "tag": tag, "spare": is_spare})
-        self.recorder.count("serve/machine_failures", track="serve")
-        return True
+        return crash(self.state, self._log, machine, tag)
 
     def shrink_cluster(self, machines: list[int]) -> list[int]:
         """Permanently retire machines (capacity loss); returns retired.
@@ -337,32 +509,19 @@ class ServeServer:
     def tick(self) -> int:
         """Run one scheduling round; returns the round number it ran.
 
-        Phase order is crash-safety by construction: every phase's
-        decision is *disabled by its own event's application*, so a
-        server killed between any two appends re-runs the tick and
-        emits exactly the remaining events.  The closing ``round`` event
-        is the commit point that advances time.
+        :func:`decide` logs the round's decisions; the closing ``round``
+        event (:func:`commit`), in which every running job steps, is the
+        commit point that advances time.
         """
         state = self.state
         rnd = state.round
         with self.recorder.span("serve/tick", track="serve"):
-            # settle AFTER recovery: a recover event re-enables the
-            # completion check for a blocked-at-target job, so settling
-            # first would make a crash-resumed tick (which re-runs all
-            # phases) complete jobs the uninterrupted tick stepped once
-            # more — the drill catches exactly this divergence
-            self._reclaim_repairs()
-            self._recover_blocked()
-            self._settle_completions()
-            self._shed_impossible()
-            self._place_queue()
-            self._restore_preempted()
+            decide(state, self._log)
             stepped = [job["name"]
                        for job in state.jobs_with_status("running")]
-            dt = (self.config.iteration_time if stepped
-                  else self.config.idle_time)
-            self._log("round", {"round": rnd, "dt": dt,
-                                "stepped": stepped})
+            commit(state, self._log, stepped,
+                   self.config.iteration_time if stepped
+                   else self.config.idle_time)
         if self.recorder.enabled:
             self.recorder.gauge("serve/free_slots",
                                 len(state.free_slots()), track="serve")
@@ -396,123 +555,6 @@ class ServeServer:
             raise ConfigurationError(
                 f"run did not settle within {max_rounds} rounds"
             )
-
-    # -- tick phases (each one: decide from state, log, apply) -------------
-    def _settle_completions(self) -> None:
-        for job in self.state.jobs_with_status("running"):
-            if job["iterations_done"] >= int(job["spec"]["iterations"]):
-                self._log("complete", {"name": job["name"]})
-                self.recorder.count("serve/completed", track="serve")
-
-    def _reclaim_repairs(self) -> None:
-        for machine in self.state.pool.due():
-            self._log("reclaim", {"machine": machine})
-
-    def _recover_blocked(self) -> None:
-        for job in self.state.jobs_with_status("blocked"):
-            for dead in list(job["pending_machines"]):
-                spare = self.state.pool.next_spare()
-                if spare is None:
-                    break
-                self._log("lease", {"machine": dead, "spare": spare})
-            if not job["pending_machines"]:
-                self._log("recover", {"name": job["name"]})
-                self.recorder.count("serve/recoveries", track="serve")
-
-    def _shed_impossible(self) -> None:
-        state = self.state
-        capacity = state.capacity()
-        doomed = [
-            state.jobs[name] for name in state.queue
-            if int(state.jobs[name]["spec"]["num_workers"]) > capacity
-        ]
-        # graceful degradation: lowest tenant priority sheds first
-        doomed.sort(key=lambda job: (
-            state.tenants[job["tenant"]]["priority"],
-            int(job["spec"].get("priority", 0)),
-            job["submitted_seq"],
-        ))
-        for job in doomed:
-            self._log("shed", {
-                "name": job["name"],
-                "reason": (f"needs {job['spec']['num_workers']} workers, "
-                           f"cluster capacity is {capacity}"),
-            })
-            self.recorder.count("serve/shed", track="serve")
-
-    def _spread(self, num: int) -> list[tuple[int, int]] | None:
-        state = self.state
-        failures = {m: rec["failures"] for m, rec in state.machines.items()}
-        return spread(state.free_slots(), failures, num)
-
-    def _head(self) -> dict:
-        """The queued job to place next, by weighted fair share."""
-        state = self.state
-        # an in-flight preemption (crash between preempt and place) pins
-        # the head: finish the decision the dead server started
-        reserved = state.reserved_jobs()
-        if reserved:
-            return min(reserved, key=lambda job: job["submitted_seq"])
-        # each tenant's own line head is its only candidate (see
-        # head_of_line), so this is O(tenants), not O(queue)
-        return head_of_line(
-            (job,
-             state.tenant_usage(job["tenant"])
-             / state.tenants[job["tenant"]]["share"],
-             int(job["spec"].get("priority", 0)), job["submitted_seq"])
-            for job in state.tenant_heads()
-        )
-
-    def _place_queue(self) -> None:
-        state = self.state
-        while state.queue:
-            head = self._head()
-            want = int(head["spec"]["num_workers"])
-            slots = self._spread(want)
-            if slots is None:
-                slots = self._try_preempt_for(head, want)
-            if slots is None:
-                return  # head-of-line blocks, like the fleet scheduler
-            self._log("place", {"name": head["name"],
-                                "slots": [list(s) for s in slots]})
-            self.recorder.count("serve/placed", track="serve")
-
-    def _try_preempt_for(
-        self, head: dict, want: int
-    ) -> list[tuple[int, int]] | None:
-        """Shrink lower-priority elastic jobs until ``head`` fits."""
-        priority = int(head["spec"].get("priority", 0))
-        takes = preemption(want, len(self.state.free_slots()), [
-            (job, int(job["spec"].get("priority", 0)), job["submitted_seq"],
-             len(job["slots"]) - int(job["spec"].get("min_workers", 1)))
-            for job in self.state.jobs_with_status("running")
-            if job["spec"].get("elastic", False)
-            and int(job["spec"].get("priority", 0)) < priority
-        ])
-        if takes is None:
-            return None
-        for job, take in takes:
-            self._log("preempt", {"name": job["name"],
-                                  "slots": job["slots"][-take:],
-                                  "for": head["name"]})
-            self.recorder.count("serve/preemptions", track="serve")
-        return self._spread(want)
-
-    def _restore_preempted(self) -> None:
-        state = self.state
-        if state.queue:
-            return  # demand first, restoration second (fleet semantics)
-        for job in restoration_order(
-            (job, int(job["spec"].get("priority", 0)), job["submitted_seq"])
-            for job in state.jobs_with_status("running")
-            if job["spec"].get("elastic", False)
-            and len(job["slots"]) < int(job["spec"]["num_workers"])
-        ):
-            missing = int(job["spec"]["num_workers"]) - len(job["slots"])
-            slots = self._spread(min(missing, len(state.free_slots())))
-            if slots:
-                self._log("restore", {"name": job["name"],
-                                      "slots": [list(s) for s in slots]})
 
     # -- checkpoint-storage fault envelope ---------------------------------
     def _upload_snapshot(self) -> None:

@@ -22,8 +22,8 @@ recomputation from ``jobs``.  They are not part of the snapshot: a
 folded or restored state builds them from its job records on the first
 query, so a WAL fold does no index work.
 
-The spares are a :class:`repro.jobs.SparePool`, the same state machine
-the fleet scheduler runs, and every spare handler calls it: a ``lease``
+The spares are a :class:`repro.jobs.SparePool`, and every spare
+handler calls it: a ``lease``
 slides the spare's hardware into the failed machine's id (job slots stay
 stable), the broken hardware repairs under the spare's id, each
 ``round`` counts the repairs down, and ``reclaim`` returns a repaired
@@ -414,17 +414,29 @@ class ServeState:
             self._index = _Index(self.jobs)
         return self._index
 
-    def schedulable_machines(self) -> list[int]:
-        """Alive, non-retired machines outside the spare/repair pools."""
+    def schedulable_machines(self, waited_on: set[int] = frozenset()
+                             ) -> list[int]:
+        """Alive, non-retired machines outside the spare/repair pools,
+        plus the dead ones in ``waited_on``."""
         held = set(self.pool.spares) | {m for m, _ in self.pool.repairing}
         return [
             m for m, rec in sorted(self.machines.items())
-            if rec["alive"] and not rec["retired"] and m not in held
+            if (rec["alive"] or m in waited_on)
+            and not rec["retired"] and m not in held
         ]
 
     def capacity(self) -> int:
         """Total schedulable device slots right now."""
         return (len(self.schedulable_machines())
+                * self.config.get("devices_per_machine", 0))
+
+    def regainable_capacity(self) -> int:
+        """The slots the cluster can get back: the schedulable machines
+        and the dead ones a blocked job waits on, the only ones a lease
+        revives (an idle machine that crashed stays dead)."""
+        waited_on = {m for n in self._indexed().by_status.get("blocked", ())
+                     for m in self.jobs[n]["pending_machines"]}
+        return (len(self.schedulable_machines(waited_on))
                 * self.config.get("devices_per_machine", 0))
 
     def occupied_slots(self) -> set[tuple[int, int]]:

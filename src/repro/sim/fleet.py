@@ -1,27 +1,36 @@
 """Fleet simulation: many jobs, one shared cluster, a failure schedule.
 
 Extends the paper's single-job evaluation to the regime its premise comes
-from — large shared busy clusters.  The simulator drives the
-:class:`~repro.jobs.Scheduler` in *rounds*: each round every running job
-executes one training iteration (cooperative interleaving via
-``SwiftTrainer.step``), arrivals are submitted, due machine failures are
-routed to the owning jobs' recovery paths, and fleet wall-clock advances
-by the slowest job's iteration time (jobs run concurrently on disjoint
-hardware, so the round is a BSP-style synchronization of the *simulation*,
-not of the jobs themselves).
+from — large shared busy clusters.  The fleet has no scheduler of its
+own: it runs the serve control plane's decisions
+(:func:`repro.serve.server.decide`) over its own
+:class:`~repro.serve.ServeState` and executes every event they log on a
+live :class:`~repro.cluster.Cluster` and its :class:`~repro.jobs.Job` s:
 
+* ``place`` / ``preempt`` / ``restore`` reserve or release the slots and
+  start, shrink or grow the job (an abrupt elastic scale-in, kept
+  crash-consistent by update-undo, paper Section 8);
+* ``crash`` fails the machine and raises each hit job's failure flag;
+  ``recover`` runs the job's own Swift recovery (before it is logged);
+  after ``lease``, ``reclaim`` and a recovery every machine is alive
+  exactly when the fold says so;
+* a job whose plan has no engine for its slots (``ConfigurationError``)
+  or whose recovery is impossible (``RecoveryError``) is logged ``fail``.
+
+Each round submits the arrivals, injects the due crashes (through
+:func:`repro.serve.server.crash`, as ``ServeServer.inject_failure``
+does), decides, steps every running job one training iteration
+(cooperative interleaving via ``SwiftTrainer.step``), commits the jobs
+that stepped and settles the ones that are done.  Fleet wall-clock
+advances by the slowest job's clock: jobs run concurrently on disjoint
+hardware, so the round is a BSP-style synchronization of the
+*simulation*, not of the jobs themselves.
+
+Given ``wal=``, every event is appended to it before it is folded, so
+:meth:`repro.serve.ServeState.replay` of the log is the fleet's state.
 The resulting :class:`FleetReport` gives per-job and cluster-wide
 throughput, goodput, queueing delay, preemption and failure counts — the
 fleet-level version of the paper's Figure-8 story.
-
-Given ``wal=``, the run is also a serve WAL.  The scheduler logs every
-transition it takes (:attr:`~repro.jobs.Scheduler.events`); the simulator
-adds ``init``, ``tenant``, ``submit`` and ``round`` and appends the lot at
-the end of each round, so :meth:`repro.serve.ServeState.replay` of the log
-reproduces the fleet's accounting.  The spare pool is the fold's own
-:class:`~repro.jobs.SparePool`, on the fold's clock: its countdowns
-decrement where the ``round`` event is logged, and a due repair is
-reclaimed at the start of the next round.
 """
 
 from __future__ import annotations
@@ -30,10 +39,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster
-from repro.errors import ConfigurationError
-from repro.jobs import Job, JobSpec, JobState, Scheduler, SparePool
+from repro.errors import ConfigurationError, RecoveryError
+from repro.jobs import Job, JobSpec, JobState
 from repro.jobs.spare import check_repair_ticks, spare_ids
 from repro.obs import NULL_RECORDER, Recorder
+from repro.serve.server import commit, crash, decide, settle
+from repro.serve.state import ServeState
+from repro.serve.wal import ServeEvent
 
 __all__ = [
     "FleetFailure",
@@ -131,21 +143,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-class _FleetClock:
-    """Adapter exposing fleet wall-clock as a ``.now`` sim clock.
-
-    Lets a :class:`~repro.obs.TraceRecorder` timestamp fleet events on
-    the fleet's own simulated timeline (``FleetSimulator.fleet_time``).
-    """
-
-    def __init__(self, fleet: "FleetSimulator"):
-        self._fleet = fleet
-
-    @property
-    def now(self) -> float:
-        return self._fleet.fleet_time
-
-
 class FleetSimulator:
     """Round-based driver for a job fleet on one shared cluster."""
 
@@ -204,15 +201,10 @@ class FleetSimulator:
                 )
         self.specs = sorted(specs, key=lambda s: s.arrival)
         self.cluster = Cluster(num_machines, devices_per_machine=devices_per_machine)
-        self.spares = SparePool.configured(spares, repair_ticks)
-        self.scheduler = Scheduler(self.cluster, spares=self.spares)
-        self.scheduler.events += [
-            ("init", {"num_machines": num_machines,
+        self._init = {"num_machines": num_machines,
                       "devices_per_machine": devices_per_machine,
                       "spares": spares, "repair_ticks": repair_ticks,
-                      "iteration_time": 1.0, "idle_time": idle_time}),
-            ("tenant", {"name": FLEET_TENANT}),
-        ]
+                      "iteration_time": 1.0, "idle_time": idle_time}
         for f in failures or []:
             if not 0 <= f.machine_id < num_machines:
                 raise ConfigurationError(
@@ -224,144 +216,202 @@ class FleetSimulator:
         )
         self.max_rounds = max_rounds
         self.idle_time = idle_time
-        self.fleet_time = 0.0
-        self.rounds = 0
+        #: the fold of every event the run logged: queue, placements,
+        #: spare pool, machine health, the round and the fleet clock
+        self.state = ServeState()
+        #: the live jobs by name, in arrival order
+        self.jobs: dict[str, Job] = {}
+        #: total workers taken from elastic jobs by preemption
+        self.preempted_workers = 0
+        #: spares leased to recoveries
+        self.spare_leases = 0
         #: instrumentation sink: queue/running/spare gauges and a
         #: ``fleet/round`` span every round when a TraceRecorder attaches
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         if self.recorder.enabled and getattr(self.recorder, "clock", None) is None:
-            self.recorder.clock = _FleetClock(self)
-        #: optional serve WAL: the scheduler's own events plus the
-        #: simulator's are appended every round, so
-        #: ``repro.serve.ServeState.replay`` can audit the run
+            self.recorder.clock = self
+        #: optional serve WAL every event is appended to before it folds
         self.wal = wal
 
+    @property
+    def fleet_time(self) -> float:
+        return self.state.fleet_time
+
+    #: ``.now`` makes the simulator its recorder's sim clock: fleet events
+    #: are timestamped on the fleet's own simulated timeline
+    now = fleet_time
+
+    @property
+    def rounds(self) -> int:
+        return self.state.round
+
     # -- the round loop -----------------------------------------------------
-    def _all_terminal(self) -> bool:
-        jobs = self.scheduler.jobs
-        if len(jobs) < len(self.specs):
-            return False
-        return all(
-            j.state in (JobState.COMPLETED, JobState.FAILED)
-            for j in jobs.values()
-        )
-
     def run(self) -> FleetReport:
-        pending_specs = deque(self.specs)
-        pending_failures = deque(self.failures)
-
-        rec = self.recorder
-        events = self.scheduler.events
-        while self.rounds < self.max_rounds and not self._all_terminal():
-            r = self.rounds
-            round_start = self.fleet_time
+        log, state, rec = self._log, self.state, self.recorder
+        log("init", self._init)
+        log("tenant", {"name": FLEET_TENANT})
+        arrivals = deque(self.specs)
+        crashes = deque(self.failures)
+        while state.round < self.max_rounds and (
+                arrivals or not state.all_done()):
+            r, round_start = state.round, state.fleet_time
             # fleet time advances by the slowest job's clock progress over
             # the WHOLE round — recovery, preemption resizes, and the
             # training step all advance a job's own clock
-            marks = {
-                name: job.clock.now
-                for name, job in self.scheduler.jobs.items()
-                if job.clock is not None
-            }
-            iters_at_start = {
-                name: job.iteration
-                for name, job in self.scheduler.jobs.items()
-            }
-            # 1. arrivals
-            while pending_specs and pending_specs[0].arrival <= r:
-                spec = pending_specs.popleft()
-                self.scheduler.submit(Job(spec), now=self.fleet_time)
-                rec.count("fleet/arrivals", job=spec.name)
+            marks = {name: job.clock.now for name, job in self.jobs.items()
+                     if job.clock is not None}
+            while arrivals and arrivals[0].arrival <= r:
+                spec = arrivals.popleft()
+                job = self.jobs[spec.name] = Job(spec)
+                job.submit_time = state.fleet_time
                 payload = spec.to_payload()
                 payload["tenant"] = FLEET_TENANT
-                events.append(("submit", {"name": spec.name,
-                                          "tenant": FLEET_TENANT,
-                                          "spec": payload}))
-            # 2. repairs complete -> blocked jobs may resume
-            due = self.spares.due()
-            for machine_id in due:
-                self.scheduler.reclaim(machine_id)
-            if due:
-                self.scheduler.unblock()
-            # 3. due machine failures, routed one event at a time
-            while pending_failures and pending_failures[0].round <= r:
-                event = pending_failures.popleft()
-                self.scheduler.handle_machine_failure(event.machine_id)
-                rec.count("fleet/failures", machine=event.machine_id)
-            # 4. placement (may preempt), then restoration of preemptees
-            self.scheduler.schedule(now=self.fleet_time)
-            self.scheduler.restore()
-            # 5. every running job advances one iteration
-            for job in list(self.scheduler.running):
-                if job.state == JobState.RUNNING:
-                    job.step()
-            round_dt = max(
-                (
-                    job.clock.now - marks.get(name, 0.0)
-                    for name, job in self.scheduler.jobs.items()
-                    if job.clock is not None
-                ),
-                default=0.0,
-            )
-            charged_dt = round_dt if round_dt > 0 else self.idle_time
-            self.fleet_time += charged_dt
-            stepped: list[str] = []
-            for name, job in self.scheduler.jobs.items():
-                delta = job.iteration - iters_at_start.get(name, 0)
-                stepped += [name] * max(0, delta)
-            events.append(("round", {"round": r, "dt": charged_dt,
-                                     "stepped": sorted(stepped)}))
-            self.spares.end_round()
-            # 6. completions release their gangs
-            for job in list(self.scheduler.running):
-                if job.done:
-                    self.scheduler.finish(job, now=self.fleet_time)
-            self._write_events()
-            self.rounds += 1
+                log("submit", {"name": spec.name, "tenant": FLEET_TENANT,
+                               "spec": payload})
+                rec.count("fleet/arrivals", job=spec.name)
+            while crashes and crashes[0].round <= r:
+                machine = crashes.popleft().machine_id
+                crash(state, log, machine)
+                rec.count("fleet/failures", machine=machine)
+            decide(state, log)
+            for record in state.jobs_with_status("running"):
+                self.jobs[record["name"]].step()
+            dt = max((job.clock.now - marks.get(name, 0.0)
+                      for name, job in self.jobs.items()
+                      if job.clock is not None), default=0.0)
+            # an iteration counts once, the first time a job reaches it:
+            # those a checkpoint restart recomputes are lost work
+            stepped = [name for name, job in sorted(self.jobs.items())
+                       if job.iteration > state.jobs[name]["iterations_done"]]
+            commit(state, log, stepped, dt if dt > 0 else self.idle_time)
+            # a job whose work is done completes with its round, before
+            # the next round's crashes could hit it
+            settle(state, log)
             if rec.enabled:
                 self._record_round(r, round_start)
-
         return self._report()
 
-    def _write_events(self) -> None:
-        """Append the round's events to the WAL (if any), then drop them."""
-        if self.wal is not None:
-            from repro.serve.wal import ServeEvent
+    # -- executing the fold's events on the live cluster and jobs ----------
+    def _log(self, kind: str, payload: dict) -> None:
+        """Append to the WAL (if any), fold, then execute on the cluster.
 
-            for kind, payload in self.scheduler.events:
-                self.wal.append(ServeEvent(seq=self.wal.next_seq,
-                                           kind=kind, payload=payload))
-        self.scheduler.events.clear()
+        A recovery runs before it is logged, so one the job refuses is
+        logged as its ``fail`` and never counted as a recovery.
+        """
+        if kind == "recover" and not self._recover(self.jobs[payload["name"]]):
+            kind, payload = "fail", {"name": payload["name"],
+                                     "reason": "recovery impossible"}
+        event = ServeEvent(seq=self.state.last_seq + 1, kind=kind,
+                           payload=payload)
+        if self.wal is not None:
+            self.wal.append(event)
+        self.state.apply(event)
+        execute = getattr(self, f"_on_{kind}", None)
+        if execute is not None:
+            execute(self.jobs.get(payload.get("name")), payload)
+
+    def _on_place(self, job: Job, p: dict) -> None:
+        slots = [(m, d) for m, d in p["slots"]]
+        self.cluster.reserve_slots(slots, job.owner_tag)
+        try:
+            job.start(self.cluster, slots, now=self.fleet_time)
+        except ConfigurationError as exc:
+            # the plan has no engine for the slots this fleet can grant
+            # (e.g. explicit replication with every replica on one machine)
+            job.error = str(exc)
+            self._log("fail", {"name": job.name, "reason": job.error})
+
+    def _on_preempt(self, job: Job, p: dict) -> None:
+        freed = job.shrink(len(p["slots"]))
+        self.cluster.release_slots(freed, job.owner_tag)
+        self.preempted_workers += len(freed)
+
+    def _on_restore(self, job: Job, p: dict) -> None:
+        slots = [(m, d) for m, d in p["slots"]]
+        self.cluster.reserve_slots(slots, job.owner_tag)
+        job.grow(slots)
+
+    def _on_complete(self, job: Job, p: dict) -> None:
+        self.cluster.release_owner(job.owner_tag)
+        job.state = JobState.COMPLETED
+        job.finish_time = self.fleet_time
+
+    def _on_fail(self, job: Job, p: dict) -> None:
+        self.cluster.release_owner(job.owner_tag)
+        job.state = JobState.FAILED
+
+    def _on_crash(self, _: None, p: dict) -> None:
+        machine = p["machine"]
+        self.cluster.fail_machine(machine)
+        for name in p["jobs"]:
+            self.jobs[name].apply_failure(machine)
+            self.jobs[name].state = JobState.BLOCKED
+
+    def _on_lease(self, _: None, p: dict) -> None:
+        self.spare_leases += 1
+        self._follow_health()
+
+    def _on_reclaim(self, _: None, p: dict) -> None:
+        self._follow_health()
+
+    def _recover(self, job: Job) -> bool:
+        """Run the job's Swift recovery; False if it is impossible."""
+        # a recovery rebuilds what sits on the machines it sees dead, so
+        # it must see every machine whose loss this job has not repaired,
+        # also one a lease already brought back
+        for machine in job.pending_machines:
+            self.cluster.machine(machine).take_offline()
+        try:
+            job.recover()
+            return True
+        except RecoveryError:
+            # e.g. no surviving replica and the recovery budget exhausted
+            return False
+        finally:
+            self._follow_health()
+
+    def _follow_health(self) -> None:
+        """Every machine alive exactly when the fold says so.
+
+        A recovery replaces every dead machine it sees (Appendix-B joint
+        handling, written for dedicated clusters); a machine down for
+        another reason — idle, a spare in repair, another job's pending
+        crash — goes back offline, not resurrected for free.
+        """
+        for m, rec in self.state.machines.items():
+            machine = self.cluster.machine(m)
+            if rec["alive"] and not machine.alive:
+                self.cluster.replace_machine(m)
+            elif machine.alive and not rec["alive"]:
+                machine.take_offline()
 
     def _record_round(self, r: int, round_start: float) -> None:
         """Per-round telemetry: the fleet gauges and the round span."""
-        rec = self.recorder
+        rec, state = self.recorder, self.state
         rec.span_at(
             "fleet/round", sim=round_start,
             sim_dur=self.fleet_time - round_start, round=r,
         )
-        rec.gauge("fleet/queue_depth", len(self.scheduler.queue))
-        rec.gauge("fleet/running_jobs", len(self.scheduler.running))
-        rec.gauge("fleet/preempted_workers", self.scheduler.preempted_workers)
-        if not self.spares.by_fiat:
-            rec.gauge("fleet/spares_available", len(self.spares.spares))
-            rec.gauge("fleet/spares_repairing", len(self.spares.repairing))
-        for name, job in self.scheduler.jobs.items():
-            end = (
-                job.finish_time if job.finish_time is not None
-                else self.fleet_time
-            )
-            span = max(end - job.submit_time, 1e-12)
+        rec.gauge("fleet/queue_depth", len(state.queue))
+        rec.gauge("fleet/running_jobs",
+                  len(state.jobs_with_status("running")))
+        rec.gauge("fleet/preempted_workers", self.preempted_workers)
+        if not state.pool.by_fiat:
+            rec.gauge("fleet/spares_available", len(state.pool.spares))
+            rec.gauge("fleet/spares_repairing", len(state.pool.repairing))
+        for name, job in self.jobs.items():
+            span = max(self._end(job) - job.submit_time, 1e-12)
             rec.gauge(f"job/{name}/goodput", job.samples_done / span)
+
+    def _end(self, job: Job) -> float:
+        """The job's finish time, or the fleet clock if it has none."""
+        return self.fleet_time if job.finish_time is None else job.finish_time
 
     # -- reporting ----------------------------------------------------------
     def _report(self) -> FleetReport:
         report = FleetReport(rounds=self.rounds, makespan=self.fleet_time)
-        for job in self.scheduler.jobs.values():
-            end = (
-                job.finish_time if job.finish_time is not None
-                else self.fleet_time
-            )
+        for job in self.jobs.values():
+            end = self._end(job)
             span = max(end - job.submit_time, 1e-12)
             run_span = (
                 max(end - job.start_time, 1e-12)
@@ -399,13 +449,13 @@ class FleetSimulator:
             else 0.0
         )
         report.total_preemptions = sum(s.preemptions for s in report.jobs)
-        report.preempted_workers = self.scheduler.preempted_workers
+        report.preempted_workers = self.preempted_workers
         report.total_failures = sum(s.machine_failures for s in report.jobs)
         report.total_recoveries = sum(s.recoveries for s in report.jobs)
         report.total_lost_iterations = sum(
             s.lost_iterations for s in report.jobs
         )
-        report.spare_leases = self.scheduler.spare_leases
+        report.spare_leases = self.spare_leases
         delays = [
             s.queueing_delay for s in report.jobs if s.start_time is not None
         ]

@@ -9,10 +9,8 @@ the indexed answers must equal after every event.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from repro.jobs.placement import head_of_line
-from repro.serve import ServeServer
+from repro.serve.server import _head
 from repro.serve.state import ACTIVE_STATUSES, JOB_STATUSES
 
 #: multi-status queries the server makes
@@ -46,8 +44,8 @@ def recomputed_head(state) -> dict:
 
 
 def indexed_head(state) -> dict:
-    """``ServeServer._head`` over ``state`` (it reads nothing else)."""
-    return ServeServer._head(SimpleNamespace(state=state))
+    """The head the server's placement phase picks from ``state``."""
+    return _head(state)
 
 
 def recomputed_usage(state, tenant: str) -> int:

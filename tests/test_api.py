@@ -628,18 +628,14 @@ class TestFleetLowering:
         assert stats.iterations == 8
         assert stats.samples == 8 * 16
 
-    def test_session_submit_returns_spec_or_job(self):
-        from repro.jobs import Scheduler
-
+    def test_session_submit_returns_the_spec(self):
         session = dp_experiment().build()
-        spec = session.submit(12)
-        assert spec.iterations == 12
-
-        cluster = Cluster(num_machines=2, devices_per_machine=2)
-        scheduler = Scheduler(cluster)
-        job = session.submit(12, scheduler=scheduler)
-        assert job.spec == spec
-        assert job.name in scheduler.jobs
+        spec = session.submit(12, priority=3)
+        assert spec == session.experiment.to_job_spec(12, priority=3)
+        report = FleetSimulator([spec], num_machines=3,
+                                devices_per_machine=2).run()
+        assert [(j.name, j.state) for j in report.jobs] == [
+            (spec.name, "completed")]
 
     def test_demo_fleet_completes(self):
         specs, failures = demo_fleet_specs(12)

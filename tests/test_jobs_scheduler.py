@@ -1,4 +1,10 @@
-"""Multi-job cluster scheduler: placement, preemption, failure routing."""
+"""Fleet scheduling: placement, preemption, failure routing, spare pool.
+
+The fleet runs the serve control plane's decisions
+(:func:`repro.serve.server.decide`) and executes them on live jobs, so
+these tests drive :class:`~repro.sim.FleetSimulator` and read what it
+did from its jobs, its cluster, its fold and the events it logged.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ import pytest
 from repro.api import FTStrategy, demo_fleet_specs
 from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.errors import ConfigurationError
-from repro.jobs import Job, JobSpec, JobState, Scheduler, SparePool
+from repro.jobs import Job, JobSpec, JobState, SparePool
 from repro.jobs.spare import check_repair_ticks, spare_ids
 from repro.jobs import placement
 from repro.sim import FleetFailure, FleetSimulator
@@ -22,17 +28,26 @@ def pp_spec(name="p", stages=4, iterations=4, **kw):
     return JobSpec(name, "pp", num_workers=stages, iterations=iterations, **kw)
 
 
-def run_to_completion(scheduler, max_rounds=200):
-    """Drive the scheduler's running set until every job finishes."""
-    for _ in range(max_rounds):
-        live = [j for j in scheduler.running if j.state == JobState.RUNNING]
-        if not live:
-            break
-        for job in live:
-            job.step()
-            if job.done:
-                scheduler.finish(job)
-    return scheduler
+def run_fleet(specs, crashes=(), **shape):
+    """Run a fleet to the end (or to ``max_rounds``); ``crashes`` are
+    ``(round, machine)`` pairs.  Returns the simulator and every event
+    it logged."""
+    events = []
+    sim = FleetSimulator(
+        specs, failures=[FleetFailure(r, m) for r, m in crashes],
+        wal=events, **shape)
+    sim.run()
+    return sim, events
+
+
+def logged(events, kind):
+    return [e.payload for e in events if e.kind == kind]
+
+
+def round_of(events, kind, nth=0):
+    """The round the ``nth`` event of ``kind`` was logged in."""
+    at = [i for i, e in enumerate(events) if e.kind == kind][nth]
+    return sum(1 for e in events[:at] if e.kind == "round")
 
 
 class TestJobSpec:
@@ -120,239 +135,232 @@ class TestPlacementCore:
         assert placement.head_of_line(rows[:2]) == "idle-low"
         assert placement.head_of_line(rows[:1]) == "busy-high"
 
-    def test_fleet_queue_is_submission_order_and_picks_priority(self):
-        sched = Scheduler(Cluster(1, devices_per_machine=1))
-        low1, high, low2 = (Job(dp_spec(n, workers=1, priority=p))
-                            for n, p in (("low1", 0), ("high", 9),
-                                         ("low2", 0)))
-        for job in (low1, high, low2):
-            sched.submit(job)
-        assert sched.queue == [low1, high, low2]
-        assert sched.schedule() == [high]
-        assert sched.queue == [low1, low2]
-        assert [kind for kind, _ in sched.events] == ["place"]
+    def test_fleet_line_picks_priority_then_submission(self):
+        sim, events = run_fleet(
+            [dp_spec(n, workers=1, iterations=2, priority=p)
+             for n, p in (("low1", 0), ("high", 9), ("low2", 0))],
+            num_machines=1, devices_per_machine=1, num_spares=0)
+        assert [p["name"] for p in logged(events, "place")] == [
+            "high", "low1", "low2"]
+        assert sim.jobs["high"].start_time == 0.0
 
 
 class TestPlacement:
     def test_gang_spreads_across_machines(self):
-        cluster = Cluster(4, devices_per_machine=2)
-        sched = Scheduler(cluster)
-        job = Job(dp_spec(workers=4))
-        sched.submit(job)
-        assert sched.schedule() == [job]
+        sim, _ = run_fleet([dp_spec(workers=4)], num_machines=4,
+                           devices_per_machine=2, num_spares=0)
         # one worker per machine: smallest possible failure blast radius
-        assert job.machines_used() == {0, 1, 2, 3}
-        assert cluster.owned_slots(job.owner_tag) == job.current_slots()
+        assert sim.jobs["a"].machines_used() == {0, 1, 2, 3}
 
     def test_failure_aware_placement_avoids_flaky_machines(self):
-        cluster = Cluster(3, devices_per_machine=2)
-        cluster.fail_machine(0)
-        cluster.replace_machine(0)  # repaired, but has failure history
-        sched = Scheduler(cluster)
-        job = Job(dp_spec(workers=2))
-        sched.submit(job)
-        sched.schedule()
-        assert job.machines_used() == {1, 2}
+        # "first" runs on machine 0, which crashes and is replaced; the
+        # next gang steers around its failure history
+        sim, _ = run_fleet(
+            [dp_spec("first", workers=1, iterations=2),
+             dp_spec("second", workers=2, arrival=4)],
+            crashes=[(1, 0)], num_machines=4, devices_per_machine=2,
+            num_spares=1)
+        assert sim.jobs["first"].machines_used() == {0}
+        assert sim.jobs["second"].machines_used() == {1, 2}
 
     def test_gang_queues_when_cluster_full(self):
-        cluster = Cluster(2, devices_per_machine=1)
-        sched = Scheduler(cluster)
-        big = Job(dp_spec("big", workers=2))
-        late = Job(dp_spec("late", workers=2))
-        sched.submit(big)
-        sched.submit(late)
-        assert sched.schedule() == [big]
-        assert late.state == JobState.PENDING
-        assert late in sched.queue
+        sim, events = run_fleet(
+            [dp_spec("big", workers=2), dp_spec("late", workers=2)],
+            num_machines=2, devices_per_machine=1, num_spares=0)
+        big, late = sim.jobs["big"], sim.jobs["late"]
+        assert [p["name"] for p in logged(events, "place")] == [
+            "big", "late"]
         # capacity frees when the first gang completes
-        run_to_completion(sched)
-        assert big.state == JobState.COMPLETED
-        assert sched.schedule() == [late]
+        assert round_of(events, "place", 1) == round_of(events, "complete")
+        assert late.start_time == big.finish_time > 0.0
+        assert late.state == big.state == JobState.COMPLETED
 
     def test_slots_released_on_finish(self):
-        cluster = Cluster(2, devices_per_machine=2)
-        sched = Scheduler(cluster)
-        job = Job(dp_spec(workers=4, iterations=2))
-        sched.submit(job)
-        sched.schedule()
-        assert len(cluster.free_slots()) == 0
-        run_to_completion(sched)
-        assert len(cluster.free_slots()) == 4
+        sim, _ = run_fleet([dp_spec(workers=4, iterations=2)],
+                           num_machines=2, devices_per_machine=2,
+                           num_spares=0)
+        assert sim.cluster.owned_slots(sim.jobs["a"].owner_tag) == []
+        assert len(sim.cluster.free_slots()) == 4
 
 
 class TestPreemption:
-    def make_preemption_pair(self):
-        cluster = Cluster(2, devices_per_machine=4)  # 8 slots
-        sched = Scheduler(cluster)
-        victim = Job(dp_spec("victim", workers=6, iterations=30,
-                             priority=0, elastic=True, min_workers=2))
-        sched.submit(victim)
-        sched.schedule()
-        for _ in range(3):
-            victim.step()
-        return cluster, sched, victim
+    #: the victim trains from round 0; the rush arrives at round 3
+    SHAPE = dict(num_machines=2, devices_per_machine=4, num_spares=0)
+
+    def run_pair(self, rush_priority=5, rush_workers=4, victim_workers=6,
+                 min_workers=2, **kw):
+        return run_fleet([
+            dp_spec("victim", workers=victim_workers, iterations=30,
+                    elastic=True, min_workers=min_workers),
+            dp_spec("rush", workers=rush_workers, iterations=2,
+                    priority=rush_priority, arrival=3),
+        ], **self.SHAPE, **kw)
 
     def test_high_priority_job_shrinks_elastic_victim(self):
-        cluster, sched, victim = self.make_preemption_pair()
-        rush = Job(dp_spec("rush", workers=4, iterations=2, priority=5))
-        sched.submit(rush)
-        started = sched.schedule()
-        assert rush in started
+        sim, events = self.run_pair(max_rounds=4)  # stop after round 3
+        victim, rush = sim.jobs["victim"], sim.jobs["rush"]
+        assert rush.state == JobState.RUNNING
         assert victim.preemptions == 1
         assert len(victim.engine.workers) == 4  # 6 - 2 taken
+        (preempt,) = logged(events, "preempt")
+        assert (len(preempt["slots"]), preempt["for"]) == (2, "rush")
         # crash-consistent shrink: replicas still bitwise identical
         assert victim.engine.replicas_consistent()
         # ledger agrees with reality
-        assert len(cluster.owned_slots(victim.owner_tag)) == 4
-        assert len(cluster.owned_slots(rush.owner_tag)) == 4
+        assert len(sim.cluster.owned_slots(victim.owner_tag)) == 4
+        assert len(sim.cluster.owned_slots(rush.owner_tag)) == 4
 
     def test_victim_keeps_training_while_shrunk(self):
-        _, sched, victim = self.make_preemption_pair()
-        sched.submit(Job(dp_spec("rush", workers=4, iterations=2, priority=5)))
-        sched.schedule()
-        before = victim.iteration
-        victim.step()
-        assert victim.iteration == before + 1
+        sim, _ = self.run_pair(max_rounds=5)
+        victim = sim.jobs["victim"]
+        assert len(victim.engine.workers) == 4
+        assert victim.iteration == 5
         assert np.isfinite(victim.trainer.trace.losses[-1])
 
     def test_restore_regrows_victim_after_completion(self):
-        _, sched, victim = self.make_preemption_pair()
-        rush = Job(dp_spec("rush", workers=4, iterations=2, priority=5))
-        sched.submit(rush)
-        sched.schedule()
-        run_to_completion(sched, max_rounds=5)  # rush finishes fast
-        assert rush.state == JobState.COMPLETED
-        restored = sched.restore()
-        assert restored == 2
+        sim, events = self.run_pair()
+        victim, rush = sim.jobs["victim"], sim.jobs["rush"]
+        assert rush.state == victim.state == JobState.COMPLETED
+        (restore,) = logged(events, "restore")
+        assert len(restore["slots"]) == 2
+        # restoration waits for the rush to give its gang back
+        assert round_of(events, "restore") == round_of(events, "complete")
         assert len(victim.engine.workers) == 6
         assert victim.engine.replicas_consistent()
-        victim.step()
         assert np.isfinite(victim.trainer.trace.losses[-1])
 
     def test_equal_priority_does_not_preempt(self):
-        _, sched, victim = self.make_preemption_pair()
-        peer = Job(dp_spec("peer", workers=4, iterations=2, priority=0))
-        sched.submit(peer)
-        assert sched.schedule() == []
-        assert victim.preemptions == 0
-        assert peer.state == JobState.PENDING
+        sim, events = self.run_pair(rush_priority=0)
+        assert logged(events, "preempt") == []
+        assert sim.jobs["victim"].preemptions == 0
+        # the peer waits for the whole gang to finish
+        assert sim.jobs["rush"].start_time == sim.jobs["victim"].finish_time
 
     def test_never_shrinks_below_min_workers(self):
-        cluster = Cluster(2, devices_per_machine=4)
-        sched = Scheduler(cluster)
-        victim = Job(dp_spec("victim", workers=8, iterations=30,
-                             priority=0, elastic=True, min_workers=4))
-        sched.submit(victim)
-        sched.schedule()
         # needs 6 freed but only 4 are shrinkable: cannot start
-        rush = Job(dp_spec("rush", workers=6, iterations=2, priority=5))
-        sched.submit(rush)
-        assert sched.schedule() == []
-        assert victim.preemptions == 0
-        assert len(victim.engine.workers) == 8
+        sim, events = self.run_pair(rush_workers=6, victim_workers=8,
+                                    min_workers=4)
+        assert logged(events, "preempt") == []
+        assert sim.jobs["victim"].preemptions == 0
+        assert len(sim.jobs["victim"].engine.workers) == 8
 
 
 class TestFailureRouting:
-    def make_disjoint_jobs(self):
-        cluster = Cluster(4, devices_per_machine=1)
-        sched = Scheduler(cluster)
-        a = Job(dp_spec("a", workers=2, iterations=6))
-        b = Job(dp_spec("b", workers=2, iterations=6, seed=9))
-        sched.submit(a)
-        sched.submit(b)
-        sched.schedule()
+    #: 4 single-device machines: "a" holds 0 and 1, "b" holds 2 and 3
+    SHAPE = dict(num_machines=4, devices_per_machine=1, num_spares=0)
+
+    def disjoint_jobs(self, crashes=((2, 0),)):
+        sim, events = run_fleet(
+            [dp_spec("a", workers=2, iterations=6),
+             dp_spec("b", workers=2, iterations=6, seed=9)],
+            crashes=crashes, **self.SHAPE)
+        a, b = sim.jobs["a"], sim.jobs["b"]
         assert a.machines_used().isdisjoint(b.machines_used())
-        return cluster, sched, a, b
+        return sim, events, a, b
+
+    @staticmethod
+    def solo(spec):
+        sim, _ = run_fleet([spec], **TestFailureRouting.SHAPE)
+        return sim.jobs[spec.name]
 
     def test_failure_routed_to_owner_only(self):
-        cluster, sched, a, b = self.make_disjoint_jobs()
-        for _ in range(2):
-            a.step()
-            b.step()
-        failed = next(iter(a.machines_used()))
-        touched = sched.handle_machine_failure(failed)
-        assert touched == [a]
+        _, events, a, b = self.disjoint_jobs()
+        assert [p["jobs"] for p in logged(events, "crash")] == [["a"]]
         assert a.machine_failures == 1 and b.machine_failures == 0
         assert len(a.recoveries) == 1 and len(b.recoveries) == 0
 
     def test_colocated_job_unaffected_numerically(self):
-        cluster, sched, a, b = self.make_disjoint_jobs()
-        for _ in range(2):
-            a.step()
-            b.step()
-        sched.handle_machine_failure(next(iter(a.machines_used())))
-        run_to_completion(sched)
+        _, _, _, b = self.disjoint_jobs()
         # b's run is bit-identical to a solo run of the same spec
-        solo = Job(dp_spec("solo", workers=2, iterations=6, seed=9))
-        solo_sched = Scheduler(Cluster(4, devices_per_machine=1))
-        solo_sched.submit(solo)
-        solo_sched.schedule()
-        run_to_completion(solo_sched)
+        solo = self.solo(dp_spec("solo", workers=2, iterations=6, seed=9))
         assert np.allclose(b.trainer.trace.losses, solo.trainer.trace.losses)
 
     def test_recovered_job_matches_failure_free_losses(self):
-        cluster, sched, a, b = self.make_disjoint_jobs()
-        for _ in range(2):
-            a.step()
-            b.step()
-        sched.handle_machine_failure(next(iter(a.machines_used())))
-        run_to_completion(sched)
-        solo = Job(dp_spec("solo", workers=2, iterations=6))
-        solo_sched = Scheduler(Cluster(4, devices_per_machine=1))
-        solo_sched.submit(solo)
-        solo_sched.schedule()
-        run_to_completion(solo_sched)
+        _, _, a, _ = self.disjoint_jobs()
+        solo = self.solo(dp_spec("solo", workers=2, iterations=6))
         assert np.allclose(a.trainer.trace.losses, solo.trainer.trace.losses)
 
+    def test_losing_every_replica_in_one_round_fails_the_job(self):
+        """A round's crashes are recovered together: when they take every
+        replica, the refused recovery is logged as the job's fail."""
+        sim, events, a, b = self.disjoint_jobs(crashes=((2, 0), (2, 1)))
+        assert [e.kind for e in events
+                if e.payload.get("name") == "a"] == ["submit", "place", "fail"]
+        assert sim.state.jobs["a"]["recoveries"] == 0
+        assert logged(events, "fail") == [
+            {"name": "a", "reason": "recovery impossible"}]
+        assert a.state == JobState.FAILED and a.iteration == 2
+        assert sim.cluster.owned_slots(a.owner_tag) == []
+        assert b.state == JobState.COMPLETED
+
+    def test_recomputed_iterations_count_once(self):
+        """A checkpoint restart rolls the job back; the iterations it runs
+        again are lost work, so it still trains to its target."""
+        sim, events = run_fleet(
+            [dp_spec("a", workers=2, iterations=8, checkpoint_interval=2,
+                     strategy="checkpoint_only")],
+            crashes=[(5, 0)], **self.SHAPE)
+        job = sim.jobs["a"]
+        assert job.lost_iterations == 1
+        assert job.iteration == sim.state.jobs["a"]["iterations_done"] == 8
+        assert sum(p["stepped"].count("a")
+                   for p in logged(events, "round")) == 8
+        assert job.state == JobState.COMPLETED
+
     def test_pp_job_failure_routes_to_logging_recovery(self):
-        cluster = Cluster(5, devices_per_machine=1)
-        sched = Scheduler(cluster)
-        job = Job(pp_spec("pipe", stages=4, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        for _ in range(3):
-            job.step()
-        sched.handle_machine_failure(next(iter(job.machines_used())))
+        sim, _ = run_fleet([pp_spec("pipe", stages=4, iterations=8)],
+                           crashes=[(3, 1)], num_machines=5,
+                           devices_per_machine=1, num_spares=1)
+        job = sim.jobs["pipe"]
         assert len(job.recoveries) == 1
         assert job.recoveries[0].strategy.startswith("logging")
-        run_to_completion(sched)
         assert job.state == JobState.COMPLETED
 
     def test_shared_machine_crash_counts_once_and_recovers_both(self):
         """One hardware event on a machine shared by two jobs: a single
-        failure_count tick, both owners recover, both finish."""
-        cluster = Cluster(2, devices_per_machine=2)
-        sched = Scheduler(cluster)
-        a = Job(dp_spec("a", workers=2, iterations=6))
-        b = Job(dp_spec("b", workers=2, iterations=6, seed=9))
-        sched.submit(a)
-        sched.submit(b)
-        sched.schedule()
+        failure count, both owners recover, both finish."""
+        sim, events = run_fleet(
+            [dp_spec("a", workers=2, iterations=6),
+             dp_spec("b", workers=2, iterations=6, seed=9)],
+            crashes=[(2, 0)], num_machines=2, devices_per_machine=2,
+            num_spares=0)
+        a, b = sim.jobs["a"], sim.jobs["b"]
         # spread placement means both jobs hold a slot on machine 0
         assert 0 in a.machines_used() and 0 in b.machines_used()
-        for _ in range(2):
-            a.step()
-            b.step()
-        touched = sched.handle_machine_failure(0)
-        assert set(touched) == {a, b}
-        assert cluster.machine(0).failure_count == 1
+        assert [p["jobs"] for p in logged(events, "crash")] == [["a", "b"]]
+        assert sim.state.machines[0]["failures"] == 1
+        assert sim.cluster.machine(0).failure_count == 1
         assert len(a.recoveries) == 1 and len(b.recoveries) == 1
-        run_to_completion(sched)
-        assert a.state == JobState.COMPLETED
-        assert b.state == JobState.COMPLETED
+        assert a.state == b.state == JobState.COMPLETED
 
     def test_idle_machine_failure_touches_no_job(self):
-        cluster, sched, a, b = self.make_disjoint_jobs()
-        # all 4 machines are used by a and b here; build a bigger cluster
-        cluster2 = Cluster(3, devices_per_machine=1)
-        sched2 = Scheduler(cluster2)
-        j = Job(dp_spec(workers=2))
-        sched2.submit(j)
-        sched2.schedule()
-        idle = ({0, 1, 2} - j.machines_used()).pop()
-        assert sched2.handle_machine_failure(idle) == []
-        assert j.machine_failures == 0
-        j.step()  # unaffected
+        sim, events = run_fleet([dp_spec(workers=2, iterations=6)],
+                                crashes=[(2, 2)], num_machines=3,
+                                devices_per_machine=1, num_spares=0)
+        job = sim.jobs["a"]
+        assert job.machines_used() == {0, 1}
+        assert logged(events, "crash")[0]["jobs"] == []
+        assert job.machine_failures == 0
+        assert job.state == JobState.COMPLETED
+        # no job's recovery repairs it: it stays down
+        assert not sim.state.machines[2]["alive"]
+        assert not sim.cluster.machine(2).alive
+
+    def test_a_job_completes_with_its_last_round(self):
+        """A crash in the round after a job's last iteration finds it
+        completed: it is not hit, blocked or recovered."""
+        sim, events = run_fleet([dp_spec(workers=2, iterations=3),
+                                 dp_spec("b", workers=1, iterations=6)],
+                                crashes=[(3, 0)], num_machines=3,
+                                devices_per_machine=1, num_spares=0)
+        a = sim.jobs["a"]
+        assert 0 in a.machines_used()
+        assert round_of(events, "complete") == 3
+        assert logged(events, "crash") == [
+            {"machine": 0, "jobs": [], "tag": "", "spare": False}]
+        assert (a.state, a.machine_failures, a.recoveries) == (
+            JobState.COMPLETED, 0, [])
+        assert sim.state.jobs["a"]["finish_round"] == 3
 
 
 class TestPlannedStrategy:
@@ -375,7 +383,7 @@ class TestPlannedStrategy:
             failures=[FleetFailure(round=7, machine_id=0)], **shape,
         )
         report = sim.run()
-        (job,) = sim.scheduler.jobs.values()
+        (job,) = sim.jobs.values()
         assert report.jobs[0].state == "completed"
         assert job.trainer.strategy is FTStrategy.CHECKPOINT_ONLY
         assert [r.strategy for r in job.recoveries] == [
@@ -383,11 +391,13 @@ class TestPlannedStrategy:
         ]
         assert job.lost_iterations == 2
         # a crash in the middle of the optimizer step recovers too
-        sched = Scheduler(Cluster(shape["num_machines"] - 1,
-                                  shape["devices_per_machine"]))
+        cluster = Cluster(shape["num_machines"] - 1,
+                          shape["devices_per_machine"])
         job = Job(spec)
-        sched.submit(job)
-        sched.schedule()
+        job.start(cluster, placement.spread(
+            cluster.free_slots(),
+            dict.fromkeys(range(cluster.num_machines), 0),
+            spec.num_workers))
         failures = FailureSchedule(
             [FailureEvent(0, 7, FailurePhase.MID_UPDATE, after_updates=1)]
         )
@@ -411,7 +421,7 @@ class TestPlannedStrategy:
                              num_spares=1, wal=wal)
         report = sim.run()
         wal.close()
-        pinned, healthy = (sim.scheduler.jobs[s.name] for s in specs)
+        pinned, healthy = (sim.jobs[s.name] for s in specs)
         assert pinned.state == JobState.FAILED and pinned.session is None
         assert "surviving replica" in pinned.error
         # its slots went back, so the job queued behind it ran
@@ -431,7 +441,7 @@ class TestPlannedStrategy:
         sim = FleetSimulator(specs, num_machines=6, devices_per_machine=4,
                              num_spares=1, failures=failures)
         sim.run()
-        jobs = sim.scheduler.jobs.values()
+        jobs = sim.jobs.values()
         assert len(jobs) == len(specs)
         for job in jobs:
             assert job.trainer is job.session.trainer
@@ -443,19 +453,12 @@ class TestPlannedStrategy:
         }
 
 
-def finish_repair(sched, machine):
-    """Count ``machine``'s repair down through the pool, then reclaim it
-    as the next round's start would."""
-    while machine not in sched.spares.due():
-        sched.spares.end_round()
-    sched.reclaim(machine)
-
-
 class TestSparePool:
     def test_spares_are_not_schedulable(self):
-        cluster = Cluster(3, devices_per_machine=2)
-        Scheduler(cluster, spares=SparePool([2]))
-        assert all(m != 2 for m, _ in cluster.free_slots())
+        sim, _ = run_fleet([dp_spec(workers=4)], num_machines=3,
+                           devices_per_machine=2, num_spares=1)
+        assert sim.jobs["a"].machines_used() == {0, 1}
+        assert all(m != 2 for m, _ in sim.state.free_slots())
 
     def test_lease_and_reclaim_cycle(self):
         pool = SparePool([2], repair_ticks=2)
@@ -471,172 +474,134 @@ class TestSparePool:
         assert pool.spares == [2] and pool.repairing == []
 
     def test_recovery_consumes_one_spare_and_reclaims(self):
-        cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool([3], repair_ticks=1)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=2, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        sched.handle_machine_failure(next(iter(job.machines_used())))
-        assert pool.spares == [] and sched.spare_leases == 1
-        assert job.state == JobState.RUNNING  # recovered immediately
-        pool.end_round()
-        assert pool.due() == [3]
-        sched.reclaim(3)
-        assert pool.spares == [3]
-        assert sched.events[-1] == ("reclaim", {"machine": 3})
+        sim, events = run_fleet([dp_spec(workers=2, iterations=8)],
+                                crashes=[(1, 0)], num_machines=4,
+                                devices_per_machine=1, num_spares=1,
+                                repair_ticks=1)
+        job = sim.jobs["a"]
+        assert logged(events, "lease") == [{"machine": 0, "spare": 3}]
+        assert sim.spare_leases == 1
+        # recovered in the round of the crash, no round blocked
+        assert round_of(events, "recover") == round_of(events, "crash") == 1
+        assert len(job.recoveries) == 1
+        # one round of repair, reclaimed at the start of the next
+        assert logged(events, "reclaim") == [{"machine": 3}]
+        assert round_of(events, "reclaim") == 2
+        assert sim.state.pool.spares == [3]
+        assert job.state == JobState.COMPLETED
 
     def test_empty_pool_blocks_until_reclaim(self):
-        cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool([3], repair_ticks=3)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=2, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        machines = sorted(job.machines_used())
-        sched.handle_machine_failure(machines[0])  # consumes the spare
-        sched.handle_machine_failure(machines[1])  # pool is empty
-        assert job.state == JobState.BLOCKED
-        assert job in sched.blocked
-        assert sched.unblock() == []  # still no capacity
-        finish_repair(sched, 3)
-        resumed = sched.unblock()
-        assert resumed == [job]
-        assert job.state == JobState.RUNNING
+        sim, events = run_fleet([dp_spec(workers=2, iterations=8)],
+                                crashes=[(1, 0), (2, 1)], num_machines=4,
+                                devices_per_machine=1, num_spares=1,
+                                repair_ticks=3)
+        job = sim.jobs["a"]
+        # machine 0 takes the spare; machine 1 waits for its repair
+        assert logged(events, "lease") == [{"machine": 0, "spare": 3},
+                                           {"machine": 1, "spare": 3}]
+        # three rounds of repair from the lease in round 1
+        assert round_of(events, "lease", 1) == round_of(events, "reclaim") \
+            == 4
+        assert round_of(events, "recover", 1) == 4
         assert len(job.recoveries) == 2
-        run_to_completion(sched)
         assert job.state == JobState.COMPLETED
 
     def test_failed_spare_goes_to_repair(self):
-        cluster = Cluster(3, devices_per_machine=1)
-        pool = SparePool([2], repair_ticks=1)
-        sched = Scheduler(cluster, spares=pool)
-        assert sched.handle_machine_failure(2) == []
-        assert pool.spares == [] and pool.repairing == [[2, 1]]
-        assert not cluster.machine(2).alive
-        finish_repair(sched, 2)
-        assert cluster.machine(2).alive
+        shape = dict(num_machines=3, devices_per_machine=1, num_spares=1,
+                     repair_ticks=1)
+        spec, crash = dp_spec(workers=2, iterations=3), [(0, 2)]
+        sim, events = run_fleet([spec], crashes=crash, max_rounds=1,
+                                **shape)
+        assert logged(events, "crash") == [
+            {"machine": 2, "jobs": [], "tag": "", "spare": True}]
+        assert sim.state.pool.spares == []
+        assert sim.state.pool.repairing == [[2, 0]]
+        assert not sim.cluster.machine(2).alive
+        sim, _ = run_fleet([spec], crashes=crash, **shape)
+        assert sim.state.pool.spares == [2]
+        assert sim.cluster.machine(2).alive
 
     def test_recovery_does_not_resurrect_unrelated_dead_machines(self):
         """A job's recovery replaces every failed machine it sees; broken
         machines the job does not own must stay down afterwards."""
-        cluster = Cluster(6, devices_per_machine=1)
-        pool = SparePool([5], repair_ticks=10)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=2, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        # an idle free machine dies: capacity is gone until repaired
-        idle = ({0, 1, 2, 3, 4} - job.machines_used()).pop()
-        sched.handle_machine_failure(idle)
-        assert not cluster.machine(idle).alive
-        # the job's own recovery must not revive it for free
-        sched.handle_machine_failure(next(iter(job.machines_used())))
-        assert job.state == JobState.RUNNING
-        assert not cluster.machine(idle).alive
-        assert all(m != idle for m, _ in cluster.free_slots())
+        sim, _ = run_fleet([dp_spec(workers=2, iterations=8)],
+                           crashes=[(1, 2), (2, 0)], num_machines=6,
+                           devices_per_machine=1, num_spares=1,
+                           repair_ticks=10)
+        job = sim.jobs["a"]
+        assert job.machines_used() == {0, 1}
+        assert len(job.recoveries) == 1
+        assert job.state == JobState.COMPLETED
+        # the idle machine's crash is not repaired by the job's recovery
+        assert not sim.cluster.machine(2).alive
+        assert all(m != 2 for m, _ in sim.state.free_slots())
 
     def test_blocked_on_two_machines_needs_two_leases(self):
         """A job blocked by failures on two machines resumes only after a
-        replacement is leased for each (one spare per crash event)."""
-        cluster = Cluster(5, devices_per_machine=1)
-        pool = SparePool([4], repair_ticks=100)
-        sched = Scheduler(cluster, spares=pool)
-        # 3 workers on 3 machines: losing two still leaves a replica
-        job = Job(dp_spec(workers=3, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        pool.lease(4)  # drain the pool before any failure
-        machines = sorted(job.machines_used())
-        sched.handle_machine_failure(machines[0])
-        sched.handle_machine_failure(machines[1])
-        assert job.state == JobState.BLOCKED
-        assert sorted(set(job.pending_machines)) == machines[:2]
-        # one repaired spare is not enough for two broken machines
-        finish_repair(sched, 4)
-        assert sched.unblock() == []
-        assert job.state == JobState.BLOCKED
-        # the second lease completes the set and the job resumes
-        finish_repair(sched, 4)
-        assert sched.unblock() == [job]
-        assert job.state == JobState.RUNNING
-        assert sched.spare_leases == 2  # one per broken machine
-        run_to_completion(sched)
+        replacement is leased for each (one spare per broken machine)."""
+        # round 0 drains the pool (its spare dies); round 1 breaks two
+        # of the job's three machines, leaving a replica
+        sim, events = run_fleet([dp_spec(workers=3, iterations=8)],
+                                crashes=[(0, 4), (1, 0), (1, 1)],
+                                num_machines=5, devices_per_machine=1,
+                                num_spares=1, repair_ticks=2)
+        job = sim.jobs["a"]
+        assert logged(events, "lease") == [{"machine": 0, "spare": 4},
+                                           {"machine": 1, "spare": 4}]
+        # one joint recovery, after the second lease
+        assert round_of(events, "recover") == round_of(events, "lease", 1)
+        assert round_of(events, "lease", 1) > round_of(events, "lease")
+        assert len(job.recoveries) == 1
         assert job.state == JobState.COMPLETED
 
-    def test_banked_lease_is_not_bought_twice(self):
-        """A repeat failure event on a machine whose replacement is
-        already banked must not consume another spare."""
-        cluster = Cluster(5, devices_per_machine=1)
-        pool = SparePool([4], repair_ticks=100)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=3, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        pool.lease(4)  # drain
-        m0, m1, _ = sorted(job.machines_used())
-        sched.handle_machine_failure(m0)  # pool empty: blocked
-        finish_repair(sched, 4)
-        sched.handle_machine_failure(m1)  # lease banked, still blocked on m0
-        assert sched.spare_leases == 1
-        finish_repair(sched, 4)
-        sched.handle_machine_failure(m1)  # repeat event: no new lease
-        assert sched.spare_leases == 1
-        assert job.pending_machines == [m0, m1]  # no duplicates
-        # the banked m1 lease plus one m0 lease completes the set
-        assert sched.unblock() == [job]
-        assert sched.spare_leases == 2
-        assert sched._leased_pending == set()
-        run_to_completion(sched)
+    def test_a_crash_after_its_lease_needs_its_own_lease(self):
+        """A machine that crashes again after its lease, while its job
+        still waits on another machine, is broken again: it needs a
+        lease of its own, and it is alive in the cluster exactly when
+        the fold says so."""
+        # the pool is drained at round 0; machine 0 breaks at round 1,
+        # gets the repaired spare at round 2, and breaks again at round
+        # 3 while the job still waits on machine 1 (broken at round 2)
+        sim, events = run_fleet([dp_spec(workers=3, iterations=8)],
+                                crashes=[(0, 4), (1, 0), (2, 1), (3, 0)],
+                                num_machines=5, devices_per_machine=1,
+                                num_spares=1, repair_ticks=2)
+        job = sim.jobs["a"]
+        assert [p["machine"] for p in logged(events, "lease")] == [0, 1, 0]
+        assert [p["jobs"] for p in logged(events, "crash")[1:]] == [
+            ["a"], ["a"], ["a"]]
+        assert len(job.recoveries) == 1
         assert job.state == JobState.COMPLETED
+        assert sim.state.jobs["a"]["pending_machines"] == []
+        assert all(sim.cluster.machine(m).alive == rec["alive"]
+                   for m, rec in sim.state.machines.items())
 
     def test_failure_on_in_repair_spare_restarts_repair(self):
-        cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool([3], repair_ticks=2)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=2, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        # first crash leases the spare; its broken hardware is in repair
-        sched.handle_machine_failure(next(iter(job.machines_used())))
-        assert pool.repairing == [[3, 2]]
-        pool.end_round()  # 1 tick of repair done
-        # a second failure event targets the in-repair spare id: the
-        # repair simply restarts instead of crashing the scheduler
-        assert sched.handle_machine_failure(3) == []
-        assert pool.repairing == [[3, 2]]
-        pool.end_round()
-        assert pool.due() == []  # timer was reset: not done yet
-        pool.end_round()
-        assert pool.due() == [3]
+        # round 1: machine 0 breaks and leases spare 3 (2 rounds of
+        # repair); round 2: spare 3 breaks in repair and starts over
+        sim, events = run_fleet([dp_spec(workers=2, iterations=8)],
+                                crashes=[(1, 0), (2, 3)], num_machines=4,
+                                devices_per_machine=1, num_spares=1,
+                                repair_ticks=2)
+        assert logged(events, "crash")[1]["spare"] is True
+        # without the restart it would be back at round 3
+        assert round_of(events, "reclaim") == 4
+        assert sim.jobs["a"].state == JobState.COMPLETED
 
-    def test_second_failure_on_blocked_job_with_fresh_spare(self):
-        """A failure routed to a BLOCKED job (spare newly available) must
-        recover it and move it back to the running set."""
-        cluster = Cluster(4, devices_per_machine=1)
-        pool = SparePool([3], repair_ticks=2)
-        sched = Scheduler(cluster, spares=pool)
-        job = Job(dp_spec(workers=2, iterations=8))
-        sched.submit(job)
-        sched.schedule()
-        job.step()
-        machines = sorted(job.machines_used())
-        sched.handle_machine_failure(machines[0])  # consumes the spare
-        sched.handle_machine_failure(machines[1])  # blocks the job
-        assert job.state == JobState.BLOCKED
-        finish_repair(sched, 3)  # capacity is back ...
-        # ... and the next failure event routes straight to the blocked job
-        sched.handle_machine_failure(machines[1])
-        assert job.state == JobState.RUNNING
-        assert job in sched.running and job not in sched.blocked
-        assert sched.unblock() == []  # no stale entries, no crash
-        run_to_completion(sched)
+    def test_crash_on_a_blocked_job_adds_to_what_it_waits_for(self):
+        """A crash on a machine of a job already blocked on an empty pool
+        names that job; it resumes once both machines have a lease."""
+        sim, events = run_fleet([dp_spec(workers=3, iterations=8)],
+                                crashes=[(1, 0), (2, 1), (3, 2)],
+                                num_machines=5, devices_per_machine=1,
+                                num_spares=1, repair_ticks=3)
+        job = sim.jobs["a"]
+        # machine 0 takes the spare; 1 blocks; 2 hits the blocked job
+        assert [p["jobs"] for p in logged(events, "crash")] == [
+            ["a"], ["a"], ["a"]]
+        assert [p["machine"] for p in logged(events, "lease")] == [0, 1, 2]
+        assert round_of(events, "recover", 1) == round_of(events, "lease", 2)
+        assert len(job.recoveries) == 2
         assert job.state == JobState.COMPLETED
 
     def test_bad_spare_geometry_is_refused(self):

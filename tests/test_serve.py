@@ -38,7 +38,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.cluster.storage import GlobalStore
 from repro.errors import ConfigurationError, StorageError
-from repro.jobs import JobSpec
+from repro.jobs import JobSpec, JobState
 from repro.serve import (
     WAL_VERSION,
     BackoffPolicy,
@@ -437,6 +437,44 @@ class TestShrinkAndShed:
             server.run()
             assert server.state.jobs["j"]["status"] == "completed"
 
+    def test_crashes_do_not_shed_what_fits_after_repair(self, tmp_path):
+        """Shedding is for jobs that can never fit: a crash that leaves
+        the pool empty takes capacity away only until the repair."""
+        config = ServeConfig(num_machines=3, devices_per_machine=2,
+                             num_spares=1, repair_ticks=50)
+        with fresh_server(tmp_path, config) as server:
+            server.register_tenant(TenantSpec(name="t"))
+            server.submit("t", dp("a", 2, 100))
+            server.submit("t", dp("b", 4, 2))   # queued behind a
+            server.tick()
+            assert server.inject_failure(0)     # leased at once
+            server.tick()
+            assert server.inject_failure(1)     # the pool is empty
+            server.run()
+            jobs = server.state.jobs
+            assert (jobs["a"]["status"], jobs["b"]["status"]) == (
+                "completed", "completed")
+            assert not [e for e in server.wal.events if e.kind == "shed"]
+
+    def test_an_idle_crash_sheds_what_no_longer_fits(self, tmp_path):
+        """No job waits on an idle machine that crashed, so no lease
+        brings it back: a gang wider than what is left is shed, not left
+        blocking the head of the line."""
+        config = ServeConfig(num_machines=3, devices_per_machine=2,
+                             num_spares=1)
+        with fresh_server(tmp_path, config) as server:
+            server.register_tenant(TenantSpec(name="t"))
+            assert server.inject_failure(1)
+            server.submit("t", dp("wide", 4, 2))
+            server.submit("t", dp("narrow", 2, 2))
+            server.run()
+            jobs = server.state.jobs
+            assert (jobs["wide"]["status"], jobs["narrow"]["status"]) == (
+                "shed", "completed")
+            assert jobs["wide"]["reason"] == (
+                "needs 4 workers, cluster capacity is 2")
+            assert server.state.regainable_capacity() == 2
+
     def test_crash_lease_recover_reclaim_cycle(self, tmp_path):
         with fresh_server(tmp_path) as server:
             server.register_tenant(TenantSpec(name="t"))
@@ -643,22 +681,21 @@ class TestProtocol:
 # -- the fleet's own WAL ----------------------------------------------------
 
 class TestFleetWal:
-    """The fleet scheduler logs its own transitions; folding that log must
-    land on the scheduler's state after every round, not just at the end.
+    """The fleet runs the control plane's decide phases over its own fold
+    and executes every event they log on a live cluster; its WAL is that
+    fold's log, and after every round the cluster must agree with it.
 
     Three fleets: the demo, a ``cascading`` seed-0 chaos run that blocks
     jobs on an empty spare pool and crashes spares, and that run with no
     pool at all, where every crashed job machine is replaced at once.
-    Their WALs are pinned byte for byte by goldens recorded before the
-    fleet and the fold shared one spare pool (the no-pool one before the
-    fold gave zero spares the fleet's meaning).
+    Their WALs are pinned byte for byte by goldens.
     """
 
     #: fleet -> (chaos scenario, spares, preemption events, job failures
     #: routed)
     FLEETS = {"demo": (None, 1, 2, 6),
-              "cascading_seed0": ("cascading", 1, 2, 35),
-              "cascading_seed0_no_pool": ("cascading", 0, 0, 33)}
+              "cascading_seed0": ("cascading", 1, 0, 19),
+              "cascading_seed0_no_pool": ("cascading", 0, 0, 23)}
 
     @pytest.fixture(params=sorted(FLEETS))
     def fleet_run(self, request, tmp_path):
@@ -676,81 +713,57 @@ class TestFleetWal:
                              failures=[] if scenario else failures,
                              scenario=scenario, scenario_seed=0,
                              wal=wal, recorder=recorder)
-        state, audits = ServeState(), []
+        checks = []
 
-        def audit(event):
-            # the round span is recorded after the round's events are
-            # written, so the fold and the scheduler describe one moment
-            if event.name != "fleet/round":
-                return
-            for e in wal.events:
-                state.apply(e)  # already-folded seqs are no-ops
-            audits.append(self._mismatches(state, sim))
+        def check(event):
+            # the round span is recorded once the round has committed
+            if event.name == "fleet/round":
+                checks.append(self._disagreements(sim))
 
-        recorder.subscribe(audit)
+        recorder.subscribe(check)
         report = sim.run()
         wal.close()
         return SimpleNamespace(
             name=request.param, path=path, sim=sim, report=report,
-            state=state, audits=audits,
+            state=sim.state, checks=checks,
             events=WriteAheadLog.load_events(path))
 
     @staticmethod
-    def _mismatches(state, sim):
-        """Where the fold disagrees with the live scheduler and spares."""
+    def _disagreements(sim):
+        """Where the live cluster disagrees with the fleet's fold."""
         out = []
-        if (state.round, state.fleet_time) != (sim.rounds, sim.fleet_time):
-            out.append(("clock", state.round, sim.rounds))
-        if set(state.jobs) != set(sim.scheduler.jobs):
-            out.append(("jobs", sorted(state.jobs)))
-        for name, job in sim.scheduler.jobs.items():
-            folded = state.jobs.get(name)
-            if folded is None:
-                continue
-            status = {"pending": "queued"}.get(job.state.value,
-                                               job.state.value)
-            if folded["status"] != status:
-                out.append((name, "status", folded["status"], status))
-            if status in ("running", "blocked") and sorted(
-                    tuple(slot) for slot in folded["slots"]
-            ) != sim.cluster.owned_slots(job.owner_tag):
-                out.append((name, "slots", folded["slots"]))
-            if folded["iterations_done"] != job.iteration:
-                out.append((name, "iterations", folded["iterations_done"]))
-        # the whole pool, repair countdowns included
-        pools = [(pool.by_fiat, pool.spares, pool.repairing)
-                 for pool in (state.pool, sim.spares)]
-        if pools[0] != pools[1]:
-            out.append(("spares", *pools))
-        # machine health with no pool, where a crashed job's machine is
-        # replaced at once.  With a pool the planes still disagree: the
-        # fold revives a machine at its lease, the scheduler when its jobs
-        # recover, and a crash on a machine whose lease is banked is never
-        # leased again (ROADMAP "One scheduler")
-        if sim.spares.by_fiat:
-            health = [m for m, rec in state.machines.items()
-                      if rec["alive"] != sim.cluster.machine(m).alive]
-            if health:
-                out.append(("alive", health))
+        owned = sorted(slot for job in sim.jobs.values()
+                       for slot in sim.cluster.owned_slots(job.owner_tag))
+        if owned != sorted(sim.state.occupied_slots()):
+            out.append(("slots", owned))
+        health = [m for m, rec in sim.state.machines.items()
+                  if rec["alive"] != sim.cluster.machine(m).alive]
+        if health:
+            out.append(("alive", health))
         return out
 
     def test_fleet_wal_matches_golden(self, fleet_run):
         golden = TRACES / f"serve_wal_fleet_{fleet_run.name}_golden.jsonl"
         assert fleet_run.path.read_bytes() == golden.read_bytes()
 
-    def test_every_round_folds_to_the_scheduler(self, fleet_run):
+    def test_every_round_the_cluster_follows_the_fold(self, fleet_run):
         run = fleet_run
         _, _, preemptions, failures = self.FLEETS[run.name]
         # the run exercises preemption and failure routing
         assert run.report.total_preemptions == preemptions
         assert run.report.total_failures == failures
-        assert len(run.audits) == run.report.rounds
-        assert [a for a in run.audits if a] == []
-        for name, job in run.sim.scheduler.jobs.items():
+        assert len(run.checks) == run.report.rounds
+        assert [c for c in run.checks if c] == []
+        # every crashed machine got its own lease or repair
+        assert [name for name, job in run.state.jobs.items()
+                if job["pending_machines"]] == []
+        for name, job in run.sim.jobs.items():
+            # a recovery that raised is logged as a fail, not a recovery
             assert run.state.jobs[name]["recoveries"] == len(job.recoveries)
             assert run.state.jobs[name]["preemptions"] == job.preemptions
-        # decisions are logged as taken: each preemption names the gang
-        # it frees slots for, and that gang is the next one placed
+            assert run.state.jobs[name]["iterations_done"] == job.iteration
+        # each preemption names the gang it frees slots for, and that
+        # gang is the next one placed
         events = run.events
         preempts = [i for i, e in enumerate(events) if e.kind == "preempt"]
         assert len(preempts) == preemptions
@@ -759,7 +772,7 @@ class TestFleetWal:
             assert placed.payload["name"] == events[i].payload["for"]
 
     def test_cascading_fleet_blocks_on_an_empty_pool(self):
-        # the audit above covers these moments only if the run has them
+        # the check above covers these moments only if the run has them
         events = WriteAheadLog.load_events(
             TRACES / "serve_wal_fleet_cascading_seed0_golden.jsonl")
         state, blocked_on_empty = ServeState(), 0
@@ -768,7 +781,7 @@ class TestFleetWal:
             if e.kind == "round" and not state.pool.spares \
                     and state.jobs_with_status("blocked"):
                 blocked_on_empty += 1
-        assert blocked_on_empty == 29
+        assert blocked_on_empty == 39
         assert sum(1 for e in events
                    if e.kind == "crash" and e.payload["spare"]) == 2
 
