@@ -404,9 +404,9 @@ def check_equivalence(quick: bool) -> dict:
     x = np.random.default_rng(5).normal(size=(4, 8))
     w = np.random.default_rng(6).normal(size=(4, 4))
     (model(x) * w).sum()
-    model.zero_grad()
+    grads = opt.grad_buffer()
     model.backward(w)
-    opt.step_flat()
+    opt.step_flat(grads.data)
     opt.undo()
     undo_allclose = state_allclose(before, model.state_dict())
     undo_not_bitwise_required = True  # §4: undo is exact up to fp rounding

@@ -32,22 +32,23 @@ def trained_model(hidden, width, steps=1):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, hidden))
     y = rng.integers(0, 8, 16)
+    grads = opt.grad_buffer()
     for _ in range(steps):
-        model.zero_grad()
+        grads.zero()
         lf = CrossEntropyLoss()
         lf(model(x), y)
         model.backward(lf.backward())
-        opt.step_flat()
-    return model, opt
+        opt.step_flat(grads.data)
+    return model, opt, grads
 
 
 @pytest.mark.parametrize("size", list(SIZES))
 def test_step_vs_undo(benchmark, size):
     hidden, width = SIZES[size]
-    model, opt = trained_model(hidden, width, steps=3)
+    model, opt, grads = trained_model(hidden, width, steps=3)
 
     def step_then_undo():
-        opt.step_flat()
+        opt.step_flat(grads.data)
         opt.undo()
 
     benchmark(step_then_undo)
@@ -64,7 +65,7 @@ def test_step_vs_undo(benchmark, size):
 @pytest.mark.parametrize("size", list(SIZES))
 def test_snapshot_clone(benchmark, size):
     hidden, width = SIZES[size]
-    model, opt = trained_model(hidden, width)
+    model, opt, _ = trained_model(hidden, width)
     state = {**{f"m/{k}": v for k, v in model.state_dict().items()},
              **{f"o/{k}": v for k, v in opt.state_dict().items()}}
     benchmark(clone_state, state)
@@ -73,7 +74,7 @@ def test_snapshot_clone(benchmark, size):
 @pytest.mark.parametrize("size", list(SIZES))
 def test_state_serialization(benchmark, size):
     hidden, width = SIZES[size]
-    model, _ = trained_model(hidden, width)
+    model, _, _ = trained_model(hidden, width)
     benchmark(save_state_bytes, model.state_dict())
 
 
@@ -88,12 +89,12 @@ def test_undo_not_slower_than_step(benchmark):
     """Sanity: a full undo costs about the same as a full step."""
     import time
 
-    model, opt = trained_model(128, 256, steps=3)
+    model, opt, grads = trained_model(128, 256, steps=3)
 
     def measure():
         t0 = time.perf_counter()
         for _ in range(20):
-            opt.step_flat()
+            opt.step_flat(grads.data)
         t_step = time.perf_counter() - t0
         # rewind to keep the comparison at the same state depth
         t0 = time.perf_counter()

@@ -42,10 +42,11 @@ def empirical_invertibility() -> dict[str, bool]:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 3, 8)
+        grads = opt.grad_buffer()
         lf = CrossEntropyLoss()
         lf(model(x), y)
         model.backward(lf.backward())
-        opt.step_flat()
+        opt.step_flat(grads.data)
         try:
             opt.undo()
         except NotInvertibleError:

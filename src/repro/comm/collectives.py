@@ -2,9 +2,12 @@
 
 Data parallelism synchronizes gradients with all-reduce; replication-based
 recovery broadcasts the surviving replica's state (paper Sections 2.1, 4).
-Data semantics are computed exactly (NumPy); time is priced with the
-standard ring-algorithm model: all-reduce moves ``2 (n-1)/n`` of the buffer
-over the slowest link, broadcast/all-gather move ``(n-1)/n``.
+An all-reduce's sum needs no call here: engines fold every worker's
+backward into one gradient buffer in ascending rank
+(:mod:`repro.utils.flat`), so the group only checks who takes part
+(:meth:`CollectiveGroup.check_members`) and prices the transfer.  Time uses
+the standard ring-algorithm model: all-reduce moves ``2 (n-1)/n`` of the
+buffer over the slowest link, broadcast/all-gather move ``(n-1)/n``.
 """
 
 from __future__ import annotations
@@ -80,22 +83,6 @@ class CollectiveGroup:
     allgather_time = broadcast_time
 
     # -- data ---------------------------------------------------------------
-    def allreduce_mean(self, buffers: dict[int, np.ndarray]) -> np.ndarray:
-        """Average buffers across ranks (gradient synchronization).
-
-        The reduction order is fixed (ascending rank) so results are
-        bit-deterministic — required for logging-based replay to be exact.
-        """
-        return self.allreduce_sum(buffers) / len(buffers)
-
-    def allreduce_sum(self, buffers: dict[int, np.ndarray]) -> np.ndarray:
-        self.check_members(buffers)
-        ranks = sorted(buffers)
-        total = np.array(buffers[ranks[0]], dtype=np.float64, copy=True)
-        for r in ranks[1:]:
-            total += buffers[r]
-        return total
-
     def broadcast(self, root: int, value: np.ndarray) -> dict[int, np.ndarray]:
         """Copy ``value`` from root to every rank (replica restoration)."""
         self._check_alive()

@@ -106,10 +106,11 @@ class Transport:
     ) -> float:
         """Enqueue a message; returns the simulated transfer time.
 
-        The tensor is copied so the sender may keep mutating its buffers —
-        the same reason Swift's logger snapshots outgoing tensors.  With a
-        pool attached, that is the *only* copy on the send+log path: the
-        message carries a read-only pooled view that the log tap shares.
+        The tensor is copied, in C order, so the sender may keep mutating
+        its buffers — the same reason Swift's logger snapshots outgoing
+        tensors.  With a pool attached, that is the *only* copy on the
+        send+log path: the message carries a read-only pooled view that
+        the log tap shares.
         """
         src_dev, dst_dev = self._check(src, dst)
         self._seq += 1
@@ -118,7 +119,7 @@ class Transport:
             payload = buf.array
         else:
             buf = None
-            payload = np.array(tensor, copy=True)
+            payload = np.array(tensor, order="C")
         msg = Message(
             src_rank=src,
             dst_rank=dst,

@@ -47,7 +47,6 @@ from repro.core.undo import resolve_pipeline_consistency
 from repro.errors import RecoveryError
 from repro.cluster.storage import pipelined_transfer_time
 from repro.parallel.pipeline import PipelineEngine, PipelineStage
-from repro.utils.flat import FlatBuffer
 
 __all__ = ["LoggingRecovery"]
 
@@ -152,35 +151,34 @@ class LoggingRecovery:
         """Replay the lost iterations, optionally data-parallel (Figure 7).
 
         Recovery worker ``w`` of ``d`` runs the stages' streams filtered
-        to micro-batches ``w, w + d, ...``, accumulating straight into a
-        seeded flat gradient buffer (:meth:`Module.seed_flat_grads`); the
-        per-worker buckets are summed in rank order — bit-deterministic,
-        logically equal to sequential replay — before the one update.
+        to micro-batches ``w, w + d, ...``, adding into each rebuilt
+        stage's own gradient buffer, seeded per worker
+        (:meth:`PipelineStage.seed_grads`); the per-worker buckets are
+        summed in rank order — bit-deterministic, logically equal to
+        sequential replay — before the one update.
         """
         engine, degree = self.engine, self.parallel_degree
         m = engine.num_microbatches
         logged = lambda *key: self.tlog.query(*key).tensor  # noqa: E731
-        # per stage: the flat buffer ``param.grad`` points into, and one
-        # (degree, size) matrix of bucket snapshots, reused every iteration
-        scratch = {}
-        for sid, stage in stages.items():
-            flat = FlatBuffer(stage.module.param_shapes())
-            scratch[sid] = flat, np.empty((degree, flat.size))
+        # per stage: one (degree, size) matrix of bucket snapshots, reused
+        # every iteration
+        buckets = {sid: np.empty((degree, stage.grads.size))
+                   for sid, stage in stages.items()}
         for iteration in iterations:
             batch = engine.microbatches(iteration)
             for worker in range(degree):
-                for sid, (flat, _) in scratch.items():
-                    stages[sid].module.seed_flat_grads(flat)
+                for stage in stages.values():
+                    stage.seed_grads()
                 engine.replay_streams(
                     stages, iteration, batch, logged,
                     range(worker, m, degree),
                 )
-                for flat, buckets in scratch.values():
-                    np.copyto(buckets[worker], flat.data)
-            for flat, buckets in scratch.values():
-                flat.copy_from(buckets[0])
+                for sid, stage in stages.items():
+                    np.copyto(buckets[sid][worker], stage.grads.data)
+            for sid, stage in stages.items():
+                np.copyto(stage.grads.data, buckets[sid][0])
                 for worker in range(1, degree):
-                    flat.data += buckets[worker]
+                    stage.grads.data += buckets[sid][worker]
             engine.apply_updates(stages)
 
     # -- timing model ---------------------------------------------------------

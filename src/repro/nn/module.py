@@ -3,8 +3,8 @@
 This replaces PyTorch as the substrate the paper builds on.  The design is
 deliberately *layer-wise*: every :class:`Module` implements an explicit
 ``forward`` that caches what its ``backward`` needs, and ``backward`` both
-returns the gradient w.r.t. the module input and accumulates parameter
-gradients into ``Parameter.grad``.
+returns the gradient w.r.t. the module input and adds parameter gradients
+into ``Parameter.grad`` (a view of a bound flat gradient buffer).
 
 Two properties matter for Swift and are guaranteed here:
 
@@ -34,7 +34,10 @@ class Parameter:
     ``grad`` holds the *latest* gradient ``g_t``.  Keeping one gradient
     version around is exactly the caching behaviour Swift relies on for
     update-undo (Section 4: "It only needs to cache the latest gradients
-    g_t, a common practice in mainstream DL frameworks").
+    g_t, a common practice in mainstream DL frameworks").  It is a view of
+    an engine's flat gradient buffer, bound by
+    :meth:`FlatBuffer.bind_grads <repro.utils.flat.FlatBuffer.bind_grads>`
+    and zeroed by its owner; backward only adds into it.
     """
 
     __slots__ = ("name", "data", "grad", "requires_grad")
@@ -53,9 +56,6 @@ class Parameter:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, grad: np.ndarray) -> None:
         if grad.shape != self.data.shape:
             raise ShapeError(
@@ -63,9 +63,11 @@ class Parameter:
                 f" for {self.name!r}"
             )
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
-        else:
-            self.grad += grad
+            raise ShapeError(
+                f"parameter {self.name!r} has no gradient buffer bound "
+                "(FlatBuffer.bind_grads)"
+            )
+        self.grad += grad
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
@@ -75,8 +77,8 @@ class Module:
     """Base class for all layers and models.
 
     Subclasses register parameters via :meth:`register_parameter` and
-    sub-modules via attribute assignment; traversal, state dicts, and
-    gradient bookkeeping come for free.
+    sub-modules via attribute assignment; traversal and state dicts come
+    for free.
     """
 
     def __init__(self) -> None:
@@ -141,47 +143,6 @@ class Module:
         self.check_state_dict(state)
         for name, param in self.named_parameters():
             param.data = np.array(state[name], dtype=np.float64, copy=True)
-
-    # -- flat views -----------------------------------------------------------
-    def param_shapes(self, trainable_only: bool = False) -> dict[str, tuple[int, ...]]:
-        """Qualified-name → shape map — the layout a flat arena packs.
-
-        The iteration order matches :meth:`named_parameters`, so a
-        :class:`~repro.utils.flat.FlatBuffer` built from this map lines up
-        with every other per-parameter traversal of the module.
-        """
-        return {
-            name: p.data.shape
-            for name, p in self.named_parameters()
-            if not trainable_only or p.requires_grad
-        }
-
-    def seed_flat_grads(self, buffer) -> None:
-        """Point every parameter's grad at a zeroed slice of ``buffer``.
-
-        ``buffer`` is a :class:`~repro.utils.flat.FlatBuffer` laid out by
-        :meth:`param_shapes`.  Backward passes then accumulate directly
-        into the contiguous arena, so gradient bucketing (fused all-reduce,
-        recovery-worker bucket sums) needs no per-parameter gather.
-        """
-        buffer.zero()
-        views = buffer.views()
-        for name, p in self.named_parameters():
-            p.grad = views[name]
-
-    # -- gradients -----------------------------------------------------------
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """Copy of all gradients (zeros where a parameter has no grad)."""
-        out = {}
-        for name, p in self.named_parameters():
-            out[name] = (
-                np.zeros_like(p.data) if p.grad is None else np.array(p.grad, copy=True)
-            )
-        return out
 
     # -- modes ---------------------------------------------------------------
     def train(self) -> "Module":

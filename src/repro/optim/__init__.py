@@ -1,11 +1,11 @@
 """Optimizers with invertible updates (update-undo, paper Section 4).
 
 Every optimizer has one update kernel, run over a flat arena by
-``step_flat`` — a wait-free crash after ``k`` parameters is
-``step_flat(count=k)`` — and, where Table 1 permits, ``undo`` /
-``undo_param`` that exactly inverts the latest update using the cached
-gradient.  The per-parameter reference the kernels are checked against
-lives in ``tests/optim_oracle.py``.
+``step_flat`` from the engine's flat gradient buffer — a wait-free crash
+after ``k`` parameters is ``step_flat(grads, count=k)`` — and, where
+Table 1 permits, ``undo`` / ``undo_param`` that exactly inverts the
+latest update using the cached gradient.  The per-parameter reference
+the kernels are checked against lives in ``tests/optim_oracle.py``.
 """
 
 from repro.optim.adam import Adam, AdamW

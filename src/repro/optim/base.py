@@ -7,12 +7,14 @@ optimizer here therefore implements one fused update kernel,
 :meth:`_step_flat`, and the per-parameter :meth:`undo_param`.  The undo
 path uses the gradient still cached in ``Parameter.grad`` — exactly the
 "cache the latest gradients" observation the paper makes about mainstream
-DL frameworks.
+DL frameworks.  That gradient is a view of the engine's flat gradient
+buffer (:meth:`Optimizer.grad_buffer`, :mod:`repro.utils.flat`), which is
+also the one gradient source :meth:`step_flat` reads.
 
 Updates run over a flat arena laid out in update order, so engines model
 wait-free layer-wise updates (Section 2.3) with a prefix: a crash after
-``k`` parameters is ``step_flat(count=k)``, and leaves the model in the
-inconsistent state that update-undo then repairs.  The per-parameter
+``k`` parameters is ``step_flat(grads, count=k)``, and leaves the model in
+the inconsistent state that update-undo then repairs.  The per-parameter
 restatement of every rule, which the fused kernels are checked against
 bit for bit, lives with the tests (``tests/optim_oracle.py``).
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.errors import NotInvertibleError, ShapeError
 from repro.nn.module import Module, Parameter
-from repro.utils.flat import FlatArena
+from repro.utils.flat import FlatArena, FlatBuffer
 
 __all__ = ["Optimizer"]
 
@@ -125,6 +127,16 @@ class Optimizer:
             self._arena = FlatArena(shapes, order, self.flat_slots)
         return self._arena
 
+    def grad_buffer(self, order: Iterable[str] | None = None) -> FlatBuffer:
+        """A zeroed gradient buffer in the arena layout of ``order``, bound
+        to the parameters (:meth:`FlatBuffer.bind_grads
+        <repro.utils.flat.FlatBuffer.bind_grads>`): what an engine's
+        backward adds into and :meth:`step_flat` reads."""
+        order = list(order) if order is not None else list(self.params)
+        buf = FlatBuffer({n: self.params[n].data.shape for n in order}, order)
+        buf.bind_grads(self.params)
+        return buf
+
     def take_arena(self, donor: Optimizer) -> None:
         """Swap arenas with a retiring optimizer whose *live* arena this
         one's leaves follow as frozen views: rebind them writable, no copy."""
@@ -181,43 +193,32 @@ class Optimizer:
 
     def step_flat(
         self,
+        grads: np.ndarray,
         count: int | None = None,
         order: Iterable[str] | None = None,
-        grads: np.ndarray | None = None,
     ) -> list[str]:
         """Update the first ``count`` arena parameters: the one update path.
 
-        ``count`` is the wait-free update budget — a MID_UPDATE crash after
-        ``k`` parameters is exactly ``step_flat(count=k)``.  The kernel runs
-        over contiguous spans; the per-parameter reference in
-        ``tests/optim_oracle.py`` performs the same elementwise arithmetic
-        with the same scalars, one parameter at a time, and the two agree
-        bit for bit.
-
-        ``grads`` optionally supplies an external flat gradient vector in
-        arena layout (e.g. the fused all-reduce output), skipping the
-        per-parameter gather entirely.
+        ``grads`` is the one gradient source: a flat vector in the arena
+        layout of ``order`` — the engine's gradient buffer
+        (:meth:`grad_buffer`), which backward added into through the
+        parameters' bound views, so ``Parameter.grad`` reads the same
+        values for undo.  ``count`` is the wait-free update budget — a
+        MID_UPDATE crash after ``k`` parameters is exactly
+        ``step_flat(grads, count=k)``.  The kernel runs over contiguous
+        spans; the per-parameter reference in ``tests/optim_oracle.py``
+        performs the same elementwise arithmetic with the same scalars,
+        one parameter at a time, and the two agree bit for bit.
         """
         arena = self.bind_flat(order)
+        if grads.size != arena.params.size:
+            raise ShapeError(
+                f"flat gradient size {grads.size} != arena size "
+                f"{arena.params.size}"
+            )
         names = arena.order if count is None else arena.order[: max(count, 0)]
         if not names:
             return []
-        if grads is None:
-            gflat = arena.grads.data
-            gviews = arena.grads.views()
-            for name in names:
-                grad = self.params[name].grad
-                if grad is None:
-                    raise ShapeError(f"parameter {name!r} has no gradient")
-                if grad is not gviews[name] and grad.base is not gflat:
-                    gviews[name][...] = grad
-        else:
-            if grads.size != arena.params.size:
-                raise ShapeError(
-                    f"flat gradient size {grads.size} != arena size "
-                    f"{arena.params.size}"
-                )
-            gflat = grads
         # fuse over maximal runs of uniform step count (bias-correction
         # scalars depend on t; runs collapse to one span in steady state);
         # bookkeeping lands per run, so a kernel raising mid-call never
@@ -243,7 +244,7 @@ class Optimizer:
                     if self.state[name].get(slot) is not sviews[name]:
                         sviews[name][...] = 0.0
                         self.state[name][slot] = sviews[name]
-            self._step_flat(arena, gflat, span, run, t)
+            self._step_flat(arena, grads, span, run, t)
             for name in run:
                 self.step_counts[name] += 1
                 self.undo_journal[name]["lr"] = self.lr

@@ -11,21 +11,18 @@ The engine keeps replicas bit-identical across workers (same deterministic
 init, same reduced gradients, same update order), which is the invariant
 replication-based recovery exploits.
 
-There is one path for the reduce+update half of the iteration.  Every
-live replica's backward adds straight into one reduced flat buffer
-(:mod:`repro.utils.flat`), zeroed once per iteration: replicas run in
-ascending rank, so the backwards *are* the all-reduce's rank-order sum,
-and the all-reduce itself only divides by the group size.  The
-optimizer's flat kernel then applies the update from that buffer.  The
-fold is bitwise-equal to summing per-replica gradient buffers in rank
-order, ``((0+g0)+g1)+...`` against ``((0+g0)+(0+g1))+...``, provided
-every module contributes to each parameter at most once per backward (a
-second contribution would re-associate the sum): a sum started at +0.0
-is never -0.0, so adding ``g`` or ``0+g`` to it gives the same bits.
-Because replicas are bit-identical, the update runs *once* on a canonical
-replica; the others hold read-only copy-on-write views of its arena (they
-track every in-place update for free, accidental in-place writes raise)
-and need no arena of their own.  Sharing is *verify-then-share*: whenever
+The gradient path is every engine's (:mod:`repro.utils.flat`): every
+live replica's backward adds straight into the engine's one reduced flat
+buffer, zeroed once per iteration.  Replicas run in ascending rank, so
+the backwards *are* the all-reduce's rank-order sum,
+``((0+g0)+g1)+...`` — bitwise the per-replica reduce under the
+one-contribution precondition stated there — and the all-reduce itself
+only divides by the group size.  The optimizer's flat kernel then
+applies the update from that buffer.  Because replicas are
+bit-identical, the update runs *once* on a canonical replica; the others
+hold read-only copy-on-write views of its arena (they track every
+in-place update for free, accidental in-place writes raise) and need no
+arena of their own.  Sharing is *verify-then-share*: whenever
 some replica's leaves do not alias the canonical arena (iteration 0, a
 global restart, an elastic resize, an external load, replicas that
 diverged) all leaves are compared *before* the update; if they agree bit
@@ -61,7 +58,6 @@ from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
 from repro.parallel.results import IterationResult
 from repro.utils.cow import StateView
-from repro.utils.flat import FlatBuffer
 
 __all__ = ["DPWorker", "DataParallelEngine"]
 
@@ -82,9 +78,6 @@ class DPWorker:
         #: parameter names updated in the current (possibly interrupted)
         #: update phase — the marks update-undo consumes (Section 6)
         self.updated_params: list[str] = []
-        #: [(Parameter, writable view, frozen view)] over the engine's
-        #: reduced buffer, built on the worker's first iteration
-        self._grad_cache: list[tuple] | None = None
 
     @property
     def alive(self) -> bool:
@@ -213,9 +206,7 @@ class DataParallelEngine:
         self.iteration = 0
         #: the rank-order gradient sum every backward folds into, then
         #: the all-reduce output every replica's grads read
-        self._reduced = FlatBuffer(
-            {n: opt0.params[n].data.shape for n in self.update_order},
-            self.update_order)
+        self._reduced = opt0.grad_buffer(self.update_order)
         #: worker whose arena the other replicas currently COW-share
         self._canonical: DPWorker | None = None
 
@@ -337,8 +328,7 @@ class DataParallelEngine:
             # every replica reads the same reduced gradients (undo consumes
             # them); read-only views make accidental in-place writes loud
             for w in live:
-                for param, _, frozen in self._grad_views(w):
-                    param.grad = frozen
+                self._reduced.bind_grads(w.optimizer.params, frozen=True)
         t_comm = self.group.allreduce_time(grad_bytes)
 
         if failure is not None and failure.phase == FailurePhase.MID_UPDATE:
@@ -353,7 +343,7 @@ class DataParallelEngine:
                 # one budget for bit-identical replicas: update once, on
                 # the canonical; followers keep their views
                 names = canon.optimizer.step_flat(
-                    count=budgets[0], order=order, grads=self._reduced.data)
+                    self._reduced.data, count=budgets[0], order=order)
                 for w in live:
                     if w is not canon:
                         self._sync_follower_scalars(w, canon, names)
@@ -367,7 +357,7 @@ class DataParallelEngine:
                 w.optimizer.bind_flat(order)
             for w, budget in zip(live, budgets):
                 w.updated_params = w.optimizer.step_flat(
-                    count=budget, order=order, grads=self._reduced.data)
+                    self._reduced.data, count=budget, order=order)
             return self._fail(failure, sim_time=t_compute + t_comm)
 
         canon = self._canonical if self._canonical in live else live[0]
@@ -379,7 +369,7 @@ class DataParallelEngine:
                 # through their views; freshly verified ones adopt views
                 # *after* the step, so slots the kernel created lazily
                 # (Adam's m/v on the first step) are shared too
-                canon.optimizer.step_flat(order=order, grads=self._reduced.data)
+                canon.optimizer.step_flat(self._reduced.data, order=order)
                 adopt = (
                     self._sync_follower_scalars if sharing
                     else self._share_follower
@@ -395,7 +385,7 @@ class DataParallelEngine:
                 for w in sorted(live, key=lambda w: w is self._canonical):
                     w.optimizer.bind_flat(order)
                 for w in live:
-                    w.optimizer.step_flat(order=order, grads=self._reduced.data)
+                    w.optimizer.step_flat(self._reduced.data, order=order)
                 self._canonical = None
             for w in live:
                 w.iteration += 1
@@ -412,22 +402,11 @@ class DataParallelEngine:
     def _seed_grads(self, live: list[DPWorker]) -> None:
         """Zero the reduced buffer once and point every live replica's
         gradients at writable views of it: the backwards, run in rank
-        order, fold the all-reduce's sum with no per-replica buffer, no
-        per-parameter gather and no separate reduce pass."""
+        order, fold the all-reduce's sum with no per-replica buffer and no
+        separate reduce pass."""
         self._reduced.zero()
         for w in live:
-            for param, view, _ in self._grad_views(w):
-                param.grad = view
-
-    def _grad_views(self, w: DPWorker) -> list[tuple]:
-        """``(Parameter, writable view, frozen view)`` of ``w`` over the
-        reduced buffer (cached on the worker)."""
-        if w._grad_cache is None:
-            views = self._reduced.views()
-            frozen = self._reduced.frozen_views()
-            w._grad_cache = [(w.optimizer.params[n], views[n], frozen[n])
-                             for n in self.update_order]
-        return w._grad_cache
+            self._reduced.bind_grads(w.optimizer.params)
 
     def _sharing_valid(self, live: list[DPWorker], canon: DPWorker) -> bool:
         """All live replicas still alias the canonical arena leaf-for-leaf.

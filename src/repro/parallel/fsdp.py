@@ -17,7 +17,13 @@ This module implements that design:
   taken from the owners), compute local gradients on a data shard,
   reduce-scatter gradients to owners, owners update their shards in
   their flat arenas (wait-free: a crash budget is a prefix of each
-  owner's names, owners in rank order) and re-mirror.
+  owner's names, owners in rank order) and re-mirror.  The gradient
+  path is every engine's (:mod:`repro.utils.flat`): every worker binds
+  to the engine's one gradient buffer, laid out in that update order —
+  (owner rank, sorted name) — and zeroed once per iteration; workers run
+  in ascending rank, so their backwards fold the rank-order sum, the
+  reduce-scatter only divides by the worker count, and each owner steps
+  its contiguous span of the buffer.
 
 Recovery (:class:`ShardedReplicationRecovery` in
 :mod:`repro.core.sharded_recovery`) restores lost shards from mirrors and
@@ -40,6 +46,7 @@ from repro.nn.module import Module
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
 from repro.parallel.results import IterationResult
+from repro.utils.flat import FlatBuffer
 
 __all__ = ["ShardPlan", "FSDPWorker", "FSDPEngine"]
 
@@ -219,6 +226,14 @@ class FSDPEngine:
         self.group = CollectiveGroup(
             cluster, {w.rank: w.device for w in self.workers}
         )
+        #: update order: (owner rank, sorted name); each owner's names are
+        #: one contiguous span of the gradient buffer
+        order = [n for w in self.workers for n in sorted(w.owned)]
+        params = self.workers[0]._params
+        #: the rank-order gradient sum every backward folds into, then the
+        #: reduce-scatter output the owners step from
+        self._grads = FlatBuffer(
+            {n: params[n].data.shape for n in order}, order)
         self.iteration = 0
         self._sync_mirrors(list(sizes))
         self._gather_full_params()
@@ -307,8 +322,8 @@ class FSDPEngine:
         # 2. local forward/backward on the data shard
         losses, t_compute = [], 0.0
         with self.recorder.span("engine/forward_backward"):
+            self._seed_grads(live)
             for w, idx in zip(live, shards):
-                w.model.zero_grad()
                 loss_fn = self.loss_factory()
                 losses.append(loss_fn(w.model(x[idx]), y[idx]))
                 w.model.backward(loss_fn.backward())
@@ -320,13 +335,8 @@ class FSDPEngine:
             return self._fail(failure)
 
         # 3. reduce-scatter gradients to owners
-        reduced_bytes = 0
         with self.recorder.span("engine/allreduce") as sp:
-            for name, owner_rank in self.plan.owner.items():
-                buffers = {w.rank: w._params[name].grad for w in live}
-                reduced = self.group.allreduce_mean(buffers)
-                reduced_bytes += int(reduced.nbytes)
-                self.workers[owner_rank]._params[name].grad = reduced
+            reduced_bytes = self._reduce(live)
             sp.set(bytes=reduced_bytes)
 
         # 4. owners update their shards (wait-free), then re-mirror: the
@@ -337,19 +347,17 @@ class FSDPEngine:
             failure is not None and failure.phase == FailurePhase.MID_UPDATE
         )
         budget = failure.after_updates if mid_update else len(self.plan.owner)
-        update_order = []
         with self.recorder.span("engine/optimizer"):
             for w in live:
                 owned = sorted(w.owned)
-                update_order += owned
                 w.updated_params = []
                 if owned and budget > 0:
-                    w.updated_params = w.optimizer.step_flat(
-                        count=min(budget, len(owned)), order=owned)
+                    w.updated_params = self._step_owner(
+                        w, owned, min(budget, len(owned)))
                     budget -= len(w.updated_params)
             if mid_update:
                 return self._fail(failure)
-            mirror_bytes = self._sync_mirrors(update_order)
+            mirror_bytes = self._sync_mirrors(self._grads.order)
             gathered_bytes = self._gather_full_params()
 
         for w in live:
@@ -366,6 +374,30 @@ class FSDPEngine:
             loss=float(np.mean(losses)),
             sim_time=t_compute + t_comm,
         )
+
+    def _seed_grads(self, live: list[FSDPWorker]) -> None:
+        """Zero the gradient buffer once and bind every live worker's
+        trainable leaves to it: the backwards, run in rank order, fold
+        the reduce-scatter's sum."""
+        self._grads.zero()
+        for w in live:
+            self._grads.bind_grads(w._params)
+
+    def _reduce(self, live: list[FSDPWorker]) -> int:
+        """The reduce-scatter: backward already summed every worker's
+        gradient in rank order, so this only divides; returns its bytes."""
+        self.group.check_members(w.rank for w in live)
+        self._grads.data /= len(live)
+        return self._grads.nbytes
+
+    def _step_owner(self, w: FSDPWorker, owned: list[str],
+                    count: int) -> list[str]:
+        """Update the first ``count`` of ``w``'s ``owned`` names from its
+        contiguous span of the gradient buffer."""
+        slices = self._grads.slices
+        span = slice(slices[owned[0]].start, slices[owned[-1]].stop)
+        return w.optimizer.step_flat(self._grads.data[span], count=count,
+                                     order=owned)
 
     def _fail(self, failure: FailureEvent) -> IterationResult:
         self.cluster.fail_machine(failure.machine_id)

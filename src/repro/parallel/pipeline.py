@@ -76,13 +76,17 @@ _PEER = {"RecvActivation": -1, "SendActivation": 1,
 
 
 class PipelineStage:
-    """One pipeline stage: its model chunk(s), optimizer, and mb caches."""
+    """One pipeline stage: its model chunk(s), optimizer, gradient buffer
+    and mb caches."""
 
     def __init__(self, stage_id: int, module: Sequential, optimizer: Optimizer,
                  device, chunks: dict[int, Sequential] | None = None):
         self.stage_id = stage_id
         self.module = module
         self.optimizer = optimizer
+        #: the stage's one gradient buffer, in its optimizer's update
+        #: order: every micro-batch's backward adds into it
+        self.grads = optimizer.grad_buffer()
         self.device = device
         self.iteration = 0
         #: model chunks hosted here, keyed by global chunk id; the layers
@@ -125,8 +129,14 @@ class PipelineStage:
         module.restore_caches(self.stash.pop((chunk, microbatch)))
         return module.backward(grad)
 
+    def seed_grads(self) -> None:
+        """Zero the gradient buffer and bind the trainable leaves to it:
+        the start of every iteration, live or replayed."""
+        self.grads.zero()
+        self.grads.bind_grads(self.optimizer.params)
+
     def step(self) -> None:
-        self.optimizer.step_flat()
+        self.optimizer.step_flat(self.grads.data)
         self.iteration += 1
         self.updated_this_iteration = True
 
@@ -430,7 +440,7 @@ class PipelineEngine:
         batch = self.microbatches(self.iteration)
         stages = dict(enumerate(self.stages))
         for s in self.stages:
-            s.module.zero_grad()
+            s.seed_grads()
             s.clear_caches()
             s.updated_this_iteration = False
 
@@ -497,8 +507,9 @@ class PipelineEngine:
         microbatch, phase)`` — the tensor log; an edge between two of
         ``stages`` is handed over in memory; a ``Send*`` leaving the set
         is dropped (its receiver survived and already consumed the
-        original).  Gradients accumulate into whatever the caller bound
-        to ``param.grad``; updates are :meth:`apply_updates`.
+        original).  Gradients add into each stage's buffer, which the
+        caller seeds (:meth:`PipelineStage.seed_grads`); updates are
+        :meth:`apply_updates`.
         """
         p = self.num_stages
         order = [
@@ -515,12 +526,10 @@ class PipelineEngine:
         def send(instr: Instruction, tensor: np.ndarray, phase: str) -> None:
             chunk = instr.chunk + _PEER[instr.op]
             if chunk % p in stages:
-                # the copy the transport would deliver (pooled storage is C
-                # order, an unpooled send keeps the sender's layout): a
+                # the C-order copy the transport would deliver: a
                 # receiver's rounding follows its input's strides
                 handed[(chunk, instr.microbatch, phase)] = np.array(
-                    tensor, copy=True,
-                    order="K" if self.transport.pool is None else "C")
+                    tensor, order="C")
 
         self._interpret(stages, batch, order, recv, send)
 

@@ -1,21 +1,26 @@
-"""Flat-parameter arenas: the fused training-step substrate.
+"""Flat buffers: the fused training-step substrate.
 
 Per-parameter training loops pay one Python-level NumPy call per parameter
 per operation — for a P-parameter model on W data-parallel replicas that is
 ``O(P * W)`` interpreter round-trips per iteration just for gradient
 synchronization and the optimizer update.  A :class:`FlatBuffer` packs all
-of a module's parameters (or gradients, or one optimizer slot) into a
-*single* contiguous float64 vector with named slices, so the same work
-becomes a handful of fused vector operations:
+of a module's trainable parameters (or their gradients, or one optimizer
+slot) into a *single* contiguous float64 vector with named slices, so the
+same work becomes a handful of fused vector operations:
 
-* gradient synchronization is **one** all-reduce over the flat gradient
-  buffer instead of P per-parameter calls;
+* every engine owns one gradient buffer per gradient group, laid out in
+  its optimizer's update order and zeroed once per iteration;
+  :meth:`FlatBuffer.bind_grads` — the one place a ``Parameter.grad`` is
+  assigned — points each trainable leaf at its view, so every backward
+  contribution adds straight into it (``0.0 + g``, then ``+ g'``) and
+  gradient synchronization is one fused pass over the buffer;
 * optimizer updates run **vectorized kernels** over the whole arena (or a
-  prefix of it) instead of P per-parameter updates;
+  prefix of it) instead of P per-parameter updates, reading that buffer
+  as their one gradient source;
 * the wait-free/layer-wise update semantics survive because the arena is
-  laid out in *update order*: "the first k parameters were updated" is
-  exactly the contiguous prefix ``data[:prefix_stop(k)]``, so a MID_UPDATE
-  crash budget maps to a fused kernel over a prefix slice.
+  laid out in *update order*: "the first k parameters were updated" is a
+  contiguous prefix, so a MID_UPDATE crash budget maps to a fused kernel
+  over a prefix slice.
 
 Because every fused operation performs the same elementwise arithmetic, in
 the same order, with the same scalars as a per-parameter update, results
@@ -23,9 +28,18 @@ are bitwise identical to one — the property the equivalence suite in
 ``tests/test_flat.py`` and ``benchmarks/bench_step.py`` pins down against
 the per-parameter reference in ``tests/optim_oracle.py``.
 
-:class:`FlatArena` bundles the three buffers one optimizer needs (params,
-grads, one buffer per slot tensor) in one object; adoption/sharing policy
-lives with the consumers (:class:`repro.optim.base.Optimizer`,
+The one precondition every engine shares: folding several backwards (DP
+replicas, FSDP workers) into one buffer equals summing per-backward
+buffers in the same order bit for bit only if each backward contributes
+to a parameter at most once — a second contribution would re-associate
+the sum.  A sum started at +0.0 is never -0.0, so adding ``g`` or
+``0.0 + g`` to it gives the same bits; the one element on which a gradient
+started at 0.0 differs from one started as a copy of ``g`` is an element
+whose whole sum is -0.0 (it reads +0.0 here).
+
+:class:`FlatArena` bundles the buffers one optimizer updates (params, one
+buffer per slot tensor) in one object; adoption/sharing policy lives with
+the consumers (:class:`repro.optim.base.Optimizer`,
 :class:`repro.parallel.data_parallel.DataParallelEngine`).
 """
 
@@ -81,18 +95,6 @@ class FlatBuffer:
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
-    def prefix_stop(self, count: int) -> int:
-        """Flat index one past the last element of the first ``count`` names.
-
-        ``data[:prefix_stop(k)]`` is the contiguous span covering the first
-        ``k`` parameters in layout order — the slice a wait-free update
-        budget of ``k`` parameters fuses over.
-        """
-        if count <= 0:
-            return 0
-        count = min(count, len(self.order))
-        return self.slices[self.order[count - 1]].stop
-
     # -- named views ----------------------------------------------------------
     def views(self) -> dict[str, np.ndarray]:
         """Shape-restored writable views into the buffer (cached objects).
@@ -107,9 +109,6 @@ class FlatBuffer:
                 for name, sl in self.slices.items()
             }
         return self._views
-
-    def view(self, name: str) -> np.ndarray:
-        return self.views()[name]
 
     def frozen_views(self) -> dict[str, np.ndarray]:
         """Read-only counterparts of :meth:`views` (cached objects).
@@ -128,44 +127,34 @@ class FlatBuffer:
             self._frozen = frozen
         return self._frozen
 
+    def bind_grads(self, params: Mapping[str, object],
+                   frozen: bool = False) -> None:
+        """Point each named parameter's ``grad`` at its view of this buffer
+        (a read-only one with ``frozen``): the one place a gradient is
+        bound.  Backward then adds every contribution into the buffer."""
+        views = self.frozen_views() if frozen else self.views()
+        for name, view in views.items():
+            params[name].grad = view
+
     # -- bulk movement ---------------------------------------------------------
-    def pack(self, arrays: Mapping[str, np.ndarray],
-             names: Iterable[str] | None = None) -> None:
-        """Copy named arrays into their slices (the gather step)."""
-        views = self.views()
-        for name in (self.order if names is None else names):
-            views[name][...] = arrays[name]
-
-    def unpack(self, names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-        """Private (copied) arrays per name (the scatter step)."""
-        views = self.views()
-        return {
-            name: np.array(views[name], copy=True)
-            for name in (self.order if names is None else names)
-        }
-
     def zero(self) -> None:
         self.data[:] = 0.0
-
-    def copy_from(self, other: "FlatBuffer | np.ndarray") -> None:
-        """Bulk copy of another buffer's contents (one fused memcpy)."""
-        src = other.data if isinstance(other, FlatBuffer) else other
-        np.copyto(self.data, src)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FlatBuffer(names={len(self.order)}, size={self.size})"
 
 
 class FlatArena:
-    """Params + grads + per-slot flat buffers for one optimizer.
+    """Params + per-slot flat buffers for one optimizer.
 
-    All buffers share one layout (``shapes`` in ``order``), so a span
-    ``[lo:hi)`` addresses the same parameters in every buffer — which is
-    what lets an optimizer kernel update parameters, read gradients, and
-    advance slot tensors with aligned fused vector operations.
+    All buffers share one layout (``shapes`` in ``order``), as does the
+    gradient buffer the optimizer steps from, so a span ``[lo:hi)``
+    addresses the same parameters in every one — which is what lets an
+    optimizer kernel update parameters, read gradients, and advance slot
+    tensors with aligned fused vector operations.
     """
 
-    __slots__ = ("params", "grads", "slots", "_scratch")
+    __slots__ = ("params", "slots", "_scratch")
 
     def __init__(
         self,
@@ -174,7 +163,6 @@ class FlatArena:
         slot_names: Iterable[str] = (),
     ):
         self.params = FlatBuffer(shapes, order)
-        self.grads = FlatBuffer(shapes, self.params.order)
         self.slots: dict[str, FlatBuffer] = {
             slot: FlatBuffer(shapes, self.params.order) for slot in slot_names
         }
@@ -183,18 +171,6 @@ class FlatArena:
     @property
     def order(self) -> list[str]:
         return self.params.order
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.params.nbytes
-            + self.grads.nbytes
-            + sum(b.nbytes for b in self.slots.values())
-        )
-
-    def span(self, count: int) -> slice:
-        """Flat slice covering the first ``count`` names in every buffer."""
-        return slice(0, self.params.prefix_stop(count))
 
     def local_slice(self, name: str) -> slice:
         return self.params.slices[name]

@@ -6,7 +6,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from optim_oracle import EagerDataParallelEngine
+from optim_oracle import EagerDataParallelEngine, EagerFSDPEngine
 from repro.api import (
     ClusterSpec,
     DataSpec,
@@ -21,11 +21,27 @@ from repro.nn import CrossEntropyLoss, Module
 from repro.optim import Adam, SGDMomentum
 from repro.parallel import (
     DataParallelEngine,
+    FSDPEngine,
     PipelineEngine,
     default_virtual_stages,
     partition_by_sizes,
 )
-from repro.utils import state_allclose, state_equal
+from repro.utils import FlatBuffer, state_allclose, state_equal
+
+
+def bind_grads(module: Module) -> FlatBuffer:
+    """A zeroed gradient buffer bound to ``module``'s trainable leaves."""
+    params = {n: p for n, p in module.named_parameters() if p.requires_grad}
+    buf = FlatBuffer({n: p.data.shape for n, p in params.items()})
+    buf.bind_grads(params)
+    return buf
+
+
+def flat_grads(params, order=None) -> np.ndarray:
+    """The leaves' current ``grad`` arrays (``params``: name -> Parameter)
+    as one flat vector in ``order`` — a ``step_flat`` gradient source."""
+    order = list(params) if order is None else order
+    return np.concatenate([np.ravel(params[n].grad) for n in order])
 
 
 def numerical_grad_check(
@@ -47,7 +63,7 @@ def numerical_grad_check(
     module.train()
     out = module(x)
     w = rng.normal(size=out.shape)
-    module.zero_grad()
+    bind_grads(module)
     grad_in = module.backward(w)
 
     def loss_at() -> float:
@@ -128,6 +144,24 @@ def make_dp_engine(
         model_factory=lambda: make_mlp(8, 16, 4, seed=seed),
         opt_factory=opt_factory or (lambda m: SGDMomentum(
             m, lr=lr, momentum=0.9, weight_decay=1e-4)),
+        loss_factory=CrossEntropyLoss,
+        task=task,
+        placement=placement,
+    )
+
+
+def make_fsdp_engine(machines: int = 2, per_machine: int = 2, seed: int = 7,
+                     opt_factory=None, eager: bool = False) -> FSDPEngine:
+    """Small sharded-DP MLP setup (Adam unless ``opt_factory(named)``
+    builds another); ``eager`` builds ``optim_oracle``'s per-parameter
+    reference engine."""
+    cluster = Cluster(machines, devices_per_machine=per_machine)
+    placement = [(m, d) for m in range(machines) for d in range(per_machine)]
+    task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
+    return (EagerFSDPEngine if eager else FSDPEngine)(
+        cluster,
+        model_factory=lambda: make_mlp(8, 16, 4, seed=seed),
+        opt_factory=opt_factory or (lambda named: Adam(named, lr=0.01)),
         loss_factory=CrossEntropyLoss,
         task=task,
         placement=placement,

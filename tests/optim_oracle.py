@@ -13,7 +13,12 @@ in ``tests/test_flat.py`` and ``benchmarks/bench_step.py``.
   raises before any of it.
 * :class:`EagerDataParallelEngine` is a DP engine whose reduce+update tail
   is one all-reduce and one :func:`reference_step` per parameter on every
-  replica: no arena, no sharing.
+  replica: no arena, no sharing.  Each replica's gradients start as its
+  own zeroed arrays, and the all-reduce is written out: the lowest
+  rank's copy, then ``+=`` in ascending rank, then the mean.
+* :class:`EagerFSDPEngine` is the same for sharded DP: per-worker zeroed
+  gradients, one written-out rank-order reduce per parameter handed to its
+  owner, one :func:`reference_step` per owned parameter.
 * :func:`eager_pipeline_steps` makes every ``PipelineStage.step`` a
   :func:`reference_step` loop over the stage's parameters.
 """
@@ -27,7 +32,7 @@ import numpy as np
 from repro.cluster.failures import FailurePhase
 from repro.errors import ConfigurationError, ShapeError
 from repro.optim import LAMB, SGD, AMSGrad, Adam, AdamW, SGDMomentum
-from repro.parallel import DataParallelEngine
+from repro.parallel import DataParallelEngine, FSDPEngine
 from repro.parallel.pipeline import PipelineStage
 from repro.parallel.results import IterationResult
 
@@ -130,17 +135,18 @@ class EagerDataParallelEngine(DataParallelEngine):
 
     def _seed_grads(self, live) -> None:
         for w in live:
-            w.model.zero_grad()
+            for p in w.optimizer.params.values():
+                p.grad = np.zeros_like(p.data)
 
     def _reduce_and_update(self, live, losses, t_compute, failure,
                            survivor_progress) -> IterationResult:
         grad_bytes = 0
         params_by_rank = [dict(w.model.named_parameters()) for w in self.workers]
         with self.recorder.span("engine/allreduce") as sp:
+            self.group.check_members(w.rank for w in live)
             for name in self.update_order:
-                buffers = {w.rank: params_by_rank[w.rank][name].grad
-                           for w in live}
-                reduced = self.group.allreduce_mean(buffers)
+                reduced = rank_order_mean({
+                    w.rank: params_by_rank[w.rank][name].grad for w in live})
                 grad_bytes += int(reduced.nbytes)
                 for w in live:
                     params_by_rank[w.rank][name].grad = np.array(reduced,
@@ -176,6 +182,41 @@ class EagerDataParallelEngine(DataParallelEngine):
             loss=float(np.mean(losses)),
             sim_time=t_compute + t_comm,
         )
+
+
+def rank_order_mean(grads: dict[int, np.ndarray]) -> np.ndarray:
+    """The all-reduce written out: the lowest rank's copy, ``+=`` in
+    ascending rank, then the mean."""
+    ranks = sorted(grads)
+    total = np.array(grads[ranks[0]], copy=True)
+    for rank in ranks[1:]:
+        total += grads[rank]
+    return total / len(ranks)
+
+
+class EagerFSDPEngine(FSDPEngine):
+    """FSDP with the per-parameter path: every worker's gradients zeroed on
+    their own, one rank-order reduce per parameter handed to its owner,
+    one :func:`reference_step` per owned parameter."""
+
+    def _seed_grads(self, live) -> None:
+        for w in live:
+            for p in w._params.values():
+                if p.requires_grad:
+                    p.grad = np.zeros_like(p.data)
+
+    def _reduce(self, live) -> int:
+        self.group.check_members(w.rank for w in live)
+        nbytes = 0
+        for name, owner in self.plan.owner.items():
+            reduced = rank_order_mean({w.rank: w._params[name].grad
+                                       for w in live})
+            self.workers[owner]._params[name].grad = reduced
+            nbytes += int(reduced.nbytes)
+        return nbytes
+
+    def _step_owner(self, w, owned, count) -> list[str]:
+        return reference_steps(w.optimizer, owned, count)
 
 
 def eager_stage_step(stage) -> None:

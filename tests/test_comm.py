@@ -92,43 +92,21 @@ class TestCollectives:
         }
         return cluster, CollectiveGroup(cluster, devices)
 
-    def test_allreduce_mean(self):
-        _, g = self.make_group()
-        buffers = {i: np.full(3, float(i)) for i in range(4)}
-        assert np.allclose(g.allreduce_mean(buffers), 1.5)
-
-    def test_allreduce_sum(self):
-        _, g = self.make_group()
-        buffers = {i: np.full(3, float(i)) for i in range(4)}
-        assert np.allclose(g.allreduce_sum(buffers), 6.0)
-
-    def test_allreduce_deterministic_order(self):
-        _, g = self.make_group()
-        rng = np.random.default_rng(0)
-        buffers = {i: rng.normal(size=100) for i in range(4)}
-        a = g.allreduce_mean(buffers)
-        b = g.allreduce_mean(buffers)
-        assert np.array_equal(a, b)
-
-    def test_allreduce_with_dead_member_raises(self):
+    def test_check_members_with_dead_member_raises(self):
         cluster, g = self.make_group()
+        g.check_members(range(4))
         cluster.fail_machine(0)
         with pytest.raises(CommunicationError):
-            g.allreduce_mean({i: np.zeros(1) for i in range(4)})
+            g.check_members(range(4))
 
-    def test_allreduce_participant_mismatch(self):
+    def test_check_members_participant_mismatch(self):
+        """Regression: a partial participant set must not reduce silently
+        over a subset of ranks, nor a superset over ranks outside."""
         _, g = self.make_group()
         with pytest.raises(CommunicationError):
-            g.allreduce_mean({0: np.zeros(1)})
-
-    def test_allreduce_sum_participant_mismatch(self):
-        """Regression: allreduce_sum used to skip the participant check a
-        partial buffer set silently summed over a subset of ranks."""
-        _, g = self.make_group()
+            g.check_members([0])
         with pytest.raises(CommunicationError):
-            g.allreduce_sum({0: np.zeros(1)})
-        with pytest.raises(CommunicationError):
-            g.allreduce_sum({i: np.zeros(1) for i in range(5)})
+            g.check_members(range(5))
 
     def test_slowest_link_cached(self):
         _, g = self.make_group()

@@ -277,7 +277,7 @@ class TestLoggingRecovery:
         """Two failed stages hand tensors over in memory; conv outputs are
         strided views and a receiver's rounding follows its input's
         strides, so the hand-over must make the copy the live transport
-        made: C order from the pool, the sender's layout without it."""
+        made: C order, pooled or not."""
         kwargs = dict(workers=4, pooled_messaging=pooled,
                       grouping=GroupingPlan.of([[0, 1], [2, 3]]))
         ref = wide_resnet_run(**kwargs)

@@ -13,17 +13,21 @@ import numpy as np
 import pytest
 
 from helpers import (assert_shared, assert_untouched, engine_snapshot,
-                     make_dp_engine, make_pp_engine)
+                     flat_grads, make_dp_engine, make_fsdp_engine,
+                     make_pp_engine)
 from optim_oracle import eager_pipeline_steps, reference_step, reference_steps
 from repro.api import (ClusterSpec, DataSpec, Experiment, ModelSpec,
                        ParallelismSpec, build_engine)
-from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
-from repro.core import SwiftTrainer, TrainerConfig
+from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
+from repro.core import (FailureDetector, ShardedReplicationRecovery,
+                        SwiftTrainer, TrainerConfig)
 from repro.core.undo import resolve_dp_consistency
 from repro.errors import ConfigurationError, NotInvertibleError, ShapeError
+from repro.data import ClassificationTask
 from repro.models import make_mlp
-from repro.nn import Parameter
+from repro.nn import CrossEntropyLoss, Module, Parameter, Sequential
 from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, Optimizer, SGDMomentum
+from repro.parallel import DataParallelEngine, FSDPEngine, PipelineEngine
 from repro.utils import FlatBuffer, state_equal, state_nbytes
 
 OPTIMIZERS = {
@@ -62,34 +66,33 @@ def full_state(model, opt):
 
 
 class TestFlatBuffer:
-    def test_layout_and_prefix(self):
+    def test_layout(self):
         buf = FlatBuffer({"a": (2, 3), "b": (4,), "c": ()}, order=["b", "a", "c"])
         assert buf.order == ["b", "a", "c"]
         assert buf.size == 4 + 6 + 1
         assert buf.slices["b"] == slice(0, 4)
         assert buf.slices["a"] == slice(4, 10)
-        assert buf.prefix_stop(0) == 0
-        assert buf.prefix_stop(1) == 4
-        assert buf.prefix_stop(2) == 10
-        assert buf.prefix_stop(99) == buf.size
 
     def test_views_share_memory_and_identity(self):
         buf = FlatBuffer({"a": (2, 2), "b": (3,)})
-        v = buf.view("a")
+        v = buf.views()["a"]
         assert v.shape == (2, 2)
         assert v.base is buf.data
-        assert buf.view("a") is v  # cached objects enable `is` checks
+        assert buf.views()["a"] is v  # cached objects enable `is` checks
         v[...] = 7.0
         assert np.all(buf.data[:4] == 7.0)
 
-    def test_pack_unpack_roundtrip(self):
-        rng = np.random.default_rng(0)
-        arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(5,))}
-        buf = FlatBuffer({k: v.shape for k, v in arrays.items()})
-        buf.pack(arrays)
-        out = buf.unpack()
-        assert state_equal(arrays, out)
-        assert out["a"].base is None  # private copies
+    def test_bind_grads_points_each_leaf_at_its_view(self):
+        model = make_mlp(6, 10, 4, depth=3, seed=3)
+        opt = SGD(model, lr=0.1)
+        buf = opt.grad_buffer()
+        views = buf.views()
+        assert all(p.grad is views[n] for n, p in opt.params.items())
+        buf.bind_grads(opt.params, frozen=True)
+        assert all(p.grad is buf.frozen_views()[n]
+                   for n, p in opt.params.items())
+        with pytest.raises(ValueError):
+            opt.params[buf.order[0]].grad += 1.0
 
     def test_flat_bucket_sum_equals_per_parameter_sum_bitwise(self):
         """Parallel replay (Section 5.2) sums the recovery workers'
@@ -97,13 +100,13 @@ class TestFlatBuffer:
         parameter in the same worker order gives the same bits."""
         model = make_mlp(6, 10, 4, depth=3, seed=3)
         rng = np.random.default_rng(9)
-        workers = [set_grads(model, rng) for _ in range(4)]
-        flat = FlatBuffer(model.param_shapes())
-        buckets = np.empty((len(workers), flat.size))
-        for row, grads in zip(buckets, workers):
-            flat.pack(grads)
-            np.copyto(row, flat.data)
-        flat.copy_from(buckets[0])
+        params = dict(model.named_parameters())
+        workers, buckets = [], []
+        for _ in range(4):
+            workers.append(set_grads(model, rng))
+            buckets.append(flat_grads(params))
+        flat = FlatBuffer({n: p.shape for n, p in model.named_parameters()})
+        np.copyto(flat.data, buckets[0])
         for row in buckets[1:]:
             flat.data += row
         per_parameter = {}
@@ -119,7 +122,7 @@ class TestFlatBuffer:
         frozen = buf.frozen_views()["a"]
         with pytest.raises(ValueError):
             frozen += 1.0
-        buf.view("a")[...] = 3.0  # writable path still works
+        buf.views()["a"][...] = 3.0  # writable path still works
         assert np.all(frozen == 3.0)
 
 
@@ -133,7 +136,7 @@ class TestFusedOptimizerKernels:
             set_grads(m_e, rng_e)
             set_grads(m_f, rng_f)
             reference_steps(o_e, order)
-            o_f.step_flat(order=order)
+            o_f.step_flat(flat_grads(o_f.params, order), order=order)
             assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
         assert o_e.step_counts == o_f.step_counts
 
@@ -148,7 +151,8 @@ class TestFusedOptimizerKernels:
         set_grads(m_f, rng_f)
         budget = 3
         reference_steps(o_e, order, budget)
-        names = o_f.step_flat(count=budget, order=order)
+        names = o_f.step_flat(flat_grads(o_f.params, order), count=budget,
+                             order=order)
         assert names == order[:budget]
         # state-dict equality covers keys: slots exist only where stepped
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
@@ -156,7 +160,7 @@ class TestFusedOptimizerKernels:
         set_grads(m_e, np.random.default_rng(4))
         set_grads(m_f, np.random.default_rng(4))
         reference_steps(o_e, order)
-        o_f.step_flat(order=order)
+        o_f.step_flat(flat_grads(o_f.params, order), order=order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
 
     @pytest.mark.parametrize(
@@ -168,7 +172,7 @@ class TestFusedOptimizerKernels:
         set_grads(m_e, np.random.default_rng(5))
         set_grads(m_f, np.random.default_rng(5))
         reference_steps(o_e, order, 2)
-        o_f.step_flat(count=2, order=order)
+        o_f.step_flat(flat_grads(o_f.params, order), count=2, order=order)
         o_e.undo(list(reversed(order[:2])))
         o_f.undo(list(reversed(order[:2])))
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
@@ -176,21 +180,17 @@ class TestFusedOptimizerKernels:
     def test_amsgrad_fused_step_still_not_invertible(self):
         (_, _), (m_f, o_f) = make_pair("amsgrad")
         set_grads(m_f, np.random.default_rng(6))
-        o_f.step_flat()
+        o_f.step_flat(flat_grads(o_f.params))
         with pytest.raises(NotInvertibleError):
             o_f.undo()
 
-    def test_external_flat_gradient_source(self):
-        (m_e, o_e), (m_f, o_f) = make_pair("adam")
-        order = [n for n, _ in m_e.named_parameters()][::-1]
-        grads = set_grads(m_e, np.random.default_rng(7))
-        gbuf = FlatBuffer({n: m_f.param_shapes()[n] for n in order}, order)
-        gbuf.pack(grads)
-        reference_steps(o_e, order)
-        o_f.step_flat(order=order, grads=gbuf.data)
-        assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
+    def test_the_flat_gradient_source_is_size_checked(self):
+        (_, _), (m_f, o_f) = make_pair("adam")
+        order = [n for n, _ in m_f.named_parameters()][::-1]
+        set_grads(m_f, np.random.default_rng(7))
         with pytest.raises(ShapeError):
-            o_f.step_flat(order=order, grads=np.zeros(3))
+            o_f.step_flat(np.zeros(3), order=order)
+        assert o_f.step_counts == dict.fromkeys(order, 0)
 
     @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
     def test_a_retained_arena_creates_missing_slots_over_zeros(self, opt_name):
@@ -202,7 +202,7 @@ class TestFusedOptimizerKernels:
         initial = full_state(m_f, o_f)
         for seed in (13, 14):
             set_grads(m_f, np.random.default_rng(seed))
-            o_f.step_flat(order=order)
+            o_f.step_flat(flat_grads(o_f.params, order), order=order)
         m_f.load_state_dict({k[6:]: v for k, v in initial.items()
                              if k.startswith("model/")})
         o_f.load_state_dict({k[6:]: v for k, v in initial.items()
@@ -210,7 +210,7 @@ class TestFusedOptimizerKernels:
         set_grads(m_e, np.random.default_rng(15))
         set_grads(m_f, np.random.default_rng(15))
         reference_steps(o_e, order)
-        o_f.step_flat(order=order)
+        o_f.step_flat(flat_grads(o_f.params, order), order=order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
 
     def test_a_refused_lamb_step_matches_the_reference(self):
@@ -224,7 +224,7 @@ class TestFusedOptimizerKernels:
         with pytest.raises(ConfigurationError):
             reference_step(opts[0], "p")
         with pytest.raises(ConfigurationError):
-            opts[1].step_flat()
+            opts[1].step_flat(flat_grads(opts[1].params))
         for opt in opts:
             assert np.array_equal(opt.params["p"].data, [1.0, 1.0])
             assert opt.step_counts == {"p": 0}
@@ -240,14 +240,14 @@ class TestFusedOptimizerKernels:
             set_grads(m_e, np.random.default_rng(rng_seed))
             set_grads(m_f, np.random.default_rng(rng_seed))
             reference_steps(o_e, order)
-            o_f.step_flat(order=order)
+            o_f.step_flat(flat_grads(o_f.params, order), order=order)
         o_e.undo()
         o_f.undo()  # AdamW undo rebinds param.data out of the arena
         assert not o_f.flat_bound(order)
         set_grads(m_e, np.random.default_rng(10))
         set_grads(m_f, np.random.default_rng(10))
         reference_steps(o_e, order)
-        o_f.step_flat(order=order)
+        o_f.step_flat(flat_grads(o_f.params, order), order=order)
         assert o_f.flat_bound(order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
 
@@ -256,7 +256,7 @@ class TestFusedOptimizerKernels:
         order = [n for n, _ in m_f.named_parameters()][::-1]
         o_f.clear_dirty()
         set_grads(m_f, np.random.default_rng(11))
-        o_f.step_flat(count=2, order=order)
+        o_f.step_flat(flat_grads(o_f.params, order), count=2, order=order)
         assert o_f.dirty_params == set(order[:2])
         keys = o_f.dirty_state_keys()
         for name in order[:2]:
@@ -529,7 +529,7 @@ class TestFusedEngine:
         recycled = [w.optimizer.flat_arena(order) for w in fused.workers[:2]]
         assert recycled[0] is arenas[2] and recycled[1] is arenas[1]
         for arena in recycled:
-            for buf in (arena.params, arena.grads, *arena.slots.values()):
+            for buf in (arena.params, *arena.slots.values()):
                 buf.data[...] = np.nan
         assert self.bitwise(
             survivors, {r: fused.workers[r].full_state() for r in survivors})
@@ -623,8 +623,7 @@ class TestFusedEngine:
                     if w.alive and strategy == "replication":
                         continue
                     arena = w.optimizer.flat_arena(fused.update_order)
-                    for buf in (arena.params, arena.grads,
-                                *arena.slots.values()):
+                    for buf in (arena.params, *arena.slots.values()):
                         buf.data[...] = np.nan
             trainer.recover_now()
         assert draws == []
@@ -685,12 +684,26 @@ class TestFusedEngine:
         assert eng.state_nbytes() > w.model.state_nbytes()
 
 
-class TestBackwardFold:
-    """DP backward folds every replica's gradient into one reduced buffer.
+def count_contributions(monkeypatch, run) -> dict[int, int]:
+    """``accumulate_grad`` calls per parameter (by ``id``) during ``run()``."""
+    calls: dict[int, int] = {}
+    accumulate = Parameter.accumulate_grad
 
-    The fold equals a rank-order reduce of per-replica buffers bit for bit
-    only if each backward contributes to a parameter at most once; the
-    eager oracle's per-rank buffers keep the comparison independent."""
+    def counted(param, grad):
+        calls[id(param)] = calls.get(id(param), 0) + 1
+        accumulate(param, grad)
+
+    monkeypatch.setattr(Parameter, "accumulate_grad", counted)
+    run()
+    return calls
+
+
+class TestBackwardFold:
+    """Every engine folds its backwards into one zeroed gradient buffer.
+
+    The fold equals a rank-order reduce of per-backward buffers bit for
+    bit only if each backward contributes to a parameter at most once; the
+    eager oracles' per-rank buffers keep the comparison independent."""
 
     @pytest.mark.parametrize("family, data, params", [
         ("mlp", "classification", 6),
@@ -705,18 +718,28 @@ class TestBackwardFold:
             cluster=ClusterSpec(num_machines=1, devices_per_machine=1),
             parallelism=ParallelismSpec(kind="dp", num_workers=1),
         ).plan())
-        calls = {}
-        accumulate = Parameter.accumulate_grad
-
-        def counted(param, grad):
-            calls[id(param)] = calls.get(id(param), 0) + 1
-            accumulate(param, grad)
-
-        monkeypatch.setattr(Parameter, "accumulate_grad", counted)
-        engine.run_iteration()
+        calls = count_contributions(monkeypatch, engine.run_iteration)
         model = engine.workers[0].model
         assert [calls.get(id(p)) for p in model.parameters()] == [1] * params
         assert len(calls) == params
+
+    @pytest.mark.parametrize("kind", ["fsdp", "pp"])
+    def test_one_contribution_per_backward_in_fsdp_and_pp(self, kind,
+                                                          monkeypatch):
+        """The FSDP and PP test models: one contribution per worker's
+        backward (each worker holds its own model), and one per
+        micro-batch backward on a stage."""
+        if kind == "fsdp":
+            engine = make_fsdp_engine()
+            modules = [w.model for w in engine.workers]
+            backwards = 1
+        else:
+            engine = make_pp_engine()
+            modules = [s.module for s in engine.stages]
+            backwards = engine.num_microbatches
+        calls = count_contributions(monkeypatch, engine.run_iteration)
+        params = [p for m in modules for p in m.parameters()]
+        assert calls == {id(p): backwards for p in params}
 
     def test_eager_grads_never_alias_the_reduced_buffer(self):
         fused, eager = make_dp_engine(), make_dp_engine(eager=True)
@@ -759,3 +782,106 @@ class TestFusedPipelineReplay:
         with eager_pipeline_steps():
             eager = run()
         assert all(state_equal(fused[s], eager[s]) for s in fused)
+
+
+def same_bits(a, b) -> bool:
+    """Identical keys and byte-identical arrays (the sign of zero counts)."""
+    return a.keys() == b.keys() and all(
+        np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes() for k in a)
+
+
+class TestFusedFSDP:
+    """FSDP folds every worker's backward into the engine's one buffer:
+    bit for bit a per-parameter rank-order reduce handed to each owner,
+    with one ``reference_step`` per owned parameter."""
+
+    @pytest.mark.parametrize("opt", ["adam", "sgd_momentum", "adamw"])
+    @pytest.mark.parametrize("crash", [None, 0, 3, 99])
+    def test_fold_equals_the_per_parameter_reduce(self, opt, crash):
+        engines = [make_fsdp_engine(opt_factory=OPTIMIZERS[opt], eager=eager)
+                   for eager in (False, True)]
+        recoveries = [ShardedReplicationRecovery(
+            e, FailureDetector(e.cluster.kvstore, e.clock), e.clock)
+            for e in engines]
+        failures = [] if crash is None else [
+            FailureEvent(1, 4, FailurePhase.MID_UPDATE, after_updates=crash)]
+        while engines[0].iteration < 8:
+            failure = failures.pop() if engines[0].iteration == 4 and \
+                failures else None
+            results = [e.run_iteration(failure=failure) for e in engines]
+            assert results[0].loss == results[1].loss
+            assert results[0].failed == (failure is not None)
+            if failure is not None:
+                for rec in recoveries:
+                    rec.recover()
+            for fused, eager in zip(*(e.workers for e in engines)):
+                assert same_bits(fused.full_state(), eager.full_state())
+                assert same_bits(fused.model.state_dict(),
+                                 eager.model.state_dict())
+
+
+class NegativeZeroGrad(Module):
+    """Identity layer whose backward contributes -0.0 to every element of
+    its one parameter."""
+
+    def __init__(self):
+        super().__init__()
+        self.w = self.register_parameter("w", Parameter(np.ones(2)))
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad_out):
+        self.w.accumulate_grad(np.array([-0.0, -0.0]))
+        return grad_out
+
+
+class TestOneGradientRule:
+    """Every engine starts a gradient at 0.0 and adds each contribution:
+    an element every contribution leaves at -0.0 reads +0.0, the one
+    difference from starting at a copy of the first contribution."""
+
+    @staticmethod
+    def engine(kind):
+        cluster = Cluster(2, devices_per_machine=1)
+        placement = [(0, 0), (1, 0)]
+        common = dict(
+            loss_factory=CrossEntropyLoss,
+            task=ClassificationTask(dim=8, num_classes=4, batch_size=16,
+                                    seed=3))
+
+        def model():
+            mlp = make_mlp(8, 16, 4, depth=1, seed=7)
+            return Sequential([mlp.layers[0], NegativeZeroGrad(),
+                               *mlp.layers[1:]])
+
+        if kind == "dp":
+            return DataParallelEngine(
+                cluster, model, lambda m: SGD(m, lr=0.1),
+                placement=placement, **common)
+        if kind == "fsdp":
+            return FSDPEngine(
+                cluster, model, lambda named: SGD(named, lr=0.1),
+                placement=placement, **common)
+        return PipelineEngine(
+            cluster, model, partition_sizes=[2, 2], placement=placement,
+            num_microbatches=4, opt_factory=lambda m: SGD(m, lr=0.1),
+            **common)
+
+    @pytest.mark.parametrize("kind", ["dp", "pp", "fsdp"])
+    def test_an_all_negative_zero_sum_reads_positive_zero(self, kind):
+        engine = self.engine(kind)
+        assert not engine.run_iteration().failed
+        if kind == "pp":
+            modules = [engine.stages[0].module]
+        elif kind == "fsdp":
+            owner = engine.plan.owner["1.w"]
+            modules = [engine.workers[owner].model]
+        else:
+            modules = [w.model for w in engine.workers]
+        layers = [m for mod in modules for m in mod.modules()
+                  if isinstance(m, NegativeZeroGrad)]
+        assert layers
+        for layer in layers:
+            assert np.array_equal(layer.w.grad, [0.0, 0.0])
+            assert not np.signbit(layer.w.grad).any()

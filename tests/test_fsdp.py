@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import make_fsdp_engine as make_engine
 from repro.cluster import Cluster, FailureEvent, FailurePhase, SimClock
 from repro.core import FailureDetector, ShardedReplicationRecovery
 from repro.data import ClassificationTask
@@ -11,20 +12,6 @@ from repro.models import make_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 from repro.parallel import FSDPEngine, ShardPlan
-
-
-def make_engine(machines=2, per_machine=2, seed=7):
-    cluster = Cluster(machines, devices_per_machine=per_machine)
-    placement = [(m, d) for m in range(machines) for d in range(per_machine)]
-    task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
-    return FSDPEngine(
-        cluster,
-        model_factory=lambda: make_mlp(8, 16, 4, seed=seed),
-        opt_factory=lambda named: Adam(named, lr=0.01),
-        loss_factory=CrossEntropyLoss,
-        task=task,
-        placement=placement,
-    )
 
 
 def recovery_for(engine):

@@ -59,12 +59,13 @@ class TestWideResNet:
         x = RNG.normal(size=(8, 3, 8, 8))
         y = RNG.integers(0, 3, 8)
         losses = []
+        grads = opt.grad_buffer()
         for _ in range(15):
-            model.zero_grad()
+            grads.zero()
             lf = CrossEntropyLoss()
             losses.append(lf(model(x), y))
             model.backward(lf.backward())
-            opt.step_flat()
+            opt.step_flat(grads.data)
         assert losses[-1] < losses[0]
 
 
@@ -110,11 +111,12 @@ class TestBert:
                           num_heads=2, seed=3)
         opt = Adam(model, lr=0.01)
         losses = []
+        grads = opt.grad_buffer()
         for it in range(30):
             x, y = task.batch(it)
-            model.zero_grad()
+            grads.zero()
             lf = CrossEntropyLoss()
             losses.append(lf(model(x), y))
             model.backward(lf.backward())
-            opt.step_flat()
+            opt.step_flat(grads.data)
         assert losses[-1] < losses[0] * 0.9

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import numerical_grad_check
+from helpers import bind_grads, numerical_grad_check
 from repro.errors import ShapeError
 from repro.nn import (
     GELU,
@@ -212,6 +212,7 @@ class TestEmbedding:
         emb = Embedding(10, 4, rng=RngStream(3))
         ids = np.array([[1, 1]])
         emb(ids)
+        bind_grads(emb)
         emb.backward(np.ones((1, 2, 4)))
         assert np.allclose(emb.weight.grad[1], 2.0)
         assert np.allclose(emb.weight.grad[2], 0.0)
@@ -325,13 +326,17 @@ class TestModuleStateDict:
         with pytest.raises(ShapeError):
             layer.weight.accumulate_grad(np.zeros((2, 2)))
 
-    def test_zero_grad(self):
+    def test_backward_adds_into_the_bound_gradient(self):
         layer = Linear(3, 2)
         layer(RNG.normal(size=(2, 3)))
+        with pytest.raises(ShapeError, match="no gradient buffer"):
+            layer.backward(np.ones((2, 2)))
+        buf = bind_grads(layer)
         layer.backward(np.ones((2, 2)))
-        assert layer.weight.grad is not None
-        layer.zero_grad()
-        assert layer.weight.grad is None
+        once = buf.data.copy()
+        layer.backward(np.ones((2, 2)))
+        assert np.array_equal(buf.data, 2 * once)
+        assert layer.weight.grad.base is buf.data
 
     def test_num_parameters(self):
         layer = Linear(3, 2)

@@ -39,11 +39,11 @@ def small_problem(seed=0):
 
 
 def one_step(model, opt, x, y):
-    model.zero_grad()
+    grads = opt.grad_buffer()
     lf = CrossEntropyLoss()
     loss = lf(model(x), y)
     model.backward(lf.backward())
-    opt.step_flat()
+    opt.step_flat(grads.data)
     return loss
 
 
@@ -58,32 +58,30 @@ class TestUpdates:
     def test_sgd_matches_closed_form(self):
         p = Parameter(np.array([1.0, 2.0]))
         opt = SGD([("p", p)], lr=0.1, weight_decay=0.0)
-        p.grad = np.array([0.5, -0.5])
-        opt.step_flat()
+        opt.step_flat(np.array([0.5, -0.5]))
         assert np.allclose(p.data, [0.95, 2.05])
 
     def test_sgd_momentum_matches_closed_form(self):
         p = Parameter(np.array([1.0]))
         opt = SGDMomentum([("p", p)], lr=0.1, momentum=0.5, dampening=0.0)
-        p.grad = np.array([1.0])
-        opt.step_flat()  # m=1, x = 1 - 0.1 = 0.9
+        opt.step_flat(np.array([1.0]))  # m=1, x = 1 - 0.1 = 0.9
         assert np.allclose(p.data, [0.9])
-        opt.step_flat()  # m = 0.5 + 1 = 1.5, x = 0.9 - 0.15 = 0.75
+        opt.step_flat(np.array([1.0]))  # m = 0.5 + 1 = 1.5, x = 0.75
         assert np.allclose(p.data, [0.75])
 
     def test_adam_bias_correction_first_step(self):
         p = Parameter(np.array([0.0]))
         opt = Adam([("p", p)], lr=0.1, betas=(0.9, 0.999), eps=0.0)
-        p.grad = np.array([2.0])
-        opt.step_flat()
+        opt.step_flat(np.array([2.0]))
         # after bias correction the first step is ~lr * sign(g)
         assert np.allclose(p.data, [-0.1])
 
-    def test_step_without_grad_fails(self):
+    def test_step_with_a_mis_sized_gradient_fails(self):
         p = Parameter(np.array([0.0]))
         opt = SGD([("p", p)], lr=0.1)
         with pytest.raises(ShapeError):
-            opt.step_flat()
+            opt.step_flat(np.zeros(2))
+        assert opt.step_counts == {"p": 0}
 
     def test_skips_non_trainable_params(self):
         trainable = Parameter(np.zeros(2))
@@ -141,13 +139,13 @@ class TestUndo:
         x1 = model.state_dict()
         model_state_before = {k: v.copy() for k, v in x1.items()}
         # second iteration: compute grads, update only half the params
-        model.zero_grad()
+        grads = opt.grad_buffer()
         lf = CrossEntropyLoss()
         lf(model(x), y)
         model.backward(lf.backward())
         names = list(opt.params)
         updated = names[: len(names) // 2]
-        opt.step_flat(count=len(updated))
+        opt.step_flat(grads.data, count=len(updated))
         opt.undo(updated)
         for k in model_state_before:
             assert np.allclose(
@@ -165,8 +163,8 @@ class TestUndo:
         """Learning-rate schedules: undo must use the lr of the undone step."""
         p = Parameter(np.array([1.0]))
         opt = SGD([("p", p)], lr=0.1)
-        p.grad = np.array([1.0])
-        opt.step_flat()
+        opt.grad_buffer().data[:] = 1.0
+        opt.step_flat(p.grad.ravel())
         opt.lr = 0.5  # schedule moved on
         opt.undo_param("p")
         assert np.allclose(p.data, [1.0])
@@ -181,8 +179,8 @@ class TestUndo:
     def test_momentum_zero_undo_restores_params(self):
         p = Parameter(np.array([1.0]))
         opt = SGDMomentum([("p", p)], lr=0.1, momentum=0.0)
-        p.grad = np.array([1.0])
-        opt.step_flat()
+        opt.grad_buffer().data[:] = 1.0
+        opt.step_flat(p.grad.ravel())
         opt.undo_param("p")
         assert np.allclose(p.data, [1.0])
 

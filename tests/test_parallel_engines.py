@@ -78,13 +78,13 @@ class TestDataParallelEngine:
         for it in range(3):
             eng.run_iteration()
             x, y = task.batch(it)
-            ref_model.zero_grad()
+            grads = ref_opt.grad_buffer()
             lf = CrossEntropyLoss()
             lf(ref_model(x), y)
             ref_model.backward(lf.backward())
             # shard-mean of shard-gradients == full-batch gradient here
             # because shards are equal-sized
-            ref_opt.step_flat()
+            ref_opt.step_flat(grads.data)
         a = eng.workers[0].model.state_dict()
         b = ref_model.state_dict()
         for k in a:
@@ -159,14 +159,14 @@ class TestPipelineEngine:
             eng.run_iteration()
             x, y = task.batch(it)
             # accumulate gradients micro-batch-wise like the pipeline does
-            ref_model.zero_grad()
+            grads = ref_opt.grad_buffer()
             xs = np.array_split(x, 4)
             ys = np.array_split(y, 4)
             for mb in range(4):
                 lf = CrossEntropyLoss()
                 lf(ref_model(xs[mb]), ys[mb])
                 ref_model.backward(lf.backward() / 4)
-            ref_opt.step_flat()
+            ref_opt.step_flat(grads.data)
         ref = ref_model.state_dict()
         # map stage-local layer indices back to model-global indices
         offsets = [0, 2, 4, 6]  # cumulative partition sizes [2,2,2,1]
@@ -271,13 +271,13 @@ class TestStashedLayerCaches:
         ref_opt = SGDMomentum(ref, lr=0.05, momentum=0.9)
         for it in range(2):
             eng.run_iteration()
-            ref.zero_grad()
+            grads = ref_opt.grad_buffer()
             x, y = task.batch(it)
             for xb, yb in zip(np.array_split(x, m), np.array_split(y, m)):
                 loss = CrossEntropyLoss()
                 loss(ref(xb), yb)
                 ref.backward(loss.backward() / m)
-            ref_opt.step_flat()
+            ref_opt.step_flat(grads.data)
         want = ref.state_dict()
         for stage, offset in zip(eng.stages, (0, partition[0])):
             for key, value in stage.module.state_dict().items():

@@ -133,14 +133,14 @@ def sequential_oracle(m: int, iterations: int, *, depth: int = DEPTH):
         x, y = task.batch(it)
         xs = np.array_split(x, m)
         ys = np.array_split(y, m)
-        model.zero_grad()
+        grads = opt.grad_buffer()
         mb_losses = []
         for mb in range(m):
             out = model(xs[mb])
             loss_fn = CrossEntropyLoss()
             mb_losses.append(loss_fn(out, ys[mb]))
             model.backward(loss_fn.backward() / m)
-        opt.step_flat()
+        opt.step_flat(grads.data)
         losses.append(float(np.mean(mb_losses)))
     params = [np.array(p.data, copy=True)
               for _, p in model.named_parameters()]

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import flat_grads
 from repro.nn import Parameter
 from repro.optim import LAMB, SGD, Adam, AdamW, SGDMomentum
 
@@ -43,7 +44,7 @@ def roundtrip(opt_cls, kwargs, x0, grads, atol):
     ckpt_state = None
     for i, g in enumerate(grads):
         p.grad = g.copy()
-        opt.step_flat()
+        opt.step_flat(flat_grads(opt.params))
         if i == len(grads) - 2:
             checkpoint = p.data.copy()
             ckpt_state = {k: v.copy() for k, v in opt.state_dict().items()}
@@ -110,7 +111,7 @@ def test_undo_respects_lr_schedule(data, lrs):
     p = Parameter(x0.copy())
     opt = SGD([("p", p)], lr=lrs[0])
     p.grad = grads[0].copy()
-    opt.step_flat()
+    opt.step_flat(flat_grads(opt.params))
     opt.lr = lrs[1]
     opt.undo_param("p")
     assert np.allclose(p.data, x0, atol=1e-9)
@@ -127,7 +128,7 @@ def test_partial_undo_is_per_parameter(data, split):
     for g in grads:
         for n in names:
             params[n].grad = g.copy()
-        opt.step_flat()
+        opt.step_flat(flat_grads(params))
     after = {n: params[n].data.copy() for n in names}
     undone = names[:split]
     opt.undo(undone)

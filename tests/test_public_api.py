@@ -15,11 +15,13 @@ import ast
 import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.utils.flat import FlatArena
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
@@ -461,6 +463,42 @@ def test_one_update_kernel_census():
             if name in switches:
                 found.add(f"{where}: {name}")
     assert not found
+
+
+def test_one_gradient_path_census():
+    """Every engine folds backward into one zeroed flat buffer.
+
+    ``FlatBuffer.bind_grads`` is the one place a ``Parameter.grad`` is
+    (re)bound — DP's frozen rebind after its all-reduce goes through it
+    too — besides the leaf's ``None`` before any binding; backward only
+    adds.  No engine zeroes gradients per leaf (``zero_grad``), and the
+    per-parameter all-reduce (``allreduce_mean``/``allreduce_sum``) and
+    the arena's gather buffer (``FlatArena.grads``) stay deleted.
+    """
+    assert "grads" not in FlatArena.__slots__
+    banned = {"zero_grad", "allreduce_mean", "allreduce_sum"}
+    found, binders = set(), set()
+    for where, (text, tree) in package_sources().items():
+        if re.search(r"arena\.grads\b", text):
+            found.add(f"{where}: arena.grads")
+        for node in ast.walk(tree):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or (node.name if isinstance(node, ast.FunctionDef)
+                        else None))
+            if name in banned:
+                found.add(f"{where}:{node.lineno} {name}")
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for sub in ast.walk(node):
+                targets = (sub.targets if isinstance(sub, ast.Assign) else
+                           [sub.target] if isinstance(sub, ast.AnnAssign)
+                           else [])
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and t.attr == "grad":
+                            binders.add(f"{where}: {node.name}")
+    assert not found, sorted(found)
+    assert binders == {"nn/module.py: __init__", "utils/flat.py: bind_grads"}
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
