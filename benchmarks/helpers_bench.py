@@ -41,4 +41,4 @@ def live_recovery_states(degree: int, iterations: int = 20,
         [FailureEvent(2, fail_at, FailurePhase.FORWARD)]
     )
     trainer.train(iterations, failures=schedule)
-    return {s.stage_id: s.module.state_dict() for s in engine.stages}
+    return {s.stage_id: s.model.state_dict() for s in engine.stages}

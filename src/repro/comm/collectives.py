@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.cluster.device import Device
 from repro.cluster.topology import Cluster
 from repro.errors import CommunicationError
@@ -40,15 +38,12 @@ class CollectiveGroup:
     def size(self) -> int:
         return len(self.devices)
 
-    def _check_alive(self) -> None:
-        for rank, dev in self.devices.items():
-            if not dev.alive:
-                raise CommunicationError(rank, rank, f"rank {rank} is dead")
-
     def check_members(self, ranks: Iterable[int]) -> None:
         """Refuse a collective over ``ranks`` unless every member is alive
         and ``ranks`` are exactly the members."""
-        self._check_alive()
+        for rank, dev in self.devices.items():
+            if not dev.alive:
+                raise CommunicationError(rank, rank, f"rank {rank} is dead")
         if set(ranks) != self.devices.keys():
             raise CommunicationError(
                 -1, -1, "allreduce called with mismatched participant set"
@@ -81,11 +76,3 @@ class CollectiveGroup:
         return (n - 1) / n * nbytes / self._slowest_link()
 
     allgather_time = broadcast_time
-
-    # -- data ---------------------------------------------------------------
-    def broadcast(self, root: int, value: np.ndarray) -> dict[int, np.ndarray]:
-        """Copy ``value`` from root to every rank (replica restoration)."""
-        self._check_alive()
-        if root not in self.devices:
-            raise CommunicationError(root, root, f"root {root} not in group")
-        return {rank: np.array(value, copy=True) for rank in self.devices}

@@ -79,10 +79,6 @@ class Transport:
         self._taps.append(tap)
 
     # -- liveness -----------------------------------------------------------
-    def rebind(self, rank: int, device: Device) -> None:
-        """Point a rank at a (replacement) device."""
-        self.devices[rank] = device
-
     def _check(self, src: int, dst: int) -> tuple[Device, Device]:
         try:
             src_dev = self.devices[src]

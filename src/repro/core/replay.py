@@ -54,12 +54,13 @@ __all__ = ["LoggingRecovery"]
 class LoggingRecovery:
     """Recovers failed pipeline stages from the tensor log (§5).
 
-    Failed stages rebuild from the last global checkpoint and re-run
-    their own instruction streams with boundary inputs read from the
-    sender-side log, under any schedule (``virtual_stages > 1``
-    included); ``parallel_degree > 1`` splits each iteration's
-    micro-batches across recovery workers (§5.2).  Built for you by the
-    ``"logging"`` recovery policy:
+    Failed stages are reloaded in place from the last global checkpoint
+    — the engine keeps every stage, and ``restore_shard`` loads the
+    checkpoint into it — and re-run their own instruction streams with
+    boundary inputs read from the sender-side log, under any schedule
+    (``virtual_stages > 1`` included); ``parallel_degree > 1`` splits
+    each iteration's micro-batches across recovery workers (§5.2).
+    Built for you by the ``"logging"`` recovery policy:
 
     >>> from repro.api import (ClusterSpec, Experiment, ModelSpec,
     ...                        ParallelismSpec)
@@ -134,24 +135,13 @@ class LoggingRecovery:
         return portions
 
     # -- orchestration of the numeric replay ---------------------------------
-    def _rebuild_stages(
-        self, stage_ids: list[int], from_iteration: int
-    ) -> tuple[dict[int, PipelineStage], dict[int, float]]:
-        """Fresh stage objects loaded from the checkpoint + load seconds."""
-        rebuilt: dict[int, PipelineStage] = {}
-        load_times: dict[int, float] = {}
-        for sid in stage_ids:
-            state, load_times[sid] = self.checkpoints.load(sid, from_iteration)
-            rebuilt[sid] = self.engine.build_stage(sid, state)
-        return rebuilt, load_times
-
     def _replay(
         self, stages: dict[int, PipelineStage], iterations: range
     ) -> None:
         """Replay the lost iterations, optionally data-parallel (Figure 7).
 
         Recovery worker ``w`` of ``d`` runs the stages' streams filtered
-        to micro-batches ``w, w + d, ...``, adding into each rebuilt
+        to micro-batches ``w, w + d, ...``, adding into each failed
         stage's own gradient buffer, seeded per worker
         (:meth:`PipelineStage.seed_grads`); the per-worker buckets are
         summed in rank order — bit-deterministic, logically equal to
@@ -201,7 +191,8 @@ class LoggingRecovery:
         sync = 0.0
         if degree > 1:
             # per-iteration gradient all-reduce among recovery workers
-            state_bytes = sum(eng.state_nbytes(sid) for sid in stage_ids)
+            state_bytes = sum(eng.stages[sid].state_nbytes()
+                              for sid in stage_ids)
             sync = len(iterations) * 2.0 * (degree - 1) / degree * (
                 state_bytes / eng.cluster.bandwidth.network
             )
@@ -258,17 +249,21 @@ class LoggingRecovery:
         init_time = self.replacement_join_time + LOGGING_INIT_TIME
         self.clock.advance(init_time, "replacement_join")
 
-        # rebuild + replay the failed stages (numerics)
+        # reload the failed stages in place — every checkpoint read
+        # before the first loads — and replay them (numerics)
         lost = range(ckpt_iter, consensus)
-        rebuilt, load_times = self._rebuild_stages(stage_ids, ckpt_iter)
-        self._replay(rebuilt, lost)
-        for sid, stage in rebuilt.items():
+        loaded = {sid: self.checkpoints.load(sid, ckpt_iter)
+                  for sid in stage_ids}
+        for sid, (state, _) in loaded.items():
+            self.engine.restore_shard(sid, state)
+        stages = {sid: self.engine.stages[sid] for sid in stage_ids}
+        self._replay(stages, lost)
+        for sid, stage in stages.items():
             if stage.iteration != consensus:
                 raise RecoveryError(
                     f"replayed stage {sid} is at iteration "
                     f"{stage.iteration}, expected {consensus}"
                 )
-            self.engine.install_stage(stage)
 
         # price it: independent portions recover concurrently (Appendix
         # B), so wall time is the max across them
@@ -276,7 +271,7 @@ class LoggingRecovery:
         timing_details: dict = {}
         for portion in self.independent_portions(stage_ids):
             timing = self._replay_time(portion, lost)
-            load_time = max(load_times[sid] for sid in portion)  # parallel
+            load_time = max(loaded[sid][1] for sid in portion)  # parallel
             restore_time = max(restore_time, load_time + timing["replay_wall"])
             timing_details[f"span_{portion[0]}_{portion[-1]}"] = timing
 

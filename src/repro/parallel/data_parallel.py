@@ -53,16 +53,16 @@ from repro.cluster.topology import Cluster
 from repro.comm.collectives import CollectiveGroup
 from repro.errors import ConfigurationError, MachineFailure
 from repro.nn.module import Module
-from repro.nn.sequential import Sequential
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
+from repro.parallel.holder import StateHolder
 from repro.parallel.results import IterationResult
 from repro.utils.cow import StateView
 
 __all__ = ["DPWorker", "DataParallelEngine"]
 
 
-class DPWorker:
+class DPWorker(StateHolder):
     """One data-parallel worker: a replica, its optimizer, and undo marks.
 
     It owns no gradient buffer: its parameters' gradients are views of the
@@ -80,64 +80,8 @@ class DPWorker:
         self.updated_params: list[str] = []
 
     @property
-    def alive(self) -> bool:
-        return self.device.alive
-
-    @property
-    def machine_id(self) -> int:
-        return self.device.machine.machine_id
-
-    @property
     def shard_id(self) -> int:
         return self.rank
-
-    def full_state(self) -> dict[str, np.ndarray]:
-        """Model + optimizer state — the paper's "model state"."""
-        state = {f"model/{k}": v for k, v in self.model.state_dict().items()}
-        state.update(
-            {f"optim/{k}": v for k, v in self.optimizer.state_dict().items()}
-        )
-        return state
-
-    def load_full_state(self, state: Mapping[str, np.ndarray],
-                        order: list[str] | None = None) -> None:
-        """Load ``state`` (a :meth:`full_state`) into private copies — or,
-        given the arena layout ``order``, on into this worker's own flat
-        arena, its slot buffers zeroed first (the kernel creates a slot
-        the state lacks over zeros).  Both halves are checked before
-        either loads, so nothing changes if loading raises."""
-        model = {k[len("model/"):]: v for k, v in state.items()
-                 if k.startswith("model/")}
-        optim = {k[len("optim/"):]: v for k, v in state.items()
-                 if k.startswith("optim/")}
-        self.model.check_state_dict(model)
-        self.optimizer.check_state_dict(optim)
-        self.model.load_state_dict(model)
-        self.optimizer.load_state_dict(optim)
-        if order is not None:
-            for buf in self.optimizer.flat_arena(order).slots.values():
-                buf.zero()
-            self.optimizer.bind_flat(order)
-
-    def dirty_full_state_keys(self) -> set[str]:
-        """Keys of :meth:`full_state` changed since the last checkpoint.
-
-        Optimizer-tracked parameters come from its dirty report; parameters
-        the optimizer does not manage (``requires_grad=False`` leaves such
-        as batch-norm running statistics, which mutate silently during the
-        forward pass) are conservatively always reported dirty.
-        """
-        keys = {f"optim/{k}" for k in self.optimizer.dirty_state_keys()}
-        keys.update(f"model/{name}" for name in self.optimizer.dirty_params)
-        keys.update(
-            f"model/{name}"
-            for name, _ in self.model.named_parameters()
-            if name not in self.optimizer.params
-        )
-        return keys
-
-    def clear_dirty(self) -> None:
-        self.optimizer.clear_dirty()
 
 
 class DataParallelEngine:
@@ -229,14 +173,9 @@ class DataParallelEngine:
         return dict.fromkeys((w.rank for w in live),
                              StateView.of(canon.full_state()))
 
-    def worker(self, rank: int) -> DPWorker:
-        return self.workers[rank]
-
     def state_nbytes(self) -> int:
-        """``full_state()``'s byte count on the first live replica, read
-        off its leaves in place."""
-        w = self.alive_workers()[0]
-        return w.model.state_nbytes() + w.optimizer.state_nbytes()
+        """The first live replica's ``full_state()`` byte count."""
+        return self.alive_workers()[0].state_nbytes()
 
     def replicas_consistent(self) -> bool:
         """Live replicas agree bitwise on parameters, slots and step counts

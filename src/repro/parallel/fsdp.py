@@ -45,6 +45,7 @@ from repro.errors import ConfigurationError, MachineFailure, RecoveryError
 from repro.nn.module import Module
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
+from repro.parallel.holder import Placed
 from repro.parallel.results import IterationResult
 from repro.utils.flat import FlatBuffer
 
@@ -91,7 +92,7 @@ class ShardPlan:
         return [n for n, r in self.owner.items() if r == rank]
 
 
-class FSDPWorker:
+class FSDPWorker(Placed):
     """One sharded-DP worker: full model for compute, owned shard state."""
 
     def __init__(self, rank: int, device, model: Module,
@@ -108,14 +109,6 @@ class FSDPWorker:
         self.mirrors: dict[str, dict[str, np.ndarray]] = {}
         self.iteration = 0
         self.updated_params: list[str] = []
-
-    @property
-    def alive(self) -> bool:
-        return self.device.alive
-
-    @property
-    def machine_id(self) -> int:
-        return self.device.machine.machine_id
 
     @property
     def shard_id(self) -> int:
@@ -144,6 +137,12 @@ class FSDPWorker:
             for name in self.owned
             for key, arr in self.shard_state(name).items()
         }
+
+    def state_nbytes(self) -> int:
+        """:meth:`full_state`'s byte count, read off the leaves in place
+        (the optimizer trains exactly the owned parameters)."""
+        owned = sum(self._params[n].data.nbytes for n in self.owned)
+        return owned + (self.optimizer.state_nbytes() if self.owned else 0)
 
     def load_shard_state(self, name: str, state: dict[str, np.ndarray]) -> None:
         self._params[name].data = np.array(state["param"], copy=True)
@@ -411,7 +410,12 @@ class FSDPEngine:
     def restore_shard(self, rank: int, state: dict[str, np.ndarray]) -> None:
         """Rebuild worker ``rank`` on its (replaced) device from ``state``,
         a ``full_state()``; its mirror copies, its view of the other ranks'
-        shards and its iteration come with :meth:`finish_restore`."""
+        shards and its iteration come with :meth:`finish_restore`.
+
+        Unlike DP workers and pipeline stages, which are restored in
+        place, the worker is built fresh: a sharded checkpoint holds no
+        non-trainable leaves, so a retained worker would hand the dead
+        machine's BatchNorm running statistics to its replacement."""
         worker = FSDPWorker(rank, self.workers[rank].device,
                             self.model_factory(), self.opt_factory)
         worker.bind_shard(self.plan.params_owned_by(rank))

@@ -37,14 +37,14 @@ Design notes:
   surviving workers need to exchange their current iteration number").
 * **Virtual stages.**  With ``len(partition_sizes) == v * len(placement)``
   each physical stage hosts ``v`` model chunks (chunk ``c`` on stage
-  ``c % p``, Megatron-style); the stage's ``module`` is the combined
+  ``c % p``, Megatron-style); the stage's ``model`` is the combined
   slice (state/checkpoint shape is unchanged), while forward/backward run
   per chunk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.nn.module import Parameter
 from repro.nn.sequential import Sequential
 from repro.obs import NULL_RECORDER
 from repro.optim.base import Optimizer
+from repro.parallel.holder import StateHolder
 from repro.parallel.instructions import (
     Instruction,
     ScheduleProgram,
@@ -75,14 +76,14 @@ _PEER = {"RecvActivation": -1, "SendActivation": 1,
          "RecvGrad": 1, "SendGrad": -1}
 
 
-class PipelineStage:
+class PipelineStage(StateHolder):
     """One pipeline stage: its model chunk(s), optimizer, gradient buffer
-    and mb caches."""
+    and mb caches.  Its state is the holder's plus its ``iteration``."""
 
-    def __init__(self, stage_id: int, module: Sequential, optimizer: Optimizer,
+    def __init__(self, stage_id: int, model: Sequential, optimizer: Optimizer,
                  device, chunks: dict[int, Sequential] | None = None):
         self.stage_id = stage_id
-        self.module = module
+        self.model = model
         self.optimizer = optimizer
         #: the stage's one gradient buffer, in its optimizer's update
         #: order: every micro-batch's backward adds into it
@@ -90,10 +91,10 @@ class PipelineStage:
         self.device = device
         self.iteration = 0
         #: model chunks hosted here, keyed by global chunk id; the layers
-        #: are shared with :attr:`module` (flat pipelines: one chunk whose
-        #: id is the stage id and whose module *is* ``module``)
+        #: are shared with :attr:`model` (flat pipelines: one chunk whose
+        #: id is the stage id and whose module *is* ``model``)
         self.chunks: dict[int, Sequential] = (
-            dict(chunks) if chunks is not None else {stage_id: module}
+            dict(chunks) if chunks is not None else {stage_id: model}
         )
         #: per-(chunk, microbatch) layer caches, kept from forward to backward
         self.stash: dict[tuple[int, int], list] = {}
@@ -103,14 +104,6 @@ class PipelineStage:
         #: BatchNorm's running statistics, and an attempt that is re-run
         #: must not keep them.  Empty once an iteration completes.
         self.buffers_at_start: list[tuple[Parameter, np.ndarray]] = []
-
-    @property
-    def alive(self) -> bool:
-        return self.device.alive
-
-    @property
-    def machine_id(self) -> int:
-        return self.device.machine.machine_id
 
     @property
     def shard_id(self) -> int:
@@ -150,40 +143,23 @@ class PipelineStage:
         self.stash.clear()
 
     def full_state(self) -> dict[str, np.ndarray]:
-        state = {f"model/{k}": v for k, v in self.module.state_dict().items()}
-        state.update(
-            {f"optim/{k}": v for k, v in self.optimizer.state_dict().items()}
-        )
+        state = super().full_state()
         state["iteration"] = np.array(self.iteration, dtype=np.int64)
         return state
 
-    def load_full_state(self, state: dict[str, np.ndarray]) -> None:
-        self.module.load_state_dict(
-            {k[len("model/"):]: v for k, v in state.items() if k.startswith("model/")}
-        )
-        self.optimizer.load_state_dict(
-            {k[len("optim/"):]: v for k, v in state.items() if k.startswith("optim/")}
-        )
-        self.iteration = int(state["iteration"])
+    def load_full_state(self, state: Mapping[str, np.ndarray],
+                        order: list[str] | None = None) -> None:
+        iteration = int(state["iteration"])
+        super().load_full_state(state, order)
+        self.iteration = iteration
 
     def dirty_full_state_keys(self) -> set[str]:
-        """Keys of :meth:`full_state` changed since the last checkpoint.
+        """The holder's keys plus ``iteration``, which advances every
+        iteration and so is always dirty."""
+        return super().dirty_full_state_keys() | {"iteration"}
 
-        Mirrors ``DPWorker.dirty_full_state_keys``; the per-stage iteration
-        counter advances every iteration, so it is always dirty.
-        """
-        keys = {f"optim/{k}" for k in self.optimizer.dirty_state_keys()}
-        keys.update(f"model/{name}" for name in self.optimizer.dirty_params)
-        keys.update(
-            f"model/{name}"
-            for name, _ in self.module.named_parameters()
-            if name not in self.optimizer.params
-        )
-        keys.add("iteration")
-        return keys
-
-    def clear_dirty(self) -> None:
-        self.optimizer.clear_dirty()
+    def state_nbytes(self) -> int:
+        return super().state_nbytes() + 8  # the int64 iteration
 
 
 class PipelineEngine:
@@ -192,8 +168,10 @@ class PipelineEngine:
     Parameters
     ----------
     model_factory:
-        Deterministic zero-argument model builder; also used by recovery to
-        rebuild failed stages' architecture.
+        Deterministic zero-argument model builder, called once here: the
+        engine cuts its model into the stages it keeps for good — a
+        recovery (logging replay, global restart) loads a failed stage's
+        checkpoint into that same stage (:meth:`restore_shard`).
     partition_sizes:
         Layer counts per model chunk.  ``len(partition_sizes)`` must be a
         multiple of ``len(placement)``; the multiple is the number of
@@ -246,13 +224,9 @@ class PipelineEngine:
                     f"{len(placement)}, got {len(times)}"
                 )
         self.cluster = cluster
-        self.model_factory = model_factory
-        self.partition_sizes = list(partition_sizes)
-        self.placement = list(placement)
         self.num_stages = len(placement)
         self.virtual_stages = len(partition_sizes) // len(placement)
         self.num_microbatches = num_microbatches
-        self.opt_factory = opt_factory
         self.loss_factory = loss_factory
         self.task = task
         self.clock = clock or SimClock()
@@ -268,11 +242,18 @@ class PipelineEngine:
         )
         verify_program(self._program)
 
+        # chunk c lives on stage c % p; a stage's model is its one chunk,
+        # or the combined slice of its chunks' layers
         chunk_modules = partition_by_sizes(model_factory(), partition_sizes)
-        self.stages: list[PipelineStage] = [
-            self._make_stage(sid, chunk_modules, cluster.device(*slot))
-            for sid, slot in enumerate(placement)
-        ]
+        self.stages: list[PipelineStage] = []
+        for sid, slot in enumerate(placement):
+            chunks = {c: chunk for c, chunk in enumerate(chunk_modules)
+                      if c % self.num_stages == sid}
+            model = chunks[sid] if self.virtual_stages == 1 else Sequential(
+                [layer for c in sorted(chunks) for layer in chunks[c].layers])
+            self.stages.append(PipelineStage(
+                sid, model, opt_factory(model), cluster.device(*slot),
+                chunks=chunks))
         self.transport = Transport(
             cluster, {s.stage_id: s.device for s in self.stages}
         )
@@ -341,72 +322,41 @@ class PipelineEngine:
         return self._order_cache
 
     # -- state access ----------------------------------------------------------
-    def full_state(self) -> dict[int, dict[str, np.ndarray]]:
-        return {s.stage_id: s.full_state() for s in self.stages}
-
     def state_holders(self) -> list[PipelineStage]:
         """What a global checkpoint saves, as in ``DataParallelEngine``."""
         return list(self.stages)
 
     def checkpoint_states(self) -> dict[int, dict[str, np.ndarray]]:
-        """Each holder's ``full_state()`` by shard."""
-        return {h.shard_id: h.full_state() for h in self.state_holders()}
+        """Each stage's ``full_state()`` by stage id."""
+        return {s.stage_id: s.full_state() for s in self.stages}
 
-    def _make_stage(
-        self, stage_id: int, chunk_modules: list[Sequential], device
-    ) -> PipelineStage:
-        """Stage ``stage_id`` over its chunks of a freshly cut model (chunk
-        ``c`` lives on stage ``c % p``) with a fresh optimizer."""
-        chunks = {
-            c: chunk_modules[c]
-            for c in range(len(chunk_modules))
-            if c % self.num_stages == stage_id
-        }
-        if self.virtual_stages == 1:
-            module = chunks[stage_id]
-        else:
-            module = Sequential()
-            for c in sorted(chunks):
-                for layer in chunks[c].layers:
-                    module.append(layer)
-        return PipelineStage(
-            stage_id, module, self.opt_factory(module), device, chunks=chunks
-        )
+    full_state = checkpoint_states
 
     # -- the restore contract (logging replay, global restart) -------------------
-    def build_stage(
-        self, stage_id: int, state: dict[str, np.ndarray]
-    ) -> PipelineStage:
-        """A fresh stage holding ``state`` (a ``full_state()``) on the
-        current holder's device, *detached*: logging replay runs and
-        verifies it before :meth:`install_stage` swaps it in."""
-        stage = self._make_stage(
-            stage_id,
-            partition_by_sizes(self.model_factory(), self.partition_sizes),
-            self.stages[stage_id].device,
-        )
+    def restore_shard(self, stage_id: int,
+                      state: Mapping[str, np.ndarray]) -> None:
+        """Load ``state`` (a ``full_state()``) into stage ``stage_id``, the
+        one this engine keeps, and drop its in-flight layer caches.
+        Nothing changes if loading raises.
+
+        What else the stage keeps is rewritten before anything reads it:
+        the undo journal (an undo needs a step, which journals), the dirty
+        marks (the load marks every parameter), the flat arena (the next
+        step copies the loaded leaves in, zeroing absent slots), layer
+        caches (a backward restores its forward's), the gradient binding
+        (:meth:`PipelineStage.seed_grads` precedes every pass) and the
+        iteration-start marks (``run_iteration`` resets them first; undo
+        touches only survivors, and a restored stage is never ahead).
+        """
+        stage = self.stages[stage_id]
         stage.load_full_state(state)
-        return stage
-
-    def install_stage(self, stage: PipelineStage) -> None:
-        self.stages[stage.stage_id] = stage
-        self.transport.rebind(stage.stage_id, stage.device)
-
-    def restore_shard(self, stage_id: int, state: dict[str, np.ndarray]) -> None:
-        """Rebuild stage ``stage_id`` from ``state``, in place."""
-        self.install_stage(self.build_stage(stage_id, state))
+        stage.clear_caches()
 
     def finish_restore(self, iteration: int) -> None:
         """Every stage is back at ``iteration``: resume there with nothing
         of the abandoned iterations in flight."""
         self.transport.drop_all()
         self.iteration = iteration
-
-    def state_nbytes(self, stage_id: int) -> int:
-        return sum(
-            int(np.asarray(v).nbytes)
-            for v in self.stages[stage_id].full_state().values()
-        )
 
     # -- micro-batch data ---------------------------------------------------
     def microbatches(self, iteration: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -429,7 +379,7 @@ class PipelineEngine:
         if len(live) != self.num_stages:
             raise MachineFailure(-1, "cannot run with failed stages; recover first")
         for s in self.stages:
-            s.buffers_at_start = [(p, p.data) for p in s.module.parameters()
+            s.buffers_at_start = [(p, p.data) for p in s.model.parameters()
                                   if not p.requires_grad]
         if failure is not None and failure.phase == FailurePhase.ITERATION_START:
             return self._fail(failure)
@@ -500,7 +450,7 @@ class PipelineEngine:
         transport (logging recovery, Section 5).
 
         The same instructions in the same global order as the live step,
-        restricted to ``stages`` (stage id -> rebuilt stage) and to the
+        restricted to ``stages`` (stage id -> failed stage) and to the
         ``microbatches`` one recovery worker owns; ``batch`` is
         :meth:`microbatches` of ``iteration``.  A ``Recv*`` whose
         sender is outside ``stages`` reads ``logged(chunk, iteration,

@@ -39,14 +39,16 @@ def clone_state(state: Mapping[str, np.ndarray]) -> StateDict:
 
 
 def state_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
-    """True iff both states have identical keys and bitwise-equal arrays."""
+    """True iff both states have identical keys and bitwise-equal arrays:
+    the same dtype, shape and bytes, so ``-0.0`` differs from ``+0.0``
+    and a NaN equals a NaN with the same bits."""
     if a.keys() != b.keys():
         return False
     pairs = [(np.asarray(a[k]), np.asarray(b[k])) for k in a]
-    # shape mismatches settle the answer without touching any values
-    if any(x.shape != y.shape for x, y in pairs):
+    # dtype or shape mismatches settle the answer without touching values
+    if any(x.dtype != y.dtype or x.shape != y.shape for x, y in pairs):
         return False
-    return all(x is y or np.array_equal(x, y) for x, y in pairs)
+    return all(x is y or x.tobytes() == y.tobytes() for x, y in pairs)
 
 
 def state_allclose(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from optim_oracle import EagerDataParallelEngine, EagerFSDPEngine
@@ -178,10 +176,13 @@ def make_pp_engine(
     stages_per_machine: int = 1,
     schedule: str = "1f1b",
     depth: int = 3,
+    opt_factory=None,
 ) -> PipelineEngine:
     """Small pipeline MLP setup: depth-3 MLP split into 4 stages
     (``[2, 2, 2, 1]`` layers); other schedules/depths split the
-    ``2 * depth + 1`` layers evenly over the schedule's chunks."""
+    ``2 * depth + 1`` layers evenly over the schedule's chunks.  Adam
+    unless ``opt`` names SGD-momentum or ``opt_factory(model)`` builds
+    another."""
     machines = num_stages // stages_per_machine
     cluster = cluster or Cluster(machines, devices_per_machine=stages_per_machine)
     placement = [
@@ -189,10 +190,9 @@ def make_pp_engine(
         for s in range(num_stages)
     ]
     task = ClassificationTask(dim=8, num_classes=4, batch_size=16, seed=3)
-    opt_factory: Callable
-    if opt == "adam":
+    if opt_factory is None and opt == "adam":
         opt_factory = lambda m: Adam(m, lr=0.01, weight_decay=1e-4)  # noqa: E731
-    else:
+    elif opt_factory is None:
         opt_factory = lambda m: SGDMomentum(m, lr=0.05, momentum=0.9)  # noqa: E731
     chunks = num_stages * default_virtual_stages(schedule)
     base, rem = divmod(2 * depth + 1, chunks)
@@ -234,7 +234,7 @@ def assert_shared(engine: DataParallelEngine) -> None:
 
 
 def pipeline_states(engine: PipelineEngine) -> dict[int, dict[str, np.ndarray]]:
-    return {sid: s.module.state_dict() for sid, s in enumerate(engine.stages)}
+    return {sid: s.model.state_dict() for sid, s in enumerate(engine.stages)}
 
 
 def states_allclose(a, b, atol=1e-7) -> bool:

@@ -69,14 +69,6 @@ class TestTransport:
         assert tr.drop_all() == 1
         assert tr.pending(0, 1) == 0
 
-    def test_rebind(self):
-        cluster, tr = make_transport()
-        cluster.fail_machine(1)
-        cluster.replace_machine(1)
-        tr.rebind(1, cluster.device(1, 0))
-        tr.send(0, 1, np.zeros(1), iteration=0, microbatch=0, phase="fwd")
-        assert tr.pending(0, 1) == 1
-
     def test_transfer_time_positive(self):
         _, tr = make_transport()
         t = tr.send(0, 1, np.zeros(1000), iteration=0, microbatch=0, phase="fwd")
@@ -113,24 +105,6 @@ class TestCollectives:
         first = g._slowest_link()
         assert g._slowest_link_cache == first
         assert g._slowest_link() == first
-
-    def test_broadcast(self):
-        _, g = self.make_group()
-        out = g.broadcast(0, np.arange(3.0))
-        assert set(out) == {0, 1, 2, 3}
-        assert all(np.array_equal(v, np.arange(3.0)) for v in out.values())
-
-    def test_broadcast_copies(self):
-        _, g = self.make_group()
-        src = np.zeros(2)
-        out = g.broadcast(0, src)
-        out[1][0] = 5
-        assert src[0] == 0 and out[2][0] == 0
-
-    def test_broadcast_unknown_root(self):
-        _, g = self.make_group()
-        with pytest.raises(CommunicationError):
-            g.broadcast(9, np.zeros(1))
 
     def test_ring_allreduce_time_formula(self):
         _, g = self.make_group(n=4, machines=2)

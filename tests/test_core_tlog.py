@@ -239,6 +239,6 @@ class TestEngineIntegration:
         xs, _ = eng.microbatches(0)
         h = xs[0]
         for sid in range(3):
-            h = eng.stages[sid].module(h)
+            h = eng.stages[sid].model(h)
             expected += m * 2 * int(np.prod(h.shape)) * 8
         assert tlog.bytes_per_iteration[0] == expected

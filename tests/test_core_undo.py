@@ -78,7 +78,7 @@ class TestPipelineUndo:
     def test_ahead_stages_undone(self):
         eng = make_pp_engine()
         eng.run_iteration()
-        pre = {s.stage_id: s.module.state_dict() for s in eng.stages}
+        pre = {s.stage_id: s.model.state_dict() for s in eng.stages}
         event = FailureEvent(0, 1, FailurePhase.MID_UPDATE, after_updates=2)
         eng.run_iteration(failure=event)
         report = resolve_pipeline_consistency(eng)
@@ -86,7 +86,7 @@ class TestPipelineUndo:
         for s in eng.stages:
             if s.alive:
                 assert state_allclose(pre[s.stage_id],
-                                      s.module.state_dict(), atol=1e-9)
+                                      s.model.state_dict(), atol=1e-9)
 
     def test_noop_when_all_consistent(self):
         eng = make_pp_engine()

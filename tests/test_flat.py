@@ -65,6 +65,20 @@ def full_state(model, opt):
     return state
 
 
+def refused_state(state, bad):
+    """``state`` (a holder's ``full_state()``) with its model half shifted,
+    which loads fine, and its optimizer half refused: an unknown parameter
+    or a slot of the wrong shape."""
+    state = {k: v + 1.0 if k.startswith("model/") else v
+             for k, v in state.items()}
+    if bad == "unknown_param":
+        state["optim/nope::m"] = np.zeros(1)
+    else:
+        key = next(k for k in state if k.endswith("::m"))
+        state[key] = np.zeros(state[key].size + 1)
+    return state
+
+
 class TestFlatBuffer:
     def test_layout(self):
         buf = FlatBuffer({"a": (2, 3), "b": (4,), "c": ()}, order=["b", "a", "c"])
@@ -637,29 +651,29 @@ class TestFusedEngine:
         # and never share again; a global restart shares at once
         assert (fused._canonical is None) == (strategy == "replication")
 
+    @pytest.mark.parametrize("kind", ["dp", "pp"])
     @pytest.mark.parametrize("bad", ["unknown_param", "slot_shape"])
-    def test_a_restore_that_raises_changes_nothing(self, bad):
-        # the model half loads fine; the optimizer half is refused, so the
-        # retained follower must keep its shared leaves and slots
-        fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
-        for eng in (fused, eager):
+    def test_a_restore_that_raises_changes_nothing(self, bad, kind):
+        # the model half loads fine; the optimizer half is refused, so a
+        # retained DP follower keeps its shared leaves and slots, and a
+        # pipeline stage, restored in place, all it held: each goes on bit
+        # for bit as a reference the refused load never reached
+        eng, ref = (self.engines(opt_factory=OPTIMIZERS["adam"])
+                    if kind == "dp" else (make_pp_engine(), make_pp_engine()))
+        for e in (eng, ref):
             for _ in range(3):
-                eng.run_iteration()
-            state = {k: v + 1.0 if k.startswith("model/") else v
-                     for k, v in eng.workers[0].full_state().items()}
-            if bad == "unknown_param":
-                state["optim/nope::m"] = np.zeros(1)
-            else:
-                key = next(k for k in state if k.endswith("::m"))
-                state[key] = np.zeros(state[key].size + 1)
-            before = engine_snapshot(eng)
-            with pytest.raises(ShapeError):
-                eng.restore_shard(1, state)
-            assert_untouched(before, eng)
-        assert_shared(fused)
+                e.run_iteration()
+        state = refused_state(eng.state_holders()[1].full_state(), bad)
+        before = engine_snapshot(eng)
+        with pytest.raises(ShapeError):
+            eng.restore_shard(1, state)
+        assert_untouched(before, eng)
+        if kind == "dp":
+            assert_shared(eng)
         for _ in range(2):
-            assert fused.run_iteration().loss == eager.run_iteration().loss
-        assert self.bitwise(self.states(fused), self.states(eager))
+            assert eng.run_iteration().loss == ref.run_iteration().loss
+        assert all(state_equal(a.full_state(), b.full_state()) for a, b in
+                   zip(eng.state_holders(), ref.state_holders()))
 
     def test_a_checkpoint_captures_a_sharing_group_once(self):
         fused, eager = self.engines(opt_factory=OPTIMIZERS["adam"])
@@ -673,15 +687,30 @@ class TestFusedEngine:
         assert self.bitwise(shared, private)
         assert self.bitwise(shared, self.states(fused))
 
-    @pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
-    @pytest.mark.parametrize("fused_flag", [True, False])
-    def test_state_nbytes_counts_the_leaves_in_place(self, opt, fused_flag):
-        eng = make_dp_engine(opt_factory=OPTIMIZERS[opt], eager=not fused_flag)
-        for _ in range(2):
-            eng.run_iteration()
-        w = eng.alive_workers()[0]
-        assert eng.state_nbytes() == state_nbytes(w.full_state())
-        assert eng.state_nbytes() > w.model.state_nbytes()
+
+HOLDER_ENGINES = {
+    "dp": lambda opt: make_dp_engine(opt_factory=opt),
+    "dp_eager": lambda opt: make_dp_engine(opt_factory=opt, eager=True),
+    "pp": lambda opt: make_pp_engine(opt_factory=opt),
+    "pp_interleaved": lambda opt: make_pp_engine(
+        opt_factory=opt, num_stages=2, schedule="interleaved_1f1b"),
+    "fsdp": lambda opt: make_fsdp_engine(opt_factory=opt),
+}
+
+
+@pytest.mark.parametrize("opt", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("kind", sorted(HOLDER_ENGINES))
+def test_state_nbytes_counts_the_leaves_in_place(kind, opt):
+    """Every holder's byte count is its ``full_state()``'s, read off the
+    leaves without a copy (a stage's int64 ``iteration`` included): the
+    number replication and parallel replay price state transfers with."""
+    eng = HOLDER_ENGINES[kind](OPTIMIZERS[opt])
+    for _ in range(2):
+        eng.run_iteration()
+    for holder in eng.state_holders():
+        assert holder.state_nbytes() == state_nbytes(holder.full_state())
+    if kind.startswith("dp"):
+        assert eng.state_nbytes() == eng.workers[0].state_nbytes()
 
 
 def count_contributions(monkeypatch, run) -> dict[int, int]:
@@ -735,7 +764,7 @@ class TestBackwardFold:
             backwards = 1
         else:
             engine = make_pp_engine()
-            modules = [s.module for s in engine.stages]
+            modules = [s.model for s in engine.stages]
             backwards = engine.num_microbatches
         calls = count_contributions(monkeypatch, engine.run_iteration)
         params = [p for m in modules for p in m.parameters()]
@@ -784,12 +813,6 @@ class TestFusedPipelineReplay:
         assert all(state_equal(fused[s], eager[s]) for s in fused)
 
 
-def same_bits(a, b) -> bool:
-    """Identical keys and byte-identical arrays (the sign of zero counts)."""
-    return a.keys() == b.keys() and all(
-        np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes() for k in a)
-
-
 class TestFusedFSDP:
     """FSDP folds every worker's backward into the engine's one buffer:
     bit for bit a per-parameter rank-order reduce handed to each owner,
@@ -815,9 +838,9 @@ class TestFusedFSDP:
                 for rec in recoveries:
                     rec.recover()
             for fused, eager in zip(*(e.workers for e in engines)):
-                assert same_bits(fused.full_state(), eager.full_state())
-                assert same_bits(fused.model.state_dict(),
-                                 eager.model.state_dict())
+                assert state_equal(fused.full_state(), eager.full_state())
+                assert state_equal(fused.model.state_dict(),
+                                   eager.model.state_dict())
 
 
 class NegativeZeroGrad(Module):
@@ -873,7 +896,7 @@ class TestOneGradientRule:
         engine = self.engine(kind)
         assert not engine.run_iteration().failed
         if kind == "pp":
-            modules = [engine.stages[0].module]
+            modules = [engine.stages[0].model]
         elif kind == "fsdp":
             owner = engine.plan.owner["1.w"]
             modules = [engine.workers[owner].model]

@@ -128,14 +128,13 @@ class TestAccuracyMetric:
         cluster = Cluster(2, devices_per_machine=2)
         engine = bert_pipeline(cluster)
         task = engine.task
-        model = engine.model_factory()
 
         def accuracy(at_iteration):
             # stitch the live pipeline stages into one model for eval
             x, y = task.batch(10_000 + at_iteration)
             h = x
             for stage in engine.stages:
-                h = stage.module(h)
+                h = stage.model(h)
             lf = CrossEntropyLoss()
             lf(h, y)
             return lf.accuracy()

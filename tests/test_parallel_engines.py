@@ -171,7 +171,7 @@ class TestPipelineEngine:
         # map stage-local layer indices back to model-global indices
         offsets = [0, 2, 4, 6]  # cumulative partition sizes [2,2,2,1]
         for sid, stage in enumerate(eng.stages):
-            for k, v in stage.module.state_dict().items():
+            for k, v in stage.model.state_dict().items():
                 layer, rest = k.split(".", 1)
                 global_key = f"{int(layer) + offsets[sid]}.{rest}"
                 assert np.allclose(ref[global_key], v, atol=1e-9), global_key
@@ -280,7 +280,7 @@ class TestStashedLayerCaches:
             ref_opt.step_flat(grads.data)
         want = ref.state_dict()
         for stage, offset in zip(eng.stages, (0, partition[0])):
-            for key, value in stage.module.state_dict().items():
+            for key, value in stage.model.state_dict().items():
                 layer, rest = key.split(".", 1)
                 assert np.allclose(
                     want[f"{int(layer) + offset}.{rest}"], value, atol=1e-9
@@ -309,7 +309,7 @@ class TestStashedLayerCaches:
         monkeypatch.setattr(Module, "__call__", counted)
         for _ in range(2):
             eng.run_iteration()
-        leaves = [id(layer) for s in eng.stages for layer in s.module.layers]
+        leaves = [id(layer) for s in eng.stages for layer in s.model.layers]
         assert calls == {leaf: 2 * eng.num_microbatches for leaf in leaves}
 
     @pytest.mark.parametrize("schedule", schedule_names())

@@ -170,13 +170,15 @@ def test_one_pipeline_interpreter_census():
 
 
 def test_one_restore_contract_census():
-    """State holders are built, engines told apart and the kind ->
-    mechanisms rule stated in one place each.
+    """State holders are built, restored, enveloped, engines told apart
+    and the kind -> mechanisms rule stated in one place each.
 
     Every recovery mechanism, the elastic coordinator and the trainer go
     through the engines' ``state_holders`` / ``restore_shard`` /
-    ``finish_restore``; a second construct-and-load copy, an engine-type
-    fork or a private copy of the compatibility table fails here.
+    ``finish_restore``; a second construct-and-load copy, a model built
+    to restore a stage the engine keeps, a second copy of the
+    ``model/`` + ``optim/`` state envelope, an engine-type fork or a
+    private copy of the compatibility table fails here.
     """
     import ast
 
@@ -185,12 +187,33 @@ def test_one_restore_contract_census():
         "FSDPWorker": {"parallel/fsdp.py"},
         "PipelineStage": {"parallel/pipeline.py"},
     }
+    # a model is built by each engine's constructor, for DP's scale-out
+    # rank and for FSDP's restore (its shards hold no buffers); DP workers
+    # and pipeline stages are restored in place
+    model_builds = {("parallel/data_parallel.py", "__init__"),
+                    ("parallel/data_parallel.py", "restore_shard"),
+                    ("parallel/pipeline.py", "__init__"),
+                    ("parallel/fsdp.py", "__init__"),
+                    ("parallel/fsdp.py", "restore_shard")}
     engines = {"DataParallelEngine", "PipelineEngine", "FSDPEngine"}
     built = {name: set() for name in holder_home}
-    type_forks = set()
+    builds, envelopes, type_forks = set(), set(), set()
     sources = {where: text for where, (text, _) in package_sources().items()}
-    for where, (_, tree) in package_sources().items():
+    for where, (text, tree) in package_sources().items():
+        for banned in ("build_stage", "install_stage", ".rebind("):
+            assert banned not in text, (where, banned)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                builds.update(
+                    (where, func.name) for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and "model_factory" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)))
         for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str) and node.value.startswith(
+                        ("model/", "optim/")):
+                envelopes.add(where)
             if isinstance(node, ast.Attribute) and node.attr == "is_pipeline":
                 type_forks.add(where)
             if not isinstance(node, ast.Call):
@@ -205,6 +228,8 @@ def test_one_restore_contract_census():
                     for n in ast.walk(node.args[1])):
                 type_forks.add(where)
     assert built == holder_home
+    assert builds == model_builds
+    assert envelopes == {"parallel/holder.py"}
     # the constructor dispatch reads ``plan.engine_kind`` and the
     # replication policy picks its mechanism by ``engine.kind``: nobody
     # asks an engine for its class

@@ -60,6 +60,13 @@ class TestSerialization:
         c["w"][0, 0] += 1
         assert not state_equal(s, c)
 
+    def test_state_equal_compares_bits(self):
+        assert not state_equal({"w": np.array([-0.0])}, {"w": np.array([0.0])})
+        nan = np.array([np.nan])
+        assert state_equal({"w": nan}, {"w": nan.copy()})
+        assert not state_equal({"w": np.zeros(2)},
+                               {"w": np.zeros(2, dtype=np.float32)})
+
     def test_state_equal_requires_same_keys(self):
         s = self.make_state()
         assert not state_equal(s, {"w": s["w"]})
