@@ -62,9 +62,13 @@ class Dropout(Module):
     """Deterministic dropout: masks are drawn from a named RNG stream.
 
     Determinism matters for logging-based replay — a recovered worker must
-    draw the *same* dropout masks as the pre-failure execution, so masks are
-    keyed by a per-layer stream and an explicit epoch counter that recovery
-    rewinds (analogous to the cuDNN-determinism measures of paper Section 6).
+    draw the *same* dropout masks as the pre-failure execution, so a
+    forward draws mask number ``counter`` from the layer's own stream
+    (analogous to the cuDNN-determinism measures of paper Section 6) and
+    advances ``counter`` by one.  A training engine sets ``counter`` to
+    ``iteration * m + microbatch`` before each forward, live or replayed
+    (:meth:`repro.parallel.holder.Placed.seek_masks`), which is the value
+    a failure-free run's forwards reach anyway.
     """
 
     def __init__(self, p: float = 0.1, rng: RngStream | None = None):
@@ -73,7 +77,7 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng or RngStream(0, "dropout")
-        self.counter = 0  # advanced once per forward; rewound on replay
+        self.counter = 0  # the next forward's mask; see the class doc
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

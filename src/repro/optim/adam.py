@@ -73,18 +73,14 @@ class Adam(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_flat(self, p, grad, slots, g, w, t) -> None:
         # allocation-free: every pass is one IEEE add/multiply/divide of
         # the update rule (commuted operands where convenient — both ops
-        # are commutative bit-for-bit), chained through two scratch
+        # are commutative bit-for-bit), chained through the two scratch
         # vectors instead of fresh temporaries
-        p = arena.params.data[span]
-        m = arena.slots["m"].data[span]
-        v = arena.slots["v"].data[span]
-        g = arena.scratch("a")[span]
-        w = arena.scratch("b")[span]
+        m, v = slots["m"], slots["v"]
         np.multiply(p, self.weight_decay, out=g)
-        g += gflat[span]  # g = grad + wd * x
+        g += grad  # g = grad + wd * x
         advance_moments(self, m, v, g, w)
         np.divide(m, 1.0 - self.beta1**t, out=g)  # m_hat
         corrected_denominator(self, v, w, t)
@@ -151,14 +147,10 @@ class AdamW(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_flat(self, p, grad, slots, a, w, t) -> None:
         # allocation-free, as in Adam._step_flat
-        p = arena.params.data[span]
-        m = arena.slots["m"].data[span]
-        v = arena.slots["v"].data[span]
-        a = arena.scratch("a")[span]
-        w = arena.scratch("b")[span]
-        advance_moments(self, m, v, gflat[span], w)
+        m, v = slots["m"], slots["v"]
+        advance_moments(self, m, v, grad, w)
         np.divide(m, 1.0 - self.beta1**t, out=a)  # m_hat
         corrected_denominator(self, v, w, t)
         np.divide(a, w, out=a)  # direction

@@ -44,16 +44,11 @@ class AMSGrad(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_flat(self, p, grad, slots, g, w, t) -> None:
         # allocation-free, as in Adam._step_flat
-        p = arena.params.data[span]
-        m = arena.slots["m"].data[span]
-        v = arena.slots["v"].data[span]
-        v_max = arena.slots["v_max"].data[span]
-        g = arena.scratch("a")[span]
-        w = arena.scratch("b")[span]
+        m, v, v_max = slots["m"], slots["v"], slots["v_max"]
         np.multiply(p, self.weight_decay, out=g)
-        g += gflat[span]  # g = grad + wd * x
+        g += grad  # g = grad + wd * x
         advance_moments(self, m, v, g, w)
         np.maximum(v_max, v, out=v_max)  # the non-invertible EW-max
         np.divide(m, 1.0 - self.beta1**t, out=g)  # m_hat

@@ -14,7 +14,9 @@ also the one gradient source :meth:`step_flat` reads.
 Updates run over a flat arena laid out in update order, so engines model
 wait-free layer-wise updates (Section 2.3) with a prefix: a crash after
 ``k`` parameters is ``step_flat(grads, count=k)``, and leaves the model in
-the inconsistent state that update-undo then repairs.  The per-parameter
+the inconsistent state that update-undo then repairs.  An elementwise
+kernel runs over the arena one ``BLOCK`` at a time, through block-sized
+scratch, so every pass of its rule stays in L2.  The per-parameter
 restatement of every rule, which the fused kernels are checked against
 bit for bit, lives with the tests (``tests/optim_oracle.py``).
 """
@@ -30,6 +32,18 @@ from repro.nn.module import Module, Parameter
 from repro.utils.flat import FlatArena, FlatBuffer
 
 __all__ = ["Optimizer"]
+
+#: Elements per kernel block: 32 768 float64 elements, 256 KiB per vector.
+#: Adam touches six vectors per element (p, m, v, the gradient and two
+#: scratch vectors), so a block's working set is 1.5 MiB and stays in a
+#: 2 MiB per-core L2; the DP-8 MLP's whole arena (466 952 elements,
+#: 3.74 MB per vector) does not, and each of Adam's 16 passes over it went
+#: out to L3.  On a 2-core Xeon with 2 MiB of L2 per core, blocking took
+#: one Adam step over that arena from 5.5-5.8 ms to 4.1 ms (median of 200
+#: steps); 16 384 ran as fast, 4 096 and 131 072 slower.  Each element sees
+#: the same IEEE operations in the same order either way, so the bits do
+#: not depend on the block size.
+BLOCK = 32_768
 
 
 class Optimizer:
@@ -82,6 +96,9 @@ class Optimizer:
         self.dirty_params: set[str] = set(self.params)
         #: flat arena every update runs over (built on first use)
         self._arena: FlatArena | None = None
+        #: the two block-sized scratch vectors every block of an
+        #: elementwise kernel chains its passes through (:meth:`_step_run`)
+        self._scratch: np.ndarray | None = None
 
     # -- single-parameter undo (implemented by subclasses) -----------------
     def _undo(self, name: str, param: Parameter, grad: np.ndarray) -> None:
@@ -206,9 +223,10 @@ class Optimizer:
         values for undo.  ``count`` is the wait-free update budget — a
         MID_UPDATE crash after ``k`` parameters is exactly
         ``step_flat(grads, count=k)``.  The kernel runs over contiguous
-        spans; the per-parameter reference in ``tests/optim_oracle.py``
-        performs the same elementwise arithmetic with the same scalars,
-        one parameter at a time, and the two agree bit for bit.
+        spans, one ``BLOCK`` at a time; the per-parameter reference in
+        ``tests/optim_oracle.py`` performs the same elementwise arithmetic
+        with the same scalars, one parameter at a time, and the two agree
+        bit for bit.
         """
         arena = self.bind_flat(order)
         if grads.size != arena.params.size:
@@ -244,7 +262,7 @@ class Optimizer:
                     if self.state[name].get(slot) is not sviews[name]:
                         sviews[name][...] = 0.0
                         self.state[name][slot] = sviews[name]
-            self._step_flat(arena, grads, span, run, t)
+            self._step_run(arena, grads, span, run, t)
             for name in run:
                 self.step_counts[name] += 1
                 self.undo_journal[name]["lr"] = self.lr
@@ -252,7 +270,7 @@ class Optimizer:
             start = stop
         return list(names)
 
-    def _step_flat(
+    def _step_run(
         self,
         arena: FlatArena,
         gflat: np.ndarray,
@@ -260,11 +278,39 @@ class Optimizer:
         names: list[str],
         t: int,
     ) -> None:
-        """Vectorized update of ``arena.params.data[span]`` (subclasses).
+        """Update ``arena.params.data[span]``, the parameters ``names``
+        whose common post-increment step count is ``t``: the block loop.
 
-        ``gflat`` is the flat gradient source (arena layout), ``names`` the
-        parameters the span covers, ``t`` their common post-increment step
-        count.  A refused step raises before touching a parameter.
+        Each :data:`BLOCK` of the span runs every pass of the rule
+        (:meth:`_step_flat`) before the next block starts, chained through
+        two block-sized scratch vectors that every block reuses.  A kernel
+        that needs the whole run at once (LAMB's per-parameter norms)
+        overrides this method instead.
+        """
+        if self._scratch is None:
+            self._scratch = np.empty((2, BLOCK))
+        a, b = self._scratch
+        for lo in range(span.start, span.stop, BLOCK):
+            hi = min(lo + BLOCK, span.stop)
+            self._step_flat(
+                arena.params.data[lo:hi], gflat[lo:hi],
+                {slot: buf.data[lo:hi] for slot, buf in arena.slots.items()},
+                a[:hi - lo], b[:hi - lo], t)
+
+    def _step_flat(
+        self,
+        p: np.ndarray,
+        grad: np.ndarray,
+        slots: dict[str, np.ndarray],
+        a: np.ndarray,
+        b: np.ndarray,
+        t: int,
+    ) -> None:
+        """Elementwise update of one block ``p`` in place (subclasses).
+
+        ``grad`` and each slot tensor in ``slots`` cover the same elements
+        as ``p``; ``a`` and ``b`` are scratch vectors of its length, and
+        ``t`` is the block's common post-increment step count.
         """
         raise NotImplementedError
 

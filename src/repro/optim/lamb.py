@@ -37,6 +37,13 @@ class LAMB(Optimizer):
         a   = m_hat/(sqrt(v_hat)+eps)
         x_t = (x_{t+1} + lr*trust*a) / (1 - lr*trust*wd)
         m/v rewound as in Adam (decay folded into r, not g)
+
+    Unlike the elementwise kernels, LAMB's runs over a whole uniform-``t``
+    run at once, not one block at a time (it overrides
+    :meth:`Optimizer._step_run`, through arena-sized scratch): each trust
+    ratio needs the norms of a whole parameter, and the guard that refuses
+    a non-invertible step needs every ratio of the run before any
+    parameter moves.
     """
 
     flat_slots = ("m", "v")
@@ -66,7 +73,7 @@ class LAMB(Optimizer):
         v_hat = v / (1.0 - self.beta2**t)
         return m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_run(self, arena, gflat, span, names, t) -> None:
         # moments advance fused over the whole span (allocation-free, as
         # in Adam._step_flat); the trust ratio is a per-layer scalar by
         # construction, so only the final scaled subtraction runs per

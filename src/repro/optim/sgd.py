@@ -33,12 +33,10 @@ class SGD(Optimizer):
             )
         self.weight_decay = float(weight_decay)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_flat(self, p, grad, slots, w, _, t) -> None:
         # the update rule's IEEE ops, chained through a scratch vector
-        p = arena.params.data[span]
-        w = arena.scratch("a")[span]
         np.multiply(p, self.weight_decay, out=w)
-        w += gflat[span]  # g + wd * x
+        w += grad  # g + wd * x
         w *= self.lr
         p -= w
 
@@ -83,13 +81,11 @@ class SGDMomentum(Optimizer):
         self.dampening = float(dampening)
         self.weight_decay = float(weight_decay)
 
-    def _step_flat(self, arena, gflat, span, names, t) -> None:
+    def _step_flat(self, p, grad, slots, w, _, t) -> None:
         # the update rule's IEEE ops, chained through a scratch vector
-        p = arena.params.data[span]
-        m = arena.slots["momentum"].data[span]
-        w = arena.scratch("a")[span]
+        m = slots["momentum"]
         np.multiply(p, self.weight_decay, out=w)
-        w += gflat[span]  # g + wd * x
+        w += grad  # g + wd * x
         m *= self.momentum
         w *= 1.0 - self.dampening
         m += w

@@ -224,6 +224,7 @@ class DataParallelEngine:
             for w, idx in zip(live, shards):
                 w.updated_params = []
                 loss_fn = self.loss_factory()
+                w.seek_masks(self.iteration)
                 out = w.model(x[idx])
                 losses.append(loss_fn(out, y[idx]))
                 w.model.backward(loss_fn.backward())

@@ -324,6 +324,7 @@ class FSDPEngine:
             self._seed_grads(live)
             for w, idx in zip(live, shards):
                 loss_fn = self.loss_factory()
+                w.seek_masks(self.iteration)
                 losses.append(loss_fn(w.model(x[idx]), y[idx]))
                 w.model.backward(loss_fn.backward())
                 t_compute = max(t_compute, self.compute_time_fn(len(idx)))

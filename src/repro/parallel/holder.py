@@ -3,16 +3,20 @@
 A :class:`StateHolder` (a DP worker, a pipeline stage) holds a model and
 its optimizer — the paper's "parameters and optimizer states" — keyed
 ``model/<parameter>`` and ``optim/<optimizer key>``: the one place those
-prefixes are built and parsed.
+prefixes are built and parsed.  Every worker (:class:`Placed`) points
+its model's dropout masks at the micro-batch it runs
+(:meth:`Placed.seek_masks`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 
 import numpy as np
 
 from repro.cluster.device import Device
+from repro.nn.activations import Dropout
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 
@@ -22,9 +26,11 @@ _MODEL, _OPTIM = "model/", "optim/"
 
 
 class Placed:
-    """A worker on ``self.device``: alive while its machine is."""
+    """A worker on ``self.device`` that runs ``self.model``: alive while
+    its machine is."""
 
     device: Device
+    model: Module
 
     @property
     def alive(self) -> bool:
@@ -34,11 +40,25 @@ class Placed:
     def machine_id(self) -> int:
         return self.device.machine.machine_id
 
+    def seek_masks(self, index: int) -> None:
+        """Point every :class:`~repro.nn.Dropout` of the model at mask
+        ``index`` — ``iteration * m + microbatch`` for ``m`` micro-batches
+        per iteration — before the forward of that micro-batch, live or
+        replayed.  A mask is then a function of the layer's stream, the
+        iteration and the micro-batch alone, not of how many forwards this
+        model ran before: a replay, a restored worker and a retried
+        iteration draw the failure-free run's masks."""
+        for layer in self._dropouts:
+            layer.counter = index
+
+    @functools.cached_property
+    def _dropouts(self) -> list[Dropout]:
+        return [m for m in self.model.modules() if isinstance(m, Dropout)]
+
 
 class StateHolder(Placed):
     """``model`` + ``optimizer``: what a checkpoint saves, a restore loads."""
 
-    model: Module
     optimizer: Optimizer
 
     def full_state(self) -> dict[str, np.ndarray]:

@@ -538,6 +538,8 @@ class PipelineEngine:
             elif instr.op == "RecvActivation":
                 acts[key] = recv(instr, "fwd")
             elif instr.op == "Forward":
+                stage.seek_masks(stage.iteration * self.num_microbatches
+                                 + instr.microbatch)
                 outs[key] = stage.forward_mb(
                     instr.microbatch, acts.pop(key), chunk=instr.chunk
                 )

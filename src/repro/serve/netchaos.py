@@ -214,7 +214,9 @@ def fuzz_protocol(server: ServeServer, iterations: int = 100,
     valid request, a non-object JSON value, an oversized line, raw
     control characters — through :func:`respond_line` and asserts the
     response is parseable JSON with the ``ok``/``error`` fault-envelope
-    contract.  Bounded, deterministic, tier-1 fast.  Returns counts.
+    contract; a response that breaks it counts as a crash, and an
+    exception out of :func:`respond_line` propagates.  Bounded,
+    deterministic, tier-1 fast.  Returns counts.
 
     >>> import tempfile, os
     >>> path = os.path.join(tempfile.mkdtemp(), "wal.jsonl")
@@ -264,7 +266,7 @@ def fuzz_protocol(server: ServeServer, iterations: int = 100,
             if not response.get("ok", False):
                 assert response.get("error")
                 report["fault_envelopes"] += 1
-        except Exception:  # noqa: BLE001 - the fuzz verdict itself
+        except (json.JSONDecodeError, AssertionError):  # the verdict
             report["crashes"] += 1
         report["iterations"] += 1
     return report

@@ -178,9 +178,12 @@ class FlatArena:
     def scratch(self, name: str) -> np.ndarray:
         """A reusable arena-sized work vector (allocated once per name).
 
-        Kernels chain ``out=`` ufuncs through these instead of allocating a
-        fresh temporary per elementwise pass — the arithmetic (and thus the
-        bits) is unchanged, only the allocator traffic goes away.
+        A kernel that needs a whole run at once (LAMB's) chains ``out=``
+        ufuncs through these instead of allocating a fresh temporary per
+        elementwise pass — the arithmetic (and thus the bits) is
+        unchanged, only the allocator traffic goes away.  The elementwise
+        kernels run block by block through block-sized scratch instead
+        (:meth:`repro.optim.base.Optimizer._step_run`).
         """
         buf = self._scratch.get(name)
         if buf is None:

@@ -20,7 +20,7 @@ from repro.api import (
     ModelSpec,
     ParallelismSpec,
 )
-from repro.cluster import FailureEvent, FailurePhase, FailureSchedule
+from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.core import (
     CheckpointManager,
     FailureDetector,
@@ -32,7 +32,12 @@ from repro.core import (
     TrainerConfig,
     resolve_dp_consistency,
 )
+from repro.data import ClassificationTask
 from repro.errors import RecoveryError
+from repro.nn import CrossEntropyLoss, Dropout, Linear, ReLU, Sequential
+from repro.optim import Adam
+from repro.parallel import DataParallelEngine, FSDPEngine, PipelineEngine
+from repro.utils import RngStream, state_equal
 
 
 def train_reference(build, iterations=20, ckpt=8):
@@ -424,3 +429,61 @@ class TestLoggingRecovery:
         rec = LoggingRecovery(eng, tlog, ckpt, detector, eng.clock)
         with pytest.raises(RecoveryError):
             rec.recover()
+
+
+def dropout_mlp() -> Sequential:
+    """An MLP with a ``Dropout(0.3)`` in each half (each PP-2 stage)."""
+    rng = RngStream(5, "dropout")
+    return Sequential([
+        Linear(8, 16, rng=rng.child("a")), ReLU(),
+        Dropout(0.3, rng=rng.child("d0")),
+        Linear(16, 16, rng=rng.child("b")), ReLU(),
+        Dropout(0.3, rng=rng.child("d1")),
+        Linear(16, 4, rng=rng.child("c")),
+    ])
+
+
+def dropout_engine(kind: str):
+    """``dropout_mlp`` under Adam: PP-2 with 2 micro-batches, or DP/FSDP
+    over 2 machines x 2 devices."""
+    common = dict(model_factory=dropout_mlp, loss_factory=CrossEntropyLoss,
+                  task=ClassificationTask(dim=8, num_classes=4,
+                                          batch_size=16, seed=3))
+    if kind == "pp":
+        return PipelineEngine(
+            Cluster(2, devices_per_machine=1), partition_sizes=[3, 4],
+            placement=[(0, 0), (1, 0)], num_microbatches=2,
+            opt_factory=lambda m: Adam(m, lr=0.01), **common)
+    engine = DataParallelEngine if kind == "dp" else FSDPEngine
+    return engine(Cluster(2, devices_per_machine=2),
+                  placement=[(m, d) for m in range(2) for d in range(2)],
+                  opt_factory=lambda m: Adam(m, lr=0.01), **common)
+
+
+class TestDropoutMasks:
+    """A dropout mask is a function of the layer's stream, the iteration
+    and the micro-batch: a replayed, restored or retried iteration draws
+    the failure-free run's masks."""
+
+    @staticmethod
+    def run(kind, failures=(), degree=1):
+        eng = dropout_engine(kind)
+        SwiftTrainer(eng, TrainerConfig(
+            checkpoint_interval=4, parallel_recovery_degree=degree,
+        )).train(8, failures=FailureSchedule(list(failures)))
+        return [h.full_state() for h in eng.state_holders()]
+
+    @pytest.mark.parametrize("kind, degree, phase", [
+        ("pp", 1, FailurePhase.ITERATION_START),  # logging replay
+        ("pp", 2, FailurePhase.ITERATION_START),  # micro-batches 0, 2, ...
+        ("pp", 1, FailurePhase.BACKWARD),  # a survivor retries iteration 6
+        ("dp", 1, FailurePhase.FORWARD),
+        ("fsdp", 1, FailurePhase.ITERATION_START),
+    ])
+    def test_recovery_ends_at_the_failure_free_state(self, kind, degree,
+                                                     phase):
+        ref = self.run(kind)
+        got = self.run(kind, [FailureEvent(0, 6, phase)], degree)
+        assert len(got) == len(ref)
+        for a, b in zip(ref, got):
+            assert state_equal(a, b)

@@ -27,6 +27,7 @@ from repro.data import ClassificationTask
 from repro.models import make_mlp
 from repro.nn import CrossEntropyLoss, Module, Parameter, Sequential
 from repro.optim import AMSGrad, Adam, AdamW, LAMB, SGD, Optimizer, SGDMomentum
+from repro.optim.base import BLOCK
 from repro.parallel import DataParallelEngine, FSDPEngine, PipelineEngine
 from repro.utils import FlatBuffer, state_equal, state_nbytes
 
@@ -41,12 +42,22 @@ OPTIMIZERS = {
 }
 
 
-def make_pair(opt_name, seed=3):
+#: models the kernel tests run over, and the MID_UPDATE budget each one's
+#: prefix test steps: an arena inside one kernel block, and one of 4.6
+#: blocks whose ``4.weight`` straddles two block edges and whose budget
+#: ends inside the third block (``test_the_block_model_crosses_block_edges``)
+MODELS = {
+    "one_block": (lambda seed: make_mlp(6, 10, 4, depth=3, seed=seed), 3),
+    "five_blocks": (lambda seed: make_mlp(64, 256, 10, depth=3, seed=seed), 4),
+}
+
+
+def make_pair(opt_name, seed=3, model="one_block"):
     """Two identical (model, optimizer) pairs for reference-vs-flat runs."""
     pairs = []
     for _ in range(2):
-        model = make_mlp(6, 10, 4, depth=3, seed=seed)
-        pairs.append((model, OPTIMIZERS[opt_name](model)))
+        net = MODELS[model][0](seed)
+        pairs.append((net, OPTIMIZERS[opt_name](net)))
     return pairs
 
 
@@ -141,9 +152,10 @@ class TestFlatBuffer:
 
 
 class TestFusedOptimizerKernels:
+    @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
-    def test_full_steps_bitwise(self, opt_name):
-        (m_e, o_e), (m_f, o_f) = make_pair(opt_name)
+    def test_full_steps_bitwise(self, opt_name, model):
+        (m_e, o_e), (m_f, o_f) = make_pair(opt_name, model=model)
         order = [n for n, _ in m_e.named_parameters()][::-1]
         rng_e, rng_f = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(5):
@@ -154,16 +166,17 @@ class TestFusedOptimizerKernels:
             assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
         assert o_e.step_counts == o_f.step_counts
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("opt_name", sorted(OPTIMIZERS))
-    def test_partial_prefix_bitwise(self, opt_name):
+    def test_partial_prefix_bitwise(self, opt_name, model):
         """MID_UPDATE budgets: flat prefix == reference prefix, keys
-        included."""
-        (m_e, o_e), (m_f, o_f) = make_pair(opt_name)
+        included; then a full step over mixed step counts, and its undo."""
+        (m_e, o_e), (m_f, o_f) = make_pair(opt_name, model=model)
         order = [n for n, _ in m_e.named_parameters()][::-1]
         rng_e, rng_f = np.random.default_rng(2), np.random.default_rng(2)
         set_grads(m_e, rng_e)
         set_grads(m_f, rng_f)
-        budget = 3
+        budget = MODELS[model][1]
         reference_steps(o_e, order, budget)
         names = o_f.step_flat(flat_grads(o_f.params, order), count=budget,
                              order=order)
@@ -176,6 +189,28 @@ class TestFusedOptimizerKernels:
         reference_steps(o_e, order)
         o_f.step_flat(flat_grads(o_f.params, order), order=order)
         assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
+        if o_f.invertible:  # AMSGrad's undo refuses (tested below)
+            o_e.undo(order[::-1])
+            o_f.undo(order[::-1])
+            assert state_equal(full_state(m_e, o_e), full_state(m_f, o_f))
+            assert o_e.step_counts == o_f.step_counts
+
+    def test_the_block_model_crosses_block_edges(self):
+        """The five-block model covers the block loop's edges: a parameter
+        straddles one, the prefix budget ends inside a block past two, and
+        the elementwise kernels' scratch stays one block long."""
+        (m, opt), _ = make_pair("adam", model="five_blocks")
+        order = [n for n, _ in m.named_parameters()][::-1]
+        slices = opt.flat_arena(order).params.slices
+        assert opt.flat_arena(order).params.size >= 3 * BLOCK
+        assert any(s.start // BLOCK < (s.stop - 1) // BLOCK
+                   for s in slices.values())
+        end = slices[order[MODELS["five_blocks"][1] - 1]].stop
+        assert end > 2 * BLOCK and end % BLOCK
+        set_grads(m, np.random.default_rng(3))
+        opt.step_flat(flat_grads(opt.params, order), order=order)
+        assert opt._scratch.shape == (2, BLOCK)
+        assert not opt.flat_arena(order)._scratch  # no arena-sized scratch
 
     @pytest.mark.parametrize(
         "opt_name", [n for n in sorted(OPTIMIZERS) if n != "amsgrad"]

@@ -100,7 +100,7 @@ class TestDropout:
         layer = Dropout(0.5, rng=RngStream(0, "d"))
         x = np.ones((16, 16))
         y1 = layer(x)
-        layer.counter = 0  # rewind, as recovery does
+        layer.counter = 0  # seek back, as an engine does before a forward
         assert np.array_equal(layer(x), y1)
 
     def test_backward_uses_same_mask(self):

@@ -473,10 +473,16 @@ def test_one_update_kernel_census():
     two paths (``ParallelismSpec.fused``, ``DataParallelEngine(fused=)``,
     ``PipelineStage.fused_updates``) stay deleted.  The per-parameter
     reference lives in ``tests/optim_oracle.py``.
+
+    The block loop (``Optimizer._step_run``) is the one caller of an
+    elementwise kernel's ``_step_flat``, and LAMB's whole-run kernel is
+    the one that asks its arena for arena-sized scratch
+    (``FlatArena.scratch``).
     """
     banned = {"_update", "step_param", "supports_flat"}
     switches = {"fused", "fused_updates"}
     found = set()
+    callers: dict[str, set[str]] = {"_step_flat": set(), "scratch": set()}
     for where, (_, tree) in package_sources().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and (
@@ -487,7 +493,16 @@ def test_one_update_kernel_census():
                     or getattr(node, "id", None))
             if name in switches:
                 found.add(f"{where}: {name}")
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr in callers):
+                    callers[sub.func.attr].add(f"{where}: {node.name}")
     assert not found
+    assert callers == {"_step_flat": {"optim/base.py: _step_run"},
+                       "scratch": {"optim/lamb.py: _step_run"}}
 
 
 def test_one_gradient_path_census():
@@ -540,8 +555,6 @@ ALLOWED_TEST_ONLY = {
                                "is tested on",
     "transformer_message_bytes": "the formula Table 2's boundary_bytes are "
                                  "checked against",
-    "Dropout": "a layer whose backward reads forward-time state; the "
-               "pipeline stash oracle runs it",
     "Identity": "an nn test fixture",
     "FailureSource": "the documented protocol the engines consume",
     "evaluate_trace": "a doctested repro.chaos entry point",
