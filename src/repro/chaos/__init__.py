@@ -42,6 +42,7 @@ from repro.chaos.distributions import (
 )
 from repro.chaos.evaluate import (
     GoodputResult,
+    TraceColumns,
     evaluate_scenario,
     evaluate_trace,
     evaluate_traces,
@@ -74,6 +75,7 @@ __all__ = [
     "StorageOutage",
     "ScriptedEvents",
     "GoodputResult",
+    "TraceColumns",
     "evaluate_trace",
     "evaluate_traces",
     "evaluate_scenario",

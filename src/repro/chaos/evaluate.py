@@ -38,6 +38,7 @@ price walked alone).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.sim.workloads import Workload
 
 __all__ = [
     "GoodputResult",
+    "TraceColumns",
     "method_for_strategy",
     "evaluate_trace",
     "evaluate_traces",
@@ -103,6 +105,54 @@ class GoodputResult:
         return self.hours - self.failure_free_hours
 
 
+@dataclass(eq=False)
+class TraceColumns(Sequence):
+    """``K`` prices under ``T`` traces, held as ``(K, T)`` columns.
+
+    What :func:`evaluate_traces` returns.  ``result[k][i]`` is price
+    ``k``'s :class:`GoodputResult` under trace ``i``, built when row
+    ``k`` is read; a caller that only aggregates reads the columns.
+    """
+
+    traces: tuple[FailureTrace, ...]
+    methods: list[str]
+    #: ``(K,)`` completion time had no event fired
+    failure_free_hours: np.ndarray
+    #: ``(K, T)`` end-to-end hours, including every stall, and the
+    #: events each price lived to see
+    hours: np.ndarray
+    num_storage_outages: np.ndarray
+    num_straggler_onsets: np.ndarray
+    num_crashes: np.ndarray
+
+    @property
+    def goodput_fraction(self) -> np.ndarray:
+        """``(K, T)`` failure-free / actual hours (0 where no time
+        passed), as :attr:`GoodputResult.goodput_fraction` divides."""
+        return np.divide(self.failure_free_hours[:, None], self.hours,
+                         out=np.zeros_like(self.hours),
+                         where=self.hours != 0)
+
+    def __len__(self) -> int:
+        return len(self.methods)
+
+    def __getitem__(self, k: int) -> list[GoodputResult]:
+        k = range(len(self))[k]  # IndexError past the end
+        return [
+            GoodputResult(
+                scenario=trace.scenario, method=self.methods[k],
+                seed=trace.seed, hours=hours,
+                failure_free_hours=float(self.failure_free_hours[k]),
+                num_crashes=c, num_straggler_onsets=o, num_storage_outages=s,
+            )
+            for trace, hours, s, o, c in zip(
+                self.traces, self.hours[k].tolist(),
+                self.num_storage_outages[k].tolist(),
+                self.num_straggler_onsets[k].tolist(),
+                self.num_crashes[k].tolist())
+        ]
+
+
 def evaluate_trace(
     trace: FailureTrace,
     workload: Workload,
@@ -144,7 +194,7 @@ class _Batch:
 
         self.interval = column("interval").astype(np.int64)
         self.dt_base = column("iteration_seconds").astype(float)
-        self.free_hours = (self.total * self.dt_base / 3600.0).tolist()
+        self.free_hours = self.total * self.dt_base / 3600.0
         # the three lost formulas: replication's undo loses nothing,
         # in-memory snapshots persist, the rest recompute since the last
         # durable checkpoint
@@ -168,8 +218,9 @@ class _Batch:
                                          / self.bw)
                             + self.extra)
 
-    def walk(self, trace: FailureTrace) -> list[GoodputResult]:
-        """One result per price under ``trace``'s events."""
+    def walk(self, trace: FailureTrace) -> tuple[np.ndarray, np.ndarray]:
+        """Each price's hours under ``trace``'s events, and its outage,
+        straggler-onset and crash counts (one row each)."""
         total, interval, dt_base = self.total, self.interval, self.dt_base
         elapsed, slowdown = np.zeros(len(total)), np.ones(len(total))
         dt = dt_base  # dt_base * slowdown
@@ -215,16 +266,7 @@ class _Batch:
         # no events remain: run the tail uninterrupted (adds 0.0 to a
         # finished price)
         elapsed = elapsed + (total - completed) * dt_base * slowdown
-        return [
-            GoodputResult(
-                scenario=trace.scenario, method=pricing.method,
-                seed=trace.seed, hours=hours, failure_free_hours=free,
-                num_crashes=c, num_straggler_onsets=o, num_storage_outages=s,
-            )
-            for pricing, hours, free, s, o, c in zip(
-                self.pricings, (elapsed / 3600.0).tolist(), self.free_hours,
-                *counts.tolist())
-        ]
+        return elapsed / 3600.0, counts
 
 
 def _persist(b, completed, elapsed, dt, fit, interval, outages,
@@ -311,13 +353,14 @@ def sample_paired_traces(
     )
 
 
-def evaluate_traces(traces, prices) -> list[list[GoodputResult]]:
+def evaluate_traces(traces, prices) -> TraceColumns:
     """Price a batch of ``(Pricing, total_iterations)`` over many traces.
 
     Each trace is walked once for the whole batch: the walk branches on
     the event, which every price shares, and carries each price's state
-    as one column.  ``result[k][i]`` is price ``k`` under trace ``i``,
-    bit for bit what a batch holding price ``k`` alone returns.  A
+    as one column.  The result is a :class:`TraceColumns`:
+    ``result[k][i]`` is price ``k`` under trace ``i``, bit for bit what a
+    batch holding price ``k`` alone returns.  A
     ``total_iterations`` of ``None`` or 0 means 10 000.  Raises
     :class:`~repro.errors.ConfigurationError` on an empty batch of
     traces — a searcher bug, not a zero-goodput configuration.
@@ -333,6 +376,9 @@ def evaluate_traces(traces, prices) -> list[list[GoodputResult]]:
     True
     >>> all(a.hours > b.hours for a, b in zip(ckpt, logging))
     True
+    >>> evaluate_traces(traces, prices).hours[1].tolist() == [
+    ...     r.hours for r in logging]
+    True
     """
     traces = tuple(traces)
     if not traces:
@@ -340,5 +386,7 @@ def evaluate_traces(traces, prices) -> list[list[GoodputResult]]:
             "evaluate_traces needs at least one trace"
         )
     batch = _Batch(prices)
-    return [list(column) for column in
-            zip(*(batch.walk(trace) for trace in traces))]
+    hours, counts = zip(*(batch.walk(trace) for trace in traces))
+    return TraceColumns(traces, [p.method for p in batch.pricings],
+                        batch.free_hours, np.stack(hours, axis=1),
+                        *np.stack(counts, axis=2))

@@ -5,10 +5,11 @@ Scoring a candidate means pricing its recovery configuration under the
 comparison is paired: the trace carries all the randomness), via
 :func:`repro.chaos.evaluate_traces` with the candidate's
 :meth:`CostModel.pricing <repro.sim.CostModel.pricing>`, built once per
-cost key on the space's :class:`~repro.sim.HardwareConfig` (an
-experiment's own replacement join).  :meth:`GoodputObjective.score_all`
-prices a whole batch of keys in one walk of each trace, so a full grid
-is searchable interactively.
+cost key and iteration budget on the space's
+:class:`~repro.sim.HardwareConfig` (an experiment's own replacement
+join) and kept on the space, so a re-plan prices nothing twice.
+:meth:`GoodputObjective.score_all` prices a whole batch of keys in one
+walk of each trace, so a full grid is searchable interactively.
 
 Candidates that differ only in selective-logging budget share one
 evaluation (:meth:`Candidate.cost_key`): the budget shapes storage
@@ -24,6 +25,8 @@ be able to beat a slow-but-safe one, and samples/s prices both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.chaos.evaluate import evaluate_traces, method_for_strategy
 from repro.chaos.scenarios import get_scenario
@@ -158,6 +161,24 @@ class GoodputObjective:
         """Predicted goodput of ``candidate`` (memoized on cost_key)."""
         return self.score_all((candidate,))[0]
 
+    def price(self, candidate: Candidate) -> tuple:
+        """``(workload, method, Pricing)`` of the candidate's cost key.
+
+        Memoized on the space per ``(cost_key, iteration budget)``: the
+        price reads the scenario only through the budget, so a re-plan
+        at the same horizon prices nothing again.
+        """
+        key = (candidate.cost_key(), self._total_override)
+        price = self.space.prices.get(key)
+        if price is None:
+            w = self.candidate_workload(candidate)
+            method = method_for_strategy(candidate.strategy)
+            price = self.space.prices[key] = (w, method, CostModel(
+                w, self.space.hardware, use_experiment_time=False,
+            ).pricing(method, candidate.checkpoint_interval,
+                      candidate.parallel_recovery_degree))
+        return price
+
     def score_all(self, candidates) -> list[CandidateScore]:
         """Predicted goodput of each candidate, in order.
 
@@ -167,24 +188,27 @@ class GoodputObjective:
         """
         candidates = list(candidates)
         keys = [candidate.cost_key() for candidate in candidates]
-        fresh: dict[tuple, tuple] = {}
+        fresh: dict[tuple, Candidate] = {}
         for candidate, key in zip(candidates, keys):
             if key in self._cache or key in fresh:
                 self.hits += 1
             else:
                 self.misses += 1
-                fresh[key] = (candidate, self.candidate_workload(candidate),
-                              method_for_strategy(candidate.strategy))
+                fresh[key] = candidate
         if fresh:
-            results = evaluate_traces(self.traces, [
-                (CostModel(w, self.space.hardware, use_experiment_time=False)
-                 .pricing(method, c.checkpoint_interval,
-                          c.parallel_recovery_degree), w.total_iterations)
-                for c, w, method in fresh.values()])
-            for (key, (c, w, method)), per_seed in zip(fresh.items(),
-                                                       results):
-                mean_hours = sum(r.hours for r in per_seed) / len(per_seed)
-                fractions = tuple(r.goodput_fraction for r in per_seed)
+            priced = [self.price(c) for c in fresh.values()]
+            walked = evaluate_traces(self.traces, [
+                (pricing, w.total_iterations) for w, _, pricing in priced])
+            fractions = walked.goodput_fraction
+            seeds = len(self.traces)
+            for (key, c), (w, method, _), mean_hours, fraction, by_seed, \
+                    crashes, free in zip(
+                        fresh.items(), priced,
+                        (_seed_sum(walked.hours) / seeds).tolist(),
+                        (_seed_sum(fractions) / seeds).tolist(),
+                        fractions.tolist(),
+                        (_seed_sum(walked.num_crashes) / seeds).tolist(),
+                        walked.failure_free_hours.tolist()):
                 self._cache[key] = CandidateScore(
                     candidate=c,
                     method=method,
@@ -193,13 +217,11 @@ class GoodputObjective:
                         / (mean_hours * 3600.0)
                         if mean_hours > 0 else 0.0
                     ),
-                    goodput_fraction=sum(fractions) / len(fractions),
+                    goodput_fraction=fraction,
                     mean_hours=mean_hours,
-                    failure_free_hours=per_seed[0].failure_free_hours,
-                    mean_crashes=(
-                        sum(r.num_crashes for r in per_seed) / len(per_seed)
-                    ),
-                    goodput_by_seed=fractions,
+                    failure_free_hours=free,
+                    mean_crashes=crashes,
+                    goodput_by_seed=tuple(by_seed),
                 )
         scores = [self._cache[key] for key in keys]
         return [s if s.candidate is c else replace(s, candidate=c)
@@ -212,3 +234,9 @@ class GoodputObjective:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.evaluations if self.evaluations else 0.0
+
+
+def _seed_sum(columns: np.ndarray) -> np.ndarray:
+    """Row sums of a ``(K, T)`` array, seeds added left to right as
+    Python's ``sum`` adds them (``np.sum`` pairs them)."""
+    return np.add.accumulate(columns, axis=1)[:, -1]

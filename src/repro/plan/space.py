@@ -221,6 +221,10 @@ class SearchSpace:
     def __init__(self) -> None:
         self.stats = PruneStats()
         self._verdicts: dict[Candidate, str | None] = {}
+        #: ``(cost_key, iteration budget) -> (workload, method, Pricing)``
+        #: (``GoodputObjective.price``; a space's hardware and base are
+        #: fixed at construction)
+        self.prices: dict[tuple, tuple] = {}
 
     # -- subclass interface ------------------------------------------------
     def _feasibility_reason(self, candidate: Candidate) -> str | None:
@@ -443,6 +447,7 @@ class ExperimentSearchSpace(SearchSpace):
         self.strategies = tuple(strategies) if strategies else None
         self.schedules = tuple(schedules)
         self._experiments: dict[Candidate, "Experiment"] = {}
+        self._workloads: dict[tuple, Workload] = {}
 
     def _spanned_machines(self, num_workers: int) -> int:
         d = self.base.cluster.devices_per_machine
@@ -519,8 +524,15 @@ class ExperimentSearchSpace(SearchSpace):
         )
 
     def to_workload(self, c: Candidate) -> Workload:
-        """The candidate's experiment as the cost model sees it."""
-        return self._experiment(c).to_workload()
+        """The candidate's experiment as the cost model sees it, lowered
+        once per layout and re-timed per cadence (strategy, degree and
+        budget do not reach a workload)."""
+        exp = self._experiment(c)
+        layout = (c.kind, c.num_workers, c.num_microbatches, c.schedule)
+        w = self._workloads.get(layout)
+        if w is None:
+            w = self._workloads[layout] = exp.to_workload()
+        return replace(w, checkpoint_interval_iters=c.checkpoint_interval)
 
     def winning_plan(self, report) -> "ExecutionPlan":
         """The winner's :class:`~repro.api.ExecutionPlan`, stamped with

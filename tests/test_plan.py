@@ -28,6 +28,7 @@ from repro.chaos import (
     FailureTrace,
     evaluate_trace,
     evaluate_traces,
+    get_scenario,
     sample_paired_traces,
 )
 from repro.errors import ConfigurationError
@@ -540,6 +541,26 @@ class TestScoreAllIsSequentialScore:
             assert batch.score_all(candidates[:3]) == scores[:3]
             assert batch.misses == sequential.misses
 
+    def test_columns_score_as_rows_summed_left_to_right(self):
+        """``score_all`` reads the walk's columns; each score is what
+        summing the per-trace results seed by seed gives (eight seeds:
+        ``np.sum`` would pair them)."""
+        space = _pinned_space()
+        objective = GoodputObjective(space, "rack_burst", eval_seeds=8)
+        candidates = [space.default(), *space.iter_feasible()]
+        scores = objective.score_all(candidates)
+        priced = [objective.price(s.candidate) for s in scores]
+        rows = evaluate_traces(objective.traces, [
+            (pricing, w.total_iterations) for w, _, pricing in priced])
+        for s, per_seed in zip(scores, rows):
+            assert s.mean_hours == sum(r.hours for r in per_seed) / 8
+            assert s.goodput_by_seed == tuple(
+                r.goodput_fraction for r in per_seed)
+            assert s.goodput_fraction == sum(s.goodput_by_seed) / 8
+            assert s.mean_crashes == sum(r.num_crashes
+                                         for r in per_seed) / 8
+            assert s.failure_free_hours == per_seed[0].failure_free_hours
+
     def test_seeded_anneal_report_is_unchanged(self):
         """Pinned before the anneal scored its draws and mutants in
         batches: the pool, the winner and the hit count hold."""
@@ -554,6 +575,67 @@ class TestScoreAllIsSequentialScore:
             "ac1e5a3635b3eee16e0e370efa4d3a2f179fa3412cad4da352a71b1c4f05434d",
             "2a1803173556ef31867d915e8acf9fb70fbb8ab0d4ab1ac3c7936dcefdaffd94",
         ]
+
+
+class TestAReplanPricesNothingTwice:
+    """A space prices each cost key once per iteration budget and lowers
+    each layout once; a scenario changes only the walk."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, calls):
+        real = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_same_horizon_replan_lowers_and_prices_nothing(
+            self, monkeypatch):
+        lowered, priced = [], []
+        self._count(monkeypatch, Experiment, "to_workload", lowered)
+        self._count(monkeypatch, CostModel, "pricing", priced)
+        space = _bench_space()
+        cold = autoplan(space, "rack_burst", searcher="exhaustive",
+                        eval_seeds=2)
+        layouts = {(c.kind, c.num_workers, c.num_microbatches, c.schedule)
+                   for c in [space.default(), *space.iter_feasible()]}
+        assert len(lowered) == len(layouts) == 45
+        assert len(priced) == cold.cache_misses
+        lowered.clear()
+        priced.clear()
+        warm = autoplan(space, "flaky_node", searcher="exhaustive",
+                        eval_seeds=2)
+        assert (lowered, priced) == ([], [])
+        assert warm.cache_misses == cold.cache_misses
+
+    def test_replan_at_another_horizon_prices_afresh(self, monkeypatch):
+        """The price reads the iteration budget, which the horizon sets:
+        a 48 h re-plan on a warm 100 h space misses the memo and scores
+        as a fresh space does."""
+        flaky = dataclasses.replace(get_scenario("flaky_node"),
+                                    horizon_hours=48.0)
+        space = _pinned_space()
+        autoplan(space, "rack_burst", searcher="exhaustive", eval_seeds=3)
+        warm_keys = len(space.prices)
+        priced = []
+        self._count(monkeypatch, CostModel, "pricing", priced)
+        warm = autoplan(space, flaky, searcher="exhaustive", eval_seeds=3)
+        assert len(priced) == warm.cache_misses
+        assert len(space.prices) == 2 * warm_keys
+        assert len({budget for _, budget in space.prices}) == 2
+        fresh = autoplan(_pinned_space(), flaky, searcher="exhaustive",
+                         eval_seeds=3)
+        assert warm.to_json() == fresh.to_json()
+
+    def test_retimed_workloads_equal_direct_lowering(self):
+        space = _bench_space()
+        feasible = list(space.iter_feasible())
+        assert len(feasible) == 639
+        for order in (feasible, feasible[::-1]):  # cold, then warm
+            for c in order:
+                assert space.to_workload(c) == \
+                    space.to_experiment(c).to_workload(), c.label()
 
 
 # -- determinism -----------------------------------------------------------
